@@ -11,8 +11,6 @@ as the only candidate with a full action at generic genus.
 
 from __future__ import annotations
 
-import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -93,13 +91,12 @@ class GeneratingVector:
         return "(" + ", ".join(e.name for e in self.images) + ")"
 
 
-def smooth_vectors(G: FiniteGroup, periods, workers: int = 1):
+def smooth_vectors(G: FiniteGroup, periods):
     """All generating vectors on the given ordered periods, sorted by indices.
 
     Returns [] when some period does not divide the group order.  The last
     tuple entry is always solved from the product-one constraint rather than
-    searched.  ``workers`` > 1 partitions the search on the first coordinate;
-    the merged result is identical for any worker count.
+    searched.
     """
     periods = tuple(int(m) for m in periods)
     if any(m < 2 for m in periods):
@@ -116,34 +113,22 @@ def smooth_vectors(G: FiniteGroup, periods, workers: int = 1):
     table = G._table
     n = G.order
     last_period = periods[-1]
+    tuples = []
 
-    def search(first_candidates):
-        found = []
-
-        def dfs(pos, prefix, prod):
-            if pos == r - 1:
-                last = G._inv[prod]
-                if G.element_order(last) != last_period:
-                    return
-                tup = prefix + (last,)
-                if len(G._closure_idx(tup)) == n:
-                    found.append(tup)
+    def dfs(pos, prefix, prod):
+        if pos == r - 1:
+            last = G._inv[prod]
+            if G.element_order(last) != last_period:
                 return
-            for c in by_order[periods[pos]]:
-                dfs(pos + 1, prefix + (c,), table[prod][c])
+            tup = prefix + (last,)
+            if len(G._closure_idx(tup)) == n:
+                tuples.append(tup)
+            return
+        for c in by_order[periods[pos]]:
+            dfs(pos + 1, prefix + (c,), table[prod][c])
 
-        for c in first_candidates:
-            dfs(1, (c,), c)
-        return found
-
-    first = by_order[periods[0]]
-    if workers <= 1 or len(first) < 2:
-        tuples = search(first)
-    else:
-        chunks = [first[i::workers] for i in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(search, [c for c in chunks if c]))
-        tuples = [t for part in parts for t in part]
+    for c in by_order[periods[0]]:
+        dfs(1, (c,), c)
     tuples.sort()
     return [GeneratingVector.from_indices(G, t) for t in tuples]
 
@@ -232,7 +217,7 @@ class ActionClass:
         return vector_in_class(self, v)
 
 
-def classify(G: FiniteGroup, periods, workers: int = 1):
+def classify(G: FiniteGroup, periods):
     """Equivalence classes of generating vectors on the given period multiset.
 
     Orbits are taken under braid moves (which realize every permutation of
@@ -240,7 +225,7 @@ def classify(G: FiniteGroup, periods, workers: int = 1):
     independent of the ordering of ``periods``.
     """
     base = tuple(sorted(int(m) for m in periods))
-    vectors = smooth_vectors(G, base, workers=workers)
+    vectors = smooth_vectors(G, base)
     unseen = {v.indices for v in vectors}
     all_tuples = set(unseen)
     classes = []
@@ -265,13 +250,6 @@ def classify(G: FiniteGroup, periods, workers: int = 1):
         )
     classes.sort(key=lambda c: c.representative.indices)
     return classes
-
-
-def canonical_form(G: FiniteGroup, v: GeneratingVector) -> tuple:
-    """Deterministic orbit invariant: the class representative's index tuple."""
-    base = tuple(sorted(v.periods))
-    orbit = _orbit(G, v.indices)
-    return min(t for t in orbit if tuple(G.element_order(i) for i in t) == base)
 
 
 def vector_in_class(cls: ActionClass, v: GeneratingVector) -> bool:
@@ -329,23 +307,28 @@ def canonical_vector(g: int) -> GeneratingVector:
     return GeneratingVector(G, (2, 2, 2, 2 * g), images)
 
 
-_MAIN_CLASS_CACHE = {}
+_MAIN_CLASSES_CACHE = {}
 
 
-def main_action_class(g: int, workers: int = 1) -> ActionClass:
+def main_family_classes(g: int) -> list:
+    """Every class on (2,2,2,2g) over the order-4g dihedral group (cached)."""
+    if g not in _MAIN_CLASSES_CACHE:
+        _MAIN_CLASSES_CACHE[g] = classify(family_group(g), (2, 2, 2, 2 * g))
+    return _MAIN_CLASSES_CACHE[g]
+
+
+def main_action_class(g: int) -> ActionClass:
     """The unique class on (2,2,2,2g) over the order-4g dihedral group."""
-    if g not in _MAIN_CLASS_CACHE:
-        classes = classify(family_group(g), (2, 2, 2, 2 * g), workers=workers)
-        if len(classes) != 1:
-            raise InvariantViolation(
-                f"expected a unique dihedral class at genus {g}, found {len(classes)}"
-            )
-        if not classes[0].contains(canonical_vector(g)):
-            raise InvariantViolation(
-                f"canonical vector escaped the unique class at genus {g}"
-            )
-        _MAIN_CLASS_CACHE[g] = classes[0]
-    return _MAIN_CLASS_CACHE[g]
+    classes = main_family_classes(g)
+    if len(classes) != 1:
+        raise InvariantViolation(
+            f"expected a unique dihedral class at genus {g}, found {len(classes)}"
+        )
+    if not classes[0].contains(canonical_vector(g)):
+        raise InvariantViolation(
+            f"canonical vector escaped the unique class at genus {g}"
+        )
+    return classes[0]
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +502,7 @@ def eliminate_cases(g: int, max_order: int = 256) -> list:
     ]
 
 
-def exceptional_search(g: int, groups, workers: int = 1):
+def exceptional_search(g: int, groups):
     """Candidate actions on the sporadic and quadruple signatures at genus g.
 
     Scans the supplied order-4g groups; fullness of the candidates is not
@@ -539,6 +522,6 @@ def exceptional_search(g: int, groups, workers: int = 1):
     results = []
     for ts in specials:
         for G in groups:
-            for cls in classify(G, ts.periods, workers=workers):
+            for cls in classify(G, ts.periods):
                 results.append((ts.signature, cls))
     return results

@@ -8,7 +8,6 @@ as an internal error (exit code 3 at the command line).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .actions import (
@@ -27,7 +26,6 @@ from .extensions import (
     cone_target_group,
 )
 from .realforms import _reflection_records, species_set, symmetry_classes
-from .report import atlas_reports
 from .signatures import enumerate_4g_signatures
 
 __all__ = ["CheckResult", "run_all_checks", "ALL_CHECKS"]
@@ -44,56 +42,23 @@ class CheckResult:
         return f"{status}  {self.name}: {self.detail}"
 
 
-def _verify_table(G) -> None:
-    """Re-verify the group axioms on a multiplication table.
-
-    Associativity is checked on every triple up to order 64 and on a fixed
-    strided sample beyond that, so the cost stays bounded while the sweep
-    still touches every row and column.
-    """
-    n = G.order
-    table = G._table
-    full = set(range(n))
-    for i, row in enumerate(table):
-        if set(row) != full:
-            raise FourgError(f"{G.name}: row {i} is not a permutation")
-        if row[0] != i or table[0][i] != i:
-            raise FourgError(f"{G.name}: index 0 is not an identity at {i}")
-    for i in range(n):
-        if not any(table[i][j] == 0 and table[j][i] == 0 for j in range(n)):
-            raise FourgError(f"{G.name}: element {i} has no inverse")
-    step = 1 if n <= 64 else max(1, n // 24)
-    sample = range(0, n, step)
-    for a in sample:
-        row_a = table[a]
-        for b in sample:
-            ab = row_a[b]
-            row_ab = table[ab]
-            row_b = table[b]
-            for c in sample:
-                if row_ab[c] != row_a[row_b[c]]:
-                    raise FourgError(
-                        f"{G.name}: associativity fails at ({a}, {b}, {c})"
-                    )
-
-
-def check_group_axioms(g_min: int, g_max: int, workers: int = 1) -> CheckResult:
+def check_group_axioms(g_min: int, g_max: int) -> CheckResult:
     """Identity, inverses, closure, associativity for the working groups."""
     count = 0
     for g in range(g_min, g_max + 1):
         for G in (family_group(g), chain_target_group(g), cone_target_group(g)):
-            _verify_table(G)
+            G._verify()
             count += 1
     return CheckResult(
         "group-axioms", True, f"{count} multiplication tables verified"
     )
 
 
-def check_braid_invariance(g_min: int, g_max: int, workers: int = 1) -> CheckResult:
+def check_braid_invariance(g_min: int, g_max: int) -> CheckResult:
     """Braid moves never leave the unique class of the main family."""
     moves = 0
     for g in range(g_min, g_max + 1):
-        cls = main_action_class(g, workers=workers)
+        cls = main_action_class(g)
         v = canonical_vector(g)
         for i in range(1, len(v.images)):
             moved = braid_move(v, i)
@@ -107,7 +72,7 @@ def check_braid_invariance(g_min: int, g_max: int, workers: int = 1) -> CheckRes
     return CheckResult("braid-invariance", True, f"{moves} moves stayed in class")
 
 
-def check_kernel_genus(g_min: int, g_max: int, workers: int = 1) -> CheckResult:
+def check_kernel_genus(g_min: int, g_max: int) -> CheckResult:
     """Every admissible signature yields back the genus it was built for."""
     count = 0
     for g in range(g_min, g_max + 1):
@@ -122,7 +87,7 @@ def check_kernel_genus(g_min: int, g_max: int, workers: int = 1) -> CheckResult:
     return CheckResult("kernel-genus", True, f"{count} signatures round-tripped")
 
 
-def check_species_constraints(g_min: int, g_max: int, workers: int = 1) -> CheckResult:
+def check_species_constraints(g_min: int, g_max: int) -> CheckResult:
     """Every emitted species satisfies the topological oval bounds."""
     emitted = 0
     for g in range(g_min, g_max + 1):
@@ -147,7 +112,7 @@ def check_species_constraints(g_min: int, g_max: int, workers: int = 1) -> Check
     )
 
 
-def check_centralizer_images(g_min: int, g_max: int, workers: int = 1) -> CheckResult:
+def check_centralizer_images(g_min: int, g_max: int) -> CheckResult:
     """Oval-count data sits inside the right centralizers with whole indices."""
     records = 0
     for g in range(g_min, g_max + 1):
@@ -159,35 +124,16 @@ def check_centralizer_images(g_min: int, g_max: int, workers: int = 1) -> CheckR
     )
 
 
-def check_worker_reproducibility(g_min: int, g_max: int, workers: int = 2) -> CheckResult:
-    """Atlas output is byte-identical with one worker and with several."""
-    top = min(g_max, g_min + 4)
-    serial = json.dumps(
-        [r.to_json_dict() for r in atlas_reports(g_min, top, workers=1)]
-    )
-    threaded = json.dumps(
-        [r.to_json_dict() for r in atlas_reports(g_min, top, workers=max(2, workers))]
-    )
-    if serial != threaded:
-        raise FourgError("atlas output differs between 1 worker and several")
-    return CheckResult(
-        "worker-reproducibility",
-        True,
-        f"genera {g_min}..{top} byte-identical across worker counts",
-    )
-
-
 ALL_CHECKS = (
     check_group_axioms,
     check_braid_invariance,
     check_kernel_genus,
     check_species_constraints,
     check_centralizer_images,
-    check_worker_reproducibility,
 )
 
 
-def run_all_checks(g_min: int = 2, g_max: int = 6, workers: int = 2) -> list:
+def run_all_checks(g_min: int = 2, g_max: int = 6) -> list:
     """Run every suite; failures become results, never silent passes."""
     if not 2 <= g_min <= g_max:
         raise ValueError(f"need 2 <= g_min <= g_max, got {g_min}..{g_max}")
@@ -195,7 +141,7 @@ def run_all_checks(g_min: int = 2, g_max: int = 6, workers: int = 2) -> list:
     for check in ALL_CHECKS:
         name = check.__name__.replace("check_", "").replace("_", "-")
         try:
-            results.append(check(g_min, g_max, workers=workers))
+            results.append(check(g_min, g_max))
         except FourgError as exc:
             results.append(CheckResult(name, False, str(exc)))
     return results

@@ -8,7 +8,7 @@ Commands:
   over the built-in group catalog or externally supplied table files.
 
 Output is Markdown by default, JSON with ``--json``; JSON output is
-byte-identical across runs and worker counts.  A ``--config`` file with
+byte-identical across runs.  A ``--config`` file with
 ``key=value`` lines supplies defaults that explicit flags override.
 
 Exit codes: 0 success, 1 usage error, 2 input-format error, 3 internal
@@ -58,7 +58,7 @@ EXIT_INPUT = 2
 EXIT_INVARIANT = 3
 
 _CONFIG_KEYS = {
-    "genus", "range", "format", "tables", "max_order", "workers", "check",
+    "genus", "range", "format", "tables", "max_order", "check",
 }
 
 
@@ -111,10 +111,6 @@ def _build_parser() -> _Parser:
         p.add_argument(
             "--max-order", dest="max_order", type=int, default=None,
             help=f"cap for catalog searches (default {DEFAULT_MAX_ORDER})",
-        )
-        p.add_argument(
-            "--workers", type=int, default=None,
-            help="worker threads for sweeps (default 1)",
         )
         p.add_argument(
             "--config", default=None, metavar="FILE",
@@ -190,20 +186,14 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
         args.tables = config["tables"]
     if args.max_order is None and "max_order" in config:
         args.max_order = _config_int(config, "max_order")
-    if args.workers is None and "workers" in config:
-        args.workers = _config_int(config, "workers")
     if args.check is None and "check" in config:
         args.check = _config_bool(config, "check")
     if args.format is None:
         args.format = "markdown"
     if args.max_order is None:
         args.max_order = DEFAULT_MAX_ORDER
-    if args.workers is None:
-        args.workers = 1
     if args.check is None:
         args.check = False
-    if args.workers < 1:
-        raise UsageError("--workers must be at least 1")
     if args.max_order < 8:
         raise UsageError("--max-order must be at least 8")
     return args
@@ -273,19 +263,12 @@ def cmd_report(g: int, options) -> "Report":
         if options.tables
         else None
     )
-    return build_report(
-        g,
-        max_order=options.max_order,
-        workers=options.workers,
-        search_groups=search_groups,
-    )
+    return build_report(g, max_order=options.max_order, search_groups=search_groups)
 
 
 def cmd_atlas(g_min: int, g_max: int, options):
     """Reports for a genus range plus the sweep summary."""
-    reports = atlas_reports(
-        g_min, g_max, max_order=options.max_order, workers=options.workers
-    )
+    reports = atlas_reports(g_min, g_max, max_order=options.max_order)
     return reports, atlas_summary(reports)
 
 
@@ -315,7 +298,7 @@ def cmd_exceptional(g: int, options) -> dict:
                 f" order {order}; supply --tables to extend coverage",
                 file=sys.stderr,
             )
-    results = exceptional_search(g, pool, workers=options.workers)
+    results = exceptional_search(g, pool)
     return {
         "genus": g,
         "order": order,
@@ -378,7 +361,7 @@ def _run_checks(options) -> int:
         g_min = g_max = options.genus
     else:
         g_min, g_max = 2, 6
-    results = run_all_checks(g_min, g_max, workers=max(2, options.workers))
+    results = run_all_checks(g_min, g_max)
     for result in results:
         print(result.line(), file=sys.stderr)
     return EXIT_OK if all(r.passed for r in results) else EXIT_INVARIANT

@@ -399,7 +399,7 @@ def orientation_preserving_subgroup(G: FiniteGroup) -> FiniteGroup:
         raise InvariantViolation(
             "orientation-preserving elements do not form an index-2 subgroup"
         )
-    sub = Subgroup(G, members, _small_generating_set(G, members))
+    sub = Subgroup(G, members, _small_generating_set(G._table, members))
     plus = sub.as_group(name=f"{G.name}+")
     G._plus_part = plus
     return plus

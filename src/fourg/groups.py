@@ -2,13 +2,12 @@
 
 Elements are integers indexing into a multiplication table; the identity is
 always index 0.  Construction verifies the group axioms (Light's associativity
-test over a generating set for orders up to 512, deterministic sampling above
-that) so that ingested tables cannot silently poison later computations.
+test over a generating set, exact at every order) so that ingested tables
+cannot silently poison later computations.
 """
 
 from __future__ import annotations
 
-import random
 import re
 from dataclasses import dataclass, field
 from math import gcd
@@ -16,8 +15,6 @@ from math import gcd
 from .errors import GroupConstructionError, InputFormatError, InvariantViolation
 
 MAX_ORDER = 4096
-_FULL_VERIFY_LIMIT = 512
-_SAMPLED_TRIPLES = 20000
 
 
 class GroupElement:
@@ -200,49 +197,24 @@ class FiniteGroup:
             raise GroupConstructionError(
                 f"declared generators span only {len(reached)} of {n} elements"
             )
-        if n <= _FULL_VERIFY_LIMIT:
-            # Light's test: associativity of the whole table follows from
-            # associativity against each member of a generating set.
-            for a in gens if gens else [0]:
-                row_a = table[a]
-                for x in range(n):
-                    row_xa = table[table[x][a]]
-                    row_x = table[x]
-                    for y in range(n):
-                        if row_xa[y] != row_x[row_a[y]]:
-                            raise GroupConstructionError(
-                                f"associativity fails at ({x},{a},{y})"
-                            )
-        else:
-            rng = random.Random(0xF09)
-            for _ in range(_SAMPLED_TRIPLES):
-                x = rng.randrange(n)
-                a = rng.randrange(n)
-                y = rng.randrange(n)
-                if table[table[x][a]][y] != table[x][table[a][y]]:
-                    raise GroupConstructionError(f"associativity fails at ({x},{a},{y})")
+        # Light's test: associativity of the whole table follows from
+        # associativity against each member of a generating set.
+        for a in gens if gens else [0]:
+            row_a = table[a]
+            for x in range(n):
+                row_xa = table[table[x][a]]
+                row_x = table[x]
+                for y in range(n):
+                    if row_xa[y] != row_x[row_a[y]]:
+                        raise GroupConstructionError(
+                            f"associativity fails at ({x},{a},{y})"
+                        )
 
     # -- subgroup machinery ------------------------------------------------
 
     def _closure_idx(self, gen_indices) -> set:
         """Indices of the subgroup generated by the given element indices."""
-        table = self._table
-        seen = {0}
-        frontier = [0]
-        gens = sorted({g for g in gen_indices if g != 0})
-        for g in gens:
-            if g not in seen:
-                seen.add(g)
-                frontier.append(g)
-        while frontier:
-            a = frontier.pop()
-            row = table[a]
-            for g in gens:
-                for prod in (row[g], table[g][a]):
-                    if prod not in seen:
-                        seen.add(prod)
-                        frontier.append(prod)
-        return seen
+        return _closure(self._table, gen_indices)
 
     def subgroup(self, elements) -> "Subgroup":
         """Subgroup generated by the given elements."""
@@ -254,7 +226,7 @@ class FiniteGroup:
         table = self._table
         i = e.idx
         members = frozenset(a for a in range(self.order) if table[a][i] == table[i][a])
-        return Subgroup(self, members, _small_generating_set(self, members))
+        return Subgroup(self, members, _small_generating_set(self._table, members))
 
     def center(self) -> "Subgroup":
         table = self._table
@@ -262,7 +234,7 @@ class FiniteGroup:
         members = frozenset(
             a for a in range(n) if all(table[a][b] == table[b][a] for b in range(n))
         )
-        return Subgroup(self, members, _small_generating_set(self, members))
+        return Subgroup(self, members, _small_generating_set(self._table, members))
 
     def conjugacy_classes(self, predicate=None):
         """Conjugacy classes as tuples of elements, ordered by smallest index.
@@ -368,14 +340,38 @@ class FiniteGroup:
         return self.kappa(e) == -1
 
 
-def _small_generating_set(G: FiniteGroup, members: frozenset) -> tuple:
-    """Greedy small generating set for a subgroup given as an index set."""
+def _closure(table, gen_indices) -> set:
+    """Indices of the subgroup of ``table`` generated by the given indices."""
+    seen = {0}
+    frontier = [0]
+    gens = sorted({g for g in gen_indices if g != 0})
+    for g in gens:
+        if g not in seen:
+            seen.add(g)
+            frontier.append(g)
+    while frontier:
+        a = frontier.pop()
+        row = table[a]
+        for g in gens:
+            for prod in (row[g], table[g][a]):
+                if prod not in seen:
+                    seen.add(prod)
+                    frontier.append(prod)
+    return seen
+
+
+def _small_generating_set(table, members) -> tuple:
+    """Greedy small generating set for a subgroup given as an index set.
+
+    Members are taken in increasing order, each one kept when it is not yet
+    in the span of those kept before.
+    """
     gens = []
     span = {0}
     for idx in sorted(members):
         if idx not in span:
             gens.append(idx)
-            span = G._closure_idx(gens)
+            span = _closure(table, gens)
             if len(span) == len(members):
                 break
     if len(span) != len(members):
@@ -578,11 +574,6 @@ def dicyclic(m: int) -> FiniteGroup:
     if m < 2:
         raise GroupConstructionError("dicyclic groups start at order 8 (m >= 2)")
     return metacyclic(2 * m, 2 * m - 1, m, names=("A", "C"))
-
-
-def dicyclic_twisted(m: int, t: int) -> FiniteGroup:
-    """Order-4m group <A, C : C^2m = 1, A^2 = C^m, A C A^-1 = C^t> if consistent."""
-    return metacyclic(2 * m, t, m, names=("A", "C"))
 
 
 def direct_product(G: FiniteGroup, H: FiniteGroup, name: str = None) -> FiniteGroup:
@@ -889,37 +880,11 @@ def from_table(text: str) -> FiniteGroup:
     if gen_line is not None:
         gens = [new_of[i] for i in gen_line]
     else:
-        gens = list(_generating_set_from_table(table))
+        gens = _small_generating_set(table, range(n))
     try:
         return FiniteGroup(table, names, gens, name=f"table-group({n})")
     except GroupConstructionError as exc:
         raise InputFormatError(f"invalid table: {exc}") from None
-
-
-def _generating_set_from_table(table) -> tuple:
-    n = len(table)
-    gens = []
-    span = {0}
-    for idx in range(1, n):
-        if idx in span:
-            continue
-        gens.append(idx)
-        span = {0}
-        frontier = [0]
-        for g in gens:
-            if g not in span:
-                span.add(g)
-                frontier.append(g)
-        while frontier:
-            a = frontier.pop()
-            for g in gens:
-                for prod in (table[a][g], table[g][a]):
-                    if prod not in span:
-                        span.add(prod)
-                        frontier.append(prod)
-        if len(span) == n:
-            break
-    return tuple(gens)
 
 
 # ---------------------------------------------------------------------------
@@ -941,9 +906,6 @@ class Automorphism:
     def apply_indices(self, indices) -> tuple:
         m = self.mapping
         return tuple(m[i] for i in indices)
-
-    def generator_images(self):
-        return tuple(self.group.element(self.mapping[g.idx]) for g in self.group.generators)
 
     def is_identity(self) -> bool:
         return all(i == v for i, v in enumerate(self.mapping))
@@ -1189,27 +1151,18 @@ def index_two_subgroups(G: FiniteGroup):
     k_set = G._closure_idx(sorted(gens))
     if len(k_set) == n:
         return []
-    k_sorted = sorted(k_set)
-    coset_of = {}
-    reps = []
-    for a in range(n):
-        if a in coset_of:
-            continue
-        cid = len(reps)
-        reps.append(a)
-        for h in k_sorted:
-            coset_of[table[a][h]] = cid
+    coset_of, q_table = _quotient(table, k_set)
     # the quotient is elementary abelian of 2-power order; set up F2
     # coordinates and read off the index-2 subgroups as hyperplanes
     basis_bits = {0: 0}
     rank = 0
-    for cid in range(len(reps)):
+    for cid in range(len(q_table)):
         if cid in basis_bits:
             continue
         bit = 1 << rank
         rank += 1
         for known, vec in list(basis_bits.items()):
-            combo = coset_of[table[reps[known]][reps[cid]]]
+            combo = q_table[known][cid]
             if combo not in basis_bits:
                 basis_bits[combo] = vec | bit
     subgroups = []
@@ -1219,7 +1172,7 @@ def index_two_subgroups(G: FiniteGroup):
             for a in range(n)
             if bin(basis_bits[coset_of[a]] & mask).count("1") % 2 == 0
         )
-        subgroups.append(Subgroup(G, members, _small_generating_set(G, members)))
+        subgroups.append(Subgroup(G, members, _small_generating_set(table, members)))
     subgroups.sort(key=lambda s: sorted(s.element_indices))
     return subgroups
 
@@ -1244,11 +1197,12 @@ def recognize(G: FiniteGroup) -> GroupStructure:
                 m //= p
                 rank += 1
             if m == 1:
+                basis = _small_generating_set(G._table, range(n))
                 return GroupStructure(
                     "elementary-abelian",
                     n,
                     {"prime": p, "rank": rank},
-                    {"basis": _elementary_basis(G)},
+                    {"basis": tuple(G.element(i) for i in basis)},
                 )
     witness = _dihedral_witness(G)
     if witness is not None:
@@ -1299,41 +1253,28 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _elementary_basis(G: FiniteGroup):
-    basis = []
-    span = {0}
-    for i in range(1, G.order):
-        if i not in span:
-            basis.append(G.element(i))
-            span = G._closure_idx([b.idx for b in basis])
-            if len(span) == G.order:
-                break
-    return tuple(basis)
-
-
 # ---------------------------------------------------------------------------
 # Abelianization.
 
 
-def _quotient_table(G: FiniteGroup, normal_set: frozenset):
-    table = G._table
-    inv = G._inv
-    for h in normal_set:
-        for a in range(G.order):
-            if table[table[a][h]][inv[a]] not in normal_set:
-                raise InvariantViolation("quotient by a non-normal subgroup")
-    k_sorted = sorted(normal_set)
+def _quotient(table, normal_set):
+    """Quotient of a multiplication table by a normal subgroup.
+
+    Returns ``(coset_of, q_table)``: the coset number of every element and
+    the quotient's table.  Cosets are numbered by their smallest element, so
+    coset 0 is the subgroup itself and the quotient's identity sits at 0.
+    """
     coset_of = {}
     reps = []
-    for a in range(G.order):
+    for a in range(len(table)):
         if a in coset_of:
             continue
-        cid = len(reps)
+        row = table[a]
+        for h in normal_set:
+            coset_of[row[h]] = len(reps)
         reps.append(a)
-        for h in k_sorted:
-            coset_of[table[a][h]] = cid
-    q = len(reps)
-    return [[coset_of[table[reps[a]][reps[b]]] for b in range(q)] for a in range(q)]
+    q_table = [[coset_of[table[a][b]] for b in reps] for a in reps]
+    return coset_of, q_table
 
 
 def _abelian_invariants_from_table(table) -> tuple:
@@ -1356,18 +1297,7 @@ def _abelian_invariants_from_table(table) -> tuple:
         acc = table[acc][x]
         if acc == 0:
             break
-    coset_of = {}
-    reps = []
-    for a in range(n):
-        if a in coset_of:
-            continue
-        cid = len(reps)
-        reps.append(a)
-        for h in cyclic_set:
-            coset_of[table[a][h]] = cid
-    q = len(reps)
-    q_table = [[coset_of[table[reps[a]][reps[b]]] for b in range(q)] for a in range(q)]
-    return (d1,) + _abelian_invariants_from_table(q_table)
+    return (d1,) + _abelian_invariants_from_table(_quotient(table, cyclic_set)[1])
 
 
 def abelianization(G: FiniteGroup) -> tuple:
@@ -1385,7 +1315,11 @@ def abelianization(G: FiniteGroup) -> tuple:
     k_set = frozenset(G._closure_idx(sorted(comm_gens)))
     if len(k_set) == n:
         return ()
-    return _abelian_invariants_from_table(_quotient_table(G, k_set))
+    for h in k_set:
+        for a in range(n):
+            if table[table[a][h]][inv[a]] not in k_set:
+                raise InvariantViolation("quotient by a non-normal subgroup")
+    return _abelian_invariants_from_table(_quotient(table, k_set)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -1445,7 +1379,8 @@ def _abelian_groups(n: int):
     return groups
 
 
-def divisors_of(n: int):
+def divisors_of(n: int) -> list:
+    """Sorted list of positive divisors of n."""
     small, large = [], []
     d = 1
     while d * d <= n:

@@ -13,20 +13,18 @@ byte-stable across runs.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .actions import (
     EXCEPTIONAL_SURFACE_GENERA,
     QUADRUPLE_FAMILY_GENERA,
     canonical_vector,
-    classify,
     exceptional_search,
     family_group,
     main_action_class,
+    main_family_classes,
 )
 from .boundary import boundary_description
-from .errors import InvariantViolation
 from .extensions import KIND_A, KIND_B, build_extensions, restrict_to_index2
 from .groups import COMPLETE_CATALOG_ORDERS, recognize, small_groups
 from .realforms import species_set, symmetry_classes_with_ovals
@@ -226,7 +224,6 @@ def build_report(
     g: int,
     *,
     max_order: int = DEFAULT_MAX_ORDER,
-    workers: int = 1,
     search_groups=None,
 ) -> Report:
     """Run the whole pipeline for one genus and assemble the report.
@@ -246,11 +243,10 @@ def build_report(
     G = family_group(g)
     group = {"description": recognize(G).describe(), "order": G.order}
 
-    classes = classify(G, (2, 2, 2, 2 * g), workers=workers)
-    main = main_action_class(g, workers=workers)
+    main = main_action_class(g)
     action_classes = {
         "signature": f"(0;+;[2,2,2,{2 * g}];{{-}})",
-        "count": _checked(len(classes), 1),
+        "count": _checked(len(main_family_classes(g)), 1),
         "representative": str(canonical_vector(g)),
         "orbit_size": main.size,
     }
@@ -311,7 +307,7 @@ def build_report(
                 "group_structure": recognize(cls.group).describe(),
                 "orbit_size": cls.size,
             }
-            for sig, cls in exceptional_search(g, pool, workers=workers)
+            for sig, cls in exceptional_search(g, pool)
         ]
         search = {
             "groups_scanned": len(pool),
@@ -396,25 +392,11 @@ def atlas_reports(
     g_max: int,
     *,
     max_order: int = DEFAULT_MAX_ORDER,
-    workers: int = 1,
 ) -> list:
-    """Reports for every genus in [g_min, g_max], in genus order.
-
-    With more than one worker the per-genus pipelines run on a thread pool;
-    results are collected and returned in genus order regardless, so output
-    does not depend on the worker count.
-    """
+    """Reports for every genus in [g_min, g_max], in genus order."""
     if not 2 <= g_min <= g_max:
         raise ValueError(f"need 2 <= g_min <= g_max, got {g_min}..{g_max}")
-    genera = range(g_min, g_max + 1)
-    if workers <= 1:
-        return [build_report(g, max_order=max_order, workers=1) for g in genera]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(build_report, g, max_order=max_order, workers=1)
-            for g in genera
-        ]
-        return [f.result() for f in futures]
+    return [build_report(g, max_order=max_order) for g in range(g_min, g_max + 1)]
 
 
 def atlas_summary(reports) -> dict:

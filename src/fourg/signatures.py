@@ -14,6 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InputFormatError
+from .groups import divisors_of
 
 
 class _Infinity:
@@ -302,21 +303,6 @@ class TaggedSignature:
         return self.signature.proper_periods
 
 
-def divisors(n: int) -> list:
-    """Sorted list of positive divisors of n."""
-    if n <= 0:
-        raise ValueError("n must be positive")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 def _classify_periods(g: int, periods: tuple) -> str:
     if len(periods) == 3:
         if periods == (2, 4 * g, 4 * g):
@@ -345,7 +331,7 @@ def enumerate_4g_signatures(g: int) -> list:
     if g < 2:
         raise ValueError("g must be at least 2")
     target = Fraction(5, 2) - Fraction(1, 2 * g)
-    usable = [d for d in divisors(4 * g) if d >= 2]
+    usable = [d for d in divisors_of(4 * g) if d >= 2]
     found = []
 
     def extend(start: int, chosen: list, total: Fraction):

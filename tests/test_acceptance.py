@@ -185,6 +185,6 @@ def test_criterion_8_exceptional_search():
 
 def test_criterion_9_property_suites():
     """Every bundled invariant suite reports zero violations."""
-    results = run_all_checks(2, 6, workers=2)
+    results = run_all_checks(2, 6)
     failures = [r.line() for r in results if not r.passed]
     assert not failures, "\n".join(failures)

@@ -10,10 +10,10 @@ from fourg.checks import (
     check_group_axioms,
     check_kernel_genus,
     check_species_constraints,
-    check_worker_reproducibility,
     run_all_checks,
 )
 from fourg.errors import FourgError
+from fourg.groups import FiniteGroup
 
 
 class TestCheckResult:
@@ -43,15 +43,25 @@ class TestIndividualChecks:
         result = check_species_constraints(2, 4)
         assert result.passed
 
-    def test_worker_reproducibility_pass(self):
-        result = check_worker_reproducibility(2, 3, workers=2)
-        assert result.passed
-        assert "byte-identical" in result.detail
+    def test_group_axioms_failure_is_reported(self, monkeypatch):
+        # C6 with a 2x2 intercalate flipped: a latin square with two-sided
+        # inverses that is not associative
+        table = [[(i + j) % 6 for j in range(6)] for i in range(6)]
+        table[1][1], table[1][4] = table[1][4], table[1][1]
+        table[4][1], table[4][4] = table[4][4], table[4][1]
+        broken = FiniteGroup(
+            table, [str(i) for i in range(6)], range(1, 6), verify=False
+        )
+        monkeypatch.setattr(checks, "family_group", lambda g: broken)
+        results = run_all_checks(2, 2)
+        lines = [r.line() for r in results]
+        assert lines[0].startswith("FAIL  group-axioms: associativity fails")
+        assert all(r.passed for r in results[1:])
 
 
 class TestRunAll:
     def test_all_suites_pass_and_report_names(self):
-        results = run_all_checks(2, 4, workers=2)
+        results = run_all_checks(2, 4)
         assert len(results) == len(ALL_CHECKS)
         assert all(r.passed for r in results)
         names = [r.name for r in results]
@@ -61,11 +71,10 @@ class TestRunAll:
             "kernel-genus",
             "species-constraints",
             "centralizer-images",
-            "worker-reproducibility",
         ]
 
     def test_engine_errors_become_failures(self, monkeypatch):
-        def explode(g_min, g_max, workers=2):
+        def explode(g_min, g_max):
             raise FourgError("synthetic failure")
 
         broken = (((explode,)) + ALL_CHECKS[1:])

@@ -1,9 +1,15 @@
 """End-to-end tests for the command-line front end."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fourg
 from fourg.cli import (
     EXIT_INPUT,
     EXIT_INVARIANT,
@@ -61,7 +67,8 @@ class TestExitCodes:
         assert main(["atlas"]) == EXIT_USAGE
 
     def test_bad_worker_and_order_values(self):
-        assert main(["report", "--genus", "2", "--workers", "0"]) == EXIT_USAGE
+        # there is no --workers flag: every command runs in one thread
+        assert main(["atlas", "--range", "2:3", "--workers", "2"]) == EXIT_USAGE
         assert main(["report", "--genus", "2", "--max-order", "4"]) == EXIT_USAGE
 
     def test_bad_table_file_is_input_error(self, tmp_path, capsys):
@@ -116,12 +123,22 @@ class TestAtlasCommand:
         assert data["summary"]["genera"] == [2, 3, 4]
         assert data["summary"]["sporadic_arithmetic"] == [3]
 
-    def test_worker_count_does_not_change_bytes(self, capsys):
-        main(["atlas", "--range", "2:4", "--json"])
-        serial = capsys.readouterr().out
-        main(["atlas", "--range", "2:4", "--json", "--workers", "3"])
-        threaded = capsys.readouterr().out
-        assert serial == threaded
+    def test_json_bytes_independent_of_hash_seed(self, tmp_path):
+        # fresh processes share no cache; the pinned digest keeps the
+        # output from drifting between engine versions
+        src = str(Path(fourg.__file__).resolve().parents[1])
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            run = subprocess.run(
+                [sys.executable, "-m", "fourg.cli", "atlas", "--range", "2:6", "--json"],
+                cwd=tmp_path, env=env, capture_output=True, check=True,
+            )
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1]
+        assert hashlib.sha256(outputs[0]).hexdigest() == (
+            "396fd1db66efacb49926a1832241ba817e5ea777e9b17b8d7747e8bb62484ab0"
+        )
 
     def test_markdown_ends_with_summary(self, capsys):
         assert main(["atlas", "--range", "2:3"]) == EXIT_OK
@@ -191,9 +208,10 @@ class TestConfigFile:
 
     def test_unknown_key_is_input_error(self, tmp_path, capsys):
         cfg = tmp_path / "fourg.cfg"
-        cfg.write_text("spin = 7\n")
-        assert main(["report", "--genus", "2", "--config", str(cfg)]) == EXIT_INPUT
-        assert "unknown key" in capsys.readouterr().err
+        for line in ("spin = 7\n", "workers = 2\n"):
+            cfg.write_text(line)
+            assert main(["report", "--genus", "2", "--config", str(cfg)]) == EXIT_INPUT
+            assert "unknown key" in capsys.readouterr().err
 
     def test_missing_config_is_input_error(self, tmp_path):
         missing = tmp_path / "absent.cfg"
@@ -223,7 +241,7 @@ class TestCheckFlag:
         from fourg import cli
         from fourg.checks import CheckResult
 
-        def fake_checks(g_min, g_max, workers=2):
+        def fake_checks(g_min, g_max):
             return [CheckResult("synthetic", False, "forced failure")]
 
         monkeypatch.setattr(cli, "run_all_checks", fake_checks)

@@ -325,14 +325,16 @@ class TestFromTable:
         assert G.name_of(0) == "g1"
 
     def test_non_associative_latin_square_rejected(self):
-        # C6 with a 2x2 intercalate flipped: still a latin square with
-        # two-sided inverses, but not associative
-        table = [[(i + j) % 6 for j in range(6)] for i in range(6)]
-        table[1][1], table[1][4] = table[1][4], table[1][1]
-        table[4][1], table[4][4] = table[4][4], table[4][1]
-        text = "order 6\n" + "\n".join(" ".join(map(str, row)) for row in table)
-        with pytest.raises(InputFormatError):
-            from_table(text)
+        # C_n with a 2x2 intercalate flipped: still a latin square with
+        # two-sided inverses, but not associative, at a small and a large order
+        for n, i in ((6, 1), (520, 3)):
+            j = i + n // 2
+            table = [[(a + b) % n for b in range(n)] for a in range(n)]
+            table[i][i], table[i][j] = table[i][j], table[i][i]
+            table[j][i], table[j][j] = table[j][j], table[j][i]
+            text = f"order {n}\n" + "\n".join(" ".join(map(str, row)) for row in table)
+            with pytest.raises(InputFormatError):
+                from_table(text)
 
     def test_bad_generator_indices(self):
         with pytest.raises(InputFormatError):
