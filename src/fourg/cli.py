@@ -22,7 +22,6 @@ import json
 import sys
 from pathlib import Path
 
-from .actions import exceptional_search
 from .checks import run_all_checks
 from .errors import (
     FourgError,
@@ -38,7 +37,13 @@ from .groups import (
     recognize,
     small_groups,
 )
-from .report import DEFAULT_MAX_ORDER, atlas_reports, atlas_summary, build_report
+from .report import (
+    DEFAULT_MAX_ORDER,
+    atlas_reports,
+    atlas_summary,
+    build_report,
+    exceptional_candidates,
+)
 
 __all__ = [
     "EXIT_OK",
@@ -298,7 +303,7 @@ def cmd_exceptional(g: int, options) -> dict:
                 f" order {order}; supply --tables to extend coverage",
                 file=sys.stderr,
             )
-    results = exceptional_search(g, pool)
+    candidates = exceptional_candidates(g, pool)
     return {
         "genus": g,
         "order": order,
@@ -311,15 +316,7 @@ def cmd_exceptional(g: int, options) -> dict:
             }
             for G in pool
         ],
-        "candidates": [
-            {
-                "signature": str(sig),
-                "group": cls.group.name,
-                "group_structure": recognize(cls.group).describe(),
-                "orbit_size": cls.size,
-            }
-            for sig, cls in results
-        ],
+        "candidates": candidates,
     }
 
 

@@ -4,6 +4,11 @@ Elements are integers indexing into a multiplication table; the identity is
 always index 0.  Construction verifies the group axioms (Light's associativity
 test over a generating set, exact at every order) so that ingested tables
 cannot silently poison later computations.
+
+Every closure and homomorphism check goes through one walk of a Cayley graph
+(``_extend_hom``): subgroup closure, extending a generator map in the
+isomorphism and automorphism searches, orientation characters (maps onto C2)
+and the automorphism check of ``semidirect_with_automorphism``.
 """
 
 from __future__ import annotations
@@ -303,29 +308,15 @@ class FiniteGroup:
         missing = [g for g in self._gen_idx if g not in signs]
         if missing:
             raise ValueError(f"orientation signs missing for generators {missing}")
-        table = self._table
-        kappa = [0] * self.order
-        kappa[0] = 1
-        frontier = [0]
-        while frontier:
-            a = frontier.pop()
-            for g, sign in signs.items():
-                b = table[a][g]
-                if kappa[b] == 0:
-                    kappa[b] = kappa[a] * sign
-                    frontier.append(b)
-        if any(v == 0 for v in kappa):
+        # a character is a homomorphism onto C2 = {0: +1, 1: -1}
+        pairs = [(g, 0 if sign == 1 else 1) for g, sign in signs.items()]
+        closed = _extend_hom(self._table, _C2_TABLE, pairs)
+        if closed is None:
+            raise GroupConstructionError("orientation signs do not define a character")
+        img, reached = closed
+        if len(reached) != self.order:
             raise GroupConstructionError("orientation generators do not span the group")
-        n = self.order
-        for a in range(n):
-            row = table[a]
-            ka = kappa[a]
-            for b in range(n):
-                if kappa[row[b]] != ka * kappa[b]:
-                    raise GroupConstructionError(
-                        "orientation signs do not define a character"
-                    )
-        new = tuple(kappa)
+        new = tuple(1 - 2 * v for v in img)
         if self.orientation is not None and self.orientation != new:
             raise GroupConstructionError("conflicting orientation already attached")
         self.orientation = new
@@ -340,24 +331,41 @@ class FiniteGroup:
         return self.kappa(e) == -1
 
 
+_C2_TABLE = ((0, 1), (1, 0))
+
+
+def _extend_hom(tg, th, pairs):
+    """Extend a partial map between two tables to a homomorphism.
+
+    ``pairs`` is a sequence of (source index, image index).  One walk over
+    the Cayley graph of the subgroup the sources generate, from the
+    identity, sets or checks ``img[a*s] = img[a]*img[s]`` on every edge.
+    Returns ``(img, reached)``, where ``img`` holds -1 off the subgroup and
+    ``reached`` lists its elements in discovery order (identity first), or
+    ``None`` when an edge disagrees, i.e. no homomorphism extends the pairs.
+    """
+    img = [-1] * len(tg)
+    img[0] = 0
+    reached = [0]
+    for a in reached:  # reached grows while it is walked
+        row = tg[a]
+        hrow = th[img[a]]
+        for s, fs in pairs:
+            p = row[s]
+            q = hrow[fs]
+            fp = img[p]
+            if fp == -1:
+                img[p] = q
+                reached.append(p)
+            elif fp != q:
+                return None
+    return img, reached
+
+
 def _closure(table, gen_indices) -> set:
     """Indices of the subgroup of ``table`` generated by the given indices."""
-    seen = {0}
-    frontier = [0]
-    gens = sorted({g for g in gen_indices if g != 0})
-    for g in gens:
-        if g not in seen:
-            seen.add(g)
-            frontier.append(g)
-    while frontier:
-        a = frontier.pop()
-        row = table[a]
-        for g in gens:
-            for prod in (row[g], table[g][a]):
-                if prod not in seen:
-                    seen.add(prod)
-                    frontier.append(prod)
-    return seen
+    pairs = [(g, g) for g in set(gen_indices) if g]
+    return set(_extend_hom(table, table, pairs)[1])
 
 
 def _small_generating_set(table, members) -> tuple:
@@ -504,14 +512,8 @@ def dihedral_from_reflections(order: int, names=("w", "x")) -> FiniteGroup:
     def pack(i, d):
         return i + n * d
 
-    table = [[0] * order for _ in range(order)]
-    for i1 in range(n):
-        for d1 in range(2):
-            a = pack(i1, d1)
-            for i2 in range(n):
-                for d2 in range(2):
-                    i = (i1 + (i2 if d1 == 0 else -i2)) % n
-                    table[a][pack(i2, d2)] = pack(i, (d1 + d2) % 2)
+    # same packing as dihedral(): t^i*x^d sits where D^i*A^d does there
+    table = dihedral(order)._table
     elt_names = ["1"] * order
     for i in range(1, n):
         elt_names[pack(i, 0)] = rot_name if i == 1 else f"({rot_name})^{i}"
@@ -784,10 +786,14 @@ def from_permutations(source) -> FiniteGroup:
     identity = tuple(range(degree))
     index_of = {identity: 0}
     elements = [identity]
-    frontier = [identity]
+    parent = [None]  # element b = elements[i] * perms[k] for (i, k) = parent[b]
+    right = {}  # right[x][k] = index of elements[x] * perms[k]
+    frontier = [0]
     while frontier:
-        p = frontier.pop()
-        for q in perms:
+        x = frontier.pop()
+        p = elements[x]
+        row = []
+        for k, q in enumerate(perms):
             prod = tuple(p[q[i]] for i in range(degree))
             if prod not in index_of:
                 if len(elements) >= MAX_ORDER:
@@ -796,11 +802,17 @@ def from_permutations(source) -> FiniteGroup:
                     )
                 index_of[prod] = len(elements)
                 elements.append(prod)
-                frontier.append(prod)
-    table = [
-        [index_of[tuple(p[q[i]] for i in range(degree))] for q in elements]
-        for p in elements
-    ]
+                parent.append((x, k))
+                frontier.append(len(elements) - 1)
+            row.append(index_of[prod])
+        right[x] = row
+    # a * b = (a * elements[i]) * perms[k]; parents precede their children
+    table = []
+    for a in range(len(elements)):
+        row = [a]
+        for i, k in parent[1:]:
+            row.append(right[row[i]][k])
+        table.append(row)
     names = [_cycle_notation(p) for p in elements]
     gen_idx = [index_of[p] for p in perms]
     return FiniteGroup(table, names, gen_idx, name=f"perm-group({len(elements)})")
@@ -942,56 +954,14 @@ def close_generator_map(G: FiniteGroup, H: FiniteGroup, pairs):
     non-multiplicative or non-injective).  ``covered == G.order`` therefore
     certifies an injective homomorphism defined on all of G.
     """
-    n = G.order
-    tg = G._table
-    th = H._table
-    img = [-1] * n
-    img[0] = 0
-    used = bytearray(H.order)
-    used[0] = 1
-    defined = [0]
-    for a, b in pairs:
-        if img[a] == -1:
-            if used[b]:
-                return None
-            img[a] = b
-            used[b] = 1
-            defined.append(a)
-        elif img[a] != b:
-            return None
-    i = 1
-    while i < len(defined):
-        a = defined[i]
-        fa = img[a]
-        row_a = tg[a]
-        hrow_a = th[fa]
-        for j in range(len(defined)):
-            b = defined[j]
-            fb = img[b]
-            p = row_a[b]
-            q = hrow_a[fb]
-            ip = img[p]
-            if ip == -1:
-                if used[q]:
-                    return None
-                img[p] = q
-                used[q] = 1
-                defined.append(p)
-            elif ip != q:
-                return None
-            p = tg[b][a]
-            q = th[fb][fa]
-            ip = img[p]
-            if ip == -1:
-                if used[q]:
-                    return None
-                img[p] = q
-                used[q] = 1
-                defined.append(p)
-            elif ip != q:
-                return None
-        i += 1
-    return img, len(defined)
+    closed = _extend_hom(G._table, H._table, pairs)
+    if closed is None:
+        return None
+    img, reached = closed
+    # a homomorphism is injective exactly when only the identity maps to 0
+    if any(img[a] == 0 for a in reached[1:]):
+        return None
+    return img, len(reached)
 
 
 def _image_candidates(G: FiniteGroup, H: FiniteGroup, src_idx: int):
@@ -1124,11 +1094,7 @@ def _dihedral_witness(G: FiniteGroup):
     table = G._table
     rotations = [i for i in range(n) if G.element_order(i) == half]
     for r in rotations:
-        powers = {0}
-        acc = r
-        while acc != 0:
-            powers.add(acc)
-            acc = table[acc][r]
+        powers = _closure(table, [r])
         r_inv = G._inv[r]
         for s in range(1, n):
             if s in powers or G.element_order(s) != 2:
@@ -1215,8 +1181,9 @@ def recognize(G: FiniteGroup) -> GroupStructure:
         central_involutions = [
             G.element(i) for i in sorted(center.element_indices) if G.element_order(i) == 2
         ]
+        halves = index_two_subgroups(G) if central_involutions else []
         for y in central_involutions:
-            for H in index_two_subgroups(G):
+            for H in halves:
                 if y in H:
                     continue
                 sub = H.as_group()
@@ -1289,14 +1256,7 @@ def _abelian_invariants_from_table(table) -> tuple:
             k += 1
         orders.append(k)
     d1 = max(orders)
-    x = orders.index(d1)
-    cyclic_set = set()
-    acc = 0
-    while True:
-        cyclic_set.add(acc)
-        acc = table[acc][x]
-        if acc == 0:
-            break
+    cyclic_set = _closure(table, [orders.index(d1)])
     return (d1,) + _abelian_invariants_from_table(_quotient(table, cyclic_set)[1])
 
 
@@ -1446,10 +1406,6 @@ def _require_automorphism(G: FiniteGroup, mapping):
     n = G.order
     if len(mapping) != n or sorted(mapping) != list(range(n)):
         raise GroupConstructionError("mapping is not a bijection on the group")
-    table = G._table
-    for a in range(n):
-        ma = mapping[a]
-        row = table[a]
-        for b in range(n):
-            if mapping[row[b]] != table[ma][mapping[b]]:
-                raise GroupConstructionError(f"mapping is not multiplicative at ({a},{b})")
+    closed = _extend_hom(G._table, G._table, [(g, mapping[g]) for g in G._gen_idx])
+    if closed is None or closed[0] != list(mapping):
+        raise GroupConstructionError("mapping is not multiplicative")

@@ -43,6 +43,7 @@ __all__ = [
     "build_report",
     "atlas_reports",
     "atlas_summary",
+    "exceptional_candidates",
 ]
 
 
@@ -220,6 +221,19 @@ def _collect_disagreements(report_dict: dict, path: str, notes: list) -> None:
             _collect_disagreements(value, f"{path}[{i}]", notes)
 
 
+def exceptional_candidates(g: int, pool) -> list:
+    """JSON records of the exceptional actions of genus g found in ``pool``."""
+    return [
+        {
+            "signature": str(sig),
+            "group": cls.group.name,
+            "group_structure": recognize(cls.group).describe(),
+            "orbit_size": cls.size,
+        }
+        for sig, cls in exceptional_search(g, pool)
+    ]
+
+
 def build_report(
     g: int,
     *,
@@ -300,21 +314,12 @@ def build_report(
     search = None
     if (has_sporadic or has_quadruple) and 4 * g <= max_order:
         pool = list(search_groups) if search_groups is not None else small_groups(4 * g)
-        candidates = [
-            {
-                "signature": str(sig),
-                "group": cls.group.name,
-                "group_structure": recognize(cls.group).describe(),
-                "orbit_size": cls.size,
-            }
-            for sig, cls in exceptional_search(g, pool)
-        ]
         search = {
             "groups_scanned": len(pool),
             "catalog_complete": (
                 search_groups is None and 4 * g in COMPLETE_CATALOG_ORDERS
             ),
-            "candidates": candidates,
+            "candidates": exceptional_candidates(g, pool),
         }
     exceptional = {
         "sporadic_arithmetic": _checked(has_sporadic, g in CATALOGUED_SPORADIC_GENERA),

@@ -124,21 +124,26 @@ class TestAtlasCommand:
         assert data["summary"]["sporadic_arithmetic"] == [3]
 
     def test_json_bytes_independent_of_hash_seed(self, tmp_path):
-        # fresh processes share no cache; the pinned digest keeps the
-        # output from drifting between engine versions
+        # fresh processes share no cache; the pinned digests keep the
+        # output from drifting between engine versions (2:14 is the
+        # byte-identity sweep of the roadmap)
         src = str(Path(fourg.__file__).resolve().parents[1])
-        outputs = []
-        for seed in ("1", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
-            run = subprocess.run(
-                [sys.executable, "-m", "fourg.cli", "atlas", "--range", "2:6", "--json"],
-                cwd=tmp_path, env=env, capture_output=True, check=True,
-            )
-            outputs.append(run.stdout)
-        assert outputs[0] == outputs[1]
-        assert hashlib.sha256(outputs[0]).hexdigest() == (
-            "396fd1db66efacb49926a1832241ba817e5ea777e9b17b8d7747e8bb62484ab0"
+        cases = (
+            ("2:6", "396fd1db66efacb49926a1832241ba817e5ea777e9b17b8d7747e8bb62484ab0"),
+            ("2:14", "f1587b12a5b2946c28fa6a4db7115fe011ecac21112c09ff00138742c5e94f5e"),
         )
+        for genera, digest in cases:
+            outputs = []
+            for seed in ("1", "2"):
+                env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+                args = ["atlas", "--range", genera, "--json"]
+                run = subprocess.run(
+                    [sys.executable, "-m", "fourg.cli", *args],
+                    cwd=tmp_path, env=env, capture_output=True, check=True,
+                )
+                outputs.append(run.stdout)
+            assert outputs[0] == outputs[1], genera
+            assert hashlib.sha256(outputs[0]).hexdigest() == digest, genera
 
     def test_markdown_ends_with_summary(self, capsys):
         assert main(["atlas", "--range", "2:3"]) == EXIT_OK

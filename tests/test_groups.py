@@ -6,7 +6,12 @@ computation wherever that is cheap (brute force over the table), and frozen
 as literals where it is not.
 """
 
+import re
+from functools import cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fourg.errors import GroupConstructionError, InputFormatError, InvariantViolation
 from fourg.groups import (
@@ -34,6 +39,10 @@ from fourg.groups import (
     semidirect_with_automorphism,
     small_groups,
 )
+
+# Hypothesis runs derandomized and without an example database, so every
+# run of the suite draws the same examples.
+PROPERTY_SETTINGS = settings(deadline=None, derandomize=True, database=None)
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +372,17 @@ class TestFromPermutations:
         with pytest.raises(InputFormatError):
             from_permutations(["perm (1 2 1)"])
 
+    @settings(PROPERTY_SETTINGS, max_examples=40)
+    @given(st.lists(st.permutations(range(5)), min_size=1, max_size=3))
+    def test_table_is_the_composition_table(self, perms):
+        G = from_permutations(["perm " + _cycles(p) for p in perms])
+        elements = [_perm_from_name(G.name_of(i), 5) for i in range(G.order)]
+        index_of = {p: i for i, p in enumerate(elements)}
+        assert len(index_of) == G.order
+        for a, p in enumerate(elements):
+            for b, q in enumerate(elements):
+                assert G.mul_idx(a, b) == index_of[tuple(p[i] for i in q)]
+
     def test_garbage_rejected(self):
         with pytest.raises(InputFormatError):
             from_permutations(["rot (1 2)"])
@@ -374,8 +394,119 @@ class TestFromPermutations:
             from_permutations([])
 
 
+def _cycles(perm) -> str:
+    """Cycle notation (1-based) of a permutation of 0..n-1."""
+    seen, parts = set(), []
+    for start in range(len(perm)):
+        if start in seen or perm[start] == start:
+            continue
+        cycle, x = [], start
+        while x not in seen:
+            seen.add(x)
+            cycle.append(str(x + 1))
+            x = perm[x]
+        parts.append("(" + " ".join(cycle) + ")")
+    return "".join(parts) or "()"
+
+
+def _perm_from_name(name: str, degree: int) -> tuple:
+    """Permutation of 0..degree-1 read back from a cycle-notation name."""
+    perm = list(range(degree))
+    for body in re.findall(r"\(([^()]*)\)", name):
+        points = [int(p) - 1 for p in body.split()]
+        for a, b in zip(points, points[1:] + points[:1]):
+            perm[a] = b
+    return tuple(perm)
+
+
 # ---------------------------------------------------------------------------
 # Homomorphism search.
+
+
+def _pairwise_close(G, H, pairs):
+    """Reference closure: multiply every pair of defined elements.
+
+    This is the quadratic closure ``close_generator_map`` used before it
+    became a Cayley-graph walk, kept verbatim as an independent oracle.
+    """
+    n = G.order
+    tg = G._table
+    th = H._table
+    img = [-1] * n
+    img[0] = 0
+    used = bytearray(H.order)
+    used[0] = 1
+    defined = [0]
+    for a, b in pairs:
+        if img[a] == -1:
+            if used[b]:
+                return None
+            img[a] = b
+            used[b] = 1
+            defined.append(a)
+        elif img[a] != b:
+            return None
+    i = 1
+    while i < len(defined):
+        a = defined[i]
+        fa = img[a]
+        row_a = tg[a]
+        hrow_a = th[fa]
+        for j in range(len(defined)):
+            b = defined[j]
+            fb = img[b]
+            p = row_a[b]
+            q = hrow_a[fb]
+            ip = img[p]
+            if ip == -1:
+                if used[q]:
+                    return None
+                img[p] = q
+                used[q] = 1
+                defined.append(p)
+            elif ip != q:
+                return None
+            p = tg[b][a]
+            q = th[fb][fa]
+            ip = img[p]
+            if ip == -1:
+                if used[q]:
+                    return None
+                img[p] = q
+                used[q] = 1
+                defined.append(p)
+            elif ip != q:
+                return None
+        i += 1
+    return img, len(defined)
+
+
+@cache
+def _closure_cases():
+    """Groups with self-maps to draw pairs from.
+
+    The maps are a few automorphisms, the trivial map, and (for even order)
+    a map onto an involution through an index-2 subgroup: the last two are
+    homomorphisms that are not injective.
+    """
+    groups = (
+        dihedral(8),
+        dicyclic(3),
+        direct_product(cyclic(2, "a"), cyclic(4, "b")),
+        from_permutations(["perm (1 2 3)", "perm (1 2)(3 4)"]),
+        semidirect_cyclic(7, 3, 2),
+        small_groups(24)[-1],
+    )
+    cases = []
+    for G in groups:
+        maps = [a.mapping for a in G.automorphisms()[:3]] + [(0,) * G.order]
+        halves = index_two_subgroups(G)
+        if halves:
+            t = G.involutions()[0].idx
+            kernel = halves[0].element_indices
+            maps.append(tuple(0 if a in kernel else t for a in range(G.order)))
+        cases.append((G, maps))
+    return cases
 
 
 class TestCloseGeneratorMap:
@@ -407,6 +538,36 @@ class TestCloseGeneratorMap:
         # both map to A: the product D^2 would need to map to 1
         res = close_generator_map(G, G, [(A.idx, A.idx), (D2A.idx, A.idx)])
         assert res is None
+
+    def test_edge_cases_match_pairwise_reference(self):
+        G = dihedral(8)
+        D, A, DA = (G.generator(nm).idx for nm in ("D", "A", "DA"))
+        cases = [
+            ([], True),
+            ([(0, 0), (D, D)], True),  # source 0 mapped to the identity
+            ([(0, A)], False),  # source 0 mapped elsewhere
+            ([(A, DA), (A, DA), (D, D)], True),  # repeated source, same image
+            ([(A, DA), (D, D), (A, A)], False),  # repeated source, new image
+            ([(D, 0), (A, A)], False),  # consistent, D in the kernel
+            ([(A, A), (D, A)], False),  # inconsistent: orders differ
+        ]
+        for pairs, ok in cases:
+            res = close_generator_map(G, G, pairs)
+            assert res == _pairwise_close(G, G, pairs), pairs
+            assert (res is not None) == ok, pairs
+
+    @settings(PROPERTY_SETTINGS, max_examples=300)
+    @given(st.data())
+    def test_agrees_with_pairwise_reference(self, data):
+        G, maps = data.draw(st.sampled_from(_closure_cases()))
+        mapping = data.draw(st.sampled_from(maps))
+        n = G.order
+        sources = data.draw(st.lists(st.integers(0, n - 1), max_size=4))
+        pairs = [
+            (a, data.draw(st.one_of(st.just(mapping[a]), st.integers(0, n - 1))))
+            for a in sources
+        ]
+        assert close_generator_map(G, G, pairs) == _pairwise_close(G, G, pairs)
 
 
 class TestAutomorphisms:
