@@ -315,9 +315,8 @@ def _verify_unique_classes(G: FiniteGroup, tuples: list, canon: list, allow_reve
 
 def _distinct_image_classes(action: ExtendedAction) -> int:
     """Number of distinct conjugacy classes met by the reflection images."""
-    G = action.group
-    G.conjugacy_classes()
-    return len({G._class_of[e.idx] for e in action.reflection_images})
+    class_of = action.group._class_index()[1]
+    return len({class_of[e.idx] for e in action.reflection_images})
 
 
 @lru_cache(maxsize=None)

@@ -8,12 +8,20 @@ cannot silently poison later computations.
 Every closure and homomorphism check goes through one walk of a Cayley graph
 (``_extend_hom``): subgroup closure, extending a generator map in the
 isomorphism and automorphism searches, orientation characters (maps onto C2)
-and the automorphism check of ``semidirect_with_automorphism``.
+and the automorphism check of ``semidirect_with_automorphism``.  Each node of
+those searches resumes its parent's walk rather than starting from the
+identity.
+
+``is_isomorphic`` compares a cached exact invariant first (the multiset of
+element order, class size and square-root count over the elements) and
+searches only when it agrees.  ``small_groups`` builds its candidates one at
+a time and keeps the first of each isomorphism type.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -109,6 +117,7 @@ class FiniteGroup:
         self._orders = None
         self._classes = None
         self._class_of = None
+        self._invariant_counts = None
         self._aut = None
         self._elements = [GroupElement(self, i) for i in range(n)]
         self._name_to_idx = {nm: i for i, nm in enumerate(self._names)}
@@ -165,9 +174,7 @@ class FiniteGroup:
         return self._orders[idx]
 
     def is_abelian(self) -> bool:
-        table = self._table
-        n = self.order
-        return all(table[a][b] == table[b][a] for a in range(n) for b in range(a))
+        return len(self._class_index()[0]) == self.order
 
     def __repr__(self) -> str:
         return f"<group {self.name} of order {self.order}>"
@@ -241,13 +248,9 @@ class FiniteGroup:
         )
         return Subgroup(self, members, _small_generating_set(self._table, members))
 
-    def conjugacy_classes(self, predicate=None):
-        """Conjugacy classes as tuples of elements, ordered by smallest index.
-
-        With a predicate, returns the classes of the selected elements; the
-        selected set must be a union of classes (anything else means the
-        predicate is not a class function, which is a caller bug).
-        """
+    def _class_index(self):
+        """``(classes, class_of)``: each class's member indices, sorted, with
+        classes ordered by smallest index, and every element's class number."""
         if self._classes is None:
             table = self._table
             inv = self._inv
@@ -264,8 +267,17 @@ class FiniteGroup:
                 classes.append(tuple(orbit))
             self._classes = classes
             self._class_of = class_of
+        return self._classes, self._class_of
+
+    def conjugacy_classes(self, predicate=None):
+        """Conjugacy classes as tuples of elements, ordered by smallest index.
+
+        With a predicate, returns the classes of the selected elements; the
+        selected set must be a union of classes (anything else means the
+        predicate is not a class function, which is a caller bug).
+        """
         result = []
-        for cls in self._classes:
+        for cls in self._class_index()[0]:
             members = [self._elements[i] for i in cls]
             if predicate is None:
                 result.append(tuple(members))
@@ -280,8 +292,24 @@ class FiniteGroup:
         return result
 
     def class_size(self, idx: int) -> int:
-        self.conjugacy_classes()
-        return len(self._classes[self._class_of[idx]])
+        classes, class_of = self._class_index()
+        return len(classes[class_of[idx]])
+
+    def _invariant(self) -> tuple:
+        """Multiset of (element order, class size, number of square roots)
+        over the elements, as sorted ``(triple, count)`` pairs.
+
+        Isomorphic groups have equal invariants.
+        """
+        if self._invariant_counts is None:
+            table = self._table
+            roots = Counter(table[a][a] for a in range(self.order))
+            counts = Counter(
+                (self.element_order(a), self.class_size(a), roots[a])
+                for a in range(self.order)
+            )
+            self._invariant_counts = tuple(sorted(counts.items()))
+        return self._invariant_counts
 
     def involutions(self):
         return [e for e in self._elements if e.order() == 2]
@@ -334,7 +362,7 @@ class FiniteGroup:
 _C2_TABLE = ((0, 1), (1, 0))
 
 
-def _extend_hom(tg, th, pairs):
+def _extend_hom(tg, th, pairs, parent=None, *, injective=False):
     """Extend a partial map between two tables to a homomorphism.
 
     ``pairs`` is a sequence of (source index, image index).  One walk over
@@ -343,18 +371,33 @@ def _extend_hom(tg, th, pairs):
     Returns ``(img, reached)``, where ``img`` holds -1 off the subgroup and
     ``reached`` lists its elements in discovery order (identity first), or
     ``None`` when an edge disagrees, i.e. no homomorphism extends the pairs.
+    With ``injective``, it also returns ``None`` as soon as an element other
+    than the identity maps to the identity.
+
+    ``parent``, the result for ``pairs[:-1]``, resumes that walk: the
+    elements it reached are walked along the last pair's edges only, and the
+    elements this adds along every pair's edges.  ``parent`` is not changed.
     """
-    img = [-1] * len(tg)
-    img[0] = 0
-    reached = [0]
-    for a in reached:  # reached grows while it is walked
+    if parent is None:
+        img = [-1] * len(tg)
+        img[0] = 0
+        reached = [0]
+        known = 0
+    else:
+        img = parent[0][:]
+        reached = parent[1][:]
+        known = len(reached)
+    last = pairs[-1:]
+    for i, a in enumerate(reached):  # reached grows while it is walked
         row = tg[a]
         hrow = th[img[a]]
-        for s, fs in pairs:
+        for s, fs in pairs if i >= known else last:
             p = row[s]
             q = hrow[fs]
             fp = img[p]
             if fp == -1:
+                if q == 0 and injective:
+                    return None
                 img[p] = q
                 reached.append(p)
             elif fp != q:
@@ -954,13 +997,10 @@ def close_generator_map(G: FiniteGroup, H: FiniteGroup, pairs):
     non-multiplicative or non-injective).  ``covered == G.order`` therefore
     certifies an injective homomorphism defined on all of G.
     """
-    closed = _extend_hom(G._table, H._table, pairs)
+    closed = _extend_hom(G._table, H._table, pairs, injective=True)
     if closed is None:
         return None
     img, reached = closed
-    # a homomorphism is injective exactly when only the identity maps to 0
-    if any(img[a] == 0 for a in reached[1:]):
-        return None
     return img, len(reached)
 
 
@@ -976,7 +1016,11 @@ def _image_candidates(G: FiniteGroup, H: FiniteGroup, src_idx: int):
 
 
 def _hom_search(G: FiniteGroup, H: FiniteGroup, constraint_pairs, limit=None):
-    """Injective homs G -> H defined on all of G, extending the constraints."""
+    """Injective homs G -> H defined on all of G, extending the constraints.
+
+    Depth-first over the image of each source in turn; every search node
+    resumes its parent's walk (``_extend_hom``) with the one new pair.
+    """
     if G.order == 1:
         return [[0]] if H.order >= 1 else []
     gen_idx = [g.idx for g in G.generators]
@@ -987,30 +1031,31 @@ def _hom_search(G: FiniteGroup, H: FiniteGroup, constraint_pairs, limit=None):
             levels.append((g, (fixed[g],)))
         else:
             levels.append((g, tuple(_image_candidates(G, H, g))))
+    tg, th = G._table, H._table
     results = []
     assignment = []
     total_levels = len(levels)
 
-    def dfs(level):
+    def dfs(level, parent):
         if limit is not None and len(results) >= limit:
             return
         src, candidates = levels[level]
         last = level + 1 == total_levels
         for cand in candidates:
             assignment.append((src, cand))
-            closed = close_generator_map(G, H, assignment)
+            closed = _extend_hom(tg, th, assignment, parent, injective=True)
             if closed is not None:
-                img, covered = closed
+                img, reached = closed
                 if last:
-                    if covered == G.order:
+                    if len(reached) == G.order:
                         results.append(img)
                 else:
-                    dfs(level + 1)
+                    dfs(level + 1, closed)
             assignment.pop()
             if limit is not None and len(results) >= limit:
                 return
 
-    dfs(0)
+    dfs(0, None)
     return results
 
 
@@ -1043,13 +1088,7 @@ def iso_search(G: FiniteGroup, H: FiniteGroup, first_only: bool = True):
 
 
 def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
-    if G.order != H.order:
-        return False
-    if G.is_abelian() != H.is_abelian():
-        return False
-    if sorted(len(c) for c in G.conjugacy_classes()) != sorted(
-        len(c) for c in H.conjugacy_classes()
-    ):
+    if G.order != H.order or G._invariant() != H._invariant():
         return False
     return bool(iso_search(G, H, first_only=True))
 
@@ -1182,25 +1221,30 @@ def recognize(G: FiniteGroup) -> GroupStructure:
             G.element(i) for i in sorted(center.element_indices) if G.element_order(i) == 2
         ]
         halves = index_two_subgroups(G) if central_involutions else []
+        # the witness depends on the subgroup only, and the first one found
+        # is returned, so only the subgroups without one need remembering
+        not_dihedral = set()
         for y in central_involutions:
-            for H in halves:
-                if y in H:
+            for k, H in enumerate(halves):
+                if y in H or k in not_dihedral:
                     continue
                 sub = H.as_group()
                 w = _dihedral_witness(sub)
-                if w is not None:
-                    r_sub, s_sub = w
-                    to_parent = sub.parent_indices
-                    return GroupStructure(
-                        "dihedral-x-c2",
-                        n,
-                        {"dihedral_order": n // 2},
-                        {
-                            "central": y,
-                            "rotation": G.element(to_parent[r_sub.idx]),
-                            "reflection": G.element(to_parent[s_sub.idx]),
-                        },
-                    )
+                if w is None:
+                    not_dihedral.add(k)
+                    continue
+                r_sub, s_sub = w
+                to_parent = sub.parent_indices
+                return GroupStructure(
+                    "dihedral-x-c2",
+                    n,
+                    {"dihedral_order": n // 2},
+                    {
+                        "central": y,
+                        "rotation": G.element(to_parent[r_sub.idx]),
+                        "reflection": G.element(to_parent[s_sub.idx]),
+                    },
+                )
     return GroupStructure(
         "other",
         n,
@@ -1352,22 +1396,13 @@ def divisors_of(n: int) -> list:
     return small + large[::-1]
 
 
-def small_groups(n: int):
-    """Groups of order n from the built-in catalog, pairwise non-isomorphic.
-
-    Complete for every order in COMPLETE_CATALOG_ORDERS; a best-effort list
-    (abelian, dihedral, dicyclic, cyclic-by-cyclic, direct products, and the
-    small permutation specials) elsewhere.
-    """
-    if n < 1 or n > MAX_ORDER:
-        raise ValueError(f"order must be between 1 and {MAX_ORDER}")
-    if n in _SMALL_GROUPS_CACHE:
-        return list(_SMALL_GROUPS_CACHE[n])
-    candidates = list(_abelian_groups(n))
+def _catalog_candidates(n: int):
+    """Every catalog construction of order n, duplicates included, in order."""
+    yield from _abelian_groups(n)
     if n % 2 == 0 and n >= 6:
-        candidates.append(dihedral(n))
+        yield dihedral(n)
     if n % 4 == 0 and n >= 8:
-        candidates.append(dicyclic(n // 4))
+        yield dicyclic(n // 4)
     for a in divisors_of(n):
         b = n // a
         if a < 3 or b < 2:
@@ -1375,15 +1410,15 @@ def small_groups(n: int):
         for t in range(2, a):
             if gcd(t, a) == 1 and pow(t, b, a) == 1:
                 try:
-                    candidates.append(semidirect_cyclic(a, b, t))
+                    yield semidirect_cyclic(a, b, t)
                 except GroupConstructionError:
                     pass
     if n == 12:
-        candidates.append(from_permutations(["perm (1 2 3)", "perm (1 2)(3 4)"]))
+        yield from_permutations(["perm (1 2 3)", "perm (1 2)(3 4)"])
     if n == 24:
-        candidates.append(from_permutations(["perm (1 2 3 4)", "perm (1 2)"]))
+        yield from_permutations(["perm (1 2 3 4)", "perm (1 2)"])
     if n == 60:
-        candidates.append(from_permutations(["perm (1 2 3 4 5)", "perm (1 2 3)"]))
+        yield from_permutations(["perm (1 2 3 4 5)", "perm (1 2 3)"])
     for a in divisors_of(n):
         b = n // a
         if a < 2 or b < 2 or a > b:
@@ -1391,11 +1426,26 @@ def small_groups(n: int):
         for G1 in small_groups(a):
             for G2 in small_groups(b):
                 try:
-                    candidates.append(direct_product(G1, G2))
+                    yield direct_product(G1, G2)
                 except GroupConstructionError:
                     pass
+
+
+def small_groups(n: int):
+    """Groups of order n from the built-in catalog, pairwise non-isomorphic.
+
+    Complete for every order in COMPLETE_CATALOG_ORDERS; a best-effort list
+    (abelian, dihedral, dicyclic, cyclic-by-cyclic, direct products, and the
+    small permutation specials) elsewhere.  The first of each isomorphism
+    type among ``_catalog_candidates(n)`` is kept; candidates are built one
+    at a time, so a rejected duplicate is dropped at once.
+    """
+    if n < 1 or n > MAX_ORDER:
+        raise ValueError(f"order must be between 1 and {MAX_ORDER}")
+    if n in _SMALL_GROUPS_CACHE:
+        return list(_SMALL_GROUPS_CACHE[n])
     distinct = []
-    for G in candidates:
+    for G in _catalog_candidates(n):
         if not any(is_isomorphic(G, H) for H in distinct):
             distinct.append(G)
     _SMALL_GROUPS_CACHE[n] = distinct

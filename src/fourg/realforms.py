@@ -246,12 +246,11 @@ def count_ovals(e: ExtendedAction, cls: SymmetryClass) -> int:
     """
     if cls.action != e:
         raise ValueError("the symmetry class belongs to a different extension")
-    G = e.group
-    G.conjugacy_classes()
-    target = G._class_of[cls.representative.idx]
+    class_of = e.group._class_index()[1]
+    target = class_of[cls.representative.idx]
     total = 0
     for _, image, index in _reflection_records(e):
-        if G._class_of[image.idx] == target:
+        if class_of[image.idx] == target:
             total += index
     return total
 

@@ -126,24 +126,34 @@ class TestAtlasCommand:
     def test_json_bytes_independent_of_hash_seed(self, tmp_path):
         # fresh processes share no cache; the pinned digests keep the
         # output from drifting between engine versions (2:14 is the
-        # byte-identity sweep of the roadmap)
+        # byte-identity sweep of the roadmap, genus 24 searches the
+        # 69-group catalog of order 96)
         src = str(Path(fourg.__file__).resolve().parents[1])
         cases = (
-            ("2:6", "396fd1db66efacb49926a1832241ba817e5ea777e9b17b8d7747e8bb62484ab0"),
-            ("2:14", "f1587b12a5b2946c28fa6a4db7115fe011ecac21112c09ff00138742c5e94f5e"),
+            (
+                ["atlas", "--range", "2:6", "--json"],
+                "396fd1db66efacb49926a1832241ba817e5ea777e9b17b8d7747e8bb62484ab0",
+            ),
+            (
+                ["atlas", "--range", "2:14", "--json"],
+                "f1587b12a5b2946c28fa6a4db7115fe011ecac21112c09ff00138742c5e94f5e",
+            ),
+            (
+                ["exceptional", "--genus", "24", "--json"],
+                "2b38b6ce03276fe7cbf0cd81c00fef36a6425a15908552ea2aaea1166a2a992b",
+            ),
         )
-        for genera, digest in cases:
+        for args, digest in cases:
             outputs = []
             for seed in ("1", "2"):
                 env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
-                args = ["atlas", "--range", genera, "--json"]
                 run = subprocess.run(
                     [sys.executable, "-m", "fourg.cli", *args],
                     cwd=tmp_path, env=env, capture_output=True, check=True,
                 )
                 outputs.append(run.stdout)
-            assert outputs[0] == outputs[1], genera
-            assert hashlib.sha256(outputs[0]).hexdigest() == digest, genera
+            assert outputs[0] == outputs[1], args
+            assert hashlib.sha256(outputs[0]).hexdigest() == digest, args
 
     def test_markdown_ends_with_summary(self, capsys):
         assert main(["atlas", "--range", "2:3"]) == EXIT_OK

@@ -13,12 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fourg import groups
 from fourg.errors import GroupConstructionError, InputFormatError, InvariantViolation
 from fourg.groups import (
     COMPLETE_CATALOG_ORDERS,
     Automorphism,
     FiniteGroup,
     abelianization,
+    _image_candidates,
     automorphism_search,
     close_generator_map,
     cyclic,
@@ -570,6 +572,95 @@ class TestCloseGeneratorMap:
         assert close_generator_map(G, G, pairs) == _pairwise_close(G, G, pairs)
 
 
+def _reference_hom_search(G: FiniteGroup, H: FiniteGroup, constraint_pairs, limit=None):
+    """Reference search: every node closes its whole assignment from scratch.
+
+    This is ``_hom_search`` as it was before its nodes resumed their
+    parent's walk, kept verbatim as the oracle for the result order.
+    """
+    if G.order == 1:
+        return [[0]] if H.order >= 1 else []
+    gen_idx = [g.idx for g in G.generators]
+    fixed = dict(constraint_pairs)
+    levels = [(a, (b,)) for a, b in fixed.items() if a not in gen_idx]
+    for g in gen_idx:
+        if g in fixed:
+            levels.append((g, (fixed[g],)))
+        else:
+            levels.append((g, tuple(_image_candidates(G, H, g))))
+    results = []
+    assignment = []
+    total_levels = len(levels)
+
+    def dfs(level):
+        if limit is not None and len(results) >= limit:
+            return
+        src, candidates = levels[level]
+        last = level + 1 == total_levels
+        for cand in candidates:
+            assignment.append((src, cand))
+            closed = close_generator_map(G, H, assignment)
+            if closed is not None:
+                img, covered = closed
+                if last:
+                    if covered == G.order:
+                        results.append(img)
+                else:
+                    dfs(level + 1)
+            assignment.pop()
+            if limit is not None and len(results) >= limit:
+                return
+
+    dfs(0)
+    return results
+
+
+def _search_cases():
+    """(G, H, constraint pairs, limit) as the automorphism and isomorphism
+    searches pass them, over the catalog groups of order at most 24."""
+    for n in range(1, 25):
+        for G in small_groups(n):
+            gens = G._gen_idx
+            last = G.order - 1
+            same_order = [j for j in range(G.order) if G.element_order(j) == G.element_order(last)]
+            constraints = [[], [(last, same_order[0])], [(last, same_order[-1])]]
+            if gens:
+                # a pinned generator, alone and behind a pinned non-generator
+                constraints += [[(gens[0], gens[-1])], [(last, last), (gens[0], gens[0])]]
+            for pairs in constraints:
+                for limit in (None, 1):
+                    yield G, G, pairs, limit
+        candidates = list(groups._catalog_candidates(n))
+        for i, G in enumerate(candidates):
+            for H in candidates[i:]:
+                yield G, H, [], 1  # iso_search(G, H, first_only=True)
+
+
+class TestHomSearch:
+    def test_matches_reference_search(self):
+        for G, H, pairs, limit in _search_cases():
+            expected = _reference_hom_search(G, H, pairs, limit)
+            got = groups._hom_search(G, H, pairs, limit)
+            assert got == expected, (G.name, H.name, pairs, limit)
+
+    def test_public_searches_match_reference(self, monkeypatch):
+        def public_results():
+            out = []
+            for n in range(1, 25):
+                catalog = small_groups(n)
+                for G in catalog:
+                    pin = {G.element(G.order - 1): G.element(G.order - 1)}
+                    for constraint, limit in ((None, None), (pin, None), (None, 1), (pin, 1)):
+                        auts = automorphism_search(G, constraint, limit)
+                        out.append([a.mapping for a in auts])
+                    out.append([iso_search(G, H, first_only=True) for H in catalog])
+            return out
+
+        fresh = public_results()
+        monkeypatch.setattr(groups, "_hom_search", _reference_hom_search)
+        assert fresh == public_results()
+
+
 class TestAutomorphisms:
     def test_cyclic_six(self):
         auts = automorphism_search(cyclic(6))
@@ -637,6 +728,30 @@ class TestIsomorphism:
             from_permutations(["perm (1 2 3)", "perm (1 2)"]), dihedral(6)
         )
         assert is_isomorphic(semidirect_cyclic(5, 4, 4), dicyclic(5))
+
+    def test_invariant_never_separates_isomorphic_candidates(self):
+        # every pair of raw catalog candidates, duplicates included: the
+        # invariant prefilter must never reject a pair the search accepts
+        for n in (8, 12, 16, 24):
+            candidates = list(groups._catalog_candidates(n))
+            for i, G in enumerate(candidates):
+                for H in candidates[i:]:
+                    assert is_isomorphic(G, H) == bool(iso_search(G, H)), (G.name, H.name)
+
+    @settings(PROPERTY_SETTINGS, max_examples=60)
+    @given(st.data())
+    def test_relabelled_table_keeps_invariant(self, data):
+        G = data.draw(st.sampled_from([G for n in (6, 8, 12, 16, 18) for G in small_groups(n)]))
+        n = G.order
+        sigma = [0] + data.draw(st.permutations(range(1, n)))  # old -> new, 0 fixed
+        rows = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                rows[sigma[a]][sigma[b]] = sigma[G.mul_idx(a, b)]
+        text = f"order {n}\n" + "\n".join(" ".join(map(str, row)) for row in rows)
+        relabelled = from_table(text)
+        assert relabelled._invariant() == G._invariant()
+        assert is_isomorphic(G, relabelled) is True
 
     def test_iso_search_returns_bijection(self):
         maps = iso_search(dihedral_from_reflections(8), dihedral(8))
@@ -776,6 +891,14 @@ class TestSmallGroups:
         assert set(CENSUS) == set(COMPLETE_CATALOG_ORDERS)
         for n, expected in sorted(CENSUS.items()):
             assert len(small_groups(n)) == expected, f"order {n}"
+
+    def test_catalog_sizes_at_incomplete_orders(self):
+        # the catalog's own counts (not the census) at orders it does not
+        # claim to cover; a change here means the construction list or the
+        # isomorphism dedup changed
+        sizes = {32: 24, 48: 31, 64: 51, 96: 69}
+        assert not set(sizes) & COMPLETE_CATALOG_ORDERS
+        assert {n: len(small_groups(n)) for n in sizes} == sizes
 
     def test_pairwise_non_isomorphic(self):
         for n in (8, 12, 20):
