@@ -32,6 +32,7 @@ from .errors import (
 )
 from .groups import (
     COMPLETE_CATALOG_ORDERS,
+    MAX_ORDER,
     from_permutations,
     from_table,
     recognize,
@@ -136,8 +137,8 @@ def _build_parser() -> _Parser:
 def _load_config(path: str) -> dict:
     """Parse a key=value config file; '#' starts a comment."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputFormatError(f"cannot read config file {path}: {exc}") from exc
     options = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -214,7 +215,22 @@ def _parse_range(text: str):
         raise UsageError(f"--range expects integers, got {text!r}") from None
     if not 2 <= g_min <= g_max:
         raise UsageError(f"--range needs 2 <= A <= B, got {text!r}")
+    _check_genus(g_max, 8)
     return g_min, g_max
+
+
+def _check_genus(g: int, factor: int) -> None:
+    """Reject a genus below 2, or one whose order-``factor``*g group is too big.
+
+    Runs before any group is built, so a huge genus never allocates a table.
+    """
+    if g < 2:
+        raise UsageError(f"--genus must be at least 2, got {g}")
+    if factor * g > MAX_ORDER:
+        raise UsageError(
+            f"genus {g} needs groups of order {factor * g}; the largest"
+            f" supported order is {MAX_ORDER}"
+        )
 
 
 def load_group_tables(directory: str, expected_order: int = None) -> list:
@@ -231,8 +247,8 @@ def load_group_tables(directory: str, expected_order: int = None) -> list:
     groups = []
     for file in sorted(p for p in path.iterdir() if p.is_file()):
         try:
-            text = file.read_text()
-        except OSError as exc:
+            text = file.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputFormatError(f"cannot read {file}: {exc}") from exc
         first = next((ln.strip() for ln in text.splitlines() if ln.strip()), "")
         try:
@@ -261,8 +277,7 @@ def cmd_report(g: int, options) -> "Report":
     """Build the report for one genus, honoring table and search options."""
     if g is None:
         raise UsageError("report requires --genus")
-    if g < 2:
-        raise UsageError(f"--genus must be at least 2, got {g}")
+    _check_genus(g, 8)
     search_groups = (
         load_group_tables(options.tables, expected_order=4 * g)
         if options.tables
@@ -286,8 +301,7 @@ def cmd_exceptional(g: int, options) -> dict:
     """
     if g is None:
         raise UsageError("exceptional requires --genus")
-    if g < 2:
-        raise UsageError(f"--genus must be at least 2, got {g}")
+    _check_genus(g, 4)
     order = 4 * g
     if options.tables:
         pool = load_group_tables(options.tables, expected_order=order)

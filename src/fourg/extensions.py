@@ -14,12 +14,16 @@ of order 8g.  Two quotient shapes occur:
   (label ``b``).
 
 ``build_extensions`` does not take these counts on faith: it enumerates every
-admissible assignment of canonical generators to group elements and verifies
-that each one is equivalent, through a character-preserving automorphism of
-the target (plus the chain-reversal relabelling for kind ``a``), to one of
-the canonical epimorphisms.  ``restrict_to_index2`` rebuilds the
-orientation-preserving action from each extension; callers check that it
-lands in the unique class of the parent family.
+assignment of canonical generators to group elements that satisfies the
+defining relations and certifies that each generating one is equivalent,
+through a character-preserving automorphism of the target (plus the
+chain-reversal relabelling for kind ``a``), to exactly one canonical
+epimorphism.  The certificate is an orbit count: a few automorphisms, each
+verified by one closure, carry the canonical tuples onto every admissible
+tuple, and the canonical tuples are checked pairwise inequivalent.
+``restrict_to_index2`` rebuilds the orientation-preserving action from each
+extension; callers check that it lands in the unique class of the parent
+family.
 """
 
 from __future__ import annotations
@@ -204,9 +208,10 @@ class ExtendedAction:
 def _admissible_chain_tuples(G: FiniteGroup, g: int) -> list:
     """All index tuples (r0..r3) satisfying the reflection-chain relations.
 
-    Each entry must be an orientation-reversing involution, consecutive
+    Each entry must be an orientation-reversing involution, and consecutive
     products must have exact orders (2, 2, 2) with the closing product of
-    order exactly 2g, and the four entries must generate the whole group.
+    order exactly 2g.  Whether a tuple generates the whole group is settled
+    by :func:`_verify_unique_classes`.
     """
     n = G.order
     kappa = G.orientation
@@ -228,9 +233,7 @@ def _admissible_chain_tuples(G: FiniteGroup, g: int) -> list:
                 for r3 in mirrors:
                     if order_of(row2[r3]) != 2:
                         continue
-                    if order_of(table[r3][r0]) != target:
-                        continue
-                    if len(G._closure_idx((r0, r1, r2, r3))) == n:
+                    if order_of(table[r3][r0]) == target:
                         found.append((r0, r1, r2, r3))
     return found
 
@@ -239,9 +242,10 @@ def _admissible_cone_tuples(G: FiniteGroup, g: int) -> list:
     """All index tuples (a, c0, c1, c2) satisfying the one-cone-point relations.
 
     a must be an orientation-preserving involution, c0 and c1 orientation
-    reversing involutions, c2 is forced to be a*c0*a, the product c0*c1 must
-    have order exactly 2 and c1*c2 order exactly 2g, and (a, c0, c1) must
-    generate the whole group.
+    reversing involutions, c2 is forced to be a*c0*a, and the product c0*c1
+    must have order exactly 2 and c1*c2 order exactly 2g.  Whether (a, c0,
+    c1) generates the whole group is settled by
+    :func:`_verify_unique_classes`.
     """
     n = G.order
     kappa = G.orientation
@@ -259,22 +263,21 @@ def _admissible_cone_tuples(G: FiniteGroup, g: int) -> list:
             for c1 in mirrors:
                 if order_of(row0[c1]) != 2:
                     continue
-                if order_of(table[c1][c2]) != target:
-                    continue
-                if len(G._closure_idx((a, c0, c1))) == n:
+                if order_of(table[c1][c2]) == target:
                     found.append((a, c0, c1, c2))
     return found
 
 
-def _tuples_equivalent(G: FiniteGroup, s: tuple, t: tuple, allow_reversal: bool) -> bool:
-    """Whether an automorphism of G maps tuple s onto t entrywise.
+def _equivalence(G: FiniteGroup, s: tuple, t: tuple, allow_reversal: bool):
+    """An automorphism of G mapping tuple s onto t entrywise, or None.
 
-    Both tuples generate G, so the candidate map s_i -> t_i either closes
-    into a full automorphism or is inconsistent; a single closure run decides
-    it.  Such an automorphism automatically preserves the orientation
-    character because corresponding entries carry equal character values.
-    For the reflection chain, reversing the order of one tuple is also a
-    legitimate relabelling of the canonical generators.
+    The automorphism is returned as its image list.  When s generates G,
+    the candidate map s_i -> t_i either closes into a full automorphism or
+    is inconsistent; a single closure run decides it.  Such an automorphism
+    automatically preserves the orientation character because corresponding
+    entries carry equal character values.  For the reflection chain,
+    reversing the order of t is also a legitimate relabelling of the
+    canonical generators.
     """
     candidates = [t]
     if allow_reversal:
@@ -282,12 +285,28 @@ def _tuples_equivalent(G: FiniteGroup, s: tuple, t: tuple, allow_reversal: bool)
     for cand in candidates:
         closed = close_generator_map(G, G, list(zip(s, cand)))
         if closed is not None and closed[1] == G.order:
-            return True
-    return False
+            return closed[0]
+    return None
 
 
-def _verify_unique_classes(G: FiniteGroup, tuples: list, canon: list, allow_reversal: bool):
-    """Check every admissible tuple is equivalent to exactly one canonical tuple."""
+def _verify_unique_classes(
+    G: FiniteGroup, tuples: list, canon: list, allow_reversal: bool
+) -> dict:
+    """Check every admissible tuple is equivalent to exactly one canonical tuple.
+
+    ``tuples`` satisfy the defining relations; the admissible ones also
+    generate G.  Returns ``owner``, mapping each tuple reached to the index
+    of its canonical tuple in ``canon``.
+
+    Orbit certificate: a candidate not yet owned is matched against the
+    canonical tuples by :func:`_equivalence`; the automorphism found is
+    kept, and ``owner`` is spread along every automorphism kept so far.  A
+    generating candidate that no canonical tuple reaches raises; one that
+    does not generate is skipped.  Each owned tuple is phi(rep), possibly
+    reversed, for a product phi of verified automorphisms, so it matches
+    its owner, and the direct check between canonical tuples rules out a
+    second match.
+    """
     pool = set(tuples)
     for rep in canon:
         if rep not in pool:
@@ -297,20 +316,58 @@ def _verify_unique_classes(G: FiniteGroup, tuples: list, canon: list, allow_reve
             )
     for i, first in enumerate(canon):
         for second in canon[i + 1 :]:
-            if _tuples_equivalent(G, first, second, allow_reversal):
+            if _equivalence(G, first, second, allow_reversal) is not None:
                 raise InvariantViolation(
                     "canonical epimorphisms are equivalent; the classification"
                     " collapsed"
                 )
-    for t in tuples:
-        matches = sum(
-            1 for rep in canon if _tuples_equivalent(G, rep, t, allow_reversal)
-        )
-        if matches != 1:
+
+    owner = {}
+    maps = []
+
+    def reach(t, k, frontier):
+        # Owned tuples come in reversal pairs for kind a, so a tuple not yet
+        # owned has an unowned reversal too.
+        known = owner.get(t)
+        if known is None:
+            owner[t] = k
+            if allow_reversal:
+                owner[t[::-1]] = k
+            frontier.append(t)
+        elif known != k:
             raise InvariantViolation(
-                f"admissible assignment {t} matches {matches} canonical"
+                f"admissible assignment {t} matches 2 canonical"
                 " epimorphisms; expected exactly one"
             )
+
+    for k, rep in enumerate(canon):
+        reach(rep, k, [])
+    for t in tuples:
+        if t in owner:
+            continue
+        for rep in canon:
+            phi = _equivalence(G, rep, t, allow_reversal)
+            if phi is not None:
+                break
+        else:
+            if len(G._closure_idx(t)) == G.order:
+                raise InvariantViolation(
+                    f"admissible assignment {t} matches 0 canonical"
+                    " epimorphisms; expected exactly one"
+                )
+            continue
+        maps.append(phi)
+        # The owned tuples are closed under the earlier maps, so they meet
+        # only the new one; each tuple this adds meets every map.
+        frontier = []
+        for u, k in list(owner.items()):
+            reach(tuple(map(phi.__getitem__, u)), k, frontier)
+        while frontier:
+            u = frontier.pop()
+            k = owner[u]
+            for psi in maps:
+                reach(tuple(map(psi.__getitem__, u)), k, frontier)
+    return owner
 
 
 def _distinct_image_classes(action: ExtendedAction) -> int:
@@ -369,8 +426,11 @@ def build_extensions(g: int, kind: str) -> list:
 
     Kind ``a`` returns the two reflection-chain classes (labels a1, a2); kind
     ``b`` returns the single one-cone-point class.  The counts are certified
-    by exhausting all admissible generator assignments; a mismatch raises
-    InvariantViolation rather than returning a partial answer.
+    by an orbit certificate: verified automorphisms of the target carry the
+    canonical epimorphisms onto every generator assignment that satisfies
+    the defining relations and generates the group, and no two canonical
+    epimorphisms are equivalent.  A failure raises InvariantViolation rather
+    than returning a partial answer.
     """
     if not isinstance(g, int) or g < 2:
         raise ValueError(f"g must be an integer >= 2, got {g!r}")

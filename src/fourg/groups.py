@@ -110,7 +110,7 @@ class FiniteGroup:
         if len(self._names) != n or len(set(self._names)) != n:
             raise GroupConstructionError("element names must be unique, one per element")
         for row in self._table:
-            if len(row) != n or any(not (0 <= v < n) for v in row):
+            if len(row) != n or min(row) < 0 or max(row) >= n:
                 raise GroupConstructionError("multiplication table is not square over 0..n-1")
         self._gen_idx = tuple(generator_indices)
         self._inv = self._compute_inverses()
@@ -516,6 +516,8 @@ def dihedral(order: int) -> FiniteGroup:
     """
     if order < 2 or order % 2:
         raise GroupConstructionError("dihedral order must be even and >= 2")
+    if order > MAX_ORDER:
+        raise GroupConstructionError(f"order {order} exceeds {MAX_ORDER}")
     n = order // 2
 
     def pack(i, j):
@@ -783,8 +785,8 @@ _CYCLE = re.compile(r"\(([^()]*)\)")
 def from_permutations(source) -> FiniteGroup:
     """Group generated by permutations, one ``perm (a b c)(d e)`` per line.
 
-    Points are 1-based.  Accepts a string (newline separated) or a list of
-    lines.  Element names use cycle notation.
+    Points are 1-based and at most ``MAX_ORDER``.  Accepts a string (newline
+    separated) or a list of lines.  Element names use cycle notation.
     """
     lines = source.splitlines() if isinstance(source, str) else list(source)
     raw_gens = []
@@ -805,6 +807,10 @@ def from_permutations(source) -> FiniteGroup:
                 raise InputFormatError(f"bad cycle {cm.group(0)!r} in {line!r}") from None
             if any(p < 1 for p in points):
                 raise InputFormatError("permutation points are 1-based")
+            if max(points, default=0) > MAX_ORDER:
+                raise InputFormatError(
+                    f"permutation point {max(points)} exceeds {MAX_ORDER}"
+                )
             if len(set(points)) != len(points):
                 raise InputFormatError(f"repeated point in cycle {cm.group(0)!r}")
             cycles.append(points)

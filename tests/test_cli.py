@@ -83,6 +83,49 @@ class TestExitCodes:
         assert code == EXIT_INPUT
         assert "expected 20" in capsys.readouterr().err
 
+    def test_huge_permutation_point_is_input_error(self, tmp_path, capped_python):
+        # one point label used to size a list(range(99999999)) permutation
+        tables = tmp_path / "tables"
+        tables.mkdir()
+        (tables / "big.perm").write_text("perm (1 99999999)\n")
+        run = capped_python("-m", "fourg.cli", "exceptional", "--genus", "3", "--tables", str(tables))
+        assert run.returncode == EXIT_INPUT, run.stderr
+        assert run.stderr == "input error: big.perm: permutation point 99999999 exceeds 4096\n"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["report", "--genus", "5000"],
+            ["report", "--genus", "99999999999"],
+            ["report", "--genus", "513"],
+            ["exceptional", "--genus", "1025"],
+            ["atlas", "--range", "2:5000"],
+        ],
+    )
+    def test_huge_genus_is_usage_error(self, args, capped_python):
+        # the order-4g dihedral table used to be built before any order check
+        run = capped_python("-m", "fourg.cli", *args)
+        assert run.returncode == EXIT_USAGE, run.stderr
+        assert run.stderr.startswith("usage error: genus ")
+        assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
+
+    def test_largest_genus_passes_the_order_check(self):
+        from fourg.cli import _check_genus
+
+        _check_genus(512, 8)
+        _check_genus(1024, 4)
+
+    def test_non_utf8_files_are_input_errors(self, tmp_path, capsys):
+        (tmp_path / "x.table").write_bytes(b"\xff\xfe")
+        code = main(["exceptional", "--genus", "3", "--tables", str(tmp_path)])
+        assert code == EXIT_INPUT
+        assert "x.table" in capsys.readouterr().err
+        cfg = tmp_path / "fourg.cfg"
+        cfg.write_bytes(b"\xff\xfe")
+        assert main(["report", "--config", str(cfg)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("input error: cannot read config file") and err.count("\n") == 1
+
 
 class TestReportCommand:
     def test_json_output_parses(self, capsys):

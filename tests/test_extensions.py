@@ -15,6 +15,9 @@ from fourg.actions import main_action_class, vector_in_class
 from fourg.errors import InvariantViolation
 from fourg.extensions import (
     ExtendedAction,
+    _admissible_chain_tuples,
+    _admissible_cone_tuples,
+    _verify_unique_classes,
     build_extensions,
     chain_target_group,
     cone_target_group,
@@ -22,7 +25,7 @@ from fourg.extensions import (
     orientation_preserving_subgroup,
     restrict_to_index2,
 )
-from fourg.groups import recognize
+from fourg.groups import FiniteGroup, close_generator_map, recognize
 from fourg.signatures import chain_signature, mixed_signature
 
 
@@ -247,8 +250,6 @@ class TestRestriction:
 
 class TestUniquenessSearch:
     def test_admissible_enumeration_contains_canonical_tuples(self):
-        from fourg.extensions import _admissible_chain_tuples, _admissible_cone_tuples
-
         first, second = build_extensions(3, "a")
         tuples = set(_admissible_chain_tuples(first.group, 3))
         for action in (first, second):
@@ -258,17 +259,235 @@ class TestUniquenessSearch:
         assert tuple(e.idx for e in cone.images) in cone_tuples
 
     def test_equivalence_predicate(self):
-        from fourg.extensions import _tuples_equivalent
+        from fourg.extensions import _equivalence
 
         first, second = build_extensions(2, "a")
         G = first.group
         t1 = tuple(e.idx for e in first.images)
         t2 = tuple(e.idx for e in second.images)
-        assert not _tuples_equivalent(G, t1, t2, allow_reversal=True)
-        assert _tuples_equivalent(G, t1, t1[::-1], allow_reversal=True)
+        assert _equivalence(G, t1, t2, allow_reversal=True) is None
+        assert _equivalence(G, t1, t1[::-1], allow_reversal=True) is not None
         conj = G.generator("w")
         conjugated = tuple((conj * G.element(i) * conj.inverse()).idx for i in t1)
-        assert _tuples_equivalent(G, t1, conjugated, allow_reversal=False)
+        phi = _equivalence(G, t1, conjugated, allow_reversal=False)
+        assert [phi[i] for i in t1] == list(conjugated)
+
+
+def _reference_chain_tuples(G: FiniteGroup, g: int) -> list:
+    """All index tuples (r0..r3) satisfying the reflection-chain relations.
+
+    The enumerator before the orbit certificate, which also checked
+    generation per tuple, kept verbatim as the oracle for the admissible set.
+    """
+    n = G.order
+    kappa = G.orientation
+    order_of = G.element_order
+    table = G._table
+    mirrors = [i for i in range(n) if order_of(i) == 2 and kappa[i] == -1]
+    target = 2 * g
+    found = []
+    for r0 in mirrors:
+        row0 = table[r0]
+        for r1 in mirrors:
+            if order_of(row0[r1]) != 2:
+                continue
+            row1 = table[r1]
+            for r2 in mirrors:
+                if order_of(row1[r2]) != 2:
+                    continue
+                row2 = table[r2]
+                for r3 in mirrors:
+                    if order_of(row2[r3]) != 2:
+                        continue
+                    if order_of(table[r3][r0]) != target:
+                        continue
+                    if len(G._closure_idx((r0, r1, r2, r3))) == n:
+                        found.append((r0, r1, r2, r3))
+    return found
+
+
+def _reference_cone_tuples(G: FiniteGroup, g: int) -> list:
+    """All index tuples (a, c0, c1, c2) satisfying the one-cone-point relations.
+
+    The enumerator before the orbit certificate, kept verbatim.
+    """
+    n = G.order
+    kappa = G.orientation
+    order_of = G.element_order
+    table = G._table
+    rotations = [i for i in range(n) if order_of(i) == 2 and kappa[i] == 1]
+    mirrors = [i for i in range(n) if order_of(i) == 2 and kappa[i] == -1]
+    target = 2 * g
+    found = []
+    for a in rotations:
+        row_a = table[a]
+        for c0 in mirrors:
+            c2 = table[row_a[c0]][a]
+            row0 = table[c0]
+            for c1 in mirrors:
+                if order_of(row0[c1]) != 2:
+                    continue
+                if order_of(table[c1][c2]) != target:
+                    continue
+                if len(G._closure_idx((a, c0, c1))) == n:
+                    found.append((a, c0, c1, c2))
+    return found
+
+
+def _reference_equivalent(G: FiniteGroup, s: tuple, t: tuple, allow_reversal: bool) -> bool:
+    """Whether an automorphism of G maps tuple s onto t entrywise (verbatim)."""
+    candidates = [t]
+    if allow_reversal:
+        candidates.append(t[::-1])
+    for cand in candidates:
+        closed = close_generator_map(G, G, list(zip(s, cand)))
+        if closed is not None and closed[1] == G.order:
+            return True
+    return False
+
+
+def _reference_verify_unique_classes(
+    G: FiniteGroup, tuples: list, canon: list, allow_reversal: bool
+):
+    """Check every admissible tuple is equivalent to exactly one canonical tuple.
+
+    The pairwise sweep the orbit certificate replaced, kept verbatim: one or
+    more closures per admissible tuple.
+    """
+    pool = set(tuples)
+    for rep in canon:
+        if rep not in pool:
+            raise InvariantViolation(
+                "a canonical epimorphism is missing from the admissible"
+                " assignments; the enumeration is broken"
+            )
+    for i, first in enumerate(canon):
+        for second in canon[i + 1 :]:
+            if _reference_equivalent(G, first, second, allow_reversal):
+                raise InvariantViolation(
+                    "canonical epimorphisms are equivalent; the classification"
+                    " collapsed"
+                )
+    for t in tuples:
+        matches = sum(
+            1 for rep in canon if _reference_equivalent(G, rep, t, allow_reversal)
+        )
+        if matches != 1:
+            raise InvariantViolation(
+                f"admissible assignment {t} matches {matches} canonical"
+                " epimorphisms; expected exactly one"
+            )
+
+
+def _certificate_inputs(g, kind):
+    """Target group, candidates, reference admissible set, canon, reversal flag."""
+    actions = build_extensions(g, kind)
+    G = actions[0].group
+    canon = [tuple(e.idx for e in a.images) for a in actions]
+    if kind == "a":
+        return G, _admissible_chain_tuples(G, g), _reference_chain_tuples(G, g), canon, True
+    return G, _admissible_cone_tuples(G, g), _reference_cone_tuples(G, g), canon, False
+
+
+class TestOrbitCertificate:
+    # Tuples satisfying the relations, g = 2..24.  These are also the
+    # admissible (generating) counts the pairwise sweep found: at these
+    # genera every tuple that satisfies the relations generates.
+    CHAIN_COUNTS = [
+        48, 72, 192, 240, 288, 504, 768, 648, 960, 1320, 1152, 1872, 2016,
+        1440, 3072, 3264, 2592, 4104, 3840, 3024, 5280, 6072, 4608,
+    ]
+    CONE_COUNTS = [
+        16, 24, 64, 80, 96, 168, 256, 216, 320, 440, 384, 624, 672,
+        480, 1024, 1088, 864, 1368, 1280, 1008, 1760, 2024, 1536,
+    ]
+
+    @pytest.mark.parametrize("kind", ["a", "b"])
+    @pytest.mark.parametrize("g", range(2, 9))
+    def test_matches_reference_sweep(self, g, kind):
+        G, candidates, reference, canon, rev = _certificate_inputs(g, kind)
+        _reference_verify_unique_classes(G, reference, canon, rev)
+        owner = _verify_unique_classes(G, candidates, canon, rev)
+        assert [t for t in candidates if t in owner] == reference
+        for t in reference:
+            (index,) = [
+                k for k, rep in enumerate(canon)
+                if _reference_equivalent(G, rep, t, rev)
+            ]
+            assert owner[t] == index, t
+
+    def test_closures_do_not_scale_with_tuples(self, monkeypatch):
+        # 6,722 closures certified kind a at g = 14 alone with the pairwise
+        # sweep; the orbit certificate needs at most 16 per genus and kind,
+        # 210 over g = 2..14 (the atlas sweep), when every tuple an
+        # automorphism reaches is spread along all the automorphisms found
+        import fourg.extensions as extensions
+
+        calls = []
+
+        def counted(G, H, pairs):
+            calls.append(pairs)
+            return close_generator_map(G, H, pairs)
+
+        monkeypatch.setattr(extensions, "close_generator_map", counted)
+        per_genus = []
+        for g in range(2, 15):
+            for kind in ("a", "b"):
+                G, candidates, _, canon, rev = _certificate_inputs(g, kind)
+                calls.clear()
+                _verify_unique_classes(G, candidates, canon, rev)
+                per_genus.append(len(calls))
+        assert max(per_genus) <= 16
+        assert sum(per_genus) == 210
+
+    def test_dropped_canonical_class_raises(self):
+        G, candidates, reference, canon, rev = _certificate_inputs(4, "a")
+        with pytest.raises(InvariantViolation, match="matches 0 canonical"):
+            _verify_unique_classes(G, candidates, canon[:1], rev)
+        with pytest.raises(InvariantViolation, match="matches 0 canonical"):
+            _reference_verify_unique_classes(G, reference, canon[:1], rev)
+
+    def test_conjugate_canonical_tuple_collapses(self):
+        G, candidates, _, canon, rev = _certificate_inputs(4, "a")
+        w = G.generator("w")
+        conjugate = tuple((w * G.element(i) * w.inverse()).idx for i in canon[0])
+        assert conjugate in candidates
+        with pytest.raises(InvariantViolation, match="collapsed"):
+            _verify_unique_classes(G, candidates, [canon[0], conjugate], rev)
+
+    def test_orbit_reaching_two_canonical_tuples_raises(self, monkeypatch):
+        # without the direct check, the orbit spread itself must notice
+        import fourg.extensions as extensions
+
+        G, candidates, _, canon, rev = _certificate_inputs(4, "a")
+        w = G.generator("w")
+        conjugate = tuple((w * G.element(i) * w.inverse()).idx for i in canon[0])
+        canon = canon + [conjugate]
+        equivalence = extensions._equivalence
+
+        def blind_between_canonical(G, s, t, allow_reversal):
+            return None if t in canon else equivalence(G, s, t, allow_reversal)
+
+        monkeypatch.setattr(extensions, "_equivalence", blind_between_canonical)
+        with pytest.raises(InvariantViolation, match="matches 2 canonical"):
+            _verify_unique_classes(G, candidates, canon, rev)
+
+    @pytest.mark.parametrize("kind", ["a", "b"])
+    def test_non_generating_candidate_is_skipped(self, kind):
+        G, candidates, reference, canon, rev = _certificate_inputs(3, kind)
+        owner = _verify_unique_classes(G, candidates + [(0, 0, 0, 0)], canon, rev)
+        assert (0, 0, 0, 0) not in owner
+        assert sorted(t for t in owner if t in set(candidates)) == sorted(reference)
+
+    def test_relation_counts_pinned(self):
+        got_a = [
+            len(_admissible_chain_tuples(chain_target_group(g), g)) for g in range(2, 25)
+        ]
+        got_b = [
+            len(_admissible_cone_tuples(cone_target_group(g), g)) for g in range(2, 25)
+        ]
+        assert got_a == self.CHAIN_COUNTS
+        assert got_b == self.CONE_COUNTS
 
 
 class TestOrientationPreservingSubgroup:

@@ -152,6 +152,19 @@ class TestConstructors:
         with pytest.raises(GroupConstructionError):
             dihedral(7)
 
+    def test_dihedral_order_checked_before_the_table(self, capped_python):
+        code = (
+            "from fourg.errors import GroupConstructionError\n"
+            "from fourg.groups import dihedral\n"
+            "try:\n"
+            "    dihedral(40000)\n"
+            "except GroupConstructionError as exc:\n"
+            "    print(exc)\n"
+        )
+        run = capped_python("-c", code)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "order 40000 exceeds 4096\n"
+
     def test_dihedral_from_reflections(self):
         G = dihedral_from_reflections(16)
         w, x = G.generator("w"), G.generator("x")
@@ -217,6 +230,11 @@ class TestConstructors:
     def test_unique_names_required(self):
         with pytest.raises(GroupConstructionError):
             FiniteGroup([[0, 1], [1, 0]], ["e", "e"], [1])
+
+    def test_table_entries_must_lie_in_range(self):
+        for table in ([[0, 1], [1, 2]], [[0, -1], [1, 0]], [[0, 1], [1]]):
+            with pytest.raises(GroupConstructionError, match="not square over 0..n-1"):
+                FiniteGroup(table, ["e", "a"], [1])
 
 
 class TestExtensionGroupB:
@@ -373,6 +391,11 @@ class TestFromPermutations:
     def test_repeated_point_rejected(self):
         with pytest.raises(InputFormatError):
             from_permutations(["perm (1 2 1)"])
+
+    def test_point_above_max_order_rejected(self):
+        assert from_permutations(["perm (1 4096)"]).order == 2
+        with pytest.raises(InputFormatError, match="point 4097 exceeds 4096"):
+            from_permutations(["perm (1 2)", "perm (4097 3)"])
 
     @settings(PROPERTY_SETTINGS, max_examples=40)
     @given(st.lists(st.permutations(range(5)), min_size=1, max_size=3))
