@@ -20,7 +20,9 @@ v = canonical_vector(g)
 print("canonical vector:", v)
 
 # classify() enumerates every generating vector and gathers them into
-# orbits under braid moves and group automorphisms.
+# orbits under braid moves and group automorphisms.  Automorphisms act
+# freely on generating vectors, so a class is held as the Cayley-graph keys
+# of its automorphism classes: its size is |Aut(G)| times the key count.
 classes = classify(G, (2, 2, 2, 2 * g))
 print("number of action classes:", len(classes))
 print("orbit size:", classes[0].size)

@@ -7,6 +7,11 @@ finds all such tuples, sorts them into topological equivalence classes
 (orbits under the sphere braid action combined with group automorphisms), and
 runs the order-4g elimination arguments that leave the dihedral main family
 as the only candidate with a full action at generic genus.
+
+Aut(G) acts freely on generating tuples, and the right Cayley graph of G on a
+tuple, relabelled in breadth-first order, names the tuple's Aut-class.  A
+class is therefore walked and stored as a braid orbit of these Cayley keys,
+|Aut(G)| vectors per key, and membership is a key lookup in any copy of G.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from .groups import (
     automorphism_search,
     cyclic,
     dihedral,
-    iso_search,
     metacyclic,
     semidirect_with_automorphism,
     small_groups,
@@ -92,11 +96,12 @@ class GeneratingVector:
 
 
 def smooth_vectors(G: FiniteGroup, periods):
-    """All generating vectors on the given ordered periods, sorted by indices.
+    """All generating vectors on the given ordered periods, as index tuples.
 
-    Returns [] when some period does not divide the group order.  The last
-    tuple entry is always solved from the product-one constraint rather than
-    searched.
+    The tuples are sorted.  Returns [] when some period does not divide the
+    group order.  The last entry is solved from the product-one constraint
+    rather than searched, and generation is checked once, at that leaf; wrap
+    a tuple in ``GeneratingVector.from_indices`` to work with its elements.
     """
     periods = tuple(int(m) for m in periods)
     if any(m < 2 for m in periods):
@@ -130,7 +135,7 @@ def smooth_vectors(G: FiniteGroup, periods):
     for c in by_order[periods[0]]:
         dfs(1, (c,), c)
     tuples.sort()
-    return [GeneratingVector.from_indices(G, t) for t in tuples]
+    return tuples
 
 
 def braid_move(v: GeneratingVector, i: int) -> GeneratingVector:
@@ -144,74 +149,69 @@ def braid_move(v: GeneratingVector, i: int) -> GeneratingVector:
     return GeneratingVector(v.group, periods, images)
 
 
-def _aut_generator_maps(G: FiniteGroup):
-    """A small generating set of Aut(G), as index mappings (cached on G)."""
-    cached = getattr(G, "_aut_gen_maps", None)
-    if cached is not None:
-        return cached
-    maps = [a.mapping for a in G.automorphisms()]
-    identity = tuple(range(G.order))
-    gens = []
-    span = {identity}
-    for m in maps:
-        if m in span:
-            continue
-        gens.append(m)
-        frontier = list(span)
-        while frontier:
-            f = frontier.pop()
-            for gmap in gens:
-                comp = tuple(gmap[f[i]] for i in range(len(f)))
-                if comp not in span:
-                    span.add(comp)
-                    frontier.append(comp)
-        if len(span) == len(maps):
-            break
-    G._aut_gen_maps = gens
-    return gens
+def _cayley_key(table, t) -> tuple:
+    """The right Cayley graph of the group on t, relabelled in BFS order.
+
+    Walks from the identity (index 0) along right multiplication by t's
+    entries in order, labels each element by when it is first reached, and
+    lists the labels at the ends of every element's edges.  For generating
+    tuples, two keys are equal exactly when an isomorphism maps one tuple
+    onto the other entry by entry, also between different copies of a group.
+    """
+    label = {0: 0}
+    reached = [0]
+    key = []
+    for a in reached:
+        for s in t:
+            b = table[a][s]
+            if b not in label:
+                label[b] = len(reached)
+                reached.append(b)
+            key.append(label[b])
+    return tuple(key)
 
 
-def _orbit(G: FiniteGroup, start: tuple) -> frozenset:
-    """Closure of one vector under braid moves and automorphisms of G."""
+def _orbit(G: FiniteGroup, start: tuple) -> dict:
+    """Braid orbit of start's Aut-class: one member tuple per Cayley key."""
     table = G._table
     inv = G._inv
-    aut_maps = _aut_generator_maps(G)
     r = len(start)
-    seen = {start}
+    members = {_cayley_key(table, start): start}
     frontier = [start]
     while frontier:
         t = frontier.pop()
-        neighbors = []
         for i in range(r - 1):
             a, b = t[i], t[i + 1]
-            neighbors.append(t[:i] + (table[table[a][b]][inv[a]], a) + t[i + 2 :])
-            neighbors.append(t[:i] + (b, table[table[inv[b]][a]][b]) + t[i + 2 :])
-        for m in aut_maps:
-            neighbors.append(tuple(m[x] for x in t))
-        for nb in neighbors:
-            if nb not in seen:
-                seen.add(nb)
-                frontier.append(nb)
-    return frozenset(seen)
+            for nb in (
+                t[:i] + (table[table[a][b]][inv[a]], a) + t[i + 2 :],
+                t[:i] + (b, table[table[inv[b]][a]][b]) + t[i + 2 :],
+            ):
+                key = _cayley_key(table, nb)
+                if key not in members:
+                    members[key] = nb
+                    frontier.append(nb)
+    return members
 
 
 @dataclass(frozen=True)
 class ActionClass:
     """A topological equivalence class of generating vectors.
 
-    ``orbit`` holds every member tuple (over all orderings of the period
-    multiset); ``representative`` is the lexicographically smallest member
-    whose periods are sorted ascending, so it is deterministic.
+    Aut(G) acts freely on generating vectors, so the class is held as the
+    Cayley keys of its Aut-classes (over all orderings of the period
+    multiset), and it has |Aut(G)| members per key.  ``representative`` is
+    the lexicographically smallest member whose periods are sorted
+    ascending, so it is deterministic.
     """
 
     group: FiniteGroup
     periods: tuple
     representative: GeneratingVector
-    orbit: frozenset
+    keys: frozenset
 
     @property
     def size(self) -> int:
-        return len(self.orbit)
+        return len(self.group.automorphisms()) * len(self.keys)
 
     def contains(self, v: GeneratingVector) -> bool:
         return vector_in_class(self, v)
@@ -220,53 +220,50 @@ class ActionClass:
 def classify(G: FiniteGroup, periods):
     """Equivalence classes of generating vectors on the given period multiset.
 
-    Orbits are taken under braid moves (which realize every permutation of
-    equal periods) together with Aut(G).  The output is deterministic and
-    independent of the ordering of ``periods``.
+    Classes are orbits under braid moves (which realize every permutation of
+    equal periods) together with Aut(G), walked as braid orbits on Cayley
+    keys.  Each class is seeded by the smallest enumerated vector not yet
+    covered.  Every automorphic image of a key-orbit member with ascending
+    periods must be an enumerated vector, or the search was not exhaustive.
+    The output is deterministic and independent of the ordering of
+    ``periods``.
     """
     base = tuple(sorted(int(m) for m in periods))
     vectors = smooth_vectors(G, base)
-    unseen = {v.indices for v in vectors}
-    all_tuples = set(unseen)
+    if not vectors:
+        return []
+    enumerated = set(vectors)
+    autos = [a.mapping for a in G.automorphisms()]
+    covered = set()
     classes = []
-    while unseen:
-        seed = min(unseen)
-        orbit = _orbit(G, seed)
-        stray = {
-            t
-            for t in orbit
-            if tuple(G.element_order(i) for i in t) == base and t not in all_tuples
-        }
-        if stray:
-            raise InvariantViolation(
-                "orbit left the enumerated vector set; the search was not exhaustive"
-            )
-        unseen -= orbit
-        rep = min(
-            t for t in orbit if tuple(G.element_order(i) for i in t) == base
-        )
-        classes.append(
-            ActionClass(G, base, GeneratingVector.from_indices(G, rep), orbit)
-        )
-    classes.sort(key=lambda c: c.representative.indices)
+    for seed in vectors:
+        if seed in covered:
+            continue
+        members = _orbit(G, seed)
+        for t in members.values():
+            if tuple(G.element_order(i) for i in t) != base:
+                continue
+            for m in autos:
+                image = tuple(m[i] for i in t)
+                if image not in enumerated:
+                    raise InvariantViolation(
+                        "orbit left the enumerated vector set;"
+                        " the search was not exhaustive"
+                    )
+                covered.add(image)
+        rep = GeneratingVector.from_indices(G, seed)
+        classes.append(ActionClass(G, base, rep, frozenset(members)))
     return classes
 
 
 def vector_in_class(cls: ActionClass, v: GeneratingVector) -> bool:
-    """Class membership; if v lives in an isomorphic copy, map it over first.
+    """Class membership, by the Cayley key of v's Aut-class.
 
-    Any choice of isomorphism gives the same answer because the orbit is
-    closed under Aut of the class's group.
+    The key does not depend on how the group is labelled, so v may live in
+    any isomorphic copy of the class's group.  It fixes the group order and
+    the periods too, so a vector differing in either finds no key.
     """
-    if tuple(sorted(v.periods)) != cls.periods:
-        return False
-    if v.group is cls.group:
-        return v.indices in cls.orbit
-    isos = iso_search(v.group, cls.group, first_only=True)
-    if not isos:
-        return False
-    mapping = isos[0]
-    return tuple(mapping[i] for i in v.indices) in cls.orbit
+    return _cayley_key(v.group._table, v.indices) in cls.keys
 
 
 def kernel_genus(group_order: int, s: Signature) -> int:

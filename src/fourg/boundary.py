@@ -139,16 +139,6 @@ class NodalGraph:
             "label": self.label,
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "NodalGraph":
-        try:
-            genera = tuple(v["genus"] for v in data["vertices"])
-            edges = tuple(tuple(e) for e in data["edges"])
-            label = data["label"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed nodal-graph record: {exc}") from exc
-        return cls(genera, edges, label)
-
     def __str__(self) -> str:
         genera = ",".join(str(w) for w in self.vertex_genera)
         return f"{self.label}[genera {genera}; {self.edge_count} edge(s)]"

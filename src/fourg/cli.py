@@ -295,14 +295,20 @@ def cmd_atlas(g_min: int, g_max: int, options):
 def cmd_exceptional(g: int, options) -> dict:
     """Search for candidate actions beyond the main families at one genus.
 
-    Uses table files when supplied, else the built-in catalog; warns on
-    stderr when the built-in catalog is not known to be complete at order
-    4g, since an empty result is then inconclusive.
+    Uses table files when supplied, else the built-in catalog, whose order
+    4g must not exceed ``--max-order`` (a usage error); warns on stderr
+    when the built-in catalog is not known to be complete at order 4g,
+    since an empty result is then inconclusive.
     """
     if g is None:
         raise UsageError("exceptional requires --genus")
     _check_genus(g, 4)
     order = 4 * g
+    if not options.tables and order > options.max_order:
+        raise UsageError(
+            f"genus {g} needs the catalog of order {order}, above --max-order"
+            f" {options.max_order}; raise it or supply --tables"
+        )
     if options.tables:
         pool = load_group_tables(options.tables, expected_order=order)
         sources = {G.name: "table" for G in pool}

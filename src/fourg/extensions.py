@@ -194,10 +194,6 @@ class ExtendedAction:
             return self.group.identity
         return self.image("a")
 
-    @property
-    def link_periods(self) -> tuple:
-        return self.signature.period_cycles[0]
-
     def __str__(self) -> str:
         pairs = ", ".join(
             f"{name}->{e.name}" for name, e in zip(self.generator_names, self.images)

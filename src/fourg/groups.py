@@ -63,10 +63,6 @@ class GroupElement:
     def order(self) -> int:
         return self.group.element_order(self.idx)
 
-    def conjugated_by(self, h: "GroupElement") -> "GroupElement":
-        """h * self * h^-1."""
-        return h * self * h.inverse()
-
     @property
     def name(self) -> str:
         return self.group._names[self.idx]
@@ -157,9 +153,6 @@ class FiniteGroup:
 
     def mul_idx(self, a: int, b: int) -> int:
         return self._table[a][b]
-
-    def inv_idx(self, a: int) -> int:
-        return self._inv[a]
 
     def element_order(self, idx: int) -> int:
         if self._orders is None:
@@ -355,9 +348,6 @@ class FiniteGroup:
             raise ValueError(f"group {self.name} has no orientation character attached")
         return self.orientation[e.idx]
 
-    def orientation_reversing(self, e: GroupElement) -> bool:
-        return self.kappa(e) == -1
-
 
 _C2_TABLE = ((0, 1), (1, 0))
 
@@ -452,19 +442,6 @@ class Subgroup:
     @property
     def generators(self):
         return tuple(self.parent.element(i) for i in self.generator_indices)
-
-    def elements_sorted(self):
-        return [self.parent.element(i) for i in sorted(self.element_indices)]
-
-    def is_normal(self) -> bool:
-        table = self.parent._table
-        inv = self.parent._inv
-        members = self.element_indices
-        return all(
-            table[table[h][a]][inv[h]] in members
-            for a in members
-            for h in range(self.parent.order)
-        )
 
     def as_group(self, name: str = None) -> "FiniteGroup":
         """The subgroup reindexed as a standalone group (0 = identity).
@@ -967,13 +944,6 @@ class Automorphism:
     def apply_indices(self, indices) -> tuple:
         m = self.mapping
         return tuple(m[i] for i in indices)
-
-    def is_identity(self) -> bool:
-        return all(i == v for i, v in enumerate(self.mapping))
-
-    def preserves_character(self, character) -> bool:
-        mapping = self.mapping
-        return all(character[mapping[i]] == character[i] for i in range(len(character)))
 
     def __eq__(self, other):
         return (

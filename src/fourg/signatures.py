@@ -93,11 +93,6 @@ class Signature:
         return len(self.period_cycles)
 
     @property
-    def is_fuchsian(self) -> bool:
-        """True when the signature has no reflection data (sign +, no cycles)."""
-        return self.sign == SIGN_PLUS and not self.period_cycles
-
-    @property
     def has_infinite_period(self) -> bool:
         return any(m is INF for m in self.proper_periods)
 

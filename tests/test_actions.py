@@ -8,13 +8,26 @@ generate).
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fourg import actions
 from fourg.errors import InvariantViolation
-from fourg.groups import cyclic, dicyclic, dihedral, is_isomorphic, recognize, small_groups
+from fourg.groups import (
+    FiniteGroup,
+    cyclic,
+    dicyclic,
+    dihedral,
+    from_table,
+    is_isomorphic,
+    recognize,
+    small_groups,
+)
 from fourg.actions import (
     ActionClass,
     CaseReport,
     GeneratingVector,
+    _cayley_key,
     braid_move,
     canonical_vector,
     classify,
@@ -26,7 +39,14 @@ from fourg.actions import (
     smooth_vectors,
     vector_in_class,
 )
-from fourg.signatures import parse_signature
+from fourg.signatures import (
+    TAG_QUADRUPLE,
+    TAG_SPORADIC,
+    enumerate_4g_signatures,
+    parse_signature,
+)
+
+PROPERTY_SETTINGS = settings(deadline=None, derandomize=True, database=None)
 
 
 class TestGeneratingVector:
@@ -66,16 +86,16 @@ class TestSmoothVectors:
     def test_contains_reference_dihedral_vector(self):
         v = canonical_vector(2)
         found = smooth_vectors(v.group, (2, 2, 2, 4))
-        assert v.indices in {u.indices for u in found}
+        assert v.indices in found
 
     def test_cyclic_12_triple(self):
         G = cyclic(12, gen_name="a")
         found = smooth_vectors(G, (3, 4, 12))
         a = G.generator("a")
         target = (a ** 4, a ** 3, a ** 5)
-        assert tuple(e.idx for e in target) in {u.indices for u in found}
+        assert tuple(e.idx for e in target) in found
         for u in found:
-            assert [e.order() for e in u.images] == [3, 4, 12]
+            assert [G.element_order(i) for i in u] == [3, 4, 12]
 
     def test_no_order20_group_admits_555(self):
         for G in small_groups(20):
@@ -90,8 +110,8 @@ class TestSmoothVectors:
 
     def test_sorted_deterministic(self):
         G = dihedral(12)
-        first = [v.indices for v in smooth_vectors(G, (2, 2, 2, 6))]
-        second = [v.indices for v in smooth_vectors(G, (2, 2, 2, 6))]
+        first = smooth_vectors(G, (2, 2, 2, 6))
+        second = smooth_vectors(G, (2, 2, 2, 6))
         assert first == second
         assert first == sorted(first)
 
@@ -154,13 +174,16 @@ class TestClassify:
         assert classify(dihedral(8), (3, 3, 3)) == []
 
     def test_orbit_covers_all_vectors(self):
-        G = family_group(3)
-        classes = classify(G, (2, 2, 2, 6))
-        vectors = smooth_vectors(G, (2, 2, 2, 6))
-        covered = set()
-        for c in classes:
-            covered |= c.orbit
-        assert {v.indices for v in vectors} <= covered
+        # every vector lies in exactly one class, also with several classes
+        for G, periods in (
+            (family_group(3), (2, 2, 2, 6)),
+            (cyclic(7), (7, 7, 7)),
+            (cyclic(5), (5, 5, 5, 5)),
+        ):
+            classes = classify(G, periods)
+            for t in smooth_vectors(G, periods):
+                v = GeneratingVector.from_indices(G, t)
+                assert sum(c.contains(v) for c in classes) == 1, (G.name, t)
 
     def test_main_action_class_cached_and_checked(self):
         cls = main_action_class(4)
@@ -173,8 +196,167 @@ class TestClassify:
         cls = main_action_class(2)
         H = dicyclic(2)  # wrong group entirely
         assert not any(
-            vector_in_class(cls, v) for v in smooth_vectors(H, (4, 4, 4))
+            vector_in_class(cls, GeneratingVector.from_indices(H, t))
+            for t in smooth_vectors(H, (4, 4, 4))
         )
+
+
+# ---------------------------------------------------------------------------
+# Reference: classification by stored orbits under braid moves and a
+# generating set of Aut(G), as the engine did before Cayley keys.  Copied
+# verbatim except that smooth_vectors now returns index tuples and the
+# classes come back as (representative indices, orbit) pairs.
+
+
+def _reference_aut_generator_maps(G: FiniteGroup):
+    """A small generating set of Aut(G), as index mappings (cached on G)."""
+    cached = getattr(G, "_aut_gen_maps", None)
+    if cached is not None:
+        return cached
+    maps = [a.mapping for a in G.automorphisms()]
+    identity = tuple(range(G.order))
+    gens = []
+    span = {identity}
+    for m in maps:
+        if m in span:
+            continue
+        gens.append(m)
+        frontier = list(span)
+        while frontier:
+            f = frontier.pop()
+            for gmap in gens:
+                comp = tuple(gmap[f[i]] for i in range(len(f)))
+                if comp not in span:
+                    span.add(comp)
+                    frontier.append(comp)
+        if len(span) == len(maps):
+            break
+    G._aut_gen_maps = gens
+    return gens
+
+
+def _reference_orbit(G: FiniteGroup, start: tuple) -> frozenset:
+    """Closure of one vector under braid moves and automorphisms of G."""
+    table = G._table
+    inv = G._inv
+    aut_maps = _reference_aut_generator_maps(G)
+    r = len(start)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        t = frontier.pop()
+        neighbors = []
+        for i in range(r - 1):
+            a, b = t[i], t[i + 1]
+            neighbors.append(t[:i] + (table[table[a][b]][inv[a]], a) + t[i + 2 :])
+            neighbors.append(t[:i] + (b, table[table[inv[b]][a]][b]) + t[i + 2 :])
+        for m in aut_maps:
+            neighbors.append(tuple(m[x] for x in t))
+        for nb in neighbors:
+            if nb not in seen:
+                seen.add(nb)
+                frontier.append(nb)
+    return frozenset(seen)
+
+
+def _reference_classify(G: FiniteGroup, periods):
+    base = tuple(sorted(int(m) for m in periods))
+    vectors = smooth_vectors(G, base)
+    unseen = set(vectors)
+    all_tuples = set(unseen)
+    classes = []
+    while unseen:
+        seed = min(unseen)
+        orbit = _reference_orbit(G, seed)
+        stray = {
+            t
+            for t in orbit
+            if tuple(G.element_order(i) for i in t) == base and t not in all_tuples
+        }
+        if stray:
+            raise InvariantViolation(
+                "orbit left the enumerated vector set; the search was not exhaustive"
+            )
+        unseen -= orbit
+        rep = min(
+            t for t in orbit if tuple(G.element_order(i) for i in t) == base
+        )
+        classes.append((rep, orbit))
+    classes.sort(key=lambda c: c[0])
+    return classes
+
+
+def _reference_cases():
+    """(id, groups, periods) for the comparison with the reference."""
+    cases = [(f"family-{g}", lambda g=g: [family_group(g)], (2, 2, 2, 2 * g)) for g in range(2, 9)]
+    cases += [(f"cyclic-{g}", lambda g=g: [cyclic(4 * g)], (2, 4 * g, 4 * g)) for g in range(2, 6)]
+    for n in (12, 24, 36):
+        for ts in enumerate_4g_signatures(n // 4):
+            if ts.tag in (TAG_QUADRUPLE, TAG_SPORADIC):
+                cases.append((f"catalog-{n}-{ts.periods}", lambda n=n: small_groups(n), ts.periods))
+    # several classes on one signature
+    cases.append(("C7-777", lambda: [cyclic(7)], (7, 7, 7)))
+    cases.append(("C5-5555", lambda: [cyclic(5)], (5, 5, 5, 5)))
+    return cases
+
+
+REFERENCE_CASES = _reference_cases()
+
+
+class TestKeyClassification:
+    @pytest.mark.parametrize(
+        "groups, periods",
+        [case[1:] for case in REFERENCE_CASES],
+        ids=[case[0] for case in REFERENCE_CASES],
+    )
+    def test_matches_reference(self, groups, periods):
+        base = tuple(sorted(periods))
+        for G in groups():
+            classes = classify(G, periods)
+            reference = _reference_classify(G, periods)
+            assert len(classes) == len(reference), G.name
+            for cls, (rep, orbit) in zip(classes, reference):
+                assert cls.representative.indices == rep
+                assert cls.size == len(orbit)
+                for t in orbit:
+                    if tuple(G.element_order(i) for i in t) == base:
+                        assert cls.contains(GeneratingVector.from_indices(G, t))
+
+    def test_main_class_keys_and_sizes(self):
+        sizes = [96, 144, 384, 480, 576, 1008, 1536, 1296, 1920, 2640, 2304]
+        for g, size in zip(range(2, 13), sizes):
+            cls = main_action_class(g)
+            assert len(cls.keys) == 12, g
+            assert cls.size == size, g
+
+    @settings(PROPERTY_SETTINGS, max_examples=40)
+    @given(st.data())
+    def test_key_survives_relabelling(self, data):
+        g = data.draw(st.integers(2, 6))
+        G = family_group(g)
+        n = G.order
+        sigma = [0] + data.draw(st.permutations(range(1, n)))  # old -> new, 0 fixed
+        rows = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                rows[sigma[a]][sigma[b]] = sigma[G.mul_idx(a, b)]
+        H = from_table(f"order {n}\n" + "\n".join(" ".join(map(str, row)) for row in rows))
+        t = data.draw(st.sampled_from(smooth_vectors(G, (2, 2, 2, 2 * g))))
+        image = tuple(sigma[i] for i in t)
+        assert _cayley_key(H._table, image) == _cayley_key(G._table, t)
+        canonical = tuple(sigma[i] for i in canonical_vector(g).indices)
+        assert vector_in_class(main_action_class(g), GeneratingVector.from_indices(H, canonical))
+
+    def test_dropped_vector_is_not_exhaustive(self, monkeypatch):
+        complete = smooth_vectors
+
+        def drop_one(G, periods):
+            tuples = complete(G, periods)
+            return tuples[: len(tuples) // 2] + tuples[len(tuples) // 2 + 1 :]
+
+        monkeypatch.setattr(actions, "smooth_vectors", drop_one)
+        with pytest.raises(InvariantViolation, match="not exhaustive"):
+            classify(family_group(3), (2, 2, 2, 6))
 
 
 class TestKernelGenus:

@@ -100,10 +100,13 @@ class TestExitCodes:
             ["report", "--genus", "513"],
             ["exceptional", "--genus", "1025"],
             ["atlas", "--range", "2:5000"],
+            ["exceptional", "--genus", "300"],
+            ["exceptional", "--genus", "70", "--max-order", "64"],
         ],
     )
     def test_huge_genus_is_usage_error(self, args, capped_python):
-        # the order-4g dihedral table used to be built before any order check
+        # the order-4g dihedral table used to be built before any order check,
+        # and the order-4g catalog whatever --max-order said
         run = capped_python("-m", "fourg.cli", *args)
         assert run.returncode == EXIT_USAGE, run.stderr
         assert run.stderr.startswith("usage error: genus ")

@@ -134,7 +134,6 @@ class TestBuildExtensions:
         assert cone.image("a") == cone.group.generator("x")
         assert cone.reflection_images == cone.images[1:]
         assert cone.connecting_image == cone.group.generator("x")
-        assert cone.link_periods == (2, 4)
 
     def test_orientation_character_on_images(self):
         for g in (2, 3):

@@ -75,7 +75,7 @@ class TestElements:
     def test_conjugation(self):
         G = dihedral(8)
         D, A = G.generator("D"), G.generator("A")
-        assert D.conjugated_by(A) == D ** -1
+        assert A * D * A.inverse() == D ** -1
 
     def test_cross_group_multiplication_rejected(self):
         G, H = cyclic(3), cyclic(3)
@@ -101,10 +101,11 @@ class TestConjugacyClasses:
         G = dihedral(8)
         classes = G.conjugacy_classes()
         # independent brute-force derivation from the table
+        inverse = {h: next(x for x in range(8) if G.mul_idx(h, x) == 0) for h in range(8)}
         brute = set()
         for a in range(G.order):
             orbit = frozenset(
-                G.mul_idx(G.mul_idx(h, a), G.inv_idx(h)) for h in range(G.order)
+                G.mul_idx(G.mul_idx(h, a), inverse[h]) for h in range(G.order)
             )
             brute.add(orbit)
         assert {frozenset(e.idx for e in cls) for cls in classes} == brute
@@ -132,7 +133,7 @@ class TestConjugacyClasses:
         assert G.centralizer(D).order == 4
         assert G.centralizer(A).order == 4
         assert A in G.centralizer(A)
-        assert sorted(e.name for e in G.center().elements_sorted()) == ["1", "D^2"]
+        assert sorted(G.name_of(i) for i in G.center().element_indices) == ["1", "D^2"]
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +258,7 @@ class TestExtensionGroupB:
         assert G.kappa(G.generator("x")) == 1
         assert G.kappa(G.generator("z") * G.generator("w")) == 1
         # exactly half the elements reverse orientation
-        reversing = [e for e in G.elements() if G.orientation_reversing(e)]
+        reversing = [e for e in G.elements() if G.kappa(e) == -1]
         assert len(reversing) == 4 * g
 
     def test_shape_depends_on_parity(self):
@@ -696,7 +697,7 @@ class TestAutomorphisms:
     def test_dihedral8(self):
         auts = automorphism_search(dihedral(8))
         assert len(auts) == 8
-        identity_count = sum(1 for a in auts if a.is_identity())
+        identity_count = sum(1 for a in auts if a.mapping == tuple(range(8)))
         assert identity_count == 1
 
     def test_quaternion_type(self):
@@ -728,13 +729,15 @@ class TestAutomorphisms:
         G = dihedral(8)
         G.attach_orientation({"D": 1, "A": -1})
         auts = automorphism_search(G)
-        preserving = [a for a in auts if a.preserves_character(G.orientation)]
+        preserving = [
+            a for a in auts if all(G.orientation[a.mapping[i]] == G.orientation[i] for i in range(8))
+        ]
         # D -> D^{+-1}, A -> (rotation)*A all fix this character
         assert len(preserving) == 8
 
     def test_trivial_group(self):
         auts = automorphism_search(cyclic(1))
-        assert len(auts) == 1 and auts[0].is_identity()
+        assert len(auts) == 1 and auts[0].mapping == (0,)
 
 
 class TestIsomorphism:
@@ -787,16 +790,26 @@ class TestIsomorphism:
 # Subgroups and recognition.
 
 
+def _is_normal(H) -> bool:
+    """Whether every conjugate h a h^-1 of a member a stays in H."""
+    G = H.parent
+    return all(
+        (h * G.element(a) * h.inverse()).idx in H.element_indices
+        for a in H.element_indices
+        for h in G.elements()
+    )
+
+
 class TestSubgroups:
     def test_generated_subgroup(self):
         G = dihedral(8)
         H = G.subgroup([G.generator("D")])
         assert H.order == 4
         assert H.index == 2
-        assert H.is_normal()
+        assert _is_normal(H)
         K = G.subgroup([G.generator("A")])
         assert K.order == 2
-        assert not K.is_normal()
+        assert not _is_normal(K)
 
     def test_as_group_round_trip(self):
         G = dihedral(8)
@@ -823,7 +836,7 @@ class TestSubgroups:
         assert len(subs) == 3
         for H in subs:
             assert H.order == 12
-            assert H.is_normal()
+            assert _is_normal(H)
             members = H.element_indices
             for a in members:
                 for b in members:

@@ -132,7 +132,7 @@ class TestCountOvals:
         w = G.generator("w")
         base = count_ovals(first, class_by_element(first, w))
         for h in (G.generator("x"), G.generator("y") * w):
-            conjugate = w.conjugated_by(h)
+            conjugate = h * w * h.inverse()
             assert count_ovals(first, SymmetryClass(first, conjugate)) == base
 
     def test_foreign_class_rejected(self):

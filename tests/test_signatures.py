@@ -6,6 +6,7 @@ import pytest
 
 from fourg.signatures import (
     INF,
+    SIGN_PLUS,
     Signature,
     SignatureSyntaxError,
     TAG_FAMILY1,
@@ -194,7 +195,7 @@ def test_enumeration_properties(g):
     for ts in enumerate_4g_signatures(g):
         sig = ts.signature
         assert sig.genus == 0
-        assert sig.is_fuchsian
+        assert sig.sign == SIGN_PLUS and not sig.period_cycles
         # every period divides 4g and the area matches (2g-2)/4g
         assert all(4 * g % m == 0 for m in sig.proper_periods)
         assert normalized_area(sig) == Fraction(2 * g - 2, 4 * g)
