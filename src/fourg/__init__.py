@@ -11,24 +11,18 @@ from .signatures import (
     Signature,
     SignatureSyntaxError,
     TaggedSignature,
-    Word,
     TAG_FAMILY1,
     TAG_FAMILY2,
     TAG_FAMILY3,
     TAG_FAMILY4,
     TAG_QUADRUPLE,
     TAG_SPORADIC,
-    canonical_generator_names,
     chain_signature,
-    dim_teichmuller,
     enumerate_4g_signatures,
     mixed_signature,
     normalized_area,
     parse_signature,
-    quotient_signature,
-    rh_index,
     sporadic_genera,
-    surface_signature,
     wiman_quotient_signature,
 )
 from .errors import (
@@ -89,7 +83,6 @@ from .extensions import (
     build_extensions,
     chain_target_group,
     cone_target_group,
-    extension_target,
     orientation_preserving_subgroup,
     restrict_to_index2,
 )

@@ -463,14 +463,6 @@ class BoundaryDescription:
                 return arc
         raise KeyError(f"no arc labelled {label!r}")
 
-    def endpoint_inventory(self) -> dict:
-        """The three limit surfaces keyed by name."""
-        return {
-            DIPOLE_SURFACE: self.dipole_graph,
-            ROSE_SURFACE: self.rose_graph,
-            WIMAN_SURFACE: self.wiman_curve,
-        }
-
     def to_json_dict(self) -> dict:
         return {
             "genus": self.genus,

@@ -81,15 +81,6 @@ def cone_target_group(g: int) -> FiniteGroup:
     return extension_group_b(g)
 
 
-def extension_target(g: int, kind: str) -> FiniteGroup:
-    """The order-8g target group for the given extension kind."""
-    if kind == KIND_A:
-        return chain_target_group(g)
-    if kind == KIND_B:
-        return cone_target_group(g)
-    raise ValueError(f"kind must be 'a' or 'b', got {kind!r}")
-
-
 @dataclass(frozen=True)
 class ExtendedAction:
     """A boundary epimorphism from a mirror signature group onto an order-8g group.

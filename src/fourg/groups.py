@@ -12,6 +12,13 @@ and the automorphism check of ``semidirect_with_automorphism``.  Each node of
 those searches resumes its parent's walk rather than starting from the
 identity.
 
+Every constructor builds its table with one Cayley-graph fill
+(``_cayley_table``): the product rule is evaluated only against the
+generators, and every other column is a generator's column composed along
+the walk from the identity.  Its order check is made before anything of
+that size is allocated, so an oversized request fails with
+``GroupConstructionError`` rather than exhausting memory.
+
 ``is_isomorphic`` compares a cached exact invariant first (the multiset of
 element order, class size and square-root count over the elements) and
 searches only when it agrees.  ``small_groups`` builds its candidates one at
@@ -150,9 +157,6 @@ class FiniteGroup:
 
     def name_of(self, idx: int) -> str:
         return self._names[idx]
-
-    def mul_idx(self, a: int, b: int) -> int:
-        return self._table[a][b]
 
     def element_order(self, idx: int) -> int:
         if self._orders is None:
@@ -303,9 +307,6 @@ class FiniteGroup:
             )
             self._invariant_counts = tuple(sorted(counts.items()))
         return self._invariant_counts
-
-    def involutions(self):
-        return [e for e in self._elements if e.order() == 2]
 
     def automorphisms(self):
         if self._aut is None:
@@ -474,13 +475,42 @@ class Subgroup:
 # Constructors.
 
 
+def _cayley_table(order: int, gens, mul) -> list:
+    """Multiplication table of the group of ``order`` elements spanned by ``gens``.
+
+    ``mul(x, g)`` is the product rule on element indices (identity 0); it is
+    evaluated only for the generators ``g``.  Every other column is filled by
+    walking the Cayley graph from the identity: column ``b*g`` is column
+    ``b`` mapped through right multiplication by ``g``.  Rows come back as
+    tuples.  The order is checked before anything of its size is allocated.
+    """
+    if order > MAX_ORDER:
+        raise GroupConstructionError(f"order {order} exceeds {MAX_ORDER}")
+    rights = [[mul(x, g) for x in range(order)] for g in gens]
+    columns = [None] * order
+    columns[0] = list(range(order))
+    reached = [0]
+    for b in reached:  # reached grows while it is walked
+        column = columns[b]
+        for right in rights:
+            c = right[b]
+            if columns[c] is None:
+                columns[c] = list(map(right.__getitem__, column))
+                reached.append(c)
+    if len(reached) != order:
+        raise GroupConstructionError(
+            f"generators span only {len(reached)} of {order} elements"
+        )
+    return list(zip(*columns))
+
+
 def cyclic(n: int, gen_name: str = "c") -> FiniteGroup:
     """Cyclic group of order n, generator named ``gen_name``."""
     if n < 1:
         raise GroupConstructionError("cyclic group order must be positive")
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    names = ["1"] + [gen_name if i == 1 else f"{gen_name}^{i}" for i in range(1, n)]
     gens = [1] if n > 1 else []
+    table = _cayley_table(n, gens, lambda x, g: (x + g) % n)
+    names = ["1"] + [gen_name if i == 1 else f"{gen_name}^{i}" for i in range(1, n)]
     return FiniteGroup(table, names, gens, name=f"C{n}")
 
 
@@ -493,30 +523,11 @@ def dihedral(order: int) -> FiniteGroup:
     """
     if order < 2 or order % 2:
         raise GroupConstructionError("dihedral order must be even and >= 2")
-    if order > MAX_ORDER:
-        raise GroupConstructionError(f"order {order} exceeds {MAX_ORDER}")
     n = order // 2
-
-    def pack(i, j):
-        return i + n * j
-
-    table = [[0] * order for _ in range(order)]
-    for i1 in range(n):
-        for j1 in range(2):
-            a = pack(i1, j1)
-            for i2 in range(n):
-                for j2 in range(2):
-                    i = (i1 + (i2 if j1 == 0 else -i2)) % n
-                    table[a][pack(i2, j2)] = pack(i, (j1 + j2) % 2)
-    names = ["1"] * order
-    for i in range(n):
-        for j in range(2):
-            rot = "" if i == 0 else ("D" if i == 1 else f"D^{i}")
-            ref = "A" if j else ""
-            if rot or ref:
-                names[pack(i, j)] = rot + ref
-    gens = [pack(1, 0), pack(0, 1)] if n > 1 else [pack(0, 1)]
-    return FiniteGroup(table, names, gens, name=f"D(order {order})")
+    group = metacyclic(n, -1, names=("A", "D"))
+    group._gen_idx = (1, n) if n > 1 else (n,)  # (D, A); D^i A^j sits at i + n*j
+    group.name = f"D(order {order})"
+    return group
 
 
 def dihedral_from_reflections(order: int, names=("w", "x")) -> FiniteGroup:
@@ -569,27 +580,22 @@ def metacyclic(n: int, t: int, square: int = 0, names=("B", "C")) -> FiniteGroup
     b_name, c_name = names
     order = 2 * n
 
-    def pack(i, j):
-        return i + n * j
+    def mul(x, y):  # C^i B^j sits at i + n*j
+        j1, i1 = divmod(x, n)
+        j2, i2 = divmod(y, n)
+        i = (i1 + (i2 * t if j1 else i2)) % n
+        if j1 and j2:
+            return (i + square) % n
+        return i + n * (j1 + j2)
 
-    table = [[0] * order for _ in range(order)]
-    for i1 in range(n):
-        for j1 in range(2):
-            a = pack(i1, j1)
-            for i2 in range(n):
-                i = (i1 + (i2 * t if j1 else i2)) % n
-                for j2 in range(2):
-                    if j1 and j2:
-                        table[a][pack(i2, j2)] = pack((i + square) % n, 0)
-                    else:
-                        table[a][pack(i2, j2)] = pack(i, (j1 + j2) % 2)
+    gens = [n, 1]  # B, C
+    table = _cayley_table(order, gens, mul)
     elt_names = ["1"] * order
     for i in range(1, n):
-        elt_names[pack(i, 0)] = c_name if i == 1 else f"{c_name}^{i}"
-    elt_names[pack(0, 1)] = b_name
+        elt_names[i] = c_name if i == 1 else f"{c_name}^{i}"
+    elt_names[n] = b_name
     for i in range(1, n):
-        elt_names[pack(i, 1)] = (c_name if i == 1 else f"{c_name}^{i}") + b_name
-    gens = [pack(0, 1), pack(1, 0)]
+        elt_names[i + n] = elt_names[i] + b_name
     return FiniteGroup(table, elt_names, gens, name=f"metacyclic({n},{t},{square})")
 
 
@@ -604,37 +610,28 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, name: str = None) -> FiniteGr
     """Direct product with pair indexing and combined element names."""
     ng, nh = G.order, H.order
     order = ng * nh
-    if order > MAX_ORDER:
-        raise GroupConstructionError(f"product order {order} exceeds {MAX_ORDER}")
-
-    def pack(a, b):
-        return a * nh + b
-
     tg, th = G._table, H._table
-    table = [[0] * order for _ in range(order)]
-    for a1 in range(ng):
-        for b1 in range(nh):
-            row = table[pack(a1, b1)]
-            ra = tg[a1]
-            rb = th[b1]
-            for a2 in range(ng):
-                base = ra[a2] * nh
-                for b2 in range(nh):
-                    row[pack(a2, b2)] = base + rb[b2]
+
+    def mul(x, y):  # (a, b) sits at a*nh + b
+        a1, b1 = divmod(x, nh)
+        a2, b2 = divmod(y, nh)
+        return tg[a1][a2] * nh + th[b1][b2]
+
+    gens = [g * nh for g in G._gen_idx] + list(H._gen_idx)
+    table = _cayley_table(order, gens, mul)
     names = ["1"] * order
     for a in range(ng):
         for b in range(nh):
             if a == 0 and b == 0:
                 continue
             na, nb = G._names[a], H._names[b]
-            names[pack(a, b)] = na if b == 0 else (nb if a == 0 else f"{na}*{nb}")
+            names[a * nh + b] = na if b == 0 else (nb if a == 0 else f"{na}*{nb}")
     if len(set(names)) != order:
         # factor names overlap; fall back to unambiguous pair naming
         for a in range(ng):
             for b in range(nh):
                 if a or b:
-                    names[pack(a, b)] = f"({G._names[a]}, {H._names[b]})"
-    gens = [pack(g.idx, 0) for g in G.generators] + [pack(0, h.idx) for h in H.generators]
+                    names[a * nh + b] = f"({G._names[a]}, {H._names[b]})"
     return FiniteGroup(
         table, names, gens, name=name or f"{G.name} x {H.name}", verify=False
     )
@@ -645,42 +642,14 @@ def semidirect_cyclic(n: int, k: int, t: int, names=("c", "b")) -> FiniteGroup:
     if n < 1 or k < 1:
         raise GroupConstructionError("orders must be positive")
     t %= n
-    if gcd(t, n) != 1 or pow(t, k, n) != 1 % n:
-        raise GroupConstructionError(
-            f"t = {t} does not define an order-dividing-{k} action on C_{n}"
-        )
     c_name, b_name = names
-    order = n * k
-    if order > MAX_ORDER:
-        raise GroupConstructionError(f"order {order} exceeds {MAX_ORDER}")
-    powers = [pow(t, j, n) for j in range(k)]
-
-    def pack(i, j):
-        return i * k + j
-
-    table = [[0] * order for _ in range(order)]
-    for i1 in range(n):
-        for j1 in range(k):
-            row = table[pack(i1, j1)]
-            tw = powers[j1]
-            for i2 in range(n):
-                ii = (i1 + i2 * tw) % n
-                for j2 in range(k):
-                    row[pack(i2, j2)] = pack(ii, (j1 + j2) % k)
-    names_list = ["1"] * order
-    for i in range(n):
-        for j in range(k):
-            if i == 0 and j == 0:
-                continue
-            ci = "" if i == 0 else (c_name if i == 1 else f"{c_name}^{i}")
-            bj = "" if j == 0 else (b_name if j == 1 else f"{b_name}^{j}")
-            names_list[pack(i, j)] = ci + bj
-    gens = []
-    if n > 1:
-        gens.append(pack(1, 0))
-    if k > 1:
-        gens.append(pack(0, 1))
-    return FiniteGroup(table, names_list, gens, name=f"C{n}:C{k}(t={t})")
+    return semidirect_with_automorphism(
+        cyclic(n, c_name),
+        [i * t % n for i in range(n)],
+        top_order=k,
+        top_name=b_name,
+        name=f"C{n}:C{k}(t={t})",
+    )
 
 
 def semidirect_with_automorphism(
@@ -689,30 +658,27 @@ def semidirect_with_automorphism(
     """Split extension of G by a cyclic group acting through automorphism alpha."""
     mapping = list(alpha.mapping) if isinstance(alpha, Automorphism) else list(alpha)
     _require_automorphism(G, mapping)
-    powers = [list(range(G.order))]
-    for _ in range(1, top_order):
-        powers.append([mapping[i] for i in powers[-1]])
-    if [mapping[i] for i in powers[-1]] != list(range(G.order)):
-        raise GroupConstructionError(f"automorphism order does not divide {top_order}")
     ng = G.order
+    identity = list(range(ng))
+    powers = [identity]  # alpha^j for j below the order of alpha
+    while len(powers) <= top_order:
+        power = [mapping[i] for i in powers[-1]]
+        if power == identity:
+            break
+        powers.append(power)
+    period = len(powers)
+    if top_order % period:
+        raise GroupConstructionError(f"automorphism order does not divide {top_order}")
     order = ng * top_order
-    if order > MAX_ORDER:
-        raise GroupConstructionError(f"order {order} exceeds {MAX_ORDER}")
-
-    def pack(a, j):
-        return a * top_order + j
-
     tg = G._table
-    table = [[0] * order for _ in range(order)]
-    for a1 in range(ng):
-        for j1 in range(top_order):
-            row = table[pack(a1, j1)]
-            twisted = powers[j1]
-            ra = tg[a1]
-            for a2 in range(ng):
-                prod = ra[twisted[a2]]
-                for j2 in range(top_order):
-                    row[pack(a2, j2)] = pack(prod, (j1 + j2) % top_order)
+
+    def mul(x, y):  # a x^j sits at a*top_order + j
+        a1, j1 = divmod(x, top_order)
+        a2, j2 = divmod(y, top_order)
+        return tg[a1][powers[j1 % period][a2]] * top_order + (j1 + j2) % top_order
+
+    gens = [g * top_order for g in G._gen_idx] + ([1] if top_order > 1 else [])
+    table = _cayley_table(order, gens, mul)
     names = ["1"] * order
     for a in range(ng):
         for j in range(top_order):
@@ -720,8 +686,7 @@ def semidirect_with_automorphism(
                 continue
             na = "" if a == 0 else G._names[a]
             nx = "" if j == 0 else (top_name if j == 1 else f"{top_name}^{j}")
-            names[pack(a, j)] = na if not nx else (nx if not na else f"{na}*{nx}")
-    gens = [pack(g.idx, 0) for g in G.generators] + [pack(0, 1)]
+            names[a * top_order + j] = na if not nx else (nx if not na else f"{na}*{nx}")
     return FiniteGroup(
         table, names, gens, name=name or f"{G.name}:C{top_order}", verify=False
     )
@@ -812,14 +777,13 @@ def from_permutations(source) -> FiniteGroup:
     identity = tuple(range(degree))
     index_of = {identity: 0}
     elements = [identity]
-    parent = [None]  # element b = elements[i] * perms[k] for (i, k) = parent[b]
     right = {}  # right[x][k] = index of elements[x] * perms[k]
     frontier = [0]
     while frontier:
         x = frontier.pop()
         p = elements[x]
         row = []
-        for k, q in enumerate(perms):
+        for q in perms:
             prod = tuple(p[q[i]] for i in range(degree))
             if prod not in index_of:
                 if len(elements) >= MAX_ORDER:
@@ -828,19 +792,13 @@ def from_permutations(source) -> FiniteGroup:
                     )
                 index_of[prod] = len(elements)
                 elements.append(prod)
-                parent.append((x, k))
                 frontier.append(len(elements) - 1)
             row.append(index_of[prod])
         right[x] = row
-    # a * b = (a * elements[i]) * perms[k]; parents precede their children
-    table = []
-    for a in range(len(elements)):
-        row = [a]
-        for i, k in parent[1:]:
-            row.append(right[row[i]][k])
-        table.append(row)
-    names = [_cycle_notation(p) for p in elements]
     gen_idx = [index_of[p] for p in perms]
+    k_of = {g: k for k, g in enumerate(gen_idx)}
+    table = _cayley_table(len(elements), gen_idx, lambda x, g: right[x][k_of[g]])
+    names = [_cycle_notation(p) for p in elements]
     return FiniteGroup(table, names, gen_idx, name=f"perm-group({len(elements)})")
 
 
@@ -1052,21 +1010,22 @@ def automorphism_search(G: FiniteGroup, constraint: dict = None, limit=None):
     return auts
 
 
-def iso_search(G: FiniteGroup, H: FiniteGroup, first_only: bool = True):
-    """Isomorphisms G -> H as full image arrays (empty list if none)."""
+def iso_search(G: FiniteGroup, H: FiniteGroup):
+    """At most one isomorphism G -> H as a full image array, in a list
+    (empty if none)."""
     if G.order != H.order:
         return []
     if sorted(G.element_order(i) for i in range(G.order)) != sorted(
         H.element_order(i) for i in range(H.order)
     ):
         return []
-    return _hom_search(G, H, [], limit=1 if first_only else None)
+    return _hom_search(G, H, [], limit=1)
 
 
 def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
     if G.order != H.order or G._invariant() != H._invariant():
         return False
-    return bool(iso_search(G, H, first_only=True))
+    return bool(iso_search(G, H))
 
 
 # ---------------------------------------------------------------------------

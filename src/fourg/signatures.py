@@ -4,7 +4,7 @@ A signature ``(h; sign; [m_1, ..., m_r]; {(n_11, ...), ..., (n_k1, ...)})``
 records the quotient-orbifold data of a cocompact group of hyperbolic
 isometries: underlying genus ``h``, orientability sign, proper (cone) periods
 ``m_i``, and one tuple of link periods per boundary component.  All derived
-quantities (area, index, dimension) are computed as exact ``Fraction`` values.
+quantities (normalized areas) are computed as exact ``Fraction`` values.
 """
 
 from __future__ import annotations
@@ -232,34 +232,6 @@ def normalized_area(sig: Signature) -> Fraction:
     return total
 
 
-def rh_index(sub: Signature, sup: Signature) -> Fraction:
-    """Ratio of normalized areas; the index of a finite-index containment."""
-    area_sub = normalized_area(sub)
-    area_sup = normalized_area(sup)
-    if area_sub <= 0 or area_sup <= 0:
-        raise ValueError("rh_index needs signatures of positive area")
-    return area_sub / area_sup
-
-
-def dim_teichmuller(sig: Signature) -> int:
-    """Real dimension of the deformation space of groups with this signature."""
-    if sig.has_infinite_period:
-        raise ValueError("dim_teichmuller is undefined for signatures with an inf period")
-    r = len(sig.proper_periods)
-    links = sum(len(cycle) for cycle in sig.period_cycles)
-    return 3 * (sig.epsilon * sig.genus - 1 + sig.num_cycles) - 3 + (2 * r + links)
-
-
-def surface_signature(g: int) -> Signature:
-    """Signature of a genus-g surface group: ``(g;+;[-];{-})``."""
-    return Signature(g, SIGN_PLUS)
-
-
-def quotient_signature(g: int) -> Signature:
-    """The quadrilateral quotient signature ``(0;+;[2,2,2,2g];{-})``."""
-    return Signature(0, SIGN_PLUS, (2, 2, 2, 2 * g))
-
-
 def chain_signature(g: int) -> Signature:
     """The reflection-chain signature ``(0;+;[-];{(2,2,2,2g)})``."""
     return Signature(0, SIGN_PLUS, (), ((2, 2, 2, 2 * g),))
@@ -372,80 +344,3 @@ def sporadic_genera(limit: int) -> list:
     if limit < 2:
         return []
     return list(_sporadic_genera_cached(limit))
-
-
-# ---------------------------------------------------------------------------
-# Words in the canonical generators of a signature presentation.
-
-
-def canonical_generator_names(sig: Signature) -> tuple:
-    """Generator names for the canonical presentation of a group with ``sig``.
-
-    Cone generators ``x1..xr``, one connecting generator ``e_i`` per cycle,
-    reflections ``c0..cs`` (single cycle) or ``c{i}_{j}`` (several cycles),
-    then handle generators ``a_i, b_i`` (sign +) or ``d_i`` (sign -).
-    """
-    names = [f"x{i + 1}" for i in range(len(sig.proper_periods))]
-    names.extend(f"e{i + 1}" for i in range(sig.num_cycles))
-    if sig.num_cycles == 1:
-        names.extend(f"c{j}" for j in range(len(sig.period_cycles[0]) + 1))
-    else:
-        for i, cycle in enumerate(sig.period_cycles):
-            names.extend(f"c{i + 1}_{j}" for j in range(len(cycle) + 1))
-    if sig.sign == SIGN_PLUS:
-        for i in range(sig.genus):
-            names.append(f"a{i + 1}")
-            names.append(f"b{i + 1}")
-    else:
-        names.extend(f"d{i + 1}" for i in range(sig.genus))
-    return tuple(names)
-
-
-@dataclass(frozen=True)
-class Word:
-    """A word in named generators: a sequence of (symbol, exponent) pairs."""
-
-    letters: tuple
-
-    def __post_init__(self):
-        cleaned = []
-        for letter in self.letters:
-            symbol, exponent = letter
-            if not isinstance(symbol, str) or not symbol:
-                raise ValueError(f"bad generator symbol {symbol!r}")
-            if not isinstance(exponent, int) or exponent == 0:
-                raise ValueError(f"exponent for {symbol} must be a non-zero integer")
-            cleaned.append((symbol, exponent))
-        object.__setattr__(self, "letters", tuple(cleaned))
-
-    @classmethod
-    def of(cls, *parts) -> "Word":
-        """Build a word from symbols and optional (symbol, exponent) pairs."""
-        letters = []
-        for part in parts:
-            if isinstance(part, str):
-                letters.append((part, 1))
-            else:
-                letters.append(tuple(part))
-        return cls(tuple(letters))
-
-    def symbols(self) -> set:
-        return {symbol for symbol, _ in self.letters}
-
-    def evaluate(self, images: dict):
-        """Product of the images under a symbol -> group element assignment."""
-        result = None
-        for symbol, exponent in self.letters:
-            if symbol not in images:
-                raise KeyError(f"no image assigned for generator {symbol!r}")
-            factor = images[symbol] ** exponent
-            result = factor if result is None else result * factor
-        if result is None:
-            raise ValueError("cannot evaluate an empty word")
-        return result
-
-    def __str__(self) -> str:
-        return "*".join(
-            symbol if exponent == 1 else f"{symbol}^{exponent}"
-            for symbol, exponent in self.letters
-        )

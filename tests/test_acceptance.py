@@ -162,7 +162,7 @@ def test_criterion_7_boundary_graphs():
         description = boundary_description(g)
         labels = tuple(arc.label for arc in description.arcs)
         assert labels == ("a1", "a2", "b")
-        assert set(description.endpoint_inventory()) == {"X_D", "X_R", "X_8g"}
+        assert set(description.to_json_dict()["endpoints"]) == {"X_D", "X_R", "X_8g"}
         touched = [name for arc in description.arcs for name in arc.endpoints]
         assert sorted(touched.count(name) for name in set(touched)) == [2, 2, 2]
 

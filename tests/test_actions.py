@@ -339,7 +339,7 @@ class TestKeyClassification:
         rows = [[0] * n for _ in range(n)]
         for a in range(n):
             for b in range(n):
-                rows[sigma[a]][sigma[b]] = sigma[G.mul_idx(a, b)]
+                rows[sigma[a]][sigma[b]] = sigma[G._table[a][b]]
         H = from_table(f"order {n}\n" + "\n".join(" ".join(map(str, row)) for row in rows))
         t = data.draw(st.sampled_from(smooth_vectors(G, (2, 2, 2, 2 * g))))
         image = tuple(sigma[i] for i in t)

@@ -1,0 +1,80 @@
+"""Every public name of the package is used by the package or its demos.
+
+The scan walks the AST of each ``src/fourg/*.py`` module (``__init__.py``
+excluded: its re-exports are not uses) and collects the public module-level
+functions and classes and the public methods of public classes.  Each must
+appear as a name or an attribute somewhere in ``src/fourg`` or ``demos/``
+outside its own definition.  Tests do not count: a definition only tests
+call is dead code.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import fourg
+
+PACKAGE = Path(fourg.__file__).resolve().parent
+DEMOS = PACKAGE.parents[1] / "demos"
+
+# Public API kept on purpose although nothing in the package or the demos
+# calls it, as "module.name" or "module.Class.method".  Each entry is listed,
+# with its reason, in the README section "Public API".
+ALLOWED = frozenset()
+
+
+def _referenced_names(node) -> Counter:
+    names = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            names[sub.attr] += 1
+    return names
+
+
+def _public_definitions(tree):
+    """(qualified name, short name, node) for each public definition."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if node.name.startswith("_"):
+            continue
+        yield node.name, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    yield f"{node.name}.{member.name}", member.name, member
+
+
+def _unused_public_names():
+    sources = sorted(PACKAGE.glob("*.py")) + sorted(DEMOS.glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
+    everywhere = Counter()
+    for tree in trees.values():
+        everywhere += _referenced_names(tree)
+    unused = []
+    for path, tree in trees.items():
+        if path.parent != PACKAGE or path.name == "__init__.py":
+            continue
+        for qualified, short, node in _public_definitions(tree):
+            own = _referenced_names(node)[short]
+            if everywhere[short] - own <= 0:
+                unused.append(f"{path.stem}.{qualified}")
+    return sorted(unused)
+
+
+def test_scan_sees_every_module_and_demo():
+    modules = {p.stem for p in PACKAGE.glob("*.py")}
+    assert {"groups", "signatures", "actions", "cli"} <= modules
+    assert len(list(DEMOS.glob("*.py"))) >= 1
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # an ALLOWED entry that has gained a caller is stale and fails too
+    unused = set(_unused_public_names())
+    assert unused == ALLOWED, (
+        "public definitions nothing in src/fourg or demos/ uses; delete them,"
+        f" or add them to ALLOWED and document them in README: {sorted(unused - ALLOWED)};"
+        f" stale ALLOWED entries: {sorted(ALLOWED - unused)}"
+    )

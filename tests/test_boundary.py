@@ -329,11 +329,10 @@ class TestBoundaryDescription:
                 for name in arc.endpoints:
                     degree[name] = degree.get(name, 0) + 1
             assert degree == {name: 2 for name in ENDPOINT_NAMES}
-            inventory = bd.endpoint_inventory()
-            assert set(inventory) == set(ENDPOINT_NAMES)
-            assert inventory[DIPOLE_SURFACE].label == LABEL_DIPOLE
-            assert inventory[ROSE_SURFACE].label == LABEL_LOOPS
-            assert inventory[WIMAN_SURFACE].genus == g
+            assert set(bd.to_json_dict()["endpoints"]) == set(ENDPOINT_NAMES)
+            assert bd.dipole_graph.label == LABEL_DIPOLE
+            assert bd.rose_graph.label == LABEL_LOOPS
+            assert bd.wiman_curve.genus == g
 
     def test_arc_lookup(self):
         bd = boundary_description(3)

@@ -26,7 +26,7 @@ def table_text(G):
     """Serialize a group as a multiplication-table file body."""
     lines = [f"order {G.order}"]
     for i in range(G.order):
-        lines.append(" ".join(str(G.mul_idx(i, j)) for j in range(G.order)))
+        lines.append(" ".join(str(G._table[i][j]) for j in range(G.order)))
     gens = " ".join(str(gen.idx) for gen in G.generators)
     lines.append(f"generators {gens}")
     return "\n".join(lines) + "\n"

@@ -21,7 +21,6 @@ from fourg.extensions import (
     build_extensions,
     chain_target_group,
     cone_target_group,
-    extension_target,
     orientation_preserving_subgroup,
     restrict_to_index2,
 )
@@ -69,12 +68,6 @@ class TestTargets:
         central = (x * z) ** 3
         assert central.order() == 2
         assert all(central * e == e * central for e in G3.elements())
-
-    def test_extension_target_dispatch(self):
-        assert extension_target(3, "a") is chain_target_group(3)
-        assert extension_target(3, "b") is cone_target_group(3)
-        with pytest.raises(ValueError):
-            extension_target(3, "c")
 
 
 class TestBuildExtensions:

@@ -101,11 +101,11 @@ class TestConjugacyClasses:
         G = dihedral(8)
         classes = G.conjugacy_classes()
         # independent brute-force derivation from the table
-        inverse = {h: next(x for x in range(8) if G.mul_idx(h, x) == 0) for h in range(8)}
+        inverse = {h: next(x for x in range(8) if G._table[h][x] == 0) for h in range(8)}
         brute = set()
         for a in range(G.order):
             orbit = frozenset(
-                G.mul_idx(G.mul_idx(h, a), inverse[h]) for h in range(G.order)
+                G._table[G._table[h][a]][inverse[h]] for h in range(G.order)
             )
             brute.add(orbit)
         assert {frozenset(e.idx for e in cls) for cls in classes} == brute
@@ -113,9 +113,12 @@ class TestConjugacyClasses:
         assert sorted(len(c) for c in classes) == [1, 1, 2, 2, 2]
 
     def test_involution_count(self):
-        assert len(dihedral(8).involutions()) == 5
-        assert len(dicyclic(2).involutions()) == 1  # quaternion-type group
-        assert len(cyclic(12).involutions()) == 1
+        def involutions(G):
+            return [e for e in G.elements() if e.order() == 2]
+
+        assert len(involutions(dihedral(8))) == 5
+        assert len(involutions(dicyclic(2))) == 1  # quaternion-type group
+        assert len(involutions(cyclic(12))) == 1
 
     def test_class_predicate_selects_union_of_classes(self):
         G = dihedral(8)
@@ -165,6 +168,29 @@ class TestConstructors:
         run = capped_python("-c", code)
         assert run.returncode == 0, run.stderr
         assert run.stdout == "order 40000 exceeds 4096\n"
+
+    @pytest.mark.parametrize(
+        "module,call,order",
+        [
+            ("fourg.groups", "cyclic(5000)", 5000),
+            ("fourg.groups", "metacyclic(5000, 1)", 10000),
+            ("fourg.actions", "eliminate_cases(2500)", 10000),  # family 1's cyclic(4g)
+        ],
+        ids=["cyclic", "metacyclic", "eliminate_cases"],
+    )
+    def test_order_checked_before_the_table(self, capped_python, module, call, order):
+        name = call.split("(")[0]
+        code = (
+            "from fourg.errors import GroupConstructionError\n"
+            f"from {module} import {name}\n"
+            "try:\n"
+            f"    {call}\n"
+            "except GroupConstructionError as exc:\n"
+            "    print(exc)\n"
+        )
+        run = capped_python("-c", code)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == f"order {order} exceeds 4096\n"
 
     def test_dihedral_from_reflections(self):
         G = dihedral_from_reflections(16)
@@ -238,6 +264,102 @@ class TestConstructors:
                 FiniteGroup(table, ["e", "a"], [1])
 
 
+def _brute_force(order, mul):
+    return [tuple(mul(a, b) for b in range(order)) for a in range(order)]
+
+
+def _metacyclic_rule(n, t, square):
+    """Product of C^i1 B^j1 and C^i2 B^j2, packed as i + n*j."""
+
+    def mul(x, y):
+        j1, i1 = divmod(x, n)
+        j2, i2 = divmod(y, n)
+        i = (i1 + (i2 * t if j1 else i2)) % n
+        if j1 and j2:
+            return (i + square) % n
+        return i + n * (j1 + j2)
+
+    return mul
+
+
+def _semidirect_rule(G, mapping, k):
+    """Product of a1 x^j1 and a2 x^j2, packed as a*k + j, x acting by mapping."""
+
+    def twist(a, j):
+        for _ in range(j):
+            a = mapping[a]
+        return a
+
+    def mul(x, y):
+        a1, j1 = divmod(x, k)
+        a2, j2 = divmod(y, k)
+        return G._table[a1][twist(a2, j1)] * k + (j1 + j2) % k
+
+    return mul
+
+
+def _product_rule(G, H):
+    """Product of pairs (a, b), packed as a*|H| + b."""
+    nh = H.order
+
+    def mul(x, y):
+        a1, b1 = divmod(x, nh)
+        a2, b2 = divmod(y, nh)
+        return G._table[a1][a2] * nh + H._table[b1][b2]
+
+    return mul
+
+
+def _cayley_cases():
+    for n in (1, 2, 7, 12):
+        yield f"cyclic({n})", cyclic(n), n, [1] if n > 1 else [], lambda x, y, n=n: (x + y) % n
+    for n in (1, 3, 8):
+        yield f"dihedral({2 * n})", dihedral(2 * n), 2 * n, [n, 1], _metacyclic_rule(n, -1 % n, 0)
+    for m in (2, 3, 6):
+        n = 2 * m
+        yield f"dicyclic({m})", dicyclic(m), 2 * n, [n, 1], _metacyclic_rule(n, n - 1, m)
+    for n, t, k in ((7, 2, 3), (9, 2, 6), (5, 4, 2)):
+        base = cyclic(n)
+        mapping = [i * t % n for i in range(n)]
+        G = semidirect_with_automorphism(base, mapping, top_order=k)
+        yield f"C{n}:C{k}", G, n * k, [k, 1], _semidirect_rule(base, mapping, k)
+    base = dihedral(8)
+    D = base.generator("D")
+    conj = [(D * e * D.inverse()).idx for e in base.elements()]  # order 2
+    gens = [g.idx * 4 for g in base.generators] + [1]
+    G = semidirect_with_automorphism(base, conj, top_order=4)
+    yield "D8:C4", G, 32, gens, _semidirect_rule(base, conj, 4)
+    for left, right in ((cyclic(3), cyclic(5)), (dihedral(6), cyclic(4)), (dicyclic(2), dihedral(8))):
+        nh = right.order
+        gens = [g * nh for g in left._gen_idx] + list(right._gen_idx)
+        yield (
+            f"{left.name} x {right.name}",
+            direct_product(left, right),
+            left.order * nh,
+            gens,
+            _product_rule(left, right),
+        )
+
+
+class TestCayleyTable:
+    def test_matches_brute_force(self):
+        for label, G, order, gens, mul in _cayley_cases():
+            expected = _brute_force(order, mul)
+            assert groups._cayley_table(order, gens, mul) == expected, label
+            assert [tuple(row) for row in G._table] == expected, label
+
+    def test_generators_must_span(self):
+        with pytest.raises(GroupConstructionError, match="span only 3 of 6"):
+            groups._cayley_table(6, [2], lambda x, y: (x + y) % 6)
+
+    def test_order_checked_first(self):
+        def never(x, y):
+            raise AssertionError("product rule evaluated before the order check")
+
+        with pytest.raises(GroupConstructionError, match="order 4097 exceeds 4096"):
+            groups._cayley_table(4097, [1], never)
+
+
 class TestExtensionGroupB:
     @pytest.mark.parametrize("g", [2, 3, 4, 5])
     def test_defining_relations(self, g):
@@ -305,7 +427,7 @@ class TestOrientationCharacter:
 def _serialize(G, generators=True):
     lines = [f"order {G.order}"]
     for a in range(G.order):
-        lines.append(" ".join(str(G.mul_idx(a, b)) for b in range(G.order)))
+        lines.append(" ".join(str(G._table[a][b]) for b in range(G.order)))
     if generators:
         lines.append("generators " + " ".join(str(g.idx) for g in G.generators))
     return "\n".join(lines)
@@ -325,7 +447,7 @@ class TestFromTable:
         table = [[0] * 8 for _ in range(8)]
         for a in range(8):
             for b in range(8):
-                table[perm[a]][perm[b]] = perm[G.mul_idx(a, b)]
+                table[perm[a]][perm[b]] = perm[G._table[a][b]]
         text = "order 8\n" + "\n".join(" ".join(map(str, row)) for row in table)
         H = from_table(text)
         assert H.name_of(0) == "g3"
@@ -407,7 +529,7 @@ class TestFromPermutations:
         assert len(index_of) == G.order
         for a, p in enumerate(elements):
             for b, q in enumerate(elements):
-                assert G.mul_idx(a, b) == index_of[tuple(p[i] for i in q)]
+                assert G._table[a][b] == index_of[tuple(p[i] for i in q)]
 
     def test_garbage_rejected(self):
         with pytest.raises(InputFormatError):
@@ -528,7 +650,7 @@ def _closure_cases():
         maps = [a.mapping for a in G.automorphisms()[:3]] + [(0,) * G.order]
         halves = index_two_subgroups(G)
         if halves:
-            t = G.involutions()[0].idx
+            t = next(a for a in range(G.order) if G.element_order(a) == 2)
             kernel = halves[0].element_indices
             maps.append(tuple(0 if a in kernel else t for a in range(G.order)))
         cases.append((G, maps))
@@ -657,7 +779,7 @@ def _search_cases():
         candidates = list(groups._catalog_candidates(n))
         for i, G in enumerate(candidates):
             for H in candidates[i:]:
-                yield G, H, [], 1  # iso_search(G, H, first_only=True)
+                yield G, H, [], 1  # iso_search(G, H)
 
 
 class TestHomSearch:
@@ -677,7 +799,7 @@ class TestHomSearch:
                     for constraint, limit in ((None, None), (pin, None), (None, 1), (pin, 1)):
                         auts = automorphism_search(G, constraint, limit)
                         out.append([a.mapping for a in auts])
-                    out.append([iso_search(G, H, first_only=True) for H in catalog])
+                    out.append([iso_search(G, H) for H in catalog])
             return out
 
         fresh = public_results()
@@ -773,7 +895,7 @@ class TestIsomorphism:
         rows = [[0] * n for _ in range(n)]
         for a in range(n):
             for b in range(n):
-                rows[sigma[a]][sigma[b]] = sigma[G.mul_idx(a, b)]
+                rows[sigma[a]][sigma[b]] = sigma[G._table[a][b]]
         text = f"order {n}\n" + "\n".join(" ".join(map(str, row)) for row in rows)
         relabelled = from_table(text)
         assert relabelled._invariant() == G._invariant()
@@ -840,7 +962,7 @@ class TestSubgroups:
             members = H.element_indices
             for a in members:
                 for b in members:
-                    assert G.mul_idx(a, b) in members
+                    assert G._table[a][b] in members
 
 
 class TestRecognition:

@@ -15,18 +15,12 @@ from fourg.signatures import (
     TAG_FAMILY4,
     TAG_QUADRUPLE,
     TAG_SPORADIC,
-    Word,
-    canonical_generator_names,
     chain_signature,
-    dim_teichmuller,
     enumerate_4g_signatures,
     mixed_signature,
     normalized_area,
     parse_signature,
-    quotient_signature,
-    rh_index,
     sporadic_genera,
-    surface_signature,
 )
 
 # Genera (up to 861) whose 4g enumeration includes a sporadic triangle
@@ -116,14 +110,14 @@ def test_normalized_area_chain_g2():
 
 
 def test_normalized_area_surface():
-    assert normalized_area(surface_signature(2)) == 2
-    assert normalized_area(surface_signature(5)) == 8
+    assert normalized_area(Signature(2, SIGN_PLUS)) == 2
+    assert normalized_area(Signature(5, SIGN_PLUS)) == 8
 
 
 @pytest.mark.parametrize("g", range(2, 12))
 def test_canonical_signatures_share_area(g):
     # Both extension signatures have half the area of the quadrilateral one.
-    quad = normalized_area(quotient_signature(g))
+    quad = normalized_area(Signature(0, SIGN_PLUS, (2, 2, 2, 2 * g)))
     assert quad == Fraction(1, 2) - Fraction(1, 2 * g)
     assert normalized_area(chain_signature(g)) == quad / 2
     assert normalized_area(mixed_signature(g)) == quad / 2
@@ -132,27 +126,6 @@ def test_canonical_signatures_share_area(g):
 def test_normalized_area_rejects_inf():
     with pytest.raises(ValueError):
         normalized_area(parse_signature("(0;+;[inf,2,4];{-})"))
-
-
-def test_rh_index_surface_over_quadrilateral():
-    assert rh_index(surface_signature(2), parse_signature("(0;+;[2,2,2,4];{-})")) == 8
-
-
-def test_rh_index_triangle():
-    assert rh_index(surface_signature(2), parse_signature("(0;+;[2,4,8];{-})")) == 16
-
-
-def test_rh_index_rejects_nonpositive():
-    sphere = parse_signature("(0;+;[2,2];{-})")  # negative area
-    with pytest.raises(ValueError):
-        rh_index(surface_signature(2), sphere)
-
-
-def test_dim_teichmuller():
-    assert dim_teichmuller(quotient_signature(2)) == 2
-    assert dim_teichmuller(chain_signature(2)) == 1
-    assert dim_teichmuller(mixed_signature(3)) == 1
-    assert dim_teichmuller(surface_signature(4)) == 18  # 6g - 6
 
 
 @pytest.mark.parametrize(
@@ -225,19 +198,3 @@ def test_sporadic_genera_matches_frozen_list():
 def test_sporadic_genera_small():
     assert sporadic_genera(4) == [3]
     assert sporadic_genera(1) == []
-
-
-def test_canonical_generator_names():
-    assert canonical_generator_names(quotient_signature(2)) == ("x1", "x2", "x3", "x4")
-    assert canonical_generator_names(chain_signature(2)) == ("e1", "c0", "c1", "c2", "c3", "c4")
-    assert canonical_generator_names(mixed_signature(2)) == ("x1", "e1", "c0", "c1", "c2")
-    assert canonical_generator_names(Signature(1, "-", (2,))) == ("x1", "d1")
-    assert canonical_generator_names(Signature(1, "+", ())) == ("a1", "b1")
-
-
-def test_word_construction_and_str():
-    w = Word.of("c0", "c1", ("c2", -1))
-    assert str(w) == "c0*c1*c2^-1"
-    assert w.symbols() == {"c0", "c1", "c2"}
-    with pytest.raises(ValueError):
-        Word((("c0", 0),))
