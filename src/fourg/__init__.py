@@ -51,7 +51,6 @@ from .groups import (
     extension_group_b,
     from_permutations,
     from_table,
-    index_two_subgroups,
     is_isomorphic,
     iso_search,
     metacyclic,

@@ -19,10 +19,16 @@ the walk from the identity.  Its order check is made before anything of
 that size is allocated, so an oversized request fails with
 ``GroupConstructionError`` rather than exhausting memory.
 
-``is_isomorphic`` compares a cached exact invariant first (the multiset of
-element order, class size and square-root count over the elements) and
-searches only when it agrees.  ``small_groups`` builds its candidates one at
-a time and keeps the first of each isomorphism type.
+``iso_search`` compares the order and a cached exact invariant first (the
+multiset of element order, class size and square-root count over the
+elements) and searches only when they agree; ``is_isomorphic`` is its truth
+value.  ``small_groups`` builds its candidates one at a time and keeps the
+first of each isomorphism type.
+
+``recognize`` finds both dihedral shapes with one witness search
+(``_dihedral_pair``): a rotation of order n/2 and a reflection inverting it
+for the dihedral group of order n, and a rotation of order n/4 plus a
+central involution outside the dihedral subgroup for dihedral x C2.
 """
 
 from __future__ import annotations
@@ -160,14 +166,7 @@ class FiniteGroup:
 
     def element_order(self, idx: int) -> int:
         if self._orders is None:
-            orders = []
-            for i in range(self.order):
-                k, acc = 1, i
-                while acc != 0:
-                    acc = self._table[acc][i]
-                    k += 1
-                orders.append(k)
-            self._orders = orders
+            self._orders = _element_orders(self._table)
         return self._orders[idx]
 
     def is_abelian(self) -> bool:
@@ -235,14 +234,6 @@ class FiniteGroup:
         table = self._table
         i = e.idx
         members = frozenset(a for a in range(self.order) if table[a][i] == table[i][a])
-        return Subgroup(self, members, _small_generating_set(self._table, members))
-
-    def center(self) -> "Subgroup":
-        table = self._table
-        n = self.order
-        members = frozenset(
-            a for a in range(n) if all(table[a][b] == table[b][a] for b in range(n))
-        )
         return Subgroup(self, members, _small_generating_set(self._table, members))
 
     def _class_index(self):
@@ -394,6 +385,18 @@ def _extend_hom(tg, th, pairs, parent=None, *, injective=False):
             elif fp != q:
                 return None
     return img, reached
+
+
+def _element_orders(table) -> list:
+    """Order of every element of a multiplication table (identity at 0)."""
+    orders = []
+    for i in range(len(table)):
+        k, acc = 1, i
+        while acc != 0:
+            acc = table[acc][i]
+            k += 1
+        orders.append(k)
+    return orders
 
 
 def _closure(table, gen_indices) -> set:
@@ -1013,18 +1016,12 @@ def automorphism_search(G: FiniteGroup, constraint: dict = None, limit=None):
 def iso_search(G: FiniteGroup, H: FiniteGroup):
     """At most one isomorphism G -> H as a full image array, in a list
     (empty if none)."""
-    if G.order != H.order:
-        return []
-    if sorted(G.element_order(i) for i in range(G.order)) != sorted(
-        H.element_order(i) for i in range(H.order)
-    ):
+    if G.order != H.order or G._invariant() != H._invariant():
         return []
     return _hom_search(G, H, [], limit=1)
 
 
 def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
-    if G.order != H.order or G._invariant() != H._invariant():
-        return False
     return bool(iso_search(G, H))
 
 
@@ -1060,61 +1057,20 @@ class GroupStructure:
         return f"unrecognized group of order {self.order}{tail}"
 
 
-def _dihedral_witness(G: FiniteGroup):
-    n = G.order
-    if n % 2 or n < 6:
-        return None
-    half = n // 2
+def _dihedral_pair(G: FiniteGroup, half: int):
+    """First rotation r of order ``half`` and involution s outside <r> with
+    s*r*s = r^-1, as indices, or None: <r, s> is dihedral of order 2*half."""
     table = G._table
-    rotations = [i for i in range(n) if G.element_order(i) == half]
-    for r in rotations:
+    involutions = [i for i in range(G.order) if G.element_order(i) == 2]
+    for r in range(G.order):
+        if G.element_order(r) != half:
+            continue
         powers = _closure(table, [r])
         r_inv = G._inv[r]
-        for s in range(1, n):
-            if s in powers or G.element_order(s) != 2:
-                continue
-            if table[table[s][r]][s] == r_inv:
-                return G.element(r), G.element(s)
+        for s in involutions:
+            if s not in powers and table[table[s][r]][s] == r_inv:
+                return r, s
     return None
-
-
-def index_two_subgroups(G: FiniteGroup):
-    """All index-2 subgroups, via the square-commutator kernel."""
-    n = G.order
-    table = G._table
-    inv = G._inv
-    gens = set()
-    for a in range(n):
-        gens.add(table[a][a])
-        for b in range(a):
-            gens.add(table[table[inv[a]][inv[b]]][table[a][b]])
-    k_set = G._closure_idx(sorted(gens))
-    if len(k_set) == n:
-        return []
-    coset_of, q_table = _quotient(table, k_set)
-    # the quotient is elementary abelian of 2-power order; set up F2
-    # coordinates and read off the index-2 subgroups as hyperplanes
-    basis_bits = {0: 0}
-    rank = 0
-    for cid in range(len(q_table)):
-        if cid in basis_bits:
-            continue
-        bit = 1 << rank
-        rank += 1
-        for known, vec in list(basis_bits.items()):
-            combo = q_table[known][cid]
-            if combo not in basis_bits:
-                basis_bits[combo] = vec | bit
-    subgroups = []
-    for mask in range(1, 1 << rank):
-        members = frozenset(
-            a
-            for a in range(n)
-            if bin(basis_bits[coset_of[a]] & mask).count("1") % 2 == 0
-        )
-        subgroups.append(Subgroup(G, members, _small_generating_set(table, members)))
-    subgroups.sort(key=lambda s: sorted(s.element_indices))
-    return subgroups
 
 
 def recognize(G: FiniteGroup) -> GroupStructure:
@@ -1144,40 +1100,34 @@ def recognize(G: FiniteGroup) -> GroupStructure:
                     {"prime": p, "rank": rank},
                     {"basis": tuple(G.element(i) for i in basis)},
                 )
-    witness = _dihedral_witness(G)
-    if witness is not None:
-        r, s = witness
+    pair = _dihedral_pair(G, n // 2) if n % 2 == 0 and n >= 6 else None
+    if pair is not None:
+        r, s = pair
         return GroupStructure(
-            "dihedral", n, {"rotation_order": n // 2}, {"rotation": r, "reflection": s}
+            "dihedral",
+            n,
+            {"rotation_order": n // 2},
+            {"rotation": G.element(r), "reflection": G.element(s)},
         )
-    if n % 4 == 0:
-        center = G.center()
-        central_involutions = [
-            G.element(i) for i in sorted(center.element_indices) if G.element_order(i) == 2
-        ]
-        halves = index_two_subgroups(G) if central_involutions else []
-        # the witness depends on the subgroup only, and the first one found
-        # is returned, so only the subgroups without one need remembering
-        not_dihedral = set()
-        for y in central_involutions:
-            for k, H in enumerate(halves):
-                if y in H or k in not_dihedral:
-                    continue
-                sub = H.as_group()
-                w = _dihedral_witness(sub)
-                if w is None:
-                    not_dihedral.add(k)
-                    continue
-                r_sub, s_sub = w
-                to_parent = sub.parent_indices
+    pair = _dihedral_pair(G, n // 4) if n % 4 == 0 and n >= 12 else None
+    if pair is not None:
+        # The first pair decides.  H = <r, s> has index 2.  If G is
+        # D(n/2) x C2 but not dihedral, n/4 is even (D(2m) x C2 with m odd is
+        # D(4m)), so Z(G) holds three involutions; Z(G) meets H inside Z(H),
+        # of order 2, so some central involution lies outside H.  Conversely
+        # any such y gives G = H x <y>.
+        r, s = pair
+        dihedral_half = _closure(G._table, [r, s])
+        for y in range(n):
+            if G.element_order(y) == 2 and G.class_size(y) == 1 and y not in dihedral_half:
                 return GroupStructure(
                     "dihedral-x-c2",
                     n,
                     {"dihedral_order": n // 2},
                     {
-                        "central": y,
-                        "rotation": G.element(to_parent[r_sub.idx]),
-                        "reflection": G.element(to_parent[s_sub.idx]),
+                        "central": G.element(y),
+                        "rotation": G.element(r),
+                        "reflection": G.element(s),
                     },
                 )
     return GroupStructure(
@@ -1224,16 +1174,9 @@ def _quotient(table, normal_set):
 
 
 def _abelian_invariants_from_table(table) -> tuple:
-    n = len(table)
-    if n == 1:
+    if len(table) == 1:
         return ()
-    orders = []
-    for i in range(n):
-        k, acc = 1, i
-        while acc != 0:
-            acc = table[acc][i]
-            k += 1
-        orders.append(k)
+    orders = _element_orders(table)
     d1 = max(orders)
     cyclic_set = _closure(table, [orders.index(d1)])
     return (d1,) + _abelian_invariants_from_table(_quotient(table, cyclic_set)[1])

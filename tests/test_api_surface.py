@@ -6,9 +6,13 @@ functions and classes and the public methods of public classes.  Each must
 appear as a name or an attribute somewhere in ``src/fourg`` or ``demos/``
 outside its own definition.  Tests do not count: a definition only tests
 call is dead code.
+
+The benchmark's tracer wraps functions it names by module; each of those
+must stay a module-level callable, or a traced run breaks.
 """
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -16,6 +20,7 @@ import fourg
 
 PACKAGE = Path(fourg.__file__).resolve().parent
 DEMOS = PACKAGE.parents[1] / "demos"
+TRACE_CHILD = PACKAGE.parents[1] / "perfbench" / "trace_child.py"
 
 # Public API kept on purpose although nothing in the package or the demos
 # calls it, as "module.name" or "module.Class.method".  Each entry is listed,
@@ -78,3 +83,28 @@ def test_every_public_name_is_used_outside_the_tests():
         f" or add them to ALLOWED and document them in README: {sorted(unused - ALLOWED)};"
         f" stale ALLOWED entries: {sorted(ALLOWED - unused)}"
     )
+
+
+def _traced_names():
+    """``module.function`` for every TRACED entry and STATS key of the tracer."""
+    tree = ast.parse(TRACE_CHILD.read_text(encoding="utf-8"))
+    values = {
+        node.targets[0].id: node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+    }
+    traced = ast.literal_eval(values["TRACED"])
+    names = {f"{module}.{fn}" for module, fns in traced.items() for fn in fns}
+    stats = {ast.literal_eval(key) for key in values["STATS"].keys}
+    return names | stats
+
+
+def test_traced_functions_are_module_level_callables():
+    names = _traced_names()
+    assert {"groups.recognize", "groups.is_isomorphic", "cli.main"} <= names
+    missing = []
+    for qualified in sorted(names):
+        module, fn = qualified.split(".")
+        if not callable(getattr(importlib.import_module(f"fourg.{module}"), fn, None)):
+            missing.append(qualified)
+    assert not missing, f"traced by perfbench but not module-level callables: {missing}"

@@ -14,11 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fourg import groups
+from fourg.actions import family_group
 from fourg.errors import GroupConstructionError, InputFormatError, InvariantViolation
+from fourg.extensions import chain_target_group, cone_target_group
 from fourg.groups import (
     COMPLETE_CATALOG_ORDERS,
     Automorphism,
     FiniteGroup,
+    GroupStructure,
+    Subgroup,
     abelianization,
     _image_candidates,
     automorphism_search,
@@ -32,7 +36,6 @@ from fourg.groups import (
     extension_group_b,
     from_permutations,
     from_table,
-    index_two_subgroups,
     is_isomorphic,
     iso_search,
     metacyclic,
@@ -136,7 +139,8 @@ class TestConjugacyClasses:
         assert G.centralizer(D).order == 4
         assert G.centralizer(A).order == 4
         assert A in G.centralizer(A)
-        assert sorted(G.name_of(i) for i in G.center().element_indices) == ["1", "D^2"]
+        center = [G.name_of(i) for i in range(G.order) if G.class_size(i) == 1]
+        assert sorted(center) == ["1", "D^2"]
 
 
 # ---------------------------------------------------------------------------
@@ -629,6 +633,25 @@ def _pairwise_close(G, H, pairs):
     return img, len(defined)
 
 
+def _index_two_kernel(G: FiniteGroup):
+    """Element indices of an index-2 subgroup of G, or None if G has none.
+
+    Every subgroup containing the squares is normal with an elementary
+    abelian 2-group quotient, so growing the closure of the squares by each
+    element, in index order, that keeps it proper ends at index 2.
+    """
+    table = G._table
+    kernel = groups._closure(table, [table[a][a] for a in range(G.order)])
+    if len(kernel) == G.order:
+        return None
+    for a in range(G.order):
+        if a not in kernel:
+            grown = groups._closure(table, list(kernel) + [a])
+            if len(grown) < G.order:
+                kernel = grown
+    return kernel
+
+
 @cache
 def _closure_cases():
     """Groups with self-maps to draw pairs from.
@@ -648,10 +671,9 @@ def _closure_cases():
     cases = []
     for G in groups:
         maps = [a.mapping for a in G.automorphisms()[:3]] + [(0,) * G.order]
-        halves = index_two_subgroups(G)
-        if halves:
+        kernel = _index_two_kernel(G)
+        if kernel is not None:
             t = next(a for a in range(G.order) if G.element_order(a) == 2)
-            kernel = halves[0].element_indices
             maps.append(tuple(0 if a in kernel else t for a in range(G.order)))
         cases.append((G, maps))
     return cases
@@ -944,25 +966,168 @@ class TestSubgroups:
         )
         assert H.from_parent[G.generator("D").idx] == 1
 
-    def test_index_two_counts(self):
-        assert len(index_two_subgroups(dihedral(8))) == 3
-        assert len(index_two_subgroups(cyclic(4))) == 1
-        assert len(index_two_subgroups(cyclic(5))) == 0
-        klein = direct_product(cyclic(2, gen_name="a"), cyclic(2, gen_name="b"))
-        assert len(index_two_subgroups(klein)) == 3
-        assert len(index_two_subgroups(dicyclic(2))) == 3
 
-    def test_index_two_subgroups_are_subgroups(self):
-        G = dihedral(24)
-        subs = index_two_subgroups(G)
-        assert len(subs) == 3
-        for H in subs:
-            assert H.order == 12
-            assert _is_normal(H)
-            members = H.element_indices
-            for a in members:
-                for b in members:
-                    assert G._table[a][b] in members
+def _reference_center(G: FiniteGroup) -> Subgroup:
+    table = G._table
+    n = G.order
+    members = frozenset(
+        a for a in range(n) if all(table[a][b] == table[b][a] for b in range(n))
+    )
+    return Subgroup(G, members, groups._small_generating_set(G._table, members))
+
+
+def _reference_dihedral_witness(G: FiniteGroup):
+    n = G.order
+    if n % 2 or n < 6:
+        return None
+    half = n // 2
+    table = G._table
+    rotations = [i for i in range(n) if G.element_order(i) == half]
+    for r in rotations:
+        powers = groups._closure(table, [r])
+        r_inv = G._inv[r]
+        for s in range(1, n):
+            if s in powers or G.element_order(s) != 2:
+                continue
+            if table[table[s][r]][s] == r_inv:
+                return G.element(r), G.element(s)
+    return None
+
+
+def _reference_index_two_subgroups(G: FiniteGroup):
+    """All index-2 subgroups, via the square-commutator kernel."""
+    n = G.order
+    table = G._table
+    inv = G._inv
+    gens = set()
+    for a in range(n):
+        gens.add(table[a][a])
+        for b in range(a):
+            gens.add(table[table[inv[a]][inv[b]]][table[a][b]])
+    k_set = G._closure_idx(sorted(gens))
+    if len(k_set) == n:
+        return []
+    coset_of, q_table = groups._quotient(table, k_set)
+    # the quotient is elementary abelian of 2-power order; set up F2
+    # coordinates and read off the index-2 subgroups as hyperplanes
+    basis_bits = {0: 0}
+    rank = 0
+    for cid in range(len(q_table)):
+        if cid in basis_bits:
+            continue
+        bit = 1 << rank
+        rank += 1
+        for known, vec in list(basis_bits.items()):
+            combo = q_table[known][cid]
+            if combo not in basis_bits:
+                basis_bits[combo] = vec | bit
+    subgroups = []
+    for mask in range(1, 1 << rank):
+        members = frozenset(
+            a
+            for a in range(n)
+            if bin(basis_bits[coset_of[a]] & mask).count("1") % 2 == 0
+        )
+        subgroups.append(
+            Subgroup(G, members, groups._small_generating_set(table, members))
+        )
+    subgroups.sort(key=lambda s: sorted(s.element_indices))
+    return subgroups
+
+
+def _reference_recognize(G: FiniteGroup) -> GroupStructure:
+    """The recognizer before the single witness search, kept verbatim: it
+    finds dihedral x C2 by trying every (central involution, index-2
+    subgroup) pair."""
+    n = G.order
+    orders = [G.element_order(i) for i in range(n)]
+    if max(orders) == n:
+        gen = G.element(orders.index(n)) if n > 1 else G.identity
+        return GroupStructure("cyclic", n, {}, {"generator": gen})
+    if G.is_abelian():
+        non_identity = sorted(set(orders[1:]))
+        if len(non_identity) == 1 and groups._is_prime(non_identity[0]):
+            p = non_identity[0]
+            rank, m = 0, n
+            while m % p == 0:
+                m //= p
+                rank += 1
+            if m == 1:
+                basis = groups._small_generating_set(G._table, range(n))
+                return GroupStructure(
+                    "elementary-abelian",
+                    n,
+                    {"prime": p, "rank": rank},
+                    {"basis": tuple(G.element(i) for i in basis)},
+                )
+    witness = _reference_dihedral_witness(G)
+    if witness is not None:
+        r, s = witness
+        return GroupStructure(
+            "dihedral", n, {"rotation_order": n // 2}, {"rotation": r, "reflection": s}
+        )
+    if n % 4 == 0:
+        center = _reference_center(G)
+        central_involutions = [
+            G.element(i) for i in sorted(center.element_indices) if G.element_order(i) == 2
+        ]
+        halves = _reference_index_two_subgroups(G) if central_involutions else []
+        # the witness depends on the subgroup only, and the first one found
+        # is returned, so only the subgroups without one need remembering
+        not_dihedral = set()
+        for y in central_involutions:
+            for k, H in enumerate(halves):
+                if y in H or k in not_dihedral:
+                    continue
+                sub = H.as_group()
+                w = _reference_dihedral_witness(sub)
+                if w is None:
+                    not_dihedral.add(k)
+                    continue
+                r_sub, s_sub = w
+                to_parent = sub.parent_indices
+                return GroupStructure(
+                    "dihedral-x-c2",
+                    n,
+                    {"dihedral_order": n // 2},
+                    {
+                        "central": y,
+                        "rotation": G.element(to_parent[r_sub.idx]),
+                        "reflection": G.element(to_parent[s_sub.idx]),
+                    },
+                )
+    return GroupStructure(
+        "other",
+        n,
+        {"abelian": G.is_abelian(), "abelianization": list(abelianization(G))},
+        {},
+    )
+
+
+def _assert_witness(G: FiniteGroup, s: GroupStructure):
+    """The witness of a dihedral shape proves it: <r, s> is dihedral of order
+    2*half, all of G for "dihedral", and a central involution outside it
+    completes G to a direct product for "dihedral-x-c2"."""
+    if s.kind not in ("dihedral", "dihedral-x-c2"):
+        return
+    half = G.order // 2 if s.kind == "dihedral" else G.order // 4
+    r, refl = s.witness["rotation"], s.witness["reflection"]
+    assert r.order() == half and refl.order() == 2
+    assert refl * r * refl == r ** -1
+    H = G.subgroup([r, refl])
+    assert H.order == 2 * half
+    if s.kind == "dihedral":
+        assert H.order == G.order
+    else:
+        y = s.witness["central"]
+        assert y.order() == 2 and G.centralizer(y).order == G.order
+        assert y not in H
+
+
+def _assert_matches_reference(G: FiniteGroup):
+    s, ref = recognize(G), _reference_recognize(G)
+    assert (s.kind, s.details, s.describe()) == (ref.kind, ref.details, ref.describe()), G.name
+    _assert_witness(G, s)
 
 
 class TestRecognition:
@@ -992,10 +1157,7 @@ class TestRecognition:
         s = recognize(G)
         assert s.kind == "dihedral-x-c2"
         assert s.details["dihedral_order"] == 12
-        y = s.witness["central"]
-        assert y.order() == 2 and G.centralizer(y).order == G.order
-        r, refl = s.witness["rotation"], s.witness["reflection"]
-        assert refl * r * refl == r ** -1 and r.order() == 6
+        _assert_witness(G, s)
 
     def test_other(self):
         s = recognize(dicyclic(2))
@@ -1010,6 +1172,24 @@ class TestRecognition:
         s = recognize(direct_product(cyclic(4), cyclic(2)))
         assert s.kind == "other"
         assert s.details["abelianization"] == [4, 2]
+
+    def test_edge_cases(self):
+        assert recognize(metacyclic(8, 3)).kind == "other"  # semidihedral of order 16
+        assert recognize(metacyclic(8, 5)).kind == "other"  # modular of order 16
+        # D(10) x C2 is dihedral: the C2 joins the odd rotation group
+        d10_c2 = direct_product(dihedral(10), cyclic(2, gen_name="y"))
+        assert recognize(d10_c2).describe() == "dihedral of order 20"
+        assert recognize(direct_product(dihedral(8), cyclic(4, gen_name="y"))).kind == "other"
+
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_matches_reference_on_catalog(self, n):
+        for G in small_groups(n):
+            _assert_matches_reference(G)
+
+    @pytest.mark.parametrize("g", range(2, 31))
+    def test_matches_reference_on_paper_groups(self, g):
+        for G in (family_group(g), chain_target_group(g), cone_target_group(g)):
+            _assert_matches_reference(G)
 
 
 class TestAbelianization:
