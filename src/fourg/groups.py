@@ -19,11 +19,20 @@ the walk from the identity.  Its order check is made before anything of
 that size is allocated, so an oversized request fails with
 ``GroupConstructionError`` rather than exhausting memory.
 
-``iso_search`` compares the order and a cached exact invariant first (the
-multiset of element order, class size and square-root count over the
-elements) and searches only when they agree; ``is_isomorphic`` is its truth
-value.  ``small_groups`` builds its candidates one at a time and keeps the
-first of each isomorphism type.
+Work that needs the whole group is done from its generators, which must
+span it: a conjugacy class is the orbit of its smallest element under
+conjugation by the generators, and the commutator subgroup is the normal
+closure of the commutators of generator pairs, so both cost O(n*k) for k
+generators rather than O(n^2).
+
+Every element has a signature, its (element order, class size, square-root
+count), which an isomorphism preserves.  ``iso_search`` compares the order
+and the cached multiset of signatures first and searches only when they
+agree; ``is_isomorphic`` is its truth value.  The search tries as images of
+a generator only the elements with its signature.  ``small_groups`` builds
+its candidates one at a time and keeps the first of each isomorphism type;
+it builds no direct product of two abelian groups, since
+``_abelian_groups`` already lists every abelian group of the order.
 
 ``recognize`` finds both dihedral shapes with one witness search
 (``_dihedral_pair``): a rotation of order n/2 and a reflection inverting it
@@ -95,7 +104,13 @@ class GroupElement:
 
 
 class FiniteGroup:
-    """Immutable finite group given by a full multiplication table."""
+    """Immutable finite group given by a full multiplication table.
+
+    ``generator_indices`` must span the group: conjugacy classes and the
+    commutator subgroup are computed from them.  ``verify=True`` checks that
+    and the group axioms; ``verify=False`` trusts the caller for both and is
+    only for tables built from groups already verified.
+    """
 
     def __init__(
         self,
@@ -164,10 +179,14 @@ class FiniteGroup:
     def name_of(self, idx: int) -> str:
         return self._names[idx]
 
-    def element_order(self, idx: int) -> int:
+    def _order_list(self) -> list:
+        """Every element's order, computed once."""
         if self._orders is None:
             self._orders = _element_orders(self._table)
-        return self._orders[idx]
+        return self._orders
+
+    def element_order(self, idx: int) -> int:
+        return self._order_list()[idx]
 
     def is_abelian(self) -> bool:
         return len(self._class_index()[0]) == self.order
@@ -178,20 +197,18 @@ class FiniteGroup:
     # -- verification ------------------------------------------------------
 
     def _compute_inverses(self):
-        n = self.order
-        inv = [-1] * n
-        for i in range(n):
-            row = self._table[i]
-            for j in range(n):
-                if row[j] == 0:
-                    if self._table[j][i] != 0:
-                        raise GroupConstructionError(
-                            f"element {i} has a right inverse that is not a left inverse"
-                        )
-                    inv[i] = j
-                    break
-            if inv[i] < 0:
-                raise GroupConstructionError(f"element {i} has no inverse")
+        table = self._table
+        inv = []
+        for i, row in enumerate(table):
+            try:
+                j = row.index(0)
+            except ValueError:
+                raise GroupConstructionError(f"element {i} has no inverse") from None
+            if table[j][i] != 0:
+                raise GroupConstructionError(
+                    f"element {i} has a right inverse that is not a left inverse"
+                )
+            inv.append(j)
         return inv
 
     def _verify(self):
@@ -238,21 +255,29 @@ class FiniteGroup:
 
     def _class_index(self):
         """``(classes, class_of)``: each class's member indices, sorted, with
-        classes ordered by smallest index, and every element's class number."""
+        classes ordered by smallest index, and every element's class number.
+
+        Each class is the orbit of its smallest element under conjugation by
+        the generators, so the generators must span the group.
+        """
         if self._classes is None:
             table = self._table
-            inv = self._inv
-            n = self.order
-            class_of = [-1] * n
+            conjugators = [(table[g], self._inv[g]) for g in self._gen_idx]
+            class_of = [-1] * self.order
             classes = []
-            for a in range(n):
+            for a in range(self.order):
                 if class_of[a] >= 0:
                     continue
-                orbit = sorted({table[table[h][a]][inv[h]] for h in range(n)})
                 cid = len(classes)
-                for b in orbit:
-                    class_of[b] = cid
-                classes.append(tuple(orbit))
+                class_of[a] = cid
+                orbit = [a]
+                for b in orbit:  # orbit grows while it is walked
+                    for row_g, g_inv in conjugators:
+                        c = table[row_g[b]][g_inv]
+                        if class_of[c] < 0:
+                            class_of[c] = cid
+                            orbit.append(c)
+                classes.append(tuple(sorted(orbit)))
             self._classes = classes
             self._class_of = class_of
         return self._classes, self._class_of
@@ -283,20 +308,23 @@ class FiniteGroup:
         classes, class_of = self._class_index()
         return len(classes[class_of[idx]])
 
+    def _signatures(self) -> list:
+        """(element order, class size, number of square roots) of every
+        element; an isomorphism preserves each element's triple."""
+        classes, class_of = self._class_index()
+        roots = Counter(row[a] for a, row in enumerate(self._table))
+        return [
+            (order, len(classes[class_of[a]]), roots[a])
+            for a, order in enumerate(self._order_list())
+        ]
+
     def _invariant(self) -> tuple:
-        """Multiset of (element order, class size, number of square roots)
-        over the elements, as sorted ``(triple, count)`` pairs.
+        """Multiset of ``_signatures()`` as sorted ``(triple, count)`` pairs.
 
         Isomorphic groups have equal invariants.
         """
         if self._invariant_counts is None:
-            table = self._table
-            roots = Counter(table[a][a] for a in range(self.order))
-            counts = Counter(
-                (self.element_order(a), self.class_size(a), roots[a])
-                for a in range(self.order)
-            )
-            self._invariant_counts = tuple(sorted(counts.items()))
+            self._invariant_counts = tuple(sorted(Counter(self._signatures()).items()))
         return self._invariant_counts
 
     def automorphisms(self):
@@ -457,6 +485,8 @@ class Subgroup:
         ordered = sorted(self.element_indices)
         if ordered[0] != 0:
             raise InvariantViolation("subgroup does not contain the identity")
+        if len(_closure(parent._table, self.generator_indices)) != self.order:
+            raise InvariantViolation("subgroup generators do not span its elements")
         new_of = {old: new for new, old in enumerate(ordered)}
         table = [[new_of[parent._table[a][b]] for b in ordered] for a in ordered]
         names = [parent._names[i] for i in ordered]
@@ -941,33 +971,27 @@ def close_generator_map(G: FiniteGroup, H: FiniteGroup, pairs):
     return img, len(reached)
 
 
-def _image_candidates(G: FiniteGroup, H: FiniteGroup, src_idx: int):
-    """Elements of H that could be the image of the given element of G."""
-    order = G.element_order(src_idx)
-    size = G.class_size(src_idx)
-    return [
-        j
-        for j in range(H.order)
-        if H.element_order(j) == order and H.class_size(j) == size
-    ]
-
-
 def _hom_search(G: FiniteGroup, H: FiniteGroup, constraint_pairs, limit=None):
-    """Injective homs G -> H defined on all of G, extending the constraints.
+    """Isomorphisms G -> H (G and H of equal order) extending the constraints.
 
     Depth-first over the image of each source in turn; every search node
-    resumes its parent's walk (``_extend_hom``) with the one new pair.
+    resumes its parent's walk (``_extend_hom``) with the one new pair.  A free
+    generator's candidate images are the elements of H with its signature
+    (``FiniteGroup._signatures``), the only ones an isomorphism can use.
     """
     if G.order == 1:
         return [[0]] if H.order >= 1 else []
     gen_idx = [g.idx for g in G.generators]
     fixed = dict(constraint_pairs)
     levels = [(a, (b,)) for a, b in fixed.items() if a not in gen_idx]
+    g_sigs = G._signatures()
+    h_sigs = g_sigs if H is G else H._signatures()
     for g in gen_idx:
         if g in fixed:
             levels.append((g, (fixed[g],)))
         else:
-            levels.append((g, tuple(_image_candidates(G, H, g))))
+            sig = g_sigs[g]
+            levels.append((g, tuple(j for j, s in enumerate(h_sigs) if s == sig)))
     tg, th = G._table, H._table
     results = []
     assignment = []
@@ -1183,23 +1207,35 @@ def _abelian_invariants_from_table(table) -> tuple:
 
 
 def abelianization(G: FiniteGroup) -> tuple:
-    """Invariant factors (largest first) of G modulo its commutator subgroup."""
+    """Invariant factors (largest first) of G modulo its commutator subgroup.
+
+    [G, G] is the normal closure of the commutators of generator pairs: the
+    quotient by it is generated by commuting images, so it is abelian.
+    """
     table = G._table
     inv = G._inv
-    n = G.order
-    comm_gens = set()
-    for a in range(n):
-        for b in range(a):
-            comm_gens.add(table[table[inv[a]][inv[b]]][table[a][b]])
+    gens = G._gen_idx
+    comm_gens = {
+        table[table[inv[a]][inv[b]]][table[a][b]]
+        for i, a in enumerate(gens)
+        for b in gens[:i]
+    }
     comm_gens.discard(0)
     if not comm_gens:
         return _abelian_invariants_from_table(table)
-    k_set = frozenset(G._closure_idx(sorted(comm_gens)))
-    if len(k_set) == n:
+    k_gens = sorted(comm_gens)
+    k_set = _closure(table, k_gens)
+    for h in k_gens:  # k_gens grows while it is walked
+        for g in gens:
+            c = table[table[g][h]][inv[g]]
+            if c not in k_set:
+                k_gens.append(c)
+                k_set = _closure(table, k_gens)
+    if len(k_set) == G.order:
         return ()
     for h in k_set:
-        for a in range(n):
-            if table[table[a][h]][inv[a]] not in k_set:
+        for g in gens:
+            if table[table[g][h]][inv[g]] not in k_set:
                 raise InvariantViolation("quotient by a non-normal subgroup")
     return _abelian_invariants_from_table(_quotient(table, k_set)[1])
 
@@ -1303,6 +1339,8 @@ def _catalog_candidates(n: int):
             continue
         for G1 in small_groups(a):
             for G2 in small_groups(b):
+                if G1.is_abelian() and G2.is_abelian():
+                    continue  # _abelian_groups(n) yielded every abelian group
                 try:
                     yield direct_product(G1, G2)
                 except GroupConstructionError:

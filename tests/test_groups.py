@@ -6,6 +6,8 @@ computation wherever that is cheap (brute force over the table), and frozen
 as literals where it is not.
 """
 
+import hashlib
+import json
 import re
 from functools import cache
 
@@ -24,7 +26,6 @@ from fourg.groups import (
     GroupStructure,
     Subgroup,
     abelianization,
-    _image_candidates,
     automorphism_search,
     close_generator_map,
     cyclic,
@@ -740,6 +741,22 @@ class TestCloseGeneratorMap:
         assert close_generator_map(G, G, pairs) == _pairwise_close(G, G, pairs)
 
 
+def _reference_image_candidates(G: FiniteGroup, H: FiniteGroup, src_idx: int):
+    """Elements of H that could be the image of the given element of G.
+
+    The (element order, class size) filter the search used before it
+    compared square-root counts too, kept verbatim so that the reference
+    does not change with the module's filter.
+    """
+    order = G.element_order(src_idx)
+    size = G.class_size(src_idx)
+    return [
+        j
+        for j in range(H.order)
+        if H.element_order(j) == order and H.class_size(j) == size
+    ]
+
+
 def _reference_hom_search(G: FiniteGroup, H: FiniteGroup, constraint_pairs, limit=None):
     """Reference search: every node closes its whole assignment from scratch.
 
@@ -755,7 +772,7 @@ def _reference_hom_search(G: FiniteGroup, H: FiniteGroup, constraint_pairs, limi
         if g in fixed:
             levels.append((g, (fixed[g],)))
         else:
-            levels.append((g, tuple(_image_candidates(G, H, g))))
+            levels.append((g, tuple(_reference_image_candidates(G, H, g))))
     results = []
     assignment = []
     total_levels = len(levels)
@@ -912,14 +929,8 @@ class TestIsomorphism:
     @given(st.data())
     def test_relabelled_table_keeps_invariant(self, data):
         G = data.draw(st.sampled_from([G for n in (6, 8, 12, 16, 18) for G in small_groups(n)]))
-        n = G.order
-        sigma = [0] + data.draw(st.permutations(range(1, n)))  # old -> new, 0 fixed
-        rows = [[0] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(n):
-                rows[sigma[a]][sigma[b]] = sigma[G._table[a][b]]
-        text = f"order {n}\n" + "\n".join(" ".join(map(str, row)) for row in rows)
-        relabelled = from_table(text)
+        sigma = [0] + data.draw(st.permutations(range(1, G.order)))
+        relabelled = from_table(_relabelled_text(G, sigma))
         assert relabelled._invariant() == G._invariant()
         assert is_isomorphic(G, relabelled) is True
 
@@ -928,6 +939,20 @@ class TestIsomorphism:
         assert maps
         img = maps[0]
         assert sorted(img) == list(range(8))
+
+
+def _relabelled_text(G: FiniteGroup, sigma, generators=None) -> str:
+    """``G``'s table in the ``from_table`` format with element a renamed
+    sigma[a] (sigma[0] == 0), plus a ``generators`` line when given."""
+    n = G.order
+    rows = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            rows[sigma[a]][sigma[b]] = sigma[G._table[a][b]]
+    text = f"order {n}\n" + "\n".join(" ".join(map(str, row)) for row in rows)
+    if generators is not None:
+        text += "\ngenerators " + " ".join(map(str, generators))
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -965,6 +990,14 @@ class TestSubgroups:
             G.subgroup([G.generator("D")]).element_indices
         )
         assert H.from_parent[G.generator("D").idx] == 1
+
+    def test_as_group_requires_spanning_generators(self):
+        G = dihedral(8)
+        D = G.generator("D")
+        rotations = G.subgroup([D]).element_indices
+        for gens in ((), ((D * D).idx,)):
+            with pytest.raises(InvariantViolation):
+                Subgroup(G, rotations, gens).as_group()
 
 
 def _reference_center(G: FiniteGroup) -> Subgroup:
@@ -1213,6 +1246,140 @@ class TestAbelianization:
 
 
 # ---------------------------------------------------------------------------
+# Generator-based kernels against their all-elements references.
+
+
+def _reference_class_index(G: FiniteGroup):
+    """``FiniteGroup._class_index`` as it was when it conjugated every
+    element by all n elements, kept verbatim as the oracle."""
+    table = G._table
+    inv = G._inv
+    n = G.order
+    class_of = [-1] * n
+    classes = []
+    for a in range(n):
+        if class_of[a] >= 0:
+            continue
+        orbit = sorted({table[table[h][a]][inv[h]] for h in range(n)})
+        cid = len(classes)
+        for b in orbit:
+            class_of[b] = cid
+        classes.append(tuple(orbit))
+    return classes, class_of
+
+
+def _reference_abelianization(G: FiniteGroup) -> tuple:
+    """``abelianization`` as it was when it formed all n^2/2 commutators and
+    checked normality against every element, kept verbatim as the oracle."""
+    table = G._table
+    inv = G._inv
+    n = G.order
+    comm_gens = set()
+    for a in range(n):
+        for b in range(a):
+            comm_gens.add(table[table[inv[a]][inv[b]]][table[a][b]])
+    comm_gens.discard(0)
+    if not comm_gens:
+        return groups._abelian_invariants_from_table(table)
+    k_set = frozenset(G._closure_idx(sorted(comm_gens)))
+    if len(k_set) == n:
+        return ()
+    for h in k_set:
+        for a in range(n):
+            if table[table[a][h]][inv[a]] not in k_set:
+                raise InvariantViolation("quotient by a non-normal subgroup")
+    return groups._abelian_invariants_from_table(groups._quotient(table, k_set)[1])
+
+
+def _reference_compute_inverses(table):
+    """``FiniteGroup._compute_inverses`` as it was when it scanned each row
+    entry by entry, kept verbatim (on a bare table) as the oracle."""
+    n = len(table)
+    inv = [-1] * n
+    for i in range(n):
+        row = table[i]
+        for j in range(n):
+            if row[j] == 0:
+                if table[j][i] != 0:
+                    raise GroupConstructionError(
+                        f"element {i} has a right inverse that is not a left inverse"
+                    )
+                inv[i] = j
+                break
+        if inv[i] < 0:
+            raise GroupConstructionError(f"element {i} has no inverse")
+    return inv
+
+
+def _assert_kernels_match_reference(G: FiniteGroup):
+    assert G._class_index() == _reference_class_index(G), G.name
+    assert abelianization(G) == _reference_abelianization(G), G.name
+    assert G._inv == _reference_compute_inverses(G._table), G.name
+
+
+def _inverse_outcome(compute):
+    try:
+        return "ok", compute()
+    except GroupConstructionError as exc:
+        return "error", str(exc)
+
+
+def _assert_inverses_match_reference(table):
+    names = [f"e{i}" for i in range(len(table))]
+    got = _inverse_outcome(lambda: FiniteGroup(table, names, [], verify=False)._inv)
+    assert got == _inverse_outcome(lambda: _reference_compute_inverses(table)), table
+
+
+class TestKernelsMatchReference:
+    @pytest.mark.parametrize("n", range(1, 97))
+    def test_catalog(self, n):
+        for G in small_groups(n):
+            _assert_kernels_match_reference(G)
+
+    @pytest.mark.parametrize("g", range(2, 31))
+    def test_paper_groups(self, g):
+        for G in (family_group(g), chain_target_group(g), cone_target_group(g)):
+            _assert_kernels_match_reference(G)
+
+    @settings(PROPERTY_SETTINGS, max_examples=60)
+    @given(st.data())
+    def test_relabelled_tables(self, data):
+        G = data.draw(
+            st.sampled_from([G for n in (6, 8, 12, 16, 18, 24, 32) for G in small_groups(n)])
+        )
+        n = G.order
+        sigma = [0] + data.draw(st.permutations(range(1, n)))
+        generators = None
+        if data.draw(st.booleans()):
+            # G's generators under the relabelling, padded with arbitrary
+            # elements: a redundant generating set, identity allowed
+            extra = data.draw(st.lists(st.integers(0, n - 1), max_size=3))
+            generators = [sigma[g] for g in G._gen_idx] + extra
+        _assert_kernels_match_reference(from_table(_relabelled_text(G, sigma, generators)))
+
+    def test_tables_without_two_sided_inverses(self):
+        cases = [
+            [[0, 1], [1, 1]],  # element 1 has no inverse
+            [[0, 1, 2], [1, 2, 0], [2, 2, 1]],  # 1*2 = 0 but 2*1 != 0
+            [[0, 1, 2], [1, 1, 1], [2, 0, 1]],  # 1 has none, 2 a one-sided one
+            [[0, 1, 2], [1, 2, 0], [2, 2, 2]],  # 1 one-sided, 2 has none
+            [[0, 1, 2], [1, 0, 0], [2, 1, 0]],  # two zeros in a row: first wins
+        ]
+        for table in cases:
+            _assert_inverses_match_reference(table)
+
+    @settings(PROPERTY_SETTINGS, max_examples=200)
+    @given(st.data())
+    def test_random_tables(self, data):
+        n = data.draw(st.integers(1, 5))
+        rows = [list(range(n))] + [
+            data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+            for _ in range(n - 1)
+        ]
+        _assert_inverses_match_reference(rows)
+
+
+# ---------------------------------------------------------------------------
 # Catalog.
 
 # Standard census: number of isomorphism types for each order at which the
@@ -1224,7 +1391,66 @@ CENSUS = {
 }
 
 
+# The catalog's structure at these orders, as a sha256 of the JSON list of
+# every group's [name, element names, generators, table] (see
+# test_structure_digest); it changes only when a construction changes.
+STRUCTURE_ORDERS = (8, 12, 16, 24, 32, 36, 40, 48, 56, 60, 64, 72, 80, 84, 96)
+STRUCTURE_DIGEST = "3926886c27907e0ef71ef338ca453ba0eb6d7cbe9964e87c637b7696dc12fb7d"
+
+
+def _prime_exponents(n: int) -> list:
+    exponents = []
+    p = 2
+    while n > 1:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            exponents.append(e)
+        p += 1
+    return exponents
+
+
+@cache
+def _partition_count(k: int, largest: int = None) -> int:
+    """Number of partitions of k into parts of size at most ``largest``."""
+    largest = k if largest is None else largest
+    if k == 0:
+        return 1
+    return sum(_partition_count(k - part, part) for part in range(1, min(k, largest) + 1))
+
+
 class TestSmallGroups:
+    def test_abelian_groups_complete(self):
+        # the catalog skips abelian x abelian products because this list
+        # already holds every abelian group: one per choice of a partition
+        # of each prime exponent of n
+        for n in range(1, 129):
+            found = groups._abelian_groups(n)
+            expected = 1
+            for e in _prime_exponents(n):
+                expected *= _partition_count(e)
+            assert len(found) == expected, n
+            assert all(G.order == n and G.is_abelian() for G in found), n
+            for i, G in enumerate(found):
+                for H in found[i + 1:]:
+                    assert not is_isomorphic(G, H), (G.name, H.name)
+
+    def test_no_abelian_products_among_candidates(self):
+        candidates = list(groups._catalog_candidates(96))
+        assert len(candidates) == 136
+        abelian = [G.name for G in candidates if G.is_abelian()]
+        assert abelian == [G.name for G in groups._abelian_groups(96)]
+
+    def test_structure_digest(self):
+        items = [
+            [G.name, G._names, list(G._gen_idx), [list(row) for row in G._table]]
+            for n in STRUCTURE_ORDERS
+            for G in small_groups(n)
+        ]
+        assert hashlib.sha256(json.dumps(items).encode()).hexdigest() == STRUCTURE_DIGEST
+
     def test_census_at_complete_orders(self):
         assert set(CENSUS) == set(COMPLETE_CATALOG_ORDERS)
         for n, expected in sorted(CENSUS.items()):
