@@ -24,6 +24,7 @@ from .groups import (
     COMPLETE_CATALOG_ORDERS,
     FiniteGroup,
     GroupElement,
+    _cayley_key,
     automorphism_search,
     cyclic,
     dihedral,
@@ -147,28 +148,6 @@ def braid_move(v: GeneratingVector, i: int) -> GeneratingVector:
     images = v.images[: i - 1] + (a * b * a.inverse(), a) + v.images[i + 1 :]
     periods = tuple(e.order() for e in images)
     return GeneratingVector(v.group, periods, images)
-
-
-def _cayley_key(table, t) -> tuple:
-    """The right Cayley graph of the group on t, relabelled in BFS order.
-
-    Walks from the identity (index 0) along right multiplication by t's
-    entries in order, labels each element by when it is first reached, and
-    lists the labels at the ends of every element's edges.  For generating
-    tuples, two keys are equal exactly when an isomorphism maps one tuple
-    onto the other entry by entry, also between different copies of a group.
-    """
-    label = {0: 0}
-    reached = [0]
-    key = []
-    for a in reached:
-        for s in t:
-            b = table[a][s]
-            if b not in label:
-                label[b] = len(reached)
-                reached.append(b)
-            key.append(label[b])
-    return tuple(key)
 
 
 def _orbit(G: FiniteGroup, start: tuple) -> dict:

@@ -13,14 +13,13 @@ of order 8g.  Two quotient shapes occur:
   orientation-preserving involution, with a single epimorphism class
   (label ``b``).
 
-``build_extensions`` does not take these counts on faith: it enumerates every
-assignment of canonical generators to group elements that satisfies the
-defining relations and certifies that each generating one is equivalent,
-through a character-preserving automorphism of the target (plus the
-chain-reversal relabelling for kind ``a``), to exactly one canonical
-epimorphism.  The certificate is an orbit count: a few automorphisms, each
-verified by one closure, carry the canonical tuples onto every admissible
-tuple, and the canonical tuples are checked pairwise inequivalent.
+``build_extensions`` does not take these counts on faith: it enumerates the
+assignments of canonical generators that satisfy the defining relations, up
+to conjugating the first image, and certifies that each generating one is
+equivalent, through a character-preserving automorphism of the target (plus
+the chain-reversal relabelling for kind ``a``), to exactly one canonical
+epimorphism.  A Cayley key (``groups._cayley_key``) names each class, and
+the canonical names are checked distinct and each reached.
 ``restrict_to_index2`` rebuilds the orientation-preserving action from each
 extension; callers check that it lands in the unique class of the parent
 family.
@@ -37,8 +36,8 @@ from .groups import (
     FiniteGroup,
     GroupElement,
     Subgroup,
+    _cayley_key,
     _small_generating_set,
-    close_generator_map,
     cyclic,
     dihedral_from_reflections,
     direct_product,
@@ -192,13 +191,19 @@ class ExtendedAction:
         return f"[{self.label}] {self.signature}: {pairs}"
 
 
+def _class_minima(G: FiniteGroup, members: set) -> list:
+    """The smallest element of each conjugacy class inside ``members``."""
+    return [cls[0].idx for cls in G.conjugacy_classes(lambda e: e.idx in members)]
+
+
 def _admissible_chain_tuples(G: FiniteGroup, g: int) -> list:
-    """All index tuples (r0..r3) satisfying the reflection-chain relations.
+    """Index tuples (r0..r3) satisfying the reflection-chain relations.
 
     Each entry must be an orientation-reversing involution, and consecutive
     products must have exact orders (2, 2, 2) with the closing product of
-    order exactly 2g.  Whether a tuple generates the whole group is settled
-    by :func:`_verify_unique_classes`.
+    order exactly 2g.  Conjugation preserves the relations and the
+    character, so r0 runs only over conjugacy class minima.  Generation is
+    settled by :func:`_verify_unique_classes`.
     """
     n = G.order
     kappa = G.orientation
@@ -207,7 +212,7 @@ def _admissible_chain_tuples(G: FiniteGroup, g: int) -> list:
     mirrors = [i for i in range(n) if order_of(i) == 2 and kappa[i] == -1]
     target = 2 * g
     found = []
-    for r0 in mirrors:
+    for r0 in _class_minima(G, set(mirrors)):
         row0 = table[r0]
         for r1 in mirrors:
             if order_of(row0[r1]) != 2:
@@ -226,13 +231,12 @@ def _admissible_chain_tuples(G: FiniteGroup, g: int) -> list:
 
 
 def _admissible_cone_tuples(G: FiniteGroup, g: int) -> list:
-    """All index tuples (a, c0, c1, c2) satisfying the one-cone-point relations.
+    """Index tuples (a, c0, c1, c2) satisfying the one-cone-point relations.
 
     a must be an orientation-preserving involution, c0 and c1 orientation
     reversing involutions, c2 is forced to be a*c0*a, and the product c0*c1
-    must have order exactly 2 and c1*c2 order exactly 2g.  Whether (a, c0,
-    c1) generates the whole group is settled by
-    :func:`_verify_unique_classes`.
+    must have order exactly 2 and c1*c2 order exactly 2g.  As for the chain,
+    a runs only over class minima, and generation is settled later.
     """
     n = G.order
     kappa = G.orientation
@@ -242,7 +246,7 @@ def _admissible_cone_tuples(G: FiniteGroup, g: int) -> list:
     mirrors = [i for i in range(n) if order_of(i) == 2 and kappa[i] == -1]
     target = 2 * g
     found = []
-    for a in rotations:
+    for a in _class_minima(G, set(rotations)):
         row_a = table[a]
         for c0 in mirrors:
             c2 = table[row_a[c0]][a]
@@ -255,105 +259,48 @@ def _admissible_cone_tuples(G: FiniteGroup, g: int) -> list:
     return found
 
 
-def _equivalence(G: FiniteGroup, s: tuple, t: tuple, allow_reversal: bool):
-    """An automorphism of G mapping tuple s onto t entrywise, or None.
-
-    The automorphism is returned as its image list.  When s generates G,
-    the candidate map s_i -> t_i either closes into a full automorphism or
-    is inconsistent; a single closure run decides it.  Such an automorphism
-    automatically preserves the orientation character because corresponding
-    entries carry equal character values.  For the reflection chain,
-    reversing the order of t is also a legitimate relabelling of the
-    canonical generators.
-    """
-    candidates = [t]
+def _class_name(table, t: tuple, allow_reversal: bool) -> tuple:
+    """The Cayley key of t, or with reversal the smaller of t's and t[::-1]'s."""
+    key = _cayley_key(table, t)
     if allow_reversal:
-        candidates.append(t[::-1])
-    for cand in candidates:
-        closed = close_generator_map(G, G, list(zip(s, cand)))
-        if closed is not None and closed[1] == G.order:
-            return closed[0]
-    return None
+        key = min(key, _cayley_key(table, t[::-1]))
+    return key
 
 
 def _verify_unique_classes(
     G: FiniteGroup, tuples: list, canon: list, allow_reversal: bool
 ) -> dict:
-    """Check every admissible tuple is equivalent to exactly one canonical tuple.
+    """Check every generating tuple has the class name of one canonical tuple.
 
-    ``tuples`` satisfy the defining relations; the admissible ones also
-    generate G.  Returns ``owner``, mapping each tuple reached to the index
-    of its canonical tuple in ``canon``.
-
-    Orbit certificate: a candidate not yet owned is matched against the
-    canonical tuples by :func:`_equivalence`; the automorphism found is
-    kept, and ``owner`` is spread along every automorphism kept so far.  A
-    generating candidate that no canonical tuple reaches raises; one that
-    does not generate is skipped.  Each owned tuple is phi(rep), possibly
-    reversed, for a product phi of verified automorphisms, so it matches
-    its owner, and the direct check between canonical tuples rules out a
-    second match.
+    Equal names (:func:`_class_name`) mean an automorphism of G maps one
+    tuple onto the other, or onto its reversal where allowed; it preserves
+    the orientation character, as equal positions carry equal signs.  A
+    name of length ``len(t) * |G|`` means t generates G; other tuples are
+    skipped.  Returns ``owner``: each generating tuple -> its canonical index.
     """
-    pool = set(tuples)
-    for rep in canon:
-        if rep not in pool:
-            raise InvariantViolation(
-                "a canonical epimorphism is missing from the admissible"
-                " assignments; the enumeration is broken"
-            )
-    for i, first in enumerate(canon):
-        for second in canon[i + 1 :]:
-            if _equivalence(G, first, second, allow_reversal) is not None:
-                raise InvariantViolation(
-                    "canonical epimorphisms are equivalent; the classification"
-                    " collapsed"
-                )
-
+    table = G._table
+    names = {_class_name(table, rep, allow_reversal): k for k, rep in enumerate(canon)}
+    if len(names) != len(canon):
+        raise InvariantViolation(
+            "canonical epimorphisms are equivalent; the classification collapsed"
+        )
     owner = {}
-    maps = []
-
-    def reach(t, k, frontier):
-        # Owned tuples come in reversal pairs for kind a, so a tuple not yet
-        # owned has an unowned reversal too.
-        known = owner.get(t)
-        if known is None:
-            owner[t] = k
-            if allow_reversal:
-                owner[t[::-1]] = k
-            frontier.append(t)
-        elif known != k:
+    for t in tuples:
+        name = _class_name(table, t, allow_reversal)
+        if len(name) != len(t) * G.order:
+            continue
+        k = names.get(name)
+        if k is None:
             raise InvariantViolation(
-                f"admissible assignment {t} matches 2 canonical"
+                f"admissible assignment {t} matches 0 canonical"
                 " epimorphisms; expected exactly one"
             )
-
-    for k, rep in enumerate(canon):
-        reach(rep, k, [])
-    for t in tuples:
-        if t in owner:
-            continue
-        for rep in canon:
-            phi = _equivalence(G, rep, t, allow_reversal)
-            if phi is not None:
-                break
-        else:
-            if len(G._closure_idx(t)) == G.order:
-                raise InvariantViolation(
-                    f"admissible assignment {t} matches 0 canonical"
-                    " epimorphisms; expected exactly one"
-                )
-            continue
-        maps.append(phi)
-        # The owned tuples are closed under the earlier maps, so they meet
-        # only the new one; each tuple this adds meets every map.
-        frontier = []
-        for u, k in list(owner.items()):
-            reach(tuple(map(phi.__getitem__, u)), k, frontier)
-        while frontier:
-            u = frontier.pop()
-            k = owner[u]
-            for psi in maps:
-                reach(tuple(map(psi.__getitem__, u)), k, frontier)
+        owner[t] = k
+    if len(set(owner.values())) != len(canon):
+        raise InvariantViolation(
+            "a canonical epimorphism is missing from the admissible"
+            " assignments; the enumeration is broken"
+        )
     return owner
 
 
@@ -395,13 +342,7 @@ def _build_cone_extensions(g: int) -> tuple:
     z = G.generator("z")
     w = G.generator("w")
     action = ExtendedAction(
-        g,
-        KIND_B,
-        "b",
-        mixed_signature(g),
-        G,
-        _SLOTS[KIND_B],
-        (x, x * w * x, z, w),
+        g, KIND_B, "b", mixed_signature(g), G, _SLOTS[KIND_B], (x, x * w * x, z, w)
     )
     canon = [tuple(e.idx for e in action.images)]
     _verify_unique_classes(G, _admissible_cone_tuples(G, g), canon, allow_reversal=False)
@@ -413,11 +354,11 @@ def build_extensions(g: int, kind: str) -> list:
 
     Kind ``a`` returns the two reflection-chain classes (labels a1, a2); kind
     ``b`` returns the single one-cone-point class.  The counts are certified
-    by an orbit certificate: verified automorphisms of the target carry the
-    canonical epimorphisms onto every generator assignment that satisfies
-    the defining relations and generates the group, and no two canonical
-    epimorphisms are equivalent.  A failure raises InvariantViolation rather
-    than returning a partial answer.
+    by Cayley keys (:func:`_verify_unique_classes`): every generating
+    assignment satisfying the defining relations names the class of one
+    canonical epimorphism, each of those classes is named, and no two
+    coincide.  A failure raises InvariantViolation rather than returning a
+    partial answer.
     """
     if not isinstance(g, int) or g < 2:
         raise ValueError(f"g must be an integer >= 2, got {g!r}")

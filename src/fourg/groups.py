@@ -34,6 +34,9 @@ its candidates one at a time and keeps the first of each isomorphism type;
 it builds no direct product of two abelian groups, since
 ``_abelian_groups`` already lists every abelian group of the order.
 
+A generating tuple's Cayley key (``_cayley_key``) names its automorphism
+class; action classes and the extension certificate both use it.
+
 ``recognize`` finds both dihedral shapes with one witness search
 (``_dihedral_pair``): a rotation of order n/2 and a reflection inverting it
 for the dihedral group of order n, and a rotation of order n/4 plus a
@@ -431,6 +434,28 @@ def _closure(table, gen_indices) -> set:
     """Indices of the subgroup of ``table`` generated by the given indices."""
     pairs = [(g, g) for g in set(gen_indices) if g]
     return set(_extend_hom(table, table, pairs)[1])
+
+
+def _cayley_key(table, t) -> tuple:
+    """The right Cayley graph of the group on t, relabelled in BFS order.
+
+    Walks from the identity (index 0) along right multiplication by t's
+    entries in order, labels each element by when it is first reached, and
+    lists the labels at the ends of every element's edges.  For generating
+    tuples, two keys are equal exactly when an isomorphism maps one tuple
+    onto the other entry by entry, also between different copies of a group.
+    """
+    label = {0: 0}
+    reached = [0]
+    key = []
+    for a in reached:
+        for s in t:
+            b = table[a][s]
+            if b not in label:
+                label[b] = len(reached)
+                reached.append(b)
+            key.append(label[b])
+    return tuple(key)
 
 
 def _small_generating_set(table, members) -> tuple:
@@ -1372,6 +1397,6 @@ def _require_automorphism(G: FiniteGroup, mapping):
     n = G.order
     if len(mapping) != n or sorted(mapping) != list(range(n)):
         raise GroupConstructionError("mapping is not a bijection on the group")
-    closed = _extend_hom(G._table, G._table, [(g, mapping[g]) for g in G._gen_idx])
+    closed = close_generator_map(G, G, [(g, mapping[g]) for g in G._gen_idx])
     if closed is None or closed[0] != list(mapping):
         raise GroupConstructionError("mapping is not multiplicative")

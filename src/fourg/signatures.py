@@ -146,15 +146,20 @@ class _Cursor:
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
             self.pos += 1
         if self.pos == start:
             raise SignatureSyntaxError("expected an integer", start)
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # more digits than int() converts
+            raise SignatureSyntaxError("integer too long", start) from None
 
-    def period(self):
+    def period(self, infinite: bool):
         self.skip_ws()
         if self.text.startswith("inf", self.pos):
+            if not infinite:
+                raise SignatureSyntaxError("a link period cannot be inf", self.pos)
             self.pos += 3
             return INF
         start = self.pos
@@ -162,6 +167,14 @@ class _Cursor:
         if value < 2:
             raise SignatureSyntaxError(f"period {value} is less than 2", start)
         return value
+
+    def periods(self, infinite: bool) -> tuple:
+        """One or more comma-separated periods; ``infinite`` allows inf."""
+        values = [self.period(infinite)]
+        while self.peek() == ",":
+            self.pos += 1
+            values.append(self.period(infinite))
+        return tuple(values)
 
 
 def parse_signature(text: str) -> Signature:
@@ -177,14 +190,11 @@ def parse_signature(text: str) -> Signature:
     cur.pos += 1
     cur.expect(";")
     cur.expect("[")
-    periods = []
+    periods = ()
     if cur.peek() == "-":
         cur.pos += 1
     else:
-        periods.append(cur.period())
-        while cur.peek() == ",":
-            cur.pos += 1
-            periods.append(cur.period())
+        periods = cur.periods(infinite=True)
     cur.expect("]")
     cur.expect(";")
     cur.expect("{")
@@ -194,14 +204,8 @@ def parse_signature(text: str) -> Signature:
     else:
         while True:
             cur.expect("(")
-            cycle = []
-            if cur.peek() != ")":
-                cycle.append(cur.period())
-                while cur.peek() == ",":
-                    cur.pos += 1
-                    cycle.append(cur.period())
+            cycles.append(cur.periods(infinite=False) if cur.peek() != ")" else ())
             cur.expect(")")
-            cycles.append(tuple(cycle))
             if cur.peek() != ",":
                 break
             cur.pos += 1
@@ -210,7 +214,7 @@ def parse_signature(text: str) -> Signature:
     cur.skip_ws()
     if cur.pos != len(cur.text):
         raise SignatureSyntaxError("trailing characters", cur.pos)
-    return Signature(genus, sign, tuple(periods), tuple(cycles))
+    return Signature(genus, sign, periods, tuple(cycles))
 
 
 def normalized_area(sig: Signature) -> Fraction:

@@ -1,11 +1,11 @@
-"""Every public name of the package is used by the package or its demos.
+"""Every definition of the package is used by the package or its demos.
 
 The scan walks the AST of each ``src/fourg/*.py`` module (``__init__.py``
-excluded: its re-exports are not uses) and collects the public module-level
-functions and classes and the public methods of public classes.  Each must
-appear as a name or an attribute somewhere in ``src/fourg`` or ``demos/``
-outside its own definition.  Tests do not count: a definition only tests
-call is dead code.
+excluded: its re-exports are not uses) and collects the module-level
+functions and classes, public and private, and the public methods of public
+classes.  Each must appear as a name or an attribute somewhere in
+``src/fourg`` or ``demos/`` outside its own definition; an import is not a
+use.  Tests do not count: a definition only tests call is dead code.
 
 The benchmark's tracer wraps functions it names by module; each of those
 must stay a module-level callable, or a traced run breaks.
@@ -38,21 +38,20 @@ def _referenced_names(node) -> Counter:
     return names
 
 
-def _public_definitions(tree):
-    """(qualified name, short name, node) for each public definition."""
+def _definitions(tree):
+    """(qualified name, short name, node) for each module-level function or
+    class, and each public method of a public class."""
     for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             continue
-        if node.name.startswith("_"):
-            continue
         yield node.name, node.name, node
-        if isinstance(node, ast.ClassDef):
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
             for member in node.body:
                 if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
                     yield f"{node.name}.{member.name}", member.name, member
 
 
-def _unused_public_names():
+def _unused_names():
     sources = sorted(PACKAGE.glob("*.py")) + sorted(DEMOS.glob("*.py"))
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
     everywhere = Counter()
@@ -62,7 +61,7 @@ def _unused_public_names():
     for path, tree in trees.items():
         if path.parent != PACKAGE or path.name == "__init__.py":
             continue
-        for qualified, short, node in _public_definitions(tree):
+        for qualified, short, node in _definitions(tree):
             own = _referenced_names(node)[short]
             if everywhere[short] - own <= 0:
                 unused.append(f"{path.stem}.{qualified}")
@@ -75,11 +74,20 @@ def test_scan_sees_every_module_and_demo():
     assert len(list(DEMOS.glob("*.py"))) >= 1
 
 
+def test_scan_sees_private_helpers():
+    scanned = set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scanned.update(f"{path.stem}.{qualified}" for qualified, _, _ in _definitions(tree))
+    assert {"groups._cayley_key", "extensions._verify_unique_classes"} <= scanned
+
+
 def test_every_public_name_is_used_outside_the_tests():
-    # an ALLOWED entry that has gained a caller is stale and fails too
-    unused = set(_unused_public_names())
+    # private helpers are held to the same rule; an ALLOWED entry that has
+    # gained a caller is stale and fails too
+    unused = set(_unused_names())
     assert unused == ALLOWED, (
-        "public definitions nothing in src/fourg or demos/ uses; delete them,"
+        "definitions nothing in src/fourg or demos/ uses; delete them,"
         f" or add them to ALLOWED and document them in README: {sorted(unused - ALLOWED)};"
         f" stale ALLOWED entries: {sorted(ALLOWED - unused)}"
     )

@@ -17,6 +17,7 @@ from fourg.extensions import (
     ExtendedAction,
     _admissible_chain_tuples,
     _admissible_cone_tuples,
+    _class_name,
     _verify_unique_classes,
     build_extensions,
     chain_target_group,
@@ -240,29 +241,40 @@ class TestRestriction:
         assert vector_in_class(main_action_class(4), r)
 
 
+def _indices(action):
+    return tuple(e.idx for e in action.images)
+
+
 class TestUniquenessSearch:
     def test_admissible_enumeration_contains_canonical_tuples(self):
-        first, second = build_extensions(3, "a")
-        tuples = set(_admissible_chain_tuples(first.group, 3))
-        for action in (first, second):
-            assert tuple(e.idx for e in action.images) in tuples
-        (cone,) = build_extensions(3, "b")
-        cone_tuples = set(_admissible_cone_tuples(cone.group, 3))
-        assert tuple(e.idx for e in cone.images) in cone_tuples
+        # the canonical tuples need not start at a class minimum, so the
+        # enumeration reaches each canonical class, not each canonical tuple
+        for g in (3, 4):
+            for kind, enumerate_tuples, rev in (
+                ("a", _admissible_chain_tuples, True),
+                ("b", _admissible_cone_tuples, False),
+            ):
+                actions = build_extensions(g, kind)
+                G = actions[0].group
+                reached = {_class_name(G._table, t, rev) for t in enumerate_tuples(G, g)}
+                for action in actions:
+                    assert _class_name(G._table, _indices(action), rev) in reached
 
     def test_equivalence_predicate(self):
-        from fourg.extensions import _equivalence
-
         first, second = build_extensions(2, "a")
         G = first.group
-        t1 = tuple(e.idx for e in first.images)
-        t2 = tuple(e.idx for e in second.images)
-        assert _equivalence(G, t1, t2, allow_reversal=True) is None
-        assert _equivalence(G, t1, t1[::-1], allow_reversal=True) is not None
+        table = G._table
+        t1, t2 = _indices(first), _indices(second)
+        assert _class_name(table, t1, True) != _class_name(table, t2, True)
+        assert _class_name(table, t1, True) == _class_name(table, t1[::-1], True)
+        assert _class_name(table, t1, False) != _class_name(table, t1[::-1], False)
+        assert not _reference_equivalent(G, t1, t1[::-1], allow_reversal=False)
         conj = G.generator("w")
         conjugated = tuple((conj * G.element(i) * conj.inverse()).idx for i in t1)
-        phi = _equivalence(G, t1, conjugated, allow_reversal=False)
-        assert [phi[i] for i in t1] == list(conjugated)
+        assert _class_name(table, t1, False) == _class_name(table, conjugated, False)
+        # a name of length len(t) * |G| marks a generating tuple
+        assert len(_class_name(table, t1, True)) == 4 * G.order
+        assert len(_class_name(table, (0, 0, 0, 0), True)) == 4
 
 
 def _reference_chain_tuples(G: FiniteGroup, g: int) -> list:
@@ -382,6 +394,8 @@ def _certificate_inputs(g, kind):
 
 
 class TestOrbitCertificate:
+    """The Cayley-key certificate of the Aut-orbits, against the reference."""
+
     # Tuples satisfying the relations, g = 2..24.  These are also the
     # admissible (generating) counts the pairwise sweep found: at these
     # genera every tuple that satisfies the relations generates.
@@ -397,40 +411,20 @@ class TestOrbitCertificate:
     @pytest.mark.parametrize("kind", ["a", "b"])
     @pytest.mark.parametrize("g", range(2, 9))
     def test_matches_reference_sweep(self, g, kind):
+        # the key classes agree with the reference closures on every full
+        # reference tuple, not only on the class-minimum ones enumerated
         G, candidates, reference, canon, rev = _certificate_inputs(g, kind)
         _reference_verify_unique_classes(G, reference, canon, rev)
-        owner = _verify_unique_classes(G, candidates, canon, rev)
-        assert [t for t in candidates if t in owner] == reference
+        owner = _verify_unique_classes(G, reference, canon, rev)
+        assert list(owner) == reference
         for t in reference:
             (index,) = [
                 k for k, rep in enumerate(canon)
                 if _reference_equivalent(G, rep, t, rev)
             ]
             assert owner[t] == index, t
-
-    def test_closures_do_not_scale_with_tuples(self, monkeypatch):
-        # 6,722 closures certified kind a at g = 14 alone with the pairwise
-        # sweep; the orbit certificate needs at most 16 per genus and kind,
-        # 210 over g = 2..14 (the atlas sweep), when every tuple an
-        # automorphism reaches is spread along all the automorphisms found
-        import fourg.extensions as extensions
-
-        calls = []
-
-        def counted(G, H, pairs):
-            calls.append(pairs)
-            return close_generator_map(G, H, pairs)
-
-        monkeypatch.setattr(extensions, "close_generator_map", counted)
-        per_genus = []
-        for g in range(2, 15):
-            for kind in ("a", "b"):
-                G, candidates, _, canon, rev = _certificate_inputs(g, kind)
-                calls.clear()
-                _verify_unique_classes(G, candidates, canon, rev)
-                per_genus.append(len(calls))
-        assert max(per_genus) <= 16
-        assert sum(per_genus) == 210
+        assert set(candidates) <= set(reference)
+        _verify_unique_classes(G, candidates, canon, rev)
 
     def test_dropped_canonical_class_raises(self):
         G, candidates, reference, canon, rev = _certificate_inputs(4, "a")
@@ -439,47 +433,47 @@ class TestOrbitCertificate:
         with pytest.raises(InvariantViolation, match="matches 0 canonical"):
             _reference_verify_unique_classes(G, reference, canon[:1], rev)
 
+    @pytest.mark.parametrize("kind", ["a", "b"])
+    def test_class_missing_from_enumeration_raises(self, kind):
+        G, candidates, _, canon, rev = _certificate_inputs(4, kind)
+        owner = _verify_unique_classes(G, candidates, canon, rev)
+        without_last = [t for t in candidates if owner[t] != len(canon) - 1]
+        with pytest.raises(InvariantViolation, match="missing .* the enumeration is broken"):
+            _verify_unique_classes(G, without_last, canon, rev)
+
     def test_conjugate_canonical_tuple_collapses(self):
-        G, candidates, _, canon, rev = _certificate_inputs(4, "a")
+        G, _, reference, canon, rev = _certificate_inputs(4, "a")
         w = G.generator("w")
         conjugate = tuple((w * G.element(i) * w.inverse()).idx for i in canon[0])
-        assert conjugate in candidates
+        assert conjugate in reference
         with pytest.raises(InvariantViolation, match="collapsed"):
-            _verify_unique_classes(G, candidates, [canon[0], conjugate], rev)
-
-    def test_orbit_reaching_two_canonical_tuples_raises(self, monkeypatch):
-        # without the direct check, the orbit spread itself must notice
-        import fourg.extensions as extensions
-
-        G, candidates, _, canon, rev = _certificate_inputs(4, "a")
-        w = G.generator("w")
-        conjugate = tuple((w * G.element(i) * w.inverse()).idx for i in canon[0])
-        canon = canon + [conjugate]
-        equivalence = extensions._equivalence
-
-        def blind_between_canonical(G, s, t, allow_reversal):
-            return None if t in canon else equivalence(G, s, t, allow_reversal)
-
-        monkeypatch.setattr(extensions, "_equivalence", blind_between_canonical)
-        with pytest.raises(InvariantViolation, match="matches 2 canonical"):
-            _verify_unique_classes(G, candidates, canon, rev)
+            _verify_unique_classes(G, reference, [canon[0], conjugate], rev)
 
     @pytest.mark.parametrize("kind", ["a", "b"])
     def test_non_generating_candidate_is_skipped(self, kind):
         G, candidates, reference, canon, rev = _certificate_inputs(3, kind)
         owner = _verify_unique_classes(G, candidates + [(0, 0, 0, 0)], canon, rev)
         assert (0, 0, 0, 0) not in owner
-        assert sorted(t for t in owner if t in set(candidates)) == sorted(reference)
+        assert list(owner) == candidates
+        assert set(candidates) <= set(reference)
 
     def test_relation_counts_pinned(self):
-        got_a = [
-            len(_admissible_chain_tuples(chain_target_group(g), g)) for g in range(2, 25)
-        ]
-        got_b = [
-            len(_admissible_cone_tuples(cone_target_group(g), g)) for g in range(2, 25)
-        ]
-        assert got_a == self.CHAIN_COUNTS
-        assert got_b == self.CONE_COUNTS
+        # the reference enumerators list every tuple; the reduced ones list
+        # one per conjugacy class of the first entry, so weighting each by
+        # that class's size recovers the full count
+        for counts, target, reference, reduced in (
+            (self.CHAIN_COUNTS, chain_target_group, _reference_chain_tuples,
+             _admissible_chain_tuples),
+            (self.CONE_COUNTS, cone_target_group, _reference_cone_tuples,
+             _admissible_cone_tuples),
+        ):
+            full, weighted = [], []
+            for g in range(2, 25):
+                G = target(g)
+                full.append(len(reference(G, g)))
+                weighted.append(sum(G.class_size(t[0]) for t in reduced(G, g)))
+            assert full == counts
+            assert weighted == counts
 
 
 class TestOrientationPreservingSubgroup:

@@ -82,6 +82,10 @@ def test_parse_inf_period():
         "(0;+;[2];{-})x",       # trailing junk
         "(-1;+;[-];{-})",       # negative genus
         "(0;+;[];{-})",         # empty brackets need the dash
+        "(0;+;[-];{(inf)})",    # a link period is never parabolic
+        "(0;+;[2];{(2,inf)})",
+        "(\u00b2;+;[-];{-})",   # isdigit() but not a decimal digit
+        pytest.param("(0;+;[" + "9" * 5000 + "];{-})", id="beyond-int-digit-limit"),
     ],
 )
 def test_parse_errors(text):
