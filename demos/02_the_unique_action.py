@@ -8,7 +8,7 @@ all of its smooth actions are topologically the same.
 """
 
 # family_group(g) is the dihedral group of order 4g with generators D, A
-from fourg import braid_move, canonical_vector, classify, family_group, vector_in_class
+from fourg import braid_move, canonical_vector, classify, family_group
 
 g = 3
 G = family_group(g)
@@ -31,7 +31,7 @@ print("orbit size:", classes[0].size)
 # i-th and (i+1)-st images, conjugating one by the other.
 moved = braid_move(v, 1)
 print("after one braid move:", moved)
-print("still in the class:", vector_in_class(classes[0], moved))
+print("still in the class:", classes[0].contains(moved))
 
 # The same uniqueness holds for every genus in 2..10 (and beyond); the
 # acceptance tests sweep the range.

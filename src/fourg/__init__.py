@@ -48,7 +48,6 @@ from .groups import (
     dihedral,
     dihedral_from_reflections,
     direct_product,
-    extension_group_b,
     from_permutations,
     from_table,
     is_isomorphic,
@@ -73,7 +72,6 @@ from .actions import (
     kernel_genus,
     main_action_class,
     smooth_vectors,
-    vector_in_class,
 )
 from .extensions import (
     KIND_A,

@@ -193,7 +193,14 @@ class ActionClass:
         return len(self.group.automorphisms()) * len(self.keys)
 
     def contains(self, v: GeneratingVector) -> bool:
-        return vector_in_class(self, v)
+        """Class membership, by the Cayley key of v's Aut-class.
+
+        The key does not depend on how the group is labelled, so v may live
+        in any isomorphic copy of the class's group.  It fixes the group
+        order and the periods too, so a vector differing in either finds no
+        key.
+        """
+        return _cayley_key(v.group._table, v.indices) in self.keys
 
 
 def classify(G: FiniteGroup, periods):
@@ -233,16 +240,6 @@ def classify(G: FiniteGroup, periods):
         rep = GeneratingVector.from_indices(G, seed)
         classes.append(ActionClass(G, base, rep, frozenset(members)))
     return classes
-
-
-def vector_in_class(cls: ActionClass, v: GeneratingVector) -> bool:
-    """Class membership, by the Cayley key of v's Aut-class.
-
-    The key does not depend on how the group is labelled, so v may live in
-    any isomorphic copy of the class's group.  It fixes the group order and
-    the periods too, so a vector differing in either finds no key.
-    """
-    return _cayley_key(v.group._table, v.indices) in cls.keys
 
 
 def kernel_genus(group_order: int, s: Signature) -> int:

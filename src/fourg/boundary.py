@@ -114,10 +114,6 @@ class NodalGraph:
         object.__setattr__(self, "edges", tuple(sorted(edges)))
 
     @property
-    def vertex_count(self) -> int:
-        return len(self.vertex_genera)
-
-    @property
     def edge_count(self) -> int:
         return len(self.edges)
 
@@ -125,12 +121,6 @@ class NodalGraph:
     def total_genus(self) -> int:
         """Arithmetic genus: sum of (vertex genus - 1), plus edges, plus 1."""
         return sum(w - 1 for w in self.vertex_genera) + len(self.edges) + 1
-
-    def degree(self, vertex: int) -> int:
-        """Number of edge ends at a vertex; a loop contributes two."""
-        if not 0 <= vertex < len(self.vertex_genera):
-            raise ValueError(f"no vertex {vertex} in this graph")
-        return sum((i == vertex) + (j == vertex) for i, j in self.edges)
 
     def to_json_dict(self) -> dict:
         return {
@@ -344,40 +334,27 @@ class WimanCurve:
 
     This endpoint is carried symbolically -- defining equation, automorphism
     count (48 in genus 2, where extra symmetries appear), and the signature
-    of the quotient by the full symmetry group -- rather than as a computed
-    action.
+    of the quotient by the full symmetry group, all read off the genus --
+    rather than as a computed action.
     """
 
     genus: int
-    equation: str
-    automorphism_count: int
-    quotient_signature: Signature
 
     def __post_init__(self):
         if self.genus < 2:
             raise ValueError("the family starts at genus 2")
-        expected = 48 if self.genus == 2 else 8 * self.genus
-        if self.automorphism_count != expected:
-            raise InvariantViolation(
-                f"the genus-{self.genus} curve has {expected} automorphisms,"
-                f" got {self.automorphism_count}"
-            )
-        if self.quotient_signature != wiman_quotient_signature(self.genus):
-            raise InvariantViolation(
-                f"quotient signature {self.quotient_signature} does not match"
-                f" the genus-{self.genus} high-symmetry quotient"
-            )
 
-    @classmethod
-    def for_genus(cls, g: int) -> "WimanCurve":
-        if g < 2:
-            raise ValueError("the family starts at genus 2")
-        return cls(
-            genus=g,
-            equation=f"w^2 = z(z^{2 * g} - 1)",
-            automorphism_count=48 if g == 2 else 8 * g,
-            quotient_signature=wiman_quotient_signature(g),
-        )
+    @property
+    def equation(self) -> str:
+        return f"w^2 = z(z^{2 * self.genus} - 1)"
+
+    @property
+    def automorphism_count(self) -> int:
+        return 48 if self.genus == 2 else 8 * self.genus
+
+    @property
+    def quotient_signature(self) -> Signature:
+        return wiman_quotient_signature(self.genus)
 
     def to_json_dict(self) -> dict:
         return {
@@ -423,7 +400,6 @@ class BoundaryDescription:
     arcs: tuple
     dipole_graph: NodalGraph
     rose_graph: NodalGraph
-    wiman_curve: WimanCurve
 
     def __post_init__(self):
         arcs = tuple(self.arcs)
@@ -450,18 +426,11 @@ class BoundaryDescription:
                     f"graph {graph} has total genus {graph.total_genus},"
                     f" expected {self.genus}"
                 )
-        if self.wiman_curve.genus != self.genus:
-            raise InvariantViolation(
-                f"high-symmetry endpoint has genus {self.wiman_curve.genus},"
-                f" expected {self.genus}"
-            )
         object.__setattr__(self, "arcs", arcs)
 
-    def arc(self, label: str) -> BoundaryArc:
-        for arc in self.arcs:
-            if arc.label == label:
-                return arc
-        raise KeyError(f"no arc labelled {label!r}")
+    @property
+    def wiman_curve(self) -> WimanCurve:
+        return WimanCurve(self.genus)
 
     def to_json_dict(self) -> dict:
         return {
@@ -502,5 +471,4 @@ def boundary_description(g: int) -> BoundaryDescription:
         arcs=arcs,
         dipole_graph=dipole,
         rose_graph=rose,
-        wiman_curve=WimanCurve.for_genus(g),
     )

@@ -106,10 +106,11 @@ def _build_parser() -> _Parser:
             "--markdown", dest="format", action="store_const", const="markdown",
             help="emit Markdown (default)",
         )
-        p.add_argument(
-            "--tables", default=None, metavar="DIR",
-            help="directory of group table / permutation files",
-        )
+        if with_genus:  # report and exceptional; atlas has no table input
+            p.add_argument(
+                "--tables", default=None, metavar="DIR",
+                help="directory of group table / permutation files",
+            )
         p.add_argument(
             "--check", action="store_const", const=True, default=None,
             help="also run the invariant suites",
@@ -188,7 +189,7 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
                 f"config format must be json or markdown, got {config['format']!r}"
             )
         args.format = config["format"]
-    if args.tables is None and "tables" in config:
+    if getattr(args, "tables", None) is None and "tables" in config:
         args.tables = config["tables"]
     if args.max_order is None and "max_order" in config:
         args.max_order = _config_int(config, "max_order")

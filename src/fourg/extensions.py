@@ -18,8 +18,9 @@ assignments of canonical generators that satisfy the defining relations, up
 to conjugating the first image, and certifies that each generating one is
 equivalent, through a character-preserving automorphism of the target (plus
 the chain-reversal relabelling for kind ``a``), to exactly one canonical
-epimorphism.  A Cayley key (``groups._cayley_key``) names each class, and
-the canonical names are checked distinct and each reached.
+epimorphism.  Each tuple gets one Cayley key (``groups._cayley_key``); each
+canonical epimorphism owns its key and, for kind ``a``, its reversal's key.
+No key may be owned twice, and every canonical epimorphism must be reached.
 ``restrict_to_index2`` rebuilds the orientation-preserving action from each
 extension; callers check that it lands in the unique class of the parent
 family.
@@ -41,7 +42,7 @@ from .groups import (
     cyclic,
     dihedral_from_reflections,
     direct_product,
-    extension_group_b,
+    semidirect_with_automorphism,
 )
 from .signatures import Signature, chain_signature, mixed_signature
 
@@ -74,10 +75,31 @@ def chain_target_group(g: int) -> FiniteGroup:
 
 @lru_cache(maxsize=None)
 def cone_target_group(g: int) -> FiniteGroup:
-    """Order-8g target for kind b (cached view of :func:`extension_group_b`)."""
+    """Order-8g target for kind b: the reflection dihedral extended by x.
+
+    Presentation <x, z, w : x^2 = z^2 = w^2 = (zw)^(2g) = 1,
+    x z x = (zw)^(g-1) z, x w x = (zw)^g z>: the dihedral group on the
+    reflections z, w extended by the involution x.  Orientation character:
+    z and w reverse, x preserves.
+    """
     if g < 2:
         raise ValueError(f"g must be at least 2, got {g}")
-    return extension_group_b(g)
+    base = dihedral_from_reflections(4 * g, names=("z", "w"))
+    n = 2 * g
+
+    def pack(i, d):
+        return i + n * d
+
+    # conjugation by x sends t -> t^-1 and t^i w -> t^(g+1-i) w  (t = zw)
+    mapping = [0] * (4 * g)
+    for i in range(n):
+        mapping[pack(i, 0)] = pack((-i) % n, 0)
+        mapping[pack(i, 1)] = pack((g + 1 - i) % n, 1)
+    group = semidirect_with_automorphism(
+        base, mapping, top_order=2, top_name="x", name=f"Gb({g})"
+    )
+    group.attach_orientation({"z": -1, "w": -1, "x": 1})
+    return group
 
 
 @dataclass(frozen=True)
@@ -86,18 +108,17 @@ class ExtendedAction:
 
     ``images`` holds the images of the canonical generators listed in
     ``generator_names`` (reflections c0..c3 for kind a; the elliptic
-    involution a followed by reflections c0..c2 for kind b).  Construction
-    checks every defining relation, the orientation character on each image,
-    the exact torsion orders (which make the kernel torsion-free), generation,
-    and that the kernel has genus g.
+    involution a followed by reflections c0..c2 for kind b).  The kind fixes
+    both those names and the ``signature``.  Construction checks every
+    defining relation, the orientation character on each image, the exact
+    torsion orders (which make the kernel torsion-free), generation, and
+    that the kernel has genus g.
     """
 
     g: int
     kind: str
     label: str
-    signature: Signature
     group: FiniteGroup
-    generator_names: tuple
     images: tuple
 
     def __post_init__(self):
@@ -105,11 +126,6 @@ class ExtendedAction:
         group = self.group
         if self.kind not in _SLOTS:
             raise InvariantViolation(f"unknown extension kind {self.kind!r}")
-        if self.generator_names != _SLOTS[self.kind]:
-            raise InvariantViolation(
-                f"kind {self.kind} stores images for {_SLOTS[self.kind]}, "
-                f"got {self.generator_names}"
-            )
         if len(self.images) != len(self.generator_names):
             raise InvariantViolation("one image per canonical generator is required")
         for e in self.images:
@@ -118,11 +134,6 @@ class ExtendedAction:
         if group.order != 8 * g:
             raise InvariantViolation(
                 f"target group has order {group.order}, expected {8 * g}"
-            )
-        expected_sig = chain_signature(g) if self.kind == KIND_A else mixed_signature(g)
-        if self.signature != expected_sig:
-            raise InvariantViolation(
-                f"kind {self.kind} lives on {expected_sig}, got {self.signature}"
             )
         if self.kind == KIND_A:
             reflections = self.images
@@ -161,6 +172,16 @@ class ExtendedAction:
             raise InvariantViolation("images do not generate the full target group")
         if kernel_genus(group.order, self.signature) != g:
             raise InvariantViolation("kernel genus does not match g")
+
+    @property
+    def signature(self) -> Signature:
+        """The reflection signature of the kind: chain for a, mixed for b."""
+        return chain_signature(self.g) if self.kind == KIND_A else mixed_signature(self.g)
+
+    @property
+    def generator_names(self) -> tuple:
+        """The canonical generators whose images are stored, in order."""
+        return _SLOTS[self.kind]
 
     def image(self, name: str) -> GroupElement:
         """Image of the named canonical generator."""
@@ -259,37 +280,34 @@ def _admissible_cone_tuples(G: FiniteGroup, g: int) -> list:
     return found
 
 
-def _class_name(table, t: tuple, allow_reversal: bool) -> tuple:
-    """The Cayley key of t, or with reversal the smaller of t's and t[::-1]'s."""
-    key = _cayley_key(table, t)
-    if allow_reversal:
-        key = min(key, _cayley_key(table, t[::-1]))
-    return key
-
-
 def _verify_unique_classes(
     G: FiniteGroup, tuples: list, canon: list, allow_reversal: bool
 ) -> dict:
-    """Check every generating tuple has the class name of one canonical tuple.
+    """Check every generating tuple has the Cayley key of one canonical class.
 
-    Equal names (:func:`_class_name`) mean an automorphism of G maps one
-    tuple onto the other, or onto its reversal where allowed; it preserves
-    the orientation character, as equal positions carry equal signs.  A
-    name of length ``len(t) * |G|`` means t generates G; other tuples are
-    skipped.  Returns ``owner``: each generating tuple -> its canonical index.
+    Equal keys mean an automorphism of G maps one tuple onto the other entry
+    by entry; it preserves the orientation character, as equal positions
+    carry equal signs.  Such a map also sends t[::-1] onto the other tuple's
+    reversal, so where reversal is allowed each canonical class owns two
+    keys, its tuple's and its reversal's, and every tuple needs only its own
+    key.  A key of length ``len(t) * |G|`` means t generates G; other tuples
+    are skipped.  Returns ``owner``: each generating tuple -> its canonical
+    index.
     """
     table = G._table
-    names = {_class_name(table, rep, allow_reversal): k for k, rep in enumerate(canon)}
-    if len(names) != len(canon):
-        raise InvariantViolation(
-            "canonical epimorphisms are equivalent; the classification collapsed"
-        )
+    names = {}
+    for k, rep in enumerate(canon):
+        for t in (rep, rep[::-1]) if allow_reversal else (rep,):
+            if names.setdefault(_cayley_key(table, t), k) != k:
+                raise InvariantViolation(
+                    "canonical epimorphisms are equivalent; the classification collapsed"
+                )
     owner = {}
     for t in tuples:
-        name = _class_name(table, t, allow_reversal)
-        if len(name) != len(t) * G.order:
+        key = _cayley_key(table, t)
+        if len(key) != len(t) * G.order:
             continue
-        k = names.get(name)
+        k = names.get(key)
         if k is None:
             raise InvariantViolation(
                 f"admissible assignment {t} matches 0 canonical"
@@ -319,11 +337,9 @@ def _build_chain_extensions(g: int) -> tuple:
     rotation = w * x
     first = (x, y, (rotation ** g) * w, w)
     second = (x, y, y * (rotation ** g), w)
-    sig = chain_signature(g)
-    names = _SLOTS[KIND_A]
     actions = (
-        ExtendedAction(g, KIND_A, "a1", sig, G, names, first),
-        ExtendedAction(g, KIND_A, "a2", sig, G, names, second),
+        ExtendedAction(g, KIND_A, "a1", G, first),
+        ExtendedAction(g, KIND_A, "a2", G, second),
     )
     canon = [tuple(e.idx for e in a.images) for a in actions]
     _verify_unique_classes(G, _admissible_chain_tuples(G, g), canon, allow_reversal=True)
@@ -341,9 +357,7 @@ def _build_cone_extensions(g: int) -> tuple:
     x = G.generator("x")
     z = G.generator("z")
     w = G.generator("w")
-    action = ExtendedAction(
-        g, KIND_B, "b", mixed_signature(g), G, _SLOTS[KIND_B], (x, x * w * x, z, w)
-    )
+    action = ExtendedAction(g, KIND_B, "b", G, (x, x * w * x, z, w))
     canon = [tuple(e.idx for e in action.images)]
     _verify_unique_classes(G, _admissible_cone_tuples(G, g), canon, allow_reversal=False)
     return (action,)
@@ -355,9 +369,9 @@ def build_extensions(g: int, kind: str) -> list:
     Kind ``a`` returns the two reflection-chain classes (labels a1, a2); kind
     ``b`` returns the single one-cone-point class.  The counts are certified
     by Cayley keys (:func:`_verify_unique_classes`): every generating
-    assignment satisfying the defining relations names the class of one
-    canonical epimorphism, each of those classes is named, and no two
-    coincide.  A failure raises InvariantViolation rather than returning a
+    assignment satisfying the defining relations has a key owned by one
+    canonical epimorphism, each of those is reached, and no key is owned by
+    two of them.  A failure raises InvariantViolation rather than returning a
     partial answer.
     """
     if not isinstance(g, int) or g < 2:

@@ -169,9 +169,6 @@ class FiniteGroup:
     def element(self, idx: int) -> GroupElement:
         return self._elements[idx]
 
-    def elements(self):
-        return iter(self._elements)
-
     def generator(self, name: str) -> GroupElement:
         """Look up an element by its display name."""
         try:
@@ -748,34 +745,6 @@ def semidirect_with_automorphism(
     return FiniteGroup(
         table, names, gens, name=name or f"{G.name}:C{top_order}", verify=False
     )
-
-
-def extension_group_b(g: int) -> FiniteGroup:
-    """The order-8g extended group for the one-cone-point reflection signature.
-
-    Presentation <x, z, w : x^2 = z^2 = w^2 = (zw)^(2g) = 1,
-    x z x = (zw)^(g-1) z, x w x = (zw)^g z>: the dihedral group on the
-    reflections z, w extended by the involution x.  Orientation character:
-    z and w reverse, x preserves.
-    """
-    if g < 2:
-        raise GroupConstructionError("g must be at least 2")
-    base = dihedral_from_reflections(4 * g, names=("z", "w"))
-    n = 2 * g
-
-    def pack(i, d):
-        return i + n * d
-
-    # conjugation by x sends t -> t^-1 and t^i w -> t^(g+1-i) w  (t = zw)
-    mapping = [0] * (4 * g)
-    for i in range(n):
-        mapping[pack(i, 0)] = pack((-i) % n, 0)
-        mapping[pack(i, 1)] = pack((g + 1 - i) % n, 1)
-    group = semidirect_with_automorphism(
-        base, mapping, top_order=2, top_name="x", name=f"Gb({g})"
-    )
-    group.attach_orientation({"z": -1, "w": -1, "x": 1})
-    return group
 
 
 _PERM_LINE = re.compile(r"^\s*perm\s*(.*)$")

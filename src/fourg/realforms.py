@@ -165,13 +165,6 @@ def _reflection_positions(e: ExtendedAction) -> tuple:
     return (0, 1, 2, 3) if e.kind == KIND_A else (0, 1)
 
 
-def _is_canonical(e: ExtendedAction) -> bool:
-    return any(
-        built.label == e.label and built.images == e.images
-        for built in build_extensions(e.g, e.kind)
-    )
-
-
 def _check_stated_subgroups(e: ExtendedAction, members_by_position: dict):
     """Guard: the rule must reproduce the eight stated image subgroups.
 
@@ -231,7 +224,7 @@ def _reflection_records(e: ExtendedAction) -> tuple:
             )
         members_by_position[position] = image_sub.element_indices
         records.append((position, r, centralizer.order // image_sub.order))
-    if e.kind == KIND_A and _is_canonical(e):
+    if e.kind == KIND_A and e in build_extensions(e.g, e.kind):
         _check_stated_subgroups(e, members_by_position)
     return tuple(records)
 

@@ -3,9 +3,11 @@
 The scan walks the AST of each ``src/fourg/*.py`` module (``__init__.py``
 excluded: its re-exports are not uses) and collects the module-level
 functions and classes, public and private, and the public methods of public
-classes.  Each must appear as a name or an attribute somewhere in
-``src/fourg`` or ``demos/`` outside its own definition; an import is not a
-use.  Tests do not count: a definition only tests call is dead code.
+classes.  Each must appear somewhere in ``src/fourg`` or ``demos/`` outside
+its own definition: a module-level definition as a name or an attribute, a
+method as an attribute only, since a bare name of the same spelling is a
+local variable or a function.  An import is not a use.  Tests do not
+count: a definition only tests call is dead code.
 
 The benchmark's tracer wraps functions it names by module; each of those
 must stay a module-level callable, or a traced run breaks.
@@ -28,10 +30,10 @@ TRACE_CHILD = PACKAGE.parents[1] / "perfbench" / "trace_child.py"
 ALLOWED = frozenset()
 
 
-def _referenced_names(node) -> Counter:
+def _referenced_names(node, attributes_only=False) -> Counter:
     names = Counter()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
+        if isinstance(sub, ast.Name) and not attributes_only:
             names[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
             names[sub.attr] += 1
@@ -51,19 +53,32 @@ def _definitions(tree):
                     yield f"{node.name}.{member.name}", member.name, member
 
 
-def _unused_names():
+def _source_trees():
     sources = sorted(PACKAGE.glob("*.py")) + sorted(DEMOS.glob("*.py"))
-    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
+    return {path: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
+
+
+def _unused_names(trees):
+    """Definitions in the package modules of ``trees`` that nothing uses.
+
+    A method counts as used only where an attribute of that name is read: a
+    bare name is a local variable or a module-level function, never a call
+    of the method.
+    """
     everywhere = Counter()
+    attributes = Counter()
     for tree in trees.values():
         everywhere += _referenced_names(tree)
+        attributes += _referenced_names(tree, attributes_only=True)
     unused = []
     for path, tree in trees.items():
         if path.parent != PACKAGE or path.name == "__init__.py":
             continue
         for qualified, short, node in _definitions(tree):
-            own = _referenced_names(node)[short]
-            if everywhere[short] - own <= 0:
+            method = "." in qualified
+            uses = attributes if method else everywhere
+            own = _referenced_names(node, attributes_only=method)[short]
+            if uses[short] - own <= 0:
                 unused.append(f"{path.stem}.{qualified}")
     return sorted(unused)
 
@@ -82,10 +97,32 @@ def test_scan_sees_private_helpers():
     assert {"groups._cayley_key", "extensions._verify_unique_classes"} <= scanned
 
 
+def test_scan_ignores_bare_names_for_methods():
+    # a local variable named like a method hides nothing; a module-level
+    # function is still used by its bare name
+    source = """
+class Graph:
+    def degree(self):
+        return 0
+
+    def size(self):
+        return 1
+
+def helper():
+    return 2
+
+def main():
+    degree = helper()
+    return degree + Graph().size()
+"""
+    trees = {PACKAGE / "synthetic.py": ast.parse(source)}
+    assert _unused_names(trees) == ["synthetic.Graph.degree", "synthetic.main"]
+
+
 def test_every_public_name_is_used_outside_the_tests():
     # private helpers are held to the same rule; an ALLOWED entry that has
     # gained a caller is stale and fails too
-    unused = set(_unused_names())
+    unused = set(_unused_names(_source_trees()))
     assert unused == ALLOWED, (
         "definitions nothing in src/fourg or demos/ uses; delete them,"
         f" or add them to ALLOWED and document them in README: {sorted(unused - ALLOWED)};"

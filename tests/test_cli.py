@@ -201,6 +201,17 @@ class TestAtlasCommand:
             assert outputs[0] == outputs[1], args
             assert hashlib.sha256(outputs[0]).hexdigest() == digest, args
 
+    def test_tables_flag_is_usage_error(self, tmp_path, capsys):
+        # atlas takes no table input, so it must not accept the flag silently
+        absent = str(tmp_path / "absent")
+        assert main(["atlas", "--range", "2:3", "--json", "--tables", absent]) == EXIT_USAGE
+        assert "--tables" in capsys.readouterr().err
+        # a shared config file may still name tables for the other commands
+        cfg = tmp_path / "fourg.cfg"
+        cfg.write_text(f"range = 2:3\nformat = json\ntables = {absent}\n")
+        assert main(["atlas", "--config", str(cfg)]) == EXIT_OK
+        assert [r["genus"] for r in json.loads(capsys.readouterr().out)["reports"]] == [2, 3]
+
     def test_markdown_ends_with_summary(self, capsys):
         assert main(["atlas", "--range", "2:3"]) == EXIT_OK
         out = capsys.readouterr().out

@@ -11,13 +11,13 @@ that target.
 
 import pytest
 
-from fourg.actions import main_action_class, vector_in_class
+from fourg.actions import main_action_class
 from fourg.errors import InvariantViolation
+from fourg import extensions
 from fourg.extensions import (
     ExtendedAction,
     _admissible_chain_tuples,
     _admissible_cone_tuples,
-    _class_name,
     _verify_unique_classes,
     build_extensions,
     chain_target_group,
@@ -25,7 +25,7 @@ from fourg.extensions import (
     orientation_preserving_subgroup,
     restrict_to_index2,
 )
-from fourg.groups import FiniteGroup, close_generator_map, recognize
+from fourg.groups import FiniteGroup, _cayley_key, close_generator_map, recognize
 from fourg.signatures import chain_signature, mixed_signature
 
 
@@ -68,7 +68,7 @@ class TestTargets:
         z, x = G3.generator("z"), G3.generator("x")
         central = (x * z) ** 3
         assert central.order() == 2
-        assert all(central * e == e * central for e in G3.elements())
+        assert all(central * e == e * central for e in map(G3.element, range(G3.order)))
 
 
 class TestBuildExtensions:
@@ -154,10 +154,7 @@ class TestExtendedActionValidation:
         w, x, y = G.generator("w"), G.generator("x"), G.generator("y")
         # swapping c2 to w makes the closing product trivial
         with pytest.raises(InvariantViolation):
-            ExtendedAction(
-                2, "a", "a1", chain_signature(2), G,
-                ("c0", "c1", "c2", "c3"), (x, y, w, w),
-            )
+            ExtendedAction(2, "a", "a1", G, (x, y, w, w))
 
     def test_orientation_preserving_reflection_rejected(self):
         first, _ = build_extensions(2, "a")
@@ -165,28 +162,14 @@ class TestExtendedActionValidation:
         w, x, y = G.generator("w"), G.generator("x"), G.generator("y")
         rotation_like = (w * x) ** 2  # involution but orientation preserving
         with pytest.raises(InvariantViolation):
-            ExtendedAction(
-                2, "a", "a1", chain_signature(2), G,
-                ("c0", "c1", "c2", "c3"), (x, y, rotation_like, w),
-            )
+            ExtendedAction(2, "a", "a1", G, (x, y, rotation_like, w))
 
     def test_cone_wrap_relation_enforced(self):
         (cone,) = build_extensions(2, "b")
         G = cone.group
         x, z, w = G.generator("x"), G.generator("z"), G.generator("w")
         with pytest.raises(InvariantViolation):
-            ExtendedAction(
-                2, "b", "b", mixed_signature(2), G,
-                ("a", "c0", "c1", "c2"), (x, x * w * x, z, z),
-            )
-
-    def test_wrong_signature_rejected(self):
-        first, _ = build_extensions(2, "a")
-        with pytest.raises(InvariantViolation):
-            ExtendedAction(
-                2, "a", "a1", mixed_signature(2), first.group,
-                ("c0", "c1", "c2", "c3"), first.images,
-            )
+            ExtendedAction(2, "b", "b", G, (x, x * w * x, z, z))
 
     def test_non_generating_images_rejected(self):
         (cone,) = build_extensions(2, "b")
@@ -195,8 +178,7 @@ class TestExtendedActionValidation:
         # all inside the dihedral part: never generates the full group
         with pytest.raises(InvariantViolation):
             ExtendedAction(
-                2, "b", "b", mixed_signature(2), G,
-                ("a", "c0", "c1", "c2"),
+                2, "b", "b", G,
                 (((z * w) ** 2), z, w, ((z * w) ** 2) * z * ((z * w) ** 2)),
             )
 
@@ -231,14 +213,14 @@ class TestRestriction:
                 for action in build_extensions(g, kind):
                     r = restrict_to_index2(action)
                     assert r.group.order == 4 * g
-                    assert vector_in_class(main, r), (g, action.label)
+                    assert main.contains(r), (g, action.label)
 
     def test_second_chain_class_restricts_to_main_class(self):
         # the two chain classes are inequivalent upstairs yet restrict to the
         # same orientation-preserving class
         _, second = build_extensions(4, "a")
         r = restrict_to_index2(second)
-        assert vector_in_class(main_action_class(4), r)
+        assert main_action_class(4).contains(r)
 
 
 def _indices(action):
@@ -256,25 +238,51 @@ class TestUniquenessSearch:
             ):
                 actions = build_extensions(g, kind)
                 G = actions[0].group
-                reached = {_class_name(G._table, t, rev) for t in enumerate_tuples(G, g)}
+                reached = {_cayley_key(G._table, t) for t in enumerate_tuples(G, g)}
                 for action in actions:
-                    assert _class_name(G._table, _indices(action), rev) in reached
+                    t = _indices(action)
+                    keys = {_cayley_key(G._table, t)}
+                    if rev:
+                        keys.add(_cayley_key(G._table, t[::-1]))
+                    assert keys & reached, (g, action.label)
 
     def test_equivalence_predicate(self):
         first, second = build_extensions(2, "a")
         G = first.group
         table = G._table
         t1, t2 = _indices(first), _indices(second)
-        assert _class_name(table, t1, True) != _class_name(table, t2, True)
-        assert _class_name(table, t1, True) == _class_name(table, t1[::-1], True)
-        assert _class_name(table, t1, False) != _class_name(table, t1[::-1], False)
+        # a1 and a2 share no key, reversals included
+        keys1 = {_cayley_key(table, t1), _cayley_key(table, t1[::-1])}
+        keys2 = {_cayley_key(table, t2), _cayley_key(table, t2[::-1])}
+        assert not keys1 & keys2
+        # with reversal t[::-1] is owned by t's class; without, it is not t
+        owner = _verify_unique_classes(G, [t2[::-1], t1[::-1]], [t1, t2], True)
+        assert owner == {t1[::-1]: 0, t2[::-1]: 1}
+        assert _cayley_key(table, t1) != _cayley_key(table, t1[::-1])
         assert not _reference_equivalent(G, t1, t1[::-1], allow_reversal=False)
         conj = G.generator("w")
         conjugated = tuple((conj * G.element(i) * conj.inverse()).idx for i in t1)
-        assert _class_name(table, t1, False) == _class_name(table, conjugated, False)
-        # a name of length len(t) * |G| marks a generating tuple
-        assert len(_class_name(table, t1, True)) == 4 * G.order
-        assert len(_class_name(table, (0, 0, 0, 0), True)) == 4
+        assert _cayley_key(table, t1) == _cayley_key(table, conjugated)
+        # a key of length len(t) * |G| marks a generating tuple
+        assert len(_cayley_key(table, t1)) == 4 * G.order
+        assert len(_cayley_key(table, (0, 0, 0, 0))) == 4
+
+    @pytest.mark.parametrize("kind", ["a", "b"])
+    def test_one_key_per_tuple(self, kind, monkeypatch):
+        # each canonical tuple is keyed once, and once more reversed for
+        # kind a; each admissible tuple is keyed exactly once
+        G, candidates, _, canon, rev = _certificate_inputs(4, kind)
+        calls = []
+        real = extensions._cayley_key
+
+        def counting(table, t):
+            calls.append(t)
+            return real(table, t)
+
+        monkeypatch.setattr(extensions, "_cayley_key", counting)
+        _verify_unique_classes(G, candidates, canon, rev)
+        assert len(calls) == len(candidates) + (2 if rev else 1) * len(canon)
+        assert calls[-len(candidates):] == candidates
 
 
 def _reference_chain_tuples(G: FiniteGroup, g: int) -> list:
@@ -448,6 +456,9 @@ class TestOrbitCertificate:
         assert conjugate in reference
         with pytest.raises(InvariantViolation, match="collapsed"):
             _verify_unique_classes(G, reference, [canon[0], conjugate], rev)
+        # with reversal, a reversed canonical tuple owns the same keys
+        with pytest.raises(InvariantViolation, match="collapsed"):
+            _verify_unique_classes(G, reference, [canon[0], canon[0][::-1]], rev)
 
     @pytest.mark.parametrize("kind", ["a", "b"])
     def test_non_generating_candidate_is_skipped(self, kind):
