@@ -19,10 +19,12 @@ print("group:", G.name, "of order", G.order)
 v = canonical_vector(g)
 print("canonical vector:", v)
 
-# classify() enumerates every generating vector and gathers them into
-# orbits under braid moves and group automorphisms.  Automorphisms act
-# freely on generating vectors, so a class is held as the Cayley-graph keys
-# of its automorphism classes: its size is |Aut(G)| times the key count.
+# classify() gathers generating vectors into orbits under braid moves and
+# group automorphisms.  Automorphisms act freely on generating vectors, so a
+# class is held as the Cayley-graph keys of its automorphism classes: its
+# size is |Aut(G)| times the key count.  The search starts vectors only at
+# conjugacy-class minima and counts the rest by class size; the classes'
+# sizes must add up to that count, which certifies that none was missed.
 classes = classify(G, (2, 2, 2, 2 * g))
 print("number of action classes:", len(classes))
 print("orbit size:", classes[0].size)

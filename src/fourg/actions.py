@@ -12,12 +12,17 @@ Aut(G) acts freely on generating tuples, and the right Cayley graph of G on a
 tuple, relabelled in breadth-first order, names the tuple's Aut-class.  A
 class is therefore walked and stored as a braid orbit of these Cayley keys,
 |Aut(G)| vectors per key, and membership is a key lookup in any copy of G.
+
+The search starts vectors only at conjugacy-class minima and counts the rest
+by class size; |Aut(G)| times the keys found with ascending periods, summed
+over the classes, must equal that count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import GroupConstructionError, InvariantViolation
 from .groups import (
@@ -25,6 +30,7 @@ from .groups import (
     FiniteGroup,
     GroupElement,
     _cayley_key,
+    _class_minima,
     automorphism_search,
     cyclic,
     dihedral,
@@ -97,12 +103,15 @@ class GeneratingVector:
 
 
 def smooth_vectors(G: FiniteGroup, periods):
-    """All generating vectors on the given ordered periods, as index tuples.
+    """Generating vectors on the given ordered periods whose first entry is
+    the smallest element of its conjugacy class, as sorted index tuples.
 
-    The tuples are sorted.  Returns [] when some period does not divide the
-    group order.  The last entry is solved from the product-one constraint
-    rather than searched, and generation is checked once, at that leaf; wrap
-    a tuple in ``GeneratingVector.from_indices`` to work with its elements.
+    Conjugation maps the vectors starting at c one to one onto those
+    starting at any conjugate of c, so there are ``sum(G.class_size(t[0]))``
+    vectors in all.  Returns [] when some period does not divide the group
+    order.  The last entry is solved from the product-one constraint rather
+    than searched, and generation is checked once, at that leaf; wrap a
+    tuple in ``GeneratingVector.from_indices`` to work with its elements.
     """
     periods = tuple(int(m) for m in periods)
     if any(m < 2 for m in periods):
@@ -133,7 +142,7 @@ def smooth_vectors(G: FiniteGroup, periods):
         for c in by_order[periods[pos]]:
             dfs(pos + 1, prefix + (c,), table[prod][c])
 
-    for c in by_order[periods[0]]:
+    for c in _class_minima(G, set(by_order[periods[0]])):
         dfs(1, (c,), c)
     tuples.sort()
     return tuples
@@ -208,37 +217,35 @@ def classify(G: FiniteGroup, periods):
 
     Classes are orbits under braid moves (which realize every permutation of
     equal periods) together with Aut(G), walked as braid orbits on Cayley
-    keys.  Each class is seeded by the smallest enumerated vector not yet
-    covered.  Every automorphic image of a key-orbit member with ascending
-    periods must be an enumerated vector, or the search was not exhaustive.
-    The output is deterministic and independent of the ordering of
-    ``periods``.
+    keys.  Each class is seeded by the smallest enumerated vector whose key
+    no class holds yet, which is its smallest member.  |Aut(G)| times the
+    keys with ascending periods, summed over the classes, must equal the
+    vector count of ``smooth_vectors``, or the search was not exhaustive.
+    The output is deterministic and independent of the order of ``periods``.
     """
     base = tuple(sorted(int(m) for m in periods))
     vectors = smooth_vectors(G, base)
     if not vectors:
         return []
-    enumerated = set(vectors)
-    autos = [a.mapping for a in G.automorphisms()]
-    covered = set()
+    total = sum(G.class_size(t[0]) for t in vectors)
+    n_aut = len(G.automorphisms())
+    counted = 0
     classes = []
     for seed in vectors:
-        if seed in covered:
+        if counted == total:
+            break
+        if any(_cayley_key(G._table, seed) in c.keys for c in classes):
             continue
         members = _orbit(G, seed)
-        for t in members.values():
-            if tuple(G.element_order(i) for i in t) != base:
-                continue
-            for m in autos:
-                image = tuple(m[i] for i in t)
-                if image not in enumerated:
-                    raise InvariantViolation(
-                        "orbit left the enumerated vector set;"
-                        " the search was not exhaustive"
-                    )
-                covered.add(image)
+        counted += n_aut * sum(
+            tuple(G.element_order(i) for i in t) == base for t in members.values()
+        )
         rep = GeneratingVector.from_indices(G, seed)
         classes.append(ActionClass(G, base, rep, frozenset(members)))
+    if counted != total:
+        raise InvariantViolation(
+            f"classes count {counted} of {total} vectors; the search was not exhaustive"
+        )
     return classes
 
 
@@ -260,16 +267,12 @@ def kernel_genus(group_order: int, s: Signature) -> int:
 # ---------------------------------------------------------------------------
 # The main family and its canonical action.
 
-_FAMILY_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def family_group(g: int) -> FiniteGroup:
     """The dihedral group of order 4g acting in the main genus-g family."""
     if g < 2:
         raise ValueError("genus must be at least 2")
-    if g not in _FAMILY_CACHE:
-        _FAMILY_CACHE[g] = dihedral(4 * g)
-    return _FAMILY_CACHE[g]
+    return dihedral(4 * g)
 
 
 def canonical_vector(g: int) -> GeneratingVector:
@@ -280,14 +283,10 @@ def canonical_vector(g: int) -> GeneratingVector:
     return GeneratingVector(G, (2, 2, 2, 2 * g), images)
 
 
-_MAIN_CLASSES_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def main_family_classes(g: int) -> list:
     """Every class on (2,2,2,2g) over the order-4g dihedral group (cached)."""
-    if g not in _MAIN_CLASSES_CACHE:
-        _MAIN_CLASSES_CACHE[g] = classify(family_group(g), (2, 2, 2, 2 * g))
-    return _MAIN_CLASSES_CACHE[g]
+    return classify(family_group(g), (2, 2, 2, 2 * g))
 
 
 def main_action_class(g: int) -> ActionClass:

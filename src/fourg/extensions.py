@@ -38,6 +38,7 @@ from .groups import (
     GroupElement,
     Subgroup,
     _cayley_key,
+    _class_minima,
     _small_generating_set,
     cyclic,
     dihedral_from_reflections,
@@ -210,11 +211,6 @@ class ExtendedAction:
             f"{name}->{e.name}" for name, e in zip(self.generator_names, self.images)
         )
         return f"[{self.label}] {self.signature}: {pairs}"
-
-
-def _class_minima(G: FiniteGroup, members: set) -> list:
-    """The smallest element of each conjugacy class inside ``members``."""
-    return [cls[0].idx for cls in G.conjugacy_classes(lambda e: e.idx in members)]
 
 
 def _admissible_chain_tuples(G: FiniteGroup, g: int) -> list:

@@ -455,6 +455,11 @@ def _cayley_key(table, t) -> tuple:
     return tuple(key)
 
 
+def _class_minima(G: FiniteGroup, members: set) -> list:
+    """The smallest element of each conjugacy class inside ``members``."""
+    return [cls[0].idx for cls in G.conjugacy_classes(lambda e: e.idx in members)]
+
+
 def _small_generating_set(table, members) -> tuple:
     """Greedy small generating set for a subgroup given as an index set.
 

@@ -47,10 +47,10 @@ __all__ = [
 ]
 
 
-# Genera (up to 861) whose sporadic triangle signatures are realized by an
-# actual action, per the published census of this family.  The arithmetic
-# enumeration also admits g = 5 via periods (5, 5, 5), which no order-20
-# group realizes; reports surface that disagreement rather than hiding it.
+# Genera (up to 861) admitting a sporadic triangle signature by arithmetic,
+# per the published census: exactly sporadic_genera(861) without g = 5, whose
+# periods (5, 5, 5) no order-20 group realizes.  No action is claimed for the
+# others; reports surface the g = 5 disagreement rather than hiding it.
 CATALOGUED_SPORADIC_GENERA = (
     3, 6, 9, 10, 12, 14, 15, 18, 20, 21, 24, 28, 30, 33, 36, 40, 42, 45,
     60, 66, 72, 84, 90, 105, 126, 132, 153, 190, 273, 276, 420, 429, 861,

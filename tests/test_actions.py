@@ -180,7 +180,7 @@ class TestClassify:
             (cyclic(5), (5, 5, 5, 5)),
         ):
             classes = classify(G, periods)
-            for t in smooth_vectors(G, periods):
+            for t in _reference_smooth_vectors(G, periods):
                 v = GeneratingVector.from_indices(G, t)
                 assert sum(c.contains(v) for c in classes) == 1, (G.name, t)
 
@@ -204,7 +204,52 @@ class TestClassify:
 # Reference: classification by stored orbits under braid moves and a
 # generating set of Aut(G), as the engine did before Cayley keys.  Copied
 # verbatim except that smooth_vectors now returns index tuples and the
-# classes come back as (representative indices, orbit) pairs.
+# classes come back as (representative indices, orbit) pairs.  The vectors
+# come from the full enumerator the engine used before it started vectors
+# only at conjugacy-class minima, copied verbatim.
+
+
+def _reference_smooth_vectors(G: FiniteGroup, periods):
+    """All generating vectors on the given ordered periods, as index tuples.
+
+    The tuples are sorted.  Returns [] when some period does not divide the
+    group order.  The last entry is solved from the product-one constraint
+    rather than searched, and generation is checked once, at that leaf; wrap
+    a tuple in ``GeneratingVector.from_indices`` to work with its elements.
+    """
+    periods = tuple(int(m) for m in periods)
+    if any(m < 2 for m in periods):
+        raise ValueError("periods must be at least 2")
+    if len(periods) < 2:
+        return []
+    if any(G.order % m for m in periods):
+        return []
+    by_order = {
+        m: [i for i in range(G.order) if G.element_order(i) == m]
+        for m in set(periods)
+    }
+    r = len(periods)
+    table = G._table
+    n = G.order
+    last_period = periods[-1]
+    tuples = []
+
+    def dfs(pos, prefix, prod):
+        if pos == r - 1:
+            last = G._inv[prod]
+            if G.element_order(last) != last_period:
+                return
+            tup = prefix + (last,)
+            if len(G._closure_idx(tup)) == n:
+                tuples.append(tup)
+            return
+        for c in by_order[periods[pos]]:
+            dfs(pos + 1, prefix + (c,), table[prod][c])
+
+    for c in by_order[periods[0]]:
+        dfs(1, (c,), c)
+    tuples.sort()
+    return tuples
 
 
 def _reference_aut_generator_maps(G: FiniteGroup):
@@ -260,7 +305,7 @@ def _reference_orbit(G: FiniteGroup, start: tuple) -> frozenset:
 
 def _reference_classify(G: FiniteGroup, periods):
     base = tuple(sorted(int(m) for m in periods))
-    vectors = smooth_vectors(G, base)
+    vectors = _reference_smooth_vectors(G, base)
     unseen = set(vectors)
     all_tuples = set(unseen)
     classes = []
@@ -321,6 +366,19 @@ class TestKeyClassification:
                     if tuple(G.element_order(i) for i in t) == base:
                         assert cls.contains(GeneratingVector.from_indices(G, t))
 
+    @pytest.mark.parametrize(
+        "groups, periods",
+        [case[1:] for case in REFERENCE_CASES],
+        ids=[case[0] for case in REFERENCE_CASES],
+    )
+    def test_class_minima_count_every_vector(self, groups, periods):
+        for G in groups():
+            classes, class_of = G._class_index()
+            reference = _reference_smooth_vectors(G, periods)
+            found = smooth_vectors(G, periods)
+            assert found == [t for t in reference if classes[class_of[t[0]]][0] == t[0]]
+            assert sum(G.class_size(t[0]) for t in found) == len(reference), G.name
+
     def test_main_class_keys_and_sizes(self):
         sizes = [96, 144, 384, 480, 576, 1008, 1536, 1296, 1920, 2640, 2304]
         for g, size in zip(range(2, 13), sizes):
@@ -346,16 +404,25 @@ class TestKeyClassification:
         canonical = tuple(sigma[i] for i in canonical_vector(g).indices)
         assert main_action_class(g).contains(GeneratingVector.from_indices(H, canonical))
 
-    def test_dropped_vector_is_not_exhaustive(self, monkeypatch):
+    @staticmethod
+    def _assert_not_exhaustive(monkeypatch, edit):
         complete = smooth_vectors
-
-        def drop_one(G, periods):
-            tuples = complete(G, periods)
-            return tuples[: len(tuples) // 2] + tuples[len(tuples) // 2 + 1 :]
-
-        monkeypatch.setattr(actions, "smooth_vectors", drop_one)
+        monkeypatch.setattr(actions, "smooth_vectors", lambda G, p: edit(complete(G, p)))
         with pytest.raises(InvariantViolation, match="not exhaustive"):
             classify(family_group(3), (2, 2, 2, 6))
+
+    def test_dropped_vector_is_not_exhaustive(self, monkeypatch):
+        # dropping one vector breaks the count: the classes still hold it and
+        # its conjugates, so they add up to more than the search counts
+        self._assert_not_exhaustive(
+            monkeypatch, lambda ts: ts[: len(ts) // 2] + ts[len(ts) // 2 + 1 :]
+        )
+
+    def test_duplicated_vector_is_not_exhaustive(self, monkeypatch):
+        # a vector listed twice makes the search count more than the classes hold
+        self._assert_not_exhaustive(
+            monkeypatch, lambda ts: sorted(ts + ts[len(ts) // 2 : len(ts) // 2 + 1])
+        )
 
 
 class TestKernelGenus:

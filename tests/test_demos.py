@@ -1,5 +1,7 @@
-"""Smoke test: every script in demos/ runs cleanly against the package."""
+"""Smoke test: every script in demos/ runs cleanly against the package, and
+the README's library quick start passes as a doctest."""
 
+import doctest
 import os
 import subprocess
 import sys
@@ -9,7 +11,8 @@ import pytest
 
 import fourg
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.stem for p in DEMOS])
@@ -22,3 +25,14 @@ def test_demo_runs(script, tmp_path):
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip()
+
+
+def test_readme_quick_start():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Library quick start", 1)[1].split("```python", 1)[1]
+    block = block.split("```", 1)[0] + "```"  # an output must not run into the fence
+    test = doctest.DocTestParser().get_doctest(block, {}, "quick start", "README.md", 0)
+    assert test.examples
+    runner = doctest.DocTestRunner()
+    runner.run(test)
+    assert runner.summarize(verbose=False).failed == 0

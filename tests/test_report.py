@@ -14,6 +14,7 @@ from fourg.report import (
     atlas_summary,
     build_report,
 )
+from fourg.signatures import sporadic_genera
 
 
 class TestCensusConstants:
@@ -24,6 +25,11 @@ class TestCensusConstants:
         )
         assert CATALOGUED_SPORADIC_GENERA[0] == 3
         assert CATALOGUED_SPORADIC_GENERA[-1] == 861
+
+    def test_sporadic_census_is_the_arithmetic_list_without_5(self):
+        assert CATALOGUED_SPORADIC_GENERA == tuple(
+            g for g in sporadic_genera(861) if g != 5
+        )
 
     def test_quadruple_and_surface_genera(self):
         assert QUADRUPLE_FAMILY_GENERA == (3, 6, 15)
