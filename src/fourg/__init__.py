@@ -50,6 +50,7 @@ from .groups import (
     direct_product,
     from_permutations,
     from_table,
+    from_text,
     is_isomorphic,
     iso_search,
     metacyclic,

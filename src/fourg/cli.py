@@ -33,8 +33,7 @@ from .errors import (
 from .groups import (
     COMPLETE_CATALOG_ORDERS,
     MAX_ORDER,
-    from_permutations,
-    from_table,
+    from_text,
     recognize,
     small_groups,
 )
@@ -237,10 +236,9 @@ def _check_genus(g: int, factor: int) -> None:
 def load_group_tables(directory: str, expected_order: int = None) -> list:
     """Read every group file in a directory, in sorted filename order.
 
-    A file starting with ``order n`` is parsed as a multiplication table; a
-    file starting with ``perm`` as a permutation-generator list.  Each group
-    is renamed after its file for provenance.  ``expected_order`` makes a
-    mismatched order an input error.
+    Each file is parsed by ``from_text``: a multiplication table or a
+    permutation-generator list.  Each group is renamed after its file for
+    provenance.  ``expected_order`` makes a mismatched order an input error.
     """
     path = Path(directory)
     if not path.is_dir():
@@ -251,16 +249,8 @@ def load_group_tables(directory: str, expected_order: int = None) -> list:
             text = file.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise InputFormatError(f"cannot read {file}: {exc}") from exc
-        first = next((ln.strip() for ln in text.splitlines() if ln.strip()), "")
         try:
-            if first.lower().startswith("order"):
-                G = from_table(text)
-            elif first.lower().startswith("perm"):
-                G = from_permutations(text)
-            else:
-                raise InputFormatError(
-                    "first line must be 'order n' or a 'perm ...' generator"
-                )
+            G = from_text(text)
         except (InputFormatError, GroupConstructionError) as exc:
             raise InputFormatError(f"{file.name}: {exc}") from exc
         if expected_order is not None and G.order != expected_order:

@@ -1,9 +1,10 @@
 """Finite groups as dense multiplication tables, with search utilities.
 
 Elements are integers indexing into a multiplication table; the identity is
-always index 0.  Construction verifies the group axioms (Light's associativity
-test over a generating set, exact at every order) so that ingested tables
-cannot silently poison later computations.
+always index 0.  Construction verifies the group axioms so that ingested
+tables cannot silently poison later computations.  Associativity is exact
+at every order: Light's test over the declared generators, one whole row at
+a time.
 
 Every closure and homomorphism check goes through one walk of a Cayley graph
 (``_extend_hom``): subgroup closure, extending a generator map in the
@@ -112,7 +113,9 @@ class FiniteGroup:
     ``generator_indices`` must span the group: conjugacy classes and the
     commutator subgroup are computed from them.  ``verify=True`` checks that
     and the group axioms; ``verify=False`` trusts the caller for both and is
-    only for tables built from groups already verified.
+    only for tables that are group tables spanned by their generators by
+    construction: tables built from groups already verified, or the
+    composition table of the permutations a generating set reaches.
     """
 
     def __init__(
@@ -212,28 +215,31 @@ class FiniteGroup:
         return inv
 
     def _verify(self):
+        """Check the identity, that the declared generators span the group,
+        and associativity by Light's test.
+
+        Light's test checks ``(x*a)*y == x*(a*y)`` for all x and y, one row
+        x at a time, for each declared generator a.  The elements a that
+        pass form a closed set, so a group spanned by passing elements is
+        associative.  A failing row is scanned for its first failing y.
+        """
         n = self.order
         table = self._table
-        if table[0] != list(range(n)) or any(table[i][0] != i for i in range(n)):
+        ident = list(range(n))
+        if table[0] != ident or [row[0] for row in table] != ident:
             raise GroupConstructionError("index 0 is not a two-sided identity")
-        gens = list(self._gen_idx)
-        reached = self._closure_idx(gens)
+        reached = self._closure_idx(self._gen_idx)
         if len(reached) != n:
             raise GroupConstructionError(
                 f"declared generators span only {len(reached)} of {n} elements"
             )
-        # Light's test: associativity of the whole table follows from
-        # associativity against each member of a generating set.
-        for a in gens if gens else [0]:
+        for a in self._gen_idx or [0]:
             row_a = table[a]
-            for x in range(n):
-                row_xa = table[table[x][a]]
-                row_x = table[x]
-                for y in range(n):
-                    if row_xa[y] != row_x[row_a[y]]:
-                        raise GroupConstructionError(
-                            f"associativity fails at ({x},{a},{y})"
-                        )
+            for x, row_x in enumerate(table):
+                row_xa = table[row_x[a]]
+                if row_xa != list(map(row_x.__getitem__, row_a)):
+                    y = next(y for y in ident if row_xa[y] != row_x[row_a[y]])
+                    raise GroupConstructionError(f"associativity fails at ({x},{a},{y})")
 
     # -- subgroup machinery ------------------------------------------------
 
@@ -442,16 +448,19 @@ def _cayley_key(table, t) -> tuple:
     tuples, two keys are equal exactly when an isomorphism maps one tuple
     onto the other entry by entry, also between different copies of a group.
     """
-    label = {0: 0}
+    label = [-1] * len(table)
+    label[0] = 0
     reached = [0]
     key = []
     for a in reached:
+        row = table[a]
         for s in t:
-            b = table[a][s]
-            if b not in label:
-                label[b] = len(reached)
+            b = row[s]
+            lb = label[b]
+            if lb < 0:
+                lb = label[b] = len(reached)
                 reached.append(b)
-            key.append(label[b])
+            key.append(lb)
     return tuple(key)
 
 
@@ -752,15 +761,34 @@ def semidirect_with_automorphism(
     )
 
 
-_PERM_LINE = re.compile(r"^\s*perm\s*(.*)$")
+_PERM_LINE = re.compile(r"^\s*perm\b\s*(.*)$")
 _CYCLE = re.compile(r"\(([^()]*)\)")
+
+
+def _is_numeral(token: str) -> bool:
+    """Whether a token is an ASCII decimal numeral: no sign, no leading zero."""
+    return token.isascii() and token.isdigit() and (token[0] != "0" or token == "0")
+
+
+def _numeral(token: str):
+    """The value of a numeral, or None for any other token (and for a
+    numeral too long for ``int``)."""
+    if _is_numeral(token):
+        try:
+            return int(token)
+        except ValueError:
+            pass
+    return None
 
 
 def from_permutations(source) -> FiniteGroup:
     """Group generated by permutations, one ``perm (a b c)(d e)`` per line.
 
-    Points are 1-based and at most ``MAX_ORDER``.  Accepts a string (newline
-    separated) or a list of lines.  Element names use cycle notation.
+    Points are 1-based numerals no greater than ``MAX_ORDER``.  Accepts a
+    string (newline separated) or a list of lines.  Element names use cycle
+    notation.  The table is the composition table of the permutations
+    reached from the identity, so it is a group table spanned by the
+    generators by construction and is not verified again.
     """
     lines = source.splitlines() if isinstance(source, str) else list(source)
     raw_gens = []
@@ -775,11 +803,10 @@ def from_permutations(source) -> FiniteGroup:
         cycles = []
         for cm in _CYCLE.finditer(body):
             entries = cm.group(1).replace(",", " ").split()
-            try:
-                points = [int(p) for p in entries]
-            except ValueError:
-                raise InputFormatError(f"bad cycle {cm.group(0)!r} in {line!r}") from None
-            if any(p < 1 for p in points):
+            points = list(map(_numeral, entries))
+            if None in points:
+                raise InputFormatError(f"bad cycle {cm.group(0)!r} in {line!r}")
+            if 0 in points:
                 raise InputFormatError("permutation points are 1-based")
             if max(points, default=0) > MAX_ORDER:
                 raise InputFormatError(
@@ -816,103 +843,126 @@ def from_permutations(source) -> FiniteGroup:
         p = elements[x]
         row = []
         for q in perms:
-            prod = tuple(p[q[i]] for i in range(degree))
-            if prod not in index_of:
+            prod = tuple(map(p.__getitem__, q))
+            k = index_of.get(prod)
+            if k is None:
                 if len(elements) >= MAX_ORDER:
                     raise GroupConstructionError(
                         f"permutation group exceeds order {MAX_ORDER}"
                     )
-                index_of[prod] = len(elements)
+                k = index_of[prod] = len(elements)
                 elements.append(prod)
-                frontier.append(len(elements) - 1)
-            row.append(index_of[prod])
+                frontier.append(k)
+            row.append(k)
         right[x] = row
     gen_idx = [index_of[p] for p in perms]
     k_of = {g: k for k, g in enumerate(gen_idx)}
     table = _cayley_table(len(elements), gen_idx, lambda x, g: right[x][k_of[g]])
-    names = [_cycle_notation(p) for p in elements]
-    return FiniteGroup(table, names, gen_idx, name=f"perm-group({len(elements)})")
+    labels = [str(i) for i in range(1, degree + 1)]
+    names = [_cycle_notation(p, labels) for p in elements]
+    return FiniteGroup(
+        table, names, gen_idx, name=f"perm-group({len(elements)})", verify=False
+    )
 
 
-def _cycle_notation(perm: tuple) -> str:
-    n = len(perm)
-    seen = [False] * n
+def _cycle_notation(perm: tuple, labels) -> str:
+    """``perm`` in cycle notation, point i spelled ``labels[i]``."""
+    seen = [False] * len(perm)
     parts = []
-    for start in range(n):
-        if seen[start] or perm[start] == start:
-            seen[start] = True
+    for start, image in enumerate(perm):
+        if seen[start] or image == start:
             continue
-        cycle = [start]
+        cycle = [labels[start]]
         seen[start] = True
-        nxt = perm[start]
-        while nxt != start:
-            cycle.append(nxt)
-            seen[nxt] = True
-            nxt = perm[nxt]
-        parts.append("(" + " ".join(str(p + 1) for p in cycle) + ")")
-    return "".join(parts) if parts else "()"
+        while image != start:
+            cycle.append(labels[image])
+            seen[image] = True
+            image = perm[image]
+        parts.append("(" + " ".join(cycle) + ")")
+    return "".join(parts) or "()"
 
 
 def from_table(text: str) -> FiniteGroup:
     """Parse the plain-text table format.
 
-    Line 1 is ``order n``; the next n lines are rows of n space-separated
-    0-based indices (row i lists the products i*j); an optional final line
-    ``generators i1 i2 ...`` names a generating set.  The identity may sit at
-    any index; elements are relabeled so it lands at index 0, with names
-    remembering the original position (``g3`` for input index 3).
+    Line 1 is exactly ``order n`` (``order`` in any case); the next n lines
+    are rows of n space-separated 0-based indices (row i lists the products
+    i*j); an optional final line whose first token is ``generators`` (in any
+    case) lists a generating set.  Numbers are ASCII decimal numerals with
+    no sign and no leading zero.  The identity may sit at any index;
+    elements are relabeled so it lands at index 0, with names remembering
+    the original position (``g3`` for input index 3).
     """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].lower().startswith("order"):
+    head = lines[0].split() if lines else []
+    n = _numeral(head[1]) if len(head) == 2 and head[0].lower() == "order" else None
+    if n is None:
         raise InputFormatError("first line must be 'order n'")
-    try:
-        n = int(lines[0].split()[1])
-    except (IndexError, ValueError):
-        raise InputFormatError("first line must be 'order n'") from None
     if n < 1 or n > MAX_ORDER:
         raise InputFormatError(f"order must be between 1 and {MAX_ORDER}")
     if len(lines) < n + 1:
         raise InputFormatError(f"expected {n} table rows, found {len(lines) - 1}")
+    index = dict(zip(map(str, range(n)), range(n)))
     raw = []
-    for i in range(1, n + 1):
+    for i in range(n):
+        tokens = lines[i + 1].split()
         try:
-            row = [int(v) for v in lines[i].split()]
-        except ValueError:
-            raise InputFormatError(f"non-integer entry in row {i - 1}") from None
-        if len(row) != n or any(not 0 <= v < n for v in row):
-            raise InputFormatError(f"row {i - 1} must have {n} entries in 0..{n - 1}")
+            row = list(map(index.__getitem__, tokens))
+        except KeyError:
+            row = None
+        if row is None or len(row) != n:
+            bad = next((t for t in tokens if not _is_numeral(t)), None)
+            if bad is not None:
+                raise InputFormatError(f"entry {bad!r} in row {i} is not a decimal numeral")
+            raise InputFormatError(f"row {i} must have {n} entries in 0..{n - 1}")
         raw.append(row)
     gen_line = None
     if len(lines) > n + 1:
-        if not lines[n + 1].lower().startswith("generators"):
+        tail = lines[n + 1].split()
+        if tail[0].lower() != "generators":
             raise InputFormatError("trailing content must be a 'generators ...' line")
-        try:
-            gen_line = [int(v) for v in lines[n + 1].split()[1:]]
-        except ValueError:
-            raise InputFormatError("bad generator indices") from None
-        if any(not 0 <= v < n for v in gen_line):
+        gen_line = list(map(index.get, tail[1:]))
+        if None in gen_line:
+            bad = next((t for t in tail[1:] if not _is_numeral(t)), None)
+            if bad is not None:
+                raise InputFormatError(f"bad generator index {bad!r}")
             raise InputFormatError("generator indices out of range")
         if len(lines) > n + 2:
             raise InputFormatError("unexpected extra lines after the generators line")
-    identity = None
-    for e in range(n):
-        if raw[e] == list(range(n)) and all(raw[i][e] == i for i in range(n)):
-            identity = e
-            break
+    ident = list(range(n))
+    identity = next(
+        (e for e, row in enumerate(raw) if row == ident and [r[e] for r in raw] == ident),
+        None,
+    )
     if identity is None:
         raise InputFormatError("table has no two-sided identity")
-    order_old = [identity] + [i for i in range(n) if i != identity]
-    new_of = {old: new for new, old in enumerate(order_old)}
-    table = [[new_of[raw[a][b]] for b in order_old] for a in order_old]
-    names = [f"g{old}" for old in order_old]
+    # move the identity to index 0, keeping the others in input order
+    order_old = [identity, *range(identity), *range(identity + 1, n)]
+    new_of = [*range(1, identity + 1), 0, *range(identity + 1, n)]
+    table = [
+        list(map(new_of.__getitem__, map(raw[a].__getitem__, order_old)))
+        for a in order_old
+    ]
     if gen_line is not None:
-        gens = [new_of[i] for i in gen_line]
-    else:
-        gens = _small_generating_set(table, range(n))
+        gen_line = list(map(new_of.__getitem__, gen_line))
+    names = [f"g{old}" for old in order_old]
+    gens = gen_line if gen_line is not None else _small_generating_set(table, range(n))
     try:
         return FiniteGroup(table, names, gens, name=f"table-group({n})")
     except GroupConstructionError as exc:
         raise InputFormatError(f"invalid table: {exc}") from None
+
+
+def from_text(text: str) -> FiniteGroup:
+    """Parse a group file: a table (``from_table``) when the first word of
+    its first non-blank line is ``order`` in any case, a permutation list
+    (``from_permutations``) when that line is a ``perm`` line."""
+    first = next((ln for ln in text.splitlines() if ln.strip()), "")
+    if first.lower().split()[:1] == ["order"]:
+        return from_table(text)
+    if _PERM_LINE.match(first):
+        return from_permutations(text)
+    raise InputFormatError("first line must be 'order n' or a 'perm ...' generator")
 
 
 # ---------------------------------------------------------------------------

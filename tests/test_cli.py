@@ -335,6 +335,14 @@ class TestLoadGroupTables:
         with pytest.raises(InputFormatError, match="no group files"):
             load_group_tables(tmp_path)
 
+    @pytest.mark.parametrize(
+        "first", ["orderly 2", "ordered", "permute (1 2)", "PERM (1 2)", "group 2"]
+    )
+    def test_file_kind_is_read_from_an_exact_first_word(self, tmp_path, first):
+        (tmp_path / "bad.table").write_text(f"{first}\n0 1\n1 0\n")
+        with pytest.raises(InputFormatError, match="^bad.table: first line must be 'order n' or"):
+            load_group_tables(tmp_path)
+
     def test_order_mismatch(self, order20_tables):
         with pytest.raises(InputFormatError, match="expected 12"):
             load_group_tables(order20_tables, expected_order=12)

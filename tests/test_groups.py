@@ -36,6 +36,7 @@ from fourg.groups import (
     divisors_of,
     from_permutations,
     from_table,
+    from_text,
     is_isomorphic,
     iso_search,
     metacyclic,
@@ -496,6 +497,54 @@ class TestFromTable:
         with pytest.raises(InputFormatError):
             from_table("order 2\n0 1\n1 0\ngenerators 5")
 
+    def test_keywords_are_case_insensitive(self):
+        G = from_table("ORDER 2\n0 1\n1 0\nGenerators 1")
+        assert G.order == 2
+        assert G._gen_idx == (1,)
+
+    @pytest.mark.parametrize(
+        "head", ["order 2 junk", "orderly 2", "order", "order2", "size 2", "2 order"]
+    )
+    def test_head_must_be_exactly_order_n(self, head):
+        with pytest.raises(InputFormatError, match="first line must be 'order n'"):
+            from_table(f"{head}\n0 1\n1 0")
+
+    @pytest.mark.parametrize("tail", ["generatorsfoo 1", "generator 1", "gens 1", "1"])
+    def test_tail_must_start_with_the_word_generators(self, tail):
+        with pytest.raises(InputFormatError, match="trailing content must be"):
+            from_table(f"order 2\n0 1\n1 0\n{tail}")
+
+    @pytest.mark.parametrize(
+        "token", ["+1", "-0", "-1", "1_0", "\u0661", "01", "00", "1.0", "0x1"]
+    )
+    def test_numbers_are_plain_ascii_decimal_numerals(self, token):
+        # no sign, no underscore, no other digits and no leading zero:
+        # "01" is rejected, not read as 1, and "-1" is malformed, not out
+        # of range
+        with pytest.raises(InputFormatError, match="first line must be 'order n'"):
+            from_table(f"order {token}\n0")
+        with pytest.raises(InputFormatError, match=re.escape(f"entry {token!r} in row 1 is not")):
+            from_table(f"order 2\n0 1\n{token} 0")
+        with pytest.raises(InputFormatError, match=re.escape(f"bad generator index {token!r}")):
+            from_table(f"order 2\n0 1\n1 0\ngenerators {token}")
+
+    def test_out_of_range_numerals(self):
+        with pytest.raises(InputFormatError, match="order must be between 1 and 4096"):
+            from_table("order 4097\n0")
+        with pytest.raises(InputFormatError, match="row 1 must have 2 entries in 0..1"):
+            from_table("order 2\n0 1\n2 0")
+        with pytest.raises(InputFormatError, match="row 0 must have 2 entries in 0..1"):
+            from_table("order 2\n0 1 " + "9" * 5000 + "\n1 0")
+        with pytest.raises(InputFormatError, match="generator indices out of range"):
+            from_table("order 2\n0 1\n1 0\ngenerators 2")
+
+    def test_identity_at_zero_keeps_the_table(self):
+        G = dicyclic(3)
+        H = from_table(_serialize(G))
+        assert H._table == G._table
+        assert H._names == [f"g{i}" for i in range(G.order)]
+        assert H._gen_idx == G._gen_idx
+
 
 class TestFromPermutations:
     def test_alternating_four(self):
@@ -535,6 +584,20 @@ class TestFromPermutations:
             for b, q in enumerate(elements):
                 assert G._table[a][b] == index_of[tuple(p[i] for i in q)]
 
+    @pytest.mark.parametrize("token", ["+1", "-1", "1_0", "\u0661", "01", "9" * 5000])
+    def test_points_are_plain_ascii_decimal_numerals(self, token):
+        with pytest.raises(InputFormatError, match="bad cycle"):
+            from_permutations([f"perm (2 {token})"])
+
+    def test_zero_point_rejected(self):
+        with pytest.raises(InputFormatError, match="1-based"):
+            from_permutations(["perm (0 1)"])
+
+    def test_perm_must_be_a_word(self):
+        assert from_permutations(["perm(1 2)"]).order == 2
+        with pytest.raises(InputFormatError, match="expected 'perm"):
+            from_permutations(["permute (1 2)"])
+
     def test_garbage_rejected(self):
         with pytest.raises(InputFormatError):
             from_permutations(["rot (1 2)"])
@@ -544,6 +607,12 @@ class TestFromPermutations:
             from_permutations(["perm (1 x)"])
         with pytest.raises(InputFormatError):
             from_permutations([])
+
+
+class TestFromText:
+    def test_routes_by_the_first_word(self):
+        assert from_text("\n Order 2\n0 1\n1 0\ngenerators 1\n").name == "table-group(2)"
+        assert from_text("\nperm (1 2 3)\nperm(1 2)\n").name == "perm-group(6)"
 
 
 def _cycles(perm) -> str:
@@ -569,6 +638,354 @@ def _perm_from_name(name: str, degree: int) -> tuple:
         for a, b in zip(points, points[1:] + points[:1]):
             perm[a] = b
     return tuple(perm)
+
+
+# ---------------------------------------------------------------------------
+# Ingestion against the entry-by-entry reference parsers.
+#
+# ``from_table``, ``FiniteGroup._verify`` and ``from_permutations`` as they
+# were before their per-entry work moved into whole-row passes, kept as
+# oracles.  The reference parsers build with ``verify=False`` and then run
+# ``_reference_verify``, which is what ``verify=True`` ran.
+
+_REFERENCE_PERM_LINE = re.compile(r"^\s*perm\s*(.*)$")
+_REFERENCE_CYCLE = re.compile(r"\(([^()]*)\)")
+
+
+def _reference_verify(self):
+    n = self.order
+    table = self._table
+    if table[0] != list(range(n)) or any(table[i][0] != i for i in range(n)):
+        raise GroupConstructionError("index 0 is not a two-sided identity")
+    gens = list(self._gen_idx)
+    reached = self._closure_idx(gens)
+    if len(reached) != n:
+        raise GroupConstructionError(
+            f"declared generators span only {len(reached)} of {n} elements"
+        )
+    # Light's test: associativity of the whole table follows from
+    # associativity against each member of a generating set.
+    for a in gens if gens else [0]:
+        row_a = table[a]
+        for x in range(n):
+            row_xa = table[table[x][a]]
+            row_x = table[x]
+            for y in range(n):
+                if row_xa[y] != row_x[row_a[y]]:
+                    raise GroupConstructionError(
+                        f"associativity fails at ({x},{a},{y})"
+                    )
+
+
+def _reference_from_permutations(source) -> FiniteGroup:
+    lines = source.splitlines() if isinstance(source, str) else list(source)
+    raw_gens = []
+    degree = 0
+    for line in lines:
+        if not line.strip():
+            continue
+        m = _REFERENCE_PERM_LINE.match(line)
+        if not m:
+            raise InputFormatError(f"expected 'perm (...)(...)', got {line!r}")
+        body = m.group(1).strip()
+        cycles = []
+        for cm in _REFERENCE_CYCLE.finditer(body):
+            entries = cm.group(1).replace(",", " ").split()
+            try:
+                points = [int(p) for p in entries]
+            except ValueError:
+                raise InputFormatError(f"bad cycle {cm.group(0)!r} in {line!r}") from None
+            if any(p < 1 for p in points):
+                raise InputFormatError("permutation points are 1-based")
+            if max(points, default=0) > groups.MAX_ORDER:
+                raise InputFormatError(
+                    f"permutation point {max(points)} exceeds {groups.MAX_ORDER}"
+                )
+            if len(set(points)) != len(points):
+                raise InputFormatError(f"repeated point in cycle {cm.group(0)!r}")
+            cycles.append(points)
+            degree = max(degree, max(points, default=0))
+        if _REFERENCE_CYCLE.sub("", body).strip():
+            raise InputFormatError(f"unparsed text in {line!r}")
+        raw_gens.append(cycles)
+    if not raw_gens:
+        raise InputFormatError("no permutations given")
+    perms = []
+    for cycles in raw_gens:
+        perm = list(range(degree))
+        touched = set()
+        for cycle in cycles:
+            if not touched.isdisjoint(cycle):
+                raise InputFormatError("cycles within one permutation must be disjoint")
+            touched.update(cycle)
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                perm[a - 1] = b - 1
+        perms.append(tuple(perm))
+
+    identity = tuple(range(degree))
+    index_of = {identity: 0}
+    elements = [identity]
+    right = {}  # right[x][k] = index of elements[x] * perms[k]
+    frontier = [0]
+    while frontier:
+        x = frontier.pop()
+        p = elements[x]
+        row = []
+        for q in perms:
+            prod = tuple(p[q[i]] for i in range(degree))
+            if prod not in index_of:
+                if len(elements) >= groups.MAX_ORDER:
+                    raise GroupConstructionError(
+                        f"permutation group exceeds order {groups.MAX_ORDER}"
+                    )
+                index_of[prod] = len(elements)
+                elements.append(prod)
+                frontier.append(len(elements) - 1)
+            row.append(index_of[prod])
+        right[x] = row
+    gen_idx = [index_of[p] for p in perms]
+    k_of = {g: k for k, g in enumerate(gen_idx)}
+    table = groups._cayley_table(len(elements), gen_idx, lambda x, g: right[x][k_of[g]])
+    names = [_reference_cycle_notation(p) for p in elements]
+    G = FiniteGroup(
+        table, names, gen_idx, name=f"perm-group({len(elements)})", verify=False
+    )
+    _reference_verify(G)
+    return G
+
+
+def _reference_cycle_notation(perm: tuple) -> str:
+    n = len(perm)
+    seen = [False] * n
+    parts = []
+    for start in range(n):
+        if seen[start] or perm[start] == start:
+            seen[start] = True
+            continue
+        cycle = [start]
+        seen[start] = True
+        nxt = perm[start]
+        while nxt != start:
+            cycle.append(nxt)
+            seen[nxt] = True
+            nxt = perm[nxt]
+        parts.append("(" + " ".join(str(p + 1) for p in cycle) + ")")
+    return "".join(parts) if parts else "()"
+
+
+def _reference_from_table(text: str) -> FiniteGroup:
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines or not lines[0].lower().startswith("order"):
+        raise InputFormatError("first line must be 'order n'")
+    try:
+        n = int(lines[0].split()[1])
+    except (IndexError, ValueError):
+        raise InputFormatError("first line must be 'order n'") from None
+    if n < 1 or n > groups.MAX_ORDER:
+        raise InputFormatError(f"order must be between 1 and {groups.MAX_ORDER}")
+    if len(lines) < n + 1:
+        raise InputFormatError(f"expected {n} table rows, found {len(lines) - 1}")
+    raw = []
+    for i in range(1, n + 1):
+        try:
+            row = [int(v) for v in lines[i].split()]
+        except ValueError:
+            raise InputFormatError(f"non-integer entry in row {i - 1}") from None
+        if len(row) != n or any(not 0 <= v < n for v in row):
+            raise InputFormatError(f"row {i - 1} must have {n} entries in 0..{n - 1}")
+        raw.append(row)
+    gen_line = None
+    if len(lines) > n + 1:
+        if not lines[n + 1].lower().startswith("generators"):
+            raise InputFormatError("trailing content must be a 'generators ...' line")
+        try:
+            gen_line = [int(v) for v in lines[n + 1].split()[1:]]
+        except ValueError:
+            raise InputFormatError("bad generator indices") from None
+        if any(not 0 <= v < n for v in gen_line):
+            raise InputFormatError("generator indices out of range")
+        if len(lines) > n + 2:
+            raise InputFormatError("unexpected extra lines after the generators line")
+    identity = None
+    for e in range(n):
+        if raw[e] == list(range(n)) and all(raw[i][e] == i for i in range(n)):
+            identity = e
+            break
+    if identity is None:
+        raise InputFormatError("table has no two-sided identity")
+    order_old = [identity] + [i for i in range(n) if i != identity]
+    new_of = {old: new for new, old in enumerate(order_old)}
+    table = [[new_of[raw[a][b]] for b in order_old] for a in order_old]
+    names = [f"g{old}" for old in order_old]
+    if gen_line is not None:
+        gens = [new_of[i] for i in gen_line]
+    else:
+        gens = groups._small_generating_set(table, range(n))
+    try:
+        G = FiniteGroup(table, names, gens, name=f"table-group({n})", verify=False)
+        _reference_verify(G)
+        return G
+    except GroupConstructionError as exc:
+        raise InputFormatError(f"invalid table: {exc}") from None
+
+
+def _ingested(parse, text):
+    """What a parser makes of ``text``: the group's table, names,
+    generators and name, or the text of the input error it raises."""
+    try:
+        G = parse(text)
+    except InputFormatError as exc:
+        return str(exc)
+    return G._table, G._names, G._gen_idx, G.name
+
+
+def _verify_outcome(G: FiniteGroup, verify):
+    try:
+        verify(G)
+    except GroupConstructionError as exc:
+        return str(exc)
+    return None
+
+
+def _table_text(rows, generators=None) -> str:
+    text = f"order {len(rows)}\n" + "\n".join(" ".join(map(str, row)) for row in rows)
+    if generators is not None:
+        text += "\ngenerators " + " ".join(map(str, generators))
+    return text
+
+
+def _intercalate_table(G: FiniteGroup, z: int, a: int, b: int) -> list:
+    """G's table with the intercalate on rows a, a*z and columns b, z*b
+    flipped; z is a central involution and a, b lie outside {1, z}, so the
+    result is a latin square with identity 0 that is no group table."""
+    rows = [list(row) for row in G._table]
+    az, zb = rows[a][z], rows[z][b]
+    rows[a][b], rows[a][zb] = rows[a][zb], rows[a][b]
+    rows[az][b], rows[az][zb] = rows[az][zb], rows[az][b]
+    return rows
+
+
+def _central_involution_groups():
+    return [
+        G
+        for G in (cyclic(6), dihedral(8), dicyclic(3), dicyclic(4), *small_groups(16))
+        if any(G.element_order(z) == 2 and G.class_size(z) == 1 for z in range(G.order))
+    ]
+
+
+@st.composite
+def _spoiled_table_text(draw):
+    """A relabelled group table with the identity anywhere, possibly with an
+    intercalate flipped, entries spoiled, rows cut or a generators line
+    that is redundant, short or out of range; every number a numeral."""
+    G = draw(
+        st.sampled_from(
+            [cyclic(1), cyclic(5), dihedral(6), *small_groups(8), *small_groups(12)]
+            + _central_involution_groups()
+        )
+    )
+    n = G.order
+    rows = [list(row) for row in G._table]
+    involutions = [z for z in range(n) if G.element_order(z) == 2 and G.class_size(z) == 1]
+    if involutions and draw(st.booleans()):
+        z = draw(st.sampled_from(involutions))
+        outside = [x for x in range(n) if x not in (0, z)]
+        rows = _intercalate_table(G, z, draw(st.sampled_from(outside)), draw(st.sampled_from(outside)))
+    sigma = draw(st.permutations(range(n)))
+    relabelled = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            relabelled[sigma[a]][sigma[b]] = sigma[rows[a][b]]
+    entry = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, n))
+    for i, j, v in draw(st.lists(entry, max_size=2)):
+        relabelled[i][j] = v
+    if draw(st.integers(0, 9)) == 0:
+        relabelled[draw(st.integers(0, n - 1))].pop()
+    generators = draw(
+        st.none()
+        | st.just([sigma[g] for g in G._gen_idx])
+        | st.lists(st.integers(0, n), max_size=4)
+    )
+    if generators is None:
+        # (with a generators line, a cut row would make it read as a row,
+        # whose words the two parsers report in different words)
+        if draw(st.integers(0, 9)) == 0:
+            relabelled.pop()
+    else:
+        generators = generators + draw(st.lists(st.integers(0, n - 1), max_size=2))
+    return _table_text(relabelled, generators)
+
+
+class TestIngestionMatchesReference:
+    @settings(PROPERTY_SETTINGS, max_examples=300)
+    @given(_spoiled_table_text())
+    def test_from_table(self, text):
+        assert _ingested(from_table, text) == _ingested(_reference_from_table, text)
+
+    def test_intercalates_with_the_identity_moved(self):
+        for n, i in ((6, 1), (520, 3)):
+            j = i + n // 2
+            rows = [[(a + b) % n for b in range(n)] for a in range(n)]
+            rows[i][i], rows[i][j] = rows[i][j], rows[i][i]
+            rows[j][i], rows[j][j] = rows[j][j], rows[j][i]
+            shift = [(a + 2) % n for a in range(n)]  # the identity at input 2
+            moved = [[0] * n for _ in range(n)]
+            for a in range(n):
+                for b in range(n):
+                    moved[shift[a]][shift[b]] = shift[rows[a][b]]
+            for generators in (None, [shift[1]], [shift[0], 7 % n, shift[1], shift[i]]):
+                text = _table_text(moved, generators)
+                got = _ingested(from_table, text)
+                assert got.startswith("invalid table: ")
+                assert got == _ingested(_reference_from_table, text)
+
+    @settings(PROPERTY_SETTINGS, max_examples=200)
+    @given(st.data())
+    def test_row_scan_reports_the_first_failing_triple(self, data):
+        G = data.draw(st.sampled_from(_central_involution_groups()))
+        n = G.order
+        z = data.draw(
+            st.sampled_from(
+                [z for z in range(n) if G.element_order(z) == 2 and G.class_size(z) == 1]
+            )
+        )
+        outside = [x for x in range(n) if x not in (0, z)]
+        rows = _intercalate_table(
+            G, z, data.draw(st.sampled_from(outside)), data.draw(st.sampled_from(outside))
+        )
+        # a spanning list: G's generators with arbitrary elements around them
+        generators = (
+            data.draw(st.lists(st.integers(0, n - 1), max_size=3))
+            + list(G._gen_idx)
+            + data.draw(st.lists(st.integers(0, n - 1), max_size=3))
+        )
+        try:
+            H = FiniteGroup(rows, range(n), generators, verify=False)
+        except GroupConstructionError:
+            return  # the flip broke two-sided inverses
+        got = _verify_outcome(H, FiniteGroup._verify)
+        assert got == _verify_outcome(H, _reference_verify)
+        assert got is not None
+
+    @settings(PROPERTY_SETTINGS, max_examples=60)
+    @given(st.lists(st.permutations(range(6)), min_size=1, max_size=3))
+    def test_from_permutations(self, perms):
+        lines = ["perm " + _cycles(p) for p in perms]
+        G = from_permutations(lines)
+        assert (G._table, G._names, G._gen_idx, G.name) == _ingested(
+            _reference_from_permutations, lines
+        )
+        G._verify()
+
+    def test_regular_permutation_groups_are_group_tables(self):
+        for H in small_groups(24):
+            lines = ["perm " + _cycles(H._table[g]) for g in H._gen_idx]
+            G = from_permutations(lines)
+            assert G.order == 24
+            assert (G._table, G._names, G._gen_idx, G.name) == _ingested(
+                _reference_from_permutations, lines
+            )
+            G._verify()
 
 
 # ---------------------------------------------------------------------------

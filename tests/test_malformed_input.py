@@ -57,11 +57,15 @@ def table_like(draw):
     rows = [" ".join(map(str, row)) for row in table]
     rows = rows[: draw(st.integers(0, n))] + rows[n:] if draw(st.booleans()) else rows
     head = draw(
-        st.sampled_from([f"order {n}", f"order {n + 1}", "order 0", "order", "order x"])
+        st.sampled_from(
+            [f"order {n}", f"order {n + 1}", "order 0", "order", "order x"]
+            + [f"order {n} junk", f"orderly {n}", f"ORDER {n}", f"order +{n}", f"order 0{n}"]
+        )
     )
     tail = draw(
         st.sampled_from(
             ["", "generators", "generators 1", f"generators {n}", "generators x", "extra"]
+            + ["generatorsfoo 1", "GENERATORS 0", "generators +1", "generators 01"]
         )
     )
     return "\n".join([head, *rows, tail])
