@@ -13,23 +13,29 @@ of order 8g.  Two quotient shapes occur:
   orientation-preserving involution, with a single epimorphism class
   (label ``b``).
 
-``build_extensions`` does not take these counts on faith: it enumerates the
-assignments of canonical generators that satisfy the defining relations, up
-to conjugating the first image, and certifies that each generating one is
-equivalent, through a character-preserving automorphism of the target (plus
-the chain-reversal relabelling for kind ``a``), to exactly one canonical
-epimorphism.  Each tuple gets one Cayley key (``groups._cayley_key``); each
-canonical epimorphism owns its key and, for kind ``a``, its reversal's key.
-No key may be owned twice, and every canonical epimorphism must be reached.
-``restrict_to_index2`` rebuilds the orientation-preserving action from each
-extension; callers check that it lands in the unique class of the parent
-family.
+The kind fixes only the signature; the rest of an extension's shape (stored
+images and their names, relation checks, the one enumerator, whether chain
+reversal applies, restriction words) is read off the canonical presentation
+of that NEC signature (Bujalance, Cirre, Gamboa & Gromadzki, *Symmetries of
+Compact Riemann Surfaces*, LNM 2007).  ``build_extensions`` does not take
+the counts on faith: it enumerates the assignments of canonical generators
+that satisfy the defining relations, up to conjugating the first image, and
+certifies that each generating one is equivalent, through a
+character-preserving automorphism of the target (plus the chain reversal
+where the signature allows it, which is kind ``a``), to exactly one
+canonical epimorphism.  Each tuple gets one Cayley key
+(``groups._cayley_key``); each canonical epimorphism owns its key and, when
+reversal applies, its reversal's key.  No key may be owned twice, and every
+canonical epimorphism must be reached.  ``restrict_to_index2`` rebuilds the
+orientation-preserving action from each extension; callers check that it
+lands in the unique class of the parent family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 from .actions import GeneratingVector, kernel_genus
 from .errors import InvariantViolation
@@ -49,12 +55,6 @@ from .signatures import Signature, chain_signature, mixed_signature
 
 KIND_A = "a"
 KIND_B = "b"
-
-# Canonical generator slots stored on an ExtendedAction, by kind.  For the
-# one-cone-point shape the connecting generator e equals a^-1 = a, so only
-# the elliptic generator and the reflections need explicit images.
-_SLOTS = {KIND_A: ("c0", "c1", "c2", "c3"), KIND_B: ("a", "c0", "c1", "c2")}
-
 
 @lru_cache(maxsize=None)
 def chain_target_group(g: int) -> FiniteGroup:
@@ -107,13 +107,15 @@ def cone_target_group(g: int) -> FiniteGroup:
 class ExtendedAction:
     """A boundary epimorphism from a mirror signature group onto an order-8g group.
 
-    ``images`` holds the images of the canonical generators listed in
-    ``generator_names`` (reflections c0..c3 for kind a; the elliptic
-    involution a followed by reflections c0..c2 for kind b).  The kind fixes
-    both those names and the ``signature``.  Construction checks every
-    defining relation, the orientation character on each image, the exact
-    torsion orders (which make the kernel torsion-free), generation, and
-    that the kernel has genus g.
+    The ``signature`` (0;+;[m_1..m_r];{(n_1..n_s)}) is the only thing the
+    kind fixes.  Its canonical generators are the elliptic x_1..x_r, the
+    connecting e and the reflections c_0..c_s, with x_1...x_r*e = 1,
+    c_s = e^-1 c_0 e and each link product c_(j-1)*c_j of exact order n_j.
+    ``images`` holds the images of x_1..x_r, then of c_0..c_(s-1), then of
+    c_s when r > 0; with r = 0, e = 1 and c_s = c_0 is not stored.
+    Construction checks every defining relation, the orientation character
+    on each image, the exact torsion orders (which make the kernel
+    torsion-free), generation, and that the kernel has genus g.
     """
 
     g: int
@@ -125,8 +127,8 @@ class ExtendedAction:
     def __post_init__(self):
         g = self.g
         group = self.group
-        if self.kind not in _SLOTS:
-            raise InvariantViolation(f"unknown extension kind {self.kind!r}")
+        sig = self.signature
+        periods, (links,) = sig.proper_periods, sig.period_cycles
         if len(self.images) != len(self.generator_names):
             raise InvariantViolation("one image per canonical generator is required")
         for e in self.images:
@@ -136,75 +138,72 @@ class ExtendedAction:
             raise InvariantViolation(
                 f"target group has order {group.order}, expected {8 * g}"
             )
-        if self.kind == KIND_A:
-            reflections = self.images
-            link = (2, 2, 2, 2 * g)
-        else:
-            a, c0, c1, c2 = self.images
-            if group.kappa(a) != 1 or a.order() != 2:
+        cycle = self.reflection_cycle
+        for m, x in zip(periods, self.images):
+            if group.kappa(x) != 1 or x.order() != m:
                 raise InvariantViolation(
-                    "the elliptic generator must map to an orientation-preserving"
-                    " involution"
+                    f"the elliptic generator must map to an orientation-preserving"
+                    f" element of order {m}"
                 )
-            if c2 != a * c0 * a:
-                raise InvariantViolation(
-                    "the wrapped reflection must be the conjugate of c0 by a"
-                )
-            reflections = (c0, c1, c2)
-            link = (2, 2 * g)
-        for e in reflections:
+        for e in cycle:
             if e.order() != 2:
                 raise InvariantViolation(f"reflection image {e.name} is not an involution")
             if group.kappa(e) != -1:
                 raise InvariantViolation(
                     f"reflection image {e.name} preserves orientation"
                 )
-        for i, n in enumerate(link):
-            left = reflections[i]
-            right = reflections[(i + 1) % len(reflections)]
+        for n, left, right in zip(links, cycle, cycle[1:]):
             got = (left * right).order()
             if got != n:
                 raise InvariantViolation(
                     f"link product {left.name}*{right.name} has order {got},"
                     f" the signature demands exactly {n}"
                 )
+        conn = self.connecting_image
+        if cycle[-1] != conn.inverse() * cycle[0] * conn:
+            raise InvariantViolation(
+                "the wrapped reflection must be the conjugate of c0 by the"
+                " connecting generator"
+            )
         span = group._closure_idx([e.idx for e in self.images])
         if len(span) != group.order:
             raise InvariantViolation("images do not generate the full target group")
-        if kernel_genus(group.order, self.signature) != g:
+        if kernel_genus(group.order, sig) != g:
             raise InvariantViolation("kernel genus does not match g")
 
     @property
     def signature(self) -> Signature:
         """The reflection signature of the kind: chain for a, mixed for b."""
-        return chain_signature(self.g) if self.kind == KIND_A else mixed_signature(self.g)
+        if self.kind == KIND_A:
+            return chain_signature(self.g)
+        if self.kind == KIND_B:
+            return mixed_signature(self.g)
+        raise InvariantViolation(f"unknown extension kind {self.kind!r}")
 
     @property
     def generator_names(self) -> tuple:
         """The canonical generators whose images are stored, in order."""
-        return _SLOTS[self.kind]
-
-    def image(self, name: str) -> GroupElement:
-        """Image of the named canonical generator."""
-        return self.images[self.generator_names.index(name)]
-
-    @property
-    def reflection_images(self) -> tuple:
-        """Images of the canonical reflections, in chain order."""
-        if self.kind == KIND_A:
-            return self.images
-        return self.images[1:]
+        sig = self.signature
+        periods, (links,) = sig.proper_periods, sig.period_cycles
+        stored = len(links) + (len(periods) > 0)
+        return ("a",) * len(periods) + tuple(f"c{j}" for j in range(stored))
 
     @property
     def connecting_image(self) -> GroupElement:
-        """Image of the connecting generator closing the period cycle.
+        """Image of the connecting generator e = (x_1...x_r)^-1."""
+        word = self.group.identity
+        for x in self.images[: len(self.signature.proper_periods)]:
+            word = word * x
+        return word.inverse()
 
-        Trivial for kind a (the cycle closes on itself); for kind b it equals
-        the image of the elliptic involution a, since a*e = 1 forces e = a.
-        """
-        if self.kind == KIND_A:
-            return self.group.identity
-        return self.image("a")
+    @property
+    def reflection_cycle(self) -> tuple:
+        """Images of the canonical reflections c_0..c_s, in cycle order."""
+        sig = self.signature
+        cycle = self.images[len(sig.proper_periods):]
+        if len(cycle) == len(sig.period_cycles[0]):
+            cycle += cycle[:1]  # r = 0: e = 1, so c_s = c_0
+        return cycle
 
     def __str__(self) -> str:
         pairs = ", ".join(
@@ -213,87 +212,76 @@ class ExtendedAction:
         return f"[{self.label}] {self.signature}: {pairs}"
 
 
-def _admissible_chain_tuples(G: FiniteGroup, g: int) -> list:
-    """Index tuples (r0..r3) satisfying the reflection-chain relations.
+def _admissible_tuples(G: FiniteGroup, sig: Signature) -> list:
+    """Image index tuples satisfying the canonical relations of ``sig``.
 
-    Each entry must be an orientation-reversing involution, and consecutive
-    products must have exact orders (2, 2, 2) with the closing product of
-    order exactly 2g.  Conjugation preserves the relations and the
-    character, so r0 runs only over conjugacy class minima.  Generation is
-    settled by :func:`_verify_unique_classes`.
+    Elliptic images are orientation-preserving elements of their periods,
+    reflection images orientation-reversing involutions.  The first entry
+    (x_1 if r > 0, else c_0) runs only over conjugacy-class minima, since
+    conjugation preserves the relations and the character; c_s is forced as
+    e^-1 c_0 e; the chain c_1..c_(s-1) is filtered link by link, and the
+    closing link c_(s-1)*c_s is checked last (both kinds have s >= 2, so
+    c_(s-1) is free).  Tuples follow the ``ExtendedAction.images`` layout.
+    Generation is settled by :func:`_verify_unique_classes`.
     """
-    n = G.order
-    kappa = G.orientation
-    order_of = G.element_order
-    table = G._table
-    mirrors = [i for i in range(n) if order_of(i) == 2 and kappa[i] == -1]
-    target = 2 * g
+    periods, (links,) = sig.proper_periods, sig.period_cycles
+    order_of, kappa, table = G.element_order, G.orientation, G._table
+
+    def having(m, sign):
+        return [i for i in range(G.order) if order_of(i) == m and kappa[i] == sign]
+
+    mirrors = having(2, -1)
+    pools = [having(m, 1) for m in periods] + [mirrors]
+    pools[0] = _class_minima(G, set(pools[0]))
+    *elliptic, starts = pools
     found = []
-    for r0 in _class_minima(G, set(mirrors)):
-        row0 = table[r0]
-        for r1 in mirrors:
-            if order_of(row0[r1]) != 2:
-                continue
-            row1 = table[r1]
-            for r2 in mirrors:
-                if order_of(row1[r2]) != 2:
-                    continue
-                row2 = table[r2]
-                for r3 in mirrors:
-                    if order_of(row2[r3]) != 2:
-                        continue
-                    if order_of(table[r3][r0]) == target:
-                        found.append((r0, r1, r2, r3))
-    return found
 
+    def extend(chain, cs, head, tail):
+        order, rows = order_of, table  # locals: the loops below are the hot path
+        row = rows[chain[-1]]
+        link = links[len(chain) - 1]
+        if len(chain) < len(links) - 1:
+            for c in mirrors:
+                if order(row[c]) == link:
+                    extend(chain + (c,), cs, head, tail)
+            return
+        closing = links[-1]
+        for c in mirrors:  # c = c_(s-1), the last free reflection
+            if order(row[c]) == link and order(rows[c][cs]) == closing:
+                found.append(head + chain + (c,) + tail)
 
-def _admissible_cone_tuples(G: FiniteGroup, g: int) -> list:
-    """Index tuples (a, c0, c1, c2) satisfying the one-cone-point relations.
-
-    a must be an orientation-preserving involution, c0 and c1 orientation
-    reversing involutions, c2 is forced to be a*c0*a, and the product c0*c1
-    must have order exactly 2 and c1*c2 order exactly 2g.  As for the chain,
-    a runs only over class minima, and generation is settled later.
-    """
-    n = G.order
-    kappa = G.orientation
-    order_of = G.element_order
-    table = G._table
-    rotations = [i for i in range(n) if order_of(i) == 2 and kappa[i] == 1]
-    mirrors = [i for i in range(n) if order_of(i) == 2 and kappa[i] == -1]
-    target = 2 * g
-    found = []
-    for a in _class_minima(G, set(rotations)):
-        row_a = table[a]
-        for c0 in mirrors:
-            c2 = table[row_a[c0]][a]
-            row0 = table[c0]
-            for c1 in mirrors:
-                if order_of(row0[c1]) != 2:
-                    continue
-                if order_of(table[c1][c2]) == target:
-                    found.append((a, c0, c1, c2))
+    for head in product(*elliptic):
+        word = 0
+        for x in head:
+            word = table[word][x]
+        for c0 in starts:
+            cs = table[table[word][c0]][G._inv[word]]
+            extend((c0,), cs, head, (cs,) if head else ())
     return found
 
 
 def _verify_unique_classes(
-    G: FiniteGroup, tuples: list, canon: list, allow_reversal: bool
+    G: FiniteGroup, tuples: list, canon: list, sig: Signature
 ) -> dict:
     """Check every generating tuple has the Cayley key of one canonical class.
 
     Equal keys mean an automorphism of G maps one tuple onto the other entry
     by entry; it preserves the orientation character, as equal positions
     carry equal signs.  Such a map also sends t[::-1] onto the other tuple's
-    reversal, so where reversal is allowed each canonical class owns two
-    keys, its tuple's and its reversal's, and every tuple needs only its own
-    key.  A key of length ``len(t) * |G|`` means t generates G; other tuples
-    are skipped.  Returns ``owner``: each generating tuple -> its canonical
-    index.
+    reversal.  Reversing the chain, c_j -> c_(s-1-j), is a relabelling of
+    the canonical generators when ``sig`` has no cone point (so c_s = c_0)
+    and the reversed links n_(s-1)..n_1 equal n_1..n_(s-1): then each
+    canonical class owns two keys, its tuple's and its reversal's, and every
+    tuple needs only its own key.  A key of length ``len(t) * |G|`` means t
+    generates G; other tuples are skipped.  Returns ``owner``: each
+    generating tuple -> its canonical index.
     """
+    periods, (links,) = sig.proper_periods, sig.period_cycles
+    reversible = not periods and links[-2::-1] == links[:-1]
     table = G._table
     names = {}
     for k, rep in enumerate(canon):
-        for t in (rep, rep[::-1]) if allow_reversal else (rep,):
+        for t in (rep, rep[::-1]) if reversible else (rep,):
             if names.setdefault(_cayley_key(table, t), k) != k:
                 raise InvariantViolation(
                     "canonical epimorphisms are equivalent; the classification collapsed"
@@ -321,7 +309,7 @@ def _verify_unique_classes(
 def _distinct_image_classes(action: ExtendedAction) -> int:
     """Number of distinct conjugacy classes met by the reflection images."""
     class_of = action.group._class_index()[1]
-    return len({class_of[e.idx] for e in action.reflection_images})
+    return len({class_of[e.idx] for e in action.reflection_cycle})
 
 
 @lru_cache(maxsize=None)
@@ -338,7 +326,8 @@ def _build_chain_extensions(g: int) -> tuple:
         ExtendedAction(g, KIND_A, "a2", G, second),
     )
     canon = [tuple(e.idx for e in a.images) for a in actions]
-    _verify_unique_classes(G, _admissible_chain_tuples(G, g), canon, allow_reversal=True)
+    sig = chain_signature(g)
+    _verify_unique_classes(G, _admissible_tuples(G, sig), canon, sig)
     # The two classes are told apart by how many conjugacy classes their
     # reflection images hit: a1 sends two chain generators into the same
     # class, a2 spreads over four.
@@ -355,7 +344,8 @@ def _build_cone_extensions(g: int) -> tuple:
     w = G.generator("w")
     action = ExtendedAction(g, KIND_B, "b", G, (x, x * w * x, z, w))
     canon = [tuple(e.idx for e in action.images)]
-    _verify_unique_classes(G, _admissible_cone_tuples(G, g), canon, allow_reversal=False)
+    sig = mixed_signature(g)
+    _verify_unique_classes(G, _admissible_tuples(G, sig), canon, sig)
     return (action,)
 
 
@@ -406,19 +396,21 @@ def restrict_to_index2(e: ExtendedAction) -> GeneratingVector:
     """The orientation-preserving action carried inside an extension.
 
     Rewrites the canonical generators of the index-2 orientable subgroup in
-    terms of the extension's generators and takes images: for kind a the four
-    consecutive reflection products, for kind b the elliptic involution, its
-    c0-conjugate, and the two leading reflection products.  The result is a
-    generating vector on periods (2, 2, 2, 2g); anything else means the
-    extension is broken and raises InvariantViolation.
+    terms of the extension's generators and takes images: the elliptic
+    x_1..x_r, their c_0-conjugates c_0*x_i*c_0, and the link products
+    c_j*c_(j+1) for j < s (the four consecutive reflection products for kind
+    a; a, c0*a*c0, c0*c1 and c1*c2 for kind b).  The result is a generating
+    vector on periods (2, 2, 2, 2g); anything else means the extension is
+    broken and raises InvariantViolation.
     """
     G = e.group
-    if e.kind == KIND_A:
-        c0, c1, c2, c3 = e.images
-        words = (c0 * c1, c1 * c2, c2 * c3, c3 * c0)
-    else:
-        a, c0, c1, c2 = e.images
-        words = (a, c0 * a * c0, c0 * c1, c1 * c2)
+    elliptic = e.images[: len(e.signature.proper_periods)]
+    cycle = e.reflection_cycle
+    words = (
+        elliptic
+        + tuple(cycle[0] * x * cycle[0] for x in elliptic)
+        + tuple(left * right for left, right in zip(cycle, cycle[1:]))
+    )
     plus = orientation_preserving_subgroup(G)
     images = []
     for p in words:

@@ -514,8 +514,8 @@ class Subgroup:
     def as_group(self, name: str = None) -> "FiniteGroup":
         """The subgroup reindexed as a standalone group (0 = identity).
 
-        The result carries ``parent_indices`` (new index -> parent index),
-        ``from_parent`` (parent index -> new index) and ``parent_group``.
+        The result carries ``parent_indices`` (new index -> parent index) and
+        ``from_parent`` (parent index -> new index).
         """
         parent = self.parent
         ordered = sorted(self.element_indices)
@@ -536,7 +536,6 @@ class Subgroup:
         )
         sub.parent_indices = tuple(ordered)
         sub.from_parent = new_of
-        sub.parent_group = parent
         return sub
 
 

@@ -12,9 +12,12 @@ counts through Gromadzki's centralizer-index formula (summing, over the
 non-conjugate canonical reflections whose image falls in the class, the index
 of the image of the reflection centralizer inside the centralizer of the
 image), and separability signs through an encoded classification table.  The
-centralizer-image rule is guarded: for the canonical reflection-chain
-extensions it must reproduce eight independently stated subgroups exactly,
-and any drift aborts the computation.
+centralizer-image rule is one formula over the extension's signature: the
+non-conjugate reflections are c_0..c_(s-1), and each centralizer image is
+generated by c_i and the half powers of its two link products.  It is
+guarded: for the canonical reflection-chain extensions it must reproduce
+eight independently stated subgroups exactly, and any drift aborts the
+computation.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .errors import InvariantViolation
-from .extensions import KIND_A, KIND_B, ExtendedAction, build_extensions
+from .extensions import KIND_A, ExtendedAction, build_extensions
 from .groups import GroupElement
 
 
@@ -126,43 +129,22 @@ def symmetry_classes(e: ExtendedAction) -> list:
 
 
 def _rule_generators(e: ExtendedAction, position: int) -> tuple:
-    """Generators of the image of the centralizer of a canonical reflection.
+    """Generators of the image of the centralizer of canonical reflection c_i.
 
     Both link periods adjacent to every reflection here are even, so the
-    image subgroup is generated by the reflection image itself plus the half
-    powers of the two adjacent link products.  At the ends of the kind-b
-    chain the missing neighbor is supplied by conjugation with the connecting
-    generator (which maps to the elliptic image a, as a*e = 1).
+    image subgroup is generated by c_i itself plus the half powers of its two
+    link products: (c_i, (c_(i-1)*c_i)^(n_(i-1)/2), (c_i*c_(i+1))^(n_i/2)).
+    At i = 0 the missing neighbour c_(-1) = e*c_(s-1)*e^-1 comes from the
+    connecting generator e.
     """
-    refl = e.reflection_images
-    g = e.g
-    if e.kind == KIND_A:
-        links = (2, 2, 2, 2 * g)
-        r = refl[position]
-        left_pair = refl[(position - 1) % 4] * r
-        right_pair = r * refl[(position + 1) % 4]
-        left = left_pair ** (links[(position - 1) % 4] // 2)
-        right = right_pair ** (links[position] // 2)
-        return (r, left, right)
-    c0, c1, c2 = refl
-    wrapped = e.connecting_image * c1 * e.connecting_image
-    if position == 0:
-        return (c0, (wrapped * c0) ** g, c0 * c1)
-    if position == 1:
-        return (c1, c0 * c1, (c1 * c2) ** g)
-    if position == 2:
-        return (c2, (c1 * c2) ** g, c2 * wrapped)
-    raise ValueError(f"no canonical reflection at position {position}")
-
-
-def _reflection_positions(e: ExtendedAction) -> tuple:
-    """Positions of the canonical reflections up to conjugacy in the source.
-
-    All four chain reflections of kind a are pairwise non-conjugate (every
-    link period is even).  In kind b the wrapped reflection c2 is the
-    conjugate of c0 by the connecting generator, so only c0 and c1 remain.
-    """
-    return (0, 1, 2, 3) if e.kind == KIND_A else (0, 1)
+    links = e.signature.period_cycles[0]
+    cycle = e.reflection_cycle
+    conn = e.connecting_image
+    r = cycle[position]
+    before = conn * cycle[-2] * conn.inverse() if position == 0 else cycle[position - 1]
+    left = (before * r) ** (links[position - 1] // 2)
+    right = (r * cycle[position + 1]) ** (links[position] // 2)
+    return (r, left, right)
 
 
 def _check_stated_subgroups(e: ExtendedAction, members_by_position: dict):
@@ -209,7 +191,8 @@ def _reflection_records(e: ExtendedAction) -> tuple:
     G = e.group
     records = []
     members_by_position = {}
-    for position in _reflection_positions(e):
+    # c_s = e^-1 c_0 e, so c_0..c_(s-1) are the reflections up to conjugacy
+    for position in range(len(e.reflection_cycle) - 1):
         r, left, right = _rule_generators(e, position)
         image_sub = G.subgroup((r, left, right))
         centralizer = G.centralizer(r)

@@ -243,9 +243,9 @@ def build_report(
     """Run the whole pipeline for one genus and assemble the report.
 
     ``search_groups`` supplies externally loaded order-4g groups for the
-    beyond-the-families action search; without it the built-in catalog is
-    used, and the search only runs when special signatures exist at this
-    genus and 4g does not exceed ``max_order``.
+    beyond-the-families action search, which runs when special signatures
+    exist at this genus.  Without it the built-in catalog is used, and only
+    when 4g does not exceed ``max_order``, the catalog cap.
     """
     if g < 2:
         raise ValueError("reports start at genus 2")
@@ -312,7 +312,9 @@ def build_report(
     has_sporadic = any(ts.tag == TAG_SPORADIC for ts in tagged)
     has_quadruple = any(ts.tag == TAG_QUADRUPLE for ts in tagged)
     search = None
-    if (has_sporadic or has_quadruple) and 4 * g <= max_order:
+    if (has_sporadic or has_quadruple) and (
+        search_groups is not None or 4 * g <= max_order
+    ):
         pool = list(search_groups) if search_groups is not None else small_groups(4 * g)
         search = {
             "groups_scanned": len(pool),

@@ -160,6 +160,19 @@ class TestReportCommand:
         assert search["groups_scanned"] == 2
         assert search["catalog_complete"] is False
 
+    def test_report_searches_tables_above_max_order(self, tmp_path, capsys):
+        # --max-order caps the built-in catalog, not the supplied files
+        (tmp_path / "c12.perms").write_text(
+            "perm (" + " ".join(str(i) for i in range(1, 13)) + ")\n"
+        )
+        argv = ["report", "--genus", "3", "--json", "--max-order", "8"]
+        assert main(argv) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["exceptional"]["search"] is None
+        assert main(argv + ["--tables", str(tmp_path)]) == EXIT_OK
+        search = json.loads(capsys.readouterr().out)["exceptional"]["search"]
+        assert search["groups_scanned"] == 1
+        assert search["catalog_complete"] is False
+
 
 class TestAtlasCommand:
     def test_json_reports_and_summary(self, capsys):

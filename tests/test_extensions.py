@@ -16,8 +16,7 @@ from fourg.errors import InvariantViolation
 from fourg import extensions
 from fourg.extensions import (
     ExtendedAction,
-    _admissible_chain_tuples,
-    _admissible_cone_tuples,
+    _admissible_tuples,
     _verify_unique_classes,
     build_extensions,
     chain_target_group,
@@ -25,7 +24,13 @@ from fourg.extensions import (
     orientation_preserving_subgroup,
     restrict_to_index2,
 )
-from fourg.groups import FiniteGroup, _cayley_key, close_generator_map, recognize
+from fourg.groups import (
+    FiniteGroup,
+    _cayley_key,
+    _class_minima,
+    close_generator_map,
+    recognize,
+)
 from fourg.signatures import chain_signature, mixed_signature
 
 
@@ -120,23 +125,42 @@ class TestBuildExtensions:
             build_extensions(3, "z")
 
     def test_image_accessors(self):
+        # kind a: no cone point, so e = 1 and the cycle closes on c0
         first, _ = build_extensions(2, "a")
-        assert first.image("c3") == first.group.generator("w")
-        assert first.reflection_images == first.images
-        assert first.connecting_image == first.group.identity
+        G = first.group
+        w, x, y = G.generator("w"), G.generator("x"), G.generator("y")
+        assert first.generator_names == ("c0", "c1", "c2", "c3")
+        assert first.images[3] == w
+        assert first.reflection_cycle == first.images + (x,)
+        assert first.connecting_image == G.identity
+        # kind b: a*e = 1 gives e = a^-1 = a, and c2 = e^-1 c0 e is stored
         (cone,) = build_extensions(2, "b")
-        assert cone.image("a") == cone.group.generator("x")
-        assert cone.reflection_images == cone.images[1:]
-        assert cone.connecting_image == cone.group.generator("x")
+        G = cone.group
+        x, z, w = G.generator("x"), G.generator("z"), G.generator("w")
+        assert cone.generator_names == ("a", "c0", "c1", "c2")
+        assert cone.images[0] == x
+        assert cone.reflection_cycle == (x * w * x, z, w)
+        assert cone.connecting_image == x
+
+    def test_str_pinned(self):
+        first, second = build_extensions(2, "a")
+        (cone,) = build_extensions(2, "b")
+        assert str(first) == (
+            "[a1] (0;+;[-];{(2,2,2,4)}): c0->x, c1->y, c2->(wx)^3x, c3->w"
+        )
+        assert str(second) == (
+            "[a2] (0;+;[-];{(2,2,2,4)}): c0->x, c1->y, c2->(wx)^2*y, c3->w"
+        )
+        assert str(cone) == "[b] (0;+;[2];{(2,4)}): a->x, c0->(zw)^3w, c1->z, c2->w"
 
     def test_orientation_character_on_images(self):
         for g in (2, 3):
             for kind in ("a", "b"):
                 for action in build_extensions(g, kind):
-                    for e in action.reflection_images:
+                    for e in action.reflection_cycle:
                         assert action.group.kappa(e) == -1
                     if kind == "b":
-                        assert action.group.kappa(action.image("a")) == 1
+                        assert action.group.kappa(action.images[0]) == 1
 
     def test_labels_split_by_image_class_spread(self):
         first, second = build_extensions(4, "a")
@@ -170,6 +194,20 @@ class TestExtendedActionValidation:
         x, z, w = G.generator("x"), G.generator("z"), G.generator("w")
         with pytest.raises(InvariantViolation):
             ExtendedAction(2, "b", "b", G, (x, x * w * x, z, z))
+        # every link holds, but c2 is not the conjugate of c0
+        with pytest.raises(InvariantViolation, match="wrapped reflection"):
+            ExtendedAction(2, "b", "b", G, (x, x * w * x, z, (z * w) ** 2 * w))
+
+    def test_bad_elliptic_image_rejected(self):
+        (cone,) = build_extensions(2, "b")
+        G = cone.group
+        x, z, w = G.generator("x"), G.generator("z"), G.generator("w")
+        rotation = z * w  # orientation preserving, but of order 2g, not 2
+        with pytest.raises(InvariantViolation, match="elliptic generator"):
+            ExtendedAction(2, "b", "b", G, (rotation, z, z, w))
+        # an orientation-reversing involution in the elliptic slot
+        with pytest.raises(InvariantViolation, match="elliptic generator"):
+            ExtendedAction(2, "b", "b", G, (z, x * w * x, z, w))
 
     def test_non_generating_images_rejected(self):
         (cone,) = build_extensions(2, "b")
@@ -232,13 +270,11 @@ class TestUniquenessSearch:
         # the canonical tuples need not start at a class minimum, so the
         # enumeration reaches each canonical class, not each canonical tuple
         for g in (3, 4):
-            for kind, enumerate_tuples, rev in (
-                ("a", _admissible_chain_tuples, True),
-                ("b", _admissible_cone_tuples, False),
-            ):
+            for kind, rev in (("a", True), ("b", False)):
                 actions = build_extensions(g, kind)
                 G = actions[0].group
-                reached = {_cayley_key(G._table, t) for t in enumerate_tuples(G, g)}
+                tuples = _admissible_tuples(G, actions[0].signature)
+                reached = {_cayley_key(G._table, t) for t in tuples}
                 for action in actions:
                     t = _indices(action)
                     keys = {_cayley_key(G._table, t)}
@@ -256,7 +292,7 @@ class TestUniquenessSearch:
         keys2 = {_cayley_key(table, t2), _cayley_key(table, t2[::-1])}
         assert not keys1 & keys2
         # with reversal t[::-1] is owned by t's class; without, it is not t
-        owner = _verify_unique_classes(G, [t2[::-1], t1[::-1]], [t1, t2], True)
+        owner = _verify_unique_classes(G, [t2[::-1], t1[::-1]], [t1, t2], first.signature)
         assert owner == {t1[::-1]: 0, t2[::-1]: 1}
         assert _cayley_key(table, t1) != _cayley_key(table, t1[::-1])
         assert not _reference_equivalent(G, t1, t1[::-1], allow_reversal=False)
@@ -271,7 +307,7 @@ class TestUniquenessSearch:
     def test_one_key_per_tuple(self, kind, monkeypatch):
         # each canonical tuple is keyed once, and once more reversed for
         # kind a; each admissible tuple is keyed exactly once
-        G, candidates, _, canon, rev = _certificate_inputs(4, kind)
+        G, candidates, _, canon, sig, rev = _certificate_inputs(4, kind)
         calls = []
         real = extensions._cayley_key
 
@@ -280,7 +316,7 @@ class TestUniquenessSearch:
             return real(table, t)
 
         monkeypatch.setattr(extensions, "_cayley_key", counting)
-        _verify_unique_classes(G, candidates, canon, rev)
+        _verify_unique_classes(G, candidates, canon, sig)
         assert len(calls) == len(candidates) + (2 if rev else 1) * len(canon)
         assert calls[-len(candidates):] == candidates
 
@@ -391,14 +427,124 @@ def _reference_verify_unique_classes(
             )
 
 
+def _reference_admissible_chain_tuples(G: FiniteGroup, g: int) -> list:
+    """Index tuples (r0..r3) satisfying the reflection-chain relations.
+
+    Each entry must be an orientation-reversing involution, and consecutive
+    products must have exact orders (2, 2, 2) with the closing product of
+    order exactly 2g.  Conjugation preserves the relations and the
+    character, so r0 runs only over conjugacy class minima.  Generation is
+    settled by :func:`_verify_unique_classes`.
+
+    The kind-a enumerator before the signature-driven one, kept verbatim.
+    """
+    n = G.order
+    kappa = G.orientation
+    order_of = G.element_order
+    table = G._table
+    mirrors = [i for i in range(n) if order_of(i) == 2 and kappa[i] == -1]
+    target = 2 * g
+    found = []
+    for r0 in _class_minima(G, set(mirrors)):
+        row0 = table[r0]
+        for r1 in mirrors:
+            if order_of(row0[r1]) != 2:
+                continue
+            row1 = table[r1]
+            for r2 in mirrors:
+                if order_of(row1[r2]) != 2:
+                    continue
+                row2 = table[r2]
+                for r3 in mirrors:
+                    if order_of(row2[r3]) != 2:
+                        continue
+                    if order_of(table[r3][r0]) == target:
+                        found.append((r0, r1, r2, r3))
+    return found
+
+
+def _reference_admissible_cone_tuples(G: FiniteGroup, g: int) -> list:
+    """Index tuples (a, c0, c1, c2) satisfying the one-cone-point relations.
+
+    a must be an orientation-preserving involution, c0 and c1 orientation
+    reversing involutions, c2 is forced to be a*c0*a, and the product c0*c1
+    must have order exactly 2 and c1*c2 order exactly 2g.  As for the chain,
+    a runs only over class minima, and generation is settled later.
+
+    The kind-b enumerator before the signature-driven one, kept verbatim.
+    """
+    n = G.order
+    kappa = G.orientation
+    order_of = G.element_order
+    table = G._table
+    rotations = [i for i in range(n) if order_of(i) == 2 and kappa[i] == 1]
+    mirrors = [i for i in range(n) if order_of(i) == 2 and kappa[i] == -1]
+    target = 2 * g
+    found = []
+    for a in _class_minima(G, set(rotations)):
+        row_a = table[a]
+        for c0 in mirrors:
+            c2 = table[row_a[c0]][a]
+            row0 = table[c0]
+            for c1 in mirrors:
+                if order_of(row0[c1]) != 2:
+                    continue
+                if order_of(table[c1][c2]) == target:
+                    found.append((a, c0, c1, c2))
+    return found
+
+
+def _reference_restriction_words(e: ExtendedAction) -> tuple:
+    """The per-kind restriction words before the signature-driven rule (verbatim)."""
+    if e.kind == "a":
+        c0, c1, c2, c3 = e.images
+        words = (c0 * c1, c1 * c2, c2 * c3, c3 * c0)
+    else:
+        a, c0, c1, c2 = e.images
+        words = (a, c0 * a * c0, c0 * c1, c1 * c2)
+    return words
+
+
 def _certificate_inputs(g, kind):
-    """Target group, candidates, reference admissible set, canon, reversal flag."""
+    """Target group, candidates, reference set, canon, signature, reversal flag."""
     actions = build_extensions(g, kind)
     G = actions[0].group
+    sig = actions[0].signature
     canon = [tuple(e.idx for e in a.images) for a in actions]
-    if kind == "a":
-        return G, _admissible_chain_tuples(G, g), _reference_chain_tuples(G, g), canon, True
-    return G, _admissible_cone_tuples(G, g), _reference_cone_tuples(G, g), canon, False
+    reference = _reference_chain_tuples if kind == "a" else _reference_cone_tuples
+    return G, _admissible_tuples(G, sig), reference(G, g), canon, sig, kind == "a"
+
+
+class TestSignatureDrivenShape:
+    """The one enumerator and one restriction rule against the per-kind ones."""
+
+    @pytest.mark.parametrize("g", range(2, 31))
+    def test_enumerator_matches_per_kind_reference(self, g):
+        for target, sig, reference in (
+            (chain_target_group, chain_signature, _reference_admissible_chain_tuples),
+            (cone_target_group, mixed_signature, _reference_admissible_cone_tuples),
+        ):
+            G = target(g)
+            assert _admissible_tuples(G, sig(g)) == reference(G, g)
+
+    @pytest.mark.parametrize("g", range(2, 31))
+    def test_restriction_words_match_per_kind_reference(self, g):
+        for kind in ("a", "b"):
+            for action in build_extensions(g, kind):
+                r = restrict_to_index2(action)
+                words = _reference_restriction_words(action)
+                assert parent_indices(r) == tuple(p.idx for p in words), action.label
+
+    def test_reversal_follows_the_signature(self):
+        # the chain (2,2,2,2g) with no cone point reads the same reversed, so
+        # a reversed canonical tuple is owned by its class; the reversal of
+        # kind b's tuple is not even admissible and owns no key
+        G, candidates, _, canon, sig, _ = _certificate_inputs(3, "a")
+        owner = _verify_unique_classes(G, candidates + [canon[1][::-1]], canon, sig)
+        assert owner[canon[1][::-1]] == 1
+        G, candidates, _, canon, sig, _ = _certificate_inputs(3, "b")
+        with pytest.raises(InvariantViolation, match="matches 0 canonical"):
+            _verify_unique_classes(G, candidates + [canon[0][::-1]], canon, sig)
 
 
 class TestOrbitCertificate:
@@ -421,9 +567,9 @@ class TestOrbitCertificate:
     def test_matches_reference_sweep(self, g, kind):
         # the key classes agree with the reference closures on every full
         # reference tuple, not only on the class-minimum ones enumerated
-        G, candidates, reference, canon, rev = _certificate_inputs(g, kind)
+        G, candidates, reference, canon, sig, rev = _certificate_inputs(g, kind)
         _reference_verify_unique_classes(G, reference, canon, rev)
-        owner = _verify_unique_classes(G, reference, canon, rev)
+        owner = _verify_unique_classes(G, reference, canon, sig)
         assert list(owner) == reference
         for t in reference:
             (index,) = [
@@ -432,38 +578,38 @@ class TestOrbitCertificate:
             ]
             assert owner[t] == index, t
         assert set(candidates) <= set(reference)
-        _verify_unique_classes(G, candidates, canon, rev)
+        _verify_unique_classes(G, candidates, canon, sig)
 
     def test_dropped_canonical_class_raises(self):
-        G, candidates, reference, canon, rev = _certificate_inputs(4, "a")
+        G, candidates, reference, canon, sig, rev = _certificate_inputs(4, "a")
         with pytest.raises(InvariantViolation, match="matches 0 canonical"):
-            _verify_unique_classes(G, candidates, canon[:1], rev)
+            _verify_unique_classes(G, candidates, canon[:1], sig)
         with pytest.raises(InvariantViolation, match="matches 0 canonical"):
             _reference_verify_unique_classes(G, reference, canon[:1], rev)
 
     @pytest.mark.parametrize("kind", ["a", "b"])
     def test_class_missing_from_enumeration_raises(self, kind):
-        G, candidates, _, canon, rev = _certificate_inputs(4, kind)
-        owner = _verify_unique_classes(G, candidates, canon, rev)
+        G, candidates, _, canon, sig, rev = _certificate_inputs(4, kind)
+        owner = _verify_unique_classes(G, candidates, canon, sig)
         without_last = [t for t in candidates if owner[t] != len(canon) - 1]
         with pytest.raises(InvariantViolation, match="missing .* the enumeration is broken"):
-            _verify_unique_classes(G, without_last, canon, rev)
+            _verify_unique_classes(G, without_last, canon, sig)
 
     def test_conjugate_canonical_tuple_collapses(self):
-        G, _, reference, canon, rev = _certificate_inputs(4, "a")
+        G, _, reference, canon, sig, rev = _certificate_inputs(4, "a")
         w = G.generator("w")
         conjugate = tuple((w * G.element(i) * w.inverse()).idx for i in canon[0])
         assert conjugate in reference
         with pytest.raises(InvariantViolation, match="collapsed"):
-            _verify_unique_classes(G, reference, [canon[0], conjugate], rev)
+            _verify_unique_classes(G, reference, [canon[0], conjugate], sig)
         # with reversal, a reversed canonical tuple owns the same keys
         with pytest.raises(InvariantViolation, match="collapsed"):
-            _verify_unique_classes(G, reference, [canon[0], canon[0][::-1]], rev)
+            _verify_unique_classes(G, reference, [canon[0], canon[0][::-1]], sig)
 
     @pytest.mark.parametrize("kind", ["a", "b"])
     def test_non_generating_candidate_is_skipped(self, kind):
-        G, candidates, reference, canon, rev = _certificate_inputs(3, kind)
-        owner = _verify_unique_classes(G, candidates + [(0, 0, 0, 0)], canon, rev)
+        G, candidates, reference, canon, sig, rev = _certificate_inputs(3, kind)
+        owner = _verify_unique_classes(G, candidates + [(0, 0, 0, 0)], canon, sig)
         assert (0, 0, 0, 0) not in owner
         assert list(owner) == candidates
         assert set(candidates) <= set(reference)
@@ -472,17 +618,18 @@ class TestOrbitCertificate:
         # the reference enumerators list every tuple; the reduced ones list
         # one per conjugacy class of the first entry, so weighting each by
         # that class's size recovers the full count
-        for counts, target, reference, reduced in (
+        for counts, target, reference, sig in (
             (self.CHAIN_COUNTS, chain_target_group, _reference_chain_tuples,
-             _admissible_chain_tuples),
+             chain_signature),
             (self.CONE_COUNTS, cone_target_group, _reference_cone_tuples,
-             _admissible_cone_tuples),
+             mixed_signature),
         ):
             full, weighted = [], []
             for g in range(2, 25):
                 G = target(g)
                 full.append(len(reference(G, g)))
-                weighted.append(sum(G.class_size(t[0]) for t in reduced(G, g)))
+                reduced = _admissible_tuples(G, sig(g))
+                weighted.append(sum(G.class_size(t[0]) for t in reduced))
             assert full == counts
             assert weighted == counts
 

@@ -1400,7 +1400,6 @@ class TestSubgroups:
         G = dihedral(8)
         H = G.subgroup([G.generator("D")]).as_group()
         assert recognize(H).kind == "cyclic"
-        assert H.parent_group is G
         back = [H.parent_indices[i] for i in range(H.order)]
         assert sorted(back) == sorted(
             G.subgroup([G.generator("D")]).element_indices

@@ -13,7 +13,7 @@ constraints on species.
 import pytest
 
 from fourg.errors import InvariantViolation
-from fourg.extensions import build_extensions, cone_target_group
+from fourg.extensions import ExtendedAction, build_extensions, cone_target_group
 from fourg.realforms import (
     Species,
     SymmetryClass,
@@ -143,7 +143,52 @@ class TestCountOvals:
             count_ovals(first, cls)
 
 
+def _reference_rule_generators(e: ExtendedAction, position: int) -> tuple:
+    """Generators of the image of the centralizer of a canonical reflection.
+
+    The per-kind rule before the signature-driven one, kept verbatim except
+    that the removed accessors are spelled out: the reflection images are
+    all four images for kind a and the last three for kind b, whose
+    connecting image is the elliptic image a.
+    """
+    refl = e.images if e.kind == "a" else e.images[1:]
+    g = e.g
+    if e.kind == "a":
+        links = (2, 2, 2, 2 * g)
+        r = refl[position]
+        left_pair = refl[(position - 1) % 4] * r
+        right_pair = r * refl[(position + 1) % 4]
+        left = left_pair ** (links[(position - 1) % 4] // 2)
+        right = right_pair ** (links[position] // 2)
+        return (r, left, right)
+    c0, c1, c2 = refl
+    connecting_image = e.images[0]
+    wrapped = connecting_image * c1 * connecting_image
+    if position == 0:
+        return (c0, (wrapped * c0) ** g, c0 * c1)
+    if position == 1:
+        return (c1, c0 * c1, (c1 * c2) ** g)
+    if position == 2:
+        return (c2, (c1 * c2) ** g, c2 * wrapped)
+    raise ValueError(f"no canonical reflection at position {position}")
+
+
 class TestCentralizerIdentities:
+    @pytest.mark.parametrize("g", range(2, 31))
+    def test_rule_matches_per_kind_reference(self, g):
+        from fourg.realforms import _reflection_records, _rule_generators
+
+        # the reflections up to conjugacy: c0..c3 for kind a, c0 and c1 for
+        # kind b (its c2 is the conjugate of c0 by the connecting generator)
+        for kind, positions in (("a", (0, 1, 2, 3)), ("b", (0, 1))):
+            for action in build_extensions(g, kind):
+                records = _reflection_records(action)
+                assert tuple(p for p, _, _ in records) == positions
+                for p in positions:
+                    assert _rule_generators(action, p) == _reference_rule_generators(
+                        action, p
+                    ), (action.label, p)
+
     def test_stated_image_subgroups_hold(self):
         from fourg.realforms import _reflection_records, _rule_generators
 
