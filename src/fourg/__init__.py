@@ -35,7 +35,6 @@ from .errors import (
 from .groups import (
     COMPLETE_CATALOG_ORDERS,
     MAX_ORDER,
-    Automorphism,
     FiniteGroup,
     GroupElement,
     GroupStructure,

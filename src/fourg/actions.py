@@ -189,17 +189,16 @@ class ActionClass:
     Cayley keys of its Aut-classes (over all orderings of the period
     multiset), and it has |Aut(G)| members per key.  ``representative`` is
     the lexicographically smallest member whose periods are sorted
-    ascending, so it is deterministic.
+    ascending, so it is deterministic.  ``size`` is the member count,
+    |Aut(G)| times the number of keys, set by ``classify``, which counts
+    Aut(G) once per call.
     """
 
     group: FiniteGroup
     periods: tuple
     representative: GeneratingVector
     keys: frozenset
-
-    @property
-    def size(self) -> int:
-        return len(self.group.automorphisms()) * len(self.keys)
+    size: int
 
     def contains(self, v: GeneratingVector) -> bool:
         """Class membership, by the Cayley key of v's Aut-class.
@@ -228,7 +227,7 @@ def classify(G: FiniteGroup, periods):
     if not vectors:
         return []
     total = sum(G.class_size(t[0]) for t in vectors)
-    n_aut = len(G.automorphisms())
+    n_aut = len(automorphism_search(G))
     counted = 0
     classes = []
     for seed in vectors:
@@ -241,7 +240,7 @@ def classify(G: FiniteGroup, periods):
             tuple(G.element_order(i) for i in t) == base for t in members.values()
         )
         rep = GeneratingVector.from_indices(G, seed)
-        classes.append(ActionClass(G, base, rep, frozenset(members)))
+        classes.append(ActionClass(G, base, rep, frozenset(members), n_aut * len(members)))
     if counted != total:
         raise InvariantViolation(
             f"classes count {counted} of {total} vectors; the search was not exhaustive"
@@ -424,11 +423,11 @@ def _eliminate_family3(g: int, max_order: int) -> CaseReport:
         if not swap:
             raise InvariantViolation("family-3 swap automorphism not found")
         alpha = swap[0]
-        if alpha(second) != A:
+        if alpha[second.idx] != A.idx:
             raise InvariantViolation("family-3 automorphism does not swap the images")
         details["swap_automorphism"] = {
-            "A": alpha(A).name,
-            "C": alpha(C).name,
+            "A": Gs.element(alpha[A.idx]).name,
+            "C": Gs.element(alpha[C.idx]).name,
         }
         if 8 * g <= max_order:
             ext = semidirect_with_automorphism(Gs, alpha, top_order=2, top_name="d")

@@ -42,7 +42,6 @@ from .errors import InvariantViolation
 from .groups import (
     FiniteGroup,
     GroupElement,
-    Subgroup,
     _cayley_key,
     _class_minima,
     _small_generating_set,
@@ -372,8 +371,9 @@ def build_extensions(g: int, kind: str) -> list:
 def orientation_preserving_subgroup(G: FiniteGroup) -> FiniteGroup:
     """The index-2 subgroup of orientation-preserving elements, as a group.
 
-    The result is cached on G and carries the usual ``from_parent`` /
-    ``parent_indices`` reindexing data.
+    Its elements are reindexed in increasing parent order.  The result is
+    cached on G and carries ``parent_indices`` (new index -> parent index)
+    and ``from_parent`` (parent index -> new index).
     """
     cached = getattr(G, "_plus_part", None)
     if cached is not None:
@@ -386,8 +386,19 @@ def orientation_preserving_subgroup(G: FiniteGroup) -> FiniteGroup:
         raise InvariantViolation(
             "orientation-preserving elements do not form an index-2 subgroup"
         )
-    sub = Subgroup(G, members, _small_generating_set(G._table, members))
-    plus = sub.as_group(name=f"{G.name}+")
+    gens = _small_generating_set(G._table, members)  # raises unless closed
+    ordered = sorted(members)
+    new_of = {old: new for new, old in enumerate(ordered)}
+    table = [[new_of[G._table[a][b]] for b in ordered] for a in ordered]
+    plus = FiniteGroup(
+        table,
+        [G._names[i] for i in ordered],
+        [new_of[i] for i in gens],
+        name=f"{G.name}+",
+        verify=False,  # restriction of a verified table stays associative
+    )
+    plus.parent_indices = tuple(ordered)
+    plus.from_parent = new_of
     G._plus_part = plus
     return plus
 

@@ -6,6 +6,11 @@ tables cannot silently poison later computations.  Associativity is exact
 at every order: Light's test over the declared generators, one whole row at
 a time.
 
+Callers get index data: a ``GroupElement`` is a view built on demand, a
+``Subgroup`` is its set of element indices, an automorphism is a full image
+list, and a union of conjugacy classes is read as the classes' smallest
+indices (``_class_minima``).
+
 Every closure and homomorphism check goes through one walk of a Cayley graph
 (``_extend_hom``): subgroup closure, extending a generator map in the
 isomorphism and automorphism searches, orientation characters (maps onto C2)
@@ -68,7 +73,7 @@ class GroupElement:
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         if other.group is not self.group:
             raise ValueError("cannot multiply elements of different groups")
-        return self.group.element(self.group._table[self.idx][other.idx])
+        return GroupElement(self.group, self.group._table[self.idx][other.idx])
 
     def __pow__(self, exponent: int) -> "GroupElement":
         group = self.group
@@ -81,10 +86,10 @@ class GroupElement:
                 result = table[result][base]
             base = table[base][base]
             k >>= 1
-        return group.element(result)
+        return GroupElement(group, result)
 
     def inverse(self) -> "GroupElement":
-        return self.group.element(self.group._inv[self.idx])
+        return GroupElement(self.group, self.group._inv[self.idx])
 
     def order(self) -> int:
         return self.group.element_order(self.idx)
@@ -116,6 +121,10 @@ class FiniteGroup:
     only for tables that are group tables spanned by their generators by
     construction: tables built from groups already verified, or the
     composition table of the permutations a generating set reaches.
+
+    Element orders, conjugacy classes and the isomorphism invariant are
+    cached on first use; elements are built per call and automorphisms are
+    never stored.
     """
 
     def __init__(
@@ -148,8 +157,6 @@ class FiniteGroup:
         self._classes = None
         self._class_of = None
         self._invariant_counts = None
-        self._aut = None
-        self._elements = [GroupElement(self, i) for i in range(n)]
         self._name_to_idx = {nm: i for i, nm in enumerate(self._names)}
         self.orientation = None
         if verify:
@@ -163,24 +170,19 @@ class FiniteGroup:
 
     @property
     def identity(self) -> GroupElement:
-        return self._elements[0]
-
-    @property
-    def generators(self):
-        return tuple(self._elements[i] for i in self._gen_idx)
+        return GroupElement(self, 0)
 
     def element(self, idx: int) -> GroupElement:
-        return self._elements[idx]
+        if not 0 <= idx < len(self._table):
+            raise IndexError(f"element index {idx} is outside 0..{self.order - 1}")
+        return GroupElement(self, idx)
 
     def generator(self, name: str) -> GroupElement:
         """Look up an element by its display name."""
         try:
-            return self._elements[self._name_to_idx[name]]
+            return GroupElement(self, self._name_to_idx[name])
         except KeyError:
             raise KeyError(f"group {self.name} has no element named {name!r}") from None
-
-    def name_of(self, idx: int) -> str:
-        return self._names[idx]
 
     def _order_list(self) -> list:
         """Every element's order, computed once."""
@@ -250,14 +252,13 @@ class FiniteGroup:
     def subgroup(self, elements) -> "Subgroup":
         """Subgroup generated by the given elements."""
         gens = tuple(e.idx for e in elements)
-        closure = frozenset(self._closure_idx(gens))
-        return Subgroup(self, closure, gens)
+        return Subgroup(self, frozenset(self._closure_idx(gens)))
 
     def centralizer(self, e: GroupElement) -> "Subgroup":
         table = self._table
         i = e.idx
         members = frozenset(a for a in range(self.order) if table[a][i] == table[i][a])
-        return Subgroup(self, members, _small_generating_set(self._table, members))
+        return Subgroup(self, members)
 
     def _class_index(self):
         """``(classes, class_of)``: each class's member indices, sorted, with
@@ -288,28 +289,6 @@ class FiniteGroup:
             self._class_of = class_of
         return self._classes, self._class_of
 
-    def conjugacy_classes(self, predicate=None):
-        """Conjugacy classes as tuples of elements, ordered by smallest index.
-
-        With a predicate, returns the classes of the selected elements; the
-        selected set must be a union of classes (anything else means the
-        predicate is not a class function, which is a caller bug).
-        """
-        result = []
-        for cls in self._class_index()[0]:
-            members = [self._elements[i] for i in cls]
-            if predicate is None:
-                result.append(tuple(members))
-                continue
-            flags = [bool(predicate(m)) for m in members]
-            if all(flags):
-                result.append(tuple(members))
-            elif any(flags):
-                raise InvariantViolation(
-                    "predicate splits a conjugacy class; it is not a class function"
-                )
-        return result
-
     def class_size(self, idx: int) -> int:
         classes, class_of = self._class_index()
         return len(classes[class_of[idx]])
@@ -332,11 +311,6 @@ class FiniteGroup:
         if self._invariant_counts is None:
             self._invariant_counts = tuple(sorted(Counter(self._signatures()).items()))
         return self._invariant_counts
-
-    def automorphisms(self):
-        if self._aut is None:
-            self._aut = automorphism_search(self)
-        return self._aut
 
     # -- orientation character --------------------------------------------
 
@@ -465,15 +439,24 @@ def _cayley_key(table, t) -> tuple:
 
 
 def _class_minima(G: FiniteGroup, members: set) -> list:
-    """The smallest element of each conjugacy class inside ``members``."""
-    return [cls[0].idx for cls in G.conjugacy_classes(lambda e: e.idx in members)]
+    """The smallest element of each conjugacy class inside ``members``, in
+    increasing order; ``members`` must be a union of classes."""
+    minima = []
+    for cls in G._class_index()[0]:
+        inside = sum(i in members for i in cls)
+        if inside == len(cls):
+            minima.append(cls[0])
+        elif inside:
+            raise InvariantViolation("members split a conjugacy class; not a class function")
+    return minima
 
 
 def _small_generating_set(table, members) -> tuple:
     """Greedy small generating set for a subgroup given as an index set.
 
     Members are taken in increasing order, each one kept when it is not yet
-    in the span of those kept before.
+    in the span of those kept before.  Raises unless the span is exactly
+    the member set.
     """
     gens = []
     span = {0}
@@ -483,18 +466,17 @@ def _small_generating_set(table, members) -> tuple:
             span = _closure(table, gens)
             if len(span) == len(members):
                 break
-    if len(span) != len(members):
+    if span != set(members):
         raise InvariantViolation("member set is not closed under multiplication")
     return tuple(gens)
 
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup of a parent group: element index set plus generators."""
+    """A subgroup of a parent group, held as its set of element indices."""
 
     parent: FiniteGroup
     element_indices: frozenset
-    generator_indices: tuple
 
     @property
     def order(self) -> int:
@@ -503,40 +485,6 @@ class Subgroup:
     @property
     def index(self) -> int:
         return self.parent.order // self.order
-
-    def __contains__(self, e: GroupElement) -> bool:
-        return e.group is self.parent and e.idx in self.element_indices
-
-    @property
-    def generators(self):
-        return tuple(self.parent.element(i) for i in self.generator_indices)
-
-    def as_group(self, name: str = None) -> "FiniteGroup":
-        """The subgroup reindexed as a standalone group (0 = identity).
-
-        The result carries ``parent_indices`` (new index -> parent index) and
-        ``from_parent`` (parent index -> new index).
-        """
-        parent = self.parent
-        ordered = sorted(self.element_indices)
-        if ordered[0] != 0:
-            raise InvariantViolation("subgroup does not contain the identity")
-        if len(_closure(parent._table, self.generator_indices)) != self.order:
-            raise InvariantViolation("subgroup generators do not span its elements")
-        new_of = {old: new for new, old in enumerate(ordered)}
-        table = [[new_of[parent._table[a][b]] for b in ordered] for a in ordered]
-        names = [parent._names[i] for i in ordered]
-        gens = [new_of[i] for i in self.generator_indices]
-        sub = FiniteGroup(
-            table,
-            names,
-            gens,
-            name=name or f"{parent.name}-sub{self.order}",
-            verify=False,  # restriction of a verified table stays associative
-        )
-        sub.parent_indices = tuple(ordered)
-        sub.from_parent = new_of
-        return sub
 
 
 # ---------------------------------------------------------------------------
@@ -723,8 +671,9 @@ def semidirect_cyclic(n: int, k: int, t: int, names=("c", "b")) -> FiniteGroup:
 def semidirect_with_automorphism(
     G: FiniteGroup, alpha, top_order: int = 2, top_name: str = "x", name: str = None
 ) -> FiniteGroup:
-    """Split extension of G by a cyclic group acting through automorphism alpha."""
-    mapping = list(alpha.mapping) if isinstance(alpha, Automorphism) else list(alpha)
+    """Split extension of G by a cyclic group acting through the automorphism
+    whose full image list is ``alpha``."""
+    mapping = list(alpha)
     _require_automorphism(G, mapping)
     ng = G.order
     identity = list(range(ng))
@@ -968,40 +917,6 @@ def from_text(text: str) -> FiniteGroup:
 # Homomorphism search: automorphisms, isomorphisms, recognition.
 
 
-class Automorphism:
-    """A bijective self-map recorded as a full index mapping."""
-
-    __slots__ = ("group", "mapping")
-
-    def __init__(self, group: FiniteGroup, mapping: tuple):
-        self.group = group
-        self.mapping = tuple(mapping)
-
-    def __call__(self, e: GroupElement) -> GroupElement:
-        return self.group.element(self.mapping[e.idx])
-
-    def apply_indices(self, indices) -> tuple:
-        m = self.mapping
-        return tuple(m[i] for i in indices)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Automorphism)
-            and other.group is self.group
-            and other.mapping == self.mapping
-        )
-
-    def __hash__(self):
-        return hash((id(self.group), self.mapping))
-
-    def __repr__(self):
-        images = ", ".join(
-            f"{g.name}->{self.group.name_of(self.mapping[g.idx])}"
-            for g in self.group.generators
-        )
-        return f"<automorphism {images}>"
-
-
 def close_generator_map(G: FiniteGroup, H: FiniteGroup, pairs):
     """Force a partial generator assignment closed under products.
 
@@ -1029,7 +944,7 @@ def _hom_search(G: FiniteGroup, H: FiniteGroup, constraint_pairs, limit=None):
     """
     if G.order == 1:
         return [[0]] if H.order >= 1 else []
-    gen_idx = [g.idx for g in G.generators]
+    gen_idx = G._gen_idx
     fixed = dict(constraint_pairs)
     levels = [(a, (b,)) for a, b in fixed.items() if a not in gen_idx]
     g_sigs = G._signatures()
@@ -1069,20 +984,19 @@ def _hom_search(G: FiniteGroup, H: FiniteGroup, constraint_pairs, limit=None):
 
 
 def automorphism_search(G: FiniteGroup, constraint: dict = None, limit=None):
-    """All automorphisms of G, optionally pinning images of some elements.
+    """Automorphisms of G as full image lists, optionally pinning images of
+    some elements.
 
-    ``constraint`` maps elements to their required images.  Results come back
-    sorted by generator-image indices, so the output order is reproducible.
+    ``constraint`` maps elements to their required images; at most ``limit``
+    maps are returned.  The search assigns the generators in order, each to
+    its candidate images in increasing order, so the maps come in ascending
+    order of their generator images and the output order is reproducible.
     """
     pairs = []
     if constraint:
         for src, dst in constraint.items():
             pairs.append((src.idx, dst.idx))
-    raw = _hom_search(G, G, pairs, limit=limit)
-    auts = [Automorphism(G, tuple(img)) for img in raw]
-    gen_idx = [g.idx for g in G.generators]
-    auts.sort(key=lambda a: a.apply_indices(gen_idx))
-    return auts
+    return _hom_search(G, G, pairs, limit=limit)
 
 
 def iso_search(G: FiniteGroup, H: FiniteGroup):

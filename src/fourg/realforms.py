@@ -27,7 +27,7 @@ from functools import lru_cache
 
 from .errors import InvariantViolation
 from .extensions import KIND_A, ExtendedAction, build_extensions
-from .groups import GroupElement
+from .groups import GroupElement, _class_minima
 
 
 @dataclass(frozen=True)
@@ -122,10 +122,8 @@ def symmetry_classes(e: ExtendedAction) -> list:
     """
     G = e.group
     kappa = G.orientation
-    classes = G.conjugacy_classes(
-        predicate=lambda el: el.order() == 2 and kappa[el.idx] == -1
-    )
-    return [SymmetryClass(e, cls[0]) for cls in classes]
+    reversing = {i for i in range(G.order) if kappa[i] == -1 and G.element_order(i) == 2}
+    return [SymmetryClass(e, G.element(i)) for i in _class_minima(G, reversing)]
 
 
 def _rule_generators(e: ExtendedAction, position: int) -> tuple:
@@ -212,7 +210,7 @@ def _reflection_records(e: ExtendedAction) -> tuple:
     return tuple(records)
 
 
-def count_ovals(e: ExtendedAction, cls: SymmetryClass) -> int:
+def count_ovals(cls: SymmetryClass) -> int:
     """Ovals fixed by the involutions in the class, by Gromadzki's formula.
 
     Sums, over the non-conjugate canonical reflections whose image lands in
@@ -220,8 +218,7 @@ def count_ovals(e: ExtendedAction, cls: SymmetryClass) -> int:
     the centralizer of the reflection image.  Classes whose involutions are
     hit by no reflection get 0: they act freely on curves.
     """
-    if cls.action != e:
-        raise ValueError("the symmetry class belongs to a different extension")
+    e = cls.action
     class_of = e.group._class_index()[1]
     target = class_of[cls.representative.idx]
     total = 0
@@ -233,7 +230,7 @@ def count_ovals(e: ExtendedAction, cls: SymmetryClass) -> int:
 
 def symmetry_classes_with_ovals(e: ExtendedAction) -> list:
     """Symmetry classes with their oval counts filled in."""
-    return [cls.with_ovals(count_ovals(e, cls)) for cls in symmetry_classes(e)]
+    return [cls.with_ovals(count_ovals(cls)) for cls in symmetry_classes(e)]
 
 
 # Signed species multisets per (extension label, genus parity).  Signs that
@@ -263,7 +260,7 @@ def species_set(e: ExtendedAction) -> tuple:
     key = (e.label, g % 2)
     if key not in _SIGN_TABLE:
         raise ValueError(f"no species data for extension label {e.label!r}")
-    counts = sorted(count_ovals(e, cls) for cls in symmetry_classes(e))
+    counts = sorted(count_ovals(cls) for cls in symmetry_classes(e))
     signed = _SIGN_TABLE[key](g)
     if sorted(abs(v) for v in signed) != counts:
         raise InvariantViolation(

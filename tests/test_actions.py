@@ -15,6 +15,7 @@ from fourg import actions
 from fourg.errors import InvariantViolation
 from fourg.groups import (
     FiniteGroup,
+    automorphism_search,
     cyclic,
     dicyclic,
     dihedral,
@@ -172,6 +173,19 @@ class TestClassify:
     def test_non_divisor_empty(self):
         assert classify(dihedral(8), (3, 3, 3)) == []
 
+    def test_size_is_aut_count_times_keys_and_no_map_is_kept(self):
+        G = dihedral(12)
+        classes = classify(G, (2, 2, 2, 6))
+        n_aut = len(automorphism_search(G))
+        assert n_aut == 12  # |Aut(D_6)| = 6 * phi(6)
+        assert [c.size for c in classes] == [n_aut * len(c.keys) for c in classes]
+        # the group holds its table and index caches only: no automorphism
+        # list, no automorphism count and no element objects
+        assert set(vars(G)) == {
+            "_table", "_names", "name", "_gen_idx", "_inv", "_name_to_idx",
+            "orientation", "_orders", "_classes", "_class_of", "_invariant_counts",
+        }
+
     def test_orbit_covers_all_vectors(self):
         # every vector lies in exactly one class, also with several classes
         for G, periods in (
@@ -257,7 +271,7 @@ def _reference_aut_generator_maps(G: FiniteGroup):
     cached = getattr(G, "_aut_gen_maps", None)
     if cached is not None:
         return cached
-    maps = [a.mapping for a in G.automorphisms()]
+    maps = [tuple(m) for m in automorphism_search(G)]
     identity = tuple(range(G.order))
     gens = []
     span = {identity}

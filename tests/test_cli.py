@@ -27,7 +27,7 @@ def table_text(G):
     lines = [f"order {G.order}"]
     for i in range(G.order):
         lines.append(" ".join(str(G._table[i][j]) for j in range(G.order)))
-    gens = " ".join(str(gen.idx) for gen in G.generators)
+    gens = " ".join(str(gen) for gen in G._gen_idx)
     lines.append(f"generators {gens}")
     return "\n".join(lines) + "\n"
 

@@ -165,7 +165,7 @@ class TestBuildExtensions:
     def test_labels_split_by_image_class_spread(self):
         first, second = build_extensions(4, "a")
         G = first.group
-        G.conjugacy_classes()
+        G._class_index()
         spread = lambda a: len({G._class_of[e.idx] for e in a.images})
         assert spread(first) == 3
         assert spread(second) == 4

@@ -9,6 +9,7 @@ as literals where it is not.
 import hashlib
 import json
 import re
+from dataclasses import dataclass
 from functools import cache
 
 import pytest
@@ -18,13 +19,15 @@ from hypothesis import strategies as st
 from fourg import groups
 from fourg.actions import family_group
 from fourg.errors import GroupConstructionError, InputFormatError, InvariantViolation
-from fourg.extensions import chain_target_group, cone_target_group
+from fourg.extensions import (
+    chain_target_group,
+    cone_target_group,
+    orientation_preserving_subgroup,
+)
 from fourg.groups import (
     COMPLETE_CATALOG_ORDERS,
-    Automorphism,
     FiniteGroup,
     GroupStructure,
-    Subgroup,
     abelianization,
     automorphism_search,
     close_generator_map,
@@ -86,6 +89,17 @@ class TestElements:
         with pytest.raises(ValueError):
             G.identity * H.identity
 
+    def test_elements_are_built_on_demand(self):
+        # a fresh view per call, equal and hashed by (group, index)
+        G = dihedral(8)
+        assert G.element(3) == G.element(3)
+        assert hash(G.element(3)) == hash(G.element(3))
+        assert G.element(0) == G.identity
+        assert G.generator("A") == G.element(G.generator("A").idx)
+        for bad in (G.order, G.order + 5, -1):
+            with pytest.raises(IndexError):
+                G.element(bad)
+
     def test_names_and_lookup(self):
         G = dihedral(8)
         assert {G.element(i).name for i in range(G.order)} == {
@@ -103,7 +117,7 @@ class TestElements:
 class TestConjugacyClasses:
     def test_dihedral8_classes_match_brute_force(self):
         G = dihedral(8)
-        classes = G.conjugacy_classes()
+        classes = G._class_index()[0]
         # independent brute-force derivation from the table
         inverse = {h: next(x for x in range(8) if G._table[h][x] == 0) for h in range(8)}
         brute = set()
@@ -112,9 +126,10 @@ class TestConjugacyClasses:
                 G._table[G._table[h][a]][inverse[h]] for h in range(G.order)
             )
             brute.add(orbit)
-        assert {frozenset(e.idx for e in cls) for cls in classes} == brute
+        assert {frozenset(cls) for cls in classes} == brute
         assert len(classes) == 5
         assert sorted(len(c) for c in classes) == [1, 1, 2, 2, 2]
+        assert groups._class_minima(G, set(range(8))) == sorted(min(c) for c in brute)
 
     def test_involution_count(self):
         def involutions(G):
@@ -126,21 +141,27 @@ class TestConjugacyClasses:
 
     def test_class_predicate_selects_union_of_classes(self):
         G = dihedral(8)
-        invol = G.conjugacy_classes(lambda e: e.order() == 2)
-        assert sorted(len(c) for c in invol) == [1, 2, 2]
+        involutions = {i for i in range(G.order) if G.element_order(i) == 2}
+        minima = groups._class_minima(G, involutions)
+        assert sorted(G.class_size(i) for i in minima) == [1, 2, 2]
+        assert minima == sorted(minima)
+        # each minimum is the smallest of its class, and the classes cover the set
+        classes, class_of = G._class_index()
+        assert all(classes[class_of[i]][0] == i for i in minima)
+        assert {a for i in minima for a in classes[class_of[i]]} == involutions
 
     def test_class_predicate_splitting_is_rejected(self):
         G = dihedral(8)
         with pytest.raises(InvariantViolation):
-            G.conjugacy_classes(lambda e: e.name == "A")
+            groups._class_minima(G, {G.generator("A").idx})
 
     def test_centralizer_and_center(self):
         G = dihedral(8)
         D, A = G.generator("D"), G.generator("A")
         assert G.centralizer(D).order == 4
         assert G.centralizer(A).order == 4
-        assert A in G.centralizer(A)
-        center = [G.name_of(i) for i in range(G.order) if G.class_size(i) == 1]
+        assert A.idx in G.centralizer(A).element_indices
+        center = [G.element(i).name for i in range(G.order) if G.class_size(i) == 1]
         assert sorted(center) == ["1", "D^2"]
 
 
@@ -331,7 +352,7 @@ def _cayley_cases():
     base = dihedral(8)
     D = base.generator("D")
     conj = [(D * base.element(i) * D.inverse()).idx for i in range(base.order)]  # order 2
-    gens = [g.idx * 4 for g in base.generators] + [1]
+    gens = [g * 4 for g in base._gen_idx] + [1]
     G = semidirect_with_automorphism(base, conj, top_order=4)
     yield "D8:C4", G, 32, gens, _semidirect_rule(base, conj, 4)
     for left, right in ((cyclic(3), cyclic(5)), (dihedral(6), cyclic(4)), (dicyclic(2), dihedral(8))):
@@ -434,7 +455,7 @@ def _serialize(G, generators=True):
     for a in range(G.order):
         lines.append(" ".join(str(G._table[a][b]) for b in range(G.order)))
     if generators:
-        lines.append("generators " + " ".join(str(g.idx) for g in G.generators))
+        lines.append("generators " + " ".join(str(g) for g in G._gen_idx))
     return "\n".join(lines)
 
 
@@ -455,7 +476,7 @@ class TestFromTable:
                 table[perm[a]][perm[b]] = perm[G._table[a][b]]
         text = "order 8\n" + "\n".join(" ".join(map(str, row)) for row in table)
         H = from_table(text)
-        assert H.name_of(0) == "g3"
+        assert H.element(0).name == "g3"
         assert is_isomorphic(H, G)
 
     def test_generators_line_optional(self):
@@ -479,7 +500,7 @@ class TestFromTable:
         # a valid C2 table whose identity sits at input index 1
         G = from_table("order 2\n1 0\n0 1")
         assert G.order == 2
-        assert G.name_of(0) == "g1"
+        assert G.element(0).name == "g1"
 
     def test_non_associative_latin_square_rejected(self):
         # C_n with a 2x2 intercalate flipped: still a latin square with
@@ -577,7 +598,7 @@ class TestFromPermutations:
     @given(st.lists(st.permutations(range(5)), min_size=1, max_size=3))
     def test_table_is_the_composition_table(self, perms):
         G = from_permutations(["perm " + _cycles(p) for p in perms])
-        elements = [_perm_from_name(G.name_of(i), 5) for i in range(G.order)]
+        elements = [_perm_from_name(G.element(i).name, 5) for i in range(G.order)]
         index_of = {p: i for i, p in enumerate(elements)}
         assert len(index_of) == G.order
         for a, p in enumerate(elements):
@@ -1087,7 +1108,7 @@ def _closure_cases():
     )
     cases = []
     for G in groups:
-        maps = [a.mapping for a in G.automorphisms()[:3]] + [(0,) * G.order]
+        maps = [tuple(m) for m in automorphism_search(G)[:3]] + [(0,) * G.order]
         kernel = _index_two_kernel(G)
         if kernel is not None:
             t = next(a for a in range(G.order) if G.element_order(a) == 2)
@@ -1181,7 +1202,7 @@ def _reference_hom_search(G: FiniteGroup, H: FiniteGroup, constraint_pairs, limi
     """
     if G.order == 1:
         return [[0]] if H.order >= 1 else []
-    gen_idx = [g.idx for g in G.generators]
+    gen_idx = list(G._gen_idx)
     fixed = dict(constraint_pairs)
     levels = [(a, (b,)) for a, b in fixed.items() if a not in gen_idx]
     for g in gen_idx:
@@ -1252,14 +1273,31 @@ class TestHomSearch:
                 for G in catalog:
                     pin = {G.element(G.order - 1): G.element(G.order - 1)}
                     for constraint, limit in ((None, None), (pin, None), (None, 1), (pin, 1)):
-                        auts = automorphism_search(G, constraint, limit)
-                        out.append([a.mapping for a in auts])
+                        out.append(automorphism_search(G, constraint, limit))
                     out.append([iso_search(G, H) for H in catalog])
             return out
 
         fresh = public_results()
         monkeypatch.setattr(groups, "_hom_search", _reference_hom_search)
         assert fresh == public_results()
+
+    def test_automorphism_search_keeps_the_sorted_order(self):
+        # automorphism_search used to sort its maps by generator images; the
+        # search must already produce them in that order, with and without
+        # a constraint and a limit
+        for n in range(1, 25):
+            for G in small_groups(n):
+                last = G.element(G.order - 1)
+                same_order = [j for j in range(G.order) if G.element_order(j) == last.order()]
+                constraints = [None, {last: last}, {last: G.element(same_order[-1])}]
+                for constraint in constraints:
+                    pairs = [(a.idx, b.idx) for a, b in (constraint or {}).items()]
+                    full = sorted(
+                        _reference_hom_search(G, G, pairs),
+                        key=lambda m: [m[g] for g in G._gen_idx],
+                    )
+                    assert automorphism_search(G, constraint) == full, (G.name, pairs)
+                    assert automorphism_search(G, constraint, 1) == full[:1], (G.name, pairs)
 
 
 class TestAutomorphisms:
@@ -1274,7 +1312,7 @@ class TestAutomorphisms:
     def test_dihedral8(self):
         auts = automorphism_search(dihedral(8))
         assert len(auts) == 8
-        identity_count = sum(1 for a in auts if a.mapping == tuple(range(8)))
+        identity_count = sum(1 for a in auts if a == list(range(8)))
         assert identity_count == 1
 
     def test_quaternion_type(self):
@@ -1285,21 +1323,21 @@ class TestAutomorphisms:
         D = G.generator("D")
         pinned = automorphism_search(G, constraint={D: D})
         assert len(pinned) == 4
-        assert all(a(D) == D for a in pinned)
+        assert all(a[D.idx] == D.idx for a in pinned)
 
     def test_deterministic_order(self):
         G = dihedral(12)
-        first = [a.mapping for a in automorphism_search(G)]
-        second = [a.mapping for a in automorphism_search(G)]
+        first = automorphism_search(G)
+        second = automorphism_search(G)
         assert first == second
 
     def test_composition_closure(self):
         G = dihedral(8)
         auts = automorphism_search(G)
-        table_maps = {a.mapping for a in auts}
+        table_maps = {tuple(a) for a in auts}
         for a in auts:
             for b in auts:
-                composed = tuple(a.mapping[b.mapping[i]] for i in range(G.order))
+                composed = tuple(a[b[i]] for i in range(G.order))
                 assert composed in table_maps
 
     def test_preserves_character(self):
@@ -1307,14 +1345,14 @@ class TestAutomorphisms:
         G.attach_orientation({"D": 1, "A": -1})
         auts = automorphism_search(G)
         preserving = [
-            a for a in auts if all(G.orientation[a.mapping[i]] == G.orientation[i] for i in range(8))
+            a for a in auts if all(G.orientation[a[i]] == G.orientation[i] for i in range(8))
         ]
         # D -> D^{+-1}, A -> (rotation)*A all fix this character
         assert len(preserving) == 8
 
     def test_trivial_group(self):
         auts = automorphism_search(cyclic(1))
-        assert len(auts) == 1 and auts[0].mapping == (0,)
+        assert auts == [[0]]
 
 
 class TestIsomorphism:
@@ -1396,32 +1434,84 @@ class TestSubgroups:
         assert K.order == 2
         assert not _is_normal(K)
 
-    def test_as_group_round_trip(self):
+    def test_orientation_preserving_round_trip(self):
         G = dihedral(8)
-        H = G.subgroup([G.generator("D")]).as_group()
+        G.attach_orientation({"D": 1, "A": -1})
+        H = orientation_preserving_subgroup(G)
+        assert H is orientation_preserving_subgroup(G)  # cached on G
         assert recognize(H).kind == "cyclic"
         back = [H.parent_indices[i] for i in range(H.order)]
         assert sorted(back) == sorted(
             G.subgroup([G.generator("D")]).element_indices
         )
         assert H.from_parent[G.generator("D").idx] == 1
+        assert all(H.from_parent[p] == i for i, p in enumerate(H.parent_indices))
+        for a in range(H.order):
+            for b in range(H.order):
+                product = G._table[H.parent_indices[a]][H.parent_indices[b]]
+                assert H.parent_indices[H._table[a][b]] == product
 
-    def test_as_group_requires_spanning_generators(self):
-        G = dihedral(8)
-        D = G.generator("D")
-        rotations = G.subgroup([D]).element_indices
-        for gens in ((), ((D * D).idx,)):
+    def test_orientation_preserving_requires_a_closed_half(self):
+        # {1, D, A, DA} has index 2 but is not closed (D*D is missing), and
+        # three elements are not a half; D^i A^j sits at i + 4j
+        for plus in ({0, 1, 4, 5}, {0, 1, 2}):
+            G = dihedral(8)
+            G.orientation = tuple(1 if i in plus else -1 for i in range(G.order))
             with pytest.raises(InvariantViolation):
-                Subgroup(G, rotations, gens).as_group()
+                orientation_preserving_subgroup(G)
 
 
-def _reference_center(G: FiniteGroup) -> Subgroup:
+@dataclass(frozen=True)
+class _ReferenceSubgroup:
+    """``Subgroup`` as it was while it carried generators and a standalone
+    reindexing, kept for the reference oracles below."""
+
+    parent: FiniteGroup
+    element_indices: frozenset
+    generator_indices: tuple
+
+    @property
+    def order(self) -> int:
+        return len(self.element_indices)
+
+    def __contains__(self, e) -> bool:
+        return e.group is self.parent and e.idx in self.element_indices
+
+    def as_group(self, name: str = None) -> "FiniteGroup":
+        """The subgroup reindexed as a standalone group (0 = identity).
+
+        The result carries ``parent_indices`` (new index -> parent index) and
+        ``from_parent`` (parent index -> new index).
+        """
+        parent = self.parent
+        ordered = sorted(self.element_indices)
+        if ordered[0] != 0:
+            raise InvariantViolation("subgroup does not contain the identity")
+        if len(groups._closure(parent._table, self.generator_indices)) != self.order:
+            raise InvariantViolation("subgroup generators do not span its elements")
+        new_of = {old: new for new, old in enumerate(ordered)}
+        table = [[new_of[parent._table[a][b]] for b in ordered] for a in ordered]
+        names = [parent._names[i] for i in ordered]
+        gens = [new_of[i] for i in self.generator_indices]
+        sub = FiniteGroup(
+            table,
+            names,
+            gens,
+            name=name or f"{parent.name}-sub{self.order}",
+            verify=False,  # restriction of a verified table stays associative
+        )
+        sub.parent_indices = tuple(ordered)
+        sub.from_parent = new_of
+        return sub
+
+
+def _reference_center(G: FiniteGroup) -> _ReferenceSubgroup:
     table = G._table
     n = G.order
     members = frozenset(
         a for a in range(n) if all(table[a][b] == table[b][a] for b in range(n))
     )
-    return Subgroup(G, members, groups._small_generating_set(G._table, members))
+    return _ReferenceSubgroup(G, members, groups._small_generating_set(G._table, members))
 
 
 def _reference_dihedral_witness(G: FiniteGroup):
@@ -1477,7 +1567,7 @@ def _reference_index_two_subgroups(G: FiniteGroup):
             if bin(basis_bits[coset_of[a]] & mask).count("1") % 2 == 0
         )
         subgroups.append(
-            Subgroup(G, members, groups._small_generating_set(table, members))
+            _ReferenceSubgroup(G, members, groups._small_generating_set(table, members))
         )
     subgroups.sort(key=lambda s: sorted(s.element_indices))
     return subgroups
@@ -1569,7 +1659,7 @@ def _assert_witness(G: FiniteGroup, s: GroupStructure):
     else:
         y = s.witness["central"]
         assert y.order() == 2 and G.centralizer(y).order == G.order
-        assert y not in H
+        assert y.idx not in H.element_indices
 
 
 def _assert_matches_reference(G: FiniteGroup):
