@@ -44,6 +44,7 @@ from .groups import (
     GroupElement,
     _cayley_key,
     _class_minima,
+    _gather,
     _small_generating_set,
     cyclic,
     dihedral_from_reflections,
@@ -389,7 +390,8 @@ def orientation_preserving_subgroup(G: FiniteGroup) -> FiniteGroup:
     gens = _small_generating_set(G._table, members)  # raises unless closed
     ordered = sorted(members)
     new_of = {old: new for new, old in enumerate(ordered)}
-    table = [[new_of[G._table[a][b]] for b in ordered] for a in ordered]
+    pick = _gather(ordered)
+    table = [_gather(pick(G._table[a]))(new_of) for a in ordered]
     plus = FiniteGroup(
         table,
         [G._names[i] for i in ordered],

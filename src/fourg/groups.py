@@ -20,10 +20,12 @@ identity.
 
 Every constructor builds its table with one Cayley-graph fill
 (``_cayley_table``): the product rule is evaluated only against the
-generators, and every other column is a generator's column composed along
-the walk from the identity.  Its order check is made before anything of
-that size is allocated, so an oversized request fails with
-``GroupConstructionError`` rather than exhausting memory.
+generators, and every other column is a known column gathered through a
+generator's right map, one C-level ``itemgetter`` call (``_gather``) per
+column.  Its order check is made before anything of that size is
+allocated, so an oversized request fails with ``GroupConstructionError``
+rather than exhausting memory.  A table the package built is stored as
+built, tuple rows and all, with no copy and no second range scan.
 
 Work that needs the whole group is done from its generators, which must
 span it: a conjugacy class is the orbit of its smallest element under
@@ -55,6 +57,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from math import gcd
+from operator import itemgetter
 
 from .errors import GroupConstructionError, InputFormatError, InvariantViolation
 
@@ -115,16 +118,24 @@ class GroupElement:
 class FiniteGroup:
     """Immutable finite group given by a full multiplication table.
 
-    ``generator_indices`` must span the group: conjugacy classes and the
-    commutator subgroup are computed from them.  ``verify=True`` checks that
-    and the group axioms; ``verify=False`` trusts the caller for both and is
-    only for tables that are group tables spanned by their generators by
-    construction: tables built from groups already verified, or the
-    composition table of the permutations a generating set reaches.
+    Rows of the table are tuples.  ``generator_indices`` must span the
+    group: conjugacy classes and the commutator subgroup are computed from
+    them.
 
-    Element orders, conjugacy classes and the isomorphism invariant are
-    cached on first use; elements are built per call and automorphisms are
-    never stored.
+    ``verify=True`` is for a table from a caller: its rows are copied to
+    tuples and checked to be square over 0..n-1, and ``_verify`` checks the
+    identity, that the generators span, and associativity.  ``verify=False``
+    is for a table this package built, and stores it as handed over: the
+    constructor vouches for tuple rows over 0..n-1 and for a group table
+    spanned by the generators.  ``_cayley_table`` puts every entry in range by
+    checking each generator's right map once; ``cyclic``, ``metacyclic`` and
+    ``from_table`` then run ``_verify`` themselves, and the other
+    constructors compose groups already verified, or permutations.  Names
+    are checked to be unique and inverses are computed for every group.
+
+    Element orders, conjugacy classes, the isomorphism invariant and the
+    name lookup are cached on first use; elements are built per call and
+    automorphisms are never stored.
     """
 
     def __init__(
@@ -143,21 +154,30 @@ class FiniteGroup:
             raise GroupConstructionError(
                 f"order {n} exceeds the supported maximum {MAX_ORDER}"
             )
-        self._table = [list(row) for row in table]
-        self._names = list(names)
+        if verify:
+            table = [tuple(row) for row in table]
+            for row in table:
+                if len(row) != n or min(row) < 0 or max(row) >= n:
+                    raise GroupConstructionError(
+                        "multiplication table is not square over 0..n-1"
+                    )
+        self._table = table
+        if isinstance(names, _CycleNames):
+            self._names = names  # canonical cycle notation: distinct by construction
+        else:
+            self._names = list(names)
+            if len(self._names) != n or len(set(self._names)) != n:
+                raise GroupConstructionError(
+                    "element names must be unique, one per element"
+                )
         self.name = name
-        if len(self._names) != n or len(set(self._names)) != n:
-            raise GroupConstructionError("element names must be unique, one per element")
-        for row in self._table:
-            if len(row) != n or min(row) < 0 or max(row) >= n:
-                raise GroupConstructionError("multiplication table is not square over 0..n-1")
         self._gen_idx = tuple(generator_indices)
         self._inv = self._compute_inverses()
         self._orders = None
         self._classes = None
         self._class_of = None
         self._invariant_counts = None
-        self._name_to_idx = {nm: i for i, nm in enumerate(self._names)}
+        self._name_to_idx = None
         self.orientation = None
         if verify:
             self._verify()
@@ -177,10 +197,16 @@ class FiniteGroup:
             raise IndexError(f"element index {idx} is outside 0..{self.order - 1}")
         return GroupElement(self, idx)
 
+    def _index_of_name(self) -> dict:
+        """Element index by display name, built on first use."""
+        if self._name_to_idx is None:
+            self._name_to_idx = {nm: i for i, nm in enumerate(self._names)}
+        return self._name_to_idx
+
     def generator(self, name: str) -> GroupElement:
         """Look up an element by its display name."""
         try:
-            return GroupElement(self, self._name_to_idx[name])
+            return GroupElement(self, self._index_of_name()[name])
         except KeyError:
             raise KeyError(f"group {self.name} has no element named {name!r}") from None
 
@@ -223,12 +249,14 @@ class FiniteGroup:
         Light's test checks ``(x*a)*y == x*(a*y)`` for all x and y, one row
         x at a time, for each declared generator a.  The elements a that
         pass form a closed set, so a group spanned by passing elements is
-        associative.  A failing row is scanned for its first failing y.
+        associative.  Row x*a is compared with row x gathered through row a;
+        a failing row is scanned for its first failing y.  Rows a caller
+        handed over unverified may be lists, so they are compared as tuples.
         """
         n = self.order
         table = self._table
-        ident = list(range(n))
-        if table[0] != ident or [row[0] for row in table] != ident:
+        ident = tuple(range(n))
+        if tuple(table[0]) != ident or tuple(row[0] for row in table) != ident:
             raise GroupConstructionError("index 0 is not a two-sided identity")
         reached = self._closure_idx(self._gen_idx)
         if len(reached) != n:
@@ -237,9 +265,10 @@ class FiniteGroup:
             )
         for a in self._gen_idx or [0]:
             row_a = table[a]
+            compose = _gather(row_a)
             for x, row_x in enumerate(table):
                 row_xa = table[row_x[a]]
-                if row_xa != list(map(row_x.__getitem__, row_a)):
+                if tuple(row_xa) != compose(row_x):
                     y = next(y for y in ident if row_xa[y] != row_x[row_a[y]])
                     raise GroupConstructionError(f"associativity fails at ({x},{a},{y})")
 
@@ -322,7 +351,7 @@ class FiniteGroup:
         """
         signs = {}
         for key, value in generator_signs.items():
-            idx = key.idx if isinstance(key, GroupElement) else self._name_to_idx[key]
+            idx = key.idx if isinstance(key, GroupElement) else self._index_of_name()[key]
             if value not in (1, -1):
                 raise ValueError("orientation signs must be +1 or -1")
             signs[idx] = value
@@ -350,6 +379,14 @@ class FiniteGroup:
 
 
 _C2_TABLE = ((0, 1), (1, 0))
+
+
+def _gather(keys):
+    """``f`` with ``f(seq) == tuple(seq[k] for k in keys)``: one C-level
+    ``itemgetter`` call for two keys or more, which alone returns a tuple."""
+    if len(keys) > 1:
+        return itemgetter(*keys)
+    return lambda seq: tuple(seq[k] for k in keys)
 
 
 def _extend_hom(tg, th, pairs, parent=None, *, injective=False):
@@ -495,23 +532,32 @@ def _cayley_table(order: int, gens, mul) -> list:
     """Multiplication table of the group of ``order`` elements spanned by ``gens``.
 
     ``mul(x, g)`` is the product rule on element indices (identity 0); it is
-    evaluated only for the generators ``g``.  Every other column is filled by
-    walking the Cayley graph from the identity: column ``b*g`` is column
-    ``b`` mapped through right multiplication by ``g``.  Rows come back as
-    tuples.  The order is checked before anything of its size is allocated.
+    evaluated only for the generators ``g``, and each generator's right map
+    ``x -> x*g`` is checked once to stay inside 0..order-1, which puts every
+    entry of the table in range.  The columns are filled by walking the
+    Cayley graph from the identity by left multiplication: column ``g*b``
+    is column ``b`` gathered through the right map of ``g``, and ``g*b`` is
+    entry ``g`` of column ``b``.  One transpose turns the columns into tuple
+    rows.  The order is checked before anything of its size is allocated.
     """
     if order > MAX_ORDER:
         raise GroupConstructionError(f"order {order} exceeds {MAX_ORDER}")
     rights = [[mul(x, g) for x in range(order)] for g in gens]
+    for g, right in zip(gens, rights):
+        if min(right) < 0 or max(right) >= order:
+            raise GroupConstructionError(
+                f"product rule takes x*{g} outside 0..{order - 1}"
+            )
+    steps = [(g, _gather(right)) for g, right in zip(gens, rights)]
     columns = [None] * order
-    columns[0] = list(range(order))
+    columns[0] = tuple(range(order))
     reached = [0]
     for b in reached:  # reached grows while it is walked
         column = columns[b]
-        for right in rights:
-            c = right[b]
+        for g, compose in steps:
+            c = column[g]
             if columns[c] is None:
-                columns[c] = list(map(right.__getitem__, column))
+                columns[c] = compose(column)
                 reached.append(c)
     if len(reached) != order:
         raise GroupConstructionError(
@@ -527,7 +573,9 @@ def cyclic(n: int, gen_name: str = "c") -> FiniteGroup:
     gens = [1] if n > 1 else []
     table = _cayley_table(n, gens, lambda x, g: (x + g) % n)
     names = ["1"] + [gen_name if i == 1 else f"{gen_name}^{i}" for i in range(1, n)]
-    return FiniteGroup(table, names, gens, name=f"C{n}")
+    group = FiniteGroup(table, names, gens, name=f"C{n}", verify=False)
+    group._verify()
+    return group
 
 
 def dihedral(order: int) -> FiniteGroup:
@@ -561,7 +609,8 @@ def dihedral_from_reflections(order: int, names=("w", "x")) -> FiniteGroup:
     def pack(i, d):
         return i + n * d
 
-    # same packing as dihedral(): t^i*x^d sits where D^i*A^d does there
+    # same packing as dihedral(), which verified this table: t^i*x^d sits
+    # where D^i*A^d does there
     table = dihedral(order)._table
     elt_names = ["1"] * order
     for i in range(1, n):
@@ -571,7 +620,9 @@ def dihedral_from_reflections(order: int, names=("w", "x")) -> FiniteGroup:
     for i in range(2, n):
         elt_names[pack(i, 1)] = f"({rot_name})^{i}{second}"
     gens = [pack(1, 1), pack(0, 1)]  # first, then second
-    return FiniteGroup(table, elt_names, gens, name=f"D(order {order};{first},{second})")
+    return FiniteGroup(
+        table, elt_names, gens, name=f"D(order {order};{first},{second})", verify=False
+    )
 
 
 def metacyclic(n: int, t: int, square: int = 0, names=("B", "C")) -> FiniteGroup:
@@ -612,7 +663,11 @@ def metacyclic(n: int, t: int, square: int = 0, names=("B", "C")) -> FiniteGroup
     elt_names[n] = b_name
     for i in range(1, n):
         elt_names[i + n] = elt_names[i] + b_name
-    return FiniteGroup(table, elt_names, gens, name=f"metacyclic({n},{t},{square})")
+    group = FiniteGroup(
+        table, elt_names, gens, name=f"metacyclic({n},{t},{square})", verify=False
+    )
+    group._verify()
+    return group
 
 
 def dicyclic(m: int) -> FiniteGroup:
@@ -733,10 +788,12 @@ def from_permutations(source) -> FiniteGroup:
     """Group generated by permutations, one ``perm (a b c)(d e)`` per line.
 
     Points are 1-based numerals no greater than ``MAX_ORDER``.  Accepts a
-    string (newline separated) or a list of lines.  Element names use cycle
-    notation.  The table is the composition table of the permutations
-    reached from the identity, so it is a group table spanned by the
-    generators by construction and is not verified again.
+    string (newline separated) or a list of lines.  The table is the
+    composition table of the permutations reached from the identity, so it
+    is a group table spanned by the generators by construction and is not
+    verified again.  Element names use cycle notation and are spelled when
+    first read (``_CycleNames``); only the generator permutations outlive
+    construction.
     """
     lines = source.splitlines() if isinstance(source, str) else list(source)
     raw_gens = []
@@ -781,36 +838,85 @@ def from_permutations(source) -> FiniteGroup:
                 perm[a - 1] = b - 1
         perms.append(tuple(perm))
 
+    steps = [_gather(q) for q in perms]  # steps[k](p) is p * perms[k]
     identity = tuple(range(degree))
     index_of = {identity: 0}
     elements = [identity]
+    parent, via = [0], [0]  # each element is elements[parent] * perms[via]
     right = {}  # right[x][k] = index of elements[x] * perms[k]
     frontier = [0]
     while frontier:
         x = frontier.pop()
         p = elements[x]
         row = []
-        for q in perms:
-            prod = tuple(map(p.__getitem__, q))
-            k = index_of.get(prod)
-            if k is None:
+        for k, step in enumerate(steps):
+            prod = step(p)
+            j = index_of.get(prod)
+            if j is None:
                 if len(elements) >= MAX_ORDER:
                     raise GroupConstructionError(
                         f"permutation group exceeds order {MAX_ORDER}"
                     )
-                k = index_of[prod] = len(elements)
+                j = index_of[prod] = len(elements)
                 elements.append(prod)
-                frontier.append(k)
-            row.append(k)
+                parent.append(x)
+                via.append(k)
+                frontier.append(j)
+            row.append(j)
         right[x] = row
     gen_idx = [index_of[p] for p in perms]
     k_of = {g: k for k, g in enumerate(gen_idx)}
     table = _cayley_table(len(elements), gen_idx, lambda x, g: right[x][k_of[g]])
-    labels = [str(i) for i in range(1, degree + 1)]
-    names = [_cycle_notation(p, labels) for p in elements]
+    names = _CycleNames(steps, parent, via, degree)
     return FiniteGroup(
         table, names, gen_idx, name=f"perm-group({len(elements)})", verify=False
     )
+
+
+class _CycleNames:
+    """Cycle-notation names of a permutation group's elements, each spelled
+    when it is first read.
+
+    Only the generators are kept as permutations; every element is its
+    parent times one generator, so its permutation is composed along the
+    path from the identity.  Iterating spells all names in one pass in
+    index order, where a parent always comes before its children.
+    """
+
+    __slots__ = ("_steps", "_parent", "_via", "_identity", "_labels", "_names")
+
+    def __init__(self, steps, parent, via, degree):
+        self._steps = steps
+        self._parent = parent
+        self._via = via
+        self._identity = tuple(range(degree))
+        self._labels = [str(i) for i in range(1, degree + 1)]
+        self._names = [None] * len(parent)
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+    def __getitem__(self, x: int) -> str:
+        name = self._names[x]
+        if name is None:
+            path = []
+            a = x
+            while a:
+                path.append(self._via[a])
+                a = self._parent[a]
+            perm = self._identity
+            for k in reversed(path):
+                perm = self._steps[k](perm)
+            name = self._names[x] = _cycle_notation(perm, self._labels)
+        return name
+
+    def __iter__(self):
+        if None in self._names:
+            perms = [self._identity]
+            for x in range(1, len(self._names)):
+                perms.append(self._steps[self._via[x]](perms[self._parent[x]]))
+            self._names = [_cycle_notation(p, self._labels) for p in perms]
+        return iter(self._names)
 
 
 def _cycle_notation(perm: tuple, labels) -> str:
@@ -854,11 +960,13 @@ def from_table(text: str) -> FiniteGroup:
     raw = []
     for i in range(n):
         tokens = lines[i + 1].split()
-        try:
-            row = list(map(index.__getitem__, tokens))
-        except KeyError:
-            row = None
-        if row is None or len(row) != n:
+        row = None
+        if len(tokens) == n:
+            try:
+                row = _gather(tokens)(index)
+            except KeyError:
+                pass
+        if row is None:
             bad = next((t for t in tokens if not _is_numeral(t)), None)
             if bad is not None:
                 raise InputFormatError(f"entry {bad!r} in row {i} is not a decimal numeral")
@@ -877,9 +985,9 @@ def from_table(text: str) -> FiniteGroup:
             raise InputFormatError("generator indices out of range")
         if len(lines) > n + 2:
             raise InputFormatError("unexpected extra lines after the generators line")
-    ident = list(range(n))
+    ident = tuple(range(n))
     identity = next(
-        (e for e, row in enumerate(raw) if row == ident and [r[e] for r in raw] == ident),
+        (e for e, row in enumerate(raw) if row == ident and tuple(r[e] for r in raw) == ident),
         None,
     )
     if identity is None:
@@ -887,16 +995,16 @@ def from_table(text: str) -> FiniteGroup:
     # move the identity to index 0, keeping the others in input order
     order_old = [identity, *range(identity), *range(identity + 1, n)]
     new_of = [*range(1, identity + 1), 0, *range(identity + 1, n)]
-    table = [
-        list(map(new_of.__getitem__, map(raw[a].__getitem__, order_old)))
-        for a in order_old
-    ]
+    pick_old = _gather(order_old)
+    table = [_gather(pick_old(raw[a]))(new_of) for a in order_old]
     if gen_line is not None:
         gen_line = list(map(new_of.__getitem__, gen_line))
     names = [f"g{old}" for old in order_old]
     gens = gen_line if gen_line is not None else _small_generating_set(table, range(n))
     try:
-        return FiniteGroup(table, names, gens, name=f"table-group({n})")
+        group = FiniteGroup(table, names, gens, name=f"table-group({n})", verify=False)
+        group._verify()
+        return group
     except GroupConstructionError as exc:
         raise InputFormatError(f"invalid table: {exc}") from None
 

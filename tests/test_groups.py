@@ -385,6 +385,88 @@ class TestCayleyTable:
         with pytest.raises(GroupConstructionError, match="order 4097 exceeds 4096"):
             groups._cayley_table(4097, [1], never)
 
+    @pytest.mark.parametrize(
+        "rule", [lambda x, g: x - 1, lambda x, g: x + 1], ids=["minus_one", "order"]
+    )
+    def test_product_rule_must_stay_in_range(self, rule):
+        # x - 1 gives -1 at x = 0, and x + 1 gives 3 = order at x = 2
+        with pytest.raises(GroupConstructionError, match=r"outside 0\.\.2"):
+            groups._cayley_table(3, [1], rule)
+
+    def test_order_one(self):
+        assert groups._cayley_table(1, [], None) == [(0,)]
+        assert groups._cayley_table(1, [0, 0], lambda x, g: 0) == [(0,)]
+
+
+def _assert_built_contract(G: FiniteGroup):
+    """What construction no longer re-checks for a table the package built:
+    tuple rows of length n over 0..n-1, unique names, and the group axioms
+    with spanning generators (``_verify``)."""
+    n = G.order
+    span = range(n)
+    for row in G._table:
+        assert type(row) is tuple and len(row) == n, G.name
+        assert min(row) in span and max(row) in span, G.name
+    names = list(G._names)
+    assert len(names) == n and len(set(names)) == n, G.name
+    G._verify()
+
+
+class TestConstructionContract:
+    @pytest.mark.parametrize("n", range(1, 97))
+    def test_catalog(self, n):
+        for G in small_groups(n):
+            _assert_built_contract(G)
+
+    @pytest.mark.parametrize("g", range(2, 31))
+    def test_paper_groups(self, g):
+        for G in (family_group(g), chain_target_group(g), cone_target_group(g)):
+            _assert_built_contract(G)
+            if G.orientation is not None:
+                _assert_built_contract(orientation_preserving_subgroup(G))
+        _assert_built_contract(dihedral_from_reflections(4 * g))
+
+    @settings(PROPERTY_SETTINGS, max_examples=40)
+    @given(st.lists(st.permutations(range(6)), min_size=1, max_size=3))
+    def test_permutation_groups(self, perms):
+        _assert_built_contract(from_permutations(["perm " + _cycles(p) for p in perms]))
+
+    def test_constructors_store_the_table_they_built(self, monkeypatch):
+        built = []
+
+        def recording(order, gens, mul):
+            built.append(cayley_table(order, gens, mul))
+            return built[-1]
+
+        cayley_table = groups._cayley_table
+        monkeypatch.setattr(groups, "_cayley_table", recording)
+        for make in (
+            lambda: cyclic(6),
+            lambda: metacyclic(6, 5, 0),
+            lambda: dihedral(8),
+            lambda: dicyclic(3),
+            lambda: direct_product(cyclic(2), dihedral(6)),
+            lambda: semidirect_cyclic(7, 3, 2),
+            lambda: from_permutations(["perm (1 2 3 4)", "perm (1 2)"]),
+            lambda: dihedral_from_reflections(12),
+        ):
+            G = make()
+            assert G._table is built[-1], G.name
+
+    def test_order_one_and_degree_one(self):
+        trivial = [
+            cyclic(1),
+            from_table("order 1\n0"),
+            from_permutations(["perm (1)"]),
+            from_permutations(["perm ()"]),
+            FiniteGroup([[0]], ["e"], []),
+        ]
+        for G in trivial:
+            assert G.order == 1 and G._inv == [0], G.name
+            assert [tuple(row) for row in G._table] == [(0,)], G.name
+            G._verify()
+        assert [G._names[0] for G in trivial] == ["1", "g0", "()", "()", "e"]
+
 
 class TestExtensionGroupB:
     @pytest.mark.parametrize("g", [2, 3, 4, 5])
@@ -664,10 +746,13 @@ def _perm_from_name(name: str, degree: int) -> tuple:
 # ---------------------------------------------------------------------------
 # Ingestion against the entry-by-entry reference parsers.
 #
-# ``from_table``, ``FiniteGroup._verify`` and ``from_permutations`` as they
-# were before their per-entry work moved into whole-row passes, kept as
-# oracles.  The reference parsers build with ``verify=False`` and then run
-# ``_reference_verify``, which is what ``verify=True`` ran.
+# ``from_table``, ``FiniteGroup._verify``, ``from_permutations`` and
+# ``_cayley_table`` as they were before their per-entry work moved into
+# whole-row passes, kept as oracles.  The reference parsers build list rows,
+# as ``FiniteGroup`` once copied every table to, with ``verify=False``, and
+# then run ``_reference_verify``, which is what ``verify=True`` ran.  The
+# groups under test hold tuple rows, so tables are compared row by row as
+# tuples (``_contents``).
 
 _REFERENCE_PERM_LINE = re.compile(r"^\s*perm\s*(.*)$")
 _REFERENCE_CYCLE = re.compile(r"\(([^()]*)\)")
@@ -766,13 +851,35 @@ def _reference_from_permutations(source) -> FiniteGroup:
         right[x] = row
     gen_idx = [index_of[p] for p in perms]
     k_of = {g: k for k, g in enumerate(gen_idx)}
-    table = groups._cayley_table(len(elements), gen_idx, lambda x, g: right[x][k_of[g]])
+    table = _reference_cayley_table(len(elements), gen_idx, lambda x, g: right[x][k_of[g]])
+    table = [list(row) for row in table]
     names = [_reference_cycle_notation(p) for p in elements]
     G = FiniteGroup(
         table, names, gen_idx, name=f"perm-group({len(elements)})", verify=False
     )
     _reference_verify(G)
     return G
+
+
+def _reference_cayley_table(order: int, gens, mul) -> list:
+    if order > groups.MAX_ORDER:
+        raise GroupConstructionError(f"order {order} exceeds {groups.MAX_ORDER}")
+    rights = [[mul(x, g) for x in range(order)] for g in gens]
+    columns = [None] * order
+    columns[0] = list(range(order))
+    reached = [0]
+    for b in reached:  # reached grows while it is walked
+        column = columns[b]
+        for right in rights:
+            c = right[b]
+            if columns[c] is None:
+                columns[c] = list(map(right.__getitem__, column))
+                reached.append(c)
+    if len(reached) != order:
+        raise GroupConstructionError(
+            f"generators span only {len(reached)} of {order} elements"
+        )
+    return list(zip(*columns))
 
 
 def _reference_cycle_notation(perm: tuple) -> str:
@@ -850,14 +957,19 @@ def _reference_from_table(text: str) -> FiniteGroup:
         raise InputFormatError(f"invalid table: {exc}") from None
 
 
+def _contents(G: FiniteGroup):
+    """G's table with tuple rows, its names, generators and name."""
+    return [tuple(row) for row in G._table], list(G._names), G._gen_idx, G.name
+
+
 def _ingested(parse, text):
-    """What a parser makes of ``text``: the group's table, names,
-    generators and name, or the text of the input error it raises."""
+    """What a parser makes of ``text``: the group's ``_contents``, or the
+    text of the input error it raises."""
     try:
         G = parse(text)
     except InputFormatError as exc:
         return str(exc)
-    return G._table, G._names, G._gen_idx, G.name
+    return _contents(G)
 
 
 def _verify_outcome(G: FiniteGroup, verify):
@@ -993,19 +1105,32 @@ class TestIngestionMatchesReference:
     def test_from_permutations(self, perms):
         lines = ["perm " + _cycles(p) for p in perms]
         G = from_permutations(lines)
-        assert (G._table, G._names, G._gen_idx, G.name) == _ingested(
-            _reference_from_permutations, lines
-        )
+        assert _contents(G) == _ingested(_reference_from_permutations, lines)
         G._verify()
+
+    @settings(PROPERTY_SETTINGS, max_examples=60)
+    @given(st.lists(st.permutations(range(6)), min_size=1, max_size=3))
+    def test_names_are_spelled_when_read(self, perms):
+        lines = ["perm " + _cycles(p) for p in perms]
+        expected = list(_reference_from_permutations(lines)._names)
+        G = from_permutations(lines)
+        assert G._name_to_idx is None
+        # one at a time, each composed along its path from the identity
+        assert [G._names[i] for i in reversed(range(G.order))] == expected[::-1]
+        assert G._name_to_idx is None
+        # all at once, in one pass
+        assert list(from_permutations(lines)._names) == expected
+        # cycle notation is canonical, so the names are distinct
+        assert len(set(expected)) == G.order
+        assert G.generator(expected[-1]).idx == G.order - 1
+        assert G._name_to_idx is not None
 
     def test_regular_permutation_groups_are_group_tables(self):
         for H in small_groups(24):
             lines = ["perm " + _cycles(H._table[g]) for g in H._gen_idx]
             G = from_permutations(lines)
             assert G.order == 24
-            assert (G._table, G._names, G._gen_idx, G.name) == _ingested(
-                _reference_from_permutations, lines
-            )
+            assert _contents(G) == _ingested(_reference_from_permutations, lines)
             G._verify()
 
 
@@ -1950,7 +2075,7 @@ class TestSmallGroups:
 
     def test_structure_digest(self):
         items = [
-            [G.name, G._names, list(G._gen_idx), [list(row) for row in G._table]]
+            [G.name, list(G._names), list(G._gen_idx), [list(row) for row in G._table]]
             for n in STRUCTURE_ORDERS
             for G in small_groups(n)
         ]
