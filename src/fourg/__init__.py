@@ -86,9 +86,7 @@ from .extensions import (
 from .realforms import (
     Species,
     SymmetryClass,
-    count_ovals,
     species_set,
-    symmetry_classes,
     symmetry_classes_with_ovals,
 )
 from .boundary import (

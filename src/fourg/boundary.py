@@ -25,7 +25,7 @@ from .errors import InvariantViolation
 from .extensions import KIND_A, KIND_B, build_extensions
 from .groups import FiniteGroup, GroupElement, Subgroup
 from .realforms import Species, species_set
-from .signatures import Signature, wiman_quotient_signature
+from .signatures import INF, SIGN_PLUS, Signature, normalized_area, wiman_quotient_signature
 
 __all__ = [
     "DIPOLE_SURFACE",
@@ -181,12 +181,12 @@ def component_genus(images) -> int:
     sets how many nodes the component meets), r must have order exactly 2, s
     order exactly 2g = 4, 6, 8, ..., and n*r*s must be the identity.
 
-    The orbifold Euler characteristic is -1/2 + 1/(2g) -- the puncture term
-    contributes exactly 1, handled as a special case rather than as a limit
-    -- and scales by the image order to the Euler characteristic of the
-    punctured component.  Solving 2 - 2h - c = |image| * chi, with
-    c = |image| / order(n) punctures, gives the genus h; a non-integral or
-    negative solution signals inconsistent data and raises.
+    The orbifold Euler characteristic is minus the normalized area of the
+    signature (0;+;[2,2g,inf]), -1/2 + 1/(2g), and scales by the image order
+    to the Euler characteristic of the punctured component.  Solving
+    2 - 2h - c = |image| * chi, with c = |image| / order(n) punctures, gives
+    the genus h; a non-integral or negative solution signals inconsistent
+    data and raises.
     """
     images = tuple(images)
     if len(images) != 3:
@@ -206,8 +206,7 @@ def component_genus(images) -> int:
         raise InvariantViolation(
             f"third image must have even order >= 4, got {two_g}"
         )
-    # chi = 2 - [puncture: exactly 1] - (1 - 1/2) - (1 - 1/(2g))
-    chi = Fraction(-1, 2) + Fraction(1, two_g)
+    chi = -normalized_area(Signature(0, SIGN_PLUS, (2, two_g, INF)))
     image_order = G.subgroup(images).order
     cusps = image_order // n.order()
     doubled = 2 - cusps - image_order * chi

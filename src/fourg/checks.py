@@ -25,7 +25,7 @@ from .extensions import (
     chain_target_group,
     cone_target_group,
 )
-from .realforms import _reflection_records, species_set, symmetry_classes
+from .realforms import _reflection_records, species_set, symmetry_classes_with_ovals
 from .signatures import enumerate_4g_signatures
 
 __all__ = ["CheckResult", "run_all_checks", "ALL_CHECKS"]
@@ -94,10 +94,11 @@ def check_species_constraints(g_min: int, g_max: int) -> CheckResult:
         for kind in (KIND_A, KIND_B):
             for e in build_extensions(g, kind):
                 species = species_set(e)
-                if len(species) != len(symmetry_classes(e)):
+                classes = len(symmetry_classes_with_ovals(e))
+                if len(species) != classes:
                     raise FourgError(
                         f"{e.label} at genus {g}: {len(species)} species for"
-                        f" {len(symmetry_classes(e))} symmetry classes"
+                        f" {classes} symmetry classes"
                     )
                 for sp in species:
                     # Species validates the oval bounds on construction;

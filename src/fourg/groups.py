@@ -879,8 +879,8 @@ class _CycleNames:
 
     Only the generators are kept as permutations; every element is its
     parent times one generator, so its permutation is composed along the
-    path from the identity.  Iterating spells all names in one pass in
-    index order, where a parent always comes before its children.
+    path from the identity.  Iteration goes through ``__getitem__``, as for
+    any sequence, so every name has one read path.
     """
 
     __slots__ = ("_steps", "_parent", "_via", "_identity", "_labels", "_names")
@@ -909,14 +909,6 @@ class _CycleNames:
                 perm = self._steps[k](perm)
             name = self._names[x] = _cycle_notation(perm, self._labels)
         return name
-
-    def __iter__(self):
-        if None in self._names:
-            perms = [self._identity]
-            for x in range(1, len(self._names)):
-                perms.append(self._steps[self._via[x]](perms[self._parent[x]]))
-            self._names = [_cycle_notation(p, self._labels) for p in perms]
-        return iter(self._names)
 
 
 def _cycle_notation(perm: tuple, labels) -> str:
@@ -1180,20 +1172,21 @@ def recognize(G: FiniteGroup) -> GroupStructure:
         return GroupStructure("cyclic", n, {}, {"generator": gen})
     if G.is_abelian():
         non_identity = sorted(set(orders[1:]))
-        if len(non_identity) == 1 and _is_prime(non_identity[0]):
+        if len(non_identity) == 1:
+            # p is prime, since a composite order has a power of smaller
+            # order, and n is a power of p by Cauchy's theorem
             p = non_identity[0]
             rank, m = 0, n
             while m % p == 0:
                 m //= p
                 rank += 1
-            if m == 1:
-                basis = _small_generating_set(G._table, range(n))
-                return GroupStructure(
-                    "elementary-abelian",
-                    n,
-                    {"prime": p, "rank": rank},
-                    {"basis": tuple(G.element(i) for i in basis)},
-                )
+            basis = _small_generating_set(G._table, range(n))
+            return GroupStructure(
+                "elementary-abelian",
+                n,
+                {"prime": p, "rank": rank},
+                {"basis": tuple(G.element(i) for i in basis)},
+            )
     pair = _dihedral_pair(G, n // 2) if n % 2 == 0 and n >= 6 else None
     if pair is not None:
         r, s = pair
@@ -1230,17 +1223,6 @@ def recognize(G: FiniteGroup) -> GroupStructure:
         {"abelian": G.is_abelian(), "abelianization": list(abelianization(G))},
         {},
     )
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -7,22 +7,23 @@ separability) is recorded as the species: +k for a separating symmetry with k
 ovals, -k for a non-separating one, 0 when the fixed-point set is empty.
 
 This module reads the full symmetry type off a mirror extension: conjugacy
-classes of orientation-reversing involutions in the order-8g group, oval
-counts through Gromadzki's centralizer-index formula (summing, over the
-non-conjugate canonical reflections whose image falls in the class, the index
-of the image of the reflection centralizer inside the centralizer of the
-image), and separability signs through an encoded classification table.  The
-centralizer-image rule is one formula over the extension's signature: the
-non-conjugate reflections are c_0..c_(s-1), and each centralizer image is
-generated by c_i and the half powers of its two link products.  It is
-guarded: for the canonical reflection-chain extensions it must reproduce
-eight independently stated subgroups exactly, and any drift aborts the
-computation.
+classes of orientation-reversing involutions in the order-8g group, each
+built with its oval count by Gromadzki's centralizer-index formula (summing,
+over the non-conjugate canonical reflections whose image falls in the class,
+the index of the image of the reflection centralizer inside the centralizer
+of the image), and separability signs through an encoded classification
+table.  The centralizer-image rule is one formula over the extension's
+signature: the non-conjugate reflections are c_0..c_(s-1), and each
+centralizer image is generated by c_i and the half powers of its two link
+products.  It is guarded: for the canonical reflection-chain extensions it
+must reproduce eight independently stated subgroups exactly, and any drift
+aborts the computation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InvariantViolation
@@ -80,14 +81,12 @@ class Species:
 
 @dataclass(frozen=True)
 class SymmetryClass:
-    """A conjugacy class of orientation-reversing involutions in an extension.
-
-    ``ovals`` stays None until filled by :func:`count_ovals`.
-    """
+    """A conjugacy class of orientation-reversing involutions in an extension,
+    with the number of ovals each of its involutions fixes."""
 
     action: ExtendedAction
     representative: GroupElement
-    ovals: int = None
+    ovals: int
 
     def __post_init__(self):
         G = self.action.group
@@ -98,7 +97,7 @@ class SymmetryClass:
             raise InvariantViolation("representative must be an involution")
         if G.kappa(rep) != -1:
             raise InvariantViolation("representative must reverse orientation")
-        if self.ovals is not None and (not isinstance(self.ovals, int) or self.ovals < 0):
+        if not isinstance(self.ovals, int) or self.ovals < 0:
             raise InvariantViolation("oval count must be a non-negative integer")
 
     @property
@@ -106,24 +105,8 @@ class SymmetryClass:
         """Number of involutions in the class."""
         return self.action.group.class_size(self.representative.idx)
 
-    def with_ovals(self, k: int) -> "SymmetryClass":
-        return replace(self, ovals=k)
-
     def __str__(self) -> str:
-        filled = "?" if self.ovals is None else str(self.ovals)
-        return f"[{self.representative.name}] ovals={filled}"
-
-
-def symmetry_classes(e: ExtendedAction) -> list:
-    """Conjugacy classes of orientation-reversing involutions of the target.
-
-    Oval counts are left unfilled.  Classes come back ordered by their
-    smallest element index, so the output is deterministic.
-    """
-    G = e.group
-    kappa = G.orientation
-    reversing = {i for i in range(G.order) if kappa[i] == -1 and G.element_order(i) == 2}
-    return [SymmetryClass(e, G.element(i)) for i in _class_minima(G, reversing)]
+        return f"[{self.representative.name}] ovals={self.ovals}"
 
 
 def _rule_generators(e: ExtendedAction, position: int) -> tuple:
@@ -210,27 +193,27 @@ def _reflection_records(e: ExtendedAction) -> tuple:
     return tuple(records)
 
 
-def count_ovals(cls: SymmetryClass) -> int:
-    """Ovals fixed by the involutions in the class, by Gromadzki's formula.
-
-    Sums, over the non-conjugate canonical reflections whose image lands in
-    the class, the index of the image of the reflection centralizer inside
-    the centralizer of the reflection image.  Classes whose involutions are
-    hit by no reflection get 0: they act freely on curves.
-    """
-    e = cls.action
-    class_of = e.group._class_index()[1]
-    target = class_of[cls.representative.idx]
-    total = 0
-    for _, image, index in _reflection_records(e):
-        if class_of[image.idx] == target:
-            total += index
-    return total
-
-
 def symmetry_classes_with_ovals(e: ExtendedAction) -> list:
-    """Symmetry classes with their oval counts filled in."""
-    return [cls.with_ovals(count_ovals(cls)) for cls in symmetry_classes(e)]
+    """Conjugacy classes of orientation-reversing involutions of the target,
+    each with its oval count by Gromadzki's formula.
+
+    A class's count sums, over the non-conjugate canonical reflections whose
+    image lands in the class, the index of the image of the reflection
+    centralizer inside the centralizer of the reflection image.  Classes hit
+    by no reflection get 0: they act freely on curves.  Classes come back
+    ordered by their smallest element index, so the output is deterministic.
+    """
+    G = e.group
+    class_of = G._class_index()[1]
+    ovals = Counter()
+    for _, image, index in _reflection_records(e):
+        ovals[class_of[image.idx]] += index
+    kappa = G.orientation
+    reversing = {i for i in range(G.order) if kappa[i] == -1 and G.element_order(i) == 2}
+    return [
+        SymmetryClass(e, G.element(i), ovals[class_of[i]])
+        for i in _class_minima(G, reversing)
+    ]
 
 
 # Signed species multisets per (extension label, genus parity).  Signs that
@@ -260,7 +243,7 @@ def species_set(e: ExtendedAction) -> tuple:
     key = (e.label, g % 2)
     if key not in _SIGN_TABLE:
         raise ValueError(f"no species data for extension label {e.label!r}")
-    counts = sorted(count_ovals(cls) for cls in symmetry_classes(e))
+    counts = sorted(cls.ovals for cls in symmetry_classes_with_ovals(e))
     signed = _SIGN_TABLE[key](g)
     if sorted(abs(v) for v in signed) != counts:
         raise InvariantViolation(

@@ -92,10 +92,6 @@ class Signature:
     def num_cycles(self) -> int:
         return len(self.period_cycles)
 
-    @property
-    def has_infinite_period(self) -> bool:
-        return any(m is INF for m in self.proper_periods)
-
     def render(self) -> str:
         """Canonical text form, e.g. ``(0;+;[2,2,2,4];{-})``."""
         if self.proper_periods:
@@ -222,14 +218,13 @@ def normalized_area(sig: Signature) -> Fraction:
 
         area = eps*h - 2 + k + sum(1 - 1/m_i) + (1/2) * sum(1 - 1/n_ij)
 
-    Infinite periods are rejected; callers doing parabolic bookkeeping use
-    their own Euler-characteristic computation.
+    A parabolic period ``INF`` counts 1 - 1/inf = 1, which gives the finite
+    area of a quotient with cusps, e.g. 1/6 for the modular group
+    ``(0;+;[2,3,inf])``.
     """
-    if sig.has_infinite_period:
-        raise ValueError("normalized_area is undefined for signatures with an inf period")
     total = Fraction(sig.epsilon * sig.genus - 2 + sig.num_cycles)
     for m in sig.proper_periods:
-        total += 1 - Fraction(1, m)
+        total += 1 if m is INF else 1 - Fraction(1, m)
     for cycle in sig.period_cycles:
         for n in cycle:
             total += Fraction(1, 2) * (1 - Fraction(1, n))

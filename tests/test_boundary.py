@@ -11,6 +11,7 @@ extended-symmetry class.
 """
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -132,6 +133,22 @@ class TestDegenerationSubgroups:
             degeneration_subgroups("not a vector")
 
 
+def _reference_component_genus(images) -> int:
+    """The genus solve of ``component_genus``, its input checks left out,
+    with the hand-derived chi line kept verbatim from before
+    ``normalized_area`` counted a cusp."""
+    n, r, s = images
+    G = n.group
+    two_g = s.order()
+    # chi = 2 - [puncture: exactly 1] - (1 - 1/2) - (1 - 1/(2g))
+    chi = Fraction(-1, 2) + Fraction(1, two_g)
+    image_order = G.subgroup(images).order
+    cusps = image_order // n.order()
+    doubled = 2 - cusps - image_order * chi
+    assert doubled.denominator == 1 and doubled >= 0 and int(doubled) % 2 == 0
+    return int(doubled) // 2
+
+
 class TestComponentGenus:
     def test_dipole_component_genus(self):
         for g, expected in ((2, 1), (3, 1), (4, 2), (5, 2), (8, 4), (9, 4)):
@@ -144,6 +161,12 @@ class TestComponentGenus:
             v = canonical_vector(g)
             t1, t2, t3, t4 = v.images
             assert component_genus((t1, t2 * t3, t4)) == 0
+
+    @pytest.mark.parametrize("g", range(2, 31))
+    def test_matches_closed_form_chi(self, g):
+        t1, t2, t3, t4 = canonical_vector(g).images
+        for images in ((t1 * t2, t3, t4), (t1, t2 * t3, t4)):
+            assert component_genus(images) == _reference_component_genus(images)
 
     def test_invariant_under_conjugation(self):
         v = canonical_vector(5)

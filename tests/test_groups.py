@@ -1698,6 +1698,18 @@ def _reference_index_two_subgroups(G: FiniteGroup):
     return subgroups
 
 
+def _reference_is_prime(p: int) -> bool:
+    """The primality test the recognizer once ran, kept verbatim."""
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
+
+
 def _reference_recognize(G: FiniteGroup) -> GroupStructure:
     """The recognizer before the single witness search, kept verbatim: it
     finds dihedral x C2 by trying every (central involution, index-2
@@ -1709,7 +1721,7 @@ def _reference_recognize(G: FiniteGroup) -> GroupStructure:
         return GroupStructure("cyclic", n, {}, {"generator": gen})
     if G.is_abelian():
         non_identity = sorted(set(orders[1:]))
-        if len(non_identity) == 1 and groups._is_prime(non_identity[0]):
+        if len(non_identity) == 1 and _reference_is_prime(non_identity[0]):
             p = non_identity[0]
             rank, m = 0, n
             while m % p == 0:

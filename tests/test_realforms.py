@@ -10,16 +10,18 @@ reflection centralizers; the species multisets {+2,0,-2,-2} (odd g),
 constraints on species.
 """
 
+from collections import namedtuple
+
 import pytest
 
 from fourg.errors import InvariantViolation
 from fourg.extensions import ExtendedAction, build_extensions, cone_target_group
+from fourg.groups import _class_minima
 from fourg.realforms import (
     Species,
     SymmetryClass,
-    count_ovals,
+    _reflection_records,
     species_set,
-    symmetry_classes,
     symmetry_classes_with_ovals,
 )
 
@@ -29,19 +31,61 @@ def class_id(G, element):
 
 
 def class_by_element(action, element):
-    """The symmetry class of the given involution."""
+    """The symmetry class of the given involution, with its ovals."""
     G = action.group
-    for cls in symmetry_classes(action):
+    for cls in symmetry_classes_with_ovals(action):
         if class_id(G, cls.representative) == class_id(G, element):
             return cls
     raise AssertionError(f"{element.name} matches no symmetry class")
+
+
+# A class before its ovals are counted: what the reference producer returns.
+_ReferenceClass = namedtuple("_ReferenceClass", "action representative")
+
+
+def _reference_symmetry_classes(e: ExtendedAction) -> list:
+    """The classes without ovals, as built before they carried their ovals.
+
+    Kept verbatim except that each class is a test-local (action,
+    representative) pair, since ``SymmetryClass`` now requires its ovals.
+    """
+    G = e.group
+    kappa = G.orientation
+    reversing = {i for i in range(G.order) if kappa[i] == -1 and G.element_order(i) == 2}
+    return [_ReferenceClass(e, G.element(i)) for i in _class_minima(G, reversing)]
+
+
+def _reference_count_ovals(cls) -> int:
+    """The per-class oval count that rescanned every record, kept verbatim."""
+    e = cls.action
+    class_of = e.group._class_index()[1]
+    target = class_of[cls.representative.idx]
+    total = 0
+    for _, image, index in _reflection_records(e):
+        if class_of[image.idx] == target:
+            total += index
+    return total
+
+
+@pytest.mark.parametrize("g", range(2, 31))
+def test_classes_match_reference(g):
+    for kind in ("a", "b"):
+        for action in build_extensions(g, kind):
+            got = symmetry_classes_with_ovals(action)
+            expected = _reference_symmetry_classes(action)
+            assert [c.representative for c in got] == [
+                c.representative for c in expected
+            ], (g, action.label)
+            assert [c.ovals for c in got] == [
+                _reference_count_ovals(c) for c in expected
+            ], (g, action.label)
 
 
 class TestSymmetryClasses:
     def test_chain_extension_has_four_classes(self):
         first, _ = build_extensions(5, "a")
         G = first.group
-        classes = symmetry_classes(first)
+        classes = symmetry_classes_with_ovals(first)
         assert len(classes) == 4
         w, x, y = G.generator("w"), G.generator("x"), G.generator("y")
         expected = (x, y, y * (w * x) ** 5, w)
@@ -51,13 +95,13 @@ class TestSymmetryClasses:
     def test_cone_extension_classes_by_parity(self):
         even = build_extensions(4, "b")[0]
         G = even.group
-        classes = symmetry_classes(even)
+        classes = symmetry_classes_with_ovals(even)
         assert len(classes) == 1
         assert class_id(G, classes[0].representative) == class_id(G, G.generator("z"))
 
         odd = build_extensions(5, "b")[0]
         G = odd.group
-        classes = symmetry_classes(odd)
+        classes = symmetry_classes_with_ovals(odd)
         assert len(classes) == 4
         x, z, w = G.generator("x"), G.generator("z"), G.generator("w")
         expected = (z, w, (x * z) ** 5, (x * w) ** 5)
@@ -69,51 +113,53 @@ class TestSymmetryClasses:
         G = first.group
         rotation = G.generator("w") * G.generator("x")
         with pytest.raises(InvariantViolation):
-            SymmetryClass(first, rotation)  # order 2g, not an involution
+            SymmetryClass(first, rotation, ovals=0)  # order 2g, not an involution
         with pytest.raises(InvariantViolation):
-            SymmetryClass(first, rotation ** 3)  # involution but orientation preserving
+            SymmetryClass(first, rotation ** 3, ovals=0)  # orientation preserving
+        y = G.generator("y")
+        for bad in (None, -1, 1.0):
+            with pytest.raises(InvariantViolation):
+                SymmetryClass(first, y, ovals=bad)
 
-    def test_class_size_and_with_ovals(self):
+    def test_class_size(self):
         first, _ = build_extensions(3, "a")
         G = first.group
         cls = class_by_element(first, G.generator("y"))
         assert cls.size == 1  # y is central
-        assert cls.ovals is None
-        filled = cls.with_ovals(2)
-        assert filled.ovals == 2 and filled.representative == cls.representative
+        assert str(cls) == f"[{cls.representative.name}] ovals={cls.ovals}"
 
 
 class TestCountOvals:
     def test_w_class_reference_counts(self):
         odd_first = build_extensions(5, "a")[0]
         w = odd_first.group.generator("w")
-        assert count_ovals(class_by_element(odd_first, w)) == 2
+        assert class_by_element(odd_first, w).ovals == 2
         even_first = build_extensions(4, "a")[0]
         w = even_first.group.generator("w")
-        assert count_ovals(class_by_element(even_first, w)) == 3
+        assert class_by_element(even_first, w).ovals == 3
 
     def test_second_chain_class_y_has_g_ovals(self):
         second = build_extensions(5, "a")[1]
         y = second.group.generator("y")
-        assert count_ovals(class_by_element(second, y)) == 5
+        assert class_by_element(second, y).ovals == 5
 
     def test_unhit_class_has_no_ovals(self):
         for g in (3, 4, 6):
             first = build_extensions(g, "a")[0]
             G = first.group
             free = G.generator("y") * (G.generator("w") * G.generator("x")) ** g
-            assert count_ovals(class_by_element(first, free)) == 0
+            assert class_by_element(first, free).ovals == 0
 
     def test_cone_counts(self):
         odd = build_extensions(5, "b")[0]
         G = odd.group
         x, z, w = G.generator("x"), G.generator("z"), G.generator("w")
-        assert count_ovals(class_by_element(odd, z)) == 2
-        assert count_ovals(class_by_element(odd, w)) == 2
-        assert count_ovals(class_by_element(odd, (x * z) ** 5)) == 0
+        assert class_by_element(odd, z).ovals == 2
+        assert class_by_element(odd, w).ovals == 2
+        assert class_by_element(odd, (x * z) ** 5).ovals == 0
         even = build_extensions(4, "b")[0]
         z = even.group.generator("z")
-        assert count_ovals(class_by_element(even, z)) == 2
+        assert class_by_element(even, z).ovals == 2
 
     def test_oval_multisets(self):
         for g in (3, 5, 7):
@@ -129,10 +175,10 @@ class TestCountOvals:
         first = build_extensions(4, "a")[0]
         G = first.group
         w = G.generator("w")
-        base = count_ovals(class_by_element(first, w))
+        base = class_by_element(first, w).ovals
         for h in (G.generator("x"), G.generator("y") * w):
             conjugate = h * w * h.inverse()
-            assert count_ovals(SymmetryClass(first, conjugate)) == base
+            assert _reference_count_ovals(_ReferenceClass(first, conjugate)) == base
 
 
 def _reference_rule_generators(e: ExtendedAction, position: int) -> tuple:
@@ -168,7 +214,7 @@ def _reference_rule_generators(e: ExtendedAction, position: int) -> tuple:
 class TestCentralizerIdentities:
     @pytest.mark.parametrize("g", range(2, 31))
     def test_rule_matches_per_kind_reference(self, g):
-        from fourg.realforms import _reflection_records, _rule_generators
+        from fourg.realforms import _rule_generators
 
         # the reflections up to conjugacy: c0..c3 for kind a, c0 and c1 for
         # kind b (its c2 is the conjugate of c0 by the connecting generator)
@@ -182,7 +228,7 @@ class TestCentralizerIdentities:
                     ), (action.label, p)
 
     def test_stated_image_subgroups_hold(self):
-        from fourg.realforms import _reflection_records, _rule_generators
+        from fourg.realforms import _rule_generators
 
         for g in (3, 4):
             for action in build_extensions(g, "a"):

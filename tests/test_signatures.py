@@ -69,7 +69,7 @@ def test_parse_whitespace_tolerated():
 def test_parse_inf_period():
     sig = parse_signature("(0;+;[inf,2,4];{-})")
     assert sig.proper_periods == (2, 4, INF)
-    assert sig.has_infinite_period
+    assert INF in sig.proper_periods
     assert sig.render() == "(0;+;[2,4,inf];{-})"
 
 
@@ -127,9 +127,13 @@ def test_canonical_signatures_share_area(g):
     assert normalized_area(mixed_signature(g)) == quad / 2
 
 
-def test_normalized_area_rejects_inf():
-    with pytest.raises(ValueError):
-        normalized_area(parse_signature("(0;+;[inf,2,4];{-})"))
+def test_normalized_area_counts_cusps():
+    # a parabolic period counts 1 - 1/inf = 1
+    modular = normalized_area(parse_signature("(0;+;[2,3,inf];{-})"))
+    assert modular == Fraction(1, 6)
+    # an index-3 subgroup of the modular group has three times its area
+    assert normalized_area(parse_signature("(0;+;[2,inf,inf];{-})")) == 3 * modular
+    assert normalized_area(parse_signature("(0;+;[inf,2,4];{-})")) == Fraction(1, 4)
 
 
 @pytest.mark.parametrize(
