@@ -12,24 +12,22 @@ from fourg import build_extensions, main_action_class, recognize, restrict_to_in
 
 g = 5
 
-# Kind "a": the quotient orbifold is a disc with mirror boundary; the
-# target group is dihedral x C2.  Two inequivalent classes exist.
-for e in build_extensions(g, "a"):
+# One list of the three classes [a1, a2, b].  Kind "a" (a1, a2): the
+# quotient orbifold is a disc with mirror boundary; the target group is
+# dihedral x C2.  Kind "b": the quotient keeps a cone point; a single
+# class exists.
+for e in build_extensions(g):
     print(e.label, "on", e.signature, "->", recognize(e.group).describe())
-
-# Kind "b": the quotient keeps a cone point; a single class exists.
-(b,) = build_extensions(g, "b")
-print(b.label, "on", b.signature, "->", recognize(b.group).describe())
 
 # The target of kind b depends on the parity of g: dihedral of order 8g
 # for even g, dihedral x C2 for odd g.
 for g2 in (4, 5, 6, 7):
-    (b2,) = build_extensions(g2, "b")
+    *_, b2 = build_extensions(g2)
     print(f"genus {g2}: kind-b target is {recognize(b2.group).describe()}")
 
 # Sanity anchor: restricting any extension to its orientation-preserving
 # half lands back in the unique dihedral class.
 main = main_action_class(g)
-for e in build_extensions(g, "a") + build_extensions(g, "b"):
+for e in build_extensions(g):
     print(e.label, "restricts into the main class:",
           main.contains(restrict_to_index2(e)))

@@ -14,14 +14,14 @@ from fourg import build_extensions, species_set, symmetry_classes_with_ovals
 # arc of the family.
 for g in (4, 5):
     print(f"genus {g}:")
-    for e in build_extensions(g, "a") + build_extensions(g, "b"):
+    for e in build_extensions(g):
         values = [sp.value for sp in species_set(e)]
         print(f"  {e.label}: species {values}")
 
 # The species come from conjugacy classes of symmetries; the oval count of
 # each class is a centralizer-index computation.
 g = 5
-(e,) = [x for x in build_extensions(g, "a") if x.label == "a1"]
+e = build_extensions(g)[0]
 print(f"genus {g}, class {e.label}:")
 for cls in symmetry_classes_with_ovals(e):
     print(f"  symmetry {cls.representative.name}: {cls.ovals} oval(s),"

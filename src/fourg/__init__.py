@@ -97,7 +97,6 @@ from .boundary import (
     WimanCurve,
     boundary_description,
     component_genus,
-    degeneration_subgroups,
     nodal_graph,
 )
 from .report import (

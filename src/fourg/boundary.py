@@ -22,8 +22,8 @@ from fractions import Fraction
 
 from .actions import GeneratingVector, canonical_vector
 from .errors import InvariantViolation
-from .extensions import KIND_A, KIND_B, build_extensions
-from .groups import FiniteGroup, GroupElement, Subgroup
+from .extensions import build_extensions
+from .groups import GroupElement
 from .realforms import Species, species_set
 from .signatures import INF, SIGN_PLUS, Signature, normalized_area, wiman_quotient_signature
 
@@ -39,7 +39,6 @@ __all__ = [
     "BoundaryArc",
     "WimanCurve",
     "BoundaryDescription",
-    "degeneration_subgroups",
     "component_genus",
     "nodal_graph",
     "boundary_description",
@@ -135,7 +134,7 @@ class NodalGraph:
 
 
 # ---------------------------------------------------------------------------
-# Degeneration subgroups and component genera.
+# Component genera.
 
 
 def _require_family_vector(v: GeneratingVector) -> int:
@@ -153,23 +152,6 @@ def _require_family_vector(v: GeneratingVector) -> int:
             f"family vector needs a group of order {4 * g}, got {v.group.order}"
         )
     return g
-
-
-def degeneration_subgroups(v: GeneratingVector):
-    """The two subgroups governing how the family's surfaces can be pinched.
-
-    ``v`` must be a four-image vector with periods (2, 2, 2, 2g).  Writing
-    t1..t4 for its images, the first subgroup is generated by (t1*t2, t3, t4)
-    and the second by (t1, t2*t3, t4).  Their indices count the components of
-    the two nodal limits: index 2 splits the pinched surface in two, index 1
-    keeps it connected.
-    """
-    _require_family_vector(v)
-    t1, t2, t3, t4 = v.images
-    G = v.group
-    first = G.subgroup((t1 * t2, t3, t4))
-    second = G.subgroup((t1, t2 * t3, t4))
-    return first, second
 
 
 def component_genus(images) -> int:
@@ -221,28 +203,34 @@ def component_genus(images) -> int:
 def nodal_graph(v: GeneratingVector, which: int) -> NodalGraph:
     """Dual graph of the nodal limit reached by pinching one curve system.
 
-    ``which`` selects the system: 1 pinches the curve class mapping to t1*t2,
-    2 the one mapping to t2*t3.  On the canonical family vector the first
-    yields a dipole -- two components of equal genus joined by one node when
-    g is even and two when g is odd -- and the second collapses everything
-    onto a single genus-0 component carrying g nodes, a rose of loops; for
-    other admissible vectors the shapes may differ and the label always
-    records the computed shape.  Vertex genera come from
-    :func:`component_genus`; the edge count is the index of the cyclic group
-    of the pinched class inside the degeneration subgroup.  The graph is
-    cross-checked against the total genus identity before it is returned.
+    ``v`` must be a four-image vector with periods (2, 2, 2, 2g) over a group
+    of order 4g.  Writing t1..t4 for its images, ``which`` selects the
+    system: 1 pinches the curve class mapping to t1*t2, 2 the one mapping to
+    t2*t3.  The pinched class and the two images beside it form ``omega``,
+    (t1*t2, t3, t4) or (t1, t2*t3, t4), and the degeneration subgroup they
+    generate governs the limit: its index counts the components, so index 2
+    splits the pinched surface in two and index 1 keeps it connected.  On
+    the canonical family vector the first system yields a dipole -- two
+    components of equal genus joined by one node when g is even and two
+    when g is odd -- and the second collapses everything onto a single
+    genus-0 component carrying g nodes, a rose of loops; for other
+    admissible vectors the shapes may differ and the label always records
+    the computed shape.  Vertex genera come from :func:`component_genus`;
+    the edge count is the index of the cyclic group of the pinched class
+    inside the degeneration subgroup.  The graph is cross-checked against
+    the total genus identity before it is returned.
     """
     g = _require_family_vector(v)
     t1, t2, t3, t4 = v.images
-    first, second = degeneration_subgroups(v)
     if which == 1:
-        sub, node = first, t1 * t2
+        node = t1 * t2
         omega = (node, t3, t4)
     elif which == 2:
-        sub, node = second, t2 * t3
+        node = t2 * t3
         omega = (t1, node, t4)
     else:
         raise ValueError(f"which must be 1 or 2, got {which!r}")
+    sub = v.group.subgroup(omega)
     vertex_count = sub.index
     genus = component_genus(omega)
     ends_per_vertex = sub.order // node.order()
@@ -446,24 +434,21 @@ class BoundaryDescription:
 def boundary_description(g: int) -> BoundaryDescription:
     """Assemble the annotated arc loop bounding the genus-g family.
 
-    Each arc is annotated with the species multiset of its extended-symmetry
-    class and with the fixed endpoint pattern: the first chain class joins
-    the two nodal limits, the second chain class joins the rose to the
-    high-symmetry curve, and the mixed class joins the dipole to the
-    high-symmetry curve.
+    One arc per extended-symmetry class, in the order of
+    :func:`build_extensions` (a1, a2, b).  Each arc is annotated with the
+    species multiset of its class and with the fixed endpoint pattern: the
+    first chain class joins the two nodal limits, the second chain class
+    joins the rose to the high-symmetry curve, and the mixed class joins
+    the dipole to the high-symmetry curve.
     """
     if g < 2:
         raise ValueError("the family starts at genus 2")
     v = canonical_vector(g)
     dipole = nodal_graph(v, 1)
     rose = nodal_graph(v, 2)
-    species_by_label = {}
-    for kind in (KIND_A, KIND_B):
-        for e in build_extensions(g, kind):
-            species_by_label[e.label] = species_set(e)
     arcs = tuple(
-        BoundaryArc(label, species_by_label[label], ARC_ENDPOINTS[label])
-        for label in ("a1", "a2", "b")
+        BoundaryArc(e.label, species_set(e), ARC_ENDPOINTS[e.label])
+        for e in build_extensions(g)
     )
     return BoundaryDescription(
         genus=g,

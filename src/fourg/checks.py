@@ -18,13 +18,7 @@ from .actions import (
     main_action_class,
 )
 from .errors import FourgError
-from .extensions import (
-    KIND_A,
-    KIND_B,
-    build_extensions,
-    chain_target_group,
-    cone_target_group,
-)
+from .extensions import build_extensions, chain_target_group, cone_target_group
 from .realforms import _reflection_records, species_set, symmetry_classes_with_ovals
 from .signatures import enumerate_4g_signatures
 
@@ -91,23 +85,20 @@ def check_species_constraints(g_min: int, g_max: int) -> CheckResult:
     """Every emitted species satisfies the topological oval bounds."""
     emitted = 0
     for g in range(g_min, g_max + 1):
-        for kind in (KIND_A, KIND_B):
-            for e in build_extensions(g, kind):
-                species = species_set(e)
-                classes = len(symmetry_classes_with_ovals(e))
-                if len(species) != classes:
-                    raise FourgError(
-                        f"{e.label} at genus {g}: {len(species)} species for"
-                        f" {classes} symmetry classes"
-                    )
-                for sp in species:
-                    # Species validates the oval bounds on construction;
-                    # re-assert the signed range so the check is explicit.
-                    if not -g <= sp.value <= g + 1:
-                        raise FourgError(
-                            f"species {sp.value} outside [-{g}, {g + 1}]"
-                        )
-                    emitted += 1
+        for e in build_extensions(g):
+            species = species_set(e)
+            classes = len(symmetry_classes_with_ovals(e))
+            if len(species) != classes:
+                raise FourgError(
+                    f"{e.label} at genus {g}: {len(species)} species for"
+                    f" {classes} symmetry classes"
+                )
+            for sp in species:
+                # Species validates the oval bounds on construction;
+                # re-assert the signed range so the check is explicit.
+                if not -g <= sp.value <= g + 1:
+                    raise FourgError(f"species {sp.value} outside [-{g}, {g + 1}]")
+                emitted += 1
     return CheckResult(
         "species-constraints", True, f"{emitted} species within bounds"
     )
@@ -117,9 +108,8 @@ def check_centralizer_images(g_min: int, g_max: int) -> CheckResult:
     """Oval-count data sits inside the right centralizers with whole indices."""
     records = 0
     for g in range(g_min, g_max + 1):
-        for kind in (KIND_A, KIND_B):
-            for e in build_extensions(g, kind):
-                records += len(_reflection_records(e))
+        for e in build_extensions(g):
+            records += len(_reflection_records(e))
     return CheckResult(
         "centralizer-images", True, f"{records} reflection records verified"
     )

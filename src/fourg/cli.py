@@ -176,23 +176,29 @@ def _config_bool(options: dict, key: str):
 
 
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset flags from the config file, then apply hard defaults."""
+    """Fill the subcommand's unset flags from the config file, then apply
+    hard defaults; a key for a flag the subcommand lacks is left unread."""
     config = _load_config(args.config) if args.config else {}
-    if getattr(args, "genus", None) is None and "genus" in config:
+    flags = vars(args)
+
+    def unset(dest, key):
+        return key in config and dest in flags and flags[dest] is None
+
+    if unset("genus", "genus"):
         args.genus = _config_int(config, "genus")
-    if getattr(args, "genus_range", None) is None and "range" in config:
+    if unset("genus_range", "range"):
         args.genus_range = config["range"]
-    if args.format is None and "format" in config:
+    if unset("format", "format"):
         if config["format"] not in ("json", "markdown"):
             raise InputFormatError(
                 f"config format must be json or markdown, got {config['format']!r}"
             )
         args.format = config["format"]
-    if getattr(args, "tables", None) is None and "tables" in config:
+    if unset("tables", "tables"):
         args.tables = config["tables"]
-    if args.max_order is None and "max_order" in config:
+    if unset("max_order", "max_order"):
         args.max_order = _config_int(config, "max_order")
-    if args.check is None and "check" in config:
+    if unset("check", "check"):
         args.check = _config_bool(config, "check")
     if args.format is None:
         args.format = "markdown"
@@ -238,13 +244,19 @@ def load_group_tables(directory: str, expected_order: int = None) -> list:
 
     Each file is parsed by ``from_text``: a multiplication table or a
     permutation-generator list.  Each group is renamed after its file for
-    provenance.  ``expected_order`` makes a mismatched order an input error.
+    provenance, so two files with one stem (``x.tbl``, ``x.txt``) are an
+    input error.  ``expected_order`` makes a mismatched order an input error.
     """
     path = Path(directory)
     if not path.is_dir():
         raise InputFormatError(f"--tables: {directory} is not a directory")
-    groups = []
+    groups, first_of = [], {}
     for file in sorted(p for p in path.iterdir() if p.is_file()):
+        first = first_of.setdefault(file.stem, file)
+        if first != file:
+            raise InputFormatError(
+                f"{first.name} and {file.name} would both name group {file.stem!r}"
+            )
         try:
             text = file.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:

@@ -17,10 +17,11 @@ The kind fixes only the signature; the rest of an extension's shape (stored
 images and their names, relation checks, the one enumerator, whether chain
 reversal applies, restriction words) is read off the canonical presentation
 of that NEC signature (Bujalance, Cirre, Gamboa & Gromadzki, *Symmetries of
-Compact Riemann Surfaces*, LNM 2007).  ``build_extensions`` does not take
-the counts on faith: it enumerates the assignments of canonical generators
-that satisfy the defining relations, up to conjugating the first image, and
-certifies that each generating one is equivalent, through a
+Compact Riemann Surfaces*, LNM 2007).  ``build_extensions(g)`` returns the
+three classes as one list [a1, a2, b] and does not take the counts on
+faith: for each signature it enumerates the assignments of canonical
+generators that satisfy the defining relations, up to conjugating the first
+image, and certifies that each generating one is equivalent, through a
 character-preserving automorphism of the target (plus the chain reversal
 where the signature allows it, which is kind ``a``), to exactly one
 canonical epimorphism.  Each tuple gets one Cayley key
@@ -313,60 +314,42 @@ def _distinct_image_classes(action: ExtendedAction) -> int:
 
 
 @lru_cache(maxsize=None)
-def _build_chain_extensions(g: int) -> tuple:
-    G = chain_target_group(g)
-    w = G.generator("w")
-    x = G.generator("x")
-    y = G.generator("y")
-    rotation = w * x
-    first = (x, y, (rotation ** g) * w, w)
-    second = (x, y, y * (rotation ** g), w)
-    actions = (
-        ExtendedAction(g, KIND_A, "a1", G, first),
-        ExtendedAction(g, KIND_A, "a2", G, second),
+def _certified_extensions(g: int) -> tuple:
+    A = chain_target_group(g)
+    w, x, y = A.generator("w"), A.generator("x"), A.generator("y")
+    half_turn = (w * x) ** g
+    chain = (
+        ExtendedAction(g, KIND_A, "a1", A, (x, y, half_turn * w, w)),
+        ExtendedAction(g, KIND_A, "a2", A, (x, y, y * half_turn, w)),
     )
-    canon = [tuple(e.idx for e in a.images) for a in actions]
-    sig = chain_signature(g)
-    _verify_unique_classes(G, _admissible_tuples(G, sig), canon, sig)
-    # The two classes are told apart by how many conjugacy classes their
-    # reflection images hit: a1 sends two chain generators into the same
-    # class, a2 spreads over four.
-    if _distinct_image_classes(actions[0]) != 3 or _distinct_image_classes(actions[1]) != 4:
+    B = cone_target_group(g)
+    x, z, w = B.generator("x"), B.generator("z"), B.generator("w")
+    cone = (ExtendedAction(g, KIND_B, "b", B, (x, x * w * x, z, w)),)
+    for actions in (chain, cone):
+        G, sig = actions[0].group, actions[0].signature
+        canon = [tuple(e.idx for e in a.images) for a in actions]
+        _verify_unique_classes(G, _admissible_tuples(G, sig), canon, sig)
+    # The two chain classes are told apart by how many conjugacy classes
+    # their reflection images hit: a1 sends two chain generators into the
+    # same class, a2 spreads over four.
+    if _distinct_image_classes(chain[0]) != 3 or _distinct_image_classes(chain[1]) != 4:
         raise InvariantViolation("labels a1/a2 no longer match their class spread")
-    return actions
+    return chain + cone
 
 
-@lru_cache(maxsize=None)
-def _build_cone_extensions(g: int) -> tuple:
-    G = cone_target_group(g)
-    x = G.generator("x")
-    z = G.generator("z")
-    w = G.generator("w")
-    action = ExtendedAction(g, KIND_B, "b", G, (x, x * w * x, z, w))
-    canon = [tuple(e.idx for e in action.images)]
-    sig = mixed_signature(g)
-    _verify_unique_classes(G, _admissible_tuples(G, sig), canon, sig)
-    return (action,)
+def build_extensions(g: int) -> list:
+    """The three classes of order-8g extensions of the genus-g action: [a1, a2, b].
 
-
-def build_extensions(g: int, kind: str) -> list:
-    """The equivalence classes of order-8g extensions of the genus-g action.
-
-    Kind ``a`` returns the two reflection-chain classes (labels a1, a2); kind
-    ``b`` returns the single one-cone-point class.  The counts are certified
-    by Cayley keys (:func:`_verify_unique_classes`): every generating
-    assignment satisfying the defining relations has a key owned by one
-    canonical epimorphism, each of those is reached, and no key is owned by
-    two of them.  A failure raises InvariantViolation rather than returning a
-    partial answer.
+    a1, a2 are the reflection-chain classes (kind ``a``), b the one-cone-point
+    class (kind ``b``).  Each signature's count is certified by Cayley keys
+    (:func:`_verify_unique_classes`): every generating assignment satisfying
+    the defining relations has a key owned by one canonical epimorphism, each
+    of those is reached, and no key is owned by two; a failure raises
+    InvariantViolation rather than returning a partial answer.
     """
     if not isinstance(g, int) or g < 2:
         raise ValueError(f"g must be an integer >= 2, got {g!r}")
-    if kind == KIND_A:
-        return list(_build_chain_extensions(g))
-    if kind == KIND_B:
-        return list(_build_cone_extensions(g))
-    raise ValueError(f"kind must be 'a' or 'b', got {kind!r}")
+    return list(_certified_extensions(g))
 
 
 def orientation_preserving_subgroup(G: FiniteGroup) -> FiniteGroup:

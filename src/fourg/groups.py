@@ -540,6 +540,8 @@ def _cayley_table(order: int, gens, mul) -> list:
     entry ``g`` of column ``b``.  One transpose turns the columns into tuple
     rows.  The order is checked before anything of its size is allocated.
     """
+    if order < 1:
+        raise GroupConstructionError(f"a group has at least one element, got order {order}")
     if order > MAX_ORDER:
         raise GroupConstructionError(f"order {order} exceeds {MAX_ORDER}")
     rights = [[mul(x, g) for x in range(order)] for g in gens]

@@ -188,7 +188,7 @@ def _reflection_records(e: ExtendedAction) -> tuple:
             )
         members_by_position[position] = image_sub.element_indices
         records.append((position, r, centralizer.order // image_sub.order))
-    if e.kind == KIND_A and e in build_extensions(e.g, e.kind):
+    if e.kind == KIND_A and e in build_extensions(e.g):
         _check_stated_subgroups(e, members_by_position)
     return tuple(records)
 

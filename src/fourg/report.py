@@ -27,7 +27,7 @@ from .actions import (
 from .boundary import boundary_description
 from .extensions import KIND_A, KIND_B, build_extensions, restrict_to_index2
 from .groups import COMPLETE_CATALOG_ORDERS, recognize, small_groups
-from .realforms import species_set, symmetry_classes_with_ovals
+from .realforms import symmetry_classes_with_ovals
 from .signatures import (
     TAG_QUADRUPLE,
     TAG_SPORADIC,
@@ -265,49 +265,43 @@ def build_report(
         "orbit_size": main.size,
     }
 
+    description = boundary_description(g)
+    arcs = {arc.label: arc for arc in description.arcs}
+    extended = build_extensions(g)
+    kinds = [e.kind for e in extended]
+    counts = {k: _checked(kinds.count(k), n) for k, n in ((KIND_A, 2), (KIND_B, 1))}
     class_records = []
-    counts = {}
     symmetry_types = []
-    for kind in (KIND_A, KIND_B):
-        extensions_of_kind = build_extensions(g, kind)
-        counts[kind] = _checked(len(extensions_of_kind), 2 if kind == KIND_A else 1)
-        for e in extensions_of_kind:
-            structure = recognize(e.group)
-            if kind == KIND_B:
-                expected_target = (
-                    f"dihedral of order {8 * g}"
-                    if g % 2 == 0
-                    else f"dihedral of order {4 * g} x C2"
-                )
-            else:
-                expected_target = f"dihedral of order {4 * g} x C2"
-            restriction_ok = main.contains(restrict_to_index2(e))
-            class_records.append(
-                {
-                    "label": e.label,
-                    "kind": e.kind,
-                    "signature": str(e.signature),
-                    "target": {
-                        "description": structure.describe(),
-                        "order": e.group.order,
-                        "recognized": _checked(structure.describe(), expected_target),
-                    },
-                    "images": [el.name for el in e.images],
-                    "restriction_in_main_class": restriction_ok,
-                }
-            )
-            symmetry_types.append(
-                {
-                    "label": e.label,
-                    "species": [sp.value for sp in species_set(e)],
-                    "ovals": [
-                        cls.ovals for cls in symmetry_classes_with_ovals(e)
-                    ],
-                }
-            )
+    for e in extended:
+        structure = recognize(e.group)
+        if e.kind == KIND_B and g % 2 == 0:
+            expected_target = f"dihedral of order {8 * g}"
+        else:
+            expected_target = f"dihedral of order {4 * g} x C2"
+        class_records.append(
+            {
+                "label": e.label,
+                "kind": e.kind,
+                "signature": str(e.signature),
+                "target": {
+                    "description": structure.describe(),
+                    "order": e.group.order,
+                    "recognized": _checked(structure.describe(), expected_target),
+                },
+                "images": [el.name for el in e.images],
+                "restriction_in_main_class": main.contains(restrict_to_index2(e)),
+            }
+        )
+        symmetry_types.append(
+            {
+                "label": e.label,
+                "species": list(arcs[e.label].species_values),
+                "ovals": [cls.ovals for cls in symmetry_classes_with_ovals(e)],
+            }
+        )
     extensions = {"counts": counts, "classes": class_records}
 
-    boundary = boundary_description(g).to_json_dict()
+    boundary = description.to_json_dict()
 
     has_sporadic = any(ts.tag == TAG_SPORADIC for ts in tagged)
     has_quadruple = any(ts.tag == TAG_QUADRUPLE for ts in tagged)

@@ -101,8 +101,9 @@ def test_criterion_4_case_eliminations():
 def test_criterion_5_extended_groups():
     """Two reflection extensions of one kind, one of the other, per genus."""
     for g in range(2, 11):
-        kind_a = build_extensions(g, "a")
-        kind_b = build_extensions(g, "b")
+        extended = build_extensions(g)
+        kind_a = [e for e in extended if e.kind == "a"]
+        kind_b = [e for e in extended if e.kind == "b"]
         assert len(kind_a) == 2, f"genus {g}"
         assert len(kind_b) == 1, f"genus {g}"
         described = recognize(kind_b[0].group).describe()
@@ -111,7 +112,7 @@ def test_criterion_5_extended_groups():
         else:
             assert described == f"dihedral of order {4 * g} x C2"
         main = main_action_class(g)
-        for e in kind_a + kind_b:
+        for e in extended:
             assert main.contains(restrict_to_index2(e)), f"genus {g}, {e.label}"
 
 
@@ -121,7 +122,7 @@ def test_criterion_6_oval_counts_and_species():
         (4, {"a1": [0, 1, 1, 3], "a2": [1, 1, 4, 4]}, {"b": (-2,)}),
         (5, {"a1": [0, 2, 2, 2], "a2": [1, 1, 5, 5]}, {"b": (0, 0, -2, -2)}),
     ):
-        for e in build_extensions(g, "a") + build_extensions(g, "b"):
+        for e in build_extensions(g):
             if e.label in want_ovals:
                 ovals = sorted(
                     cls.ovals for cls in symmetry_classes_with_ovals(e)

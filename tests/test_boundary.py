@@ -1,13 +1,14 @@
 """Tests for nodal-limit dual graphs and the closed loop of real arcs.
 
 Reference facts used as oracles: the degeneration subgroups have indices 2
-and 1; the first nodal limit is a dipole with two components of genus g/2
-(g even, one node) or (g-1)/2 (g odd, two nodes); the second is a single
-genus-0 component with g nodes; the smooth limit is w^2 = z(z^{2g} - 1) with
-8g automorphisms (48 in genus 2); the three real arcs join the limits
-pairwise -- a1 the two nodal ones, a2 and b each one nodal limit and the
-high-symmetry curve -- and each arc carries the species of its
-extended-symmetry class.
+and 1 (checked on ``_reference_degeneration_subgroups``, the function
+``nodal_graph`` folded in); the first nodal limit is a dipole with two
+components of genus g/2 (g even, one node) or (g-1)/2 (g odd, two nodes);
+the second is a single genus-0 component with g nodes; the smooth limit is
+w^2 = z(z^{2g} - 1) with 8g automorphisms (48 in genus 2); the three real
+arcs join the limits pairwise -- a1 the two nodal ones, a2 and b each one
+nodal limit and the high-symmetry curve -- and each arc carries the species
+of its extended-symmetry class.
 """
 
 import json
@@ -28,10 +29,10 @@ from fourg.boundary import (
     BoundaryDescription,
     NodalGraph,
     WimanCurve,
+    _require_family_vector,
     _require_three_cycle,
     boundary_description,
     component_genus,
-    degeneration_subgroups,
     nodal_graph,
 )
 from fourg.errors import InvariantViolation
@@ -97,24 +98,44 @@ class TestNodalGraph:
             assert NodalGraph(genera, edges, data["label"]) == graph
 
 
+def _reference_degeneration_subgroups(v: GeneratingVector):
+    """The two subgroups governing how the family's surfaces can be pinched.
+
+    ``v`` must be a four-image vector with periods (2, 2, 2, 2g).  Writing
+    t1..t4 for its images, the first subgroup is generated by (t1*t2, t3, t4)
+    and the second by (t1, t2*t3, t4).  Their indices count the components of
+    the two nodal limits: index 2 splits the pinched surface in two, index 1
+    keeps it connected.
+    """
+    _require_family_vector(v)
+    t1, t2, t3, t4 = v.images
+    G = v.group
+    first = G.subgroup((t1 * t2, t3, t4))
+    second = G.subgroup((t1, t2 * t3, t4))
+    return first, second
+
+
 class TestDegenerationSubgroups:
+    """The public function these pin was folded into ``nodal_graph``; the
+    assertions hold on its verbatim copy, and ``nodal_graph`` must agree."""
+
     def test_indices_two_and_one(self):
         for g in range(2, 9):
-            first, second = degeneration_subgroups(canonical_vector(g))
+            first, second = _reference_degeneration_subgroups(canonical_vector(g))
             assert first.index == 2
             assert second.index == 1
 
     def test_first_subgroup_is_the_rotation_subgroup(self):
         for g in (3, 5, 6):
             v = canonical_vector(g)
-            first, _ = degeneration_subgroups(v)
+            first, _ = _reference_degeneration_subgroups(v)
             rotations = v.group.subgroup((v.images[3],))
             assert first.element_indices == rotations.element_indices
             assert first.order == 2 * g
 
     def test_second_subgroup_is_everything(self):
         v = canonical_vector(4)
-        _, second = degeneration_subgroups(v)
+        _, second = _reference_degeneration_subgroups(v)
         assert second.order == v.group.order
 
     def test_rejects_wrong_shape(self):
@@ -123,14 +144,27 @@ class TestDegenerationSubgroups:
         # a valid four-involution vector, but on periods (2, 2, 2, 2)
         square = GeneratingVector(G, (2, 2, 2, 2), (A, D * A, D * A, A))
         with pytest.raises(ValueError):
-            degeneration_subgroups(square)
+            nodal_graph(square, 1)
         v = canonical_vector(3)
         t1, t2, t3, t4 = v.images
         rotated = GeneratingVector(v.group, (2, 2, 6, 2), (t2, t3, t4, t1))
         with pytest.raises(ValueError):
-            degeneration_subgroups(rotated)
+            nodal_graph(rotated, 2)
         with pytest.raises(ValueError):
-            degeneration_subgroups("not a vector")
+            nodal_graph("not a vector", 1)
+
+    @pytest.mark.parametrize("g", range(2, 31))
+    def test_nodal_graph_matches_reference(self, g):
+        # one vertex per coset of the degeneration subgroup, and at every
+        # vertex one edge end per coset of the pinched class inside it
+        v = canonical_vector(g)
+        t1, t2, t3, _ = v.images
+        subgroups = _reference_degeneration_subgroups(v)
+        for which, sub, node in zip((1, 2), subgroups, (t1 * t2, t2 * t3)):
+            graph = nodal_graph(v, which)
+            assert len(graph.vertex_genera) == sub.index, (g, which)
+            for vertex in range(sub.index):
+                assert _degree(graph, vertex) == sub.order // node.order(), (g, which)
 
 
 def _reference_component_genus(images) -> int:
@@ -237,7 +271,7 @@ class TestNodalGraphShapes:
     def test_vertex_count_times_subgroup_order(self):
         for g in range(2, 9):
             v = canonical_vector(g)
-            first, second = degeneration_subgroups(v)
+            first, second = _reference_degeneration_subgroups(v)
             assert len(nodal_graph(v, 1).vertex_genera) * first.order == 4 * g
             assert len(nodal_graph(v, 2).vertex_genera) * second.order == 4 * g
 
@@ -254,9 +288,9 @@ class TestRestrictedVectorDegenerations:
 
     def test_first_chain_class_reaches_both_nodal_limits(self):
         for g in (3, 4, 6):
-            e = build_extensions(g, "a")[0]
+            e = build_extensions(g)[0]
             v = restrict_to_index2(e)
-            first, second = degeneration_subgroups(v)
+            first, second = _reference_degeneration_subgroups(v)
             assert (first.index, second.index) == (2, 1)
             assert nodal_graph(v, 1) == nodal_graph(canonical_vector(g), 1)
             assert nodal_graph(v, 2) == nodal_graph(canonical_vector(g), 2)
@@ -265,18 +299,18 @@ class TestRestrictedVectorDegenerations:
         # both pinching systems keep the surface connected: its one nodal
         # limit is the rose, which is why it runs to the high-symmetry curve
         for g in (3, 4, 6):
-            e = build_extensions(g, "a")[1]
+            e = build_extensions(g)[1]
             v = restrict_to_index2(e)
-            first, second = degeneration_subgroups(v)
+            first, second = _reference_degeneration_subgroups(v)
             assert (first.index, second.index) == (1, 1)
             assert nodal_graph(v, 1).label == LABEL_LOOPS
             assert nodal_graph(v, 1) == nodal_graph(canonical_vector(g), 2)
 
     def test_mixed_class_reaches_the_dipole(self):
         for g in (3, 4, 6):
-            e = build_extensions(g, "b")[0]
+            e = build_extensions(g)[2]
             v = restrict_to_index2(e)
-            first, second = degeneration_subgroups(v)
+            first, second = _reference_degeneration_subgroups(v)
             assert (first.index, second.index) == (2, 1)
             assert nodal_graph(v, 1) == nodal_graph(canonical_vector(g), 1)
 
@@ -307,7 +341,7 @@ class TestBoundaryArc:
         assert all(isinstance(sp, Species) for sp in arc.species)
 
     def test_rejects_bad_labels_and_endpoints(self):
-        sp = species_set(build_extensions(2, "b")[0])
+        sp = species_set(build_extensions(2)[2])
         good = frozenset({DIPOLE_SURFACE, WIMAN_SURFACE})
         with pytest.raises(ValueError):
             BoundaryArc("c", sp, good)

@@ -186,7 +186,8 @@ class TestAtlasCommand:
         # fresh processes share no cache; the pinned digests keep the
         # output from drifting between engine versions (2:14 is the
         # byte-identity sweep of the roadmap, genus 24 searches the
-        # 69-group catalog of order 96)
+        # 69-group catalog of order 96, and the genus-30 report pins the
+        # extensions and the boundary above genus 14)
         src = str(Path(fourg.__file__).resolve().parents[1])
         cases = (
             (
@@ -200,6 +201,10 @@ class TestAtlasCommand:
             (
                 ["exceptional", "--genus", "24", "--json"],
                 "2b38b6ce03276fe7cbf0cd81c00fef36a6425a15908552ea2aaea1166a2a992b",
+            ),
+            (
+                ["report", "--genus", "30", "--json"],
+                "ce2d1a54bf3764bd6da30be2a72999d2a6b9ef1025458cdfc0bfc5a4fa249727",
             ),
         )
         for args, digest in cases:
@@ -308,6 +313,20 @@ class TestConfigFile:
         assert main(["report", "--genus", "2", "--config", str(cfg)]) == EXIT_INPUT
         assert "key=value" in capsys.readouterr().err
 
+    def test_keys_fill_only_the_commands_own_flags(self, tmp_path, capsys):
+        # one config file serves every command: its range is atlas's, so
+        # report --genus 5 --check must check genus 5 alone
+        cfg = tmp_path / "fourg.cfg"
+        cfg.write_text("range = 2:3\ngenus = 4\nformat = json\n")
+        assert main(["report", "--genus", "5", "--check", "--config", str(cfg)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["genus"] == 5
+        assert "PASS  group-axioms: 3 multiplication tables verified" in captured.err
+        assert main(["atlas", "--check", "--config", str(cfg)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert [r["genus"] for r in json.loads(captured.out)["reports"]] == [2, 3]
+        assert "PASS  group-axioms: 6 multiplication tables verified" in captured.err
+
     def test_bad_boolean_is_input_error(self, tmp_path):
         cfg = tmp_path / "fourg.cfg"
         cfg.write_text("check = maybe\n")
@@ -355,6 +374,14 @@ class TestLoadGroupTables:
         (tmp_path / "bad.table").write_text(f"{first}\n0 1\n1 0\n")
         with pytest.raises(InputFormatError, match="^bad.table: first line must be 'order n' or"):
             load_group_tables(tmp_path)
+
+    def test_two_files_with_one_stem_are_an_input_error(self, order20_tables, capsys):
+        # both files would name their group "d20"
+        (order20_tables / "d20.txt").write_text(table_text(dihedral(20)))
+        with pytest.raises(InputFormatError, match="d20.table and d20.txt"):
+            load_group_tables(order20_tables)
+        assert main(["exceptional", "--genus", "5", "--tables", str(order20_tables)]) == EXIT_INPUT
+        assert "d20.table and d20.txt" in capsys.readouterr().err
 
     def test_order_mismatch(self, order20_tables):
         with pytest.raises(InputFormatError, match="expected 12"):

@@ -78,25 +78,25 @@ class TestTargets:
 
 class TestBuildExtensions:
     def test_chain_kind_returns_two_labelled_classes(self):
-        actions = build_extensions(5, "a")
+        actions = [a for a in build_extensions(5) if a.kind == "a"]
         assert [a.label for a in actions] == ["a1", "a2"]
         assert all(a.group.order == 40 for a in actions)
         assert all(recognize(a.group).kind == "dihedral-x-c2" for a in actions)
         assert all(a.signature == chain_signature(5) for a in actions)
 
     def test_cone_kind_returns_single_class(self):
-        acts2 = build_extensions(2, "b")
+        acts2 = [a for a in build_extensions(2) if a.kind == "b"]
         assert [a.label for a in acts2] == ["b"]
         assert acts2[0].group.order == 16
         assert recognize(acts2[0].group).kind == "dihedral"
-        acts3 = build_extensions(3, "b")
+        acts3 = [a for a in build_extensions(3) if a.kind == "b"]
         assert len(acts3) == 1
         assert recognize(acts3[0].group).kind == "dihedral-x-c2"
         assert acts3[0].signature == mixed_signature(3)
 
     def test_canonical_chain_images(self):
         for g in (2, 4, 5):
-            first, second = build_extensions(g, "a")
+            first, second, _ = build_extensions(g)
             G = first.group
             w, x, y = G.generator("w"), G.generator("x"), G.generator("y")
             t = w * x
@@ -105,7 +105,7 @@ class TestBuildExtensions:
 
     def test_canonical_cone_images(self):
         for g in (2, 3):
-            (action,) = build_extensions(g, "b")
+            *_, action = build_extensions(g)
             G = action.group
             x, z, w = G.generator("x"), G.generator("z"), G.generator("w")
             assert action.images == (x, x * w * x, z, w)
@@ -113,20 +113,24 @@ class TestBuildExtensions:
             assert x * w * x == ((z * w) ** g) * z
 
     def test_results_cached_but_lists_fresh(self):
-        one = build_extensions(3, "a")
-        two = build_extensions(3, "a")
+        one = build_extensions(3)
+        two = build_extensions(3)
         assert one is not two
-        assert one[0] is two[0] and one[1] is two[1]
+        assert all(a is b for a, b in zip(one, two))
+        assert [a.label for a in one] == ["a1", "a2", "b"]
+        assert [a.kind for a in one] == ["a", "a", "b"]
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            build_extensions(1, "a")
+            build_extensions(1)
         with pytest.raises(ValueError):
-            build_extensions(3, "z")
+            build_extensions("3")
+        with pytest.raises(TypeError):
+            build_extensions(3, "a")  # the kind is read off each entry
 
     def test_image_accessors(self):
         # kind a: no cone point, so e = 1 and the cycle closes on c0
-        first, _ = build_extensions(2, "a")
+        first = build_extensions(2)[0]
         G = first.group
         w, x, y = G.generator("w"), G.generator("x"), G.generator("y")
         assert first.generator_names == ("c0", "c1", "c2", "c3")
@@ -134,7 +138,7 @@ class TestBuildExtensions:
         assert first.reflection_cycle == first.images + (x,)
         assert first.connecting_image == G.identity
         # kind b: a*e = 1 gives e = a^-1 = a, and c2 = e^-1 c0 e is stored
-        (cone,) = build_extensions(2, "b")
+        *_, cone = build_extensions(2)
         G = cone.group
         x, z, w = G.generator("x"), G.generator("z"), G.generator("w")
         assert cone.generator_names == ("a", "c0", "c1", "c2")
@@ -143,8 +147,7 @@ class TestBuildExtensions:
         assert cone.connecting_image == x
 
     def test_str_pinned(self):
-        first, second = build_extensions(2, "a")
-        (cone,) = build_extensions(2, "b")
+        first, second, cone = build_extensions(2)
         assert str(first) == (
             "[a1] (0;+;[-];{(2,2,2,4)}): c0->x, c1->y, c2->(wx)^3x, c3->w"
         )
@@ -155,15 +158,14 @@ class TestBuildExtensions:
 
     def test_orientation_character_on_images(self):
         for g in (2, 3):
-            for kind in ("a", "b"):
-                for action in build_extensions(g, kind):
-                    for e in action.reflection_cycle:
-                        assert action.group.kappa(e) == -1
-                    if kind == "b":
-                        assert action.group.kappa(action.images[0]) == 1
+            for action in build_extensions(g):
+                for e in action.reflection_cycle:
+                    assert action.group.kappa(e) == -1
+                if action.kind == "b":
+                    assert action.group.kappa(action.images[0]) == 1
 
     def test_labels_split_by_image_class_spread(self):
-        first, second = build_extensions(4, "a")
+        first, second, _ = build_extensions(4)
         G = first.group
         G._class_index()
         spread = lambda a: len({G._class_of[e.idx] for e in a.images})
@@ -173,7 +175,7 @@ class TestBuildExtensions:
 
 class TestExtendedActionValidation:
     def test_broken_link_period_rejected(self):
-        first, _ = build_extensions(2, "a")
+        first = build_extensions(2)[0]
         G = first.group
         w, x, y = G.generator("w"), G.generator("x"), G.generator("y")
         # swapping c2 to w makes the closing product trivial
@@ -181,7 +183,7 @@ class TestExtendedActionValidation:
             ExtendedAction(2, "a", "a1", G, (x, y, w, w))
 
     def test_orientation_preserving_reflection_rejected(self):
-        first, _ = build_extensions(2, "a")
+        first = build_extensions(2)[0]
         G = first.group
         w, x, y = G.generator("w"), G.generator("x"), G.generator("y")
         rotation_like = (w * x) ** 2  # involution but orientation preserving
@@ -189,7 +191,7 @@ class TestExtendedActionValidation:
             ExtendedAction(2, "a", "a1", G, (x, y, rotation_like, w))
 
     def test_cone_wrap_relation_enforced(self):
-        (cone,) = build_extensions(2, "b")
+        *_, cone = build_extensions(2)
         G = cone.group
         x, z, w = G.generator("x"), G.generator("z"), G.generator("w")
         with pytest.raises(InvariantViolation):
@@ -199,7 +201,7 @@ class TestExtendedActionValidation:
             ExtendedAction(2, "b", "b", G, (x, x * w * x, z, (z * w) ** 2 * w))
 
     def test_bad_elliptic_image_rejected(self):
-        (cone,) = build_extensions(2, "b")
+        *_, cone = build_extensions(2)
         G = cone.group
         x, z, w = G.generator("x"), G.generator("z"), G.generator("w")
         rotation = z * w  # orientation preserving, but of order 2g, not 2
@@ -210,7 +212,7 @@ class TestExtendedActionValidation:
             ExtendedAction(2, "b", "b", G, (z, x * w * x, z, w))
 
     def test_non_generating_images_rejected(self):
-        (cone,) = build_extensions(2, "b")
+        *_, cone = build_extensions(2)
         G = cone.group
         z, w = G.generator("z"), G.generator("w")
         # all inside the dihedral part: never generates the full group
@@ -224,7 +226,7 @@ class TestExtendedActionValidation:
 class TestRestriction:
     def test_chain_restriction_formula(self):
         for g in (3, 6):
-            first, _ = build_extensions(g, "a")
+            first = build_extensions(g)[0]
             G = first.group
             w, x, y = G.generator("w"), G.generator("x"), G.generator("y")
             t = w * x
@@ -235,7 +237,7 @@ class TestRestriction:
 
     def test_cone_restriction_formula(self):
         for g in (2, 5):
-            (cone,) = build_extensions(g, "b")
+            *_, cone = build_extensions(g)
             G = cone.group
             x, z, w = G.generator("x"), G.generator("z"), G.generator("w")
             t = z * w
@@ -247,16 +249,15 @@ class TestRestriction:
     def test_restriction_lands_in_main_class(self):
         for g in range(2, 8):
             main = main_action_class(g)
-            for kind in ("a", "b"):
-                for action in build_extensions(g, kind):
-                    r = restrict_to_index2(action)
-                    assert r.group.order == 4 * g
-                    assert main.contains(r), (g, action.label)
+            for action in build_extensions(g):
+                r = restrict_to_index2(action)
+                assert r.group.order == 4 * g
+                assert main.contains(r), (g, action.label)
 
     def test_second_chain_class_restricts_to_main_class(self):
         # the two chain classes are inequivalent upstairs yet restrict to the
         # same orientation-preserving class
-        _, second = build_extensions(4, "a")
+        second = build_extensions(4)[1]
         r = restrict_to_index2(second)
         assert main_action_class(4).contains(r)
 
@@ -271,7 +272,7 @@ class TestUniquenessSearch:
         # enumeration reaches each canonical class, not each canonical tuple
         for g in (3, 4):
             for kind, rev in (("a", True), ("b", False)):
-                actions = build_extensions(g, kind)
+                actions = [a for a in build_extensions(g) if a.kind == kind]
                 G = actions[0].group
                 tuples = _admissible_tuples(G, actions[0].signature)
                 reached = {_cayley_key(G._table, t) for t in tuples}
@@ -283,7 +284,7 @@ class TestUniquenessSearch:
                     assert keys & reached, (g, action.label)
 
     def test_equivalence_predicate(self):
-        first, second = build_extensions(2, "a")
+        first, second, _ = build_extensions(2)
         G = first.group
         table = G._table
         t1, t2 = _indices(first), _indices(second)
@@ -507,7 +508,7 @@ def _reference_restriction_words(e: ExtendedAction) -> tuple:
 
 def _certificate_inputs(g, kind):
     """Target group, candidates, reference set, canon, signature, reversal flag."""
-    actions = build_extensions(g, kind)
+    actions = [a for a in build_extensions(g) if a.kind == kind]
     G = actions[0].group
     sig = actions[0].signature
     canon = [tuple(e.idx for e in a.images) for a in actions]
@@ -529,11 +530,10 @@ class TestSignatureDrivenShape:
 
     @pytest.mark.parametrize("g", range(2, 31))
     def test_restriction_words_match_per_kind_reference(self, g):
-        for kind in ("a", "b"):
-            for action in build_extensions(g, kind):
-                r = restrict_to_index2(action)
-                words = _reference_restriction_words(action)
-                assert parent_indices(r) == tuple(p.idx for p in words), action.label
+        for action in build_extensions(g):
+            r = restrict_to_index2(action)
+            words = _reference_restriction_words(action)
+            assert parent_indices(r) == tuple(p.idx for p in words), action.label
 
     def test_reversal_follows_the_signature(self):
         # the chain (2,2,2,2g) with no cone point reads the same reversed, so

@@ -393,6 +393,18 @@ class TestCayleyTable:
         with pytest.raises(GroupConstructionError, match=r"outside 0\.\.2"):
             groups._cayley_table(3, [1], rule)
 
+    @pytest.mark.parametrize("order", [0, -2])
+    def test_order_below_one_rejected(self, order):
+        def never(x, y):
+            raise AssertionError("product rule evaluated before the order check")
+
+        with pytest.raises(GroupConstructionError, match=f"got order {order}"):
+            groups._cayley_table(order, [1], never)
+        # the public route: an empty or negative top of a split extension
+        inversion = [0, 4, 3, 2, 1]
+        with pytest.raises(GroupConstructionError, match="at least one element"):
+            semidirect_with_automorphism(cyclic(5), inversion, top_order=order)
+
     def test_order_one(self):
         assert groups._cayley_table(1, [], None) == [(0,)]
         assert groups._cayley_table(1, [0, 0], lambda x, g: 0) == [(0,)]

@@ -69,21 +69,20 @@ def _reference_count_ovals(cls) -> int:
 
 @pytest.mark.parametrize("g", range(2, 31))
 def test_classes_match_reference(g):
-    for kind in ("a", "b"):
-        for action in build_extensions(g, kind):
-            got = symmetry_classes_with_ovals(action)
-            expected = _reference_symmetry_classes(action)
-            assert [c.representative for c in got] == [
-                c.representative for c in expected
-            ], (g, action.label)
-            assert [c.ovals for c in got] == [
-                _reference_count_ovals(c) for c in expected
-            ], (g, action.label)
+    for action in build_extensions(g):
+        got = symmetry_classes_with_ovals(action)
+        expected = _reference_symmetry_classes(action)
+        assert [c.representative for c in got] == [
+            c.representative for c in expected
+        ], (g, action.label)
+        assert [c.ovals for c in got] == [
+            _reference_count_ovals(c) for c in expected
+        ], (g, action.label)
 
 
 class TestSymmetryClasses:
     def test_chain_extension_has_four_classes(self):
-        first, _ = build_extensions(5, "a")
+        first = build_extensions(5)[0]
         G = first.group
         classes = symmetry_classes_with_ovals(first)
         assert len(classes) == 4
@@ -93,13 +92,13 @@ class TestSymmetryClasses:
         assert found == {class_id(G, e) for e in expected}
 
     def test_cone_extension_classes_by_parity(self):
-        even = build_extensions(4, "b")[0]
+        even = build_extensions(4)[2]
         G = even.group
         classes = symmetry_classes_with_ovals(even)
         assert len(classes) == 1
         assert class_id(G, classes[0].representative) == class_id(G, G.generator("z"))
 
-        odd = build_extensions(5, "b")[0]
+        odd = build_extensions(5)[2]
         G = odd.group
         classes = symmetry_classes_with_ovals(odd)
         assert len(classes) == 4
@@ -109,7 +108,7 @@ class TestSymmetryClasses:
         assert found == {class_id(G, e) for e in expected}
 
     def test_class_invariants(self):
-        first, _ = build_extensions(3, "a")
+        first = build_extensions(3)[0]
         G = first.group
         rotation = G.generator("w") * G.generator("x")
         with pytest.raises(InvariantViolation):
@@ -122,7 +121,7 @@ class TestSymmetryClasses:
                 SymmetryClass(first, y, ovals=bad)
 
     def test_class_size(self):
-        first, _ = build_extensions(3, "a")
+        first = build_extensions(3)[0]
         G = first.group
         cls = class_by_element(first, G.generator("y"))
         assert cls.size == 1  # y is central
@@ -131,48 +130,48 @@ class TestSymmetryClasses:
 
 class TestCountOvals:
     def test_w_class_reference_counts(self):
-        odd_first = build_extensions(5, "a")[0]
+        odd_first = build_extensions(5)[0]
         w = odd_first.group.generator("w")
         assert class_by_element(odd_first, w).ovals == 2
-        even_first = build_extensions(4, "a")[0]
+        even_first = build_extensions(4)[0]
         w = even_first.group.generator("w")
         assert class_by_element(even_first, w).ovals == 3
 
     def test_second_chain_class_y_has_g_ovals(self):
-        second = build_extensions(5, "a")[1]
+        second = build_extensions(5)[1]
         y = second.group.generator("y")
         assert class_by_element(second, y).ovals == 5
 
     def test_unhit_class_has_no_ovals(self):
         for g in (3, 4, 6):
-            first = build_extensions(g, "a")[0]
+            first = build_extensions(g)[0]
             G = first.group
             free = G.generator("y") * (G.generator("w") * G.generator("x")) ** g
             assert class_by_element(first, free).ovals == 0
 
     def test_cone_counts(self):
-        odd = build_extensions(5, "b")[0]
+        odd = build_extensions(5)[2]
         G = odd.group
         x, z, w = G.generator("x"), G.generator("z"), G.generator("w")
         assert class_by_element(odd, z).ovals == 2
         assert class_by_element(odd, w).ovals == 2
         assert class_by_element(odd, (x * z) ** 5).ovals == 0
-        even = build_extensions(4, "b")[0]
+        even = build_extensions(4)[2]
         z = even.group.generator("z")
         assert class_by_element(even, z).ovals == 2
 
     def test_oval_multisets(self):
         for g in (3, 5, 7):
-            first = build_extensions(g, "a")[0]
+            first = build_extensions(g)[0]
             counts = sorted(c.ovals for c in symmetry_classes_with_ovals(first))
             assert counts == [0, 2, 2, 2], g
         for g in (2, 4, 6):
-            first = build_extensions(g, "a")[0]
+            first = build_extensions(g)[0]
             counts = sorted(c.ovals for c in symmetry_classes_with_ovals(first))
             assert counts == [0, 1, 1, 3], g
 
     def test_count_is_a_class_function(self):
-        first = build_extensions(4, "a")[0]
+        first = build_extensions(4)[0]
         G = first.group
         w = G.generator("w")
         base = class_by_element(first, w).ovals
@@ -218,24 +217,25 @@ class TestCentralizerIdentities:
 
         # the reflections up to conjugacy: c0..c3 for kind a, c0 and c1 for
         # kind b (its c2 is the conjugate of c0 by the connecting generator)
-        for kind, positions in (("a", (0, 1, 2, 3)), ("b", (0, 1))):
-            for action in build_extensions(g, kind):
-                records = _reflection_records(action)
-                assert tuple(p for p, _, _ in records) == positions
-                for p in positions:
-                    assert _rule_generators(action, p) == _reference_rule_generators(
-                        action, p
-                    ), (action.label, p)
+        positions_of = {"a": (0, 1, 2, 3), "b": (0, 1)}
+        for action in build_extensions(g):
+            positions = positions_of[action.kind]
+            records = _reflection_records(action)
+            assert tuple(p for p, _, _ in records) == positions
+            for p in positions:
+                assert _rule_generators(action, p) == _reference_rule_generators(
+                    action, p
+                ), (action.label, p)
 
     def test_stated_image_subgroups_hold(self):
         from fourg.realforms import _rule_generators
 
         for g in (3, 4):
-            for action in build_extensions(g, "a"):
+            for action in build_extensions(g)[:2]:
                 _reflection_records(action)  # guard raises on any drift
         # spot check: last chain reflection of the first class omits the
         # central mirror y, every other image subgroup contains it
-        first = build_extensions(5, "a")[0]
+        first = build_extensions(5)[0]
         G = first.group
         y = G.generator("y")
         members = {
@@ -245,6 +245,25 @@ class TestCentralizerIdentities:
         assert y.idx not in members[3]
         for pos in (0, 1, 2):
             assert y.idx in members[pos]
+
+    def test_stated_subgroup_guard_runs_for_both_chain_classes(self, monkeypatch):
+        # the guard is reached through the one list of extensions: it must
+        # still run for a1 and a2, and only for them
+        from fourg import realforms
+
+        guarded = []
+        real = realforms._check_stated_subgroups
+
+        def recording(e, members_by_position):
+            guarded.append(e.label)
+            return real(e, members_by_position)
+
+        monkeypatch.setattr(realforms, "_check_stated_subgroups", recording)
+        for g in (2, 5, 8):
+            for action in build_extensions(g):
+                _reflection_records.__wrapped__(action)  # past the cache
+            assert guarded == ["a1", "a2"], g
+            guarded.clear()
 
     def test_cone_target_centralizers(self):
         even = cone_target_group(4)
@@ -264,29 +283,29 @@ class TestCentralizerIdentities:
 class TestSpecies:
     def test_species_multiset_oracles(self):
         cases = [
-            (5, "a", 0, (2, 0, -2, -2)),
-            (4, "a", 1, (-1, -1, -4, -4)),
-            (4, "b", 0, (-2,)),
-            (5, "b", 0, (0, 0, -2, -2)),
-            (4, "a", 0, (1, 0, -1, -3)),
-            (7, "a", 1, (-1, -1, -7, -7)),
+            (5, "a1", (2, 0, -2, -2)),
+            (4, "a2", (-1, -1, -4, -4)),
+            (4, "b", (-2,)),
+            (5, "b", (0, 0, -2, -2)),
+            (4, "a1", (1, 0, -1, -3)),
+            (7, "a2", (-1, -1, -7, -7)),
         ]
-        for g, kind, which, expected in cases:
-            action = build_extensions(g, kind)[which]
+        for g, label, expected in cases:
+            (action,) = [e for e in build_extensions(g) if e.label == label]
             values = tuple(s.value for s in species_set(action))
             assert values == tuple(sorted(expected, reverse=True)), (g, action.label)
 
     def test_low_genus_maximal_symmetry_separates(self):
         # at genus 2 the three-oval symmetry hits the Harnack maximum g+1,
         # which forces it to separate
-        first = build_extensions(2, "a")[0]
+        first = build_extensions(2)[0]
         values = tuple(s.value for s in species_set(first))
         assert values == (3, 1, 0, -1)
         for s in species_set(first):
             assert -2 <= s.value <= 3
 
     def test_species_are_sorted_descending(self):
-        action = build_extensions(6, "a")[1]
+        action = build_extensions(6)[1]
         values = [s.value for s in species_set(action)]
         assert values == sorted(values, reverse=True)
 
@@ -306,8 +325,7 @@ class TestSpecies:
 
     def test_every_emitted_species_is_valid(self):
         for g in (2, 3, 4, 5, 8):
-            for kind in ("a", "b"):
-                for action in build_extensions(g, kind):
-                    for s in species_set(action):
-                        assert -g <= s.value <= g + 1
-                        assert s.genus == g
+            for action in build_extensions(g):
+                for s in species_set(action):
+                    assert -g <= s.value <= g + 1
+                    assert s.genus == g

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from fourg.extensions import build_extensions
 from fourg.groups import cyclic, dihedral, small_groups
 from fourg.report import (
     CATALOGUED_SPORADIC_GENERA,
@@ -105,6 +106,28 @@ class TestBuildReportCore:
         for entry in report.symmetry_types:
             assert entry["ovals"]
             assert all(isinstance(n, int) and n >= 0 for n in entry["ovals"])
+
+    def test_species_built_once_per_extension(self, monkeypatch):
+        # the report reads each arc's species off its boundary description
+        # instead of building the symmetry classes a second time
+        from fourg import boundary, realforms, report as report_module
+
+        calls = []
+        real = realforms.species_set
+
+        def counting(e):
+            calls.append(e.label)
+            return real(e)
+
+        for module in (realforms, boundary, report_module):
+            if hasattr(module, "species_set"):
+                monkeypatch.setattr(module, "species_set", counting)
+        report = build_report(7)
+        assert sorted(calls) == ["a1", "a2", "b"]
+        by_label = {entry["label"]: entry["species"] for entry in report.symmetry_types}
+        assert by_label == {
+            e.label: [sp.value for sp in real(e)] for e in build_extensions(7)
+        }
 
     def test_boundary_block_embeds_description(self):
         report = build_report(4)
