@@ -38,7 +38,6 @@ from .groups import (
     FiniteGroup,
     GroupElement,
     GroupStructure,
-    Subgroup,
     abelianization,
     automorphism_search,
     close_generator_map,
@@ -96,7 +95,6 @@ from .boundary import (
     NodalGraph,
     WimanCurve,
     boundary_description,
-    component_genus,
     nodal_graph,
 )
 from .report import (

@@ -88,12 +88,6 @@ class GeneratingVector:
         if len(span) != self.group.order:
             raise InvariantViolation("images do not generate the whole group")
 
-    @classmethod
-    def from_indices(cls, group: FiniteGroup, indices) -> "GeneratingVector":
-        images = tuple(group.element(i) for i in indices)
-        periods = tuple(e.order() for e in images)
-        return cls(group, periods, images)
-
     @property
     def indices(self) -> tuple:
         return tuple(e.idx for e in self.images)
@@ -110,8 +104,7 @@ def smooth_vectors(G: FiniteGroup, periods):
     starting at any conjugate of c, so there are ``sum(G.class_size(t[0]))``
     vectors in all.  Returns [] when some period does not divide the group
     order.  The last entry is solved from the product-one constraint rather
-    than searched, and generation is checked once, at that leaf; wrap a
-    tuple in ``GeneratingVector.from_indices`` to work with its elements.
+    than searched, and generation is checked once, at that leaf.
     """
     periods = tuple(int(m) for m in periods)
     if any(m < 2 for m in periods):
@@ -187,16 +180,12 @@ class ActionClass:
 
     Aut(G) acts freely on generating vectors, so the class is held as the
     Cayley keys of its Aut-classes (over all orderings of the period
-    multiset), and it has |Aut(G)| members per key.  ``representative`` is
-    the lexicographically smallest member whose periods are sorted
-    ascending, so it is deterministic.  ``size`` is the member count,
-    |Aut(G)| times the number of keys, set by ``classify``, which counts
-    Aut(G) once per call.
+    multiset), and it has |Aut(G)| members per key.  ``size`` is the member
+    count, |Aut(G)| times the number of keys, set by ``classify``, which
+    counts Aut(G) once per call.
     """
 
     group: FiniteGroup
-    periods: tuple
-    representative: GeneratingVector
     keys: frozenset
     size: int
 
@@ -217,10 +206,11 @@ def classify(G: FiniteGroup, periods):
     Classes are orbits under braid moves (which realize every permutation of
     equal periods) together with Aut(G), walked as braid orbits on Cayley
     keys.  Each class is seeded by the smallest enumerated vector whose key
-    no class holds yet, which is its smallest member.  |Aut(G)| times the
-    keys with ascending periods, summed over the classes, must equal the
-    vector count of ``smooth_vectors``, or the search was not exhaustive.
-    The output is deterministic and independent of the order of ``periods``.
+    no class holds yet, and stores only its keys and its member count.
+    |Aut(G)| times the keys with ascending periods, summed over the classes,
+    must equal the vector count of ``smooth_vectors``, or the search was not
+    exhaustive.  The output is deterministic and independent of the order
+    of ``periods``.
     """
     base = tuple(sorted(int(m) for m in periods))
     vectors = smooth_vectors(G, base)
@@ -239,8 +229,7 @@ def classify(G: FiniteGroup, periods):
         counted += n_aut * sum(
             tuple(G.element_order(i) for i in t) == base for t in members.values()
         )
-        rep = GeneratingVector.from_indices(G, seed)
-        classes.append(ActionClass(G, base, rep, frozenset(members), n_aut * len(members)))
+        classes.append(ActionClass(G, frozenset(members), n_aut * len(members)))
     if counted != total:
         raise InvariantViolation(
             f"classes count {counted} of {total} vectors; the search was not exhaustive"
@@ -258,7 +247,7 @@ def kernel_genus(group_order: int, s: Signature) -> int:
     g = Fraction(group_order) * area / 2 + 1
     if g.denominator != 1 or g < 0:
         raise InvariantViolation(
-            f"no integral genus for order {group_order} on {s.render()}"
+            f"no integral genus for order {group_order} on {s}"
         )
     return int(g)
 
@@ -340,8 +329,7 @@ def _eliminate_family1(g: int, max_order: int) -> CaseReport:
         Gp = metacyclic(4 * g, 2 * g - 1, 2 * g)
         B, C = Gp.generator("B"), Gp.generator("C")
         vector = GeneratingVector(Gp, (2, 4, 4 * g), ((B * C).inverse(), B, C))
-        sub = Gp.subgroup([C])
-        if sub.index != 2:
+        if Gp.order // len(Gp.subgroup([C])) != 2:
             raise InvariantViolation("adjoined overgroup does not contain C at index 2")
         details["extension_order"] = 8 * g
         details["extension_periods"] = (2, 4, 4 * g)

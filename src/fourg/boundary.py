@@ -23,7 +23,6 @@ from fractions import Fraction
 from .actions import GeneratingVector, canonical_vector
 from .errors import InvariantViolation
 from .extensions import build_extensions
-from .groups import GroupElement
 from .realforms import Species, species_set
 from .signatures import INF, SIGN_PLUS, Signature, normalized_area, wiman_quotient_signature
 
@@ -39,7 +38,6 @@ __all__ = [
     "BoundaryArc",
     "WimanCurve",
     "BoundaryDescription",
-    "component_genus",
     "nodal_graph",
     "boundary_description",
 ]
@@ -134,7 +132,7 @@ class NodalGraph:
 
 
 # ---------------------------------------------------------------------------
-# Component genera.
+# Nodal limits of the family.
 
 
 def _require_family_vector(v: GeneratingVector) -> int:
@@ -154,52 +152,6 @@ def _require_family_vector(v: GeneratingVector) -> int:
     return g
 
 
-def component_genus(images) -> int:
-    """Genus of one component of a nodal limit, from its covering data.
-
-    ``images`` = (n, r, s) are the images, in a finite group, of the three
-    standard generators of a genus-0 group with one puncture class and two
-    cone points of orders 2 and 2g: n is the puncture-class image (its order
-    sets how many nodes the component meets), r must have order exactly 2, s
-    order exactly 2g = 4, 6, 8, ..., and n*r*s must be the identity.
-
-    The orbifold Euler characteristic is minus the normalized area of the
-    signature (0;+;[2,2g,inf]), -1/2 + 1/(2g), and scales by the image order
-    to the Euler characteristic of the punctured component.  Solving
-    2 - 2h - c = |image| * chi, with c = |image| / order(n) punctures, gives
-    the genus h; a non-integral or negative solution signals inconsistent
-    data and raises.
-    """
-    images = tuple(images)
-    if len(images) != 3:
-        raise ValueError("component data lists exactly three generator images")
-    n, r, s = images
-    if not all(isinstance(e, GroupElement) for e in images):
-        raise ValueError("component images must be group elements")
-    G = n.group
-    if r.group is not G or s.group is not G:
-        raise ValueError("component images must belong to a single group")
-    if n * r * s != G.identity:
-        raise InvariantViolation("component images must multiply to the identity")
-    if r.order() != 2:
-        raise InvariantViolation(f"second image must have order 2, got {r.order()}")
-    two_g = s.order()
-    if two_g % 2 or two_g < 4:
-        raise InvariantViolation(
-            f"third image must have even order >= 4, got {two_g}"
-        )
-    chi = -normalized_area(Signature(0, SIGN_PLUS, (2, two_g, INF)))
-    image_order = G.subgroup(images).order
-    cusps = image_order // n.order()
-    doubled = 2 - cusps - image_order * chi
-    if doubled.denominator != 1 or doubled < 0 or int(doubled) % 2:
-        raise InvariantViolation(
-            f"component data solves to genus {Fraction(doubled, 2)};"
-            " the covering data is inconsistent"
-        )
-    return int(doubled) // 2
-
-
 def nodal_graph(v: GeneratingVector, which: int) -> NodalGraph:
     """Dual graph of the nodal limit reached by pinching one curve system.
 
@@ -215,10 +167,14 @@ def nodal_graph(v: GeneratingVector, which: int) -> NodalGraph:
     when g is odd -- and the second collapses everything onto a single
     genus-0 component carrying g nodes, a rose of loops; for other
     admissible vectors the shapes may differ and the label always records
-    the computed shape.  Vertex genera come from :func:`component_genus`;
-    the edge count is the index of the cyclic group of the pinched class
-    inside the degeneration subgroup.  The graph is cross-checked against
-    the total genus identity before it is returned.
+    the computed shape.  Each component is covered by ``omega`` over the
+    orbifold (0;+;[2,2g,inf]), so omega's middle image must have order 2;
+    with chi minus that orbifold's normalized area, 2 - 2h - c = |<omega>| *
+    chi and c = |<omega>| / order(omega[0]) punctures solve to the component
+    genus h, and a non-integral or negative h raises.  The edge count is the
+    index of the cyclic group of the pinched class inside the degeneration
+    subgroup.  The graph is cross-checked against the total genus identity
+    before it is returned.
     """
     g = _require_family_vector(v)
     t1, t2, t3, t4 = v.images
@@ -230,10 +186,21 @@ def nodal_graph(v: GeneratingVector, which: int) -> NodalGraph:
         omega = (t1, node, t4)
     else:
         raise ValueError(f"which must be 1 or 2, got {which!r}")
-    sub = v.group.subgroup(omega)
-    vertex_count = sub.index
-    genus = component_genus(omega)
-    ends_per_vertex = sub.order // node.order()
+    if omega[1].order() != 2:
+        raise InvariantViolation(
+            f"middle component image must have order 2, got {omega[1].order()}"
+        )
+    image_order = len(v.group.subgroup(omega))
+    vertex_count = v.group.order // image_order
+    chi = -normalized_area(Signature(0, SIGN_PLUS, (2, 2 * g, INF)))
+    doubled = 2 - image_order // omega[0].order() - image_order * chi
+    if doubled.denominator != 1 or doubled < 0 or int(doubled) % 2:
+        raise InvariantViolation(
+            f"component data solves to genus {Fraction(doubled, 2)};"
+            " the covering data is inconsistent"
+        )
+    genus = int(doubled) // 2
+    ends_per_vertex = image_order // node.order()
     # the label describes the computed shape: one component makes a rose of
     # loops, two components a dipole
     if vertex_count == 1:

@@ -7,9 +7,9 @@ at every order: Light's test over the declared generators, one whole row at
 a time.
 
 Callers get index data: a ``GroupElement`` is a view built on demand, a
-``Subgroup`` is its set of element indices, an automorphism is a full image
-list, and a union of conjugacy classes is read as the classes' smallest
-indices (``_class_minima``).
+subgroup or centralizer is the frozenset of its element indices, an
+automorphism is a full image list, and a union of conjugacy classes is
+read as the classes' smallest indices (``_class_minima``).
 
 Every closure and homomorphism check goes through one walk of a Cayley graph
 (``_extend_hom``): subgroup closure, extending a generator map in the
@@ -278,16 +278,15 @@ class FiniteGroup:
         """Indices of the subgroup generated by the given element indices."""
         return _closure(self._table, gen_indices)
 
-    def subgroup(self, elements) -> "Subgroup":
-        """Subgroup generated by the given elements."""
-        gens = tuple(e.idx for e in elements)
-        return Subgroup(self, frozenset(self._closure_idx(gens)))
+    def subgroup(self, elements) -> frozenset:
+        """Element indices of the subgroup generated by the given elements."""
+        return frozenset(self._closure_idx([e.idx for e in elements]))
 
-    def centralizer(self, e: GroupElement) -> "Subgroup":
+    def centralizer(self, e: GroupElement) -> frozenset:
+        """Element indices of the centralizer of e."""
         table = self._table
         i = e.idx
-        members = frozenset(a for a in range(self.order) if table[a][i] == table[i][a])
-        return Subgroup(self, members)
+        return frozenset(a for a in range(self.order) if table[a][i] == table[i][a])
 
     def _class_index(self):
         """``(classes, class_of)``: each class's member indices, sorted, with
@@ -506,22 +505,6 @@ def _small_generating_set(table, members) -> tuple:
     if span != set(members):
         raise InvariantViolation("member set is not closed under multiplication")
     return tuple(gens)
-
-
-@dataclass(frozen=True)
-class Subgroup:
-    """A subgroup of a parent group, held as its set of element indices."""
-
-    parent: FiniteGroup
-    element_indices: frozenset
-
-    @property
-    def order(self) -> int:
-        return len(self.element_indices)
-
-    @property
-    def index(self) -> int:
-        return self.parent.order // self.order
 
 
 # ---------------------------------------------------------------------------

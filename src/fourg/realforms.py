@@ -153,8 +153,7 @@ def _check_stated_subgroups(e: ExtendedAction, members_by_position: dict):
             3: (w, half_turn, y),
         }
     for position, gens in expected.items():
-        stated = G.subgroup(gens).element_indices
-        if stated != members_by_position[position]:
+        if G.subgroup(gens) != members_by_position[position]:
             raise InvariantViolation(
                 f"centralizer-image rule drifted from the stated subgroup at"
                 f" reflection {position} of class {e.label}"
@@ -175,19 +174,19 @@ def _reflection_records(e: ExtendedAction) -> tuple:
     # c_s = e^-1 c_0 e, so c_0..c_(s-1) are the reflections up to conjugacy
     for position in range(len(e.reflection_cycle) - 1):
         r, left, right = _rule_generators(e, position)
-        image_sub = G.subgroup((r, left, right))
+        image = G.subgroup((r, left, right))
         centralizer = G.centralizer(r)
-        if not image_sub.element_indices <= centralizer.element_indices:
+        if not image <= centralizer:
             raise InvariantViolation(
                 f"image of the reflection centralizer at position {position}"
                 " escapes the centralizer of the image"
             )
-        if centralizer.order % image_sub.order:
+        if len(centralizer) % len(image):
             raise InvariantViolation(
                 f"centralizer index at position {position} is not an integer"
             )
-        members_by_position[position] = image_sub.element_indices
-        records.append((position, r, centralizer.order // image_sub.order))
+        members_by_position[position] = image
+        records.append((position, r, len(centralizer) // len(image)))
     if e.kind == KIND_A and e in build_extensions(e.g):
         _check_stated_subgroups(e, members_by_position)
     return tuple(records)

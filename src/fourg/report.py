@@ -29,8 +29,10 @@ from .extensions import KIND_A, KIND_B, build_extensions, restrict_to_index2
 from .groups import COMPLETE_CATALOG_ORDERS, recognize, small_groups
 from .realforms import symmetry_classes_with_ovals
 from .signatures import (
+    SIGN_PLUS,
     TAG_QUADRUPLE,
     TAG_SPORADIC,
+    Signature,
     enumerate_4g_signatures,
 )
 
@@ -259,7 +261,7 @@ def build_report(
 
     main = main_action_class(g)
     action_classes = {
-        "signature": f"(0;+;[2,2,2,{2 * g}];{{-}})",
+        "signature": str(Signature(0, SIGN_PLUS, (2, 2, 2, 2 * g))),
         "count": _checked(len(main_family_classes(g)), 1),
         "representative": str(canonical_vector(g)),
         "orbit_size": main.size,
@@ -343,7 +345,13 @@ def build_report(
                 " lists no exceptional actions"
             )
         elif not found:
-            if not search["catalog_complete"]:
+            if search_groups is not None:
+                notes.append(
+                    "action search over the supplied group tables found no"
+                    " candidates (inconclusive; the tables need not list every"
+                    f" group of order {4 * g})"
+                )
+            elif not search["catalog_complete"]:
                 notes.append(
                     "action search over the incomplete built-in catalog found"
                     " no candidates (inconclusive; supply group tables to"

@@ -92,7 +92,7 @@ class Signature:
     def num_cycles(self) -> int:
         return len(self.period_cycles)
 
-    def render(self) -> str:
+    def __str__(self) -> str:
         """Canonical text form, e.g. ``(0;+;[2,2,2,4];{-})``."""
         if self.proper_periods:
             periods = "[" + ",".join(_period_text(m) for m in self.proper_periods) + "]"
@@ -105,9 +105,6 @@ class Signature:
         else:
             cycles = "{-}"
         return f"({self.genus};{self.sign};{periods};{cycles})"
-
-    def __str__(self) -> str:
-        return self.render()
 
 
 class SignatureSyntaxError(InputFormatError):

@@ -150,6 +150,13 @@ class TestBraidMove:
             braid_move(v, 4)
 
 
+def _vector(G: FiniteGroup, indices) -> GeneratingVector:
+    """The generating vector on an index tuple, its periods read off the
+    orders of its entries."""
+    images = tuple(G.element(i) for i in indices)
+    return GeneratingVector(G, tuple(e.order() for e in images), images)
+
+
 class TestClassify:
     @pytest.mark.parametrize("g", [2, 3, 4, 5, 6])
     def test_unique_dihedral_class(self, g):
@@ -166,9 +173,7 @@ class TestClassify:
         G = family_group(2)
         a = classify(G, (2, 2, 2, 4))
         b = classify(G, (4, 2, 2, 2))
-        assert [c.representative.indices for c in a] == [
-            c.representative.indices for c in b
-        ]
+        assert [(c.keys, c.size) for c in a] == [(c.keys, c.size) for c in b]
 
     def test_non_divisor_empty(self):
         assert classify(dihedral(8), (3, 3, 3)) == []
@@ -195,7 +200,7 @@ class TestClassify:
         ):
             classes = classify(G, periods)
             for t in _reference_smooth_vectors(G, periods):
-                v = GeneratingVector.from_indices(G, t)
+                v = _vector(G, t)
                 assert sum(c.contains(v) for c in classes) == 1, (G.name, t)
 
     def test_main_action_class_cached_and_checked(self):
@@ -209,7 +214,7 @@ class TestClassify:
         cls = main_action_class(2)
         H = dicyclic(2)  # wrong group entirely
         assert not any(
-            cls.contains(GeneratingVector.from_indices(H, t))
+            cls.contains(_vector(H, t))
             for t in smooth_vectors(H, (4, 4, 4))
         )
 
@@ -229,7 +234,7 @@ def _reference_smooth_vectors(G: FiniteGroup, periods):
     The tuples are sorted.  Returns [] when some period does not divide the
     group order.  The last entry is solved from the product-one constraint
     rather than searched, and generation is checked once, at that leaf; wrap
-    a tuple in ``GeneratingVector.from_indices`` to work with its elements.
+    a tuple in ``_vector`` to work with its elements.
     """
     periods = tuple(int(m) for m in periods)
     if any(m < 2 for m in periods):
@@ -373,12 +378,11 @@ class TestKeyClassification:
             classes = classify(G, periods)
             reference = _reference_classify(G, periods)
             assert len(classes) == len(reference), G.name
-            for cls, (rep, orbit) in zip(classes, reference):
-                assert cls.representative.indices == rep
+            for cls, (_, orbit) in zip(classes, reference):
                 assert cls.size == len(orbit)
                 for t in orbit:
                     if tuple(G.element_order(i) for i in t) == base:
-                        assert cls.contains(GeneratingVector.from_indices(G, t))
+                        assert cls.contains(_vector(G, t))
 
     @pytest.mark.parametrize(
         "groups, periods",
@@ -416,7 +420,7 @@ class TestKeyClassification:
         image = tuple(sigma[i] for i in t)
         assert _cayley_key(H._table, image) == _cayley_key(G._table, t)
         canonical = tuple(sigma[i] for i in canonical_vector(g).indices)
-        assert main_action_class(g).contains(GeneratingVector.from_indices(H, canonical))
+        assert main_action_class(g).contains(_vector(H, canonical))
 
     @staticmethod
     def _assert_not_exhaustive(monkeypatch, edit):
@@ -519,7 +523,7 @@ class TestExceptionalSearch:
     def test_genus3_nonempty(self):
         results = exceptional_search(3, small_groups(12))
         assert results
-        sigs = {sig.render() for sig, _ in results}
+        sigs = {str(sig) for sig, _ in results}
         assert "(0;+;[3,4,12];{-})" in sigs
         assert "(0;+;[2,2,3,3];{-})" in sigs
         cyclic_hits = [

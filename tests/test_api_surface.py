@@ -9,6 +9,8 @@ method as an attribute only, since a bare name of the same spelling is a
 local variable or a function.  An import is not a use.  Tests do not
 count: a definition only tests call is dead code.
 
+Every name in a module's ``__all__`` must be bound in that module.
+
 The benchmark's tracer wraps functions it names by module; each of those
 must stay a module-level callable, or a traced run breaks.
 """
@@ -128,6 +130,23 @@ def test_every_public_name_is_used_outside_the_tests():
         f" or add them to ALLOWED and document them in README: {sorted(unused - ALLOWED)};"
         f" stale ALLOWED entries: {sorted(ALLOWED - unused)}"
     )
+
+
+def test_every_exported_name_is_bound():
+    # a name left in __all__ after its definition is deleted breaks
+    # ``from fourg.<module> import *`` only when someone runs it
+    exporting = []
+    unbound = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "fourg" if path.name == "__init__.py" else f"fourg.{path.stem}"
+        module = importlib.import_module(name)
+        exported = getattr(module, "__all__", None)
+        if exported is None:
+            continue
+        exporting.append(path.stem)
+        unbound += [f"{path.stem}.{n}" for n in exported if not hasattr(module, n)]
+    assert {"boundary", "checks", "report"} <= set(exporting)
+    assert not unbound, f"__all__ names with no binding in their module: {unbound}"
 
 
 def _traced_names():

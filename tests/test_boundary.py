@@ -1,14 +1,16 @@
 """Tests for nodal-limit dual graphs and the closed loop of real arcs.
 
 Reference facts used as oracles: the degeneration subgroups have indices 2
-and 1 (checked on ``_reference_degeneration_subgroups``, the function
-``nodal_graph`` folded in); the first nodal limit is a dipole with two
-components of genus g/2 (g even, one node) or (g-1)/2 (g odd, two nodes);
-the second is a single genus-0 component with g nodes; the smooth limit is
-w^2 = z(z^{2g} - 1) with 8g automorphisms (48 in genus 2); the three real
-arcs join the limits pairwise -- a1 the two nodal ones, a2 and b each one
-nodal limit and the high-symmetry curve -- and each arc carries the species
-of its extended-symmetry class.
+and 1 and the component genera solve the closed-form Euler characteristic
+(checked on ``_reference_degeneration_subgroups`` and
+``_reference_component_genus``, the functions ``nodal_graph`` folded in);
+the first nodal limit is a dipole with two components of genus g/2 (g even,
+one node) or (g-1)/2 (g odd, two nodes); the second is a single genus-0
+component with g nodes; the smooth limit is w^2 = z(z^{2g} - 1) with 8g
+automorphisms (48 in genus 2); the three real arcs join the limits pairwise
+-- a1 the two nodal ones, a2 and b each one nodal limit and the
+high-symmetry curve -- and each arc carries the species of its
+extended-symmetry class.
 """
 
 import json
@@ -16,6 +18,7 @@ from fractions import Fraction
 
 import pytest
 
+from fourg import boundary
 from fourg.actions import GeneratingVector, canonical_vector, family_group
 from fourg.boundary import (
     ARC_ENDPOINTS,
@@ -32,11 +35,11 @@ from fourg.boundary import (
     _require_family_vector,
     _require_three_cycle,
     boundary_description,
-    component_genus,
     nodal_graph,
 )
 from fourg.errors import InvariantViolation
 from fourg.extensions import build_extensions, restrict_to_index2
+from fourg.groups import FiniteGroup
 from fourg.realforms import Species, species_set
 from fourg.signatures import parse_signature, wiman_quotient_signature
 
@@ -115,28 +118,32 @@ def _reference_degeneration_subgroups(v: GeneratingVector):
     return first, second
 
 
+def _index(G, members) -> int:
+    return G.order // len(members)
+
+
 class TestDegenerationSubgroups:
     """The public function these pin was folded into ``nodal_graph``; the
     assertions hold on its verbatim copy, and ``nodal_graph`` must agree."""
 
     def test_indices_two_and_one(self):
         for g in range(2, 9):
-            first, second = _reference_degeneration_subgroups(canonical_vector(g))
-            assert first.index == 2
-            assert second.index == 1
+            v = canonical_vector(g)
+            first, second = _reference_degeneration_subgroups(v)
+            assert _index(v.group, first) == 2
+            assert _index(v.group, second) == 1
 
     def test_first_subgroup_is_the_rotation_subgroup(self):
         for g in (3, 5, 6):
             v = canonical_vector(g)
             first, _ = _reference_degeneration_subgroups(v)
-            rotations = v.group.subgroup((v.images[3],))
-            assert first.element_indices == rotations.element_indices
-            assert first.order == 2 * g
+            assert first == v.group.subgroup((v.images[3],))
+            assert len(first) == 2 * g
 
     def test_second_subgroup_is_everything(self):
         v = canonical_vector(4)
         _, second = _reference_degeneration_subgroups(v)
-        assert second.order == v.group.order
+        assert len(second) == v.group.order
 
     def test_rejects_wrong_shape(self):
         G = family_group(2)
@@ -162,21 +169,36 @@ class TestDegenerationSubgroups:
         subgroups = _reference_degeneration_subgroups(v)
         for which, sub, node in zip((1, 2), subgroups, (t1 * t2, t2 * t3)):
             graph = nodal_graph(v, which)
-            assert len(graph.vertex_genera) == sub.index, (g, which)
-            for vertex in range(sub.index):
-                assert _degree(graph, vertex) == sub.order // node.order(), (g, which)
+            assert len(graph.vertex_genera) == _index(v.group, sub), (g, which)
+            for vertex in range(_index(v.group, sub)):
+                assert _degree(graph, vertex) == len(sub) // node.order(), (g, which)
+
+    def test_one_closure_per_nodal_graph(self, monkeypatch):
+        calls = []
+        real = FiniteGroup.subgroup
+
+        def counting(self, elements):
+            calls.append(elements)
+            return real(self, elements)
+
+        monkeypatch.setattr(FiniteGroup, "subgroup", counting)
+        v = canonical_vector(6)
+        for which in (1, 2):
+            calls.clear()
+            nodal_graph(v, which)
+            assert len(calls) == 1, which
 
 
 def _reference_component_genus(images) -> int:
-    """The genus solve of ``component_genus``, its input checks left out,
-    with the hand-derived chi line kept verbatim from before
+    """The genus solve of the deleted ``component_genus``, its input checks
+    left out, with the hand-derived chi line kept verbatim from before
     ``normalized_area`` counted a cusp."""
     n, r, s = images
     G = n.group
     two_g = s.order()
     # chi = 2 - [puncture: exactly 1] - (1 - 1/2) - (1 - 1/(2g))
     chi = Fraction(-1, 2) + Fraction(1, two_g)
-    image_order = G.subgroup(images).order
+    image_order = len(G.subgroup(images))
     cusps = image_order // n.order()
     doubled = 2 - cusps - image_order * chi
     assert doubled.denominator == 1 and doubled >= 0 and int(doubled) % 2 == 0
@@ -184,23 +206,29 @@ def _reference_component_genus(images) -> int:
 
 
 class TestComponentGenus:
+    """The public function these pin was folded into ``nodal_graph``; the
+    assertions hold on the reference solve, and ``nodal_graph``'s vertex
+    genera must agree with it."""
+
     def test_dipole_component_genus(self):
         for g, expected in ((2, 1), (3, 1), (4, 2), (5, 2), (8, 4), (9, 4)):
             v = canonical_vector(g)
             t1, t2, t3, t4 = v.images
-            assert component_genus((t1 * t2, t3, t4)) == expected
+            assert _reference_component_genus((t1 * t2, t3, t4)) == expected
 
     def test_rose_component_genus_is_zero(self):
         for g in range(2, 9):
             v = canonical_vector(g)
             t1, t2, t3, t4 = v.images
-            assert component_genus((t1, t2 * t3, t4)) == 0
+            assert _reference_component_genus((t1, t2 * t3, t4)) == 0
 
     @pytest.mark.parametrize("g", range(2, 31))
     def test_matches_closed_form_chi(self, g):
-        t1, t2, t3, t4 = canonical_vector(g).images
-        for images in ((t1 * t2, t3, t4), (t1, t2 * t3, t4)):
-            assert component_genus(images) == _reference_component_genus(images)
+        v = canonical_vector(g)
+        t1, t2, t3, t4 = v.images
+        for which, omega in ((1, (t1 * t2, t3, t4)), (2, (t1, t2 * t3, t4))):
+            genera = nodal_graph(v, which).vertex_genera
+            assert set(genera) == {_reference_component_genus(omega)}, (g, which)
 
     def test_invariant_under_conjugation(self):
         v = canonical_vector(5)
@@ -208,23 +236,30 @@ class TestComponentGenus:
         omega = (t1, t2 * t3, t4)
         for h in (v.group.element(i) for i in range(0, v.group.order, 7)):
             conj = tuple(h * e * h ** -1 for e in omega)
-            assert component_genus(conj) == 0
+            assert _reference_component_genus(conj) == 0
 
-    def test_rejects_inconsistent_data(self):
-        v = canonical_vector(3)
-        t1, t2, t3, t4 = v.images
-        D = v.group.generator("D")
-        with pytest.raises(InvariantViolation):
-            component_genus((t3, t3, t4))  # product is not the identity
-        with pytest.raises(InvariantViolation):
-            component_genus((D ** -2, D, D))  # middle image has order 2g, not 2
-        e = v.group.identity
-        with pytest.raises(InvariantViolation):
-            component_genus((e, t3, t3))  # last image has order 2, not 2g
-        with pytest.raises(ValueError):
-            component_genus((t1, t2))
-        with pytest.raises(ValueError):
-            component_genus((t1, t2, "D"))
+    def test_rejects_inconsistent_data(self, monkeypatch):
+        # a family vector whose second system pinches a rotation of order g
+        # (g odd) or 2g (g even), not an involution
+        for g in (3, 4):
+            G = family_group(g)
+            D, A = G.generator("D"), G.generator("A")
+            v = GeneratingVector(
+                G, (2, 2, 2, 2 * g), (D ** g, A, D ** (g + 1) * A, D)
+            )
+            assert nodal_graph(v, 1).total_genus == g
+            with pytest.raises(InvariantViolation, match="order 2"):
+                nodal_graph(v, 2)
+        # a wrong orbifold area solves to a fractional genus, or to a whole
+        # one that breaks the total genus identity
+        v = canonical_vector(4)
+        area = boundary.normalized_area
+        monkeypatch.setattr(boundary, "normalized_area", lambda s: area(s) + Fraction(1, 3))
+        with pytest.raises(InvariantViolation, match="inconsistent"):
+            nodal_graph(v, 1)
+        monkeypatch.setattr(boundary, "normalized_area", lambda s: area(s) + Fraction(1, 4))
+        with pytest.raises(InvariantViolation, match="total genus"):
+            nodal_graph(v, 1)
 
 
 class TestNodalGraphShapes:
@@ -272,8 +307,8 @@ class TestNodalGraphShapes:
         for g in range(2, 9):
             v = canonical_vector(g)
             first, second = _reference_degeneration_subgroups(v)
-            assert len(nodal_graph(v, 1).vertex_genera) * first.order == 4 * g
-            assert len(nodal_graph(v, 2).vertex_genera) * second.order == 4 * g
+            assert len(nodal_graph(v, 1).vertex_genera) * len(first) == 4 * g
+            assert len(nodal_graph(v, 2).vertex_genera) * len(second) == 4 * g
 
     def test_rejects_bad_selector(self):
         v = canonical_vector(3)
@@ -291,7 +326,7 @@ class TestRestrictedVectorDegenerations:
             e = build_extensions(g)[0]
             v = restrict_to_index2(e)
             first, second = _reference_degeneration_subgroups(v)
-            assert (first.index, second.index) == (2, 1)
+            assert (_index(v.group, first), _index(v.group, second)) == (2, 1)
             assert nodal_graph(v, 1) == nodal_graph(canonical_vector(g), 1)
             assert nodal_graph(v, 2) == nodal_graph(canonical_vector(g), 2)
 
@@ -302,7 +337,7 @@ class TestRestrictedVectorDegenerations:
             e = build_extensions(g)[1]
             v = restrict_to_index2(e)
             first, second = _reference_degeneration_subgroups(v)
-            assert (first.index, second.index) == (1, 1)
+            assert (_index(v.group, first), _index(v.group, second)) == (1, 1)
             assert nodal_graph(v, 1).label == LABEL_LOOPS
             assert nodal_graph(v, 1) == nodal_graph(canonical_vector(g), 2)
 
@@ -311,7 +346,7 @@ class TestRestrictedVectorDegenerations:
             e = build_extensions(g)[2]
             v = restrict_to_index2(e)
             first, second = _reference_degeneration_subgroups(v)
-            assert (first.index, second.index) == (2, 1)
+            assert (_index(v.group, first), _index(v.group, second)) == (2, 1)
             assert nodal_graph(v, 1) == nodal_graph(canonical_vector(g), 1)
 
 

@@ -2,17 +2,19 @@
 
 import pytest
 
-from fourg import checks
+from fourg import checks, realforms
 from fourg.checks import (
     ALL_CHECKS,
     CheckResult,
     check_braid_invariance,
+    check_centralizer_images,
     check_group_axioms,
     check_kernel_genus,
     check_species_constraints,
     run_all_checks,
 )
-from fourg.errors import FourgError
+from fourg.errors import FourgError, InvariantViolation
+from fourg.extensions import build_extensions
 from fourg.groups import FiniteGroup
 
 
@@ -42,6 +44,20 @@ class TestIndividualChecks:
     def test_species_constraints_pass(self):
         result = check_species_constraints(2, 4)
         assert result.passed
+
+    def test_centralizer_images_recomputes_cached_records(self, monkeypatch):
+        # a command fills the record cache before --check runs; the suite
+        # must rerun the rule and its guards, not count the cached records
+        for e in build_extensions(5):
+            realforms._reflection_records(e)
+        rule = realforms._rule_generators
+        # keep only c_i: the image subgroup shrinks to {1, c_i}, which the
+        # stated-subgroup guard of a1 rejects
+        monkeypatch.setattr(
+            realforms, "_rule_generators", lambda e, position: rule(e, position)[:1] * 3
+        )
+        with pytest.raises(InvariantViolation, match="drifted"):
+            check_centralizer_images(5, 5)
 
     def test_group_axioms_failure_is_reported(self, monkeypatch):
         # C6 with a 2x2 intercalate flipped: a latin square with two-sided

@@ -160,6 +160,19 @@ class TestReportCommand:
         assert search["groups_scanned"] == 2
         assert search["catalog_complete"] is False
 
+    def test_report_note_names_the_supplied_tables(self, order20_tables, capsys):
+        # only the cyclic group: no candidate, and the note must say the
+        # supplied tables were searched, not the built-in catalog
+        (order20_tables / "d20.table").unlink()
+        argv = ["report", "--genus", "5", "--json", "--tables", str(order20_tables)]
+        assert main(argv) == EXIT_OK
+        notes = json.loads(capsys.readouterr().out)["notes"]
+        searched = [note for note in notes if note.startswith("action search")]
+        assert len(searched) == 1
+        assert "supplied group tables" in searched[0]
+        assert "inconclusive" in searched[0]
+        assert "built-in catalog" not in searched[0]
+
     def test_report_searches_tables_above_max_order(self, tmp_path, capsys):
         # --max-order caps the built-in catalog, not the supplied files
         (tmp_path / "c12.perms").write_text(

@@ -36,7 +36,7 @@ SPORADIC_GENERA_LIST = [
 def test_render_round_trip():
     text = "(0;+;[2,2,2,4];{-})"
     sig = parse_signature(text)
-    assert sig.render() == text
+    assert str(sig) == text
     assert sig.genus == 0
     assert sig.proper_periods == (2, 2, 2, 4)
     assert sig.period_cycles == ()
@@ -46,13 +46,13 @@ def test_parse_cycles():
     sig = parse_signature("(0;+;[-];{(2,2,2,4)})")
     assert sig.proper_periods == ()
     assert sig.period_cycles == ((2, 2, 2, 4),)
-    assert sig.render() == "(0;+;[-];{(2,2,2,4)})"
+    assert str(sig) == "(0;+;[-];{(2,2,2,4)})"
 
 
 def test_parse_sorts_proper_periods():
     sig = parse_signature("(1;-;[4,2,3];{-})")
     assert sig.proper_periods == (2, 3, 4)
-    assert sig.render() == "(1;-;[2,3,4];{-})"
+    assert str(sig) == "(1;-;[2,3,4];{-})"
 
 
 def test_parse_empty_cycle_and_multiple_cycles():
@@ -63,14 +63,14 @@ def test_parse_empty_cycle_and_multiple_cycles():
 
 def test_parse_whitespace_tolerated():
     sig = parse_signature(" ( 0 ; + ; [ 2 , 4 ] ; { - } ) ")
-    assert sig.render() == "(0;+;[2,4];{-})"
+    assert str(sig) == "(0;+;[2,4];{-})"
 
 
 def test_parse_inf_period():
     sig = parse_signature("(0;+;[inf,2,4];{-})")
     assert sig.proper_periods == (2, 4, INF)
     assert INF in sig.proper_periods
-    assert sig.render() == "(0;+;[2,4,inf];{-})"
+    assert str(sig) == "(0;+;[2,4,inf];{-})"
 
 
 @pytest.mark.parametrize(
