@@ -17,13 +17,13 @@ g = 5
 # dihedral x C2.  Kind "b": the quotient keeps a cone point; a single
 # class exists.
 for e in build_extensions(g):
-    print(e.label, "on", e.signature, "->", recognize(e.group).describe())
+    print(e.label, "on", e.signature, "->", recognize(e.group))
 
 # The target of kind b depends on the parity of g: dihedral of order 8g
 # for even g, dihedral x C2 for odd g.
 for g2 in (4, 5, 6, 7):
     *_, b2 = build_extensions(g2)
-    print(f"genus {g2}: kind-b target is {recognize(b2.group).describe()}")
+    print(f"genus {g2}: kind-b target is {recognize(b2.group)}")
 
 # Sanity anchor: restricting any extension to its orientation-preserving
 # half lands back in the unique dihedral class.

@@ -25,7 +25,7 @@ print("rejected twists:", dict(fam3.details["rejected_twists"]))
 # order-12 groups finds candidate actions on both special signatures.
 print("\ngenus 3 search:")
 for signature, cls in exceptional_search(3, small_groups(12)):
-    print(f"  {signature} via {recognize(cls.group).describe()}"
+    print(f"  {signature} via {recognize(cls.group)}"
           f" (orbit {cls.size})")
 
 # Genus 5 also passes the sieve -- via periods (5,5,5) -- but the complete

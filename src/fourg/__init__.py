@@ -37,7 +37,6 @@ from .groups import (
     MAX_ORDER,
     FiniteGroup,
     GroupElement,
-    GroupStructure,
     abelianization,
     automorphism_search,
     close_generator_map,

@@ -306,7 +306,6 @@ class CaseReport:
 
     family: int
     periods: tuple
-    admissible: bool
     verdict: str
     details: dict
 
@@ -339,7 +338,7 @@ def _eliminate_family1(g: int, max_order: int) -> CaseReport:
     else:
         details["constructed"] = False
         details["skipped"] = f"extension order {8 * g} above cap {max_order}"
-    return CaseReport(1, periods, True, "not-full", details)
+    return CaseReport(1, periods, "not-full", details)
 
 
 def _eliminate_family2(g: int, max_order: int) -> CaseReport:
@@ -368,7 +367,7 @@ def _eliminate_family2(g: int, max_order: int) -> CaseReport:
     else:
         details["groups_tested"] = 0
         details["skipped"] = f"order {4 * g} above cap {max_order}"
-    return CaseReport(2, periods, admissible, "impossible", details)
+    return CaseReport(2, periods, "impossible", details)
 
 
 def _eliminate_family3(g: int, max_order: int) -> CaseReport:
@@ -442,7 +441,7 @@ def _eliminate_family3(g: int, max_order: int) -> CaseReport:
     details["candidate_twists"] = candidates
     details["rejected_twists"] = rejected
     details["surviving_twist"] = survivor
-    return CaseReport(3, periods, True, "not-full", details)
+    return CaseReport(3, periods, "not-full", details)
 
 
 def eliminate_cases(g: int, max_order: int = 256) -> list:

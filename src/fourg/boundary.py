@@ -23,7 +23,7 @@ from fractions import Fraction
 from .actions import GeneratingVector, canonical_vector
 from .errors import InvariantViolation
 from .extensions import build_extensions
-from .realforms import Species, species_set
+from .realforms import Species, _species_of_classes, symmetry_classes_with_ovals
 from .signatures import INF, SIGN_PLUS, Signature, normalized_area, wiman_quotient_signature
 
 __all__ = [
@@ -159,7 +159,7 @@ def nodal_graph(v: GeneratingVector, which: int) -> NodalGraph:
     of order 4g.  Writing t1..t4 for its images, ``which`` selects the
     system: 1 pinches the curve class mapping to t1*t2, 2 the one mapping to
     t2*t3.  The pinched class and the two images beside it form ``omega``,
-    (t1*t2, t3, t4) or (t1, t2*t3, t4), and the degeneration subgroup they
+    (t1*t2, t3, t4) or (t2*t3, t1, t4), and the degeneration subgroup they
     generate governs the limit: its index counts the components, so index 2
     splits the pinched surface in two and index 1 keeps it connected.  On
     the canonical family vector the first system yields a dipole -- two
@@ -168,39 +168,32 @@ def nodal_graph(v: GeneratingVector, which: int) -> NodalGraph:
     genus-0 component carrying g nodes, a rose of loops; for other
     admissible vectors the shapes may differ and the label always records
     the computed shape.  Each component is covered by ``omega`` over the
-    orbifold (0;+;[2,2g,inf]), so omega's middle image must have order 2;
-    with chi minus that orbifold's normalized area, 2 - 2h - c = |<omega>| *
-    chi and c = |<omega>| / order(omega[0]) punctures solve to the component
-    genus h, and a non-integral or negative h raises.  The edge count is the
-    index of the cyclic group of the pinched class inside the degeneration
-    subgroup.  The graph is cross-checked against the total genus identity
-    before it is returned.
+    orbifold (0;+;[2,2g,inf]), the pinched class mapping to its puncture.
+    So c = |<omega>| / order(pinched class) is both the puncture count of a
+    component and its number of edge ends; with chi minus that orbifold's
+    normalized area, 2 - 2h - c = |<omega>| * chi solves to the component
+    genus h, and a non-integral or negative h raises.  The graph is
+    cross-checked against the total genus identity before it is returned.
     """
     g = _require_family_vector(v)
     t1, t2, t3, t4 = v.images
     if which == 1:
-        node = t1 * t2
-        omega = (node, t3, t4)
+        omega = (t1 * t2, t3, t4)
     elif which == 2:
-        node = t2 * t3
-        omega = (t1, node, t4)
+        omega = (t2 * t3, t1, t4)
     else:
         raise ValueError(f"which must be 1 or 2, got {which!r}")
-    if omega[1].order() != 2:
-        raise InvariantViolation(
-            f"middle component image must have order 2, got {omega[1].order()}"
-        )
     image_order = len(v.group.subgroup(omega))
     vertex_count = v.group.order // image_order
+    ends_per_vertex = image_order // omega[0].order()
     chi = -normalized_area(Signature(0, SIGN_PLUS, (2, 2 * g, INF)))
-    doubled = 2 - image_order // omega[0].order() - image_order * chi
+    doubled = 2 - ends_per_vertex - image_order * chi
     if doubled.denominator != 1 or doubled < 0 or int(doubled) % 2:
         raise InvariantViolation(
             f"component data solves to genus {Fraction(doubled, 2)};"
             " the covering data is inconsistent"
         )
     genus = int(doubled) // 2
-    ends_per_vertex = image_order // node.order()
     # the label describes the computed shape: one component makes a rose of
     # loops, two components a dipole
     if vertex_count == 1:
@@ -238,13 +231,15 @@ class BoundaryArc:
 
     ``label`` names the extended-symmetry class realized along the arc,
     ``species`` lists the topological types of the mirror symmetries carried
-    by its surfaces, and ``endpoints`` are the two limit surfaces the arc
-    joins.
+    by its surfaces, ``endpoints`` are the two limit surfaces the arc joins,
+    and ``ovals`` holds the oval count of each symmetry class, in the order
+    of :func:`symmetry_classes_with_ovals` (not part of the JSON form).
     """
 
     label: str
     species: tuple
     endpoints: frozenset
+    ovals: tuple
 
     def __post_init__(self):
         if self.label not in ARC_ENDPOINTS:
@@ -261,8 +256,14 @@ class BoundaryArc:
                 f"an arc joins two distinct limit surfaces from {sorted(ENDPOINT_NAMES)},"
                 f" got {sorted(self.endpoints)}"
             )
+        ovals = tuple(self.ovals)
+        if len(ovals) != len(species):
+            raise InvariantViolation(
+                f"arc {self.label} has {len(ovals)} oval counts for {len(species)} species"
+            )
         object.__setattr__(self, "species", species)
         object.__setattr__(self, "endpoints", ends)
+        object.__setattr__(self, "ovals", ovals)
 
     @property
     def species_values(self) -> tuple:
@@ -403,7 +404,8 @@ def boundary_description(g: int) -> BoundaryDescription:
 
     One arc per extended-symmetry class, in the order of
     :func:`build_extensions` (a1, a2, b).  Each arc is annotated with the
-    species multiset of its class and with the fixed endpoint pattern: the
+    species multiset and the oval counts of its class, both read off one
+    build of its symmetry classes, and with the fixed endpoint pattern: the
     first chain class joins the two nodal limits, the second chain class
     joins the rose to the high-symmetry curve, and the mixed class joins
     the dipole to the high-symmetry curve.
@@ -413,10 +415,17 @@ def boundary_description(g: int) -> BoundaryDescription:
     v = canonical_vector(g)
     dipole = nodal_graph(v, 1)
     rose = nodal_graph(v, 2)
-    arcs = tuple(
-        BoundaryArc(e.label, species_set(e), ARC_ENDPOINTS[e.label])
-        for e in build_extensions(g)
-    )
+    arcs = []
+    for e in build_extensions(g):
+        classes = symmetry_classes_with_ovals(e)
+        arcs.append(
+            BoundaryArc(
+                e.label,
+                _species_of_classes(e, classes),
+                ARC_ENDPOINTS[e.label],
+                tuple(cls.ovals for cls in classes),
+            )
+        )
     return BoundaryDescription(
         genus=g,
         arcs=arcs,

@@ -334,7 +334,7 @@ def cmd_exceptional(g: int, options) -> dict:
         "groups": [
             {
                 "name": G.name,
-                "structure": recognize(G).describe(),
+                "structure": recognize(G),
                 "source": sources[G.name],
             }
             for G in pool

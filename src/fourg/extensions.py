@@ -57,7 +57,7 @@ from .signatures import Signature, chain_signature, mixed_signature
 KIND_A = "a"
 KIND_B = "b"
 
-@lru_cache(maxsize=None)
+
 def chain_target_group(g: int) -> FiniteGroup:
     """Order-8g target for kind a: reflection dihedral times a central reflection.
 
@@ -75,7 +75,6 @@ def chain_target_group(g: int) -> FiniteGroup:
     return group
 
 
-@lru_cache(maxsize=None)
 def cone_target_group(g: int) -> FiniteGroup:
     """Order-8g target for kind b: the reflection dihedral extended by x.
 

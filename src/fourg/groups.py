@@ -45,7 +45,8 @@ it builds no direct product of two abelian groups, since
 A generating tuple's Cayley key (``_cayley_key``) names its automorphism
 class; action classes and the extension certificate both use it.
 
-``recognize`` finds both dihedral shapes with one witness search
+``recognize`` returns the name of a group's shape, the string reports
+print.  It finds both dihedral shapes with one witness search
 (``_dihedral_pair``): a rotation of order n/2 and a reflection inverting it
 for the dihedral group of order n, and a rotation of order n/4 plus a
 central involution outside the dihedral subgroup for dihedral x C2.
@@ -55,7 +56,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from math import gcd
 from operator import itemgetter
 
@@ -1100,34 +1100,6 @@ def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
 # Structure recognition.
 
 
-@dataclass(frozen=True)
-class GroupStructure:
-    """Outcome of recognize(): a named shape plus witnessing elements.
-
-    The witness proves the claim: the dihedral witness, for instance, is a
-    rotation/reflection pair satisfying the dihedral presentation and
-    generating the group, which pins the isomorphism type exactly.
-    """
-
-    kind: str
-    order: int
-    details: dict = field(default_factory=dict)
-    witness: dict = field(default_factory=dict)
-
-    def describe(self) -> str:
-        if self.kind == "cyclic":
-            return f"C{self.order}"
-        if self.kind == "elementary-abelian":
-            return f"C{self.details['prime']}^{self.details['rank']}"
-        if self.kind == "dihedral":
-            return f"dihedral of order {self.order}"
-        if self.kind == "dihedral-x-c2":
-            return f"dihedral of order {self.order // 2} x C2"
-        inv = self.details.get("abelianization")
-        tail = f", abelianization {inv}" if inv else ""
-        return f"unrecognized group of order {self.order}{tail}"
-
-
 def _dihedral_pair(G: FiniteGroup, half: int):
     """First rotation r of order ``half`` and involution s outside <r> with
     s*r*s = r^-1, as indices, or None: <r, s> is dihedral of order 2*half."""
@@ -1144,43 +1116,30 @@ def _dihedral_pair(G: FiniteGroup, half: int):
     return None
 
 
-def recognize(G: FiniteGroup) -> GroupStructure:
-    """Identify cyclic, elementary abelian, dihedral, or dihedral x C2 shape.
-
-    Anything else comes back as kind "other" with the abelianization attached.
-    Every positive identification carries explicit witness elements.
+def recognize(G: FiniteGroup) -> str:
+    """Name G's shape: ``C12``, ``C2^3``, ``dihedral of order 24``,
+    ``dihedral of order 12 x C2``, or, for anything else, ``unrecognized
+    group of order 24`` with its abelianization invariants appended when
+    they are nontrivial.  Each dihedral name rests on a witness pair found
+    by ``_dihedral_pair``.
     """
     n = G.order
     orders = [G.element_order(i) for i in range(n)]
     if max(orders) == n:
-        gen = G.element(orders.index(n)) if n > 1 else G.identity
-        return GroupStructure("cyclic", n, {}, {"generator": gen})
+        return f"C{n}"
     if G.is_abelian():
-        non_identity = sorted(set(orders[1:]))
+        non_identity = set(orders[1:])
         if len(non_identity) == 1:
             # p is prime, since a composite order has a power of smaller
             # order, and n is a power of p by Cauchy's theorem
-            p = non_identity[0]
+            (p,) = non_identity
             rank, m = 0, n
             while m % p == 0:
                 m //= p
                 rank += 1
-            basis = _small_generating_set(G._table, range(n))
-            return GroupStructure(
-                "elementary-abelian",
-                n,
-                {"prime": p, "rank": rank},
-                {"basis": tuple(G.element(i) for i in basis)},
-            )
-    pair = _dihedral_pair(G, n // 2) if n % 2 == 0 and n >= 6 else None
-    if pair is not None:
-        r, s = pair
-        return GroupStructure(
-            "dihedral",
-            n,
-            {"rotation_order": n // 2},
-            {"rotation": G.element(r), "reflection": G.element(s)},
-        )
+            return f"C{p}^{rank}"
+    if n % 2 == 0 and n >= 6 and _dihedral_pair(G, n // 2) is not None:
+        return f"dihedral of order {n}"
     pair = _dihedral_pair(G, n // 4) if n % 4 == 0 and n >= 12 else None
     if pair is not None:
         # The first pair decides.  H = <r, s> has index 2.  If G is
@@ -1188,26 +1147,13 @@ def recognize(G: FiniteGroup) -> GroupStructure:
         # D(4m)), so Z(G) holds three involutions; Z(G) meets H inside Z(H),
         # of order 2, so some central involution lies outside H.  Conversely
         # any such y gives G = H x <y>.
-        r, s = pair
-        dihedral_half = _closure(G._table, [r, s])
+        dihedral_half = _closure(G._table, pair)
         for y in range(n):
             if G.element_order(y) == 2 and G.class_size(y) == 1 and y not in dihedral_half:
-                return GroupStructure(
-                    "dihedral-x-c2",
-                    n,
-                    {"dihedral_order": n // 2},
-                    {
-                        "central": G.element(y),
-                        "rotation": G.element(r),
-                        "reflection": G.element(s),
-                    },
-                )
-    return GroupStructure(
-        "other",
-        n,
-        {"abelian": G.is_abelian(), "abelianization": list(abelianization(G))},
-        {},
-    )
+                return f"dihedral of order {n // 2} x C2"
+    invariants = list(abelianization(G))
+    tail = f", abelianization {invariants}" if invariants else ""
+    return f"unrecognized group of order {n}{tail}"
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import InvariantViolation
 from .extensions import KIND_A, ExtendedAction, build_extensions
@@ -160,7 +159,6 @@ def _check_stated_subgroups(e: ExtendedAction, members_by_position: dict):
             )
 
 
-@lru_cache(maxsize=None)
 def _reflection_records(e: ExtendedAction) -> tuple:
     """Per reflection representative: (position, image, centralizer index).
 
@@ -231,18 +229,24 @@ _SIGN_TABLE = {
 def species_set(e: ExtendedAction) -> tuple:
     """The multiset of species realized by the symmetries of an extension.
 
-    Oval counts are computed; signs are then resolved in order: an empty
-    fixed-point set gives species 0; an oval count with the wrong parity
-    (k != g+1 mod 2) can only be non-separating; a maximal count k = g+1 can
-    only be separating; remaining signs come from the encoded table.  The
-    table's absolute values must reproduce the computed counts exactly —
-    disagreement raises instead of guessing.  Sorted by descending value.
+    Oval counts are computed by :func:`symmetry_classes_with_ovals`; signs
+    are then resolved in order: an empty fixed-point set gives species 0; an
+    oval count with the wrong parity (k != g+1 mod 2) can only be
+    non-separating; a maximal count k = g+1 can only be separating;
+    remaining signs come from the encoded table.  The table's absolute
+    values must reproduce the computed counts exactly — disagreement raises
+    instead of guessing.  Sorted by descending value.
     """
+    return _species_of_classes(e, symmetry_classes_with_ovals(e))
+
+
+def _species_of_classes(e: ExtendedAction, classes) -> tuple:
+    """``species_set`` of ``e`` from its already built symmetry classes."""
     g = e.g
     key = (e.label, g % 2)
     if key not in _SIGN_TABLE:
         raise ValueError(f"no species data for extension label {e.label!r}")
-    counts = sorted(cls.ovals for cls in symmetry_classes_with_ovals(e))
+    counts = sorted(cls.ovals for cls in classes)
     signed = _SIGN_TABLE[key](g)
     if sorted(abs(v) for v in signed) != counts:
         raise InvariantViolation(

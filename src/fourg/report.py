@@ -27,7 +27,6 @@ from .actions import (
 from .boundary import boundary_description
 from .extensions import KIND_A, KIND_B, build_extensions, restrict_to_index2
 from .groups import COMPLETE_CATALOG_ORDERS, recognize, small_groups
-from .realforms import symmetry_classes_with_ovals
 from .signatures import (
     SIGN_PLUS,
     TAG_QUADRUPLE,
@@ -229,7 +228,7 @@ def exceptional_candidates(g: int, pool) -> list:
         {
             "signature": str(sig),
             "group": cls.group.name,
-            "group_structure": recognize(cls.group).describe(),
+            "group_structure": recognize(cls.group),
             "orbit_size": cls.size,
         }
         for sig, cls in exceptional_search(g, pool)
@@ -257,7 +256,7 @@ def build_report(
     )
 
     G = family_group(g)
-    group = {"description": recognize(G).describe(), "order": G.order}
+    group = {"description": recognize(G), "order": G.order}
 
     main = main_action_class(g)
     action_classes = {
@@ -275,7 +274,8 @@ def build_report(
     class_records = []
     symmetry_types = []
     for e in extended:
-        structure = recognize(e.group)
+        target_name = recognize(e.group)
+        arc = arcs[e.label]
         if e.kind == KIND_B and g % 2 == 0:
             expected_target = f"dihedral of order {8 * g}"
         else:
@@ -286,9 +286,9 @@ def build_report(
                 "kind": e.kind,
                 "signature": str(e.signature),
                 "target": {
-                    "description": structure.describe(),
+                    "description": target_name,
                     "order": e.group.order,
-                    "recognized": _checked(structure.describe(), expected_target),
+                    "recognized": _checked(target_name, expected_target),
                 },
                 "images": [el.name for el in e.images],
                 "restriction_in_main_class": main.contains(restrict_to_index2(e)),
@@ -297,8 +297,8 @@ def build_report(
         symmetry_types.append(
             {
                 "label": e.label,
-                "species": list(arcs[e.label].species_values),
-                "ovals": [cls.ovals for cls in symmetry_classes_with_ovals(e)],
+                "species": list(arc.species_values),
+                "ovals": list(arc.ovals),
             }
         )
     extensions = {"counts": counts, "classes": class_records}

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import InputFormatError
 from .groups import divisors_of
@@ -321,22 +320,15 @@ def enumerate_4g_signatures(g: int) -> list:
     ]
 
 
-@lru_cache(maxsize=8)
-def _sporadic_genera_cached(limit: int) -> tuple:
-    hits = []
-    for g in range(2, limit + 1):
-        if any(ts.tag == TAG_SPORADIC for ts in enumerate_4g_signatures(g)):
-            hits.append(g)
-    return tuple(hits)
-
-
 def sporadic_genera(limit: int) -> list:
     """Genera up to ``limit`` admitting a sporadic (non-family) triangle signature.
 
     These are arithmetic candidates only: a genus may appear here even when no
     group of order 4g realizes the signature, so callers must cross-check
-    against an action search before drawing conclusions.
+    against an action search before drawing conclusions.  Empty below 2.
     """
-    if limit < 2:
-        return []
-    return list(_sporadic_genera_cached(limit))
+    return [
+        g
+        for g in range(2, limit + 1)
+        if any(ts.tag == TAG_SPORADIC for ts in enumerate_4g_signatures(g))
+    ]

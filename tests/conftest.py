@@ -2,7 +2,8 @@
 
 The terminal summary prints compact pass/fail lines for the acceptance
 criteria; ``capped_python`` runs a Python subprocess under an address-space
-cap.
+cap; ``sporadic_genera_861`` computes the arithmetic sporadic list up to the
+census bound once per session (a few seconds of signature enumeration).
 """
 
 import os
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import fourg
+from fourg.signatures import sporadic_genera
 
 ACCEPTANCE_FILE = "test_acceptance.py"
 
@@ -40,6 +42,11 @@ def capped_python(tmp_path):
         )
 
     return run
+
+
+@pytest.fixture(scope="session")
+def sporadic_genera_861():
+    return tuple(sporadic_genera(861))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -106,7 +106,7 @@ def test_criterion_5_extended_groups():
         kind_b = [e for e in extended if e.kind == "b"]
         assert len(kind_a) == 2, f"genus {g}"
         assert len(kind_b) == 1, f"genus {g}"
-        described = recognize(kind_b[0].group).describe()
+        described = recognize(kind_b[0].group)
         if g % 2 == 0:
             assert described == f"dihedral of order {8 * g}"
         else:
@@ -175,7 +175,7 @@ def test_criterion_8_exceptional_search():
     found3 = exceptional_search(3, small_groups(12))
     assert found3
     summaries = {
-        (str(sig), recognize(cls.group).describe()) for sig, cls in found3
+        (str(sig), recognize(cls.group)) for sig, cls in found3
     }
     assert ("(0;+;[3,4,12];{-})", "C12") in summaries
     assert any(sig == "(0;+;[2,2,3,3];{-})" for sig, _ in summaries)

@@ -530,7 +530,7 @@ class TestExceptionalSearch:
             cls
             for sig, cls in results
             if sig.proper_periods == (3, 4, 12)
-            and recognize(cls.group).kind == "cyclic"
+            and recognize(cls.group) == "C12"
         ]
         assert cyclic_hits
 

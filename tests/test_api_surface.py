@@ -9,6 +9,10 @@ method as an attribute only, since a bare name of the same spelling is a
 local variable or a function.  An import is not a use.  Tests do not
 count: a definition only tests call is dead code.
 
+Every field of a public dataclass must be read as an attribute somewhere in
+``src/fourg`` or ``demos/``: a field nothing reads is data built for no
+reader.
+
 Every name in a module's ``__all__`` must be bound in that module.
 
 The benchmark's tracer wraps functions it names by module; each of those
@@ -55,6 +59,33 @@ def _definitions(tree):
                     yield f"{node.name}.{member.name}", member.name, member
 
 
+def _is_dataclass(decorator) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+    return name == "dataclass"
+
+
+def _dataclass_fields(tree):
+    """(qualified name, field name) for each field of a public dataclass."""
+    for node in tree.body:
+        if (
+            isinstance(node, ast.ClassDef)
+            and not node.name.startswith("_")
+            and any(_is_dataclass(d) for d in node.decorator_list)
+        ):
+            for member in node.body:
+                if isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                    yield f"{node.name}.{member.target.id}", member.target.id
+
+
+def _attribute_reads(node) -> Counter:
+    return Counter(
+        sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    )
+
+
 def _source_trees():
     sources = sorted(PACKAGE.glob("*.py")) + sorted(DEMOS.glob("*.py"))
     return {path: ast.parse(path.read_text(encoding="utf-8")) for path in sources}
@@ -69,9 +100,11 @@ def _unused_names(trees):
     """
     everywhere = Counter()
     attributes = Counter()
+    reads = Counter()
     for tree in trees.values():
         everywhere += _referenced_names(tree)
         attributes += _referenced_names(tree, attributes_only=True)
+        reads += _attribute_reads(tree)
     unused = []
     for path, tree in trees.items():
         if path.parent != PACKAGE or path.name == "__init__.py":
@@ -81,6 +114,9 @@ def _unused_names(trees):
             uses = attributes if method else everywhere
             own = _referenced_names(node, attributes_only=method)[short]
             if uses[short] - own <= 0:
+                unused.append(f"{path.stem}.{qualified}")
+        for qualified, field in _dataclass_fields(tree):
+            if not reads[field]:
                 unused.append(f"{path.stem}.{qualified}")
     return sorted(unused)
 
@@ -119,6 +155,35 @@ def main():
 """
     trees = {PACKAGE / "synthetic.py": ast.parse(source)}
     assert _unused_names(trees) == ["synthetic.Graph.degree", "synthetic.main"]
+
+
+def test_scan_flags_dataclass_fields_nothing_reads():
+    # a field counts as used only where it is read as an attribute, and
+    # reads inside its own class (a renderer, say) count; a private
+    # dataclass is not scanned
+    source = """
+from dataclasses import dataclass
+
+@dataclass(frozen=True)
+class Record:
+    shown: int
+    checked: int
+    stale: int
+
+    def render(self):
+        return str(self.shown)
+
+@dataclass
+class _Scratch:
+    unread: int
+
+def make(checked):
+    record = Record(1, checked, 3)
+    return record.render() + str(record.checked) + str(_Scratch(0))
+"""
+    trees = {PACKAGE / "synthetic.py": ast.parse(source)}
+    # ``make`` itself has no caller
+    assert _unused_names(trees) == ["synthetic.Record.stale", "synthetic.make"]
 
 
 def test_every_public_name_is_used_outside_the_tests():

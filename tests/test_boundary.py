@@ -19,7 +19,7 @@ from fractions import Fraction
 import pytest
 
 from fourg import boundary
-from fourg.actions import GeneratingVector, canonical_vector, family_group
+from fourg.actions import GeneratingVector, canonical_vector, family_group, smooth_vectors
 from fourg.boundary import (
     ARC_ENDPOINTS,
     DIPOLE_SURFACE,
@@ -173,6 +173,26 @@ class TestDegenerationSubgroups:
             for vertex in range(_index(v.group, sub)):
                 assert _degree(graph, vertex) == len(sub) // node.order(), (g, which)
 
+    def test_every_family_vector_matches_reference(self):
+        # not only the canonical vector: every smooth (2,2,2,2g) vector of
+        # the family group pinches to a dipole or a rose of total genus g
+        vectors = 0
+        for g in range(2, 13):
+            G = family_group(g)
+            periods = (2, 2, 2, 2 * g)
+            for t in smooth_vectors(G, periods):
+                v = GeneratingVector(G, periods, tuple(G.element(i) for i in t))
+                t1, t2, t3, _ = v.images
+                subgroups = _reference_degeneration_subgroups(v)
+                for which, sub, node in zip((1, 2), subgroups, (t1 * t2, t2 * t3)):
+                    graph = nodal_graph(v, which)
+                    assert graph.label in (LABEL_DIPOLE, LABEL_LOOPS), (g, t, which)
+                    assert graph.total_genus == g, (g, t, which)
+                    assert len(graph.vertex_genera) == _index(G, sub), (g, t, which)
+                    assert _degree(graph, 0) == len(sub) // node.order(), (g, t, which)
+                vectors += 1
+        assert vectors == 1280
+
     def test_one_closure_per_nodal_graph(self, monkeypatch):
         calls = []
         real = FiniteGroup.subgroup
@@ -226,7 +246,7 @@ class TestComponentGenus:
     def test_matches_closed_form_chi(self, g):
         v = canonical_vector(g)
         t1, t2, t3, t4 = v.images
-        for which, omega in ((1, (t1 * t2, t3, t4)), (2, (t1, t2 * t3, t4))):
+        for which, omega in ((1, (t1 * t2, t3, t4)), (2, (t2 * t3, t1, t4))):
             genera = nodal_graph(v, which).vertex_genera
             assert set(genera) == {_reference_component_genus(omega)}, (g, which)
 
@@ -240,16 +260,18 @@ class TestComponentGenus:
 
     def test_rejects_inconsistent_data(self, monkeypatch):
         # a family vector whose second system pinches a rotation of order g
-        # (g odd) or 2g (g even), not an involution
-        for g in (3, 4):
+        # (g odd) or 2g (g even), not an involution: the pinched class is the
+        # puncture, so the limit is still a dipole of total genus g
+        for g, genera, edges in ((3, (1, 1), 2), (4, (2, 2), 1)):
             G = family_group(g)
             D, A = G.generator("D"), G.generator("A")
             v = GeneratingVector(
                 G, (2, 2, 2, 2 * g), (D ** g, A, D ** (g + 1) * A, D)
             )
             assert nodal_graph(v, 1).total_genus == g
-            with pytest.raises(InvariantViolation, match="order 2"):
-                nodal_graph(v, 2)
+            graph = nodal_graph(v, 2)
+            assert graph.label == LABEL_DIPOLE
+            assert (graph.vertex_genera, graph.edge_count) == (genera, edges)
         # a wrong orbifold area solves to a fractional genus, or to a whole
         # one that breaks the total genus identity
         v = canonical_vector(4)
@@ -377,18 +399,23 @@ class TestBoundaryArc:
 
     def test_rejects_bad_labels_and_endpoints(self):
         sp = species_set(build_extensions(2)[2])
+        ovals = tuple(abs(v.value) for v in sp)
         good = frozenset({DIPOLE_SURFACE, WIMAN_SURFACE})
+        BoundaryArc("b", sp, good, ovals)  # must pass untouched
         with pytest.raises(ValueError):
-            BoundaryArc("c", sp, good)
+            BoundaryArc("c", sp, good, ovals)
         with pytest.raises(InvariantViolation):
-            BoundaryArc("b", sp, frozenset({DIPOLE_SURFACE}))
+            BoundaryArc("b", sp, frozenset({DIPOLE_SURFACE}), ovals)
         with pytest.raises(InvariantViolation):
-            BoundaryArc("b", sp, frozenset({DIPOLE_SURFACE, "X_Q"}))
+            BoundaryArc("b", sp, frozenset({DIPOLE_SURFACE, "X_Q"}), ovals)
         with pytest.raises(InvariantViolation):
-            BoundaryArc("b", (0, -2), good)
+            BoundaryArc("b", (0, -2), good, (0, 2))
+        with pytest.raises(InvariantViolation, match="oval counts"):
+            BoundaryArc("b", sp, good, ovals + (0,))
 
     def test_json_form(self):
         arc = _arcs(boundary_description(4))["b"]
+        assert arc.ovals == (2,)
         assert arc.to_json_dict() == {
             "label": "b",
             "species": [-2],

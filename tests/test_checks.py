@@ -15,6 +15,7 @@ from fourg.checks import (
 )
 from fourg.errors import FourgError, InvariantViolation
 from fourg.extensions import build_extensions
+from fourg.report import build_report
 from fourg.groups import FiniteGroup
 
 
@@ -45,9 +46,20 @@ class TestIndividualChecks:
         result = check_species_constraints(2, 4)
         assert result.passed
 
+    def test_species_constraints_recompute_after_a_report(self, monkeypatch):
+        # a report builds every extension's symmetry classes first; the
+        # species suite must rebuild them, so a broken rule still fails it
+        build_report(5)
+        rule = realforms._rule_generators
+        monkeypatch.setattr(
+            realforms, "_rule_generators", lambda e, position: rule(e, position)[:1] * 3
+        )
+        with pytest.raises(FourgError):
+            check_species_constraints(5, 5)
+
     def test_centralizer_images_recomputes_cached_records(self, monkeypatch):
-        # a command fills the record cache before --check runs; the suite
-        # must rerun the rule and its guards, not count the cached records
+        # a command builds the records before --check runs; the suite must
+        # rerun the rule and its guards, not count records built earlier
         for e in build_extensions(5):
             realforms._reflection_records(e)
         rule = realforms._rule_generators

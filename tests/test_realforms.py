@@ -260,7 +260,7 @@ class TestCentralizerIdentities:
         monkeypatch.setattr(realforms, "_check_stated_subgroups", recording)
         for g in (2, 5, 8):
             for action in build_extensions(g):
-                _reflection_records.__wrapped__(action)  # past the cache
+                _reflection_records(action)
             assert guarded == ["a1", "a2"], g
             guarded.clear()
 

@@ -6,6 +6,7 @@ import pytest
 
 from fourg.extensions import build_extensions
 from fourg.groups import cyclic, dihedral, small_groups
+from fourg.realforms import species_set
 from fourg.report import (
     CATALOGUED_SPORADIC_GENERA,
     EXCEPTIONAL_SURFACE_GENERA,
@@ -15,7 +16,6 @@ from fourg.report import (
     atlas_summary,
     build_report,
 )
-from fourg.signatures import sporadic_genera
 
 
 class TestCensusConstants:
@@ -27,9 +27,9 @@ class TestCensusConstants:
         assert CATALOGUED_SPORADIC_GENERA[0] == 3
         assert CATALOGUED_SPORADIC_GENERA[-1] == 861
 
-    def test_sporadic_census_is_the_arithmetic_list_without_5(self):
+    def test_sporadic_census_is_the_arithmetic_list_without_5(self, sporadic_genera_861):
         assert CATALOGUED_SPORADIC_GENERA == tuple(
-            g for g in sporadic_genera(861) if g != 5
+            g for g in sporadic_genera_861 if g != 5
         )
 
     def test_quadruple_and_surface_genera(self):
@@ -108,26 +108,28 @@ class TestBuildReportCore:
             assert all(isinstance(n, int) and n >= 0 for n in entry["ovals"])
 
     def test_species_built_once_per_extension(self, monkeypatch):
-        # the report reads each arc's species off its boundary description
-        # instead of building the symmetry classes a second time
+        # the report reads each arc's species and oval counts off its
+        # boundary description, which builds each extension's symmetry
+        # classes once
         from fourg import boundary, realforms, report as report_module
 
         calls = []
-        real = realforms.species_set
+        real = realforms.symmetry_classes_with_ovals
 
         def counting(e):
             calls.append(e.label)
             return real(e)
 
         for module in (realforms, boundary, report_module):
-            if hasattr(module, "species_set"):
-                monkeypatch.setattr(module, "species_set", counting)
+            if hasattr(module, "symmetry_classes_with_ovals"):
+                monkeypatch.setattr(module, "symmetry_classes_with_ovals", counting)
         report = build_report(7)
         assert sorted(calls) == ["a1", "a2", "b"]
-        by_label = {entry["label"]: entry["species"] for entry in report.symmetry_types}
-        assert by_label == {
-            e.label: [sp.value for sp in real(e)] for e in build_extensions(7)
-        }
+        monkeypatch.undo()
+        by_label = {entry["label"]: entry for entry in report.symmetry_types}
+        for e in build_extensions(7):
+            assert by_label[e.label]["species"] == [sp.value for sp in species_set(e)]
+            assert by_label[e.label]["ovals"] == [cls.ovals for cls in real(e)]
 
     def test_boundary_block_embeds_description(self):
         report = build_report(4)

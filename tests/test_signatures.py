@@ -193,8 +193,8 @@ def test_quadruple_exceptional_genera():
     assert hits == {3: (2, 2, 3, 3), 6: (2, 2, 3, 4), 15: (2, 2, 3, 5)}
 
 
-def test_sporadic_genera_matches_frozen_list():
-    found = sporadic_genera(861)
+def test_sporadic_genera_matches_frozen_list(sporadic_genera_861):
+    found = sporadic_genera_861
     assert set(found) >= set(SPORADIC_GENERA_LIST)
     # The arithmetic enumeration legitimately picks up one genus beyond the
     # published census: g = 5 via (5,5,5).  It is reported, not suppressed;
