@@ -13,9 +13,18 @@ tuple, relabelled in breadth-first order, names the tuple's Aut-class.  A
 class is therefore walked and stored as a braid orbit of these Cayley keys,
 |Aut(G)| vectors per key, and membership is a key lookup in any copy of G.
 
-The search starts vectors only at conjugacy-class minima and counts the rest
-by class size; |Aut(G)| times the keys found with ascending periods, summed
-over the classes, must equal that count.
+Completeness is certified by counting.  N, the number of product-one tuples
+with the prescribed orders, comes from a class-function recurrence, with no
+tuple built (Frobenius's class-equation count; Jones 1995).  |Aut(G)| comes
+from orbits and stabilizers of the generators, with no automorphism list.
+|Aut(G)| times the keys found with ascending periods, summed over the
+classes, counts generating vectors, so it never exceeds N; ``classify``
+draws seeds lazily from the vector search and stops as soon as the two are
+equal.  On the main family every product-one tuple generates, so the first
+seed's orbit closes the count.  Where some tuples do not generate, the
+search runs to its end, starting vectors only at conjugacy-class minima and
+counting the rest by class size, and the classes must account for exactly
+that enumerated count.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ from .groups import (
     COMPLETE_CATALOG_ORDERS,
     FiniteGroup,
     GroupElement,
+    _automorphism_count,
     _cayley_key,
     _class_minima,
     automorphism_search,
@@ -96,6 +106,73 @@ class GeneratingVector:
         return "(" + ", ".join(e.name for e in self.images) + ")"
 
 
+def _product_one_count(G: FiniteGroup, periods) -> int:
+    """N, the number of tuples (t_1, ..., t_r) with t_i of order m_i and
+    t_1 ... t_r = 1, generating or not; no tuple is built.
+
+    f_k(z), the number of prefixes t_1 ... t_k with product z, is a class
+    function, because each order set is closed under conjugation, so it is
+    stored once per conjugacy class and read at the class minimum:
+    f_1 is the indicator of order m_1, f_{k+1}(z) is the sum of f_k(z x^-1)
+    over x of order m_{k+1}, and N is the sum of f_{r-1}(x^-1) over x of
+    order m_r (Frobenius's class-equation count, without characters).
+    """
+    if len(periods) < 2:
+        return 0
+    classes, class_of = G._class_index()
+    orders = G._order_list()
+    table = G._table
+    inv = G._inv
+    inverses = {m: [inv[x] for x, o in enumerate(orders) if o == m] for m in set(periods)}
+    f = [int(orders[cls[0]] == periods[0]) for cls in classes]
+    for m in periods[1:-1]:
+        f = [
+            sum(f[class_of[row[y]]] for y in inverses[m])
+            for row in (table[cls[0]] for cls in classes)
+        ]
+    return sum(f[class_of[y]] for y in inverses[periods[-1]])
+
+
+def _vector_iter(G: FiniteGroup, periods):
+    """Generating vectors on the given ordered periods whose first entry is
+    the smallest element of its conjugacy class, as index tuples in
+    ascending order, produced one at a time by a depth-first search.
+
+    Raises ValueError at once on a period below 2.  Yields nothing when
+    some period does not divide the group order.  The last entry is solved
+    from the product-one constraint rather than searched, and generation is
+    checked once, at that leaf.
+    """
+    periods = tuple(int(m) for m in periods)
+    if any(m < 2 for m in periods):
+        raise ValueError("periods must be at least 2")
+    if len(periods) < 2 or any(G.order % m for m in periods):
+        return iter(())
+    orders = G._order_list()
+    by_order = {m: [i for i, o in enumerate(orders) if o == m] for m in set(periods)}
+    choices = [_class_minima(G, set(by_order[periods[0]]))]
+    choices += [by_order[m] for m in periods[1:-1]]
+    table = G._table
+    inv = G._inv
+    n = G.order
+    last_period = periods[-1]
+    leaf = len(periods) - 2
+
+    def dfs(pos, prefix, row):
+        if pos == leaf:
+            for c in choices[pos]:
+                last = inv[row[c]]
+                if orders[last] == last_period:
+                    tup = prefix + (c, last)
+                    if len(G._closure_idx(tup)) == n:
+                        yield tup
+            return
+        for c in choices[pos]:
+            yield from dfs(pos + 1, prefix + (c,), table[row[c]])
+
+    return dfs(0, (), table[0])
+
+
 def smooth_vectors(G: FiniteGroup, periods):
     """Generating vectors on the given ordered periods whose first entry is
     the smallest element of its conjugacy class, as sorted index tuples.
@@ -103,42 +180,10 @@ def smooth_vectors(G: FiniteGroup, periods):
     Conjugation maps the vectors starting at c one to one onto those
     starting at any conjugate of c, so there are ``sum(G.class_size(t[0]))``
     vectors in all.  Returns [] when some period does not divide the group
-    order.  The last entry is solved from the product-one constraint rather
-    than searched, and generation is checked once, at that leaf.
+    order.  ``classify`` reads the same search lazily and stops it once the
+    count certificate is met.
     """
-    periods = tuple(int(m) for m in periods)
-    if any(m < 2 for m in periods):
-        raise ValueError("periods must be at least 2")
-    if len(periods) < 2:
-        return []
-    if any(G.order % m for m in periods):
-        return []
-    by_order = {
-        m: [i for i in range(G.order) if G.element_order(i) == m]
-        for m in set(periods)
-    }
-    r = len(periods)
-    table = G._table
-    n = G.order
-    last_period = periods[-1]
-    tuples = []
-
-    def dfs(pos, prefix, prod):
-        if pos == r - 1:
-            last = G._inv[prod]
-            if G.element_order(last) != last_period:
-                return
-            tup = prefix + (last,)
-            if len(G._closure_idx(tup)) == n:
-                tuples.append(tup)
-            return
-        for c in by_order[periods[pos]]:
-            dfs(pos + 1, prefix + (c,), table[prod][c])
-
-    for c in _class_minima(G, set(by_order[periods[0]])):
-        dfs(1, (c,), c)
-    tuples.sort()
-    return tuples
+    return list(_vector_iter(G, periods))
 
 
 def braid_move(v: GeneratingVector, i: int) -> GeneratingVector:
@@ -205,34 +250,43 @@ def classify(G: FiniteGroup, periods):
 
     Classes are orbits under braid moves (which realize every permutation of
     equal periods) together with Aut(G), walked as braid orbits on Cayley
-    keys.  Each class is seeded by the smallest enumerated vector whose key
-    no class holds yet, and stores only its keys and its member count.
-    |Aut(G)| times the keys with ascending periods, summed over the classes,
-    must equal the vector count of ``smooth_vectors``, or the search was not
-    exhaustive.  The output is deterministic and independent of the order
-    of ``periods``.
+    keys.  Each class is seeded by the smallest vector of the search whose
+    key no class holds yet, and stores only its keys and its member count.
+
+    Completeness is certified by counting.  |Aut(G)| times the keys with
+    ascending periods, summed over the classes, counts generating vectors,
+    so it is at most N, the product-one tuple count of
+    ``_product_one_count``; once it equals N every vector is in a class and
+    the search stops.  When the seeds run out first (some product-one tuples
+    do not generate), the sum must equal the vector count the search
+    enumerated, or the search was not exhaustive.  |Aut(G)| is counted by
+    orbit and stabilizer, and only once a first seed exists.  The output is
+    deterministic and independent of the order of ``periods``.
     """
     base = tuple(sorted(int(m) for m in periods))
-    vectors = smooth_vectors(G, base)
-    if not vectors:
+    seeds = _vector_iter(G, base)
+    target = _product_one_count(G, base)
+    if not target:
         return []
-    total = sum(G.class_size(t[0]) for t in vectors)
-    n_aut = len(automorphism_search(G))
-    counted = 0
+    counted = enumerated = 0
     classes = []
-    for seed in vectors:
-        if counted == total:
-            break
-        if any(_cayley_key(G._table, seed) in c.keys for c in classes):
+    for seed in seeds:
+        enumerated += G.class_size(seed[0])
+        key = _cayley_key(G._table, seed)
+        if any(key in c.keys for c in classes):
             continue
+        if not classes:
+            n_aut = _automorphism_count(G)
         members = _orbit(G, seed)
         counted += n_aut * sum(
             tuple(G.element_order(i) for i in t) == base for t in members.values()
         )
         classes.append(ActionClass(G, frozenset(members), n_aut * len(members)))
-    if counted != total:
+        if counted == target:
+            return classes
+    if counted != enumerated:
         raise InvariantViolation(
-            f"classes count {counted} of {total} vectors; the search was not exhaustive"
+            f"classes count {counted} of {enumerated} vectors; the search was not exhaustive"
         )
     return classes
 

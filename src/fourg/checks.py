@@ -11,15 +11,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .actions import (
+    _orbit,
+    _product_one_count,
     braid_move,
     canonical_vector,
     family_group,
     kernel_genus,
     main_action_class,
+    smooth_vectors,
 )
 from .errors import FourgError
 from .extensions import build_extensions, chain_target_group, cone_target_group
-from .realforms import _reflection_records, species_set, symmetry_classes_with_ovals
+from .groups import _automorphism_count, automorphism_search
+from .realforms import _reflection_records, _species_of_classes, symmetry_classes_with_ovals
 from .signatures import enumerate_4g_signatures
 
 __all__ = ["CheckResult", "run_all_checks", "ALL_CHECKS"]
@@ -86,12 +90,12 @@ def check_species_constraints(g_min: int, g_max: int) -> CheckResult:
     emitted = 0
     for g in range(g_min, g_max + 1):
         for e in build_extensions(g):
-            species = species_set(e)
-            classes = len(symmetry_classes_with_ovals(e))
-            if len(species) != classes:
+            classes = symmetry_classes_with_ovals(e)
+            species = _species_of_classes(e, classes)
+            if len(species) != len(classes):
                 raise FourgError(
                     f"{e.label} at genus {g}: {len(species)} species for"
-                    f" {classes} symmetry classes"
+                    f" {len(classes)} symmetry classes"
                 )
             for sp in species:
                 # Species validates the oval bounds on construction;
@@ -119,12 +123,46 @@ def check_centralizer_images(g_min: int, g_max: int) -> CheckResult:
     )
 
 
+def check_main_class_count(g_min: int, g_max: int) -> CheckResult:
+    """The main action's count certificate, against the full enumeration.
+
+    Per genus, three counts of the generating vectors on (2,2,2,2g) must
+    agree: the class-function count of product-one tuples, the weighted
+    total of the whole search, and |Aut(G)| times the keys of the unique
+    class with ascending periods.  |Aut(G)| by orbit and stabilizer must
+    equal the length of the listed automorphism group.
+    """
+    for g in range(g_min, g_max + 1):
+        G = main_action_class(g).group
+        periods = (2, 2, 2, 2 * g)
+        product_one = _product_one_count(G, periods)
+        enumerated = sum(G.class_size(t[0]) for t in smooth_vectors(G, periods))
+        n_aut = _automorphism_count(G)
+        listed = len(automorphism_search(G))
+        keys = _orbit(G, canonical_vector(g).indices).values()
+        by_keys = n_aut * sum(
+            tuple(G.element_order(i) for i in t) == periods for t in keys
+        )
+        if not product_one == enumerated == by_keys or n_aut != listed:
+            raise FourgError(
+                f"genus {g}: {product_one} product-one tuples, {enumerated}"
+                f" enumerated vectors, {by_keys} by keys; |Aut| {n_aut}"
+                f" counted, {listed} listed"
+            )
+    return CheckResult(
+        "main-class-count",
+        True,
+        f"genera {g_min}..{g_max}: class-function count = enumeration = |Aut| x keys",
+    )
+
+
 ALL_CHECKS = (
     check_group_axioms,
     check_braid_invariance,
     check_kernel_genus,
     check_species_constraints,
     check_centralizer_images,
+    check_main_class_count,
 )
 
 

@@ -1084,6 +1084,29 @@ def automorphism_search(G: FiniteGroup, constraint: dict = None, limit=None):
     return _hom_search(G, G, pairs, limit=limit)
 
 
+def _automorphism_count(G: FiniteGroup) -> int:
+    """|Aut(G)| by orbit and stabilizer, with no automorphism list kept.
+
+    Generators are taken in order, a repeated one once (a table file may
+    list a generator twice): each one's orbit under the automorphisms
+    fixing the earlier generators is the set of images with its signature
+    that some such automorphism gives it, one ``limit=1`` search each.  An
+    automorphism fixing every generator is the identity, so |Aut(G)| is the
+    product of the orbit sizes.
+    """
+    sigs = G._signatures()
+    fixed = []
+    count = 1
+    for g in dict.fromkeys(G._gen_idx):
+        count *= sum(
+            1
+            for x, sig in enumerate(sigs)
+            if sig == sigs[g] and _hom_search(G, G, fixed + [(g, x)], limit=1)
+        )
+        fixed.append((g, g))
+    return count
+
+
 def iso_search(G: FiniteGroup, H: FiniteGroup):
     """At most one isomorphism G -> H as a full image array, in a list
     (empty if none)."""

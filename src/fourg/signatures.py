@@ -283,36 +283,41 @@ def enumerate_4g_signatures(g: int) -> list:
     """All genus-0 signatures a group of order 4g acting on genus g can have.
 
     A group of order N = 4g acting on a genus-g surface has a genus-0 quotient
-    with cone periods dividing N and total area (2g-2)/N; that pins the period
-    sums exactly.  Each term 1 - 1/m lies in [1/2, 1), and the required total
-    is 5/2 - 1/(2g), strictly between 2 and 5/2, so only r = 3 or r = 4 cone
-    points are possible and the search below is exhaustive.  Positive genus
-    quotients are impossible for the same reason (the total would drop by at
-    least 2).
+    with cone periods dividing N and total area (2g-2)/N, so by
+    Riemann-Hurwitz the sum of the 1 - 1/m_i is 5/2 - 1/(2g).  Each term lies
+    in [1/2, 1), so only r = 3 or r = 4 cone points are possible; positive
+    genus quotients are impossible (the total would drop by at least 2).
+    Both cases are solved in integers, periods ascending:
+
+    - r = 3: 1/l + 1/m + 1/k = (g+1)/(2g).  Then 3/l > 1/2 gives l <= 5,
+      and for each m >= l, k = 2g*l*m / ((g+1)*l*m - 2g*(l+m)) must be an
+      integer k >= m.  k falls as m grows, so m stops once k < m.
+    - r = 4: three periods 2 leave (2,2,2,2g); two leave (2,2,3,n) with
+      n = 6g/(g+3), integral only at g = 3, 6 and 15; any larger second
+      or third period leaves no room.
     """
     if g < 2:
         raise ValueError("g must be at least 2")
-    target = Fraction(5, 2) - Fraction(1, 2 * g)
-    usable = [d for d in divisors_of(4 * g) if d >= 2]
+    n = 4 * g
+    usable = [d for d in divisors_of(n) if d >= 2]
     found = []
-
-    def extend(start: int, chosen: list, total: Fraction):
-        if total == target:
-            if len(chosen) >= 3:
-                found.append(tuple(chosen))
-            return
-        if len(chosen) == 4:
-            return
-        for pos in range(start, len(usable)):
-            m = usable[pos]
-            term = 1 - Fraction(1, m)
-            if total + term > target:
-                break  # terms only grow from here
-            chosen.append(m)
-            extend(pos, chosen, total + term)
-            chosen.pop()
-
-    extend(0, [], Fraction(0))
+    for l in usable:
+        if l > 5:
+            break
+        for m in usable:
+            if m < l:
+                continue
+            den = (g + 1) * l * m - 2 * g * (l + m)
+            if den <= 0:
+                continue
+            k, rem = divmod(2 * g * l * m, den)
+            if k < m:
+                break
+            if not rem and n % k == 0:
+                found.append((l, m, k))
+    found.append((2, 2, 2, 2 * g))
+    if 6 * g % (g + 3) == 0 and n % (6 * g // (g + 3)) == 0:
+        found.append((2, 2, 3, 6 * g // (g + 3)))
     found.sort(key=lambda periods: (len(periods), periods))
     return [
         TaggedSignature(Signature(0, SIGN_PLUS, periods), _classify_periods(g, periods))

@@ -7,6 +7,9 @@ images would sit inside the unique normal Sylow-5 subgroup and could never
 generate).
 """
 
+import itertools
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +18,7 @@ from fourg import actions
 from fourg.errors import InvariantViolation
 from fourg.groups import (
     FiniteGroup,
+    _automorphism_count,
     automorphism_search,
     cyclic,
     dicyclic,
@@ -424,10 +428,15 @@ class TestKeyClassification:
 
     @staticmethod
     def _assert_not_exhaustive(monkeypatch, edit):
-        complete = smooth_vectors
-        monkeypatch.setattr(actions, "smooth_vectors", lambda G, p: edit(complete(G, p)))
+        # the dihedral group of order 12 on (2,2,2,2) has 253 product-one
+        # tuples but 144 generating vectors, so the count never closes and
+        # the search runs to its end, where the enumerated total is checked
+        complete = actions._vector_iter
+        monkeypatch.setattr(
+            actions, "_vector_iter", lambda G, p: iter(edit(list(complete(G, p))))
+        )
         with pytest.raises(InvariantViolation, match="not exhaustive"):
-            classify(family_group(3), (2, 2, 2, 6))
+            classify(dihedral(12), (2, 2, 2, 2))
 
     def test_dropped_vector_is_not_exhaustive(self, monkeypatch):
         # dropping one vector breaks the count: the classes still hold it and
@@ -441,6 +450,179 @@ class TestKeyClassification:
         self._assert_not_exhaustive(
             monkeypatch, lambda ts: sorted(ts + ts[len(ts) // 2 : len(ts) // 2 + 1])
         )
+
+
+# ---------------------------------------------------------------------------
+# Reference: classification by the full enumeration and the listed
+# automorphism group, as the engine did before the count certificate.
+# Copied verbatim.
+
+
+def _reference_classify_enumerated(G: FiniteGroup, periods):
+    """Equivalence classes of generating vectors on the given period multiset.
+
+    Classes are orbits under braid moves (which realize every permutation of
+    equal periods) together with Aut(G), walked as braid orbits on Cayley
+    keys.  Each class is seeded by the smallest enumerated vector whose key
+    no class holds yet, and stores only its keys and its member count.
+    |Aut(G)| times the keys with ascending periods, summed over the classes,
+    must equal the vector count of ``smooth_vectors``, or the search was not
+    exhaustive.  The output is deterministic and independent of the order
+    of ``periods``.
+    """
+    base = tuple(sorted(int(m) for m in periods))
+    vectors = smooth_vectors(G, base)
+    if not vectors:
+        return []
+    total = sum(G.class_size(t[0]) for t in vectors)
+    n_aut = len(automorphism_search(G))
+    counted = 0
+    classes = []
+    for seed in vectors:
+        if counted == total:
+            break
+        if any(_cayley_key(G._table, seed) in c.keys for c in classes):
+            continue
+        members = actions._orbit(G, seed)
+        counted += n_aut * sum(
+            tuple(G.element_order(i) for i in t) == base for t in members.values()
+        )
+        classes.append(ActionClass(G, frozenset(members), n_aut * len(members)))
+    if counted != total:
+        raise InvariantViolation(
+            f"classes count {counted} of {total} vectors; the search was not exhaustive"
+        )
+    return classes
+
+
+def _brute_product_one_count(G: FiniteGroup, periods) -> int:
+    """Tuples with entries of the given orders and product one, by listing."""
+    count = 0
+    for t in itertools.product(
+        *[[i for i in range(G.order) if G.element_order(i) == m] for m in periods]
+    ):
+        prod = 0
+        for i in t:
+            prod = G._table[prod][i]
+        count += prod == 0
+    return count
+
+
+def _phi(n: int) -> int:
+    return sum(gcd(k, n) == 1 for k in range(1, n + 1))
+
+
+def _class_summary(classes):
+    return [(c.keys, c.size) for c in classes]
+
+
+class TestCountCertificate:
+    @pytest.mark.parametrize("g", range(2, 31))
+    def test_family_matches_enumeration(self, g):
+        G = family_group(g)
+        periods = (2, 2, 2, 2 * g)
+        assert _class_summary(classify(G, periods)) == _class_summary(
+            _reference_classify_enumerated(G, periods)
+        )
+
+    @pytest.mark.parametrize(
+        "groups, periods",
+        [case[1:] for case in REFERENCE_CASES],
+        ids=[case[0] for case in REFERENCE_CASES],
+    )
+    def test_reference_cases_match_enumeration(self, groups, periods):
+        for G in groups():
+            assert _class_summary(classify(G, periods)) == _class_summary(
+                _reference_classify_enumerated(G, periods)
+            ), G.name
+
+    def test_automorphism_count_on_catalog(self):
+        for n in range(1, 25):
+            for G in small_groups(n):
+                assert _automorphism_count(G) == len(automorphism_search(G)), G.name
+
+    @pytest.mark.parametrize("g", range(2, 31))
+    def test_automorphism_count_on_family(self, g):
+        G = family_group(g)
+        assert _automorphism_count(G) == len(automorphism_search(G)) == 2 * g * _phi(2 * g)
+
+    @pytest.mark.parametrize(
+        "group, periods, generating",
+        [
+            (dihedral(6), (2, 2, 3), True),
+            (dihedral(8), (2, 2, 2, 4), True),
+            (dihedral(8), (2, 2, 2, 2), False),
+            (dihedral(12), (2, 2, 2, 2), False),
+            (dihedral(12), (2, 2, 6), True),
+            (cyclic(6), (2, 3, 6), True),
+            (cyclic(6), (3, 3, 3), False),
+            (cyclic(5), (5, 5, 5, 5), True),
+            (dicyclic(2), (4, 4, 4), True),
+            (dicyclic(2), (4, 4, 4, 4), False),
+            (dicyclic(3), (3, 4, 4), True),
+        ],
+        ids=["D3-223", "D4-2224", "D4-2222", "D6-2222", "D6-226", "C6-236",
+             "C6-333", "C5-5555", "Q8-444", "Q8-4444", "Dic3-344"],
+    )
+    def test_product_one_count_matches_brute_force(self, group, periods, generating):
+        count = actions._product_one_count(group, periods)
+        assert count == _brute_product_one_count(group, periods)
+        weighted = sum(group.class_size(t[0]) for t in smooth_vectors(group, periods))
+        # the count includes the tuples that do not generate
+        assert (count == weighted) == generating, (count, weighted)
+
+    def test_product_one_count_needs_two_periods(self):
+        assert actions._product_one_count(cyclic(4), (2,)) == 0
+
+    @staticmethod
+    def _record_seeds(monkeypatch) -> list:
+        """Patch the vector search to record each seed ``classify`` draws."""
+        drawn = []
+        complete = actions._vector_iter
+
+        def recording(G, periods):
+            for t in complete(G, periods):
+                drawn.append(t)
+                yield t
+
+        monkeypatch.setattr(actions, "_vector_iter", recording)
+        return drawn
+
+    def test_several_classes_stop_early(self, monkeypatch):
+        # 52 product-one tuples, all generating, in 3 classes: the count
+        # closes on the third class, before the search is used up
+        G = cyclic(5)
+        assert actions._product_one_count(G, (5, 5, 5, 5)) == 52
+        vectors = smooth_vectors(G, (5, 5, 5, 5))
+        assert sum(G.class_size(t[0]) for t in vectors) == 52
+        drawn = self._record_seeds(monkeypatch)
+        assert len(classify(G, (5, 5, 5, 5))) == 3
+        assert 3 <= len(drawn) < len(vectors)
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    @pytest.mark.parametrize(
+        "group, periods",
+        [(family_group(5), (2, 2, 2, 10)), (cyclic(5), (5, 5, 5, 5)),
+         (dihedral(12), (2, 2, 2, 2))],
+        ids=["family-5", "C5-5555", "D6-2222"],
+    )
+    def test_wrong_count_falls_back_to_enumeration(self, monkeypatch, group, periods, delta):
+        expected = _class_summary(classify(group, periods))
+        count = actions._product_one_count
+        monkeypatch.setattr(
+            actions, "_product_one_count", lambda G, p: count(G, p) + delta
+        )
+        assert _class_summary(classify(group, periods)) == expected
+
+    def test_main_family_stops_at_first_seed_without_listing_aut(self, monkeypatch):
+        drawn = self._record_seeds(monkeypatch)
+
+        def no_listing(*args, **kwargs):
+            raise AssertionError("automorphisms listed")
+
+        monkeypatch.setattr(actions, "automorphism_search", no_listing)
+        classes = classify(family_group(9), (2, 2, 2, 18))
+        assert len(classes) == 1 and len(drawn) == 1
 
 
 class TestKernelGenus:

@@ -10,6 +10,7 @@ from fourg.checks import (
     check_centralizer_images,
     check_group_axioms,
     check_kernel_genus,
+    check_main_class_count,
     check_species_constraints,
     run_all_checks,
 )
@@ -46,6 +47,19 @@ class TestIndividualChecks:
         result = check_species_constraints(2, 4)
         assert result.passed
 
+    def test_species_constraints_build_classes_once_per_extension(self, monkeypatch):
+        calls = []
+        real = realforms.symmetry_classes_with_ovals
+
+        def counting(e):
+            calls.append((e.g, e.label))
+            return real(e)
+
+        monkeypatch.setattr(realforms, "symmetry_classes_with_ovals", counting)
+        monkeypatch.setattr(checks, "symmetry_classes_with_ovals", counting)
+        assert check_species_constraints(2, 6).passed
+        assert sorted(calls) == [(g, label) for g in range(2, 7) for label in ("a1", "a2", "b")]
+
     def test_species_constraints_recompute_after_a_report(self, monkeypatch):
         # a report builds every extension's symmetry classes first; the
         # species suite must rebuild them, so a broken rule still fails it
@@ -70,6 +84,25 @@ class TestIndividualChecks:
         )
         with pytest.raises(InvariantViolation, match="drifted"):
             check_centralizer_images(5, 5)
+
+    def test_main_class_count_pass(self):
+        result = check_main_class_count(2, 8)
+        assert result.passed
+        assert result.detail.startswith("genera 2..8:")
+
+    @pytest.mark.parametrize(
+        "name, wrong",
+        [
+            ("_product_one_count", lambda count: lambda G, p: count(G, p) + 1),
+            ("_automorphism_count", lambda count: lambda G: count(G) - 1),
+        ],
+    )
+    def test_main_class_count_failure_is_reported(self, monkeypatch, name, wrong):
+        monkeypatch.setattr(checks, name, wrong(getattr(checks, name)))
+        results = run_all_checks(2, 3)
+        failed = [r for r in results if not r.passed]
+        assert [r.name for r in failed] == ["main-class-count"]
+        assert failed[0].line().startswith("FAIL  main-class-count: genus 2:")
 
     def test_group_axioms_failure_is_reported(self, monkeypatch):
         # C6 with a 2x2 intercalate flipped: a latin square with two-sided
@@ -99,6 +132,7 @@ class TestRunAll:
             "kernel-genus",
             "species-constraints",
             "centralizer-images",
+            "main-class-count",
         ]
 
     def test_engine_errors_become_failures(self, monkeypatch):

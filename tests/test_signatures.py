@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from fourg.groups import divisors_of
 from fourg.signatures import (
     INF,
     SIGN_PLUS,
@@ -15,6 +16,8 @@ from fourg.signatures import (
     TAG_FAMILY4,
     TAG_QUADRUPLE,
     TAG_SPORADIC,
+    TaggedSignature,
+    _classify_periods,
     chain_signature,
     enumerate_4g_signatures,
     mixed_signature,
@@ -206,3 +209,55 @@ def test_sporadic_genera_matches_frozen_list(sporadic_genera_861):
 def test_sporadic_genera_small():
     assert sporadic_genera(4) == [3]
     assert sporadic_genera(1) == []
+
+
+# ---------------------------------------------------------------------------
+# Reference: the search over ascending divisor multisets with exact
+# ``Fraction`` sums that the census used before it was solved in closed
+# form.  Copied verbatim.
+
+
+def _reference_enumerate_4g_signatures(g: int) -> list:
+    """All genus-0 signatures a group of order 4g acting on genus g can have.
+
+    A group of order N = 4g acting on a genus-g surface has a genus-0 quotient
+    with cone periods dividing N and total area (2g-2)/N; that pins the period
+    sums exactly.  Each term 1 - 1/m lies in [1/2, 1), and the required total
+    is 5/2 - 1/(2g), strictly between 2 and 5/2, so only r = 3 or r = 4 cone
+    points are possible and the search below is exhaustive.  Positive genus
+    quotients are impossible for the same reason (the total would drop by at
+    least 2).
+    """
+    if g < 2:
+        raise ValueError("g must be at least 2")
+    target = Fraction(5, 2) - Fraction(1, 2 * g)
+    usable = [d for d in divisors_of(4 * g) if d >= 2]
+    found = []
+
+    def extend(start: int, chosen: list, total: Fraction):
+        if total == target:
+            if len(chosen) >= 3:
+                found.append(tuple(chosen))
+            return
+        if len(chosen) == 4:
+            return
+        for pos in range(start, len(usable)):
+            m = usable[pos]
+            term = 1 - Fraction(1, m)
+            if total + term > target:
+                break  # terms only grow from here
+            chosen.append(m)
+            extend(pos, chosen, total + term)
+            chosen.pop()
+
+    extend(0, [], Fraction(0))
+    found.sort(key=lambda periods: (len(periods), periods))
+    return [
+        TaggedSignature(Signature(0, SIGN_PLUS, periods), _classify_periods(g, periods))
+        for periods in found
+    ]
+
+
+def test_closed_form_census_matches_search():
+    for g in range(2, 400):
+        assert enumerate_4g_signatures(g) == _reference_enumerate_4g_signatures(g), g
