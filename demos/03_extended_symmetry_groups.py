@@ -16,7 +16,8 @@ g = 5
 # quotient orbifold is a disc with mirror boundary; the target group is
 # dihedral x C2.  Kind "b": the quotient keeps a cone point; a single
 # class exists.
-for e in build_extensions(g):
+extended = build_extensions(g)
+for e in extended:
     print(e.label, "on", e.signature, "->", recognize(e.group))
 
 # The target of kind b depends on the parity of g: dihedral of order 8g
@@ -28,6 +29,6 @@ for g2 in (4, 5, 6, 7):
 # Sanity anchor: restricting any extension to its orientation-preserving
 # half lands back in the unique dihedral class.
 main = main_action_class(g)
-for e in build_extensions(g):
+for e in extended:
     print(e.label, "restricts into the main class:",
           main.contains(restrict_to_index2(e)))

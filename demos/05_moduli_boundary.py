@@ -8,7 +8,7 @@ a cone generator of the quotient, read off the subgroup the rest still
 generates, and rebuild the dual graph of the limit.
 """
 
-from fourg import boundary_description, canonical_vector, nodal_graph
+from fourg import boundary_description, build_extensions, canonical_vector, nodal_graph
 
 # Two degeneration systems exist for the four-period quotient.  The first
 # pinches between the handles: the limit is a dipole graph.
@@ -31,7 +31,7 @@ print("rose total genus:", rose.total_genus)
 # The three real arcs of the family join three limit surfaces in a cycle:
 # the dipole limit X_D, the rose limit X_R, and the smooth curve X_8g with
 # twice as many automorphisms (Wiman's curve of type II).
-description = boundary_description(g)
+description = boundary_description(build_extensions(g))
 for arc in description.arcs:
     print(f"arc {arc.label}: species {list(arc.species_values)}, joins"
           f" {sorted(arc.endpoints)}")
@@ -39,4 +39,5 @@ print("Wiman curve:", description.wiman_curve.equation,
       "with", description.wiman_curve.automorphism_count, "automorphisms")
 
 # Genus 2 is the lone exception: there |Aut| = 48.
-print("at genus 2:", boundary_description(2).wiman_curve.automorphism_count)
+genus_two = boundary_description(build_extensions(2))
+print("at genus 2:", genus_two.wiman_curve.automorphism_count)

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import GroupConstructionError, InvariantViolation
 from .groups import (
@@ -309,7 +308,6 @@ def kernel_genus(group_order: int, s: Signature) -> int:
 # ---------------------------------------------------------------------------
 # The main family and its canonical action.
 
-@lru_cache(maxsize=None)
 def family_group(g: int) -> FiniteGroup:
     """The dihedral group of order 4g acting in the main genus-g family."""
     if g < 2:
@@ -325,24 +323,24 @@ def canonical_vector(g: int) -> GeneratingVector:
     return GeneratingVector(G, (2, 2, 2, 2 * g), images)
 
 
-@lru_cache(maxsize=None)
-def main_family_classes(g: int) -> list:
-    """Every class on (2,2,2,2g) over the order-4g dihedral group (cached)."""
-    return classify(family_group(g), (2, 2, 2, 2 * g))
-
-
-def main_action_class(g: int) -> ActionClass:
-    """The unique class on (2,2,2,2g) over the order-4g dihedral group."""
-    classes = main_family_classes(g)
+def _unique_main_class(v: GeneratingVector, classes: list) -> ActionClass:
+    """The one class of ``classes``, all of v's group on v's periods; it must hold v."""
+    g = v.group.order // 4
     if len(classes) != 1:
         raise InvariantViolation(
             f"expected a unique dihedral class at genus {g}, found {len(classes)}"
         )
-    if not classes[0].contains(canonical_vector(g)):
+    if not classes[0].contains(v):
         raise InvariantViolation(
             f"canonical vector escaped the unique class at genus {g}"
         )
     return classes[0]
+
+
+def main_action_class(g: int) -> ActionClass:
+    """The unique class on (2,2,2,2g) over the order-4g dihedral group."""
+    v = canonical_vector(g)
+    return _unique_main_class(v, classify(v.group, v.periods))
 
 
 # ---------------------------------------------------------------------------

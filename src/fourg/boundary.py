@@ -22,7 +22,6 @@ from fractions import Fraction
 
 from .actions import GeneratingVector, canonical_vector
 from .errors import InvariantViolation
-from .extensions import build_extensions
 from .realforms import Species, _species_of_classes, symmetry_classes_with_ovals
 from .signatures import INF, SIGN_PLUS, Signature, normalized_area, wiman_quotient_signature
 
@@ -399,24 +398,23 @@ class BoundaryDescription:
         }
 
 
-def boundary_description(g: int) -> BoundaryDescription:
-    """Assemble the annotated arc loop bounding the genus-g family.
+def boundary_description(extensions) -> BoundaryDescription:
+    """Assemble the annotated arc loop bounding the family of ``extensions``.
 
-    One arc per extended-symmetry class, in the order of
-    :func:`build_extensions` (a1, a2, b).  Each arc is annotated with the
-    species multiset and the oval counts of its class, both read off one
-    build of its symmetry classes, and with the fixed endpoint pattern: the
+    One arc per class of the certified list [a1, a2, b] that
+    :func:`build_extensions` returns, whose genus it takes.  Each arc carries
+    the species multiset and the oval counts of its class, both read off one
+    build of its symmetry classes, and the fixed endpoint pattern: the
     first chain class joins the two nodal limits, the second chain class
     joins the rose to the high-symmetry curve, and the mixed class joins
     the dipole to the high-symmetry curve.
     """
-    if g < 2:
-        raise ValueError("the family starts at genus 2")
+    g = extensions[0].g
     v = canonical_vector(g)
     dipole = nodal_graph(v, 1)
     rose = nodal_graph(v, 2)
     arcs = []
-    for e in build_extensions(g):
+    for e in extensions:
         classes = symmetry_classes_with_ovals(e)
         arcs.append(
             BoundaryArc(

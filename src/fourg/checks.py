@@ -133,13 +133,14 @@ def check_main_class_count(g_min: int, g_max: int) -> CheckResult:
     equal the length of the listed automorphism group.
     """
     for g in range(g_min, g_max + 1):
-        G = main_action_class(g).group
+        v = canonical_vector(g)
+        G = v.group
         periods = (2, 2, 2, 2 * g)
         product_one = _product_one_count(G, periods)
         enumerated = sum(G.class_size(t[0]) for t in smooth_vectors(G, periods))
         n_aut = _automorphism_count(G)
         listed = len(automorphism_search(G))
-        keys = _orbit(G, canonical_vector(g).indices).values()
+        keys = _orbit(G, v.indices).values()
         by_keys = n_aut * sum(
             tuple(G.element_order(i) for i in t) == periods for t in keys
         )

@@ -35,7 +35,6 @@ lands in the unique class of the parent family.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 from .actions import GeneratingVector, kernel_genus
@@ -312,28 +311,13 @@ def _distinct_image_classes(action: ExtendedAction) -> int:
     return len({class_of[e.idx] for e in action.reflection_cycle})
 
 
-@lru_cache(maxsize=None)
-def _certified_extensions(g: int) -> tuple:
-    A = chain_target_group(g)
+def _chain_images(A: FiniteGroup, g: int) -> dict:
+    """Images of a1 and a2 by label on ``chain_target_group(g)`` A; {} off it."""
+    if not {"w", "x", "y"} <= A._index_of_name().keys():
+        return {}
     w, x, y = A.generator("w"), A.generator("x"), A.generator("y")
     half_turn = (w * x) ** g
-    chain = (
-        ExtendedAction(g, KIND_A, "a1", A, (x, y, half_turn * w, w)),
-        ExtendedAction(g, KIND_A, "a2", A, (x, y, y * half_turn, w)),
-    )
-    B = cone_target_group(g)
-    x, z, w = B.generator("x"), B.generator("z"), B.generator("w")
-    cone = (ExtendedAction(g, KIND_B, "b", B, (x, x * w * x, z, w)),)
-    for actions in (chain, cone):
-        G, sig = actions[0].group, actions[0].signature
-        canon = [tuple(e.idx for e in a.images) for a in actions]
-        _verify_unique_classes(G, _admissible_tuples(G, sig), canon, sig)
-    # The two chain classes are told apart by how many conjugacy classes
-    # their reflection images hit: a1 sends two chain generators into the
-    # same class, a2 spreads over four.
-    if _distinct_image_classes(chain[0]) != 3 or _distinct_image_classes(chain[1]) != 4:
-        raise InvariantViolation("labels a1/a2 no longer match their class spread")
-    return chain + cone
+    return {"a1": (x, y, half_turn * w, w), "a2": (x, y, y * half_turn, w)}
 
 
 def build_extensions(g: int) -> list:
@@ -348,7 +332,21 @@ def build_extensions(g: int) -> list:
     """
     if not isinstance(g, int) or g < 2:
         raise ValueError(f"g must be an integer >= 2, got {g!r}")
-    return list(_certified_extensions(g))
+    A = chain_target_group(g)
+    chain = [ExtendedAction(g, KIND_A, k, A, v) for k, v in _chain_images(A, g).items()]
+    B = cone_target_group(g)
+    x, z, w = B.generator("x"), B.generator("z"), B.generator("w")
+    cone = [ExtendedAction(g, KIND_B, "b", B, (x, x * w * x, z, w))]
+    for actions in (chain, cone):
+        G, sig = actions[0].group, actions[0].signature
+        canon = [tuple(e.idx for e in a.images) for a in actions]
+        _verify_unique_classes(G, _admissible_tuples(G, sig), canon, sig)
+    # The two chain classes are told apart by how many conjugacy classes
+    # their reflection images hit: a1 sends two chain generators into the
+    # same class, a2 spreads over four.
+    if _distinct_image_classes(chain[0]) != 3 or _distinct_image_classes(chain[1]) != 4:
+        raise InvariantViolation("labels a1/a2 no longer match their class spread")
+    return chain + cone
 
 
 def orientation_preserving_subgroup(G: FiniteGroup) -> FiniteGroup:

@@ -1249,8 +1249,6 @@ def abelianization(G: FiniteGroup) -> tuple:
 # ---------------------------------------------------------------------------
 # Catalog of groups of a given small order.
 
-_SMALL_GROUPS_CACHE = {}
-
 # Orders at which the catalog below provably lists every isomorphism type
 # (cross-checked against the standard census counts in the test suite).
 COMPLETE_CATALOG_ORDERS = frozenset(range(1, 16)) | {20, 21, 22, 25, 26, 28, 30, 33, 34, 35}
@@ -1316,8 +1314,9 @@ def divisors_of(n: int) -> list:
     return small + large[::-1]
 
 
-def _catalog_candidates(n: int):
-    """Every catalog construction of order n, duplicates included, in order."""
+def _catalog_candidates(n: int, memo: dict):
+    """Every catalog construction of order n, duplicates included, in order;
+    direct products take their factors from ``_distinct_groups(m, memo)``."""
     yield from _abelian_groups(n)
     if n % 2 == 0 and n >= 6:
         yield dihedral(n)
@@ -1343,14 +1342,25 @@ def _catalog_candidates(n: int):
         b = n // a
         if a < 2 or b < 2 or a > b:
             continue
-        for G1 in small_groups(a):
-            for G2 in small_groups(b):
+        for G1 in _distinct_groups(a, memo):
+            for G2 in _distinct_groups(b, memo):
                 if G1.is_abelian() and G2.is_abelian():
                     continue  # _abelian_groups(n) yielded every abelian group
                 try:
                     yield direct_product(G1, G2)
                 except GroupConstructionError:
                     pass
+
+
+def _distinct_groups(n: int, memo: dict) -> list:
+    """The catalog of order n, read from ``memo`` (order -> catalog) or built into it."""
+    if n not in memo:
+        distinct = []
+        for G in _catalog_candidates(n, memo):
+            if not any(is_isomorphic(G, H) for H in distinct):
+                distinct.append(G)
+        memo[n] = distinct
+    return memo[n]
 
 
 def small_groups(n: int):
@@ -1360,18 +1370,13 @@ def small_groups(n: int):
     (abelian, dihedral, dicyclic, cyclic-by-cyclic, direct products, and the
     small permutation specials) elsewhere.  The first of each isomorphism
     type among ``_catalog_candidates(n)`` is kept; candidates are built one
-    at a time, so a rejected duplicate is dropped at once.
+    at a time, so a rejected duplicate is dropped at once.  The catalogs of
+    the smaller orders that direct products draw on are memoized for one
+    call only: each call builds afresh and keeps nothing but its result.
     """
     if n < 1 or n > MAX_ORDER:
         raise ValueError(f"order must be between 1 and {MAX_ORDER}")
-    if n in _SMALL_GROUPS_CACHE:
-        return list(_SMALL_GROUPS_CACHE[n])
-    distinct = []
-    for G in _catalog_candidates(n):
-        if not any(is_isomorphic(G, H) for H in distinct):
-            distinct.append(G)
-    _SMALL_GROUPS_CACHE[n] = distinct
-    return list(distinct)
+    return _distinct_groups(n, {})
 
 
 def _require_automorphism(G: FiniteGroup, mapping):

@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InvariantViolation
-from .extensions import KIND_A, ExtendedAction, build_extensions
+from .extensions import KIND_A, ExtendedAction, _chain_images
 from .groups import GroupElement, _class_minima
 
 
@@ -185,7 +185,7 @@ def _reflection_records(e: ExtendedAction) -> tuple:
             )
         members_by_position[position] = image
         records.append((position, r, len(centralizer) // len(image)))
-    if e.kind == KIND_A and e in build_extensions(e.g):
+    if e.kind == KIND_A and _chain_images(e.group, e.g).get(e.label) == e.images:
         _check_stated_subgroups(e, members_by_position)
     return tuple(records)
 

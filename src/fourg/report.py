@@ -18,11 +18,10 @@ from dataclasses import dataclass
 from .actions import (
     EXCEPTIONAL_SURFACE_GENERA,
     QUADRUPLE_FAMILY_GENERA,
+    _unique_main_class,
     canonical_vector,
+    classify,
     exceptional_search,
-    family_group,
-    main_action_class,
-    main_family_classes,
 )
 from .boundary import boundary_description
 from .extensions import KIND_A, KIND_B, build_extensions, restrict_to_index2
@@ -255,20 +254,21 @@ def build_report(
         {"signature": str(ts.signature), "tag": ts.tag} for ts in tagged
     )
 
-    G = family_group(g)
-    group = {"description": recognize(G), "order": G.order}
+    v = canonical_vector(g)
+    group = {"description": recognize(v.group), "order": v.group.order}
 
-    main = main_action_class(g)
+    classes = classify(v.group, v.periods)
+    main = _unique_main_class(v, classes)
     action_classes = {
         "signature": str(Signature(0, SIGN_PLUS, (2, 2, 2, 2 * g))),
-        "count": _checked(len(main_family_classes(g)), 1),
-        "representative": str(canonical_vector(g)),
+        "count": _checked(len(classes), 1),
+        "representative": str(v),
         "orbit_size": main.size,
     }
 
-    description = boundary_description(g)
-    arcs = {arc.label: arc for arc in description.arcs}
     extended = build_extensions(g)
+    description = boundary_description(extended)
+    arcs = {arc.label: arc for arc in description.arcs}
     kinds = [e.kind for e in extended]
     counts = {k: _checked(kinds.count(k), n) for k, n in ((KIND_A, 2), (KIND_B, 1))}
     class_records = []

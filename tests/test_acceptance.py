@@ -160,7 +160,7 @@ def test_criterion_7_boundary_graphs():
         assert all(edge == (0, 0) for edge in rose.edges)
         assert rose.total_genus == g
 
-        description = boundary_description(g)
+        description = boundary_description(build_extensions(g))
         labels = tuple(arc.label for arc in description.arcs)
         assert labels == ("a1", "a2", "b")
         assert set(description.to_json_dict()["endpoints"]) == {"X_D", "X_R", "X_8g"}

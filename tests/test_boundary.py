@@ -393,7 +393,7 @@ class TestWimanCurve:
 
 class TestBoundaryArc:
     def test_species_values_descending(self):
-        arc = _arcs(boundary_description(5))["a1"]
+        arc = _arcs(boundary_description(build_extensions(5)))["a1"]
         assert arc.species_values == (2, 0, -2, -2)
         assert all(isinstance(sp, Species) for sp in arc.species)
 
@@ -414,7 +414,7 @@ class TestBoundaryArc:
             BoundaryArc("b", sp, good, ovals + (0,))
 
     def test_json_form(self):
-        arc = _arcs(boundary_description(4))["b"]
+        arc = _arcs(boundary_description(build_extensions(4)))["b"]
         assert arc.ovals == (2,)
         assert arc.to_json_dict() == {
             "label": "b",
@@ -425,7 +425,7 @@ class TestBoundaryArc:
 
 class TestBoundaryDescription:
     def test_genus_five_description(self):
-        arcs = _arcs(boundary_description(5))
+        arcs = _arcs(boundary_description(build_extensions(5)))
         assert arcs["a1"].species_values == (2, 0, -2, -2)
         assert arcs["a2"].species_values == (-1, -1, -5, -5)
         assert arcs["b"].species_values == (0, 0, -2, -2)
@@ -434,18 +434,18 @@ class TestBoundaryDescription:
         assert arcs["b"].endpoints == frozenset({DIPOLE_SURFACE, WIMAN_SURFACE})
 
     def test_genus_four_mixed_arc(self):
-        arcs = _arcs(boundary_description(4))
+        arcs = _arcs(boundary_description(build_extensions(4)))
         assert arcs["b"].species_values == (-2,)
         assert arcs["a1"].species_values == (1, 0, -1, -3)
 
     def test_genus_two_annotations(self):
-        bd = boundary_description(2)
+        bd = boundary_description(build_extensions(2))
         assert bd.wiman_curve.automorphism_count == 48
         assert _arcs(bd)["a1"].species_values == (3, 1, 0, -1)
 
     def test_arcs_close_into_a_loop(self):
         for g in range(2, 8):
-            bd = boundary_description(g)
+            bd = boundary_description(build_extensions(g))
             degree = {}
             for arc in bd.arcs:
                 for name in arc.endpoints:
@@ -457,19 +457,19 @@ class TestBoundaryDescription:
             assert bd.wiman_curve.genus == g
 
     def test_arc_lookup(self):
-        bd = boundary_description(3)
+        bd = boundary_description(build_extensions(3))
         assert tuple(arc.label for arc in bd.arcs) == ("a1", "a2", "b")
         assert _arcs(bd)["a2"] is bd.arcs[1]
 
     def test_three_cycle_guard(self):
-        bd = boundary_description(3)
+        bd = boundary_description(build_extensions(3))
         _require_three_cycle(bd.arcs)  # must pass untouched
         broken = (bd.arcs[0], bd.arcs[0], bd.arcs[2])
         with pytest.raises(InvariantViolation):
             _require_three_cycle(broken)
 
     def test_rejects_inconsistent_assembly(self):
-        bd = boundary_description(3)
+        bd = boundary_description(build_extensions(3))
         with pytest.raises(InvariantViolation):
             BoundaryDescription(
                 genus=3,
@@ -494,13 +494,26 @@ class TestBoundaryDescription:
             )
 
     def test_json_is_deterministic(self):
-        first = json.dumps(boundary_description(4).to_json_dict(), sort_keys=True)
-        second = json.dumps(boundary_description(4).to_json_dict(), sort_keys=True)
+        first = json.dumps(
+            boundary_description(build_extensions(4)).to_json_dict(), sort_keys=True
+        )
+        second = json.dumps(
+            boundary_description(build_extensions(4)).to_json_dict(), sort_keys=True
+        )
         assert first == second
         data = json.loads(first)
         assert set(data) == {"genus", "arcs", "endpoints"}
         assert set(data["endpoints"]) == {"X_D", "X_R", "X_8g"}
 
     def test_rejects_small_genus(self):
+        # the description reads its genus from the extensions, and no
+        # genus-1 list of them can be built
         with pytest.raises(ValueError):
-            boundary_description(1)
+            boundary_description(build_extensions(1))
+
+    def test_rejects_a_list_that_is_not_one_genus_in_order(self):
+        three, four = build_extensions(3), build_extensions(4)
+        with pytest.raises(InvariantViolation, match="labelled"):
+            boundary_description(three[::-1])
+        with pytest.raises(InvariantViolation, match="genus-4 species"):
+            boundary_description(three[:2] + four[2:])

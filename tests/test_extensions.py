@@ -112,7 +112,9 @@ class TestBuildExtensions:
         one = build_extensions(3)
         two = build_extensions(3)
         assert one is not two
-        assert all(a is b for a, b in zip(one, two))
+        assert [(a.label, a.kind, [e.name for e in a.images]) for a in one] == [
+            (b.label, b.kind, [e.name for e in b.images]) for b in two
+        ]
         assert [a.label for a in one] == ["a1", "a2", "b"]
         assert [a.kind for a in one] == ["a", "a", "b"]
 

@@ -1010,12 +1010,15 @@ def _intercalate_table(G: FiniteGroup, z: int, a: int, b: int) -> list:
     return rows
 
 
-def _central_involution_groups():
-    return [
-        G
-        for G in (cyclic(6), dihedral(8), dicyclic(3), dicyclic(4), *small_groups(16))
-        if any(G.element_order(z) == 2 and G.class_size(z) == 1 for z in range(G.order))
-    ]
+# drawn from by property tests; built once, not per example
+_CENTRAL_INVOLUTION_GROUPS = [
+    G
+    for G in (cyclic(6), dihedral(8), dicyclic(3), dicyclic(4), *small_groups(16))
+    if any(G.element_order(z) == 2 and G.class_size(z) == 1 for z in range(G.order))
+]
+_SPOILED_TABLE_GROUPS = [
+    cyclic(1), cyclic(5), dihedral(6), *small_groups(8), *small_groups(12)
+] + _CENTRAL_INVOLUTION_GROUPS
 
 
 @st.composite
@@ -1023,12 +1026,7 @@ def _spoiled_table_text(draw):
     """A relabelled group table with the identity anywhere, possibly with an
     intercalate flipped, entries spoiled, rows cut or a generators line
     that is redundant, short or out of range; every number a numeral."""
-    G = draw(
-        st.sampled_from(
-            [cyclic(1), cyclic(5), dihedral(6), *small_groups(8), *small_groups(12)]
-            + _central_involution_groups()
-        )
-    )
+    G = draw(st.sampled_from(_SPOILED_TABLE_GROUPS))
     n = G.order
     rows = [list(row) for row in G._table]
     involutions = [z for z in range(n) if G.element_order(z) == 2 and G.class_size(z) == 1]
@@ -1087,7 +1085,7 @@ class TestIngestionMatchesReference:
     @settings(PROPERTY_SETTINGS, max_examples=200)
     @given(st.data())
     def test_row_scan_reports_the_first_failing_triple(self, data):
-        G = data.draw(st.sampled_from(_central_involution_groups()))
+        G = data.draw(st.sampled_from(_CENTRAL_INVOLUTION_GROUPS))
         n = G.order
         z = data.draw(
             st.sampled_from(
@@ -1389,7 +1387,7 @@ def _search_cases():
             for pairs in constraints:
                 for limit in (None, 1):
                     yield G, G, pairs, limit
-        candidates = list(groups._catalog_candidates(n))
+        candidates = list(groups._catalog_candidates(n, {}))
         for i, G in enumerate(candidates):
             for H in candidates[i:]:
                 yield G, H, [], 1  # iso_search(G, H)
@@ -1493,6 +1491,9 @@ class TestAutomorphisms:
 
 
 class TestIsomorphism:
+    # drawn from by a property test; built once, not per example
+    RELABELLED_POOL = [G for n in (6, 8, 12, 16, 18) for G in small_groups(n)]
+
     def test_same_order_different_groups(self):
         assert not is_isomorphic(dihedral(8), dicyclic(2))
         assert not is_isomorphic(cyclic(8), dihedral(8))
@@ -1511,7 +1512,7 @@ class TestIsomorphism:
         # every pair of raw catalog candidates, duplicates included: the
         # invariant prefilter must never reject a pair the search accepts
         for n in (8, 12, 16, 24):
-            candidates = list(groups._catalog_candidates(n))
+            candidates = list(groups._catalog_candidates(n, {}))
             for i, G in enumerate(candidates):
                 for H in candidates[i:]:
                     assert is_isomorphic(G, H) == bool(iso_search(G, H)), (G.name, H.name)
@@ -1519,7 +1520,7 @@ class TestIsomorphism:
     @settings(PROPERTY_SETTINGS, max_examples=60)
     @given(st.data())
     def test_relabelled_table_keeps_invariant(self, data):
-        G = data.draw(st.sampled_from([G for n in (6, 8, 12, 16, 18) for G in small_groups(n)]))
+        G = data.draw(st.sampled_from(self.RELABELLED_POOL))
         sigma = [0] + data.draw(st.permutations(range(1, G.order)))
         relabelled = from_table(_relabelled_text(G, sigma))
         assert relabelled._invariant() == G._invariant()
@@ -2001,6 +2002,9 @@ def _assert_inverses_match_reference(table):
 
 
 class TestKernelsMatchReference:
+    # drawn from by a property test; built once, not per example
+    RELABELLED_POOL = [G for n in (6, 8, 12, 16, 18, 24, 32) for G in small_groups(n)]
+
     @pytest.mark.parametrize("n", range(1, 97))
     def test_catalog(self, n):
         for G in small_groups(n):
@@ -2014,9 +2018,7 @@ class TestKernelsMatchReference:
     @settings(PROPERTY_SETTINGS, max_examples=60)
     @given(st.data())
     def test_relabelled_tables(self, data):
-        G = data.draw(
-            st.sampled_from([G for n in (6, 8, 12, 16, 18, 24, 32) for G in small_groups(n)])
-        )
+        G = data.draw(st.sampled_from(self.RELABELLED_POOL))
         n = G.order
         sigma = [0] + data.draw(st.permutations(range(1, n)))
         generators = None
@@ -2108,7 +2110,7 @@ class TestSmallGroups:
                     assert not is_isomorphic(G, H), (G.name, H.name)
 
     def test_no_abelian_products_among_candidates(self):
-        candidates = list(groups._catalog_candidates(96))
+        candidates = list(groups._catalog_candidates(96, {}))
         assert len(candidates) == 136
         abelian = [G.name for G in candidates if G.is_abelian()]
         assert abelian == [G.name for G in groups._abelian_groups(96)]
