@@ -33,7 +33,7 @@ print("orbit size:", classes[0].size)
 # i-th and (i+1)-st images, conjugating one by the other.
 moved = braid_move(v, 1)
 print("after one braid move:", moved)
-print("still in the class:", classes[0].contains(moved))
+print("still in the class:", classes[0].contains(moved.images))
 
 # The same uniqueness holds for every genus in 2..10 (and beyond); the
 # acceptance tests sweep the range.

@@ -78,7 +78,6 @@ from .extensions import (
     build_extensions,
     chain_target_group,
     cone_target_group,
-    orientation_preserving_subgroup,
     restrict_to_index2,
 )
 from .realforms import (

@@ -11,7 +11,8 @@ as the only candidate with a full action at generic genus.
 Aut(G) acts freely on generating tuples, and the right Cayley graph of G on a
 tuple, relabelled in breadth-first order, names the tuple's Aut-class.  A
 class is therefore walked and stored as a braid orbit of these Cayley keys,
-|Aut(G)| vectors per key, and membership is a key lookup in any copy of G.
+|Aut(G)| vectors per key, and membership is a key lookup in any group that
+holds a copy of G, an extension of it included.
 
 Completeness is certified by counting.  N, the number of product-one tuples
 with the prescribed orders, comes from a class-function recurrence, with no
@@ -233,15 +234,18 @@ class ActionClass:
     keys: frozenset
     size: int
 
-    def contains(self, v: GeneratingVector) -> bool:
-        """Class membership, by the Cayley key of v's Aut-class.
+    def contains(self, images) -> bool:
+        """Class membership of a tuple of elements, by its Cayley key.
 
-        The key does not depend on how the group is labelled, so v may live
-        in any isomorphic copy of the class's group.  It fixes the group
-        order and the periods too, so a vector differing in either finds no
-        key.
+        The key is read in the table the elements live in.  It does not
+        depend on labels, and its walk reaches only the subgroup the tuple
+        generates, so the elements may lie in any group holding a copy of
+        the class's group, such as an extension.  It fixes the order of the
+        subgroup and the periods too, so a tuple differing in either finds
+        no key.
         """
-        return _cayley_key(v.group._table, v.indices) in self.keys
+        table = images[0].group._table
+        return _cayley_key(table, tuple(e.idx for e in images)) in self.keys
 
 
 def classify(G: FiniteGroup, periods):
@@ -330,7 +334,7 @@ def _unique_main_class(v: GeneratingVector, classes: list) -> ActionClass:
         raise InvariantViolation(
             f"expected a unique dihedral class at genus {g}, found {len(classes)}"
         )
-    if not classes[0].contains(v):
+    if not classes[0].contains(v.images):
         raise InvariantViolation(
             f"canonical vector escaped the unique class at genus {g}"
         )

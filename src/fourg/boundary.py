@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .actions import GeneratingVector, canonical_vector
+from .actions import GeneratingVector
 from .errors import InvariantViolation
 from .realforms import Species, _species_of_classes, symmetry_classes_with_ovals
 from .signatures import INF, SIGN_PLUS, Signature, normalized_area, wiman_quotient_signature
@@ -398,19 +398,25 @@ class BoundaryDescription:
         }
 
 
-def boundary_description(extensions) -> BoundaryDescription:
-    """Assemble the annotated arc loop bounding the family of ``extensions``.
+def boundary_description(v: GeneratingVector, extensions) -> BoundaryDescription:
+    """Assemble the annotated arc loop bounding the family of ``v``.
 
-    One arc per class of the certified list [a1, a2, b] that
-    :func:`build_extensions` returns, whose genus it takes.  Each arc carries
-    the species multiset and the oval counts of its class, both read off one
-    build of its symmetry classes, and the fixed endpoint pattern: the
-    first chain class joins the two nodal limits, the second chain class
-    joins the rose to the high-symmetry curve, and the mixed class joins
-    the dipole to the high-symmetry curve.
+    ``v`` is the family vector whose nodal limits are the two nodal
+    endpoints; its genus is the family's, and an extension of another genus
+    is a ValueError.  One arc per class of the certified list [a1, a2, b]
+    that :func:`build_extensions` returns.  Each arc carries the species
+    multiset and the oval counts of its class, both read off one build of
+    its symmetry classes, and the fixed endpoint pattern: the first chain
+    class joins the two nodal limits, the second chain class joins the rose
+    to the high-symmetry curve, and the mixed class joins the dipole to the
+    high-symmetry curve.
     """
-    g = extensions[0].g
-    v = canonical_vector(g)
+    g = _require_family_vector(v)
+    for e in extensions:
+        if e.g != g:
+            raise ValueError(
+                f"extension {e.label} has genus {e.g}; the family vector has genus {g}"
+            )
     dipole = nodal_graph(v, 1)
     rose = nodal_graph(v, 2)
     arcs = []

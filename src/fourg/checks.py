@@ -60,9 +60,9 @@ def check_braid_invariance(g_min: int, g_max: int) -> CheckResult:
         v = canonical_vector(g)
         for i in range(1, len(v.images)):
             moved = braid_move(v, i)
-            if not cls.contains(moved):
+            if not cls.contains(moved.images):
                 raise FourgError(f"braid move {i} escapes the class at genus {g}")
-            if not cls.contains(braid_move(moved, i)):
+            if not cls.contains(braid_move(moved, i).images):
                 raise FourgError(
                     f"double braid move {i} escapes the class at genus {g}"
                 )

@@ -27,9 +27,10 @@ where the signature allows it, which is kind ``a``), to exactly one
 canonical epimorphism.  Each tuple gets one Cayley key
 (``groups._cayley_key``); each canonical epimorphism owns its key and, when
 reversal applies, its reversal's key.  No key may be owned twice, and every
-canonical epimorphism must be reached.  ``restrict_to_index2`` rebuilds the
-orientation-preserving action from each extension; callers check that it
-lands in the unique class of the parent family.
+canonical epimorphism must be reached.  ``restrict_to_index2`` writes the
+orientation-preserving action of each extension as words in the extension's
+own group; callers key those words against the unique class of the parent
+family, since a Cayley key walks only the index-2 half the words generate.
 """
 
 from __future__ import annotations
@@ -37,15 +38,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .actions import GeneratingVector, kernel_genus
+from .actions import kernel_genus
 from .errors import InvariantViolation
 from .groups import (
     FiniteGroup,
     GroupElement,
     _cayley_key,
     _class_minima,
-    _gather,
-    _small_generating_set,
     cyclic,
     dihedral_from_reflections,
     direct_product,
@@ -349,52 +348,18 @@ def build_extensions(g: int) -> list:
     return chain + cone
 
 
-def orientation_preserving_subgroup(G: FiniteGroup) -> FiniteGroup:
-    """The index-2 subgroup of orientation-preserving elements, as a group.
-
-    Its elements are reindexed in increasing parent order.  The result is
-    cached on G and carries ``parent_indices`` (new index -> parent index)
-    and ``from_parent`` (parent index -> new index).
-    """
-    cached = getattr(G, "_plus_part", None)
-    if cached is not None:
-        return cached
-    kappa = G.orientation
-    if kappa is None:
-        raise ValueError(f"group {G.name} has no orientation character attached")
-    members = frozenset(i for i in range(G.order) if kappa[i] == 1)
-    if len(members) * 2 != G.order:
-        raise InvariantViolation(
-            "orientation-preserving elements do not form an index-2 subgroup"
-        )
-    gens = _small_generating_set(G._table, members)  # raises unless closed
-    ordered = sorted(members)
-    new_of = {old: new for new, old in enumerate(ordered)}
-    pick = _gather(ordered)
-    table = [_gather(pick(G._table[a]))(new_of) for a in ordered]
-    plus = FiniteGroup(
-        table,
-        [G._names[i] for i in ordered],
-        [new_of[i] for i in gens],
-        name=f"{G.name}+",
-        verify=False,  # restriction of a verified table stays associative
-    )
-    plus.parent_indices = tuple(ordered)
-    plus.from_parent = new_of
-    G._plus_part = plus
-    return plus
-
-
-def restrict_to_index2(e: ExtendedAction) -> GeneratingVector:
+def restrict_to_index2(e: ExtendedAction) -> tuple:
     """The orientation-preserving action carried inside an extension.
 
     Rewrites the canonical generators of the index-2 orientable subgroup in
-    terms of the extension's generators and takes images: the elliptic
-    x_1..x_r, their c_0-conjugates c_0*x_i*c_0, and the link products
-    c_j*c_(j+1) for j < s (the four consecutive reflection products for kind
-    a; a, c0*a*c0, c0*c1 and c1*c2 for kind b).  The result is a generating
-    vector on periods (2, 2, 2, 2g); anything else means the extension is
-    broken and raises InvariantViolation.
+    terms of the extension's generators and returns their images, elements
+    of ``e.group``: the elliptic x_1..x_r, their c_0-conjugates
+    c_0*x_i*c_0, and the link products c_j*c_(j+1) for j < s (the four
+    consecutive reflection products for kind a; a, c0*a*c0, c0*c1 and c1*c2
+    for kind b).  Each word must preserve orientation, the orders must be
+    the periods (2, 2, 2, 2g), the product must be one, and the words must
+    generate the orientation-preserving half; anything else means the
+    extension is broken and raises InvariantViolation.
     """
     G = e.group
     elliptic = e.images[: len(e.signature.proper_periods)]
@@ -404,19 +369,24 @@ def restrict_to_index2(e: ExtendedAction) -> GeneratingVector:
         + tuple(cycle[0] * x * cycle[0] for x in elliptic)
         + tuple(left * right for left, right in zip(cycle, cycle[1:]))
     )
-    plus = orientation_preserving_subgroup(G)
-    images = []
+    product = G.identity
     for p in words:
         if G.kappa(p) != 1:
             raise InvariantViolation(
                 f"restriction word {p.name} reverses orientation; the extension"
                 " is broken"
             )
-        images.append(plus.element(plus.from_parent[p.idx]))
-    periods = tuple(img.order() for img in images)
+        product = product * p
+    periods = tuple(p.order() for p in words)
     if tuple(sorted(periods)) != (2, 2, 2, 2 * e.g):
         raise InvariantViolation(
             f"restriction is not smooth: periods {periods} instead of"
             f" (2, 2, 2, {2 * e.g})"
         )
-    return GeneratingVector(plus, periods, tuple(images))
+    if product != G.identity:
+        raise InvariantViolation("the restriction words do not multiply to one")
+    if 2 * len(G._closure_idx([p.idx for p in words])) != G.order:
+        raise InvariantViolation(
+            "the restriction words do not generate the orientation-preserving half"
+        )
+    return words

@@ -267,7 +267,7 @@ def build_report(
     }
 
     extended = build_extensions(g)
-    description = boundary_description(extended)
+    description = boundary_description(v, extended)
     arcs = {arc.label: arc for arc in description.arcs}
     kinds = [e.kind for e in extended]
     counts = {k: _checked(kinds.count(k), n) for k, n in ((KIND_A, 2), (KIND_B, 1))}

@@ -38,7 +38,7 @@ from fourg.boundary import (
     nodal_graph,
 )
 from fourg.errors import InvariantViolation
-from fourg.extensions import build_extensions, restrict_to_index2
+from fourg.extensions import build_extensions
 from fourg.groups import FiniteGroup
 from fourg.realforms import Species, species_set
 from fourg.signatures import parse_signature, wiman_quotient_signature
@@ -341,32 +341,33 @@ class TestNodalGraphShapes:
 
 
 class TestRestrictedVectorDegenerations:
-    """The arcs' own restricted vectors reproduce their nodal endpoints."""
+    """The arcs' own restricted vectors, over ``_reference_plus_part``,
+    reproduce their nodal endpoints."""
 
-    def test_first_chain_class_reaches_both_nodal_limits(self):
+    def test_first_chain_class_reaches_both_nodal_limits(self, restricted_vector):
         for g in (3, 4, 6):
             e = build_extensions(g)[0]
-            v = restrict_to_index2(e)
+            v = restricted_vector(e)
             first, second = _reference_degeneration_subgroups(v)
             assert (_index(v.group, first), _index(v.group, second)) == (2, 1)
             assert nodal_graph(v, 1) == nodal_graph(canonical_vector(g), 1)
             assert nodal_graph(v, 2) == nodal_graph(canonical_vector(g), 2)
 
-    def test_second_chain_class_only_disconnects_nowhere(self):
+    def test_second_chain_class_only_disconnects_nowhere(self, restricted_vector):
         # both pinching systems keep the surface connected: its one nodal
         # limit is the rose, which is why it runs to the high-symmetry curve
         for g in (3, 4, 6):
             e = build_extensions(g)[1]
-            v = restrict_to_index2(e)
+            v = restricted_vector(e)
             first, second = _reference_degeneration_subgroups(v)
             assert (_index(v.group, first), _index(v.group, second)) == (1, 1)
             assert nodal_graph(v, 1).label == LABEL_LOOPS
             assert nodal_graph(v, 1) == nodal_graph(canonical_vector(g), 2)
 
-    def test_mixed_class_reaches_the_dipole(self):
+    def test_mixed_class_reaches_the_dipole(self, restricted_vector):
         for g in (3, 4, 6):
             e = build_extensions(g)[2]
-            v = restrict_to_index2(e)
+            v = restricted_vector(e)
             first, second = _reference_degeneration_subgroups(v)
             assert (_index(v.group, first), _index(v.group, second)) == (2, 1)
             assert nodal_graph(v, 1) == nodal_graph(canonical_vector(g), 1)
@@ -393,7 +394,7 @@ class TestWimanCurve:
 
 class TestBoundaryArc:
     def test_species_values_descending(self):
-        arc = _arcs(boundary_description(build_extensions(5)))["a1"]
+        arc = _arcs(boundary_description(canonical_vector(5), build_extensions(5)))["a1"]
         assert arc.species_values == (2, 0, -2, -2)
         assert all(isinstance(sp, Species) for sp in arc.species)
 
@@ -414,7 +415,7 @@ class TestBoundaryArc:
             BoundaryArc("b", sp, good, ovals + (0,))
 
     def test_json_form(self):
-        arc = _arcs(boundary_description(build_extensions(4)))["b"]
+        arc = _arcs(boundary_description(canonical_vector(4), build_extensions(4)))["b"]
         assert arc.ovals == (2,)
         assert arc.to_json_dict() == {
             "label": "b",
@@ -425,7 +426,7 @@ class TestBoundaryArc:
 
 class TestBoundaryDescription:
     def test_genus_five_description(self):
-        arcs = _arcs(boundary_description(build_extensions(5)))
+        arcs = _arcs(boundary_description(canonical_vector(5), build_extensions(5)))
         assert arcs["a1"].species_values == (2, 0, -2, -2)
         assert arcs["a2"].species_values == (-1, -1, -5, -5)
         assert arcs["b"].species_values == (0, 0, -2, -2)
@@ -434,18 +435,18 @@ class TestBoundaryDescription:
         assert arcs["b"].endpoints == frozenset({DIPOLE_SURFACE, WIMAN_SURFACE})
 
     def test_genus_four_mixed_arc(self):
-        arcs = _arcs(boundary_description(build_extensions(4)))
+        arcs = _arcs(boundary_description(canonical_vector(4), build_extensions(4)))
         assert arcs["b"].species_values == (-2,)
         assert arcs["a1"].species_values == (1, 0, -1, -3)
 
     def test_genus_two_annotations(self):
-        bd = boundary_description(build_extensions(2))
+        bd = boundary_description(canonical_vector(2), build_extensions(2))
         assert bd.wiman_curve.automorphism_count == 48
         assert _arcs(bd)["a1"].species_values == (3, 1, 0, -1)
 
     def test_arcs_close_into_a_loop(self):
         for g in range(2, 8):
-            bd = boundary_description(build_extensions(g))
+            bd = boundary_description(canonical_vector(g), build_extensions(g))
             degree = {}
             for arc in bd.arcs:
                 for name in arc.endpoints:
@@ -457,19 +458,19 @@ class TestBoundaryDescription:
             assert bd.wiman_curve.genus == g
 
     def test_arc_lookup(self):
-        bd = boundary_description(build_extensions(3))
+        bd = boundary_description(canonical_vector(3), build_extensions(3))
         assert tuple(arc.label for arc in bd.arcs) == ("a1", "a2", "b")
         assert _arcs(bd)["a2"] is bd.arcs[1]
 
     def test_three_cycle_guard(self):
-        bd = boundary_description(build_extensions(3))
+        bd = boundary_description(canonical_vector(3), build_extensions(3))
         _require_three_cycle(bd.arcs)  # must pass untouched
         broken = (bd.arcs[0], bd.arcs[0], bd.arcs[2])
         with pytest.raises(InvariantViolation):
             _require_three_cycle(broken)
 
     def test_rejects_inconsistent_assembly(self):
-        bd = boundary_description(build_extensions(3))
+        bd = boundary_description(canonical_vector(3), build_extensions(3))
         with pytest.raises(InvariantViolation):
             BoundaryDescription(
                 genus=3,
@@ -495,10 +496,12 @@ class TestBoundaryDescription:
 
     def test_json_is_deterministic(self):
         first = json.dumps(
-            boundary_description(build_extensions(4)).to_json_dict(), sort_keys=True
+            boundary_description(canonical_vector(4), build_extensions(4)).to_json_dict(),
+            sort_keys=True,
         )
         second = json.dumps(
-            boundary_description(build_extensions(4)).to_json_dict(), sort_keys=True
+            boundary_description(canonical_vector(4), build_extensions(4)).to_json_dict(),
+            sort_keys=True,
         )
         assert first == second
         data = json.loads(first)
@@ -506,14 +509,20 @@ class TestBoundaryDescription:
         assert set(data["endpoints"]) == {"X_D", "X_R", "X_8g"}
 
     def test_rejects_small_genus(self):
-        # the description reads its genus from the extensions, and no
-        # genus-1 list of them can be built
-        with pytest.raises(ValueError):
-            boundary_description(build_extensions(1))
+        # the description reads its genus from the family vector, which
+        # needs a last period 2g of at least 4
+        G = family_group(2)
+        D, A = G.generator("D"), G.generator("A")
+        v = GeneratingVector(G, (2, 2, 2, 2), (A, A, D * A, D * A))
+        with pytest.raises(ValueError, match="even and >= 4"):
+            boundary_description(v, build_extensions(2))
 
     def test_rejects_a_list_that_is_not_one_genus_in_order(self):
         three, four = build_extensions(3), build_extensions(4)
+        v = canonical_vector(3)
         with pytest.raises(InvariantViolation, match="labelled"):
-            boundary_description(three[::-1])
-        with pytest.raises(InvariantViolation, match="genus-4 species"):
-            boundary_description(three[:2] + four[2:])
+            boundary_description(v, three[::-1])
+        with pytest.raises(ValueError, match="extension b has genus 4"):
+            boundary_description(v, three[:2] + four[2:])
+        with pytest.raises(ValueError, match="family vector has genus 4"):
+            boundary_description(canonical_vector(4), three)

@@ -365,6 +365,22 @@ class TestCheckFlag:
         assert main(["report", "--genus", "2", "--check"]) == EXIT_INVARIANT
         assert "FAIL  synthetic" in capsys.readouterr().err
 
+    def test_check_above_the_order_8g_cap_is_usage_error(self, monkeypatch, tmp_path, capsys):
+        # exceptional allows g up to 1024, but the suites build order-8g
+        # groups: genus 513 must stop before any suite runs
+        from fourg import cli
+
+        ran = []
+        monkeypatch.setattr(cli, "run_all_checks", lambda *args: ran.append(args) or [])
+        cycle = " ".join(str(i) for i in range(1, 2053))
+        (tmp_path / "c2052.txt").write_text(f"perm ({cycle})\n")
+        code = main(
+            ["exceptional", "--genus", "513", "--tables", str(tmp_path), "--json", "--check"]
+        )
+        assert code == EXIT_USAGE
+        assert ran == []
+        assert "genus 513 needs groups of order 4104" in capsys.readouterr().err
+
 
 class TestLoadGroupTables:
     def test_reads_both_formats_in_sorted_order(self, order20_tables):

@@ -21,7 +21,6 @@ from fourg.extensions import (
     build_extensions,
     chain_target_group,
     cone_target_group,
-    orientation_preserving_subgroup,
     restrict_to_index2,
 )
 from fourg.groups import (
@@ -35,7 +34,8 @@ from fourg.signatures import chain_signature, mixed_signature
 
 
 def parent_indices(vector):
-    """Index tuple of a restricted vector's images inside the parent group."""
+    """Index tuple of a vector's images over ``_reference_plus_part`` inside
+    the parent group."""
     return tuple(vector.group.parent_indices[e.idx] for e in vector.images)
 
 
@@ -222,24 +222,24 @@ class TestExtendedActionValidation:
 
 
 class TestRestriction:
-    def test_chain_restriction_formula(self):
+    def test_chain_restriction_formula(self, restricted_vector):
         for g in (3, 6):
             first = build_extensions(g)[0]
             G = first.group
             w, x, y = G.generator("w"), G.generator("x"), G.generator("y")
             t = w * x
-            r = restrict_to_index2(first)
+            r = restricted_vector(first)
             assert r.periods == (2, 2, 2, 2 * g)
             expected = (x * y, y * (t ** g) * w, t ** g, t)
             assert parent_indices(r) == tuple(e.idx for e in expected)
 
-    def test_cone_restriction_formula(self):
+    def test_cone_restriction_formula(self, restricted_vector):
         for g in (2, 5):
             *_, cone = build_extensions(g)
             G = cone.group
             x, z, w = G.generator("x"), G.generator("z"), G.generator("w")
             t = z * w
-            r = restrict_to_index2(cone)
+            r = restricted_vector(cone)
             assert r.periods == (2, 2, 2, 2 * g)
             expected = (x, (t ** (g + 1)) * x, t ** g, t)
             assert parent_indices(r) == tuple(e.idx for e in expected)
@@ -249,7 +249,8 @@ class TestRestriction:
             main = main_action_class(g)
             for action in build_extensions(g):
                 r = restrict_to_index2(action)
-                assert r.group.order == 4 * g
+                assert all(p.group is action.group for p in r)
+                assert len(action.group.subgroup(r)) == 4 * g
                 assert main.contains(r), (g, action.label)
 
     def test_second_chain_class_restricts_to_main_class(self):
@@ -258,6 +259,35 @@ class TestRestriction:
         second = build_extensions(4)[1]
         r = restrict_to_index2(second)
         assert main_action_class(4).contains(r)
+
+    @pytest.mark.parametrize("cut", [slice(None, -1), slice(1, None)])
+    def test_an_open_reflection_cycle_is_rejected(self, cut, monkeypatch):
+        # dropping one end of the closed cycle leaves three link products;
+        # with one fewer word, no period list can be (2, 2, 2, 2g)
+        action = build_extensions(4)[0]
+        cycle = action.reflection_cycle
+        monkeypatch.setattr(ExtendedAction, "reflection_cycle", property(lambda e: cycle[cut]))
+        with pytest.raises(InvariantViolation, match="not smooth"):
+            restrict_to_index2(action)
+
+    def test_restriction_words_must_multiply_to_one(self, monkeypatch):
+        # closing the cycle on the reflection (wx)^2 x instead of c0 = x keeps
+        # every word orientation-preserving with the periods (2, 2, 2, 8),
+        # but the cycle no longer closes
+        action = build_extensions(4)[0]
+        G = action.group
+        w, x = G.generator("w"), G.generator("x")
+        moved = action.reflection_cycle[:-1] + ((w * x) ** 2 * x,)
+        monkeypatch.setattr(ExtendedAction, "reflection_cycle", property(lambda e: moved))
+        with pytest.raises(InvariantViolation, match="multiply to one"):
+            restrict_to_index2(action)
+
+    def test_restriction_words_must_preserve_orientation(self, monkeypatch):
+        action = build_extensions(4)[0]
+        moved = action.reflection_cycle[:-1] + (action.group.identity,)
+        monkeypatch.setattr(ExtendedAction, "reflection_cycle", property(lambda e: moved))
+        with pytest.raises(InvariantViolation, match="reverses orientation"):
+            restrict_to_index2(action)
 
 
 def _indices(action):
@@ -527,11 +557,22 @@ class TestSignatureDrivenShape:
             assert _admissible_tuples(G, sig(g)) == reference(G, g)
 
     @pytest.mark.parametrize("g", range(2, 31))
-    def test_restriction_words_match_per_kind_reference(self, g):
+    def test_restriction_words_match_per_kind_reference(self, g, restricted_vector):
         for action in build_extensions(g):
-            r = restrict_to_index2(action)
+            r = restricted_vector(action)
             words = _reference_restriction_words(action)
             assert parent_indices(r) == tuple(p.idx for p in words), action.label
+
+    @pytest.mark.parametrize("g", range(2, 31))
+    def test_restriction_key_matches_the_reindexed_half(self, g, restricted_vector):
+        # keyed in the extension, the words walk only the half they generate,
+        # so they name the same class as in a standalone copy of that half
+        for action in build_extensions(g):
+            words = restrict_to_index2(action)
+            copy = restricted_vector(action)
+            assert _cayley_key(action.group._table, tuple(p.idx for p in words)) == (
+                _cayley_key(copy.group._table, copy.indices)
+            ), action.label
 
     def test_reversal_follows_the_signature(self):
         # the chain (2,2,2,2g) with no cone point reads the same reversed, so
@@ -630,23 +671,3 @@ class TestOrbitCertificate:
                 weighted.append(sum(G.class_size(t[0]) for t in reduced))
             assert full == counts
             assert weighted == counts
-
-
-class TestOrientationPreservingSubgroup:
-    def test_plus_part_properties(self):
-        G = chain_target_group(3)
-        plus = orientation_preserving_subgroup(G)
-        assert plus.order == 12
-        assert all(G.orientation[i] == 1 for i in plus.parent_indices)
-        assert orientation_preserving_subgroup(G) is plus
-
-    def test_plus_part_of_cone_target_is_dihedral(self):
-        plus = orientation_preserving_subgroup(cone_target_group(4))
-        assert recognize(plus) == "dihedral of order 16"
-        assert plus.order == 16
-
-    def test_requires_orientation(self):
-        from fourg.groups import dihedral
-
-        with pytest.raises(ValueError):
-            orientation_preserving_subgroup(dihedral(8))

@@ -19,11 +19,7 @@ from hypothesis import strategies as st
 from fourg import groups
 from fourg.actions import family_group
 from fourg.errors import GroupConstructionError, InputFormatError, InvariantViolation
-from fourg.extensions import (
-    chain_target_group,
-    cone_target_group,
-    orientation_preserving_subgroup,
-)
+from fourg.extensions import chain_target_group, cone_target_group
 from fourg.groups import (
     COMPLETE_CATALOG_ORDERS,
     FiniteGroup,
@@ -434,8 +430,6 @@ class TestConstructionContract:
     def test_paper_groups(self, g):
         for G in (family_group(g), chain_target_group(g), cone_target_group(g)):
             _assert_built_contract(G)
-            if G.orientation is not None:
-                _assert_built_contract(orientation_preserving_subgroup(G))
         _assert_built_contract(dihedral_from_reflections(4 * g))
 
     @settings(PROPERTY_SETTINGS, max_examples=40)
@@ -1571,30 +1565,6 @@ class TestSubgroups:
         K = G.subgroup([G.generator("A")])
         assert len(K) == 2
         assert not _is_normal(G, K)
-
-    def test_orientation_preserving_round_trip(self):
-        G = dihedral(8)
-        G.attach_orientation({"D": 1, "A": -1})
-        H = orientation_preserving_subgroup(G)
-        assert H is orientation_preserving_subgroup(G)  # cached on G
-        assert recognize(H) == "C4"
-        back = [H.parent_indices[i] for i in range(H.order)]
-        assert sorted(back) == sorted(G.subgroup([G.generator("D")]))
-        assert H.from_parent[G.generator("D").idx] == 1
-        assert all(H.from_parent[p] == i for i, p in enumerate(H.parent_indices))
-        for a in range(H.order):
-            for b in range(H.order):
-                product = G._table[H.parent_indices[a]][H.parent_indices[b]]
-                assert H.parent_indices[H._table[a][b]] == product
-
-    def test_orientation_preserving_requires_a_closed_half(self):
-        # {1, D, A, DA} has index 2 but is not closed (D*D is missing), and
-        # three elements are not a half; D^i A^j sits at i + 4j
-        for plus in ({0, 1, 4, 5}, {0, 1, 2}):
-            G = dihedral(8)
-            G.orientation = tuple(1 if i in plus else -1 for i in range(G.order))
-            with pytest.raises(InvariantViolation):
-                orientation_preserving_subgroup(G)
 
 
 @dataclass(frozen=True)

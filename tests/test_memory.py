@@ -1,8 +1,9 @@
 """Nothing computed for one genus outlives it.
 
 A sweep keeps only the plain-data reports: every group built on the way is
-garbage once its genus is done.  Each genus builds its main classes and its
-three extensions once, and the package holds no process-wide cache.
+garbage once its genus is done.  Each genus builds its family group, its main
+classes and its three extensions once, and the package holds no process-wide
+cache.
 """
 
 import ast
@@ -59,7 +60,7 @@ def test_no_group_outlives_a_sweep(monkeypatch):
 
 def test_one_report_builds_its_classes_and_extensions_once(monkeypatch):
     calls = []
-    for fn in (classify, build_extensions):
+    for fn in (classify, build_extensions, family_group):
         _wrap_everywhere(
             monkeypatch,
             fn,
@@ -69,6 +70,8 @@ def test_one_report_builds_its_classes_and_extensions_once(monkeypatch):
     main = [a for name, a in calls if name == "classify" and sorted(a[1]) == [2, 2, 2, 14]]
     assert len(main) == 1
     assert [a for name, a in calls if name == "build_extensions"] == [(7,)]
+    # the boundary pinches the report's family vector instead of building one
+    assert [a for name, a in calls if name == "family_group"] == [(7,)]
 
 
 def _empty_container(node) -> bool:
