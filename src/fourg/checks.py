@@ -13,11 +13,12 @@ from dataclasses import dataclass
 from .actions import (
     _orbit,
     _product_one_count,
+    _unique_main_class,
     braid_move,
     canonical_vector,
+    classify,
     family_group,
     kernel_genus,
-    main_action_class,
     smooth_vectors,
 )
 from .errors import FourgError
@@ -56,8 +57,8 @@ def check_braid_invariance(g_min: int, g_max: int) -> CheckResult:
     """Braid moves never leave the unique class of the main family."""
     moves = 0
     for g in range(g_min, g_max + 1):
-        cls = main_action_class(g)
         v = canonical_vector(g)
+        cls = _unique_main_class(v, classify(v.group, v.periods))
         for i in range(1, len(v.images)):
             moved = braid_move(v, i)
             if not cls.contains(moved.images):

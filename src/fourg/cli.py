@@ -373,11 +373,12 @@ def _emit(text: str) -> None:
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _run_checks(options) -> int:
-    """Run the invariant suites, print one line each, return an exit code.
+def _check_range(options) -> tuple:
+    """The genera ``--check`` sweeps.
 
     The suites build order-8g groups, so every genus they check must pass
-    the order-8g cap, also after ``exceptional``, which allows order 4g.
+    the order-8g cap, also for ``exceptional``, which allows order 4g.  This
+    runs before the command, so a rejected invocation prints nothing.
     """
     if getattr(options, "genus_range", None):
         g_min, g_max = _parse_range(options.genus_range)
@@ -386,6 +387,11 @@ def _run_checks(options) -> int:
     else:
         g_min, g_max = 2, 6
     _check_genus(g_max, 8)
+    return g_min, g_max
+
+
+def _run_checks(g_min: int, g_max: int) -> int:
+    """Run the invariant suites, print one line each, return an exit code."""
     results = run_all_checks(g_min, g_max)
     for result in results:
         print(result.line(), file=sys.stderr)
@@ -398,6 +404,7 @@ def _run(argv) -> int:
     if args.command is None:
         raise UsageError("a command is required: report, atlas, or exceptional")
     options = _merge_config(args)
+    check_range = _check_range(options) if options.check else None
 
     if options.command == "report":
         report = cmd_report(options.genus, options)
@@ -429,8 +436,8 @@ def _run(argv) -> int:
     else:  # pragma: no cover - argparse restricts the choices
         raise UsageError(f"unknown command {options.command!r}")
 
-    if options.check:
-        return _run_checks(options)
+    if check_range:
+        return _run_checks(*check_range)
     return EXIT_OK
 
 

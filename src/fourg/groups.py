@@ -19,10 +19,10 @@ those searches resumes its parent's walk rather than starting from the
 identity.
 
 Every constructor builds its table with one Cayley-graph fill
-(``_cayley_table``): the product rule is evaluated only against the
-generators, and every other column is a known column gathered through a
-generator's right map, one C-level ``itemgetter`` call (``_gather``) per
-column.  Its order check is made before anything of that size is
+(``_cayley_table``) from its generators' rows, which it reads off what it
+holds (a presentation, the factors' rows, a permutation group's discovery
+tree); every other row is a known row gathered through a generator's row,
+one C-level ``itemgetter`` call (``_gather``) per row.  Its order check is made before anything of that size is
 allocated, so an oversized request fails with ``GroupConstructionError``
 rather than exhausting memory.  A table the package built is stored as
 built, tuple rows and all, with no copy and no second range scan.
@@ -40,7 +40,8 @@ agree; ``is_isomorphic`` is its truth value.  The search tries as images of
 a generator only the elements with its signature.  ``small_groups`` builds
 its candidates one at a time and keeps the first of each isomorphism type;
 it builds no direct product of two abelian groups, since
-``_abelian_groups`` already lists every abelian group of the order.
+``_abelian_groups`` already lists every abelian group of the order, and no
+product whose factor multiset an earlier product of the order had.
 
 A generating tuple's Cayley key (``_cayley_key``) names its automorphism
 class; action classes and the extension certificate both use it.
@@ -128,7 +129,7 @@ class FiniteGroup:
     is for a table this package built, and stores it as handed over: the
     constructor vouches for tuple rows over 0..n-1 and for a group table
     spanned by the generators.  ``_cayley_table`` puts every entry in range by
-    checking each generator's right map once; ``cyclic``, ``metacyclic`` and
+    checking each generator's row once; ``cyclic``, ``metacyclic`` and
     ``from_table`` then run ``_verify`` themselves, and the other
     constructors compose groups already verified, or permutations.  Names
     are checked to be unique and inverses are computed for every group.
@@ -511,44 +512,44 @@ def _small_generating_set(table, members) -> tuple:
 # Constructors.
 
 
-def _cayley_table(order: int, gens, mul) -> list:
-    """Multiplication table of the group of ``order`` elements spanned by ``gens``.
+def _cayley_table(order: int, gen_rows) -> list:
+    """Multiplication table of the group of ``order`` elements spanned by
+    the generators in ``gen_rows``.
 
-    ``mul(x, g)`` is the product rule on element indices (identity 0); it is
-    evaluated only for the generators ``g``, and each generator's right map
-    ``x -> x*g`` is checked once to stay inside 0..order-1, which puts every
-    entry of the table in range.  The columns are filled by walking the
-    Cayley graph from the identity by left multiplication: column ``g*b``
-    is column ``b`` gathered through the right map of ``g``, and ``g*b`` is
-    entry ``g`` of column ``b``.  One transpose turns the columns into tuple
-    rows.  The order is checked before anything of its size is allocated.
+    ``gen_rows`` yields ``(g, row)`` pairs, ``row[y]`` being the product
+    ``g*y``; it is read only after the order check, so nothing of the
+    order's size is allocated first.  Each row is checked once to have
+    ``order`` entries inside 0..order-1, which puts every entry of the table
+    in range.  The rows are filled by walking the Cayley graph from the
+    identity by right multiplication: row ``a*g`` is row ``a`` gathered
+    through row ``g``, and ``a*g`` is entry ``g`` of row ``a``.
     """
     if order < 1:
         raise GroupConstructionError(f"a group has at least one element, got order {order}")
     if order > MAX_ORDER:
         raise GroupConstructionError(f"order {order} exceeds {MAX_ORDER}")
-    rights = [[mul(x, g) for x in range(order)] for g in gens]
-    for g, right in zip(gens, rights):
-        if min(right) < 0 or max(right) >= order:
+    steps = []
+    for g, row in gen_rows:
+        if not 0 <= g < order or len(row) != order or min(row) < 0 or max(row) >= order:
             raise GroupConstructionError(
-                f"product rule takes x*{g} outside 0..{order - 1}"
+                f"generator {g} needs a row of {order} entries, none outside 0..{order - 1}"
             )
-    steps = [(g, _gather(right)) for g, right in zip(gens, rights)]
-    columns = [None] * order
-    columns[0] = tuple(range(order))
+        steps.append((g, _gather(row)))
+    rows = [None] * order
+    rows[0] = tuple(range(order))
     reached = [0]
-    for b in reached:  # reached grows while it is walked
-        column = columns[b]
+    for a in reached:  # reached grows while it is walked
+        row = rows[a]
         for g, compose in steps:
-            c = column[g]
-            if columns[c] is None:
-                columns[c] = compose(column)
+            c = row[g]
+            if rows[c] is None:
+                rows[c] = compose(row)
                 reached.append(c)
     if len(reached) != order:
         raise GroupConstructionError(
             f"generators span only {len(reached)} of {order} elements"
         )
-    return list(zip(*columns))
+    return rows
 
 
 def cyclic(n: int, gen_name: str = "c") -> FiniteGroup:
@@ -556,7 +557,7 @@ def cyclic(n: int, gen_name: str = "c") -> FiniteGroup:
     if n < 1:
         raise GroupConstructionError("cyclic group order must be positive")
     gens = [1] if n > 1 else []
-    table = _cayley_table(n, gens, lambda x, g: (x + g) % n)
+    table = _cayley_table(n, ((g, (*range(1, n), 0)) for g in gens))  # 1 + y
     names = ["1"] + [gen_name if i == 1 else f"{gen_name}^{i}" for i in range(1, n)]
     group = FiniteGroup(table, names, gens, name=f"C{n}", verify=False)
     group._verify()
@@ -632,16 +633,13 @@ def metacyclic(n: int, t: int, square: int = 0, names=("B", "C")) -> FiniteGroup
     b_name, c_name = names
     order = 2 * n
 
-    def mul(x, y):  # C^i B^j sits at i + n*j
-        j1, i1 = divmod(x, n)
-        j2, i2 = divmod(y, n)
-        i = (i1 + (i2 * t if j1 else i2)) % n
-        if j1 and j2:
-            return (i + square) % n
-        return i + n * (j1 + j2)
+    def gen_rows():  # C^i B^j sits at i + n*j; B C^i = C^(i*t) B and B^2 = C^square
+        yield n, [i * t % n + n for i in range(n)] + [(i * t + square) % n for i in range(n)]
+        if n > 1:
+            yield 1, [(i + 1) % n + n * j for j in (0, 1) for i in range(n)]
 
-    gens = [n, 1]  # B, C
-    table = _cayley_table(order, gens, mul)
+    gens = [n, 1] if n > 1 else [n]  # B, C
+    table = _cayley_table(order, gen_rows())
     elt_names = ["1"] * order
     for i in range(1, n):
         elt_names[i] = c_name if i == 1 else f"{c_name}^{i}"
@@ -668,13 +666,14 @@ def direct_product(G: FiniteGroup, H: FiniteGroup, name: str = None) -> FiniteGr
     order = ng * nh
     tg, th = G._table, H._table
 
-    def mul(x, y):  # (a, b) sits at a*nh + b
-        a1, b1 = divmod(x, nh)
-        a2, b2 = divmod(y, nh)
-        return tg[a1][a2] * nh + th[b1][b2]
+    def gen_rows():  # (a, b) sits at a*nh + b
+        for g in G._gen_idx:
+            yield g * nh, [x * nh + b for x in tg[g] for b in range(nh)]
+        for h in H._gen_idx:
+            yield h, [a * nh + y for a in range(ng) for y in th[h]]
 
     gens = [g * nh for g in G._gen_idx] + list(H._gen_idx)
-    table = _cayley_table(order, gens, mul)
+    table = _cayley_table(order, gen_rows())
     names = ["1"] * order
     for a in range(ng):
         for b in range(nh):
@@ -717,25 +716,23 @@ def semidirect_with_automorphism(
     _require_automorphism(G, mapping)
     ng = G.order
     identity = list(range(ng))
-    powers = [identity]  # alpha^j for j below the order of alpha
-    while len(powers) <= top_order:
-        power = [mapping[i] for i in powers[-1]]
-        if power == identity:
-            break
-        powers.append(power)
-    period = len(powers)
+    period, power = 1, mapping  # power is alpha^period
+    while power != identity and period <= top_order:
+        power = [mapping[i] for i in power]
+        period += 1
     if top_order % period:
         raise GroupConstructionError(f"automorphism order does not divide {top_order}")
     order = ng * top_order
-    tg = G._table
+    tg, k = G._table, top_order
 
-    def mul(x, y):  # a x^j sits at a*top_order + j
-        a1, j1 = divmod(x, top_order)
-        a2, j2 = divmod(y, top_order)
-        return tg[a1][powers[j1 % period][a2]] * top_order + (j1 + j2) % top_order
+    def gen_rows():  # a x^j sits at a*k + j; x a x^-1 = alpha(a)
+        for g in G._gen_idx:
+            yield g * k, [y * k + j for y in tg[g] for j in range(k)]
+        if k > 1:
+            yield 1, [y * k + j for y in mapping for j in (*range(1, k), 0)]
 
-    gens = [g * top_order for g in G._gen_idx] + ([1] if top_order > 1 else [])
-    table = _cayley_table(order, gens, mul)
+    gens = [g * k for g in G._gen_idx] + ([1] if k > 1 else [])
+    table = _cayley_table(order, gen_rows())
     names = ["1"] * order
     for a in range(ng):
         for j in range(top_order):
@@ -850,8 +847,16 @@ def from_permutations(source) -> FiniteGroup:
             row.append(j)
         right[x] = row
     gen_idx = [index_of[p] for p in perms]
-    k_of = {g: k for k, g in enumerate(gen_idx)}
-    table = _cayley_table(len(elements), gen_idx, lambda x, g: right[x][k_of[g]])
+    order = len(elements)
+
+    def gen_rows():  # g * x = (g * elements[parent]) * perms[via], parents found first
+        for g in gen_idx:
+            row = [g] * order
+            for x in range(1, order):
+                row[x] = right[row[parent[x]]][via[x]]
+            yield g, row
+
+    table = _cayley_table(order, gen_rows())
     names = _CycleNames(steps, parent, via, degree)
     return FiniteGroup(
         table, names, gen_idx, name=f"perm-group({len(elements)})", verify=False
@@ -1255,6 +1260,8 @@ COMPLETE_CATALOG_ORDERS = frozenset(range(1, 16)) | {20, 21, 22, 25, 26, 28, 30,
 
 
 def _abelian_groups(n: int):
+    """Every abelian group of order n, each a direct product of prime-power
+    cyclic groups and generated by one generator of each factor."""
     factors = {}
     m = n
     d = 2
@@ -1315,13 +1322,18 @@ def divisors_of(n: int) -> list:
 
 
 def _catalog_candidates(n: int, memo: dict):
-    """Every catalog construction of order n, duplicates included, in order;
-    direct products take their factors from ``_distinct_groups(m, memo)``."""
-    yield from _abelian_groups(n)
+    """Every catalog construction of order n, in order, with its factor
+    multiset: the sorted catalog places ``(order, index)`` of groups whose
+    direct product it is isomorphic to (``C_q`` is ``(q, 0)``), or ``None``
+    for a group that stands for itself.  A product of ``memo``'s catalog
+    groups carries the union of their multisets and is not built when an
+    earlier product had the same one, being isomorphic to it."""
+    for G in _abelian_groups(n):  # each generator spans one cyclic factor
+        yield G, tuple(sorted((G.element_order(g), 0) for g in G._gen_idx))
     if n % 2 == 0 and n >= 6:
-        yield dihedral(n)
+        yield dihedral(n), None
     if n % 4 == 0 and n >= 8:
-        yield dicyclic(n // 4)
+        yield dicyclic(n // 4), None
     for a in divisors_of(n):
         b = n // a
         if a < 3 or b < 2:
@@ -1329,38 +1341,46 @@ def _catalog_candidates(n: int, memo: dict):
         for t in range(2, a):
             if gcd(t, a) == 1 and pow(t, b, a) == 1:
                 try:
-                    yield semidirect_cyclic(a, b, t)
+                    yield semidirect_cyclic(a, b, t), None
                 except GroupConstructionError:
                     pass
     if n == 12:
-        yield from_permutations(["perm (1 2 3)", "perm (1 2)(3 4)"])
+        yield from_permutations(["perm (1 2 3)", "perm (1 2)(3 4)"]), None
     if n == 24:
-        yield from_permutations(["perm (1 2 3 4)", "perm (1 2)"])
+        yield from_permutations(["perm (1 2 3 4)", "perm (1 2)"]), None
     if n == 60:
-        yield from_permutations(["perm (1 2 3 4 5)", "perm (1 2 3)"])
+        yield from_permutations(["perm (1 2 3 4 5)", "perm (1 2 3)"]), None
+    built = set()
     for a in divisors_of(n):
         b = n // a
         if a < 2 or b < 2 or a > b:
             continue
-        for G1 in _distinct_groups(a, memo):
-            for G2 in _distinct_groups(b, memo):
+        _distinct_groups(a, memo), _distinct_groups(b, memo)  # fill memo[a] and memo[b]
+        for G1, factors1 in memo[a].items():
+            for G2, factors2 in memo[b].items():
                 if G1.is_abelian() and G2.is_abelian():
                     continue  # _abelian_groups(n) yielded every abelian group
-                try:
-                    yield direct_product(G1, G2)
-                except GroupConstructionError:
-                    pass
+                factors = tuple(sorted(factors1 + factors2))
+                if factors not in built:
+                    built.add(factors)
+                    yield direct_product(G1, G2), factors
 
 
 def _distinct_groups(n: int, memo: dict) -> list:
-    """The catalog of order n, read from ``memo`` (order -> catalog) or built into it."""
+    """The catalog of order n, built once into ``memo`` as ``{group: factor
+    multiset}``: the first of each isomorphism type, with its own multiset
+    or its place ``(n, index)``.  A later product isomorphic to a kept group
+    hands it a multiset with more factors, so that larger orders meet it."""
     if n not in memo:
-        distinct = []
-        for G in _catalog_candidates(n, memo):
-            if not any(is_isomorphic(G, H) for H in distinct):
-                distinct.append(G)
-        memo[n] = distinct
-    return memo[n]
+        kept = {}
+        for G, factors in _catalog_candidates(n, memo):
+            H = next((H for H in kept if is_isomorphic(G, H)), None)
+            if H is None:
+                kept[G] = ((n, len(kept)),) if factors is None else factors
+            elif factors is not None and len(factors) > len(kept[H]):
+                kept[H] = factors
+        memo[n] = kept
+    return list(memo[n])
 
 
 def small_groups(n: int):
@@ -1370,9 +1390,11 @@ def small_groups(n: int):
     (abelian, dihedral, dicyclic, cyclic-by-cyclic, direct products, and the
     small permutation specials) elsewhere.  The first of each isomorphism
     type among ``_catalog_candidates(n)`` is kept; candidates are built one
-    at a time, so a rejected duplicate is dropped at once.  The catalogs of
-    the smaller orders that direct products draw on are memoized for one
-    call only: each call builds afresh and keeps nothing but its result.
+    at a time, so a rejected duplicate is dropped at once, and a direct
+    product whose factor multiset was already built is not built at all.
+    The catalogs of the smaller orders that direct products draw on, and
+    their multisets, are memoized for one call only: each call builds
+    afresh and keeps nothing but its result.
     """
     if n < 1 or n > MAX_ORDER:
         raise ValueError(f"order must be between 1 and {MAX_ORDER}")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from fourg import checks, realforms
+from fourg import actions, checks, realforms
 from fourg.checks import (
     ALL_CHECKS,
     CheckResult,
@@ -38,6 +38,20 @@ class TestIndividualChecks:
         result = check_braid_invariance(2, 4)
         assert result.passed
         assert "stayed in class" in result.detail
+
+    def test_braid_invariance_builds_one_family_group_per_genus(self, monkeypatch):
+        # the suite classifies over the group of its one canonical vector
+        calls = []
+        real = actions.family_group
+
+        def counting(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(actions, "family_group", counting)
+        monkeypatch.setattr(checks, "family_group", counting)
+        assert check_braid_invariance(2, 6).passed
+        assert calls == [2, 3, 4, 5, 6]
 
     def test_kernel_genus_pass(self):
         result = check_kernel_genus(2, 5)

@@ -381,6 +381,19 @@ class TestCheckFlag:
         assert ran == []
         assert "genus 513 needs groups of order 4104" in capsys.readouterr().err
 
+    def test_check_cap_is_applied_before_the_command_prints(self, tmp_path, capsys):
+        # a rejected --check invocation prints nothing on stdout: the cap
+        # is checked before the command loads or searches anything
+        cycle = " ".join(str(i) for i in range(1, 2053))
+        (tmp_path / "c2052.txt").write_text(f"perm ({cycle})\n")
+        code = main(
+            ["exceptional", "--genus", "513", "--tables", str(tmp_path), "--json", "--check"]
+        )
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert "genus 513 needs groups of order 4104" in captured.err
+
 
 class TestLoadGroupTables:
     def test_reads_both_formats_in_sorted_order(self, order20_tables):

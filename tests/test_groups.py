@@ -363,47 +363,52 @@ def _cayley_cases():
         )
 
 
+def _never_read():
+    """Generator rows that fail when read: the order check must come first."""
+    raise AssertionError("generator rows read before the order check")
+    yield  # pragma: no cover - makes this a generator
+
+
 class TestCayleyTable:
     def test_matches_brute_force(self):
         for label, G, order, gens, mul in _cayley_cases():
             expected = _brute_force(order, mul)
-            assert groups._cayley_table(order, gens, mul) == expected, label
-            assert [tuple(row) for row in G._table] == expected, label
+            gen_rows = ((g, expected[g]) for g in gens)
+            assert groups._cayley_table(order, gen_rows) == expected, label
+            assert G._table == expected, label
+            assert _reference_cayley_table(order, gens, mul) == expected, label
 
     def test_generators_must_span(self):
         with pytest.raises(GroupConstructionError, match="span only 3 of 6"):
-            groups._cayley_table(6, [2], lambda x, y: (x + y) % 6)
+            groups._cayley_table(6, [(2, [(2 + y) % 6 for y in range(6)])])
 
     def test_order_checked_first(self):
-        def never(x, y):
-            raise AssertionError("product rule evaluated before the order check")
-
         with pytest.raises(GroupConstructionError, match="order 4097 exceeds 4096"):
-            groups._cayley_table(4097, [1], never)
+            groups._cayley_table(4097, _never_read())
 
     @pytest.mark.parametrize(
-        "rule", [lambda x, g: x - 1, lambda x, g: x + 1], ids=["minus_one", "order"]
+        "gen_rows",
+        [[(1, [-1, 0, 1])], [(1, [1, 2, 3])], [(1, [1, 2])], [(3, [0, 1, 2])]],
+        ids=["minus_one", "order", "short", "generator"],
     )
-    def test_product_rule_must_stay_in_range(self, rule):
-        # x - 1 gives -1 at x = 0, and x + 1 gives 3 = order at x = 2
+    def test_product_rule_must_stay_in_range(self, gen_rows):
+        # x - 1 gives -1 at x = 0, and x + 1 gives 3 = order at x = 2; a
+        # short row and a generator index past the order are refused too
         with pytest.raises(GroupConstructionError, match=r"outside 0\.\.2"):
-            groups._cayley_table(3, [1], rule)
+            groups._cayley_table(3, gen_rows)
 
     @pytest.mark.parametrize("order", [0, -2])
     def test_order_below_one_rejected(self, order):
-        def never(x, y):
-            raise AssertionError("product rule evaluated before the order check")
-
         with pytest.raises(GroupConstructionError, match=f"got order {order}"):
-            groups._cayley_table(order, [1], never)
+            groups._cayley_table(order, _never_read())
         # the public route: an empty or negative top of a split extension
         inversion = [0, 4, 3, 2, 1]
         with pytest.raises(GroupConstructionError, match="at least one element"):
             semidirect_with_automorphism(cyclic(5), inversion, top_order=order)
 
     def test_order_one(self):
-        assert groups._cayley_table(1, [], None) == [(0,)]
-        assert groups._cayley_table(1, [0, 0], lambda x, g: 0) == [(0,)]
+        assert groups._cayley_table(1, []) == [(0,)]
+        assert groups._cayley_table(1, [(0, [0]), (0, (0,))]) == [(0,)]
 
 
 def _assert_built_contract(G: FiniteGroup):
@@ -438,26 +443,43 @@ class TestConstructionContract:
         _assert_built_contract(from_permutations(["perm " + _cycles(p) for p in perms]))
 
     def test_constructors_store_the_table_they_built(self, monkeypatch):
+        # each table is the one the product-rule fill builds from the rules
+        # above (the permutation group's from the reference parser)
+        s4 = ["perm (1 2 3 4)", "perm (1 2)"]
+        expected = [
+            _reference_cayley_table(6, [1], lambda x, g: (x + g) % 6),
+            _reference_cayley_table(12, [6, 1], _metacyclic_rule(6, 5, 0)),
+            _reference_cayley_table(8, [4, 1], _metacyclic_rule(4, 3, 0)),
+            _reference_cayley_table(12, [6, 1], _metacyclic_rule(6, 5, 3)),
+            _reference_cayley_table(12, [6, 1, 3], _product_rule(cyclic(2), dihedral(6))),
+            _reference_cayley_table(21, [3, 1], _semidirect_rule(cyclic(7), [0, 2, 4, 6, 1, 3, 5], 3)),
+            [tuple(row) for row in _reference_from_permutations(s4)._table],
+            _reference_cayley_table(12, [6, 1], _metacyclic_rule(6, 5, 0)),
+        ]
         built = []
 
-        def recording(order, gens, mul):
-            built.append(cayley_table(order, gens, mul))
+        def recording(order, gen_rows):
+            built.append(cayley_table(order, gen_rows))
             return built[-1]
 
         cayley_table = groups._cayley_table
         monkeypatch.setattr(groups, "_cayley_table", recording)
-        for make in (
-            lambda: cyclic(6),
-            lambda: metacyclic(6, 5, 0),
-            lambda: dihedral(8),
-            lambda: dicyclic(3),
-            lambda: direct_product(cyclic(2), dihedral(6)),
-            lambda: semidirect_cyclic(7, 3, 2),
-            lambda: from_permutations(["perm (1 2 3 4)", "perm (1 2)"]),
-            lambda: dihedral_from_reflections(12),
+        for make, table in zip(
+            (
+                lambda: cyclic(6),
+                lambda: metacyclic(6, 5, 0),
+                lambda: dihedral(8),
+                lambda: dicyclic(3),
+                lambda: direct_product(cyclic(2), dihedral(6)),
+                lambda: semidirect_cyclic(7, 3, 2),
+                lambda: from_permutations(s4),
+                lambda: dihedral_from_reflections(12),
+            ),
+            expected,
         ):
             G = make()
             assert G._table is built[-1], G.name
+            assert G._table == table, G.name
 
     def test_order_one_and_degree_one(self):
         trivial = [
@@ -1381,7 +1403,7 @@ def _search_cases():
             for pairs in constraints:
                 for limit in (None, 1):
                     yield G, G, pairs, limit
-        candidates = list(groups._catalog_candidates(n, {}))
+        candidates = list(_reference_catalog_candidates(n, {}))
         for i, G in enumerate(candidates):
             for H in candidates[i:]:
                 yield G, H, [], 1  # iso_search(G, H)
@@ -1506,7 +1528,7 @@ class TestIsomorphism:
         # every pair of raw catalog candidates, duplicates included: the
         # invariant prefilter must never reject a pair the search accepts
         for n in (8, 12, 16, 24):
-            candidates = list(groups._catalog_candidates(n, {}))
+            candidates = list(_reference_catalog_candidates(n, {}))
             for i, G in enumerate(candidates):
                 for H in candidates[i:]:
                     assert is_isomorphic(G, H) == bool(iso_search(G, H)), (G.name, H.name)
@@ -2038,6 +2060,74 @@ CENSUS = {
 # test_structure_digest); it changes only when a construction changes.
 STRUCTURE_ORDERS = (8, 12, 16, 24, 32, 36, 40, 48, 56, 60, 64, 72, 80, 84, 96)
 STRUCTURE_DIGEST = "3926886c27907e0ef71ef338ca453ba0eb6d7cbe9964e87c637b7696dc12fb7d"
+# The same at the two orders where most direct products are skipped, as
+# computed before the skip existed.
+LARGE_STRUCTURE_ORDERS = (120, 240)
+LARGE_STRUCTURE_DIGEST = "572fa569ffb33c6b464f480f64eb8ed38162740b035b900b3f73c53324379d0a"
+
+
+def _structure_digest(orders) -> str:
+    items = [
+        [G.name, list(G._names), list(G._gen_idx), [list(row) for row in G._table]]
+        for n in orders
+        for G in small_groups(n)
+    ]
+    return hashlib.sha256(json.dumps(items).encode()).hexdigest()
+
+
+def _reference_catalog_candidates(n: int, memo: dict):
+    """The candidate stream as it was before products were skipped by their
+    factor multisets, kept verbatim as the oracle: every construction of
+    order n, duplicates included, in order, with factors from
+    ``_reference_distinct_groups``."""
+    yield from groups._abelian_groups(n)
+    if n % 2 == 0 and n >= 6:
+        yield dihedral(n)
+    if n % 4 == 0 and n >= 8:
+        yield dicyclic(n // 4)
+    for a in divisors_of(n):
+        b = n // a
+        if a < 3 or b < 2:
+            continue
+        for t in range(2, a):
+            if groups.gcd(t, a) == 1 and pow(t, b, a) == 1:
+                try:
+                    yield semidirect_cyclic(a, b, t)
+                except GroupConstructionError:
+                    pass
+    if n == 12:
+        yield from_permutations(["perm (1 2 3)", "perm (1 2)(3 4)"])
+    if n == 24:
+        yield from_permutations(["perm (1 2 3 4)", "perm (1 2)"])
+    if n == 60:
+        yield from_permutations(["perm (1 2 3 4 5)", "perm (1 2 3)"])
+    for a in divisors_of(n):
+        b = n // a
+        if a < 2 or b < 2 or a > b:
+            continue
+        for G1 in _reference_distinct_groups(a, memo):
+            for G2 in _reference_distinct_groups(b, memo):
+                if G1.is_abelian() and G2.is_abelian():
+                    continue  # _abelian_groups(n) yielded every abelian group
+                try:
+                    yield direct_product(G1, G2)
+                except GroupConstructionError:
+                    pass
+
+
+def _reference_distinct_groups(n: int, memo: dict) -> list:
+    """The first of each isomorphism type of the reference stream."""
+    if n not in memo:
+        distinct = []
+        for G in _reference_catalog_candidates(n, memo):
+            if not any(is_isomorphic(G, H) for H in distinct):
+                distinct.append(G)
+        memo[n] = distinct
+    return memo[n]
+
+
+def _structure(G: FiniteGroup) -> tuple:
+    return G.name, G._gen_idx, [tuple(row) for row in G._table]
 
 
 def _prime_exponents(n: int) -> list:
@@ -2080,18 +2170,47 @@ class TestSmallGroups:
                     assert not is_isomorphic(G, H), (G.name, H.name)
 
     def test_no_abelian_products_among_candidates(self):
-        candidates = list(groups._catalog_candidates(96, {}))
+        candidates = list(_reference_catalog_candidates(96, {}))
         assert len(candidates) == 136
         abelian = [G.name for G in candidates if G.is_abelian()]
         assert abelian == [G.name for G in groups._abelian_groups(96)]
 
+    def test_built_candidate_counts(self):
+        # products whose factor multiset an earlier product had are not
+        # built: 88 of the reference stream's 136 candidates at order 96
+        built = {n: sum(1 for _ in groups._catalog_candidates(n, {})) for n in (24, 48, 96)}
+        reference = {n: sum(1 for _ in _reference_catalog_candidates(n, {})) for n in built}
+        assert built == {24: 18, 48: 43, 96: 88}
+        assert reference == {24: 19, 48: 53, 96: 136}
+
+    def test_matches_the_reference_catalog(self):
+        memo = {}
+        for n in [*range(1, 65), 96]:
+            got = [_structure(G) for G in small_groups(n)]
+            assert got == [_structure(G) for G in _reference_distinct_groups(n, memo)], n
+
+    def test_skipped_products_are_isomorphic_to_earlier_candidates(self):
+        # the new stream is the reference stream with some products left
+        # out; each one left out is isomorphic to a candidate built before it
+        for n in (24, 48, 72, 96):
+            built = [G for G, _ in groups._catalog_candidates(n, {})]
+            earlier = []
+            skipped = 0
+            for G in _reference_catalog_candidates(n, {}):
+                if len(earlier) < len(built) and _structure(G) == _structure(built[len(earlier)]):
+                    earlier.append(G)
+                    continue
+                assert " x " in G.name and not G.is_abelian(), (n, G.name)
+                assert any(is_isomorphic(G, H) for H in earlier), (n, G.name)
+                skipped += 1
+            assert len(earlier) == len(built), n
+            assert skipped > 0, n
+
     def test_structure_digest(self):
-        items = [
-            [G.name, list(G._names), list(G._gen_idx), [list(row) for row in G._table]]
-            for n in STRUCTURE_ORDERS
-            for G in small_groups(n)
-        ]
-        assert hashlib.sha256(json.dumps(items).encode()).hexdigest() == STRUCTURE_DIGEST
+        assert _structure_digest(STRUCTURE_ORDERS) == STRUCTURE_DIGEST
+
+    def test_structure_digest_at_large_orders(self):
+        assert _structure_digest(LARGE_STRUCTURE_ORDERS) == LARGE_STRUCTURE_DIGEST
 
     def test_census_at_complete_orders(self):
         assert set(CENSUS) == set(COMPLETE_CATALOG_ORDERS)
