@@ -15,7 +15,8 @@ from fourg import build_extensions, species_set, symmetry_classes_with_ovals
 for g in (4, 5):
     print(f"genus {g}:")
     for e in build_extensions(g):
-        values = [sp.value for sp in species_set(e)]
+        classes = symmetry_classes_with_ovals(e)
+        values = [sp.value for sp in species_set(e, classes)]
         print(f"  {e.label}: species {values}")
 
 # The species come from conjugacy classes of symmetries; the oval count of

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .actions import GeneratingVector
 from .errors import InvariantViolation
-from .realforms import Species, _species_of_classes, symmetry_classes_with_ovals
+from .realforms import Species, species_set, symmetry_classes_with_ovals
 from .signatures import INF, SIGN_PLUS, Signature, normalized_area, wiman_quotient_signature
 
 __all__ = [
@@ -425,7 +425,7 @@ def boundary_description(v: GeneratingVector, extensions) -> BoundaryDescription
         arcs.append(
             BoundaryArc(
                 e.label,
-                _species_of_classes(e, classes),
+                species_set(e, classes),
                 ARC_ENDPOINTS[e.label],
                 tuple(cls.ovals for cls in classes),
             )

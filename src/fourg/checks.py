@@ -24,7 +24,7 @@ from .actions import (
 from .errors import FourgError
 from .extensions import build_extensions, chain_target_group, cone_target_group
 from .groups import _automorphism_count, automorphism_search
-from .realforms import _reflection_records, _species_of_classes, symmetry_classes_with_ovals
+from .realforms import _reflection_records, species_set, symmetry_classes_with_ovals
 from .signatures import enumerate_4g_signatures
 
 __all__ = ["CheckResult", "run_all_checks", "ALL_CHECKS"]
@@ -92,7 +92,7 @@ def check_species_constraints(g_min: int, g_max: int) -> CheckResult:
     for g in range(g_min, g_max + 1):
         for e in build_extensions(g):
             classes = symmetry_classes_with_ovals(e)
-            species = _species_of_classes(e, classes)
+            species = species_set(e, classes)
             if len(species) != len(classes):
                 raise FourgError(
                     f"{e.label} at genus {g}: {len(species)} species for"

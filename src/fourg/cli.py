@@ -62,11 +62,6 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_INVARIANT = 3
 
-_CONFIG_KEYS = {
-    "genus", "range", "format", "tables", "max_order", "check",
-}
-
-
 class _Parser(argparse.ArgumentParser):
     """Argument parser whose usage failures raise instead of exiting.
 
@@ -157,22 +152,43 @@ def _load_config(path: str) -> dict:
     return options
 
 
-def _config_int(options: dict, key: str) -> int:
+def _read_int(key: str, text: str) -> int:
     try:
-        return int(options[key])
+        return int(text)
     except ValueError:
         raise InputFormatError(
-            f"config key {key} must be an integer, got {options[key]!r}"
+            f"config key {key} must be an integer, got {text!r}"
         ) from None
 
 
-def _config_bool(options: dict, key: str):
-    value = options[key].lower()
+def _read_bool(key: str, text: str) -> bool:
+    value = text.lower()
     if value in ("1", "true", "yes", "on"):
         return True
     if value in ("0", "false", "no", "off"):
         return False
-    raise InputFormatError(f"config key {key} must be a boolean, got {options[key]!r}")
+    raise InputFormatError(f"config key {key} must be a boolean, got {text!r}")
+
+
+def _read_format(key: str, text: str) -> str:
+    if text not in ("json", "markdown"):
+        raise InputFormatError(f"config format must be json or markdown, got {text!r}")
+    return text
+
+
+def _read_text(key: str, text: str) -> str:
+    return text
+
+
+# Each config key, in merge order: the flag it fills and the reader of its text.
+_CONFIG_KEYS = {
+    "genus": ("genus", _read_int),
+    "range": ("genus_range", _read_text),
+    "format": ("format", _read_format),
+    "tables": ("tables", _read_text),
+    "max_order": ("max_order", _read_int),
+    "check": ("check", _read_bool),
+}
 
 
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
@@ -180,26 +196,9 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     hard defaults; a key for a flag the subcommand lacks is left unread."""
     config = _load_config(args.config) if args.config else {}
     flags = vars(args)
-
-    def unset(dest, key):
-        return key in config and dest in flags and flags[dest] is None
-
-    if unset("genus", "genus"):
-        args.genus = _config_int(config, "genus")
-    if unset("genus_range", "range"):
-        args.genus_range = config["range"]
-    if unset("format", "format"):
-        if config["format"] not in ("json", "markdown"):
-            raise InputFormatError(
-                f"config format must be json or markdown, got {config['format']!r}"
-            )
-        args.format = config["format"]
-    if unset("tables", "tables"):
-        args.tables = config["tables"]
-    if unset("max_order", "max_order"):
-        args.max_order = _config_int(config, "max_order")
-    if unset("check", "check"):
-        args.check = _config_bool(config, "check")
+    for key, (dest, read) in _CONFIG_KEYS.items():
+        if key in config and dest in flags and flags[dest] is None:
+            flags[dest] = read(key, config[key])
     if args.format is None:
         args.format = "markdown"
     if args.max_order is None:

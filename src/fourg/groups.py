@@ -50,7 +50,10 @@ class; action classes and the extension certificate both use it.
 print.  It finds both dihedral shapes with one witness search
 (``_dihedral_pair``): a rotation of order n/2 and a reflection inverting it
 for the dihedral group of order n, and a rotation of order n/4 plus a
-central involution outside the dihedral subgroup for dihedral x C2.
+central involution outside the dihedral subgroup for dihedral x C2.  The
+first element of the needed order decides: in either shape every element
+of that order is a rotation (times the central factor) that every
+reflection inverts.
 """
 
 from __future__ import annotations
@@ -1129,18 +1132,20 @@ def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
 
 
 def _dihedral_pair(G: FiniteGroup, half: int):
-    """First rotation r of order ``half`` and involution s outside <r> with
-    s*r*s = r^-1, as indices, or None: <r, s> is dihedral of order 2*half."""
+    """The first element r of order ``half`` and the first involution s
+    outside <r> with s*r*s = r^-1, as indices, or None: <r, s> is dihedral
+    of order 2*half.  For half >= 3 the first r decides: in a dihedral group,
+    and in one times C2, it is a rotation (times the central factor) and
+    every reflection inverts it."""
     table = G._table
-    involutions = [i for i in range(G.order) if G.element_order(i) == 2]
-    for r in range(G.order):
-        if G.element_order(r) != half:
-            continue
-        powers = _closure(table, [r])
-        r_inv = G._inv[r]
-        for s in involutions:
-            if s not in powers and table[table[s][r]][s] == r_inv:
-                return r, s
+    r = next((i for i in range(G.order) if G.element_order(i) == half), None)
+    if r is None:
+        return None
+    powers = _closure(table, [r])
+    r_inv = G._inv[r]
+    for s in range(G.order):
+        if G.element_order(s) == 2 and s not in powers and table[table[s][r]][s] == r_inv:
+            return r, s
     return None
 
 
@@ -1149,7 +1154,7 @@ def recognize(G: FiniteGroup) -> str:
     ``dihedral of order 12 x C2``, or, for anything else, ``unrecognized
     group of order 24`` with its abelianization invariants appended when
     they are nontrivial.  Each dihedral name rests on a witness pair found
-    by ``_dihedral_pair``.
+    by ``_dihedral_pair`` from the first element of the needed order.
     """
     n = G.order
     orders = [G.element_order(i) for i in range(n)]
@@ -1159,13 +1164,10 @@ def recognize(G: FiniteGroup) -> str:
         non_identity = set(orders[1:])
         if len(non_identity) == 1:
             # p is prime, since a composite order has a power of smaller
-            # order, and n is a power of p by Cauchy's theorem
+            # order, and n is a power of p by Cauchy's theorem, so n has
+            # rank + 1 divisors
             (p,) = non_identity
-            rank, m = 0, n
-            while m % p == 0:
-                m //= p
-                rank += 1
-            return f"C{p}^{rank}"
+            return f"C{p}^{len(divisors_of(n)) - 1}"
     if n % 2 == 0 and n >= 6 and _dihedral_pair(G, n // 2) is not None:
         return f"dihedral of order {n}"
     pair = _dihedral_pair(G, n // 4) if n % 4 == 0 and n >= 12 else None
@@ -1262,16 +1264,12 @@ COMPLETE_CATALOG_ORDERS = frozenset(range(1, 16)) | {20, 21, 22, 25, 26, 28, 30,
 def _abelian_groups(n: int):
     """Every abelian group of order n, each a direct product of prime-power
     cyclic groups and generated by one generator of each factor."""
-    factors = {}
+    factors = Counter()
     m = n
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            m //= d
-        d += 1
-    if m > 1:
-        factors[m] = factors.get(m, 0) + 1
+    while m > 1:
+        p = divisors_of(m)[1]  # the least divisor above 1 is prime
+        factors[p] += 1
+        m //= p
 
     def partitions(k):
         if k == 0:

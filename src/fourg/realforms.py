@@ -12,12 +12,14 @@ built with its oval count by Gromadzki's centralizer-index formula (summing,
 over the non-conjugate canonical reflections whose image falls in the class,
 the index of the image of the reflection centralizer inside the centralizer
 of the image), and separability signs through an encoded classification
-table.  The centralizer-image rule is one formula over the extension's
-signature: the non-conjugate reflections are c_0..c_(s-1), and each
-centralizer image is generated by c_i and the half powers of its two link
-products.  It is guarded: for the canonical reflection-chain extensions it
-must reproduce eight independently stated subgroups exactly, and any drift
-aborts the computation.
+table.  ``species_set`` is the one species producer: it signs the class
+list that ``symmetry_classes_with_ovals`` built, which its caller passes in
+and may read oval counts off as well.  The centralizer-image rule is one
+formula over the extension's signature: the non-conjugate reflections are
+c_0..c_(s-1), and each centralizer image is generated by c_i and the half
+powers of its two link products.  It is guarded: for the canonical
+reflection-chain extensions it must reproduce eight independently stated
+subgroups exactly, and any drift aborts the computation.
 """
 
 from __future__ import annotations
@@ -226,22 +228,17 @@ _SIGN_TABLE = {
 }
 
 
-def species_set(e: ExtendedAction) -> tuple:
+def species_set(e: ExtendedAction, classes) -> tuple:
     """The multiset of species realized by the symmetries of an extension.
 
-    Oval counts are computed by :func:`symmetry_classes_with_ovals`; signs
-    are then resolved in order: an empty fixed-point set gives species 0; an
-    oval count with the wrong parity (k != g+1 mod 2) can only be
-    non-separating; a maximal count k = g+1 can only be separating;
-    remaining signs come from the encoded table.  The table's absolute
-    values must reproduce the computed counts exactly — disagreement raises
-    instead of guessing.  Sorted by descending value.
+    ``classes`` is the list :func:`symmetry_classes_with_ovals` built for
+    ``e``; its oval counts are signed in order: an empty fixed-point set
+    gives species 0; an oval count with the wrong parity (k != g+1 mod 2)
+    can only be non-separating; a maximal count k = g+1 can only be
+    separating; remaining signs come from the encoded table.  The table's
+    absolute values must reproduce the computed counts exactly —
+    disagreement raises instead of guessing.  Sorted by descending value.
     """
-    return _species_of_classes(e, symmetry_classes_with_ovals(e))
-
-
-def _species_of_classes(e: ExtendedAction, classes) -> tuple:
-    """``species_set`` of ``e`` from its already built symmetry classes."""
     g = e.g
     key = (e.label, g % 2)
     if key not in _SIGN_TABLE:

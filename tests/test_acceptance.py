@@ -123,16 +123,14 @@ def test_criterion_6_oval_counts_and_species():
         (5, {"a1": [0, 2, 2, 2], "a2": [1, 1, 5, 5]}, {"b": (0, 0, -2, -2)}),
     ):
         for e in build_extensions(g):
+            classes = symmetry_classes_with_ovals(e)
             if e.label in want_ovals:
-                ovals = sorted(
-                    cls.ovals for cls in symmetry_classes_with_ovals(e)
-                )
+                ovals = sorted(cls.ovals for cls in classes)
                 assert ovals == want_ovals[e.label], f"genus {g}, {e.label}"
+            values = tuple(sp.value for sp in species_set(e, classes))
             if e.label == "a2":
-                values = tuple(sp.value for sp in species_set(e))
                 assert values == (-1, -1, -g, -g)
             if e.label in want_species:
-                values = tuple(sp.value for sp in species_set(e))
                 assert values == want_species[e.label], f"genus {g}, {e.label}"
     guard = check_centralizer_images(2, 8)
     assert guard.passed, guard.detail

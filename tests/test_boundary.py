@@ -40,7 +40,7 @@ from fourg.boundary import (
 from fourg.errors import InvariantViolation
 from fourg.extensions import build_extensions
 from fourg.groups import FiniteGroup
-from fourg.realforms import Species, species_set
+from fourg.realforms import Species, species_set, symmetry_classes_with_ovals
 from fourg.signatures import parse_signature, wiman_quotient_signature
 
 
@@ -399,7 +399,8 @@ class TestBoundaryArc:
         assert all(isinstance(sp, Species) for sp in arc.species)
 
     def test_rejects_bad_labels_and_endpoints(self):
-        sp = species_set(build_extensions(2)[2])
+        e = build_extensions(2)[2]
+        sp = species_set(e, symmetry_classes_with_ovals(e))
         ovals = tuple(abs(v.value) for v in sp)
         good = frozenset({DIPOLE_SURFACE, WIMAN_SURFACE})
         BoundaryArc("b", sp, good, ovals)  # must pass untouched

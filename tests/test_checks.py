@@ -74,6 +74,26 @@ class TestIndividualChecks:
         assert check_species_constraints(2, 6).passed
         assert sorted(calls) == [(g, label) for g in range(2, 7) for label in ("a1", "a2", "b")]
 
+    def test_report_and_check_sign_species_through_species_set(self, monkeypatch):
+        # species_set is the one species producer: the report (through its
+        # boundary arcs) and the species suite each call it once per extension
+        from fourg import boundary
+
+        calls = []
+        real = realforms.species_set
+
+        def counting(e, classes):
+            calls.append(e.label)
+            return real(e, classes)
+
+        monkeypatch.setattr(boundary, "species_set", counting)
+        monkeypatch.setattr(checks, "species_set", counting)
+        build_report(3)
+        assert sorted(calls) == ["a1", "a2", "b"]
+        calls.clear()
+        assert check_species_constraints(3, 3).passed
+        assert sorted(calls) == ["a1", "a2", "b"]
+
     def test_species_constraints_recompute_after_a_report(self, monkeypatch):
         # a report builds every extension's symmetry classes first; the
         # species suite must rebuild them, so a broken rule still fails it

@@ -1877,7 +1877,8 @@ class TestRecognition:
         d8_c4 = direct_product(dihedral(8), cyclic(4, gen_name="y"))
         assert recognize(d8_c4) == other.format(32, [4, 2, 2])
 
-    @pytest.mark.parametrize("n", range(1, 65))
+    # 96 is the catalog pool of the exceptional search at genus 24
+    @pytest.mark.parametrize("n", [*range(1, 101), 120])
     def test_matches_reference_on_catalog(self, n):
         for G in small_groups(n):
             _assert_matches_reference(G)

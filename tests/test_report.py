@@ -6,7 +6,7 @@ import pytest
 
 from fourg.extensions import build_extensions
 from fourg.groups import cyclic, dihedral, small_groups
-from fourg.realforms import species_set
+from fourg.realforms import species_set, symmetry_classes_with_ovals
 from fourg.report import (
     CATALOGUED_SPORADIC_GENERA,
     EXCEPTIONAL_SURFACE_GENERA,
@@ -128,8 +128,9 @@ class TestBuildReportCore:
         monkeypatch.undo()
         by_label = {entry["label"]: entry for entry in report.symmetry_types}
         for e in build_extensions(7):
-            assert by_label[e.label]["species"] == [sp.value for sp in species_set(e)]
-            assert by_label[e.label]["ovals"] == [cls.ovals for cls in real(e)]
+            classes = symmetry_classes_with_ovals(e)
+            assert by_label[e.label]["species"] == [sp.value for sp in species_set(e, classes)]
+            assert by_label[e.label]["ovals"] == [cls.ovals for cls in classes]
 
     def test_boundary_block_embeds_description(self):
         report = build_report(4)
