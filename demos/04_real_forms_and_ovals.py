@@ -8,13 +8,18 @@ multiset of species over all conjugacy classes of involutions is the
 symmetry type of the family.
 """
 
-from fourg import build_extensions, species_set, symmetry_classes_with_ovals
+from fourg import (
+    build_extensions,
+    main_action_class,
+    species_set,
+    symmetry_classes_with_ovals,
+)
 
 # Each extension class determines the symmetry type of the surfaces on its
 # arc of the family.
 for g in (4, 5):
     print(f"genus {g}:")
-    for e in build_extensions(g):
+    for e in build_extensions(main_action_class(g)):
         classes = symmetry_classes_with_ovals(e)
         values = [sp.value for sp in species_set(e, classes)]
         print(f"  {e.label}: species {values}")
@@ -22,7 +27,7 @@ for g in (4, 5):
 # The species come from conjugacy classes of symmetries; the oval count of
 # each class is a centralizer-index computation.
 g = 5
-e = build_extensions(g)[0]
+e = build_extensions(main_action_class(g))[0]
 print(f"genus {g}, class {e.label}:")
 for cls in symmetry_classes_with_ovals(e):
     print(f"  symmetry {cls.representative.name}: {cls.ovals} oval(s),"

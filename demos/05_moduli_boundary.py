@@ -8,7 +8,13 @@ a cone generator of the quotient, read off the subgroup the rest still
 generates, and rebuild the dual graph of the limit.
 """
 
-from fourg import boundary_description, build_extensions, canonical_vector, nodal_graph
+from fourg import (
+    boundary_description,
+    build_extensions,
+    canonical_vector,
+    main_action_class,
+    nodal_graph,
+)
 
 # Two degeneration systems exist for the four-period quotient.  The first
 # pinches between the handles: the limit is a dipole graph.  Each genus
@@ -35,7 +41,7 @@ print("rose total genus:", rose.total_genus)
 # the dipole limit X_D, the rose limit X_R, and the smooth curve X_8g with
 # twice as many automorphisms (Wiman's curve of type II).  The nodal
 # endpoints are pinched from the family vector v.
-description = boundary_description(v, build_extensions(g))
+description = boundary_description(v, build_extensions(main_action_class(g)))
 for arc in description.arcs:
     print(f"arc {arc.label}: species {list(arc.species_values)}, joins"
           f" {sorted(arc.endpoints)}")
@@ -43,5 +49,7 @@ print("Wiman curve:", description.wiman_curve.equation,
       "with", description.wiman_curve.automorphism_count, "automorphisms")
 
 # Genus 2 is the lone exception: there |Aut| = 48.
-genus_two = boundary_description(canonical_vector(2), build_extensions(2))
+genus_two = boundary_description(
+    canonical_vector(2), build_extensions(main_action_class(2))
+)
 print("at genus 2:", genus_two.wiman_curve.automorphism_count)

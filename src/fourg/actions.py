@@ -225,13 +225,14 @@ class ActionClass:
 
     Aut(G) acts freely on generating vectors, so the class is held as the
     Cayley keys of its Aut-classes (over all orderings of the period
-    multiset), and it has |Aut(G)| members per key.  ``size`` is the member
-    count, |Aut(G)| times the number of keys, set by ``classify``, which
-    counts Aut(G) once per call.
+    multiset), and it has |Aut(G)| members per key.  ``members`` maps each
+    key to one member index tuple, the one ``_orbit`` reached it by.
+    ``size`` is the member count, |Aut(G)| times the number of keys, set by
+    ``classify``, which counts Aut(G) once per call.
     """
 
     group: FiniteGroup
-    keys: frozenset
+    members: dict
     size: int
 
     def contains(self, images) -> bool:
@@ -245,7 +246,7 @@ class ActionClass:
         no key.
         """
         table = images[0].group._table
-        return _cayley_key(table, tuple(e.idx for e in images)) in self.keys
+        return _cayley_key(table, tuple(e.idx for e in images)) in self.members
 
 
 def classify(G: FiniteGroup, periods):
@@ -254,7 +255,8 @@ def classify(G: FiniteGroup, periods):
     Classes are orbits under braid moves (which realize every permutation of
     equal periods) together with Aut(G), walked as braid orbits on Cayley
     keys.  Each class is seeded by the smallest vector of the search whose
-    key no class holds yet, and stores only its keys and its member count.
+    key no class holds yet, and stores its keys, one member tuple per key,
+    and its member count.
 
     Completeness is certified by counting.  |Aut(G)| times the keys with
     ascending periods, summed over the classes, counts generating vectors,
@@ -276,7 +278,7 @@ def classify(G: FiniteGroup, periods):
     for seed in seeds:
         enumerated += G.class_size(seed[0])
         key = _cayley_key(G._table, seed)
-        if any(key in c.keys for c in classes):
+        if any(key in c.members for c in classes):
             continue
         if not classes:
             n_aut = _automorphism_count(G)
@@ -284,7 +286,7 @@ def classify(G: FiniteGroup, periods):
         counted += n_aut * sum(
             tuple(G.element_order(i) for i in t) == base for t in members.values()
         )
-        classes.append(ActionClass(G, frozenset(members), n_aut * len(members)))
+        classes.append(ActionClass(G, members, n_aut * len(members)))
         if counted == target:
             return classes
     if counted != enumerated:

@@ -19,6 +19,7 @@ from .actions import (
     classify,
     family_group,
     kernel_genus,
+    main_action_class,
     smooth_vectors,
 )
 from .errors import FourgError
@@ -90,7 +91,7 @@ def check_species_constraints(g_min: int, g_max: int) -> CheckResult:
     """Every emitted species satisfies the topological oval bounds."""
     emitted = 0
     for g in range(g_min, g_max + 1):
-        for e in build_extensions(g):
+        for e in build_extensions(main_action_class(g)):
             classes = symmetry_classes_with_ovals(e)
             species = species_set(e, classes)
             if len(species) != len(classes):
@@ -117,7 +118,7 @@ def check_centralizer_images(g_min: int, g_max: int) -> CheckResult:
     """
     records = 0
     for g in range(g_min, g_max + 1):
-        for e in build_extensions(g):
+        for e in build_extensions(main_action_class(g)):
             records += len(_reflection_records(e))
     return CheckResult(
         "centralizer-images", True, f"{records} reflection records verified"

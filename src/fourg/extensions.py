@@ -14,37 +14,37 @@ of order 8g.  Two quotient shapes occur:
   (label ``b``).
 
 The kind fixes only the signature; the rest of an extension's shape (stored
-images and their names, relation checks, the one enumerator, whether chain
-reversal applies, restriction words) is read off the canonical presentation
-of that NEC signature (Bujalance, Cirre, Gamboa & Gromadzki, *Symmetries of
-Compact Riemann Surfaces*, LNM 2007).  ``build_extensions(g)`` returns the
-three classes as one list [a1, a2, b] and does not take the counts on
-faith: for each signature it enumerates the assignments of canonical
-generators that satisfy the defining relations, up to conjugating the first
-image, and certifies that each generating one is equivalent, through a
-character-preserving automorphism of the target (plus the chain reversal
-where the signature allows it, which is kind ``a``), to exactly one
-canonical epimorphism.  Each tuple gets one Cayley key
-(``groups._cayley_key``); each canonical epimorphism owns its key and, when
-reversal applies, its reversal's key.  No key may be owned twice, and every
-canonical epimorphism must be reached.  ``restrict_to_index2`` writes the
-orientation-preserving action of each extension as words in the extension's
-own group; callers key those words against the unique class of the parent
-family, since a Cayley key walks only the index-2 half the words generate.
+images and their names, relation checks, whether chain reversal applies,
+restriction words) is read off the canonical presentation of that NEC
+signature (Bujalance, Cirre, Gamboa & Gromadzki, *Symmetries of Compact
+Riemann Surfaces*, LNM 2007).  ``build_extensions(main)`` takes the unique
+class of the order-4g action and returns the three classes as one list
+[a1, a2, b], and it does not take the counts on faith.  An extension is an
+index-2 NEC group over the orbifold group Delta(2,2,2,2g); conjugation by
+its reflection c0 is an automorphism phi of Delta, and an action through a
+generating tuple t extends exactly when some automorphism of the group maps
+t onto phi(t), that is when phi fixes the Cayley key of t (D. Singerman,
+"Symmetries of Riemann surfaces with large automorphism group", Math. Ann.
+210, 1974).  The quotient allows two shapes of phi, one per kind, and the
+chain reversal relabels kind a's generators.  So the extension classes are
+the keys of the main class that phi_a and phi_b fix, the phi_a-fixed ones
+paired by reversal, and the certificate checks that the restrictions of the
+canonical epimorphisms land on exactly those keys, one class per pair.
+``restrict_to_index2`` writes the orientation-preserving action of each
+extension as words in the extension's own group; a Cayley key walks only the
+index-2 half the words generate, so they key against the main class directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
-from .actions import kernel_genus
+from .actions import ActionClass, kernel_genus
 from .errors import InvariantViolation
 from .groups import (
     FiniteGroup,
     GroupElement,
     _cayley_key,
-    _class_minima,
     cyclic,
     dihedral_from_reflections,
     direct_product,
@@ -210,100 +210,6 @@ class ExtendedAction:
         return f"[{self.label}] {self.signature}: {pairs}"
 
 
-def _admissible_tuples(G: FiniteGroup, sig: Signature) -> list:
-    """Image index tuples satisfying the canonical relations of ``sig``.
-
-    Elliptic images are orientation-preserving elements of their periods,
-    reflection images orientation-reversing involutions.  The first entry
-    (x_1 if r > 0, else c_0) runs only over conjugacy-class minima, since
-    conjugation preserves the relations and the character; c_s is forced as
-    e^-1 c_0 e; the chain c_1..c_(s-1) is filtered link by link, and the
-    closing link c_(s-1)*c_s is checked last (both kinds have s >= 2, so
-    c_(s-1) is free).  Tuples follow the ``ExtendedAction.images`` layout.
-    Generation is settled by :func:`_verify_unique_classes`.
-    """
-    periods, (links,) = sig.proper_periods, sig.period_cycles
-    order_of, kappa, table = G.element_order, G.orientation, G._table
-
-    def having(m, sign):
-        return [i for i in range(G.order) if order_of(i) == m and kappa[i] == sign]
-
-    mirrors = having(2, -1)
-    pools = [having(m, 1) for m in periods] + [mirrors]
-    pools[0] = _class_minima(G, set(pools[0]))
-    *elliptic, starts = pools
-    found = []
-
-    def extend(chain, cs, head, tail):
-        order, rows = order_of, table  # locals: the loops below are the hot path
-        row = rows[chain[-1]]
-        link = links[len(chain) - 1]
-        if len(chain) < len(links) - 1:
-            for c in mirrors:
-                if order(row[c]) == link:
-                    extend(chain + (c,), cs, head, tail)
-            return
-        closing = links[-1]
-        for c in mirrors:  # c = c_(s-1), the last free reflection
-            if order(row[c]) == link and order(rows[c][cs]) == closing:
-                found.append(head + chain + (c,) + tail)
-
-    for head in product(*elliptic):
-        word = 0
-        for x in head:
-            word = table[word][x]
-        for c0 in starts:
-            cs = table[table[word][c0]][G._inv[word]]
-            extend((c0,), cs, head, (cs,) if head else ())
-    return found
-
-
-def _verify_unique_classes(
-    G: FiniteGroup, tuples: list, canon: list, sig: Signature
-) -> dict:
-    """Check every generating tuple has the Cayley key of one canonical class.
-
-    Equal keys mean an automorphism of G maps one tuple onto the other entry
-    by entry; it preserves the orientation character, as equal positions
-    carry equal signs.  Such a map also sends t[::-1] onto the other tuple's
-    reversal.  Reversing the chain, c_j -> c_(s-1-j), is a relabelling of
-    the canonical generators when ``sig`` has no cone point (so c_s = c_0)
-    and the reversed links n_(s-1)..n_1 equal n_1..n_(s-1): then each
-    canonical class owns two keys, its tuple's and its reversal's, and every
-    tuple needs only its own key.  A key of length ``len(t) * |G|`` means t
-    generates G; other tuples are skipped.  Returns ``owner``: each
-    generating tuple -> its canonical index.
-    """
-    periods, (links,) = sig.proper_periods, sig.period_cycles
-    reversible = not periods and links[-2::-1] == links[:-1]
-    table = G._table
-    names = {}
-    for k, rep in enumerate(canon):
-        for t in (rep, rep[::-1]) if reversible else (rep,):
-            if names.setdefault(_cayley_key(table, t), k) != k:
-                raise InvariantViolation(
-                    "canonical epimorphisms are equivalent; the classification collapsed"
-                )
-    owner = {}
-    for t in tuples:
-        key = _cayley_key(table, t)
-        if len(key) != len(t) * G.order:
-            continue
-        k = names.get(key)
-        if k is None:
-            raise InvariantViolation(
-                f"admissible assignment {t} matches 0 canonical"
-                " epimorphisms; expected exactly one"
-            )
-        owner[t] = k
-    if len(set(owner.values())) != len(canon):
-        raise InvariantViolation(
-            "a canonical epimorphism is missing from the admissible"
-            " assignments; the enumeration is broken"
-        )
-    return owner
-
-
 def _distinct_image_classes(action: ExtendedAction) -> int:
     """Number of distinct conjugacy classes met by the reflection images."""
     class_of = action.group._class_index()[1]
@@ -319,27 +225,114 @@ def _chain_images(A: FiniteGroup, g: int) -> dict:
     return {"a1": (x, y, half_turn * w, w), "a2": (x, y, y * half_turn, w)}
 
 
-def build_extensions(g: int) -> list:
-    """The three classes of order-8g extensions of the genus-g action: [a1, a2, b].
+def _phi_a(table, inv, t) -> tuple:
+    """Kind a's reflection on a tuple t: t_j -> w_j t_j^-1 w_j^-1, w_j = t_1...t_(j-1).
 
-    a1, a2 are the reflection-chain classes (kind ``a``), b the one-cone-point
-    class (kind ``b``).  Each signature's count is certified by Cayley keys
-    (:func:`_verify_unique_classes`): every generating assignment satisfying
-    the defining relations has a key owned by one canonical epimorphism, each
-    of those is reached, and no key is owned by two; a failure raises
-    InvariantViolation rather than returning a partial answer.
+    With x_j = c_(j-1) c_j, conjugation by c0 sends each x_j to that word.
     """
-    if not isinstance(g, int) or g < 2:
-        raise ValueError(f"g must be an integer >= 2, got {g!r}")
+    out, w = [], 0
+    for x in t:
+        out.append(table[table[w][inv[x]]][inv[w]])
+        w = table[w][x]
+    return tuple(out)
+
+
+def _phi_b(table, inv, t) -> tuple:
+    """Kind b's reflection on t = (x1, c0 x1 c0, c0 c1, c1 c2): conjugation by c0."""
+    t1, t2, t3, t4 = t
+    return (t2, t1, inv[t3], table[table[t3][inv[t4]]][inv[t3]])
+
+
+def _chain_reversal(table, inv, t) -> tuple:
+    """The restriction of the reversed chain c3, c2, c1, c0 of kind a."""
+    t1, t2, t3, t4 = t
+    return (inv[t3], inv[t2], inv[t1], inv[t4])
+
+
+def _fixed_keys(main: ActionClass, phi) -> dict:
+    """The keys of ``main`` on the ordered periods (2,2,2,2g) whose member
+    tuple t has ``phi(t)`` under the same key, each with that member."""
+    G = main.group
+    table, inv, orders = G._table, G._inv, G._order_list()
+    periods = (2, 2, 2, G.order // 2)
+    return {
+        key: t
+        for key, t in main.members.items()
+        if tuple(orders[i] for i in t) == periods
+        and _cayley_key(table, phi(table, inv, t)) == key
+    }
+
+
+def _reversal_pairs(main: ActionClass) -> dict:
+    """Each key of ``main`` that phi_a fixes, with the set of it and the key
+    of its member's chain reversal."""
+    table, inv = main.group._table, main.group._inv
+    return {
+        key: frozenset((key, _cayley_key(table, _chain_reversal(table, inv, t))))
+        for key, t in _fixed_keys(main, _phi_a).items()
+    }
+
+
+def _restriction_key(e: ExtendedAction) -> tuple:
+    return _cayley_key(e.group._table, tuple(p.idx for p in restrict_to_index2(e)))
+
+
+def _certify(main: ActionClass, chain: list, cone: list) -> None:
+    """Check the canonical epimorphisms against the keys phi_a and phi_b fix.
+
+    The kind-a classes are the phi_a-fixed keys up to chain reversal, so the
+    reversal must map that set into itself, a1 and a2 must restrict into it,
+    their reversal pairs must differ and must cover it.  The one kind-b
+    class must restrict onto the only phi_b-fixed key.
+    """
+    pair = _reversal_pairs(main)
+    fixed_a = pair.keys()
+    if not set().union(*pair.values()) <= fixed_a:
+        raise InvariantViolation("chain reversal leaves the keys that phi_a fixes")
+    pairs = []
+    for e in chain:
+        key = _restriction_key(e)
+        if key not in pair:
+            raise InvariantViolation(f"{e.label} restricts to no key that phi_a fixes")
+        pairs.append(pair[key])
+    if len(set(pairs)) != len(chain):
+        raise InvariantViolation(
+            "canonical epimorphisms are equivalent; the classification collapsed"
+        )
+    if set().union(*pairs) != fixed_a:
+        raise InvariantViolation(
+            f"phi_a fixes {len(fixed_a)} keys; the canonical chain classes"
+            " do not account for every one"
+        )
+    fixed_b = _fixed_keys(main, _phi_b)
+    if fixed_b.keys() != {_restriction_key(e) for e in cone}:
+        raise InvariantViolation(
+            f"phi_b fixes {len(fixed_b)} keys; expected exactly the restriction of b"
+        )
+
+
+def build_extensions(main: ActionClass) -> list:
+    """The three classes of order-8g extensions of the main action: [a1, a2, b].
+
+    ``main`` is the unique class on (2,2,2,2g) over the dihedral group of
+    order 4g, and g is read off that order.  a1, a2 are the
+    reflection-chain classes (kind ``a``), b the one-cone-point class (kind
+    ``b``).  The counts are certified by the keys of ``main`` that the
+    reflection of each kind fixes (Singerman 1974): the restrictions of a1
+    and a2 must land in two different chain-reversal pairs of phi_a-fixed
+    keys that cover them all, and the restriction of b on the only
+    phi_b-fixed key.  A failure raises InvariantViolation rather than
+    returning a partial answer.
+    """
+    if not isinstance(main, ActionClass):
+        raise TypeError(f"main must be an ActionClass, got {type(main).__name__}")
+    g = main.group.order // 4
     A = chain_target_group(g)
     chain = [ExtendedAction(g, KIND_A, k, A, v) for k, v in _chain_images(A, g).items()]
     B = cone_target_group(g)
     x, z, w = B.generator("x"), B.generator("z"), B.generator("w")
     cone = [ExtendedAction(g, KIND_B, "b", B, (x, x * w * x, z, w))]
-    for actions in (chain, cone):
-        G, sig = actions[0].group, actions[0].signature
-        canon = [tuple(e.idx for e in a.images) for a in actions]
-        _verify_unique_classes(G, _admissible_tuples(G, sig), canon, sig)
+    _certify(main, chain, cone)
     # The two chain classes are told apart by how many conjugacy classes
     # their reflection images hit: a1 sends two chain generators into the
     # same class, a2 spreads over four.

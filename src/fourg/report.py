@@ -266,7 +266,7 @@ def build_report(
         "orbit_size": main.size,
     }
 
-    extended = build_extensions(g)
+    extended = build_extensions(main)
     description = boundary_description(v, extended)
     arcs = {arc.label: arc for arc in description.arcs}
     kinds = [e.kind for e in extended]

@@ -101,7 +101,7 @@ def test_criterion_4_case_eliminations():
 def test_criterion_5_extended_groups():
     """Two reflection extensions of one kind, one of the other, per genus."""
     for g in range(2, 11):
-        extended = build_extensions(g)
+        extended = build_extensions(main_action_class(g))
         kind_a = [e for e in extended if e.kind == "a"]
         kind_b = [e for e in extended if e.kind == "b"]
         assert len(kind_a) == 2, f"genus {g}"
@@ -122,7 +122,7 @@ def test_criterion_6_oval_counts_and_species():
         (4, {"a1": [0, 1, 1, 3], "a2": [1, 1, 4, 4]}, {"b": (-2,)}),
         (5, {"a1": [0, 2, 2, 2], "a2": [1, 1, 5, 5]}, {"b": (0, 0, -2, -2)}),
     ):
-        for e in build_extensions(g):
+        for e in build_extensions(main_action_class(g)):
             classes = symmetry_classes_with_ovals(e)
             if e.label in want_ovals:
                 ovals = sorted(cls.ovals for cls in classes)
@@ -158,7 +158,7 @@ def test_criterion_7_boundary_graphs():
         assert all(edge == (0, 0) for edge in rose.edges)
         assert rose.total_genus == g
 
-        description = boundary_description(v, build_extensions(g))
+        description = boundary_description(v, build_extensions(main_action_class(g)))
         labels = tuple(arc.label for arc in description.arcs)
         assert labels == ("a1", "a2", "b")
         assert set(description.to_json_dict()["endpoints"]) == {"X_D", "X_R", "X_8g"}

@@ -177,7 +177,9 @@ class TestClassify:
         G = family_group(2)
         a = classify(G, (2, 2, 2, 4))
         b = classify(G, (4, 2, 2, 2))
-        assert [(c.keys, c.size) for c in a] == [(c.keys, c.size) for c in b]
+        assert [(c.members.keys(), c.size) for c in a] == [
+            (c.members.keys(), c.size) for c in b
+        ]
 
     def test_non_divisor_empty(self):
         assert classify(dihedral(8), (3, 3, 3)) == []
@@ -187,7 +189,7 @@ class TestClassify:
         classes = classify(G, (2, 2, 2, 6))
         n_aut = len(automorphism_search(G))
         assert n_aut == 12  # |Aut(D_6)| = 6 * phi(6)
-        assert [c.size for c in classes] == [n_aut * len(c.keys) for c in classes]
+        assert [c.size for c in classes] == [n_aut * len(c.members) for c in classes]
         # the group holds its table and index caches only: no automorphism
         # list, no automorphism count and no element objects
         assert set(vars(G)) == {
@@ -210,7 +212,7 @@ class TestClassify:
     def test_main_action_class_cached_and_checked(self):
         cls = main_action_class(4)
         again = main_action_class(4)
-        assert (again.keys, again.size) == (cls.keys, cls.size)
+        assert (again.members, again.size) == (cls.members, cls.size)
         assert cls.size > 0
         assert cls.contains(canonical_vector(4).images)
 
@@ -406,8 +408,11 @@ class TestKeyClassification:
         sizes = [96, 144, 384, 480, 576, 1008, 1536, 1296, 1920, 2640, 2304]
         for g, size in zip(range(2, 13), sizes):
             cls = main_action_class(g)
-            assert len(cls.keys) == 12, g
+            assert len(cls.members) == 12, g
             assert cls.size == size, g
+            # each key keeps a member tuple of the class that has that key
+            table = cls.group._table
+            assert all(_cayley_key(table, t) == key for key, t in cls.members.items())
 
     @settings(PROPERTY_SETTINGS, max_examples=40)
     @given(st.data())
@@ -482,13 +487,13 @@ def _reference_classify_enumerated(G: FiniteGroup, periods):
     for seed in vectors:
         if counted == total:
             break
-        if any(_cayley_key(G._table, seed) in c.keys for c in classes):
+        if any(_cayley_key(G._table, seed) in c.members for c in classes):
             continue
         members = actions._orbit(G, seed)
         counted += n_aut * sum(
             tuple(G.element_order(i) for i in t) == base for t in members.values()
         )
-        classes.append(ActionClass(G, frozenset(members), n_aut * len(members)))
+        classes.append(ActionClass(G, members, n_aut * len(members)))
     if counted != total:
         raise InvariantViolation(
             f"classes count {counted} of {total} vectors; the search was not exhaustive"
@@ -514,7 +519,7 @@ def _phi(n: int) -> int:
 
 
 def _class_summary(classes):
-    return [(c.keys, c.size) for c in classes]
+    return [(c.members.keys(), c.size) for c in classes]
 
 
 class TestCountCertificate:

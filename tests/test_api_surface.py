@@ -132,7 +132,7 @@ def test_scan_sees_private_helpers():
     for path in PACKAGE.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         scanned.update(f"{path.stem}.{qualified}" for qualified, _, _ in _definitions(tree))
-    assert {"groups._cayley_key", "extensions._verify_unique_classes"} <= scanned
+    assert {"groups._cayley_key", "extensions._fixed_keys"} <= scanned
 
 
 def test_scan_ignores_bare_names_for_methods():

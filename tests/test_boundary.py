@@ -19,7 +19,13 @@ from fractions import Fraction
 import pytest
 
 from fourg import boundary
-from fourg.actions import GeneratingVector, canonical_vector, family_group, smooth_vectors
+from fourg.actions import (
+    GeneratingVector,
+    canonical_vector,
+    family_group,
+    main_action_class,
+    smooth_vectors,
+)
 from fourg.boundary import (
     ARC_ENDPOINTS,
     DIPOLE_SURFACE,
@@ -51,6 +57,11 @@ def _degree(graph, vertex):
 
 def _arcs(description):
     return {arc.label: arc for arc in description.arcs}
+
+
+def _description(g):
+    """The boundary of genus g from its family vector and its extensions."""
+    return boundary_description(canonical_vector(g), build_extensions(main_action_class(g)))
 
 
 class TestNodalGraph:
@@ -346,7 +357,7 @@ class TestRestrictedVectorDegenerations:
 
     def test_first_chain_class_reaches_both_nodal_limits(self, restricted_vector):
         for g in (3, 4, 6):
-            e = build_extensions(g)[0]
+            e = build_extensions(main_action_class(g))[0]
             v = restricted_vector(e)
             first, second = _reference_degeneration_subgroups(v)
             assert (_index(v.group, first), _index(v.group, second)) == (2, 1)
@@ -357,7 +368,7 @@ class TestRestrictedVectorDegenerations:
         # both pinching systems keep the surface connected: its one nodal
         # limit is the rose, which is why it runs to the high-symmetry curve
         for g in (3, 4, 6):
-            e = build_extensions(g)[1]
+            e = build_extensions(main_action_class(g))[1]
             v = restricted_vector(e)
             first, second = _reference_degeneration_subgroups(v)
             assert (_index(v.group, first), _index(v.group, second)) == (1, 1)
@@ -366,7 +377,7 @@ class TestRestrictedVectorDegenerations:
 
     def test_mixed_class_reaches_the_dipole(self, restricted_vector):
         for g in (3, 4, 6):
-            e = build_extensions(g)[2]
+            e = build_extensions(main_action_class(g))[2]
             v = restricted_vector(e)
             first, second = _reference_degeneration_subgroups(v)
             assert (_index(v.group, first), _index(v.group, second)) == (2, 1)
@@ -394,12 +405,12 @@ class TestWimanCurve:
 
 class TestBoundaryArc:
     def test_species_values_descending(self):
-        arc = _arcs(boundary_description(canonical_vector(5), build_extensions(5)))["a1"]
+        arc = _arcs(_description(5))["a1"]
         assert arc.species_values == (2, 0, -2, -2)
         assert all(isinstance(sp, Species) for sp in arc.species)
 
     def test_rejects_bad_labels_and_endpoints(self):
-        e = build_extensions(2)[2]
+        e = build_extensions(main_action_class(2))[2]
         sp = species_set(e, symmetry_classes_with_ovals(e))
         ovals = tuple(abs(v.value) for v in sp)
         good = frozenset({DIPOLE_SURFACE, WIMAN_SURFACE})
@@ -416,7 +427,7 @@ class TestBoundaryArc:
             BoundaryArc("b", sp, good, ovals + (0,))
 
     def test_json_form(self):
-        arc = _arcs(boundary_description(canonical_vector(4), build_extensions(4)))["b"]
+        arc = _arcs(_description(4))["b"]
         assert arc.ovals == (2,)
         assert arc.to_json_dict() == {
             "label": "b",
@@ -427,7 +438,7 @@ class TestBoundaryArc:
 
 class TestBoundaryDescription:
     def test_genus_five_description(self):
-        arcs = _arcs(boundary_description(canonical_vector(5), build_extensions(5)))
+        arcs = _arcs(_description(5))
         assert arcs["a1"].species_values == (2, 0, -2, -2)
         assert arcs["a2"].species_values == (-1, -1, -5, -5)
         assert arcs["b"].species_values == (0, 0, -2, -2)
@@ -436,18 +447,18 @@ class TestBoundaryDescription:
         assert arcs["b"].endpoints == frozenset({DIPOLE_SURFACE, WIMAN_SURFACE})
 
     def test_genus_four_mixed_arc(self):
-        arcs = _arcs(boundary_description(canonical_vector(4), build_extensions(4)))
+        arcs = _arcs(_description(4))
         assert arcs["b"].species_values == (-2,)
         assert arcs["a1"].species_values == (1, 0, -1, -3)
 
     def test_genus_two_annotations(self):
-        bd = boundary_description(canonical_vector(2), build_extensions(2))
+        bd = _description(2)
         assert bd.wiman_curve.automorphism_count == 48
         assert _arcs(bd)["a1"].species_values == (3, 1, 0, -1)
 
     def test_arcs_close_into_a_loop(self):
         for g in range(2, 8):
-            bd = boundary_description(canonical_vector(g), build_extensions(g))
+            bd = _description(g)
             degree = {}
             for arc in bd.arcs:
                 for name in arc.endpoints:
@@ -459,19 +470,19 @@ class TestBoundaryDescription:
             assert bd.wiman_curve.genus == g
 
     def test_arc_lookup(self):
-        bd = boundary_description(canonical_vector(3), build_extensions(3))
+        bd = _description(3)
         assert tuple(arc.label for arc in bd.arcs) == ("a1", "a2", "b")
         assert _arcs(bd)["a2"] is bd.arcs[1]
 
     def test_three_cycle_guard(self):
-        bd = boundary_description(canonical_vector(3), build_extensions(3))
+        bd = _description(3)
         _require_three_cycle(bd.arcs)  # must pass untouched
         broken = (bd.arcs[0], bd.arcs[0], bd.arcs[2])
         with pytest.raises(InvariantViolation):
             _require_three_cycle(broken)
 
     def test_rejects_inconsistent_assembly(self):
-        bd = boundary_description(canonical_vector(3), build_extensions(3))
+        bd = _description(3)
         with pytest.raises(InvariantViolation):
             BoundaryDescription(
                 genus=3,
@@ -496,14 +507,8 @@ class TestBoundaryDescription:
             )
 
     def test_json_is_deterministic(self):
-        first = json.dumps(
-            boundary_description(canonical_vector(4), build_extensions(4)).to_json_dict(),
-            sort_keys=True,
-        )
-        second = json.dumps(
-            boundary_description(canonical_vector(4), build_extensions(4)).to_json_dict(),
-            sort_keys=True,
-        )
+        first = json.dumps(_description(4).to_json_dict(), sort_keys=True)
+        second = json.dumps(_description(4).to_json_dict(), sort_keys=True)
         assert first == second
         data = json.loads(first)
         assert set(data) == {"genus", "arcs", "endpoints"}
@@ -516,10 +521,11 @@ class TestBoundaryDescription:
         D, A = G.generator("D"), G.generator("A")
         v = GeneratingVector(G, (2, 2, 2, 2), (A, A, D * A, D * A))
         with pytest.raises(ValueError, match="even and >= 4"):
-            boundary_description(v, build_extensions(2))
+            boundary_description(v, build_extensions(main_action_class(2)))
 
     def test_rejects_a_list_that_is_not_one_genus_in_order(self):
-        three, four = build_extensions(3), build_extensions(4)
+        three = build_extensions(main_action_class(3))
+        four = build_extensions(main_action_class(4))
         v = canonical_vector(3)
         with pytest.raises(InvariantViolation, match="labelled"):
             boundary_description(v, three[::-1])

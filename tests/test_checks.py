@@ -14,6 +14,7 @@ from fourg.checks import (
     check_species_constraints,
     run_all_checks,
 )
+from fourg.actions import main_action_class
 from fourg.errors import FourgError, InvariantViolation
 from fourg.extensions import build_extensions
 from fourg.report import build_report
@@ -108,7 +109,7 @@ class TestIndividualChecks:
     def test_centralizer_images_recomputes_cached_records(self, monkeypatch):
         # a command builds the records before --check runs; the suite must
         # rerun the rule and its guards, not count records built earlier
-        for e in build_extensions(5):
+        for e in build_extensions(main_action_class(5)):
             realforms._reflection_records(e)
         rule = realforms._rule_generators
         # keep only c_i: the image subgroup shrinks to {1, c_i}, which the

@@ -11,13 +11,16 @@ that target.
 
 import pytest
 
-from fourg.actions import main_action_class
+from fourg.actions import ActionClass, classify, main_action_class
 from fourg.errors import InvariantViolation
 from fourg import extensions
 from fourg.extensions import (
     ExtendedAction,
-    _admissible_tuples,
-    _verify_unique_classes,
+    _fixed_keys,
+    _phi_a,
+    _phi_b,
+    _restriction_key,
+    _reversal_pairs,
     build_extensions,
     chain_target_group,
     cone_target_group,
@@ -27,8 +30,11 @@ from fourg.groups import (
     FiniteGroup,
     _cayley_key,
     _class_minima,
+    _extend_hom,
     close_generator_map,
+    cyclic,
     recognize,
+    semidirect_with_automorphism,
 )
 from fourg.signatures import chain_signature, mixed_signature
 
@@ -74,25 +80,25 @@ class TestTargets:
 
 class TestBuildExtensions:
     def test_chain_kind_returns_two_labelled_classes(self):
-        actions = [a for a in build_extensions(5) if a.kind == "a"]
+        actions = [a for a in build_extensions(main_action_class(5)) if a.kind == "a"]
         assert [a.label for a in actions] == ["a1", "a2"]
         assert all(a.group.order == 40 for a in actions)
         assert all(recognize(a.group) == "dihedral of order 20 x C2" for a in actions)
         assert all(a.signature == chain_signature(5) for a in actions)
 
     def test_cone_kind_returns_single_class(self):
-        acts2 = [a for a in build_extensions(2) if a.kind == "b"]
+        acts2 = [a for a in build_extensions(main_action_class(2)) if a.kind == "b"]
         assert [a.label for a in acts2] == ["b"]
         assert acts2[0].group.order == 16
         assert recognize(acts2[0].group) == "dihedral of order 16"
-        acts3 = [a for a in build_extensions(3) if a.kind == "b"]
+        acts3 = [a for a in build_extensions(main_action_class(3)) if a.kind == "b"]
         assert len(acts3) == 1
         assert recognize(acts3[0].group) == "dihedral of order 12 x C2"
         assert acts3[0].signature == mixed_signature(3)
 
     def test_canonical_chain_images(self):
         for g in (2, 4, 5):
-            first, second, _ = build_extensions(g)
+            first, second, _ = build_extensions(main_action_class(g))
             G = first.group
             w, x, y = G.generator("w"), G.generator("x"), G.generator("y")
             t = w * x
@@ -101,7 +107,7 @@ class TestBuildExtensions:
 
     def test_canonical_cone_images(self):
         for g in (2, 3):
-            *_, action = build_extensions(g)
+            *_, action = build_extensions(main_action_class(g))
             G = action.group
             x, z, w = G.generator("x"), G.generator("z"), G.generator("w")
             assert action.images == (x, x * w * x, z, w)
@@ -109,8 +115,8 @@ class TestBuildExtensions:
             assert x * w * x == ((z * w) ** g) * z
 
     def test_results_cached_but_lists_fresh(self):
-        one = build_extensions(3)
-        two = build_extensions(3)
+        one = build_extensions(main_action_class(3))
+        two = build_extensions(main_action_class(3))
         assert one is not two
         assert [(a.label, a.kind, [e.name for e in a.images]) for a in one] == [
             (b.label, b.kind, [e.name for e in b.images]) for b in two
@@ -119,16 +125,22 @@ class TestBuildExtensions:
         assert [a.kind for a in one] == ["a", "a", "b"]
 
     def test_input_validation(self):
-        with pytest.raises(ValueError):
-            build_extensions(1)
-        with pytest.raises(ValueError):
-            build_extensions("3")
+        # g is read off the order of the main class's group, never passed
+        with pytest.raises(TypeError, match="ActionClass"):
+            build_extensions(3)
         with pytest.raises(TypeError):
-            build_extensions(3, "a")  # the kind is read off each entry
+            build_extensions(main_action_class(3), "a")  # the kind is read off each entry
+        (small,) = classify(cyclic(4), (2, 4, 4))
+        with pytest.raises(ValueError, match="at least 2"):
+            build_extensions(small)  # order 4 reads as g = 1
+        # a class on other periods has no key on (2,2,2,2g) for phi_a to fix
+        (cyclic_class,) = classify(cyclic(12), (2, 12, 12))
+        with pytest.raises(InvariantViolation, match="no key that phi_a fixes"):
+            build_extensions(cyclic_class)
 
     def test_image_accessors(self):
         # kind a: no cone point, so e = 1 and the cycle closes on c0
-        first = build_extensions(2)[0]
+        first = build_extensions(main_action_class(2))[0]
         G = first.group
         w, x, y = G.generator("w"), G.generator("x"), G.generator("y")
         assert first.generator_names == ("c0", "c1", "c2", "c3")
@@ -136,7 +148,7 @@ class TestBuildExtensions:
         assert first.reflection_cycle == first.images + (x,)
         assert first.connecting_image == G.identity
         # kind b: a*e = 1 gives e = a^-1 = a, and c2 = e^-1 c0 e is stored
-        *_, cone = build_extensions(2)
+        *_, cone = build_extensions(main_action_class(2))
         G = cone.group
         x, z, w = G.generator("x"), G.generator("z"), G.generator("w")
         assert cone.generator_names == ("a", "c0", "c1", "c2")
@@ -145,7 +157,7 @@ class TestBuildExtensions:
         assert cone.connecting_image == x
 
     def test_str_pinned(self):
-        first, second, cone = build_extensions(2)
+        first, second, cone = build_extensions(main_action_class(2))
         assert str(first) == (
             "[a1] (0;+;[-];{(2,2,2,4)}): c0->x, c1->y, c2->(wx)^3x, c3->w"
         )
@@ -156,14 +168,14 @@ class TestBuildExtensions:
 
     def test_orientation_character_on_images(self):
         for g in (2, 3):
-            for action in build_extensions(g):
+            for action in build_extensions(main_action_class(g)):
                 for e in action.reflection_cycle:
                     assert action.group.kappa(e) == -1
                 if action.kind == "b":
                     assert action.group.kappa(action.images[0]) == 1
 
     def test_labels_split_by_image_class_spread(self):
-        first, second, _ = build_extensions(4)
+        first, second, _ = build_extensions(main_action_class(4))
         G = first.group
         G._class_index()
         spread = lambda a: len({G._class_of[e.idx] for e in a.images})
@@ -173,7 +185,7 @@ class TestBuildExtensions:
 
 class TestExtendedActionValidation:
     def test_broken_link_period_rejected(self):
-        first = build_extensions(2)[0]
+        first = build_extensions(main_action_class(2))[0]
         G = first.group
         w, x, y = G.generator("w"), G.generator("x"), G.generator("y")
         # swapping c2 to w makes the closing product trivial
@@ -181,7 +193,7 @@ class TestExtendedActionValidation:
             ExtendedAction(2, "a", "a1", G, (x, y, w, w))
 
     def test_orientation_preserving_reflection_rejected(self):
-        first = build_extensions(2)[0]
+        first = build_extensions(main_action_class(2))[0]
         G = first.group
         w, x, y = G.generator("w"), G.generator("x"), G.generator("y")
         rotation_like = (w * x) ** 2  # involution but orientation preserving
@@ -189,7 +201,7 @@ class TestExtendedActionValidation:
             ExtendedAction(2, "a", "a1", G, (x, y, rotation_like, w))
 
     def test_cone_wrap_relation_enforced(self):
-        *_, cone = build_extensions(2)
+        *_, cone = build_extensions(main_action_class(2))
         G = cone.group
         x, z, w = G.generator("x"), G.generator("z"), G.generator("w")
         with pytest.raises(InvariantViolation):
@@ -199,7 +211,7 @@ class TestExtendedActionValidation:
             ExtendedAction(2, "b", "b", G, (x, x * w * x, z, (z * w) ** 2 * w))
 
     def test_bad_elliptic_image_rejected(self):
-        *_, cone = build_extensions(2)
+        *_, cone = build_extensions(main_action_class(2))
         G = cone.group
         x, z, w = G.generator("x"), G.generator("z"), G.generator("w")
         rotation = z * w  # orientation preserving, but of order 2g, not 2
@@ -210,7 +222,7 @@ class TestExtendedActionValidation:
             ExtendedAction(2, "b", "b", G, (z, x * w * x, z, w))
 
     def test_non_generating_images_rejected(self):
-        *_, cone = build_extensions(2)
+        *_, cone = build_extensions(main_action_class(2))
         G = cone.group
         z, w = G.generator("z"), G.generator("w")
         # all inside the dihedral part: never generates the full group
@@ -224,7 +236,7 @@ class TestExtendedActionValidation:
 class TestRestriction:
     def test_chain_restriction_formula(self, restricted_vector):
         for g in (3, 6):
-            first = build_extensions(g)[0]
+            first = build_extensions(main_action_class(g))[0]
             G = first.group
             w, x, y = G.generator("w"), G.generator("x"), G.generator("y")
             t = w * x
@@ -235,7 +247,7 @@ class TestRestriction:
 
     def test_cone_restriction_formula(self, restricted_vector):
         for g in (2, 5):
-            *_, cone = build_extensions(g)
+            *_, cone = build_extensions(main_action_class(g))
             G = cone.group
             x, z, w = G.generator("x"), G.generator("z"), G.generator("w")
             t = z * w
@@ -247,7 +259,7 @@ class TestRestriction:
     def test_restriction_lands_in_main_class(self):
         for g in range(2, 8):
             main = main_action_class(g)
-            for action in build_extensions(g):
+            for action in build_extensions(main_action_class(g)):
                 r = restrict_to_index2(action)
                 assert all(p.group is action.group for p in r)
                 assert len(action.group.subgroup(r)) == 4 * g
@@ -256,7 +268,7 @@ class TestRestriction:
     def test_second_chain_class_restricts_to_main_class(self):
         # the two chain classes are inequivalent upstairs yet restrict to the
         # same orientation-preserving class
-        second = build_extensions(4)[1]
+        second = build_extensions(main_action_class(4))[1]
         r = restrict_to_index2(second)
         assert main_action_class(4).contains(r)
 
@@ -264,7 +276,7 @@ class TestRestriction:
     def test_an_open_reflection_cycle_is_rejected(self, cut, monkeypatch):
         # dropping one end of the closed cycle leaves three link products;
         # with one fewer word, no period list can be (2, 2, 2, 2g)
-        action = build_extensions(4)[0]
+        action = build_extensions(main_action_class(4))[0]
         cycle = action.reflection_cycle
         monkeypatch.setattr(ExtendedAction, "reflection_cycle", property(lambda e: cycle[cut]))
         with pytest.raises(InvariantViolation, match="not smooth"):
@@ -274,7 +286,7 @@ class TestRestriction:
         # closing the cycle on the reflection (wx)^2 x instead of c0 = x keeps
         # every word orientation-preserving with the periods (2, 2, 2, 8),
         # but the cycle no longer closes
-        action = build_extensions(4)[0]
+        action = build_extensions(main_action_class(4))[0]
         G = action.group
         w, x = G.generator("w"), G.generator("x")
         moved = action.reflection_cycle[:-1] + ((w * x) ** 2 * x,)
@@ -283,7 +295,7 @@ class TestRestriction:
             restrict_to_index2(action)
 
     def test_restriction_words_must_preserve_orientation(self, monkeypatch):
-        action = build_extensions(4)[0]
+        action = build_extensions(main_action_class(4))[0]
         moved = action.reflection_cycle[:-1] + (action.group.identity,)
         monkeypatch.setattr(ExtendedAction, "reflection_cycle", property(lambda e: moved))
         with pytest.raises(InvariantViolation, match="reverses orientation"):
@@ -294,16 +306,26 @@ def _indices(action):
     return tuple(e.idx for e in action.images)
 
 
+def _certified_count(main, kind):
+    """Classes the fixed-key certificate counts: reversal pairs of the keys
+    phi_a fixes for kind a, keys phi_b fixes for kind b."""
+    if kind == "a":
+        return len(set(_reversal_pairs(main).values()))
+    return len(_fixed_keys(main, _phi_b))
+
+
 class TestUniquenessSearch:
     def test_admissible_enumeration_contains_canonical_tuples(self):
         # the canonical tuples need not start at a class minimum, so the
-        # enumeration reaches each canonical class, not each canonical tuple
+        # reference enumeration reaches each canonical class, not each tuple
         for g in (3, 4):
-            for kind, rev in (("a", True), ("b", False)):
-                actions = [a for a in build_extensions(g) if a.kind == kind]
+            for kind, rev, reference in (
+                ("a", True, _reference_admissible_chain_tuples),
+                ("b", False, _reference_admissible_cone_tuples),
+            ):
+                actions = [a for a in build_extensions(main_action_class(g)) if a.kind == kind]
                 G = actions[0].group
-                tuples = _admissible_tuples(G, actions[0].signature)
-                reached = {_cayley_key(G._table, t) for t in tuples}
+                reached = {_cayley_key(G._table, t) for t in reference(G, g)}
                 for action in actions:
                     t = _indices(action)
                     keys = {_cayley_key(G._table, t)}
@@ -312,7 +334,7 @@ class TestUniquenessSearch:
                     assert keys & reached, (g, action.label)
 
     def test_equivalence_predicate(self):
-        first, second, _ = build_extensions(2)
+        first, second, _ = build_extensions(main_action_class(2))
         G = first.group
         table = G._table
         t1, t2 = _indices(first), _indices(second)
@@ -320,9 +342,6 @@ class TestUniquenessSearch:
         keys1 = {_cayley_key(table, t1), _cayley_key(table, t1[::-1])}
         keys2 = {_cayley_key(table, t2), _cayley_key(table, t2[::-1])}
         assert not keys1 & keys2
-        # with reversal t[::-1] is owned by t's class; without, it is not t
-        owner = _verify_unique_classes(G, [t2[::-1], t1[::-1]], [t1, t2], first.signature)
-        assert owner == {t1[::-1]: 0, t2[::-1]: 1}
         assert _cayley_key(table, t1) != _cayley_key(table, t1[::-1])
         assert not _reference_equivalent(G, t1, t1[::-1], allow_reversal=False)
         conj = G.generator("w")
@@ -334,9 +353,13 @@ class TestUniquenessSearch:
 
     @pytest.mark.parametrize("kind", ["a", "b"])
     def test_one_key_per_tuple(self, kind, monkeypatch):
-        # each canonical tuple is keyed once, and once more reversed for
-        # kind a; each admissible tuple is keyed exactly once
-        G, candidates, _, canon, sig, rev = _certificate_inputs(4, kind)
+        # the certificate keys the image of each member on (2,2,2,2g) once,
+        # not one enumerated tuple of a target group
+        main = main_action_class(4)
+        orders = main.group._order_list()
+        ascending = [
+            t for t in main.members.values() if tuple(orders[i] for i in t) == (2, 2, 2, 8)
+        ]
         calls = []
         real = extensions._cayley_key
 
@@ -345,9 +368,8 @@ class TestUniquenessSearch:
             return real(table, t)
 
         monkeypatch.setattr(extensions, "_cayley_key", counting)
-        _verify_unique_classes(G, candidates, canon, sig)
-        assert len(calls) == len(candidates) + (2 if rev else 1) * len(canon)
-        assert calls[-len(candidates):] == candidates
+        _fixed_keys(main, _phi_a if kind == "a" else _phi_b)
+        assert len(calls) == len(ascending) == 3
 
 
 def _reference_chain_tuples(G: FiniteGroup, g: int) -> list:
@@ -463,7 +485,7 @@ def _reference_admissible_chain_tuples(G: FiniteGroup, g: int) -> list:
     products must have exact orders (2, 2, 2) with the closing product of
     order exactly 2g.  Conjugation preserves the relations and the
     character, so r0 runs only over conjugacy class minima.  Generation is
-    settled by :func:`_verify_unique_classes`.
+    not checked.
 
     The kind-a enumerator before the signature-driven one, kept verbatim.
     """
@@ -498,7 +520,7 @@ def _reference_admissible_cone_tuples(G: FiniteGroup, g: int) -> list:
     a must be an orientation-preserving involution, c0 and c1 orientation
     reversing involutions, c2 is forced to be a*c0*a, and the product c0*c1
     must have order exactly 2 and c1*c2 order exactly 2g.  As for the chain,
-    a runs only over class minima, and generation is settled later.
+    a runs only over class minima, and generation is not checked.
 
     The kind-b enumerator before the signature-driven one, kept verbatim.
     """
@@ -534,31 +556,52 @@ def _reference_restriction_words(e: ExtendedAction) -> tuple:
     return words
 
 
-def _certificate_inputs(g, kind):
-    """Target group, candidates, reference set, canon, signature, reversal flag."""
-    actions = [a for a in build_extensions(g) if a.kind == kind]
+def _reference_inputs(g, kind):
+    """Target group, its full reference tuples, the canonical tuples and the
+    reversal flag of one kind at genus g."""
+    actions = [a for a in build_extensions(main_action_class(g)) if a.kind == kind]
     G = actions[0].group
-    sig = actions[0].signature
-    canon = [tuple(e.idx for e in a.images) for a in actions]
+    canon = [_indices(a) for a in actions]
     reference = _reference_chain_tuples if kind == "a" else _reference_cone_tuples
-    return G, _admissible_tuples(G, sig), reference(G, g), canon, sig, kind == "a"
+    return G, reference(G, g), canon, kind == "a"
+
+
+def _key_classes(G, tuples, reversible):
+    """The Aut-classes of the generating tuples among ``tuples``, each as the
+    set of its keys (its reversal's key joined in when ``reversible``)."""
+    classes = set()
+    for t in tuples:
+        key = _cayley_key(G._table, t)
+        if len(key) == len(t) * G.order:
+            reversed_key = _cayley_key(G._table, t[::-1]) if reversible else key
+            classes.add(frozenset((key, reversed_key)))
+    return classes
 
 
 class TestSignatureDrivenShape:
-    """The one enumerator and one restriction rule against the per-kind ones."""
+    """The fixed-key count and the one restriction rule against the per-kind
+    references."""
 
     @pytest.mark.parametrize("g", range(2, 31))
     def test_enumerator_matches_per_kind_reference(self, g):
-        for target, sig, reference in (
-            (chain_target_group, chain_signature, _reference_admissible_chain_tuples),
-            (cone_target_group, mixed_signature, _reference_admissible_cone_tuples),
+        # the per-kind enumerators list the tuples of the hand-built targets
+        # that satisfy the relations; keyed, they fall into exactly the
+        # classes the fixed keys count, each owned by one canonical tuple
+        main = main_action_class(g)
+        extended = build_extensions(main)
+        for kind, reference in (
+            ("a", _reference_admissible_chain_tuples),
+            ("b", _reference_admissible_cone_tuples),
         ):
-            G = target(g)
-            assert _admissible_tuples(G, sig(g)) == reference(G, g)
+            actions = [e for e in extended if e.kind == kind]
+            G = actions[0].group
+            found = _key_classes(G, reference(G, g), kind == "a")
+            assert found == _key_classes(G, [_indices(e) for e in actions], kind == "a")
+            assert len(found) == len(actions) == _certified_count(main, kind), kind
 
     @pytest.mark.parametrize("g", range(2, 31))
     def test_restriction_words_match_per_kind_reference(self, g, restricted_vector):
-        for action in build_extensions(g):
+        for action in build_extensions(main_action_class(g)):
             r = restricted_vector(action)
             words = _reference_restriction_words(action)
             assert parent_indices(r) == tuple(p.idx for p in words), action.label
@@ -567,7 +610,7 @@ class TestSignatureDrivenShape:
     def test_restriction_key_matches_the_reindexed_half(self, g, restricted_vector):
         # keyed in the extension, the words walk only the half they generate,
         # so they name the same class as in a standalone copy of that half
-        for action in build_extensions(g):
+        for action in build_extensions(main_action_class(g)):
             words = restrict_to_index2(action)
             copy = restricted_vector(action)
             assert _cayley_key(action.group._table, tuple(p.idx for p in words)) == (
@@ -575,99 +618,125 @@ class TestSignatureDrivenShape:
             ), action.label
 
     def test_reversal_follows_the_signature(self):
-        # the chain (2,2,2,2g) with no cone point reads the same reversed, so
-        # a reversed canonical tuple is owned by its class; the reversal of
-        # kind b's tuple is not even admissible and owns no key
-        G, candidates, _, canon, sig, _ = _certificate_inputs(3, "a")
-        owner = _verify_unique_classes(G, candidates + [canon[1][::-1]], canon, sig)
-        assert owner[canon[1][::-1]] == 1
-        G, candidates, _, canon, sig, _ = _certificate_inputs(3, "b")
-        with pytest.raises(InvariantViolation, match="matches 0 canonical"):
-            _verify_unique_classes(G, candidates + [canon[0][::-1]], canon, sig)
+        # the chain (2,2,2,2g) with no cone point reads the same reversed:
+        # reversing a1's chain restricts to the reversal of its phi_a-fixed
+        # key, another fixed key, and a2's reversal keeps its key.  Kind b's
+        # reversed tuple breaks its relations.
+        for g in (3, 4):
+            main = main_action_class(g)
+            first, second, cone = build_extensions(main)
+            pairs = _reversal_pairs(main)
+            for action, size in ((first, 2), (second, 1)):
+                flipped = ExtendedAction(g, "a", action.label, action.group, action.images[::-1])
+                pair = {_restriction_key(action), _restriction_key(flipped)}
+                assert pair == pairs[_restriction_key(action)], (g, action.label)
+                assert len(pair) == size
+            with pytest.raises(InvariantViolation):
+                ExtendedAction(g, "b", "b", cone.group, cone.images[::-1])
+
+
+class TestDerivedExtensions:
+    """The extensions built from the fixed keys, against the hand-built ones."""
+
+    @pytest.mark.parametrize("g", [2, 3, 4, 7])
+    def test_phi_is_conjugation_by_the_first_reflection(self, g):
+        # on the restriction words of each hand-built extension, phi_a and
+        # phi_b are conjugation by the image of c0
+        for e in build_extensions(main_action_class(g)):
+            G = e.group
+            t = tuple(p.idx for p in restrict_to_index2(e))
+            c0 = e.reflection_cycle[0]
+            phi = _phi_a if e.kind == "a" else _phi_b
+            expected = tuple((c0 * G.element(i) * c0).idx for i in t)
+            assert phi(G._table, G._inv, t) == expected, (g, e.label)
+
+    @pytest.mark.parametrize("g", range(2, 31))
+    def test_derived_extensions_match_the_hand_built_ones(self, g):
+        # for a fixed key of t, the automorphism alpha: t -> phi(t) is an
+        # involution, G x| <c> with c acting as alpha is the extension, and
+        # its canonical images have the Cayley key of a hand-built tuple
+        main = main_action_class(g)
+        G = main.group
+        table, inv = G._table, G._inv
+        canon = {}
+        for e in build_extensions(main):
+            t = _indices(e)
+            canon.setdefault(_cayley_key(e.group._table, t), e.label)
+            if e.label == "a1":  # the chain read backwards is the same class
+                canon.setdefault(_cayley_key(e.group._table, t[::-1]), e.label)
+        labels = {}
+        for kind, phi in (("a", _phi_a), ("b", _phi_b)):
+            labels[kind] = []
+            for t in _fixed_keys(main, phi).values():
+                alpha, _ = _extend_hom(table, table, list(zip(t, phi(table, inv, t))))
+                assert all(alpha[alpha[i]] == i for i in range(G.order))
+                S = semidirect_with_automorphism(G, alpha, 2)
+                c, (t1, t2, t3, t4) = S.generator("x"), [S.element(2 * i) for i in t]
+                if kind == "a":
+                    images = (c, c * t1, c * t1 * t2, c * t1 * t2 * t3)
+                else:
+                    images = (t1, c, c * t3, c * t3 * t4)
+                key = _cayley_key(S._table, tuple(e.idx for e in images))
+                labels[kind].append(canon.get(key))
+        assert sorted(labels["a"]) == ["a1", "a1", "a2"]
+        assert labels["b"] == ["b"]
 
 
 class TestOrbitCertificate:
-    """The Cayley-key certificate of the Aut-orbits, against the reference."""
-
-    # Tuples satisfying the relations, g = 2..24.  These are also the
-    # admissible (generating) counts the pairwise sweep found: at these
-    # genera every tuple that satisfies the relations generates.
-    CHAIN_COUNTS = [
-        48, 72, 192, 240, 288, 504, 768, 648, 960, 1320, 1152, 1872, 2016,
-        1440, 3072, 3264, 2592, 4104, 3840, 3024, 5280, 6072, 4608,
-    ]
-    CONE_COUNTS = [
-        16, 24, 64, 80, 96, 168, 256, 216, 320, 440, 384, 624, 672,
-        480, 1024, 1088, 864, 1368, 1280, 1008, 1760, 2024, 1536,
-    ]
+    """The fixed-key certificate, against the exhaustive reference sweep."""
 
     @pytest.mark.parametrize("kind", ["a", "b"])
     @pytest.mark.parametrize("g", range(2, 9))
     def test_matches_reference_sweep(self, g, kind):
-        # the key classes agree with the reference closures on every full
-        # reference tuple, not only on the class-minimum ones enumerated
-        G, candidates, reference, canon, sig, rev = _certificate_inputs(g, kind)
+        # closures on every tuple of the hand-built targets that satisfies
+        # the relations find exactly the canonical classes, and as many as
+        # the fixed keys count
+        G, reference, canon, rev = _reference_inputs(g, kind)
         _reference_verify_unique_classes(G, reference, canon, rev)
-        owner = _verify_unique_classes(G, reference, canon, sig)
-        assert list(owner) == reference
-        for t in reference:
-            (index,) = [
-                k for k, rep in enumerate(canon)
-                if _reference_equivalent(G, rep, t, rev)
-            ]
-            assert owner[t] == index, t
-        assert set(candidates) <= set(reference)
-        _verify_unique_classes(G, candidates, canon, sig)
+        certified = _certified_count(main_action_class(g), kind)
+        assert len(canon) == certified == (2 if kind == "a" else 1)
 
-    def test_dropped_canonical_class_raises(self):
-        G, candidates, reference, canon, sig, rev = _certificate_inputs(4, "a")
-        with pytest.raises(InvariantViolation, match="matches 0 canonical"):
-            _verify_unique_classes(G, candidates, canon[:1], sig)
+    def test_dropped_canonical_class_raises(self, monkeypatch):
+        main = main_action_class(4)
+        real = extensions._chain_images
+        monkeypatch.setattr(extensions, "_chain_images", lambda A, g: {"a1": real(A, g)["a1"]})
+        with pytest.raises(InvariantViolation, match="do not account for every one"):
+            build_extensions(main)
+        monkeypatch.undo()
+        G, reference, canon, rev = _reference_inputs(4, "a")
         with pytest.raises(InvariantViolation, match="matches 0 canonical"):
             _reference_verify_unique_classes(G, reference, canon[:1], rev)
 
     @pytest.mark.parametrize("kind", ["a", "b"])
     def test_class_missing_from_enumeration_raises(self, kind):
-        G, candidates, _, canon, sig, rev = _certificate_inputs(4, kind)
-        owner = _verify_unique_classes(G, candidates, canon, sig)
-        without_last = [t for t in candidates if owner[t] != len(canon) - 1]
-        with pytest.raises(InvariantViolation, match="missing .* the enumeration is broken"):
-            _verify_unique_classes(G, without_last, canon, sig)
+        # dropping any member on (2,2,2,2g) that phi fixes from the main
+        # class leaves a canonical class or a reversal pair without its key
+        main = main_action_class(4)
+        for key in _fixed_keys(main, _phi_a if kind == "a" else _phi_b):
+            members = {k: t for k, t in main.members.items() if k != key}
+            broken = ActionClass(main.group, members, main.size)
+            with pytest.raises(InvariantViolation):
+                build_extensions(broken)
 
-    def test_conjugate_canonical_tuple_collapses(self):
-        G, _, reference, canon, sig, rev = _certificate_inputs(4, "a")
-        w = G.generator("w")
-        conjugate = tuple((w * G.element(i) * w.inverse()).idx for i in canon[0])
-        assert conjugate in reference
+    def test_conjugate_canonical_tuple_collapses(self, monkeypatch):
+        real = extensions._chain_images
+
+        def a2_conjugate_to_a1(A, g):
+            w, (a1, _) = A.generator("w"), real(A, g).values()
+            return {"a1": a1, "a2": tuple(w * e * w.inverse() for e in a1)}
+
+        monkeypatch.setattr(extensions, "_chain_images", a2_conjugate_to_a1)
         with pytest.raises(InvariantViolation, match="collapsed"):
-            _verify_unique_classes(G, reference, [canon[0], conjugate], sig)
-        # with reversal, a reversed canonical tuple owns the same keys
+            build_extensions(main_action_class(4))
+        monkeypatch.undo()
+        G, reference, canon, rev = _reference_inputs(4, "a")
+        conjugate = tuple(e.idx for e in a2_conjugate_to_a1(G, 4)["a2"])
+        assert conjugate in reference and conjugate != canon[0]
         with pytest.raises(InvariantViolation, match="collapsed"):
-            _verify_unique_classes(G, reference, [canon[0], canon[0][::-1]], sig)
+            _reference_verify_unique_classes(G, reference, [canon[0], conjugate], rev)
 
-    @pytest.mark.parametrize("kind", ["a", "b"])
-    def test_non_generating_candidate_is_skipped(self, kind):
-        G, candidates, reference, canon, sig, rev = _certificate_inputs(3, kind)
-        owner = _verify_unique_classes(G, candidates + [(0, 0, 0, 0)], canon, sig)
-        assert (0, 0, 0, 0) not in owner
-        assert list(owner) == candidates
-        assert set(candidates) <= set(reference)
-
-    def test_relation_counts_pinned(self):
-        # the reference enumerators list every tuple; the reduced ones list
-        # one per conjugacy class of the first entry, so weighting each by
-        # that class's size recovers the full count
-        for counts, target, reference, sig in (
-            (self.CHAIN_COUNTS, chain_target_group, _reference_chain_tuples,
-             chain_signature),
-            (self.CONE_COUNTS, cone_target_group, _reference_cone_tuples,
-             mixed_signature),
-        ):
-            full, weighted = [], []
-            for g in range(2, 25):
-                G = target(g)
-                full.append(len(reference(G, g)))
-                reduced = _admissible_tuples(G, sig(g))
-                weighted.append(sum(G.class_size(t[0]) for t in reduced))
-            assert full == counts
-            assert weighted == counts
+    def test_second_key_fixed_by_phi_b_raises(self, monkeypatch):
+        # a reflection that fixed every key would extend every member
+        monkeypatch.setattr(extensions, "_phi_b", lambda table, inv, t: t)
+        with pytest.raises(InvariantViolation, match="phi_b fixes 3 keys"):
+            build_extensions(main_action_class(4))

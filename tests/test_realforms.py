@@ -14,6 +14,7 @@ from collections import namedtuple
 
 import pytest
 
+from fourg.actions import main_action_class
 from fourg.errors import InvariantViolation
 from fourg.extensions import ExtendedAction, build_extensions, cone_target_group
 from fourg.groups import _class_minima
@@ -73,7 +74,7 @@ def _reference_count_ovals(cls) -> int:
 
 @pytest.mark.parametrize("g", range(2, 31))
 def test_classes_match_reference(g):
-    for action in build_extensions(g):
+    for action in build_extensions(main_action_class(g)):
         got = symmetry_classes_with_ovals(action)
         expected = _reference_symmetry_classes(action)
         assert [c.representative for c in got] == [
@@ -86,7 +87,7 @@ def test_classes_match_reference(g):
 
 class TestSymmetryClasses:
     def test_chain_extension_has_four_classes(self):
-        first = build_extensions(5)[0]
+        first = build_extensions(main_action_class(5))[0]
         G = first.group
         classes = symmetry_classes_with_ovals(first)
         assert len(classes) == 4
@@ -96,13 +97,13 @@ class TestSymmetryClasses:
         assert found == {class_id(G, e) for e in expected}
 
     def test_cone_extension_classes_by_parity(self):
-        even = build_extensions(4)[2]
+        even = build_extensions(main_action_class(4))[2]
         G = even.group
         classes = symmetry_classes_with_ovals(even)
         assert len(classes) == 1
         assert class_id(G, classes[0].representative) == class_id(G, G.generator("z"))
 
-        odd = build_extensions(5)[2]
+        odd = build_extensions(main_action_class(5))[2]
         G = odd.group
         classes = symmetry_classes_with_ovals(odd)
         assert len(classes) == 4
@@ -112,7 +113,7 @@ class TestSymmetryClasses:
         assert found == {class_id(G, e) for e in expected}
 
     def test_class_invariants(self):
-        first = build_extensions(3)[0]
+        first = build_extensions(main_action_class(3))[0]
         G = first.group
         rotation = G.generator("w") * G.generator("x")
         with pytest.raises(InvariantViolation):
@@ -125,7 +126,7 @@ class TestSymmetryClasses:
                 SymmetryClass(first, y, ovals=bad)
 
     def test_class_size(self):
-        first = build_extensions(3)[0]
+        first = build_extensions(main_action_class(3))[0]
         G = first.group
         cls = class_by_element(first, G.generator("y"))
         assert cls.size == 1  # y is central
@@ -134,48 +135,48 @@ class TestSymmetryClasses:
 
 class TestCountOvals:
     def test_w_class_reference_counts(self):
-        odd_first = build_extensions(5)[0]
+        odd_first = build_extensions(main_action_class(5))[0]
         w = odd_first.group.generator("w")
         assert class_by_element(odd_first, w).ovals == 2
-        even_first = build_extensions(4)[0]
+        even_first = build_extensions(main_action_class(4))[0]
         w = even_first.group.generator("w")
         assert class_by_element(even_first, w).ovals == 3
 
     def test_second_chain_class_y_has_g_ovals(self):
-        second = build_extensions(5)[1]
+        second = build_extensions(main_action_class(5))[1]
         y = second.group.generator("y")
         assert class_by_element(second, y).ovals == 5
 
     def test_unhit_class_has_no_ovals(self):
         for g in (3, 4, 6):
-            first = build_extensions(g)[0]
+            first = build_extensions(main_action_class(g))[0]
             G = first.group
             free = G.generator("y") * (G.generator("w") * G.generator("x")) ** g
             assert class_by_element(first, free).ovals == 0
 
     def test_cone_counts(self):
-        odd = build_extensions(5)[2]
+        odd = build_extensions(main_action_class(5))[2]
         G = odd.group
         x, z, w = G.generator("x"), G.generator("z"), G.generator("w")
         assert class_by_element(odd, z).ovals == 2
         assert class_by_element(odd, w).ovals == 2
         assert class_by_element(odd, (x * z) ** 5).ovals == 0
-        even = build_extensions(4)[2]
+        even = build_extensions(main_action_class(4))[2]
         z = even.group.generator("z")
         assert class_by_element(even, z).ovals == 2
 
     def test_oval_multisets(self):
         for g in (3, 5, 7):
-            first = build_extensions(g)[0]
+            first = build_extensions(main_action_class(g))[0]
             counts = sorted(c.ovals for c in symmetry_classes_with_ovals(first))
             assert counts == [0, 2, 2, 2], g
         for g in (2, 4, 6):
-            first = build_extensions(g)[0]
+            first = build_extensions(main_action_class(g))[0]
             counts = sorted(c.ovals for c in symmetry_classes_with_ovals(first))
             assert counts == [0, 1, 1, 3], g
 
     def test_count_is_a_class_function(self):
-        first = build_extensions(4)[0]
+        first = build_extensions(main_action_class(4))[0]
         G = first.group
         w = G.generator("w")
         base = class_by_element(first, w).ovals
@@ -222,7 +223,7 @@ class TestCentralizerIdentities:
         # the reflections up to conjugacy: c0..c3 for kind a, c0 and c1 for
         # kind b (its c2 is the conjugate of c0 by the connecting generator)
         positions_of = {"a": (0, 1, 2, 3), "b": (0, 1)}
-        for action in build_extensions(g):
+        for action in build_extensions(main_action_class(g)):
             positions = positions_of[action.kind]
             records = _reflection_records(action)
             assert tuple(p for p, _, _ in records) == positions
@@ -235,11 +236,11 @@ class TestCentralizerIdentities:
         from fourg.realforms import _rule_generators
 
         for g in (3, 4):
-            for action in build_extensions(g)[:2]:
+            for action in build_extensions(main_action_class(g))[:2]:
                 _reflection_records(action)  # guard raises on any drift
         # spot check: last chain reflection of the first class omits the
         # central mirror y, every other image subgroup contains it
-        first = build_extensions(5)[0]
+        first = build_extensions(main_action_class(5))[0]
         G = first.group
         y = G.generator("y")
         members = {
@@ -263,7 +264,7 @@ class TestCentralizerIdentities:
 
         monkeypatch.setattr(realforms, "_check_stated_subgroups", recording)
         for g in (2, 5, 8):
-            for action in build_extensions(g):
+            for action in build_extensions(main_action_class(g)):
                 _reflection_records(action)
             assert guarded == ["a1", "a2"], g
             guarded.clear()
@@ -293,21 +294,21 @@ class TestSpecies:
             (7, "a2", (-1, -1, -7, -7)),
         ]
         for g, label, expected in cases:
-            (action,) = [e for e in build_extensions(g) if e.label == label]
+            (action,) = [e for e in build_extensions(main_action_class(g)) if e.label == label]
             values = tuple(s.value for s in _species(action))
             assert values == tuple(sorted(expected, reverse=True)), (g, action.label)
 
     def test_low_genus_maximal_symmetry_separates(self):
         # at genus 2 the three-oval symmetry hits the Harnack maximum g+1,
         # which forces it to separate
-        first = build_extensions(2)[0]
+        first = build_extensions(main_action_class(2))[0]
         values = tuple(s.value for s in _species(first))
         assert values == (3, 1, 0, -1)
         for s in _species(first):
             assert -2 <= s.value <= 3
 
     def test_species_are_sorted_descending(self):
-        action = build_extensions(6)[1]
+        action = build_extensions(main_action_class(6))[1]
         values = [s.value for s in _species(action)]
         assert values == sorted(values, reverse=True)
 
@@ -327,7 +328,7 @@ class TestSpecies:
 
     def test_every_emitted_species_is_valid(self):
         for g in (2, 3, 4, 5, 8):
-            for action in build_extensions(g):
+            for action in build_extensions(main_action_class(g)):
                 for s in _species(action):
                     assert -g <= s.value <= g + 1
                     assert s.genus == g

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from fourg.actions import main_action_class
 from fourg.extensions import build_extensions
 from fourg.groups import cyclic, dihedral, small_groups
 from fourg.realforms import species_set, symmetry_classes_with_ovals
@@ -127,7 +128,7 @@ class TestBuildReportCore:
         assert sorted(calls) == ["a1", "a2", "b"]
         monkeypatch.undo()
         by_label = {entry["label"]: entry for entry in report.symmetry_types}
-        for e in build_extensions(7):
+        for e in build_extensions(main_action_class(7)):
             classes = symmetry_classes_with_ovals(e)
             assert by_label[e.label]["species"] == [sp.value for sp in species_set(e, classes)]
             assert by_label[e.label]["ovals"] == [cls.ovals for cls in classes]
