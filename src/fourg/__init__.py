@@ -97,10 +97,10 @@ from .boundary import (
 )
 from .report import (
     CATALOGUED_SPORADIC_GENERA,
-    Report,
     atlas_reports,
     atlas_summary,
     build_report,
+    report_markdown,
 )
 from .checks import CheckResult, run_all_checks
 

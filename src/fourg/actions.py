@@ -198,7 +198,13 @@ def braid_move(v: GeneratingVector, i: int) -> GeneratingVector:
 
 
 def _orbit(G: FiniteGroup, start: tuple) -> dict:
-    """Braid orbit of start's Aut-class: one member tuple per Cayley key."""
+    """Braid orbit of start's Aut-class: one member tuple per Cayley key.
+
+    Only the forward moves (a, b) -> (a b a^-1, a) are walked.  Braid moves
+    commute with Aut(G), so each move permutes the finite set of Cayley
+    keys, and a finite set closed under a permutation is closed under its
+    inverse: the inverse moves reach no further key.
+    """
     table = G._table
     inv = G._inv
     r = len(start)
@@ -207,15 +213,12 @@ def _orbit(G: FiniteGroup, start: tuple) -> dict:
     while frontier:
         t = frontier.pop()
         for i in range(r - 1):
-            a, b = t[i], t[i + 1]
-            for nb in (
-                t[:i] + (table[table[a][b]][inv[a]], a) + t[i + 2 :],
-                t[:i] + (b, table[table[inv[b]][a]][b]) + t[i + 2 :],
-            ):
-                key = _cayley_key(table, nb)
-                if key not in members:
-                    members[key] = nb
-                    frontier.append(nb)
+            a = t[i]
+            nb = t[:i] + (table[table[a][t[i + 1]]][inv[a]], a) + t[i + 2 :]
+            key = _cayley_key(table, nb)
+            if key not in members:
+                members[key] = nb
+                frontier.append(nb)
     return members
 
 

@@ -7,9 +7,11 @@ Commands:
 - ``exceptional --genus G``: search for actions beyond the main families,
   over the built-in group catalog or externally supplied table files.
 
-Output is Markdown by default, JSON with ``--json``; JSON output is
-byte-identical across runs.  A ``--config`` file with
-``key=value`` lines supplies defaults that explicit flags override.
+Each command builds one JSON-ready payload (the report dict, the atlas's
+reports and summary, or the search record) and prints it once: as JSON with
+``--json``, else through that command's Markdown renderer.  Both formats are
+byte-identical across runs.  A ``--config`` file with ``key=value`` lines
+supplies defaults that explicit flags override.
 
 Exit codes: 0 success, 1 usage error, 2 input-format error, 3 internal
 invariant violation (including --check failures).
@@ -43,6 +45,7 @@ from .report import (
     atlas_summary,
     build_report,
     exceptional_candidates,
+    report_markdown,
 )
 
 __all__ = [
@@ -275,8 +278,8 @@ def load_group_tables(directory: str, expected_order: int = None) -> list:
     return groups
 
 
-def cmd_report(g: int, options) -> "Report":
-    """Build the report for one genus, honoring table and search options."""
+def cmd_report(g: int, options) -> dict:
+    """Build the report dict for one genus, honoring table and search options."""
     if g is None:
         raise UsageError("report requires --genus")
     _check_genus(g, 8)
@@ -288,10 +291,10 @@ def cmd_report(g: int, options) -> "Report":
     return build_report(g, max_order=options.max_order, search_groups=search_groups)
 
 
-def cmd_atlas(g_min: int, g_max: int, options):
+def cmd_atlas(g_min: int, g_max: int, options) -> dict:
     """Reports for a genus range plus the sweep summary."""
     reports = atlas_reports(g_min, g_max, max_order=options.max_order)
-    return reports, atlas_summary(reports)
+    return {"reports": reports, "summary": atlas_summary(reports)}
 
 
 def cmd_exceptional(g: int, options) -> dict:
@@ -406,38 +409,27 @@ def _run(argv) -> int:
     check_range = _check_range(options) if options.check else None
 
     if options.command == "report":
-        report = cmd_report(options.genus, options)
-        if options.format == "json":
-            _emit(json.dumps(report.to_json_dict(), indent=2))
-        else:
-            _emit(report.to_markdown())
+        payload, render = cmd_report(options.genus, options), report_markdown
     elif options.command == "atlas":
         if not options.genus_range:
             raise UsageError("atlas requires --range A:B")
         g_min, g_max = _parse_range(options.genus_range)
-        reports, summary = cmd_atlas(g_min, g_max, options)
-        if options.format == "json":
-            payload = {
-                "reports": [r.to_json_dict() for r in reports],
-                "summary": summary,
-            }
-            _emit(json.dumps(payload, indent=2))
-        else:
-            for report in reports:
-                _emit(report.to_markdown())
-            _emit(_summary_markdown(summary))
+        payload, render = cmd_atlas(g_min, g_max, options), _atlas_markdown
     elif options.command == "exceptional":
-        payload = cmd_exceptional(options.genus, options)
-        if options.format == "json":
-            _emit(json.dumps(payload, indent=2))
-        else:
-            _emit(_exceptional_markdown(payload))
+        payload, render = cmd_exceptional(options.genus, options), _exceptional_markdown
     else:  # pragma: no cover - argparse restricts the choices
         raise UsageError(f"unknown command {options.command!r}")
+    _emit(json.dumps(payload, indent=2) if options.format == "json" else render(payload))
 
     if check_range:
         return _run_checks(*check_range)
     return EXIT_OK
+
+
+def _atlas_markdown(payload: dict) -> str:
+    """Each report's Markdown in genus order, then the sweep summary."""
+    reports = "".join(report_markdown(r) for r in payload["reports"])
+    return reports + _summary_markdown(payload["summary"])
 
 
 def _summary_markdown(summary: dict) -> str:

@@ -1338,10 +1338,7 @@ def _catalog_candidates(n: int, memo: dict):
             continue
         for t in range(2, a):
             if gcd(t, a) == 1 and pow(t, b, a) == 1:
-                try:
-                    yield semidirect_cyclic(a, b, t), None
-                except GroupConstructionError:
-                    pass
+                yield semidirect_cyclic(a, b, t), None
     if n == 12:
         yield from_permutations(["perm (1 2 3)", "perm (1 2)(3 4)"]), None
     if n == 24:

@@ -7,13 +7,14 @@ species carried by each real arc, the boundary loop, and the outcome of the
 optional search for actions beyond the main families.  Computed values are
 paired with their expected counterparts where a census exists, and
 disagreements are surfaced in the notes instead of being reconciled
-silently.  All output structures use a fixed field order so renderings are
-byte-stable across runs.
+silently.
+
+``build_report`` returns the report as the plain dict that ``report --json``
+prints, with a fixed key order, and ``report_markdown`` renders that dict;
+both renderings are byte-stable across runs.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .actions import (
     EXCEPTIONAL_SURFACE_GENERA,
@@ -39,8 +40,8 @@ __all__ = [
     "QUADRUPLE_FAMILY_GENERA",
     "EXCEPTIONAL_SURFACE_GENERA",
     "DEFAULT_MAX_ORDER",
-    "Report",
     "build_report",
+    "report_markdown",
     "atlas_reports",
     "atlas_summary",
     "exceptional_candidates",
@@ -64,143 +65,114 @@ def _checked(computed, expected) -> dict:
     return {"computed": computed, "expected": expected, "agrees": computed == expected}
 
 
-@dataclass(frozen=True)
-class Report:
-    """Everything computed for one genus, in renderable form.
-
-    All fields hold plain JSON-serializable data (strings, numbers, lists,
-    dicts) assembled in a fixed order, so ``to_json_dict`` is deterministic
-    and two runs over the same inputs render byte-identically.
-    """
-
-    genus: int
-    signatures: tuple
-    group: dict
-    action_classes: dict
-    extensions: dict
-    symmetry_types: tuple
-    boundary: dict
-    exceptional: dict
-    notes: tuple
-
-    def to_json_dict(self) -> dict:
-        return {
-            "genus": self.genus,
-            "signatures": [dict(entry) for entry in self.signatures],
-            "group": dict(self.group),
-            "action_classes": dict(self.action_classes),
-            "extensions": dict(self.extensions),
-            "symmetry_types": [dict(entry) for entry in self.symmetry_types],
-            "boundary": dict(self.boundary),
-            "exceptional": dict(self.exceptional),
-            "notes": list(self.notes),
-        }
-
-    def to_markdown(self) -> str:
-        lines = [f"# Genus {self.genus}", ""]
-        lines.append("## Signatures")
-        lines.append("")
-        lines.append("| signature | tag |")
-        lines.append("| --- | --- |")
-        for entry in self.signatures:
-            lines.append(f"| `{entry['signature']}` | {entry['tag']} |")
-        lines.append("")
-        lines.append("## Main action")
-        lines.append("")
-        lines.append(f"- group: {self.group['description']} (order {self.group['order']})")
-        count = self.action_classes["count"]
+def report_markdown(report: dict) -> str:
+    """Render one report dict as Markdown."""
+    lines = [f"# Genus {report['genus']}", ""]
+    lines.append("## Signatures")
+    lines.append("")
+    lines.append("| signature | tag |")
+    lines.append("| --- | --- |")
+    for entry in report["signatures"]:
+        lines.append(f"| `{entry['signature']}` | {entry['tag']} |")
+    lines.append("")
+    lines.append("## Main action")
+    lines.append("")
+    group, action = report["group"], report["action_classes"]
+    lines.append(f"- group: {group['description']} (order {group['order']})")
+    count = action["count"]
+    lines.append(
+        f"- classes on `{action['signature']}`:"
+        f" {count['computed']} (expected {count['expected']})"
+    )
+    lines.append(f"- representative: {action['representative']}")
+    lines.append(f"- orbit size: {action['orbit_size']}")
+    lines.append("")
+    lines.append("## Extended symmetry groups")
+    lines.append("")
+    for kind in ("a", "b"):
+        count = report["extensions"]["counts"][kind]
         lines.append(
-            f"- classes on `{self.action_classes['signature']}`:"
-            f" {count['computed']} (expected {count['expected']})"
+            f"- kind {kind}: {count['computed']} class(es)"
+            f" (expected {count['expected']})"
         )
-        lines.append(f"- representative: {self.action_classes['representative']}")
-        lines.append(f"- orbit size: {self.action_classes['orbit_size']}")
-        lines.append("")
-        lines.append("## Extended symmetry groups")
-        lines.append("")
-        for kind in ("a", "b"):
-            count = self.extensions["counts"][kind]
+    lines.append("")
+    lines.append("| label | target | order | restriction in main class |")
+    lines.append("| --- | --- | --- | --- |")
+    for entry in report["extensions"]["classes"]:
+        target = entry["target"]["description"]
+        ok = "yes" if entry["restriction_in_main_class"] else "NO"
+        lines.append(
+            f"| {entry['label']} | {target} | {entry['target']['order']} | {ok} |"
+        )
+    lines.append("")
+    lines.append("## Symmetry types")
+    lines.append("")
+    lines.append("| arc | species | ovals per class |")
+    lines.append("| --- | --- | --- |")
+    for entry in report["symmetry_types"]:
+        species = ", ".join(str(v) for v in entry["species"])
+        ovals = ", ".join(str(v) for v in entry["ovals"])
+        lines.append(f"| {entry['label']} | {species} | {ovals} |")
+    lines.append("")
+    lines.append("## Boundary")
+    lines.append("")
+    for arc in report["boundary"]["arcs"]:
+        ends = " to ".join(arc["endpoints"])
+        species = ", ".join(str(v) for v in arc["species"])
+        lines.append(f"- arc {arc['label']}: {ends} carrying [{species}]")
+    endpoints = report["boundary"]["endpoints"]
+    for name in ("X_D", "X_R"):
+        graph = endpoints[name]
+        genera = ", ".join(str(v["genus"]) for v in graph["vertices"])
+        lines.append(
+            f"- {name}: {graph['label']} graph, component genera [{genera}],"
+            f" {len(graph['edges'])} node(s)"
+        )
+    wiman = endpoints["X_8g"]
+    lines.append(
+        f"- X_8g: {wiman['equation']} with {wiman['automorphisms']} automorphisms,"
+        f" quotient `{wiman['quotient_signature']}`"
+    )
+    lines.append("")
+    lines.append("## Beyond the families")
+    lines.append("")
+    exceptional = report["exceptional"]
+    sporadic = exceptional["sporadic_arithmetic"]
+    lines.append(
+        f"- sporadic arithmetic signatures: {sporadic['computed']}"
+        f" (census: {sporadic['expected']})"
+    )
+    quadruple = exceptional["quadruple_family"]
+    lines.append(
+        f"- quadruple family: {quadruple['computed']}"
+        f" (expected: {quadruple['expected']})"
+    )
+    lines.append(
+        f"- exceptional surfaces catalogued: "
+        f"{exceptional['exceptional_surfaces_expected']}"
+    )
+    search = exceptional["search"]
+    if search is None:
+        lines.append("- action search: not run")
+    else:
+        lines.append(
+            f"- action search: {len(search['candidates'])} candidate class(es)"
+            f" over {search['groups_scanned']} group(s)"
+            f" (catalog complete: {search['catalog_complete']})"
+        )
+        for cand in search["candidates"]:
             lines.append(
-                f"- kind {kind}: {count['computed']} class(es)"
-                f" (expected {count['expected']})"
+                f"  - `{cand['signature']}` over {cand['group']}"
+                f" ({cand['group_structure']})"
             )
+    if report["notes"]:
         lines.append("")
-        lines.append("| label | target | order | restriction in main class |")
-        lines.append("| --- | --- | --- | --- |")
-        for entry in self.extensions["classes"]:
-            target = entry["target"]["description"]
-            ok = "yes" if entry["restriction_in_main_class"] else "NO"
-            lines.append(
-                f"| {entry['label']} | {target} | {entry['target']['order']} | {ok} |"
-            )
+        lines.append("## Notes")
         lines.append("")
-        lines.append("## Symmetry types")
-        lines.append("")
-        lines.append("| arc | species | ovals per class |")
-        lines.append("| --- | --- | --- |")
-        for entry in self.symmetry_types:
-            species = ", ".join(str(v) for v in entry["species"])
-            ovals = ", ".join(str(v) for v in entry["ovals"])
-            lines.append(f"| {entry['label']} | {species} | {ovals} |")
-        lines.append("")
-        lines.append("## Boundary")
-        lines.append("")
-        for arc in self.boundary["arcs"]:
-            ends = " to ".join(arc["endpoints"])
-            species = ", ".join(str(v) for v in arc["species"])
-            lines.append(f"- arc {arc['label']}: {ends} carrying [{species}]")
-        endpoints = self.boundary["endpoints"]
-        for name in ("X_D", "X_R"):
-            graph = endpoints[name]
-            genera = ", ".join(str(v["genus"]) for v in graph["vertices"])
-            lines.append(
-                f"- {name}: {graph['label']} graph, component genera [{genera}],"
-                f" {len(graph['edges'])} node(s)"
-            )
-        wiman = endpoints["X_8g"]
-        lines.append(
-            f"- X_8g: {wiman['equation']} with {wiman['automorphisms']} automorphisms,"
-            f" quotient `{wiman['quotient_signature']}`"
-        )
-        lines.append("")
-        lines.append("## Beyond the families")
-        lines.append("")
-        sporadic = self.exceptional["sporadic_arithmetic"]
-        lines.append(
-            f"- sporadic arithmetic signatures: {sporadic['computed']}"
-            f" (census: {sporadic['expected']})"
-        )
-        quadruple = self.exceptional["quadruple_family"]
-        lines.append(
-            f"- quadruple family: {quadruple['computed']}"
-            f" (expected: {quadruple['expected']})"
-        )
-        lines.append(
-            f"- exceptional surfaces catalogued: "
-            f"{self.exceptional['exceptional_surfaces_expected']}"
-        )
-        search = self.exceptional["search"]
-        if search is None:
-            lines.append("- action search: not run")
-        else:
-            lines.append(
-                f"- action search: {len(search['candidates'])} candidate class(es)"
-                f" over {search['groups_scanned']} group(s)"
-                f" (catalog complete: {search['catalog_complete']})"
-            )
-            for cand in search["candidates"]:
-                lines.append(
-                    f"  - `{cand['signature']}` over {cand['group']}"
-                    f" ({cand['group_structure']})"
-                )
-        if self.notes:
-            lines.append("")
-            lines.append("## Notes")
-            lines.append("")
-            for note in self.notes:
-                lines.append(f"- {note}")
-        lines.append("")
-        return "\n".join(lines)
+        for note in report["notes"]:
+            lines.append(f"- {note}")
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _collect_disagreements(report_dict: dict, path: str, notes: list) -> None:
@@ -239,8 +211,8 @@ def build_report(
     *,
     max_order: int = DEFAULT_MAX_ORDER,
     search_groups=None,
-) -> Report:
-    """Run the whole pipeline for one genus and assemble the report.
+) -> dict:
+    """Run the whole pipeline for one genus and assemble the report dict.
 
     ``search_groups`` supplies externally loaded order-4g groups for the
     beyond-the-families action search, which runs when special signatures
@@ -250,9 +222,7 @@ def build_report(
     if g < 2:
         raise ValueError("reports start at genus 2")
     tagged = enumerate_4g_signatures(g)
-    signatures = tuple(
-        {"signature": str(ts.signature), "tag": ts.tag} for ts in tagged
-    )
+    signatures = [{"signature": str(ts.signature), "tag": ts.tag} for ts in tagged]
 
     v = canonical_vector(g)
     group = {"description": recognize(v.group), "order": v.group.order}
@@ -303,8 +273,6 @@ def build_report(
         )
     extensions = {"counts": counts, "classes": class_records}
 
-    boundary = description.to_json_dict()
-
     has_sporadic = any(ts.tag == TAG_SPORADIC for ts in tagged)
     has_quadruple = any(ts.tag == TAG_QUADRUPLE for ts in tagged)
     search = None
@@ -327,13 +295,18 @@ def build_report(
     }
 
     notes = []
-    draft = {
+    report = {
+        "genus": g,
+        "signatures": signatures,
         "group": group,
         "action_classes": action_classes,
         "extensions": extensions,
+        "symmetry_types": symmetry_types,
+        "boundary": description.to_json_dict(),
         "exceptional": exceptional,
+        "notes": notes,
     }
-    _collect_disagreements(draft, "", notes)
+    _collect_disagreements(report, "", notes)
     if search is not None:
         found = bool(search["candidates"])
         census_realized = (
@@ -383,17 +356,7 @@ def build_report(
                 f"extension {entry['label']} restricts outside the main class"
             )
 
-    return Report(
-        genus=g,
-        signatures=signatures,
-        group=group,
-        action_classes=action_classes,
-        extensions=extensions,
-        symmetry_types=tuple(symmetry_types),
-        boundary=boundary,
-        exceptional=exceptional,
-        notes=tuple(notes),
-    )
+    return report
 
 
 def atlas_reports(
@@ -411,21 +374,19 @@ def atlas_reports(
 def atlas_summary(reports) -> dict:
     """Sweep summary: which special genera appeared, against the census."""
     reports = list(reports)
-    genera = [r.genus for r in reports]
-    sporadic = [
-        r.genus for r in reports if r.exceptional["sporadic_arithmetic"]["computed"]
-    ]
-    quadruple = [
-        r.genus for r in reports if r.exceptional["quadruple_family"]["computed"]
-    ]
+    genera = [r["genus"] for r in reports]
+    sporadic, quadruple = (
+        [r["genus"] for r in reports if r["exceptional"][key]["computed"]]
+        for key in ("sporadic_arithmetic", "quadruple_family")
+    )
     span = set(range(min(genera), max(genera) + 1)) if genera else set()
     expected_sporadic = sorted(set(CATALOGUED_SPORADIC_GENERA) & span)
     extras = sorted(set(sporadic) - set(CATALOGUED_SPORADIC_GENERA))
     missing = sorted(set(expected_sporadic) - set(sporadic))
     notes = []
     for r in reports:
-        for note in r.notes:
-            notes.append(f"genus {r.genus}: {note}")
+        for note in r["notes"]:
+            notes.append(f"genus {r['genus']}: {note}")
     return {
         "genera": genera,
         "sporadic_arithmetic": sporadic,

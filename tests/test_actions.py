@@ -458,6 +458,52 @@ class TestKeyClassification:
         )
 
 
+def _two_move_orbit_keys(G: FiniteGroup, start: tuple) -> set:
+    """Cayley keys of start's braid orbit, walked along every move
+    (a, b) -> (a b a^-1, a) and its inverse (a, b) -> (b, b^-1 a b)."""
+    table = G._table
+    inv = G._inv
+    keys = {_cayley_key(table, start)}
+    frontier = [start]
+    while frontier:
+        t = frontier.pop()
+        for i in range(len(t) - 1):
+            a, b = t[i], t[i + 1]
+            for nb in (
+                t[:i] + (table[table[a][b]][inv[a]], a) + t[i + 2 :],
+                t[:i] + (b, table[table[inv[b]][a]][b]) + t[i + 2 :],
+            ):
+                key = _cayley_key(table, nb)
+                if key not in keys:
+                    keys.add(key)
+                    frontier.append(nb)
+    return keys
+
+
+class TestForwardOrbitWalk:
+    """The orbit walk follows forward moves only; the inverse moves must
+    reach no key it misses."""
+
+    @pytest.mark.parametrize("g", range(2, 31))
+    def test_main_class_keys(self, g):
+        cls = main_action_class(g)
+        start = next(iter(cls.members.values()))
+        assert set(cls.members) == _two_move_orbit_keys(cls.group, start)
+
+    @pytest.mark.parametrize("g", (3, 6))
+    def test_special_signature_class_keys(self, g):
+        checked = 0
+        for ts in enumerate_4g_signatures(g):
+            if ts.tag not in (TAG_QUADRUPLE, TAG_SPORADIC):
+                continue
+            for G in small_groups(4 * g):
+                for cls in classify(G, ts.periods):
+                    start = next(iter(cls.members.values()))
+                    assert set(cls.members) == _two_move_orbit_keys(G, start), G.name
+                    checked += 1
+        assert checked > 0
+
+
 # ---------------------------------------------------------------------------
 # Reference: classification by the full enumeration and the listed
 # automorphism group, as the engine did before the count certificate.

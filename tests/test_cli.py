@@ -42,6 +42,23 @@ def order20_tables(tmp_path):
     return directory
 
 
+def _assert_stdout_digests(tmp_path, cases):
+    """Run each command in fresh processes under two hash seeds and check
+    that both print the same stdout, with the pinned sha256 digest."""
+    src = str(Path(fourg.__file__).resolve().parents[1])
+    for args, digest in cases:
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            run = subprocess.run(
+                [sys.executable, "-m", "fourg.cli", *args],
+                cwd=tmp_path, env=env, capture_output=True, check=True,
+            )
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1], args
+        assert hashlib.sha256(outputs[0]).hexdigest() == digest, args
+
+
 class TestExitCodes:
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == EXIT_USAGE
@@ -201,7 +218,6 @@ class TestAtlasCommand:
         # byte-identity sweep of the roadmap, genus 24 searches the
         # 69-group catalog of order 96, and the genus-30 report pins the
         # extensions and the boundary above genus 14)
-        src = str(Path(fourg.__file__).resolve().parents[1])
         cases = (
             (
                 ["atlas", "--range", "2:6", "--json"],
@@ -220,17 +236,27 @@ class TestAtlasCommand:
                 "ce2d1a54bf3764bd6da30be2a72999d2a6b9ef1025458cdfc0bfc5a4fa249727",
             ),
         )
-        for args, digest in cases:
-            outputs = []
-            for seed in ("1", "2"):
-                env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
-                run = subprocess.run(
-                    [sys.executable, "-m", "fourg.cli", *args],
-                    cwd=tmp_path, env=env, capture_output=True, check=True,
-                )
-                outputs.append(run.stdout)
-            assert outputs[0] == outputs[1], args
-            assert hashlib.sha256(outputs[0]).hexdigest() == digest, args
+        _assert_stdout_digests(tmp_path, cases)
+
+    def test_markdown_bytes_independent_of_hash_seed(self, tmp_path):
+        # the default format of each command, pinned like the JSON above;
+        # only stdout is hashed, so the catalog warning of exceptional at
+        # genus 24 (stderr) does not count
+        cases = (
+            (
+                ["report", "--genus", "30"],
+                "962277b81098b13feca448df005ad2625cc23c865c2d64ccc46cfadecd8abfdf",
+            ),
+            (
+                ["atlas", "--range", "2:6"],
+                "517374094d4521177b1ecfaa0c078390f4a259862725de92dc614ccf73d3f2a6",
+            ),
+            (
+                ["exceptional", "--genus", "24"],
+                "a0abc42f4a26c0b6dbb5bc717f403f10a51aecc832067c4c1c4c84e0e4687839",
+            ),
+        )
+        _assert_stdout_digests(tmp_path, cases)
 
     def test_tables_flag_is_usage_error(self, tmp_path, capsys):
         # atlas takes no table input, so it must not accept the flag silently

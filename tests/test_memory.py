@@ -51,7 +51,7 @@ def test_no_group_outlives_a_sweep(monkeypatch):
                _distinct_groups):
         _wrap_everywhere(monkeypatch, fn, _recording(fn, keep))
     reports = report.atlas_reports(2, 20)
-    assert [r.genus for r in reports] == list(range(2, 21))
+    assert [r["genus"] for r in reports] == list(range(2, 21))
     assert len(refs) > 100
     gc.collect()
     alive = sorted({ref().name for ref in refs if ref() is not None})

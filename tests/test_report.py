@@ -12,10 +12,10 @@ from fourg.report import (
     CATALOGUED_SPORADIC_GENERA,
     EXCEPTIONAL_SURFACE_GENERA,
     QUADRUPLE_FAMILY_GENERA,
-    Report,
     atlas_reports,
     atlas_summary,
     build_report,
+    report_markdown,
 )
 
 
@@ -46,8 +46,8 @@ class TestBuildReportCore:
     @pytest.mark.parametrize("g,orbit", [(2, 96), (5, 480)])
     def test_main_action_block(self, g, orbit):
         report = build_report(g)
-        assert report.genus == g
-        block = report.action_classes
+        assert report["genus"] == g
+        block = report["action_classes"]
         assert block["signature"] == f"(0;+;[2,2,2,{2 * g}];{{-}})"
         assert block["count"] == {"computed": 1, "expected": 1, "agrees": True}
         assert block["orbit_size"] == orbit
@@ -55,23 +55,23 @@ class TestBuildReportCore:
 
     def test_group_block(self):
         report = build_report(5)
-        assert report.group == {"description": "dihedral of order 20", "order": 20}
+        assert report["group"] == {"description": "dihedral of order 20", "order": 20}
 
     def test_signature_tags_cover_families(self):
         report = build_report(7)
-        tags = [entry["tag"] for entry in report.signatures]
+        tags = [entry["tag"] for entry in report["signatures"]]
         assert tags == ["family-1", "family-3", "family-4"]
-        extra_tags = [entry["tag"] for entry in build_report(3).signatures]
+        extra_tags = [entry["tag"] for entry in build_report(3)["signatures"]]
         assert "family-2" in extra_tags
         assert "sporadic" in extra_tags
         assert "quadruple-exceptional" in extra_tags
 
     def test_extension_counts_and_targets(self):
         report = build_report(5)
-        counts = report.extensions["counts"]
+        counts = report["extensions"]["counts"]
         assert counts["a"] == {"computed": 2, "expected": 2, "agrees": True}
         assert counts["b"] == {"computed": 1, "expected": 1, "agrees": True}
-        records = report.extensions["classes"]
+        records = report["extensions"]["classes"]
         assert [entry["label"] for entry in records] == ["a1", "a2", "b"]
         for entry in records:
             assert entry["restriction_in_main_class"] is True
@@ -84,7 +84,7 @@ class TestBuildReportCore:
     def test_even_genus_kind_b_target_is_dihedral(self):
         report = build_report(4)
         b_entry = next(
-            entry for entry in report.extensions["classes"] if entry["kind"] == "b"
+            entry for entry in report["extensions"]["classes"] if entry["kind"] == "b"
         )
         assert b_entry["target"]["description"] == "dihedral of order 32"
         assert b_entry["target"]["recognized"]["agrees"] is True
@@ -99,12 +99,12 @@ class TestBuildReportCore:
     )
     def test_symmetry_type_species(self, g, expected):
         report = build_report(g)
-        by_label = {entry["label"]: entry["species"] for entry in report.symmetry_types}
+        by_label = {entry["label"]: entry["species"] for entry in report["symmetry_types"]}
         assert by_label == expected
 
     def test_oval_counts_are_nonnegative(self):
         report = build_report(6)
-        for entry in report.symmetry_types:
+        for entry in report["symmetry_types"]:
             assert entry["ovals"]
             assert all(isinstance(n, int) and n >= 0 for n in entry["ovals"])
 
@@ -127,7 +127,7 @@ class TestBuildReportCore:
         report = build_report(7)
         assert sorted(calls) == ["a1", "a2", "b"]
         monkeypatch.undo()
-        by_label = {entry["label"]: entry for entry in report.symmetry_types}
+        by_label = {entry["label"]: entry for entry in report["symmetry_types"]}
         for e in build_extensions(main_action_class(7)):
             classes = symmetry_classes_with_ovals(e)
             assert by_label[e.label]["species"] == [sp.value for sp in species_set(e, classes)]
@@ -135,16 +135,16 @@ class TestBuildReportCore:
 
     def test_boundary_block_embeds_description(self):
         report = build_report(4)
-        assert report.boundary["genus"] == 4
-        labels = [arc["label"] for arc in report.boundary["arcs"]]
+        assert report["boundary"]["genus"] == 4
+        labels = [arc["label"] for arc in report["boundary"]["arcs"]]
         assert labels == ["a1", "a2", "b"]
-        assert set(report.boundary["endpoints"]) == {"X_D", "X_R", "X_8g"}
+        assert set(report["boundary"]["endpoints"]) == {"X_D", "X_R", "X_8g"}
 
 
 class TestExceptionalSection:
     def test_generic_genus_has_no_search(self):
         report = build_report(4)
-        section = report.exceptional
+        section = report["exceptional"]
         assert section["sporadic_arithmetic"]["agrees"] is True
         assert section["sporadic_arithmetic"]["computed"] is False
         assert section["search"] is None
@@ -152,7 +152,7 @@ class TestExceptionalSection:
 
     def test_genus_three_search_finds_both_candidates(self):
         report = build_report(3)
-        section = report.exceptional
+        section = report["exceptional"]
         assert section["sporadic_arithmetic"]["agrees"] is True
         assert section["quadruple_family"]["computed"] is True
         assert section["exceptional_surfaces_expected"] is True
@@ -163,30 +163,30 @@ class TestExceptionalSection:
         assert "(0;+;[2,2,3,3];{-})" in signatures
         structures = {c["group_structure"] for c in search["candidates"]}
         assert "C12" in structures
-        assert any("census" in note for note in report.notes)
+        assert any("census" in note for note in report["notes"])
 
     def test_genus_five_arithmetic_disagreement_is_noted(self):
         # the (5,5,5) signature passes the arithmetic sieve but the census
         # lists no sporadic genus 5, so a disagreement note must appear
         report = build_report(5)
-        section = report.exceptional
+        section = report["exceptional"]
         assert section["sporadic_arithmetic"]["computed"] is True
         assert section["sporadic_arithmetic"]["expected"] is False
         assert section["sporadic_arithmetic"]["agrees"] is False
         search = section["search"]
         assert search["catalog_complete"] is True
         assert search["candidates"] == []
-        assert any("disagrees" in note for note in report.notes)
-        assert any("confirms no action" in note for note in report.notes)
+        assert any("disagrees" in note for note in report["notes"])
+        assert any("confirms no action" in note for note in report["notes"])
 
     def test_search_gated_by_max_order(self):
         report = build_report(3, max_order=8)
-        assert report.exceptional["search"] is None
+        assert report["exceptional"]["search"] is None
 
     def test_external_groups_mark_catalog_incomplete(self):
         pool = [cyclic(12), dihedral(12)]
         report = build_report(3, search_groups=pool)
-        search = report.exceptional["search"]
+        search = report["exceptional"]["search"]
         assert search["groups_scanned"] == 2
         assert search["catalog_complete"] is False
         signatures = {c["signature"] for c in search["candidates"]}
@@ -194,14 +194,14 @@ class TestExceptionalSection:
 
     def test_incomplete_search_with_no_hits_is_inconclusive(self):
         report = build_report(3, search_groups=[dihedral(12)])
-        assert report.exceptional["search"]["candidates"] == []
-        assert any("inconclusive" in note for note in report.notes)
+        assert report["exceptional"]["search"]["candidates"] == []
+        assert any("inconclusive" in note for note in report["notes"])
 
 
 class TestRenderings:
     def test_json_round_trips_and_is_deterministic(self):
-        first = json.dumps(build_report(3).to_json_dict(), indent=2)
-        second = json.dumps(build_report(3).to_json_dict(), indent=2)
+        first = json.dumps(build_report(3), indent=2)
+        second = json.dumps(build_report(3), indent=2)
         assert first == second
         data = json.loads(first)
         assert data["genus"] == 3
@@ -218,7 +218,7 @@ class TestRenderings:
         ]
 
     def test_markdown_sections_present(self):
-        text = build_report(5).to_markdown()
+        text = report_markdown(build_report(5))
         for heading in (
             "# Genus 5",
             "## Signatures",
@@ -233,7 +233,7 @@ class TestRenderings:
         assert "dihedral of order 20" in text
 
     def test_markdown_notes_rendered_when_present(self):
-        text = build_report(5).to_markdown()
+        text = report_markdown(build_report(5))
         assert "## Notes" in text
         assert "disagrees" in text
 
@@ -241,8 +241,8 @@ class TestRenderings:
 class TestAtlas:
     def test_reports_in_genus_order(self):
         reports = atlas_reports(2, 4)
-        assert [r.genus for r in reports] == [2, 3, 4]
-        assert all(isinstance(r, Report) for r in reports)
+        assert [r["genus"] for r in reports] == [2, 3, 4]
+        assert all(isinstance(r, dict) for r in reports)
 
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
