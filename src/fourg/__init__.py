@@ -88,10 +88,6 @@ from .realforms import (
 )
 from .boundary import (
     ARC_ENDPOINTS,
-    BoundaryArc,
-    BoundaryDescription,
-    NodalGraph,
-    WimanCurve,
     boundary_description,
     nodal_graph,
 )

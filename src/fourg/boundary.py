@@ -12,17 +12,18 @@ pairwise into a single closed loop.
 
 This module computes the dual graphs of the nodal limits (vertex genera from
 exact Euler-characteristic bookkeeping, edge counts from subgroup indices)
-and assembles the annotated arc loop.
+and assembles the annotated arc loop.  Both come back as the plain dicts
+that the report prints: a graph is ``{"vertices": [{"genus": h}, ...],
+"edges": [[i, j], ...], "label": ...}`` and the loop is ``{"genus", "arcs",
+"endpoints"}``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .actions import GeneratingVector
 from .errors import InvariantViolation
-from .realforms import Species, species_set, symmetry_classes_with_ovals
 from .signatures import INF, SIGN_PLUS, Signature, normalized_area, wiman_quotient_signature
 
 __all__ = [
@@ -33,10 +34,6 @@ __all__ = [
     "LABEL_DIPOLE",
     "LABEL_LOOPS",
     "ARC_ENDPOINTS",
-    "NodalGraph",
-    "BoundaryArc",
-    "WimanCurve",
-    "BoundaryDescription",
     "nodal_graph",
     "boundary_description",
 ]
@@ -63,74 +60,6 @@ ARC_ENDPOINTS = {
 
 
 # ---------------------------------------------------------------------------
-# Dual graphs of nodal surfaces.
-
-
-@dataclass(frozen=True)
-class NodalGraph:
-    """Dual graph of a nodal surface: vertices are components, edges nodes.
-
-    Each vertex carries the genus of its component; an edge records a node
-    and joins the components meeting there, so loops are allowed.  Edges are
-    normalized to sorted endpoint pairs in a sorted multiset.  The arithmetic
-    genus of the nodal surface is recoverable from the graph alone and is
-    exposed as ``total_genus``.
-    """
-
-    vertex_genera: tuple
-    edges: tuple
-    label: str
-
-    def __post_init__(self):
-        genera = tuple(self.vertex_genera)
-        if not genera:
-            raise InvariantViolation("a nodal graph needs at least one vertex")
-        for w in genera:
-            if not isinstance(w, int) or isinstance(w, bool) or w < 0:
-                raise InvariantViolation(
-                    f"vertex genus must be a non-negative integer, got {w!r}"
-                )
-        edges = []
-        for edge in self.edges:
-            pair = tuple(edge)
-            if len(pair) != 2:
-                raise InvariantViolation(f"edge {edge!r} must join two vertices")
-            i, j = pair
-            for end in (i, j):
-                if not isinstance(end, int) or isinstance(end, bool):
-                    raise InvariantViolation(f"edge endpoint {end!r} is not an index")
-                if not 0 <= end < len(genera):
-                    raise InvariantViolation(
-                        f"edge endpoint {end} is outside the {len(genera)} vertices"
-                    )
-            edges.append((min(i, j), max(i, j)))
-        if not isinstance(self.label, str) or not self.label:
-            raise InvariantViolation("a nodal graph carries a non-empty label")
-        object.__setattr__(self, "vertex_genera", genera)
-        object.__setattr__(self, "edges", tuple(sorted(edges)))
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    @property
-    def total_genus(self) -> int:
-        """Arithmetic genus: sum of (vertex genus - 1), plus edges, plus 1."""
-        return sum(w - 1 for w in self.vertex_genera) + len(self.edges) + 1
-
-    def to_json_dict(self) -> dict:
-        return {
-            "vertices": [{"genus": w} for w in self.vertex_genera],
-            "edges": [[i, j] for i, j in self.edges],
-            "label": self.label,
-        }
-
-    def __str__(self) -> str:
-        genera = ",".join(str(w) for w in self.vertex_genera)
-        return f"{self.label}[genera {genera}; {self.edge_count} edge(s)]"
-
-
-# ---------------------------------------------------------------------------
 # Nodal limits of the family.
 
 
@@ -151,37 +80,38 @@ def _require_family_vector(v: GeneratingVector) -> int:
     return g
 
 
-def nodal_graph(v: GeneratingVector, which: int) -> NodalGraph:
+def nodal_graph(v: GeneratingVector, which: int) -> dict:
     """Dual graph of the nodal limit reached by pinching one curve system.
 
     ``v`` must be a four-image vector with periods (2, 2, 2, 2g) over a group
     of order 4g.  Writing t1..t4 for its images, ``which`` selects the
-    system: 1 pinches the curve class mapping to t1*t2, 2 the one mapping to
-    t2*t3.  The pinched class and the two images beside it form ``omega``,
-    (t1*t2, t3, t4) or (t2*t3, t1, t4), and the degeneration subgroup they
-    generate governs the limit: its index counts the components, so index 2
-    splits the pinched surface in two and index 1 keeps it connected.  On
-    the canonical family vector the first system yields a dipole -- two
-    components of equal genus joined by one node when g is even and two
-    when g is odd -- and the second collapses everything onto a single
-    genus-0 component carrying g nodes, a rose of loops; for other
-    admissible vectors the shapes may differ and the label always records
-    the computed shape.  Each component is covered by ``omega`` over the
-    orbifold (0;+;[2,2g,inf]), the pinched class mapping to its puncture.
-    So c = |<omega>| / order(pinched class) is both the puncture count of a
-    component and its number of edge ends; with chi minus that orbifold's
-    normalized area, 2 - 2h - c = |<omega>| * chi solves to the component
-    genus h, and a non-integral or negative h raises.  The graph is
-    cross-checked against the total genus identity before it is returned.
+    system, as the int 1 or 2: 1 pinches the curve class mapping to t1*t2, 2
+    the one mapping to t2*t3.  The pinched class and the two images beside
+    it form ``omega``, (t1*t2, t3, t4) or (t2*t3, t1, t4), and the
+    degeneration subgroup they generate governs the limit: its index counts
+    the components, so index 2 splits the pinched surface in two and index 1
+    keeps it connected.  On the canonical family vector the first system
+    yields a dipole -- two components of equal genus joined by one node when
+    g is even and two when g is odd -- and the second collapses everything
+    onto a single genus-0 component carrying g nodes, a rose of loops; for
+    other admissible vectors the shapes may differ and the label always
+    records the computed shape.  Each component is covered by ``omega`` over
+    the orbifold (0;+;[2,2g,inf]), the pinched class mapping to its
+    puncture.  So c = |<omega>| / order(pinched class) is both the puncture
+    count of a component and its number of edge ends; with chi minus that
+    orbifold's normalized area, 2 - 2h - c = |<omega>| * chi solves to the
+    component genus h, and a non-integral or negative h raises.
+
+    The graph is returned as ``{"vertices": [{"genus": h}, ...], "edges":
+    [[i, j], ...], "label": ...}``: one vertex per component, one sorted
+    endpoint pair per node, loops included.  Its arithmetic genus, the
+    vertex count times (h - 1) plus the edges plus 1, must equal g.
     """
     g = _require_family_vector(v)
     t1, t2, t3, t4 = v.images
-    if which == 1:
-        omega = (t1 * t2, t3, t4)
-    elif which == 2:
-        omega = (t2 * t3, t1, t4)
-    else:
-        raise ValueError(f"which must be 1 or 2, got {which!r}")
+    if type(which) is not int or which not in (1, 2):
+        raise ValueError(f"which must be the int 1 or 2, got {which!r}")
+    omega = (t1 * t2, t3, t4) if which == 1 else (t2 * t3, t1, t4)
     image_order = len(v.group.subgroup(omega))
     vertex_count = v.group.order // image_order
     ends_per_vertex = image_order // omega[0].order()
@@ -201,132 +131,35 @@ def nodal_graph(v: GeneratingVector, which: int) -> NodalGraph:
                 "a one-vertex graph needs an even number of edge ends,"
                 f" got {ends_per_vertex}"
             )
-        edges = ((0, 0),) * (ends_per_vertex // 2)
+        edges = [[0, 0] for _ in range(ends_per_vertex // 2)]
         label = LABEL_LOOPS
     elif vertex_count == 2:
-        edges = ((0, 1),) * ends_per_vertex
+        edges = [[0, 1] for _ in range(ends_per_vertex)]
         label = LABEL_DIPOLE
     else:
         raise InvariantViolation(
             f"degeneration subgroup has index {vertex_count};"
             " the family only produces one- and two-component limits"
         )
-    graph = NodalGraph((genus,) * vertex_count, edges, label)
-    if graph.total_genus != g:
+    total_genus = vertex_count * (genus - 1) + len(edges) + 1
+    if total_genus != g:
         raise InvariantViolation(
-            f"nodal graph {graph} has total genus {graph.total_genus},"
-            f" expected {g}"
+            f"{label} graph has total genus {total_genus}, expected {g}"
         )
-    return graph
+    return {
+        "vertices": [{"genus": genus} for _ in range(vertex_count)],
+        "edges": edges,
+        "label": label,
+    }
 
 
 # ---------------------------------------------------------------------------
 # The three real arcs and their limit surfaces.
 
 
-@dataclass(frozen=True)
-class BoundaryArc:
-    """One arc of real surfaces in the family, with its two limit endpoints.
-
-    ``label`` names the extended-symmetry class realized along the arc,
-    ``species`` lists the topological types of the mirror symmetries carried
-    by its surfaces, ``endpoints`` are the two limit surfaces the arc joins,
-    and ``ovals`` holds the oval count of each symmetry class, in the order
-    of :func:`symmetry_classes_with_ovals` (not part of the JSON form).
-    """
-
-    label: str
-    species: tuple
-    endpoints: frozenset
-    ovals: tuple
-
-    def __post_init__(self):
-        if self.label not in ARC_ENDPOINTS:
-            raise ValueError(
-                f"arc label must be one of {sorted(ARC_ENDPOINTS)}, got {self.label!r}"
-            )
-        species = tuple(self.species)
-        for sp in species:
-            if not isinstance(sp, Species):
-                raise InvariantViolation(f"arc species entry {sp!r} is not a Species")
-        ends = frozenset(self.endpoints)
-        if len(ends) != 2 or not ends <= ENDPOINT_NAMES:
-            raise InvariantViolation(
-                f"an arc joins two distinct limit surfaces from {sorted(ENDPOINT_NAMES)},"
-                f" got {sorted(self.endpoints)}"
-            )
-        ovals = tuple(self.ovals)
-        if len(ovals) != len(species):
-            raise InvariantViolation(
-                f"arc {self.label} has {len(ovals)} oval counts for {len(species)} species"
-            )
-        object.__setattr__(self, "species", species)
-        object.__setattr__(self, "endpoints", ends)
-        object.__setattr__(self, "ovals", ovals)
-
-    @property
-    def species_values(self) -> tuple:
-        """Signed species values carried along the arc, descending."""
-        return tuple(sp.value for sp in self.species)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "species": list(self.species_values),
-            "endpoints": sorted(self.endpoints),
-        }
-
-    def __str__(self) -> str:
-        types = ",".join(str(sp) for sp in self.species)
-        ends = " - ".join(sorted(self.endpoints))
-        return f"{self.label}[{types}] joining {ends}"
-
-
-@dataclass(frozen=True)
-class WimanCurve:
-    """The smooth limit: the curve w^2 = z(z^{2g} - 1) with 8g automorphisms.
-
-    This endpoint is carried symbolically -- defining equation, automorphism
-    count (48 in genus 2, where extra symmetries appear), and the signature
-    of the quotient by the full symmetry group, all read off the genus --
-    rather than as a computed action.
-    """
-
-    genus: int
-
-    def __post_init__(self):
-        if self.genus < 2:
-            raise ValueError("the family starts at genus 2")
-
-    @property
-    def equation(self) -> str:
-        return f"w^2 = z(z^{2 * self.genus} - 1)"
-
-    @property
-    def automorphism_count(self) -> int:
-        return 48 if self.genus == 2 else 8 * self.genus
-
-    @property
-    def quotient_signature(self) -> Signature:
-        return wiman_quotient_signature(self.genus)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "equation": self.equation,
-            "automorphisms": self.automorphism_count,
-            "quotient_signature": str(self.quotient_signature),
-        }
-
-    def __str__(self) -> str:
-        return (
-            f"{self.equation} with {self.automorphism_count} automorphisms,"
-            f" quotient {self.quotient_signature}"
-        )
-
-
-def _require_three_cycle(arcs) -> None:
-    """The three arcs must tile the three endpoint pairs of a triangle."""
-    pairs = [arc.endpoints for arc in arcs]
+def _require_three_cycle(pairs) -> None:
+    """The three endpoint pairs must tile the three sides of a triangle."""
+    pairs = list(pairs)
     if len(pairs) != 3 or len(set(pairs)) != 3:
         raise InvariantViolation("expected three arcs with three distinct endpoint pairs")
     seen = {}
@@ -339,100 +172,64 @@ def _require_three_cycle(arcs) -> None:
         )
 
 
-@dataclass(frozen=True)
-class BoundaryDescription:
-    """The closed loop of real surfaces bounding the genus-g family.
-
-    Three arcs of real surfaces join three limit surfaces pairwise: the two
-    nodal limits (described by their dual graphs) and the high-symmetry
-    curve.  Every limit surface is the endpoint of exactly two arcs, so the
-    union of the arcs and their limits is a single closed loop; construction
-    verifies that cycle together with the genus bookkeeping of each piece.
-    """
-
-    genus: int
-    arcs: tuple
-    dipole_graph: NodalGraph
-    rose_graph: NodalGraph
-
-    def __post_init__(self):
-        arcs = tuple(self.arcs)
-        if tuple(arc.label for arc in arcs) != ("a1", "a2", "b"):
-            raise InvariantViolation(
-                f"expected arcs labelled ('a1', 'a2', 'b'),"
-                f" got {tuple(arc.label for arc in arcs)}"
-            )
-        _require_three_cycle(arcs)
-        for arc in arcs:
-            for sp in arc.species:
-                if sp.genus != self.genus:
-                    raise InvariantViolation(
-                        f"arc {arc.label} carries a genus-{sp.genus} species"
-                        f" on a genus-{self.genus} family"
-                    )
-        if self.dipole_graph.label != LABEL_DIPOLE:
-            raise InvariantViolation("first graph must be the dipole limit")
-        if self.rose_graph.label != LABEL_LOOPS:
-            raise InvariantViolation("second graph must be the rose of loops")
-        for graph in (self.dipole_graph, self.rose_graph):
-            if graph.total_genus != self.genus:
-                raise InvariantViolation(
-                    f"graph {graph} has total genus {graph.total_genus},"
-                    f" expected {self.genus}"
-                )
-        object.__setattr__(self, "arcs", arcs)
-
-    @property
-    def wiman_curve(self) -> WimanCurve:
-        return WimanCurve(self.genus)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "genus": self.genus,
-            "arcs": [arc.to_json_dict() for arc in self.arcs],
-            "endpoints": {
-                DIPOLE_SURFACE: self.dipole_graph.to_json_dict(),
-                ROSE_SURFACE: self.rose_graph.to_json_dict(),
-                WIMAN_SURFACE: self.wiman_curve.to_json_dict(),
-            },
-        }
-
-
-def boundary_description(v: GeneratingVector, extensions) -> BoundaryDescription:
+def boundary_description(v: GeneratingVector, arcs) -> dict:
     """Assemble the annotated arc loop bounding the family of ``v``.
 
     ``v`` is the family vector whose nodal limits are the two nodal
-    endpoints; its genus is the family's, and an extension of another genus
-    is a ValueError.  One arc per class of the certified list [a1, a2, b]
-    that :func:`build_extensions` returns.  Each arc carries the species
-    multiset and the oval counts of its class, both read off one build of
-    its symmetry classes, and the fixed endpoint pattern: the first chain
-    class joins the two nodal limits, the second chain class joins the rose
-    to the high-symmetry curve, and the mixed class joins the dipole to the
-    high-symmetry curve.
+    endpoints; its genus is the family's.  ``arcs`` holds one ``(label,
+    species)`` pair per extended-symmetry class, in the order a1, a2, b that
+    :func:`build_extensions` certifies, where ``species`` is the tuple
+    :func:`species_set` built for that class; another order is an
+    InvariantViolation and a species of another genus a ValueError.  Each
+    arc joins a fixed pair of limits: the first chain class joins the two
+    nodal limits, the second chain class joins the rose to the
+    high-symmetry curve, and the mixed class joins the dipole to the
+    high-symmetry curve, so every limit ends two arcs and the loop closes.
+
+    The result is ``{"genus": g, "arcs": [...], "endpoints": {...}}``.  An
+    arc is ``{"label", "species", "endpoints"}`` with the signed species
+    values and the sorted endpoint names.  The endpoints are the two nodal
+    graphs of :func:`nodal_graph` and the curve w^2 = z(z^{2g} - 1), carried
+    symbolically: its equation, its automorphism count (8g, but 48 in genus
+    2, where extra symmetries appear) and the signature of the quotient by
+    its full symmetry group.
     """
     g = _require_family_vector(v)
-    for e in extensions:
-        if e.g != g:
-            raise ValueError(
-                f"extension {e.label} has genus {e.g}; the family vector has genus {g}"
-            )
+    arcs = tuple(arcs)
+    labels = tuple(label for label, _ in arcs)
+    if labels != ("a1", "a2", "b"):
+        raise InvariantViolation(f"expected arcs labelled ('a1', 'a2', 'b'), got {labels}")
+    for label, species in arcs:
+        for sp in species:
+            if sp.genus != g:
+                raise ValueError(
+                    f"arc {label} carries a genus-{sp.genus} species;"
+                    f" the family vector has genus {g}"
+                )
+    _require_three_cycle(ARC_ENDPOINTS[label] for label in labels)
     dipole = nodal_graph(v, 1)
     rose = nodal_graph(v, 2)
-    arcs = []
-    for e in extensions:
-        classes = symmetry_classes_with_ovals(e)
-        arcs.append(
-            BoundaryArc(
-                e.label,
-                species_set(e, classes),
-                ARC_ENDPOINTS[e.label],
-                tuple(cls.ovals for cls in classes),
-            )
-        )
-    return BoundaryDescription(
-        genus=g,
-        arcs=arcs,
-        dipole_graph=dipole,
-        rose_graph=rose,
-    )
+    if dipole["label"] != LABEL_DIPOLE:
+        raise InvariantViolation("first graph must be the dipole limit")
+    if rose["label"] != LABEL_LOOPS:
+        raise InvariantViolation("second graph must be the rose of loops")
+    return {
+        "genus": g,
+        "arcs": [
+            {
+                "label": label,
+                "species": [sp.value for sp in species],
+                "endpoints": sorted(ARC_ENDPOINTS[label]),
+            }
+            for label, species in arcs
+        ],
+        "endpoints": {
+            DIPOLE_SURFACE: dipole,
+            ROSE_SURFACE: rose,
+            WIMAN_SURFACE: {
+                "equation": f"w^2 = z(z^{2 * g} - 1)",
+                "automorphisms": 48 if g == 2 else 8 * g,
+                "quotient_signature": str(wiman_quotient_signature(g)),
+            },
+        },
+    }

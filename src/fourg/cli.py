@@ -316,11 +316,11 @@ def cmd_exceptional(g: int, options) -> dict:
         )
     if options.tables:
         pool = load_group_tables(options.tables, expected_order=order)
-        sources = {G.name: "table" for G in pool}
+        source = "table"
         complete = False
     else:
         pool = small_groups(order)
-        sources = {G.name: "builtin" for G in pool}
+        source = "builtin"
         complete = order in COMPLETE_CATALOG_ORDERS
         if not complete:
             print(
@@ -334,11 +334,7 @@ def cmd_exceptional(g: int, options) -> dict:
         "order": order,
         "catalog_complete": complete,
         "groups": [
-            {
-                "name": G.name,
-                "structure": recognize(G),
-                "source": sources[G.name],
-            }
+            {"name": G.name, "structure": recognize(G), "source": source}
             for G in pool
         ],
         "candidates": candidates,

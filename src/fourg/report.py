@@ -27,6 +27,7 @@ from .actions import (
 from .boundary import boundary_description
 from .extensions import KIND_A, KIND_B, build_extensions, restrict_to_index2
 from .groups import COMPLETE_CATALOG_ORDERS, recognize, small_groups
+from .realforms import species_set, symmetry_classes_with_ovals
 from .signatures import (
     SIGN_PLUS,
     TAG_QUADRUPLE,
@@ -237,15 +238,13 @@ def build_report(
     }
 
     extended = build_extensions(main)
-    description = boundary_description(v, extended)
-    arcs = {arc.label: arc for arc in description.arcs}
     kinds = [e.kind for e in extended]
     counts = {k: _checked(kinds.count(k), n) for k, n in ((KIND_A, 2), (KIND_B, 1))}
     class_records = []
     symmetry_types = []
+    arcs = []
     for e in extended:
         target_name = recognize(e.group)
-        arc = arcs[e.label]
         if e.kind == KIND_B and g % 2 == 0:
             expected_target = f"dihedral of order {8 * g}"
         else:
@@ -264,13 +263,16 @@ def build_report(
                 "restriction_in_main_class": main.contains(restrict_to_index2(e)),
             }
         )
+        classes = symmetry_classes_with_ovals(e)
+        species = species_set(e, classes)
         symmetry_types.append(
             {
                 "label": e.label,
-                "species": list(arc.species_values),
-                "ovals": list(arc.ovals),
+                "species": [sp.value for sp in species],
+                "ovals": [cls.ovals for cls in classes],
             }
         )
+        arcs.append((e.label, species))
     extensions = {"counts": counts, "classes": class_records}
 
     has_sporadic = any(ts.tag == TAG_SPORADIC for ts in tagged)
@@ -302,7 +304,7 @@ def build_report(
         "action_classes": action_classes,
         "extensions": extensions,
         "symmetry_types": symmetry_types,
-        "boundary": description.to_json_dict(),
+        "boundary": boundary_description(v, arcs),
         "exceptional": exceptional,
         "notes": notes,
     }

@@ -138,31 +138,42 @@ def test_criterion_6_oval_counts_and_species():
 
 def test_criterion_7_boundary_graphs():
     """Nodal limits per genus: dipole shape, loop shape, genus bookkeeping."""
+
+    def genera(graph):
+        return [vertex["genus"] for vertex in graph["vertices"]]
+
+    def total_genus(graph):
+        return sum(h - 1 for h in genera(graph)) + len(graph["edges"]) + 1
+
     for g in range(2, 13):
         v = canonical_vector(g)
 
         dipole = nodal_graph(v, 1)
-        assert dipole.label == "dipole"
+        assert dipole["label"] == "dipole"
         if g % 2 == 0:
-            assert dipole.vertex_genera == (g // 2, g // 2)
-            assert len(dipole.edges) == 1
+            assert genera(dipole) == [g // 2, g // 2]
+            assert len(dipole["edges"]) == 1
         else:
-            assert dipole.vertex_genera == ((g - 1) // 2, (g - 1) // 2)
-            assert len(dipole.edges) == 2
-        assert dipole.total_genus == g
+            assert genera(dipole) == [(g - 1) // 2, (g - 1) // 2]
+            assert len(dipole["edges"]) == 2
+        assert total_genus(dipole) == g
 
         rose = nodal_graph(v, 2)
-        assert rose.label == "loops"
-        assert rose.vertex_genera == (0,)
-        assert len(rose.edges) == g
-        assert all(edge == (0, 0) for edge in rose.edges)
-        assert rose.total_genus == g
+        assert rose["label"] == "loops"
+        assert genera(rose) == [0]
+        assert len(rose["edges"]) == g
+        assert all(edge == [0, 0] for edge in rose["edges"])
+        assert total_genus(rose) == g
 
-        description = boundary_description(v, build_extensions(main_action_class(g)))
-        labels = tuple(arc.label for arc in description.arcs)
+        arcs = [
+            (e.label, species_set(e, symmetry_classes_with_ovals(e)))
+            for e in build_extensions(main_action_class(g))
+        ]
+        description = boundary_description(v, arcs)
+        labels = tuple(arc["label"] for arc in description["arcs"])
         assert labels == ("a1", "a2", "b")
-        assert set(description.to_json_dict()["endpoints"]) == {"X_D", "X_R", "X_8g"}
-        touched = [name for arc in description.arcs for name in arc.endpoints]
+        assert set(description["endpoints"]) == {"X_D", "X_R", "X_8g"}
+        touched = [name for arc in description["arcs"] for name in arc["endpoints"]]
         assert sorted(touched.count(name) for name in set(touched)) == [2, 2, 2]
 
 

@@ -34,10 +34,6 @@ from fourg.boundary import (
     LABEL_LOOPS,
     ROSE_SURFACE,
     WIMAN_SURFACE,
-    BoundaryArc,
-    BoundaryDescription,
-    NodalGraph,
-    WimanCurve,
     _require_family_vector,
     _require_three_cycle,
     boundary_description,
@@ -52,64 +48,52 @@ from fourg.signatures import parse_signature, wiman_quotient_signature
 
 def _degree(graph, vertex):
     """Number of edge ends at a vertex; a loop contributes two."""
-    return sum((i == vertex) + (j == vertex) for i, j in graph.edges)
+    return sum((i == vertex) + (j == vertex) for i, j in graph["edges"])
+
+
+def _genera(graph):
+    """Vertex genera of a dual-graph record, as a tuple."""
+    return tuple(vertex["genus"] for vertex in graph["vertices"])
+
+
+def _total_genus(graph):
+    """Arithmetic genus: sum of (vertex genus - 1), plus edges, plus 1."""
+    return sum(h - 1 for h in _genera(graph)) + len(graph["edges"]) + 1
 
 
 def _arcs(description):
-    return {arc.label: arc for arc in description.arcs}
+    return {arc["label"]: arc for arc in description["arcs"]}
+
+
+def _pairs(g):
+    """One (label, species) pair per extension of genus g, in order a1, a2, b."""
+    return [
+        (e.label, species_set(e, symmetry_classes_with_ovals(e)))
+        for e in build_extensions(main_action_class(g))
+    ]
 
 
 def _description(g):
     """The boundary of genus g from its family vector and its extensions."""
-    return boundary_description(canonical_vector(g), build_extensions(main_action_class(g)))
+    return boundary_description(canonical_vector(g), _pairs(g))
 
 
 class TestNodalGraph:
-    def test_edges_are_normalized(self):
-        graph = NodalGraph((2, 2), ((1, 0),), LABEL_DIPOLE)
-        assert graph.edges == ((0, 1),)
-        multi = NodalGraph((0,), ((0, 0), (0, 0)), LABEL_LOOPS)
-        assert multi.edges == ((0, 0), (0, 0))
-        assert multi.edge_count == 2
-
-    def test_total_genus_formula(self):
-        # sum of (genus - 1) over vertices, plus edges, plus one
-        assert NodalGraph((2, 2), ((0, 1),), LABEL_DIPOLE).total_genus == 4
-        assert NodalGraph((2, 2), ((0, 1), (0, 1)), LABEL_DIPOLE).total_genus == 5
-        assert NodalGraph((0,), ((0, 0),) * 5, LABEL_LOOPS).total_genus == 5
-        assert NodalGraph((3,), (), "smooth").total_genus == 3
-
     def test_degree_counts_loops_twice(self):
-        graph = NodalGraph((0,), ((0, 0),) * 4, LABEL_LOOPS)
-        assert _degree(graph, 0) == 8
-        dipole = NodalGraph((1, 1), ((0, 1), (0, 1)), LABEL_DIPOLE)
+        rose = nodal_graph(canonical_vector(4), 2)
+        assert rose["edges"] == [[0, 0]] * 4
+        assert _degree(rose, 0) == 8
+        dipole = nodal_graph(canonical_vector(3), 1)
+        assert dipole["edges"] == [[0, 1], [0, 1]]
         assert _degree(dipole, 0) == 2 and _degree(dipole, 1) == 2
-
-    def test_rejects_bad_data(self):
-        with pytest.raises(InvariantViolation):
-            NodalGraph((), (), LABEL_DIPOLE)
-        with pytest.raises(InvariantViolation):
-            NodalGraph((-1,), (), LABEL_LOOPS)
-        with pytest.raises(InvariantViolation):
-            NodalGraph((True,), (), LABEL_LOOPS)
-        with pytest.raises(InvariantViolation):
-            NodalGraph((1, 1), ((0, 2),), LABEL_DIPOLE)
-        with pytest.raises(InvariantViolation):
-            NodalGraph((1, 1), ((0, 1, 0),), LABEL_DIPOLE)
-        with pytest.raises(InvariantViolation):
-            NodalGraph((1,), (), "")
 
     def test_json_round_trip(self):
         for g, which in ((4, 1), (5, 1), (5, 2)):
             graph = nodal_graph(canonical_vector(g), which)
-            data = graph.to_json_dict()
-            assert set(data) == {"vertices", "edges", "label"}
-            assert all(set(v) == {"genus"} for v in data["vertices"])
-            # the record survives serialization and rebuilds the graph
-            data = json.loads(json.dumps(data))
-            genera = tuple(v["genus"] for v in data["vertices"])
-            edges = tuple(tuple(e) for e in data["edges"])
-            assert NodalGraph(genera, edges, data["label"]) == graph
+            assert list(graph) == ["vertices", "edges", "label"]
+            assert all(set(v) == {"genus"} for v in graph["vertices"])
+            # the record survives serialization unchanged
+            assert json.loads(json.dumps(graph)) == graph
 
 
 def _reference_degeneration_subgroups(v: GeneratingVector):
@@ -180,7 +164,7 @@ class TestDegenerationSubgroups:
         subgroups = _reference_degeneration_subgroups(v)
         for which, sub, node in zip((1, 2), subgroups, (t1 * t2, t2 * t3)):
             graph = nodal_graph(v, which)
-            assert len(graph.vertex_genera) == _index(v.group, sub), (g, which)
+            assert len(graph["vertices"]) == _index(v.group, sub), (g, which)
             for vertex in range(_index(v.group, sub)):
                 assert _degree(graph, vertex) == len(sub) // node.order(), (g, which)
 
@@ -197,9 +181,9 @@ class TestDegenerationSubgroups:
                 subgroups = _reference_degeneration_subgroups(v)
                 for which, sub, node in zip((1, 2), subgroups, (t1 * t2, t2 * t3)):
                     graph = nodal_graph(v, which)
-                    assert graph.label in (LABEL_DIPOLE, LABEL_LOOPS), (g, t, which)
-                    assert graph.total_genus == g, (g, t, which)
-                    assert len(graph.vertex_genera) == _index(G, sub), (g, t, which)
+                    assert graph["label"] in (LABEL_DIPOLE, LABEL_LOOPS), (g, t, which)
+                    assert _total_genus(graph) == g, (g, t, which)
+                    assert len(graph["vertices"]) == _index(G, sub), (g, t, which)
                     assert _degree(graph, 0) == len(sub) // node.order(), (g, t, which)
                 vectors += 1
         assert vectors == 1280
@@ -258,7 +242,7 @@ class TestComponentGenus:
         v = canonical_vector(g)
         t1, t2, t3, t4 = v.images
         for which, omega in ((1, (t1 * t2, t3, t4)), (2, (t2 * t3, t1, t4))):
-            genera = nodal_graph(v, which).vertex_genera
+            genera = _genera(nodal_graph(v, which))
             assert set(genera) == {_reference_component_genus(omega)}, (g, which)
 
     def test_invariant_under_conjugation(self):
@@ -279,10 +263,10 @@ class TestComponentGenus:
             v = GeneratingVector(
                 G, (2, 2, 2, 2 * g), (D ** g, A, D ** (g + 1) * A, D)
             )
-            assert nodal_graph(v, 1).total_genus == g
+            assert _total_genus(nodal_graph(v, 1)) == g
             graph = nodal_graph(v, 2)
-            assert graph.label == LABEL_DIPOLE
-            assert (graph.vertex_genera, graph.edge_count) == (genera, edges)
+            assert graph["label"] == LABEL_DIPOLE
+            assert (_genera(graph), len(graph["edges"])) == (genera, edges)
         # a wrong orbifold area solves to a fractional genus, or to a whole
         # one that breaks the total genus identity
         v = canonical_vector(4)
@@ -298,57 +282,58 @@ class TestComponentGenus:
 class TestNodalGraphShapes:
     def test_even_genus_dipole(self):
         graph = nodal_graph(canonical_vector(4), 1)
-        assert graph.label == LABEL_DIPOLE
-        assert graph.vertex_genera == (2, 2)
-        assert graph.edges == ((0, 1),)
+        assert graph["label"] == LABEL_DIPOLE
+        assert _genera(graph) == (2, 2)
+        assert graph["edges"] == [[0, 1]]
         assert _degree(graph, 0) == 1 and _degree(graph, 1) == 1
 
     def test_odd_genus_dipole(self):
         graph = nodal_graph(canonical_vector(5), 1)
-        assert graph.vertex_genera == (2, 2)
-        assert graph.edges == ((0, 1), (0, 1))
+        assert _genera(graph) == (2, 2)
+        assert graph["edges"] == [[0, 1], [0, 1]]
         assert _degree(graph, 0) == 2
 
     def test_rose_of_loops(self):
         graph = nodal_graph(canonical_vector(5), 2)
-        assert graph.label == LABEL_LOOPS
-        assert graph.vertex_genera == (0,)
-        assert graph.edges == ((0, 0),) * 5
+        assert graph["label"] == LABEL_LOOPS
+        assert _genera(graph) == (0,)
+        assert graph["edges"] == [[0, 0]] * 5
         assert _degree(graph, 0) == 10
 
     def test_parity_sweep(self):
         for g in range(2, 13):
             dipole = nodal_graph(canonical_vector(g), 1)
             if g % 2 == 0:
-                assert dipole.vertex_genera == (g // 2, g // 2)
-                assert dipole.edge_count == 1
+                assert _genera(dipole) == (g // 2, g // 2)
+                assert len(dipole["edges"]) == 1
             else:
-                assert dipole.vertex_genera == ((g - 1) // 2, (g - 1) // 2)
-                assert dipole.edge_count == 2
+                assert _genera(dipole) == ((g - 1) // 2, (g - 1) // 2)
+                assert len(dipole["edges"]) == 2
             assert _degree(dipole, 0) == (1 if g % 2 == 0 else 2)
             rose = nodal_graph(canonical_vector(g), 2)
-            assert rose.vertex_genera == (0,)
-            assert rose.edge_count == g
+            assert _genera(rose) == (0,)
+            assert len(rose["edges"]) == g
 
     def test_total_genus_identity(self):
         for g in range(2, 13):
             v = canonical_vector(g)
-            assert nodal_graph(v, 1).total_genus == g
-            assert nodal_graph(v, 2).total_genus == g
+            assert _total_genus(nodal_graph(v, 1)) == g
+            assert _total_genus(nodal_graph(v, 2)) == g
 
     def test_vertex_count_times_subgroup_order(self):
         for g in range(2, 9):
             v = canonical_vector(g)
             first, second = _reference_degeneration_subgroups(v)
-            assert len(nodal_graph(v, 1).vertex_genera) * len(first) == 4 * g
-            assert len(nodal_graph(v, 2).vertex_genera) * len(second) == 4 * g
+            assert len(nodal_graph(v, 1)["vertices"]) * len(first) == 4 * g
+            assert len(nodal_graph(v, 2)["vertices"]) * len(second) == 4 * g
 
     def test_rejects_bad_selector(self):
+        # only the ints 1 and 2 select a system: True and 2.0 compare equal
+        # to them but are no selector
         v = canonical_vector(3)
-        with pytest.raises(ValueError):
-            nodal_graph(v, 3)
-        with pytest.raises(ValueError):
-            nodal_graph(v, "1")
+        for which in (3, "1", True, 2.0):
+            with pytest.raises(ValueError, match="which must be"):
+                nodal_graph(v, which)
 
 
 class TestRestrictedVectorDegenerations:
@@ -372,7 +357,7 @@ class TestRestrictedVectorDegenerations:
             v = restricted_vector(e)
             first, second = _reference_degeneration_subgroups(v)
             assert (_index(v.group, first), _index(v.group, second)) == (1, 1)
-            assert nodal_graph(v, 1).label == LABEL_LOOPS
+            assert nodal_graph(v, 1)["label"] == LABEL_LOOPS
             assert nodal_graph(v, 1) == nodal_graph(canonical_vector(g), 2)
 
     def test_mixed_class_reaches_the_dipole(self, restricted_vector):
@@ -385,51 +370,47 @@ class TestRestrictedVectorDegenerations:
 
 
 class TestWimanCurve:
+    """The X_8g endpoint record, read off the genus."""
+
     def test_genus_two_exception(self):
-        curve = WimanCurve(2)
-        assert curve.automorphism_count == 48
-        assert curve.equation == "w^2 = z(z^4 - 1)"
-        assert curve.quotient_signature == parse_signature("(0;+;[-];{(2,3,8)})")
+        curve = _description(2)["endpoints"][WIMAN_SURFACE]
+        assert curve["automorphisms"] == 48
+        assert curve["equation"] == "w^2 = z(z^4 - 1)"
+        assert curve["quotient_signature"] == str(parse_signature("(0;+;[-];{(2,3,8)})"))
 
     def test_generic_count(self):
         for g in (3, 5, 12):
-            curve = WimanCurve(g)
-            assert curve.automorphism_count == 8 * g
-            assert curve.quotient_signature == wiman_quotient_signature(g)
-            assert f"z^{2 * g}" in curve.equation
-
-    def test_rejects_small_genus(self):
-        with pytest.raises(ValueError):
-            WimanCurve(1)
+            curve = _description(g)["endpoints"][WIMAN_SURFACE]
+            assert curve["automorphisms"] == 8 * g
+            assert curve["quotient_signature"] == str(wiman_quotient_signature(g))
+            assert f"z^{2 * g}" in curve["equation"]
 
 
 class TestBoundaryArc:
     def test_species_values_descending(self):
         arc = _arcs(_description(5))["a1"]
-        assert arc.species_values == (2, 0, -2, -2)
-        assert all(isinstance(sp, Species) for sp in arc.species)
+        assert arc["species"] == [2, 0, -2, -2]
+        (species,) = [sp for label, sp in _pairs(5) if label == "a1"]
+        assert all(isinstance(sp, Species) and sp.genus == 5 for sp in species)
 
     def test_rejects_bad_labels_and_endpoints(self):
-        e = build_extensions(main_action_class(2))[2]
-        sp = species_set(e, symmetry_classes_with_ovals(e))
-        ovals = tuple(abs(v.value) for v in sp)
-        good = frozenset({DIPOLE_SURFACE, WIMAN_SURFACE})
-        BoundaryArc("b", sp, good, ovals)  # must pass untouched
-        with pytest.raises(ValueError):
-            BoundaryArc("c", sp, good, ovals)
+        v = canonical_vector(2)
+        pairs = _pairs(2)
+        boundary_description(v, pairs)  # must pass untouched
+        with pytest.raises(InvariantViolation, match="labelled"):
+            boundary_description(v, pairs[:2] + [("c", pairs[2][1])])
+        good = [ARC_ENDPOINTS[label] for label in ("a1", "a2", "b")]
+        _require_three_cycle(good)  # must pass untouched
         with pytest.raises(InvariantViolation):
-            BoundaryArc("b", sp, frozenset({DIPOLE_SURFACE}), ovals)
+            _require_three_cycle(good[:2] + [frozenset({DIPOLE_SURFACE})])
         with pytest.raises(InvariantViolation):
-            BoundaryArc("b", sp, frozenset({DIPOLE_SURFACE, "X_Q"}), ovals)
-        with pytest.raises(InvariantViolation):
-            BoundaryArc("b", (0, -2), good, (0, 2))
-        with pytest.raises(InvariantViolation, match="oval counts"):
-            BoundaryArc("b", sp, good, ovals + (0,))
+            _require_three_cycle(good[:2] + [frozenset({DIPOLE_SURFACE, "X_Q"})])
 
     def test_json_form(self):
         arc = _arcs(_description(4))["b"]
-        assert arc.ovals == (2,)
-        assert arc.to_json_dict() == {
+        e = build_extensions(main_action_class(4))[2]
+        assert [cls.ovals for cls in symmetry_classes_with_ovals(e)] == [2]
+        assert arc == {
             "label": "b",
             "species": [-2],
             "endpoints": ["X_8g", "X_D"],
@@ -439,76 +420,70 @@ class TestBoundaryArc:
 class TestBoundaryDescription:
     def test_genus_five_description(self):
         arcs = _arcs(_description(5))
-        assert arcs["a1"].species_values == (2, 0, -2, -2)
-        assert arcs["a2"].species_values == (-1, -1, -5, -5)
-        assert arcs["b"].species_values == (0, 0, -2, -2)
-        assert arcs["a1"].endpoints == frozenset({DIPOLE_SURFACE, ROSE_SURFACE})
-        assert arcs["a2"].endpoints == frozenset({ROSE_SURFACE, WIMAN_SURFACE})
-        assert arcs["b"].endpoints == frozenset({DIPOLE_SURFACE, WIMAN_SURFACE})
+        assert arcs["a1"]["species"] == [2, 0, -2, -2]
+        assert arcs["a2"]["species"] == [-1, -1, -5, -5]
+        assert arcs["b"]["species"] == [0, 0, -2, -2]
+        assert set(arcs["a1"]["endpoints"]) == {DIPOLE_SURFACE, ROSE_SURFACE}
+        assert set(arcs["a2"]["endpoints"]) == {ROSE_SURFACE, WIMAN_SURFACE}
+        assert set(arcs["b"]["endpoints"]) == {DIPOLE_SURFACE, WIMAN_SURFACE}
 
     def test_genus_four_mixed_arc(self):
         arcs = _arcs(_description(4))
-        assert arcs["b"].species_values == (-2,)
-        assert arcs["a1"].species_values == (1, 0, -1, -3)
+        assert arcs["b"]["species"] == [-2]
+        assert arcs["a1"]["species"] == [1, 0, -1, -3]
 
     def test_genus_two_annotations(self):
         bd = _description(2)
-        assert bd.wiman_curve.automorphism_count == 48
-        assert _arcs(bd)["a1"].species_values == (3, 1, 0, -1)
+        assert bd["endpoints"][WIMAN_SURFACE]["automorphisms"] == 48
+        assert _arcs(bd)["a1"]["species"] == [3, 1, 0, -1]
 
     def test_arcs_close_into_a_loop(self):
         for g in range(2, 8):
             bd = _description(g)
             degree = {}
-            for arc in bd.arcs:
-                for name in arc.endpoints:
+            for arc in bd["arcs"]:
+                for name in arc["endpoints"]:
                     degree[name] = degree.get(name, 0) + 1
             assert degree == {name: 2 for name in ENDPOINT_NAMES}
-            assert set(bd.to_json_dict()["endpoints"]) == set(ENDPOINT_NAMES)
-            assert bd.dipole_graph.label == LABEL_DIPOLE
-            assert bd.rose_graph.label == LABEL_LOOPS
-            assert bd.wiman_curve.genus == g
+            assert set(bd["endpoints"]) == set(ENDPOINT_NAMES)
+            assert bd["endpoints"][DIPOLE_SURFACE]["label"] == LABEL_DIPOLE
+            assert bd["endpoints"][ROSE_SURFACE]["label"] == LABEL_LOOPS
+            assert bd["genus"] == g
+            assert f"z^{2 * g}" in bd["endpoints"][WIMAN_SURFACE]["equation"]
 
     def test_arc_lookup(self):
         bd = _description(3)
-        assert tuple(arc.label for arc in bd.arcs) == ("a1", "a2", "b")
-        assert _arcs(bd)["a2"] is bd.arcs[1]
+        assert tuple(arc["label"] for arc in bd["arcs"]) == ("a1", "a2", "b")
+        assert _arcs(bd)["a2"] is bd["arcs"][1]
 
     def test_three_cycle_guard(self):
-        bd = _description(3)
-        _require_three_cycle(bd.arcs)  # must pass untouched
-        broken = (bd.arcs[0], bd.arcs[0], bd.arcs[2])
+        pairs = [frozenset(arc["endpoints"]) for arc in _description(3)["arcs"]]
+        _require_three_cycle(pairs)  # must pass untouched
+        broken = (pairs[0], pairs[0], pairs[2])
         with pytest.raises(InvariantViolation):
             _require_three_cycle(broken)
 
-    def test_rejects_inconsistent_assembly(self):
-        bd = _description(3)
+    def test_rejects_inconsistent_assembly(self, monkeypatch):
+        three = _pairs(3)
         with pytest.raises(InvariantViolation):
-            BoundaryDescription(
-                genus=3,
-                arcs=(bd.arcs[1], bd.arcs[0], bd.arcs[2]),
-                dipole_graph=bd.dipole_graph,
-                rose_graph=bd.rose_graph,
-            )
-        with pytest.raises(InvariantViolation):
-            BoundaryDescription(
-                genus=3,
-                arcs=bd.arcs,
-                dipole_graph=bd.rose_graph,
-                rose_graph=bd.rose_graph,
-            )
-        wrong_genus = nodal_graph(canonical_vector(4), 1)
-        with pytest.raises(InvariantViolation):
-            BoundaryDescription(
-                genus=3,
-                arcs=bd.arcs,
-                dipole_graph=wrong_genus,
-                rose_graph=bd.rose_graph,
-            )
+            boundary_description(canonical_vector(3), (three[1], three[0], three[2]))
+        # a family vector whose first system pinches to the rose and whose
+        # second pinches to a dipole
+        G = family_group(3)
+        D, A = G.generator("D"), G.generator("A")
+        v = GeneratingVector(G, (2, 2, 2, 6), (D ** 3, A, D ** 4 * A, D))
+        with pytest.raises(InvariantViolation, match="dipole limit"):
+            boundary_description(v, three)
+        # no smooth family vector pinches to two dipoles, so the rose check
+        # is reached by handing the dipole out for both systems
+        real = boundary.nodal_graph
+        monkeypatch.setattr(boundary, "nodal_graph", lambda v, which: real(v, 1))
+        with pytest.raises(InvariantViolation, match="rose of loops"):
+            boundary_description(canonical_vector(3), three)
 
     def test_json_is_deterministic(self):
-        first = json.dumps(_description(4).to_json_dict(), sort_keys=True)
-        second = json.dumps(_description(4).to_json_dict(), sort_keys=True)
+        first = json.dumps(_description(4), sort_keys=True)
+        second = json.dumps(_description(4), sort_keys=True)
         assert first == second
         data = json.loads(first)
         assert set(data) == {"genus", "arcs", "endpoints"}
@@ -521,15 +496,15 @@ class TestBoundaryDescription:
         D, A = G.generator("D"), G.generator("A")
         v = GeneratingVector(G, (2, 2, 2, 2), (A, A, D * A, D * A))
         with pytest.raises(ValueError, match="even and >= 4"):
-            boundary_description(v, build_extensions(main_action_class(2)))
+            boundary_description(v, _pairs(2))
 
     def test_rejects_a_list_that_is_not_one_genus_in_order(self):
-        three = build_extensions(main_action_class(3))
-        four = build_extensions(main_action_class(4))
+        three = _pairs(3)
+        four = _pairs(4)
         v = canonical_vector(3)
         with pytest.raises(InvariantViolation, match="labelled"):
             boundary_description(v, three[::-1])
-        with pytest.raises(ValueError, match="extension b has genus 4"):
+        with pytest.raises(ValueError, match="arc b carries a genus-4 species"):
             boundary_description(v, three[:2] + four[2:])
         with pytest.raises(ValueError, match="family vector has genus 4"):
             boundary_description(canonical_vector(4), three)

@@ -76,9 +76,10 @@ class TestIndividualChecks:
         assert sorted(calls) == [(g, label) for g in range(2, 7) for label in ("a1", "a2", "b")]
 
     def test_report_and_check_sign_species_through_species_set(self, monkeypatch):
-        # species_set is the one species producer: the report (through its
-        # boundary arcs) and the species suite each call it once per extension
-        from fourg import boundary
+        # species_set is the one species producer: the report (for its
+        # symmetry types and boundary arcs) and the species suite each call
+        # it once per extension
+        from fourg import report
 
         calls = []
         real = realforms.species_set
@@ -87,7 +88,7 @@ class TestIndividualChecks:
             calls.append(e.label)
             return real(e, classes)
 
-        monkeypatch.setattr(boundary, "species_set", counting)
+        monkeypatch.setattr(report, "species_set", counting)
         monkeypatch.setattr(checks, "species_set", counting)
         build_report(3)
         assert sorted(calls) == ["a1", "a2", "b"]

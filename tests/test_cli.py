@@ -216,8 +216,8 @@ class TestAtlasCommand:
         # fresh processes share no cache; the pinned digests keep the
         # output from drifting between engine versions (2:14 is the
         # byte-identity sweep of the roadmap, genus 24 searches the
-        # 69-group catalog of order 96, and the genus-30 report pins the
-        # extensions and the boundary above genus 14)
+        # 69-group catalog of order 96, and the genus-30 and genus-120
+        # reports pin the extensions and the boundary above genus 14)
         cases = (
             (
                 ["atlas", "--range", "2:6", "--json"],
@@ -234,6 +234,10 @@ class TestAtlasCommand:
             (
                 ["report", "--genus", "30", "--json"],
                 "ce2d1a54bf3764bd6da30be2a72999d2a6b9ef1025458cdfc0bfc5a4fa249727",
+            ),
+            (
+                ["report", "--genus", "120", "--json"],
+                "ae527564a423e66e29bb821d438b41d966d160aee82a5a95f7da28d0e9a7f4bf",
             ),
         )
         _assert_stdout_digests(tmp_path, cases)

@@ -109,9 +109,8 @@ class TestBuildReportCore:
             assert all(isinstance(n, int) and n >= 0 for n in entry["ovals"])
 
     def test_species_built_once_per_extension(self, monkeypatch):
-        # the report reads each arc's species and oval counts off its
-        # boundary description, which builds each extension's symmetry
-        # classes once
+        # the report builds each extension's symmetry classes once and
+        # reads both its symmetry types and its boundary arcs off them
         from fourg import boundary, realforms, report as report_module
 
         calls = []
