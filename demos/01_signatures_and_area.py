@@ -25,8 +25,8 @@ print("required area at genus 2:", Fraction(2 * g - 2, 4 * g))
 # Enumerating all solutions is exact arithmetic, no search heuristics.
 for g in (2, 3, 5, 8):
     print(f"\ngenus {g}:")
-    for ts in enumerate_4g_signatures(g):
-        print(f"  {ts.signature}  [{ts.tag}]")
+    for sig, tag in enumerate_4g_signatures(g):
+        print(f"  {sig}  [{tag}]")
 
 # Triangle signatures ("sporadic" tag) only pass the sieve at special
 # genera.  Up to 100 they are:

@@ -21,24 +21,23 @@ for g in (4, 5):
     print(f"genus {g}:")
     for e in build_extensions(main_action_class(g)):
         classes = symmetry_classes_with_ovals(e)
-        values = [sp.value for sp in species_set(e, classes)]
-        print(f"  {e.label}: species {values}")
+        print(f"  {e.label}: species {list(species_set(e, classes))}")
 
 # The species come from conjugacy classes of symmetries; the oval count of
 # each class is a centralizer-index computation.
 g = 5
 e = build_extensions(main_action_class(g))[0]
 print(f"genus {g}, class {e.label}:")
-for cls in symmetry_classes_with_ovals(e):
-    print(f"  symmetry {cls.representative.name}: {cls.ovals} oval(s),"
-          f" class of {cls.size} involution(s)")
+for rep, ovals in symmetry_classes_with_ovals(e):
+    print(f"  symmetry {rep.name}: {ovals} oval(s),"
+          f" class of {e.group.class_size(rep.idx)} involution(s)")
 
 # A species of 0 is a fixed-point-free symmetry; negative species are
 # non-separating real forms.  Harnack's bound caps every count at g + 1,
-# and the engine validates it on construction:
-from fourg import Species
+# and the engine validates it whenever it signs a species:
+from fourg import signed_species
 
 try:
-    Species(genus=5, ovals=9, separating=True)
+    signed_species(5, 9, True)
 except Exception as err:
     print("rejected:", err)

@@ -12,14 +12,15 @@ exceptional surface exists.
 from fourg import eliminate_cases, exceptional_search, recognize, small_groups, sporadic_genera
 
 # The rigid signatures at genus 4 and how each one falls.
-for case in eliminate_cases(4):
-    print(f"family {case.family} on periods {case.periods}: {case.verdict}")
+cases = eliminate_cases(4)
+for case in cases:
+    print(f"family {case['family']} on periods {case['periods']}: {case['verdict']}")
 
 # The family-3 analysis keeps only one twisted product and rejects the
 # rest by element orders or missing smooth vectors.
-fam3 = eliminate_cases(4)[2]
-print("surviving twist exponent:", fam3.details["surviving_twist"])
-print("rejected twists:", dict(fam3.details["rejected_twists"]))
+fam3 = cases[2]["details"]
+print("surviving twist exponent:", fam3["surviving_twist"])
+print("rejected twists:", dict(fam3["rejected_twists"]))
 
 # Genus 3 is the first sporadic genus.  A search over the complete list of
 # order-12 groups finds candidate actions on both special signatures.

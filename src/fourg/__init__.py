@@ -10,7 +10,6 @@ from .signatures import (
     INF,
     Signature,
     SignatureSyntaxError,
-    TaggedSignature,
     TAG_FAMILY1,
     TAG_FAMILY2,
     TAG_FAMILY3,
@@ -59,7 +58,6 @@ from .actions import (
     EXCEPTIONAL_SURFACE_GENERA,
     QUADRUPLE_FAMILY_GENERA,
     ActionClass,
-    CaseReport,
     GeneratingVector,
     braid_move,
     canonical_vector,
@@ -81,8 +79,7 @@ from .extensions import (
     restrict_to_index2,
 )
 from .realforms import (
-    Species,
-    SymmetryClass,
+    signed_species,
     species_set,
     symmetry_classes_with_ovals,
 )
@@ -98,6 +95,6 @@ from .report import (
     build_report,
     report_markdown,
 )
-from .checks import CheckResult, run_all_checks
+from .checks import run_all_checks
 
 __version__ = "0.1.0"

@@ -356,22 +356,7 @@ def main_action_class(g: int) -> ActionClass:
 # Elimination of the three rigid (triangle) families.
 
 
-@dataclass(frozen=True)
-class CaseReport:
-    """Outcome of the order-4g elimination argument for one triangle family.
-
-    verdict: "not-full" — every action on this signature extends to a larger
-    automorphism group, so 4g is not the full order; "impossible" — no group
-    of order 4g acts with this signature at all.
-    """
-
-    family: int
-    periods: tuple
-    verdict: str
-    details: dict
-
-
-def _eliminate_family1(g: int, max_order: int) -> CaseReport:
+def _eliminate_family1(g: int, max_order: int) -> dict:
     """Signature (2, 4g, 4g): the cyclic action always extends to order 8g."""
     periods = (2, 4 * g, 4 * g)
     details = {}
@@ -399,10 +384,10 @@ def _eliminate_family1(g: int, max_order: int) -> CaseReport:
     else:
         details["constructed"] = False
         details["skipped"] = f"extension order {8 * g} above cap {max_order}"
-    return CaseReport(1, periods, "not-full", details)
+    return {"family": 1, "periods": periods, "verdict": "not-full", "details": details}
 
 
-def _eliminate_family2(g: int, max_order: int) -> CaseReport:
+def _eliminate_family2(g: int, max_order: int) -> dict:
     """Signature (3, 6, 2g): no order-4g group admits a smooth vector.
 
     An order-3 image would have to lie inside the index-2 cyclic subgroup
@@ -428,10 +413,10 @@ def _eliminate_family2(g: int, max_order: int) -> CaseReport:
     else:
         details["groups_tested"] = 0
         details["skipped"] = f"order {4 * g} above cap {max_order}"
-    return CaseReport(2, periods, "impossible", details)
+    return {"family": 2, "periods": periods, "verdict": "impossible", "details": details}
 
 
-def _eliminate_family3(g: int, max_order: int) -> CaseReport:
+def _eliminate_family3(g: int, max_order: int) -> dict:
     """Signature (4, 4, 2g): forced presentation, then the swap extension.
 
     Writing C for the order-2g image and A for the first order-4 image, the
@@ -502,12 +487,16 @@ def _eliminate_family3(g: int, max_order: int) -> CaseReport:
     details["candidate_twists"] = candidates
     details["rejected_twists"] = rejected
     details["surviving_twist"] = survivor
-    return CaseReport(3, periods, "not-full", details)
+    return {"family": 3, "periods": periods, "verdict": "not-full", "details": details}
 
 
 def eliminate_cases(g: int, max_order: int = 256) -> list:
     """Elimination reports for the three rigid signatures at genus g.
 
+    Each report is a dict ``{"family", "periods", "verdict", "details"}``.
+    The verdict is "not-full" when every action on the signature extends
+    to a larger automorphism group, so 4g is not the full order, and
+    "impossible" when no group of order 4g acts with the signature at all.
     ``max_order`` caps the sizes at which explicit groups are constructed;
     above it the reports keep their verdicts (the arguments are uniform in g)
     but mark the constructive evidence as skipped.
@@ -534,13 +523,13 @@ def exceptional_search(g: int, groups):
                 f"group {G.name} has order {G.order}, expected {4 * g}"
             )
     specials = [
-        ts
-        for ts in enumerate_4g_signatures(g)
-        if ts.tag in (TAG_QUADRUPLE, TAG_SPORADIC)
+        sig
+        for sig, tag in enumerate_4g_signatures(g)
+        if tag in (TAG_QUADRUPLE, TAG_SPORADIC)
     ]
     results = []
-    for ts in specials:
+    for sig in specials:
         for G in groups:
-            for cls in classify(G, ts.periods):
-                results.append((ts.signature, cls))
+            for cls in classify(G, sig.proper_periods):
+                results.append((sig, cls))
     return results

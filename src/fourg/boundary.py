@@ -176,11 +176,14 @@ def boundary_description(v: GeneratingVector, arcs) -> dict:
     """Assemble the annotated arc loop bounding the family of ``v``.
 
     ``v`` is the family vector whose nodal limits are the two nodal
-    endpoints; its genus is the family's.  ``arcs`` holds one ``(label,
-    species)`` pair per extended-symmetry class, in the order a1, a2, b that
+    endpoints; its genus is the family's.  Its two pinching systems must
+    give one dipole and one rose of loops, in either order, since which
+    system gives which depends on the representative; any other pair is a
+    ValueError.  ``arcs`` holds one ``(e, species)`` pair per
+    extended-symmetry class, in the order a1, a2, b that
     :func:`build_extensions` certifies, where ``species`` is the tuple
-    :func:`species_set` built for that class; another order is an
-    InvariantViolation and a species of another genus a ValueError.  Each
+    :func:`species_set` built for the extension ``e``; another order is an
+    InvariantViolation and an extension of another genus a ValueError.  Each
     arc joins a fixed pair of limits: the first chain class joins the two
     nodal limits, the second chain class joins the rose to the
     high-symmetry curve, and the mixed class joins the dipole to the
@@ -196,36 +199,36 @@ def boundary_description(v: GeneratingVector, arcs) -> dict:
     """
     g = _require_family_vector(v)
     arcs = tuple(arcs)
-    labels = tuple(label for label, _ in arcs)
+    labels = tuple(e.label for e, _ in arcs)
     if labels != ("a1", "a2", "b"):
         raise InvariantViolation(f"expected arcs labelled ('a1', 'a2', 'b'), got {labels}")
-    for label, species in arcs:
-        for sp in species:
-            if sp.genus != g:
-                raise ValueError(
-                    f"arc {label} carries a genus-{sp.genus} species;"
-                    f" the family vector has genus {g}"
-                )
+    for e, _ in arcs:
+        if e.g != g:
+            raise ValueError(
+                f"arc {e.label} carries a genus-{e.g} species;"
+                f" the family vector has genus {g}"
+            )
     _require_three_cycle(ARC_ENDPOINTS[label] for label in labels)
-    dipole = nodal_graph(v, 1)
-    rose = nodal_graph(v, 2)
-    if dipole["label"] != LABEL_DIPOLE:
-        raise InvariantViolation("first graph must be the dipole limit")
-    if rose["label"] != LABEL_LOOPS:
-        raise InvariantViolation("second graph must be the rose of loops")
+    graphs = [nodal_graph(v, 1), nodal_graph(v, 2)]
+    by_label = {graph["label"]: graph for graph in graphs}
+    if set(by_label) != {LABEL_DIPOLE, LABEL_LOOPS}:
+        raise ValueError(
+            "the family vector must pinch to one dipole and one rose of loops,"
+            f" got {tuple(graph['label'] for graph in graphs)}"
+        )
     return {
         "genus": g,
         "arcs": [
             {
-                "label": label,
-                "species": [sp.value for sp in species],
-                "endpoints": sorted(ARC_ENDPOINTS[label]),
+                "label": e.label,
+                "species": list(species),
+                "endpoints": sorted(ARC_ENDPOINTS[e.label]),
             }
-            for label, species in arcs
+            for e, species in arcs
         ],
         "endpoints": {
-            DIPOLE_SURFACE: dipole,
-            ROSE_SURFACE: rose,
+            DIPOLE_SURFACE: by_label[LABEL_DIPOLE],
+            ROSE_SURFACE: by_label[LABEL_LOOPS],
             WIMAN_SURFACE: {
                 "equation": f"w^2 = z(z^{2 * g} - 1)",
                 "automorphisms": 48 if g == 2 else 8 * g,

@@ -1,14 +1,12 @@
 """Batch invariant suites backing the command-line --check mode.
 
 Each suite re-verifies one foundational property over a sweep of genera and
-reports pass/fail with a short detail line.  Suites never repair anything:
-a failure means an internal invariant is broken and callers should treat it
-as an internal error (exit code 3 at the command line).
+returns a short detail string, or raises on a failure.  Suites never repair
+anything: a failure means an internal invariant is broken and callers should
+treat it as an internal error (exit code 3 at the command line).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .actions import (
     _orbit,
@@ -28,33 +26,20 @@ from .groups import _automorphism_count, automorphism_search
 from .realforms import _reflection_records, species_set, symmetry_classes_with_ovals
 from .signatures import enumerate_4g_signatures
 
-__all__ = ["CheckResult", "run_all_checks", "ALL_CHECKS"]
+__all__ = ["run_all_checks", "ALL_CHECKS"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return f"{status}  {self.name}: {self.detail}"
-
-
-def check_group_axioms(g_min: int, g_max: int) -> CheckResult:
+def check_group_axioms(g_min: int, g_max: int) -> str:
     """Identity, inverses, closure, associativity for the working groups."""
     count = 0
     for g in range(g_min, g_max + 1):
         for G in (family_group(g), chain_target_group(g), cone_target_group(g)):
             G._verify()
             count += 1
-    return CheckResult(
-        "group-axioms", True, f"{count} multiplication tables verified"
-    )
+    return f"{count} multiplication tables verified"
 
 
-def check_braid_invariance(g_min: int, g_max: int) -> CheckResult:
+def check_braid_invariance(g_min: int, g_max: int) -> str:
     """Braid moves never leave the unique class of the main family."""
     moves = 0
     for g in range(g_min, g_max + 1):
@@ -69,25 +54,24 @@ def check_braid_invariance(g_min: int, g_max: int) -> CheckResult:
                     f"double braid move {i} escapes the class at genus {g}"
                 )
             moves += 2
-    return CheckResult("braid-invariance", True, f"{moves} moves stayed in class")
+    return f"{moves} moves stayed in class"
 
 
-def check_kernel_genus(g_min: int, g_max: int) -> CheckResult:
+def check_kernel_genus(g_min: int, g_max: int) -> str:
     """Every admissible signature yields back the genus it was built for."""
     count = 0
     for g in range(g_min, g_max + 1):
-        for ts in enumerate_4g_signatures(g):
-            got = kernel_genus(4 * g, ts.signature)
+        for sig, _ in enumerate_4g_signatures(g):
+            got = kernel_genus(4 * g, sig)
             if got != g:
                 raise FourgError(
-                    f"signature {ts.signature} gives kernel genus {got},"
-                    f" expected {g}"
+                    f"signature {sig} gives kernel genus {got}, expected {g}"
                 )
             count += 1
-    return CheckResult("kernel-genus", True, f"{count} signatures round-tripped")
+    return f"{count} signatures round-tripped"
 
 
-def check_species_constraints(g_min: int, g_max: int) -> CheckResult:
+def check_species_constraints(g_min: int, g_max: int) -> str:
     """Every emitted species satisfies the topological oval bounds."""
     emitted = 0
     for g in range(g_min, g_max + 1):
@@ -100,17 +84,15 @@ def check_species_constraints(g_min: int, g_max: int) -> CheckResult:
                     f" {len(classes)} symmetry classes"
                 )
             for sp in species:
-                # Species validates the oval bounds on construction;
-                # re-assert the signed range so the check is explicit.
-                if not -g <= sp.value <= g + 1:
-                    raise FourgError(f"species {sp.value} outside [-{g}, {g + 1}]")
+                # signed_species validates the oval bounds; re-assert the
+                # signed range so the check is explicit.
+                if not -g <= sp <= g + 1:
+                    raise FourgError(f"species {sp} outside [-{g}, {g + 1}]")
                 emitted += 1
-    return CheckResult(
-        "species-constraints", True, f"{emitted} species within bounds"
-    )
+    return f"{emitted} species within bounds"
 
 
-def check_centralizer_images(g_min: int, g_max: int) -> CheckResult:
+def check_centralizer_images(g_min: int, g_max: int) -> str:
     """Oval-count data sits inside the right centralizers with whole indices.
 
     The records are recomputed on every call, so the rule subgroups and
@@ -120,12 +102,10 @@ def check_centralizer_images(g_min: int, g_max: int) -> CheckResult:
     for g in range(g_min, g_max + 1):
         for e in build_extensions(main_action_class(g)):
             records += len(_reflection_records(e))
-    return CheckResult(
-        "centralizer-images", True, f"{records} reflection records verified"
-    )
+    return f"{records} reflection records verified"
 
 
-def check_main_class_count(g_min: int, g_max: int) -> CheckResult:
+def check_main_class_count(g_min: int, g_max: int) -> str:
     """The main action's count certificate, against the full enumeration.
 
     Per genus, three counts of the generating vectors on (2,2,2,2g) must
@@ -152,11 +132,7 @@ def check_main_class_count(g_min: int, g_max: int) -> CheckResult:
                 f" enumerated vectors, {by_keys} by keys; |Aut| {n_aut}"
                 f" counted, {listed} listed"
             )
-    return CheckResult(
-        "main-class-count",
-        True,
-        f"genera {g_min}..{g_max}: class-function count = enumeration = |Aut| x keys",
-    )
+    return f"genera {g_min}..{g_max}: class-function count = enumeration = |Aut| x keys"
 
 
 ALL_CHECKS = (
@@ -170,14 +146,20 @@ ALL_CHECKS = (
 
 
 def run_all_checks(g_min: int = 2, g_max: int = 6) -> list:
-    """Run every suite; failures become results, never silent passes."""
+    """Run every suite; failures become results, never silent passes.
+
+    Returns one ``(name, passed, detail)`` triple per suite, in the order of
+    ``ALL_CHECKS``: the name is the function's without its ``check_`` prefix
+    and with hyphens, the detail the suite's returned string or, on a
+    failure, its error message.
+    """
     if not 2 <= g_min <= g_max:
         raise ValueError(f"need 2 <= g_min <= g_max, got {g_min}..{g_max}")
     results = []
     for check in ALL_CHECKS:
         name = check.__name__.replace("check_", "").replace("_", "-")
         try:
-            results.append(check(g_min, g_max))
+            results.append((name, True, check(g_min, g_max)))
         except FourgError as exc:
-            results.append(CheckResult(name, False, str(exc)))
+            results.append((name, False, str(exc)))
     return results

@@ -391,9 +391,9 @@ def _check_range(options) -> tuple:
 def _run_checks(g_min: int, g_max: int) -> int:
     """Run the invariant suites, print one line each, return an exit code."""
     results = run_all_checks(g_min, g_max)
-    for result in results:
-        print(result.line(), file=sys.stderr)
-    return EXIT_OK if all(r.passed for r in results) else EXIT_INVARIANT
+    for name, passed, detail in results:
+        print(f"{'PASS' if passed else 'FAIL'}  {name}: {detail}", file=sys.stderr)
+    return EXIT_OK if all(passed for _, passed, _ in results) else EXIT_INVARIANT
 
 
 def _run(argv) -> int:

@@ -12,102 +12,56 @@ built with its oval count by Gromadzki's centralizer-index formula (summing,
 over the non-conjugate canonical reflections whose image falls in the class,
 the index of the image of the reflection centralizer inside the centralizer
 of the image), and separability signs through an encoded classification
-table.  ``species_set`` is the one species producer: it signs the class
-list that ``symmetry_classes_with_ovals`` built, which its caller passes in
-and may read oval counts off as well.  The centralizer-image rule is one
-formula over the extension's signature: the non-conjugate reflections are
-c_0..c_(s-1), and each centralizer image is generated by c_i and the half
-powers of its two link products.  It is guarded: for the canonical
-reflection-chain extensions it must reproduce eight independently stated
-subgroups exactly, and any drift aborts the computation.
+table.  The classes come back as ``(representative, ovals)`` pairs and the
+species as signed ints.  ``species_set`` is the one species producer: it
+signs the class list that ``symmetry_classes_with_ovals`` built, which its
+caller passes in and may read oval counts off as well, and it passes each
+value through ``signed_species``, which holds the Harnack bounds.  The
+centralizer-image rule is one formula over the extension's signature: the
+non-conjugate reflections are c_0..c_(s-1), and each centralizer image is
+generated by c_i and the half powers of its two link products.  It is
+guarded: for the canonical reflection-chain extensions it must reproduce
+eight independently stated subgroups exactly, and any drift aborts the
+computation.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .errors import InvariantViolation
 from .extensions import KIND_A, ExtendedAction, _chain_images
 from .groups import GroupElement, _class_minima
 
 
-@dataclass(frozen=True)
-class Species:
-    """Topological type of one mirror symmetry on a genus-g surface.
+def signed_species(genus: int, ovals: int, separating: bool) -> int:
+    """Signed species of one mirror symmetry on a genus-g surface: +ovals,
+    -ovals, or 0 for an empty fixed-point set.
 
-    Invariants follow the Harnack constraints: 0 <= ovals <= genus + 1 always;
-    a separating symmetry has at least one oval, at most genus + 1, and oval
+    The Harnack constraints are checked: 0 <= ovals <= genus + 1 always; a
+    separating symmetry has at least one oval, at most genus + 1, and oval
     count congruent to genus + 1 mod 2; a non-separating one has at most
     genus ovals.  Together these pin the signed value into [-genus, genus+1].
     """
-
-    genus: int
-    ovals: int
-    separating: bool
-
-    def __post_init__(self):
-        if self.genus < 2:
-            raise InvariantViolation("species are tracked for genus >= 2 only")
-        if self.ovals < 0:
-            raise InvariantViolation("oval count cannot be negative")
-        if self.separating:
-            if self.ovals < 1:
-                raise InvariantViolation("a separating symmetry has at least one oval")
-            if self.ovals > self.genus + 1:
-                raise InvariantViolation(
-                    f"{self.ovals} ovals exceed the bound {self.genus + 1}"
-                )
-            if self.ovals % 2 != (self.genus + 1) % 2:
-                raise InvariantViolation(
-                    f"a separating symmetry needs ovals = genus+1 mod 2;"
-                    f" got {self.ovals} on genus {self.genus}"
-                )
-        elif self.ovals > self.genus:
+    if genus < 2:
+        raise InvariantViolation("species are tracked for genus >= 2 only")
+    if ovals < 0:
+        raise InvariantViolation("oval count cannot be negative")
+    if separating:
+        if ovals < 1:
+            raise InvariantViolation("a separating symmetry has at least one oval")
+        if ovals > genus + 1:
+            raise InvariantViolation(f"{ovals} ovals exceed the bound {genus + 1}")
+        if ovals % 2 != (genus + 1) % 2:
             raise InvariantViolation(
-                f"a non-separating symmetry has at most genus = {self.genus} ovals"
+                f"a separating symmetry needs ovals = genus+1 mod 2;"
+                f" got {ovals} on genus {genus}"
             )
-
-    @property
-    def value(self) -> int:
-        """Signed species: +ovals, -ovals, or 0 for an empty fixed-point set."""
-        if self.ovals == 0:
-            return 0
-        return self.ovals if self.separating else -self.ovals
-
-    def __str__(self) -> str:
-        v = self.value
-        return f"+{v}" if v > 0 else str(v)
-
-
-@dataclass(frozen=True)
-class SymmetryClass:
-    """A conjugacy class of orientation-reversing involutions in an extension,
-    with the number of ovals each of its involutions fixes."""
-
-    action: ExtendedAction
-    representative: GroupElement
-    ovals: int
-
-    def __post_init__(self):
-        G = self.action.group
-        rep = self.representative
-        if not isinstance(rep, GroupElement) or rep.group is not G:
-            raise InvariantViolation("representative must live in the target group")
-        if rep.order() != 2:
-            raise InvariantViolation("representative must be an involution")
-        if G.kappa(rep) != -1:
-            raise InvariantViolation("representative must reverse orientation")
-        if not isinstance(self.ovals, int) or self.ovals < 0:
-            raise InvariantViolation("oval count must be a non-negative integer")
-
-    @property
-    def size(self) -> int:
-        """Number of involutions in the class."""
-        return self.action.group.class_size(self.representative.idx)
-
-    def __str__(self) -> str:
-        return f"[{self.representative.name}] ovals={self.ovals}"
+    elif ovals > genus:
+        raise InvariantViolation(
+            f"a non-separating symmetry has at most genus = {genus} ovals"
+        )
+    return ovals if separating else -ovals
 
 
 def _rule_generators(e: ExtendedAction, position: int) -> tuple:
@@ -194,7 +148,8 @@ def _reflection_records(e: ExtendedAction) -> tuple:
 
 def symmetry_classes_with_ovals(e: ExtendedAction) -> list:
     """Conjugacy classes of orientation-reversing involutions of the target,
-    each with its oval count by Gromadzki's formula.
+    as ``(representative, ovals)`` pairs: the class's smallest element and
+    the number of ovals each of its involutions fixes, by Gromadzki's formula.
 
     A class's count sums, over the non-conjugate canonical reflections whose
     image lands in the class, the index of the image of the reflection
@@ -209,10 +164,7 @@ def symmetry_classes_with_ovals(e: ExtendedAction) -> list:
         ovals[class_of[image.idx]] += index
     kappa = G.orientation
     reversing = {i for i in range(G.order) if kappa[i] == -1 and G.element_order(i) == 2}
-    return [
-        SymmetryClass(e, G.element(i), ovals[class_of[i]])
-        for i in _class_minima(G, reversing)
-    ]
+    return [(G.element(i), ovals[class_of[i]]) for i in _class_minima(G, reversing)]
 
 
 # Signed species multisets per (extension label, genus parity).  Signs that
@@ -237,13 +189,14 @@ def species_set(e: ExtendedAction, classes) -> tuple:
     can only be non-separating; a maximal count k = g+1 can only be
     separating; remaining signs come from the encoded table.  The table's
     absolute values must reproduce the computed counts exactly —
-    disagreement raises instead of guessing.  Sorted by descending value.
+    disagreement raises instead of guessing.  Each value passes
+    :func:`signed_species`; the tuple of signed ints is sorted descending.
     """
     g = e.g
     key = (e.label, g % 2)
     if key not in _SIGN_TABLE:
         raise ValueError(f"no species data for extension label {e.label!r}")
-    counts = sorted(cls.ovals for cls in classes)
+    counts = sorted(ovals for _, ovals in classes)
     signed = _SIGN_TABLE[key](g)
     if sorted(abs(v) for v in signed) != counts:
         raise InvariantViolation(
@@ -267,5 +220,5 @@ def species_set(e: ExtendedAction, classes) -> tuple:
             separating = True
         else:
             separating = v > 0
-        result.append(Species(g, k, separating))
-    return tuple(sorted(result, key=lambda s: -s.value))
+        result.append(signed_species(g, k, separating))
+    return tuple(sorted(result, reverse=True))

@@ -223,7 +223,7 @@ def build_report(
     if g < 2:
         raise ValueError("reports start at genus 2")
     tagged = enumerate_4g_signatures(g)
-    signatures = [{"signature": str(ts.signature), "tag": ts.tag} for ts in tagged]
+    signatures = [{"signature": str(sig), "tag": tag} for sig, tag in tagged]
 
     v = canonical_vector(g)
     group = {"description": recognize(v.group), "order": v.group.order}
@@ -268,15 +268,15 @@ def build_report(
         symmetry_types.append(
             {
                 "label": e.label,
-                "species": [sp.value for sp in species],
-                "ovals": [cls.ovals for cls in classes],
+                "species": list(species),
+                "ovals": [ovals for _, ovals in classes],
             }
         )
-        arcs.append((e.label, species))
+        arcs.append((e, species))
     extensions = {"counts": counts, "classes": class_records}
 
-    has_sporadic = any(ts.tag == TAG_SPORADIC for ts in tagged)
-    has_quadruple = any(ts.tag == TAG_QUADRUPLE for ts in tagged)
+    has_sporadic = any(tag == TAG_SPORADIC for _, tag in tagged)
+    has_quadruple = any(tag == TAG_QUADRUPLE for _, tag in tagged)
     search = None
     if (has_sporadic or has_quadruple) and (
         search_groups is not None or 4 * g <= max_order

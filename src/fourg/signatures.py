@@ -255,16 +255,6 @@ TAG_QUADRUPLE = "quadruple-exceptional"
 TAG_SPORADIC = "sporadic"
 
 
-@dataclass(frozen=True)
-class TaggedSignature:
-    signature: Signature
-    tag: str
-
-    @property
-    def periods(self) -> tuple:
-        return self.signature.proper_periods
-
-
 def _classify_periods(g: int, periods: tuple) -> str:
     if len(periods) == 3:
         if periods == (2, 4 * g, 4 * g):
@@ -280,7 +270,8 @@ def _classify_periods(g: int, periods: tuple) -> str:
 
 
 def enumerate_4g_signatures(g: int) -> list:
-    """All genus-0 signatures a group of order 4g acting on genus g can have.
+    """All genus-0 signatures a group of order 4g acting on genus g can have,
+    as ``(signature, tag)`` pairs, the tag naming the family it belongs to.
 
     A group of order N = 4g acting on a genus-g surface has a genus-0 quotient
     with cone periods dividing N and total area (2g-2)/N, so by
@@ -320,7 +311,7 @@ def enumerate_4g_signatures(g: int) -> list:
         found.append((2, 2, 3, 6 * g // (g + 3)))
     found.sort(key=lambda periods: (len(periods), periods))
     return [
-        TaggedSignature(Signature(0, SIGN_PLUS, periods), _classify_periods(g, periods))
+        (Signature(0, SIGN_PLUS, periods), _classify_periods(g, periods))
         for periods in found
     ]
 
@@ -335,5 +326,5 @@ def sporadic_genera(limit: int) -> list:
     return [
         g
         for g in range(2, limit + 1)
-        if any(ts.tag == TAG_SPORADIC for ts in enumerate_4g_signatures(g))
+        if any(tag == TAG_SPORADIC for _, tag in enumerate_4g_signatures(g))
     ]

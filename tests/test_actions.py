@@ -30,7 +30,6 @@ from fourg.groups import (
 )
 from fourg.actions import (
     ActionClass,
-    CaseReport,
     GeneratingVector,
     _cayley_key,
     braid_move,
@@ -361,9 +360,10 @@ def _reference_cases():
     cases = [(f"family-{g}", lambda g=g: [family_group(g)], (2, 2, 2, 2 * g)) for g in range(2, 9)]
     cases += [(f"cyclic-{g}", lambda g=g: [cyclic(4 * g)], (2, 4 * g, 4 * g)) for g in range(2, 6)]
     for n in (12, 24, 36):
-        for ts in enumerate_4g_signatures(n // 4):
-            if ts.tag in (TAG_QUADRUPLE, TAG_SPORADIC):
-                cases.append((f"catalog-{n}-{ts.periods}", lambda n=n: small_groups(n), ts.periods))
+        for sig, tag in enumerate_4g_signatures(n // 4):
+            if tag in (TAG_QUADRUPLE, TAG_SPORADIC):
+                periods = sig.proper_periods
+                cases.append((f"catalog-{n}-{periods}", lambda n=n: small_groups(n), periods))
     # several classes on one signature
     cases.append(("C7-777", lambda: [cyclic(7)], (7, 7, 7)))
     cases.append(("C5-5555", lambda: [cyclic(5)], (5, 5, 5, 5)))
@@ -493,11 +493,11 @@ class TestForwardOrbitWalk:
     @pytest.mark.parametrize("g", (3, 6))
     def test_special_signature_class_keys(self, g):
         checked = 0
-        for ts in enumerate_4g_signatures(g):
-            if ts.tag not in (TAG_QUADRUPLE, TAG_SPORADIC):
+        for sig, tag in enumerate_4g_signatures(g):
+            if tag not in (TAG_QUADRUPLE, TAG_SPORADIC):
                 continue
             for G in small_groups(4 * g):
-                for cls in classify(G, ts.periods):
+                for cls in classify(G, sig.proper_periods):
                     start = next(iter(cls.members.values()))
                     assert set(cls.members) == _two_move_orbit_keys(G, start), G.name
                     checked += 1
@@ -702,55 +702,55 @@ class TestEliminateCases:
     @pytest.mark.parametrize("g", [2, 4, 5])
     def test_three_reports(self, g):
         reports = eliminate_cases(g)
-        assert [r.family for r in reports] == [1, 2, 3]
-        assert all(isinstance(r, CaseReport) for r in reports)
+        assert [r["family"] for r in reports] == [1, 2, 3]
+        assert all(set(r) == {"family", "periods", "verdict", "details"} for r in reports)
 
     @pytest.mark.parametrize("g", [2, 4, 5])
     def test_family1_extends(self, g):
         r1 = eliminate_cases(g)[0]
-        assert r1.verdict == "not-full"
-        assert r1.periods == (2, 4 * g, 4 * g)
-        assert r1.details["cyclic_classes"] == 1
-        assert r1.details["extension_order"] == 8 * g
-        v = r1.details["extension_vector"]
+        assert r1["verdict"] == "not-full"
+        assert r1["periods"] == (2, 4 * g, 4 * g)
+        assert r1["details"]["cyclic_classes"] == 1
+        assert r1["details"]["extension_order"] == 8 * g
+        v = r1["details"]["extension_vector"]
         assert v.periods == (2, 4, 4 * g)
         assert v.group.order == 8 * g
 
     @pytest.mark.parametrize("g", [2, 4, 5])
     def test_family2_impossible(self, g):
         r2 = eliminate_cases(g)[1]
-        assert r2.verdict == "impossible"
-        assert r2.details["vectors_found"] == 0
-        assert r2.details["groups_tested"] >= 5
+        assert r2["verdict"] == "impossible"
+        assert r2["details"]["vectors_found"] == 0
+        assert r2["details"]["groups_tested"] >= 5
 
     @pytest.mark.parametrize("g", [2, 4, 5])
     def test_family3_swap_and_extension(self, g):
         r3 = eliminate_cases(g)[2]
-        assert r3.verdict == "not-full"
-        assert r3.details["surviving_twist"] == 2 * g - 1
-        assert r3.details["extension_order"] == 8 * g
-        v = r3.details["extension_vector"]
+        assert r3["verdict"] == "not-full"
+        assert r3["details"]["surviving_twist"] == 2 * g - 1
+        assert r3["details"]["extension_order"] == 8 * g
+        v = r3["details"]["extension_vector"]
         assert v.periods == (2, 4, 4 * g)
         # rejected twists carry reasons
-        for reason in r3.details["rejected_twists"].values():
+        for reason in r3["details"]["rejected_twists"].values():
             assert isinstance(reason, str) and reason
 
     def test_family3_even_genus_rejects_g_minus_1(self):
         r3 = eliminate_cases(4)[2]
-        assert 3 in r3.details["rejected_twists"]  # twist g-1 = 3 at g=4
+        assert 3 in r3["details"]["rejected_twists"]  # twist g-1 = 3 at g=4
 
     def test_survivor_group_is_quaternion_like(self):
         # at g=2 the surviving family-3 group is the order-8 quaternion-type
         r3 = eliminate_cases(2)[2]
-        assert r3.details["surviving_twist"] == 3
+        assert r3["details"]["surviving_twist"] == 3
         assert is_isomorphic(dicyclic(2), dicyclic(2))
 
     def test_cap_skips_construction_but_keeps_verdicts(self):
         reports = eliminate_cases(7, max_order=10)
-        assert [r.verdict for r in reports] == ["not-full", "impossible", "not-full"]
-        assert reports[0].details["constructed"] is False
-        assert reports[2].details["constructed"] is False
-        assert reports[1].details["groups_tested"] == 0
+        assert [r["verdict"] for r in reports] == ["not-full", "impossible", "not-full"]
+        assert reports[0]["details"]["constructed"] is False
+        assert reports[2]["details"]["constructed"] is False
+        assert reports[1]["details"]["groups_tested"] == 0
 
 
 class TestExceptionalSearch:
@@ -790,16 +790,17 @@ class TestOnlyMainFamilySurvives:
             enumerate_4g_signatures,
         )
 
-        eliminated = {r.periods for r in eliminate_cases(g)}
+        eliminated = {r["periods"] for r in eliminate_cases(g)}
         realized_special = {
             sig.proper_periods
             for sig, _ in exceptional_search(g, small_groups(4 * g))
         }
-        for ts in enumerate_4g_signatures(g):
-            if ts.periods in eliminated:
+        for sig, tag in enumerate_4g_signatures(g):
+            periods = sig.proper_periods
+            if periods in eliminated:
                 continue
-            if ts.tag in (TAG_QUADRUPLE, TAG_SPORADIC):
+            if tag in (TAG_QUADRUPLE, TAG_SPORADIC):
                 # arithmetic solutions with no realizing group do not survive
-                assert ts.periods not in realized_special
+                assert periods not in realized_special
             else:
-                assert ts.periods == (2, 2, 2, 2 * g)
+                assert periods == (2, 2, 2, 2 * g)

@@ -15,6 +15,7 @@ extended-symmetry class.
 
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -42,7 +43,7 @@ from fourg.boundary import (
 from fourg.errors import InvariantViolation
 from fourg.extensions import build_extensions
 from fourg.groups import FiniteGroup
-from fourg.realforms import Species, species_set, symmetry_classes_with_ovals
+from fourg.realforms import species_set, symmetry_classes_with_ovals
 from fourg.signatures import parse_signature, wiman_quotient_signature
 
 
@@ -66,9 +67,9 @@ def _arcs(description):
 
 
 def _pairs(g):
-    """One (label, species) pair per extension of genus g, in order a1, a2, b."""
+    """One (e, species) pair per extension of genus g, in order a1, a2, b."""
     return [
-        (e.label, species_set(e, symmetry_classes_with_ovals(e)))
+        (e, species_set(e, symmetry_classes_with_ovals(e)))
         for e in build_extensions(main_action_class(g))
     ]
 
@@ -390,15 +391,17 @@ class TestBoundaryArc:
     def test_species_values_descending(self):
         arc = _arcs(_description(5))["a1"]
         assert arc["species"] == [2, 0, -2, -2]
-        (species,) = [sp for label, sp in _pairs(5) if label == "a1"]
-        assert all(isinstance(sp, Species) and sp.genus == 5 for sp in species)
+        (species,) = [sp for e, sp in _pairs(5) if e.label == "a1"]
+        assert species == (2, 0, -2, -2)
+        assert all(type(sp) is int for sp in species)
 
     def test_rejects_bad_labels_and_endpoints(self):
         v = canonical_vector(2)
         pairs = _pairs(2)
         boundary_description(v, pairs)  # must pass untouched
         with pytest.raises(InvariantViolation, match="labelled"):
-            boundary_description(v, pairs[:2] + [("c", pairs[2][1])])
+            stray = SimpleNamespace(label="c", g=2)
+            boundary_description(v, pairs[:2] + [(stray, pairs[2][1])])
         good = [ARC_ENDPOINTS[label] for label in ("a1", "a2", "b")]
         _require_three_cycle(good)  # must pass untouched
         with pytest.raises(InvariantViolation):
@@ -409,7 +412,7 @@ class TestBoundaryArc:
     def test_json_form(self):
         arc = _arcs(_description(4))["b"]
         e = build_extensions(main_action_class(4))[2]
-        assert [cls.ovals for cls in symmetry_classes_with_ovals(e)] == [2]
+        assert [ovals for _, ovals in symmetry_classes_with_ovals(e)] == [2]
         assert arc == {
             "label": "b",
             "species": [-2],
@@ -468,17 +471,21 @@ class TestBoundaryDescription:
         with pytest.raises(InvariantViolation):
             boundary_description(canonical_vector(3), (three[1], three[0], three[2]))
         # a family vector whose first system pinches to the rose and whose
-        # second pinches to a dipole
+        # second pinches to a dipole: the graphs are keyed by their computed
+        # labels, so it bounds the same loop as the canonical vector
         G = family_group(3)
         D, A = G.generator("D"), G.generator("A")
         v = GeneratingVector(G, (2, 2, 2, 6), (D ** 3, A, D ** 4 * A, D))
-        with pytest.raises(InvariantViolation, match="dipole limit"):
+        assert boundary_description(v, three) == _description(3)
+        # a family vector both of whose systems pinch to the rose
+        v = GeneratingVector(G, (2, 2, 2, 6), (A, D ** 3, D ** 2 * A, D ** 5))
+        with pytest.raises(ValueError, match=r"got \('loops', 'loops'\)"):
             boundary_description(v, three)
-        # no smooth family vector pinches to two dipoles, so the rose check
-        # is reached by handing the dipole out for both systems
+        # no smooth family vector pinches to two dipoles, so that pair is
+        # reached by handing the dipole out for both systems
         real = boundary.nodal_graph
         monkeypatch.setattr(boundary, "nodal_graph", lambda v, which: real(v, 1))
-        with pytest.raises(InvariantViolation, match="rose of loops"):
+        with pytest.raises(ValueError, match=r"got \('dipole', 'dipole'\)"):
             boundary_description(canonical_vector(3), three)
 
     def test_json_is_deterministic(self):

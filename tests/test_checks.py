@@ -2,10 +2,9 @@
 
 import pytest
 
-from fourg import actions, checks, realforms
+from fourg import actions, checks, cli, realforms
 from fourg.checks import (
     ALL_CHECKS,
-    CheckResult,
     check_braid_invariance,
     check_centralizer_images,
     check_group_axioms,
@@ -22,23 +21,20 @@ from fourg.groups import FiniteGroup
 
 
 class TestCheckResult:
-    def test_line_formats_pass_and_fail(self):
-        ok = CheckResult("sample", True, "all fine")
-        bad = CheckResult("sample", False, "broke")
-        assert ok.line() == "PASS  sample: all fine"
-        assert bad.line() == "FAIL  sample: broke"
+    def test_line_formats_pass_and_fail(self, monkeypatch, capsys):
+        # a result is a (name, passed, detail) triple, printed by the CLI
+        results = [("sample", True, "all fine"), ("sample", False, "broke")]
+        monkeypatch.setattr(cli, "run_all_checks", lambda g_min, g_max: results)
+        assert cli._run_checks(2, 2) == cli.EXIT_INVARIANT
+        assert capsys.readouterr().err == "PASS  sample: all fine\nFAIL  sample: broke\n"
 
 
 class TestIndividualChecks:
     def test_group_axioms_pass(self):
-        result = check_group_axioms(2, 4)
-        assert result.passed
-        assert "tables verified" in result.detail
+        assert check_group_axioms(2, 4) == "9 multiplication tables verified"
 
     def test_braid_invariance_pass(self):
-        result = check_braid_invariance(2, 4)
-        assert result.passed
-        assert "stayed in class" in result.detail
+        assert check_braid_invariance(2, 4) == "18 moves stayed in class"
 
     def test_braid_invariance_builds_one_family_group_per_genus(self, monkeypatch):
         # the suite classifies over the group of its one canonical vector
@@ -51,16 +47,14 @@ class TestIndividualChecks:
 
         monkeypatch.setattr(actions, "family_group", counting)
         monkeypatch.setattr(checks, "family_group", counting)
-        assert check_braid_invariance(2, 6).passed
+        check_braid_invariance(2, 6)
         assert calls == [2, 3, 4, 5, 6]
 
     def test_kernel_genus_pass(self):
-        result = check_kernel_genus(2, 5)
-        assert result.passed
+        assert check_kernel_genus(2, 5) == "16 signatures round-tripped"
 
     def test_species_constraints_pass(self):
-        result = check_species_constraints(2, 4)
-        assert result.passed
+        assert check_species_constraints(2, 4) == "30 species within bounds"
 
     def test_species_constraints_build_classes_once_per_extension(self, monkeypatch):
         calls = []
@@ -72,7 +66,7 @@ class TestIndividualChecks:
 
         monkeypatch.setattr(realforms, "symmetry_classes_with_ovals", counting)
         monkeypatch.setattr(checks, "symmetry_classes_with_ovals", counting)
-        assert check_species_constraints(2, 6).passed
+        check_species_constraints(2, 6)
         assert sorted(calls) == [(g, label) for g in range(2, 7) for label in ("a1", "a2", "b")]
 
     def test_report_and_check_sign_species_through_species_set(self, monkeypatch):
@@ -93,7 +87,7 @@ class TestIndividualChecks:
         build_report(3)
         assert sorted(calls) == ["a1", "a2", "b"]
         calls.clear()
-        assert check_species_constraints(3, 3).passed
+        check_species_constraints(3, 3)
         assert sorted(calls) == ["a1", "a2", "b"]
 
     def test_species_constraints_recompute_after_a_report(self, monkeypatch):
@@ -122,9 +116,7 @@ class TestIndividualChecks:
             check_centralizer_images(5, 5)
 
     def test_main_class_count_pass(self):
-        result = check_main_class_count(2, 8)
-        assert result.passed
-        assert result.detail.startswith("genera 2..8:")
+        assert check_main_class_count(2, 8).startswith("genera 2..8:")
 
     @pytest.mark.parametrize(
         "name, wrong",
@@ -136,9 +128,9 @@ class TestIndividualChecks:
     def test_main_class_count_failure_is_reported(self, monkeypatch, name, wrong):
         monkeypatch.setattr(checks, name, wrong(getattr(checks, name)))
         results = run_all_checks(2, 3)
-        failed = [r for r in results if not r.passed]
-        assert [r.name for r in failed] == ["main-class-count"]
-        assert failed[0].line().startswith("FAIL  main-class-count: genus 2:")
+        failed = [(name, detail) for name, passed, detail in results if not passed]
+        assert [name for name, _ in failed] == ["main-class-count"]
+        assert failed[0][1].startswith("genus 2:")
 
     def test_group_axioms_failure_is_reported(self, monkeypatch):
         # C6 with a 2x2 intercalate flipped: a latin square with two-sided
@@ -151,17 +143,18 @@ class TestIndividualChecks:
         )
         monkeypatch.setattr(checks, "family_group", lambda g: broken)
         results = run_all_checks(2, 2)
-        lines = [r.line() for r in results]
-        assert lines[0].startswith("FAIL  group-axioms: associativity fails")
-        assert all(r.passed for r in results[1:])
+        name, passed, detail = results[0]
+        assert (name, passed) == ("group-axioms", False)
+        assert detail.startswith("associativity fails")
+        assert all(passed for _, passed, _ in results[1:])
 
 
 class TestRunAll:
     def test_all_suites_pass_and_report_names(self):
         results = run_all_checks(2, 4)
         assert len(results) == len(ALL_CHECKS)
-        assert all(r.passed for r in results)
-        names = [r.name for r in results]
+        assert all(passed for _, passed, _ in results)
+        names = [name for name, _, _ in results]
         assert names == [
             "group-axioms",
             "braid-invariance",
@@ -178,9 +171,8 @@ class TestRunAll:
         broken = (((explode,)) + ALL_CHECKS[1:])
         monkeypatch.setattr(checks, "ALL_CHECKS", broken)
         results = run_all_checks(2, 3)
-        assert not results[0].passed
-        assert "synthetic failure" in results[0].detail
-        assert all(r.passed for r in results[1:])
+        assert results[0] == ("explode", False, "synthetic failure")
+        assert all(passed for _, passed, _ in results[1:])
 
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):

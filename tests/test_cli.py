@@ -384,16 +384,27 @@ class TestCheckFlag:
         assert "PASS" in captured.err
         assert "FAIL" not in captured.err
 
+    def test_check_lines_pinned(self, tmp_path):
+        # the PASS/FAIL lines of every suite, pinned like the stdout digests
+        src = str(Path(fourg.__file__).resolve().parents[1])
+        run = subprocess.run(
+            [sys.executable, "-m", "fourg.cli", "report", "--genus", "5", "--check"],
+            cwd=tmp_path, env=dict(os.environ, PYTHONHASHSEED="1", PYTHONPATH=src),
+            capture_output=True, check=True,
+        )
+        assert hashlib.sha256(run.stderr).hexdigest() == (
+            "6463252d3cefd3ec5d0750c1c70a5da10b76edc7826b21c7912af757d34fbf89"
+        ), run.stderr.decode()
+
     def test_check_failure_exit_code(self, monkeypatch, capsys):
         from fourg import cli
-        from fourg.checks import CheckResult
 
         def fake_checks(g_min, g_max):
-            return [CheckResult("synthetic", False, "forced failure")]
+            return [("synthetic", False, "forced failure")]
 
         monkeypatch.setattr(cli, "run_all_checks", fake_checks)
         assert main(["report", "--genus", "2", "--check"]) == EXIT_INVARIANT
-        assert "FAIL  synthetic" in capsys.readouterr().err
+        assert "FAIL  synthetic: forced failure\n" in capsys.readouterr().err
 
     def test_check_above_the_order_8g_cap_is_usage_error(self, monkeypatch, tmp_path, capsys):
         # exceptional allows g up to 1024, but the suites build order-8g

@@ -129,8 +129,8 @@ class TestBuildReportCore:
         by_label = {entry["label"]: entry for entry in report["symmetry_types"]}
         for e in build_extensions(main_action_class(7)):
             classes = symmetry_classes_with_ovals(e)
-            assert by_label[e.label]["species"] == [sp.value for sp in species_set(e, classes)]
-            assert by_label[e.label]["ovals"] == [cls.ovals for cls in classes]
+            assert by_label[e.label]["species"] == list(species_set(e, classes))
+            assert by_label[e.label]["ovals"] == [ovals for _, ovals in classes]
 
     def test_boundary_block_embeds_description(self):
         report = build_report(4)

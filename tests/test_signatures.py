@@ -16,7 +16,6 @@ from fourg.signatures import (
     TAG_FAMILY4,
     TAG_QUADRUPLE,
     TAG_SPORADIC,
-    TaggedSignature,
     _classify_periods,
     chain_signature,
     enumerate_4g_signatures,
@@ -150,12 +149,12 @@ def test_normalized_area_counts_cusps():
     ],
 )
 def test_enumeration_small_genera(g, expected):
-    result = {ts.periods for ts in enumerate_4g_signatures(g)}
+    result = {sig.proper_periods for sig, _ in enumerate_4g_signatures(g)}
     assert result == expected
 
 
 def test_enumeration_g3_includes_exceptions():
-    result = {ts.periods: ts.tag for ts in enumerate_4g_signatures(3)}
+    result = {sig.proper_periods: tag for sig, tag in enumerate_4g_signatures(3)}
     assert result == {
         (2, 12, 12): TAG_FAMILY1,
         (3, 6, 6): TAG_FAMILY2,
@@ -167,7 +166,7 @@ def test_enumeration_g3_includes_exceptions():
 
 
 def test_enumeration_tags_g5():
-    tags = {ts.periods: ts.tag for ts in enumerate_4g_signatures(5)}
+    tags = {sig.proper_periods: tag for sig, tag in enumerate_4g_signatures(5)}
     assert tags[(5, 5, 5)] == TAG_SPORADIC
     assert tags[(2, 20, 20)] == TAG_FAMILY1
     assert tags[(4, 4, 10)] == TAG_FAMILY3
@@ -176,8 +175,7 @@ def test_enumeration_tags_g5():
 
 @pytest.mark.parametrize("g", range(2, 40))
 def test_enumeration_properties(g):
-    for ts in enumerate_4g_signatures(g):
-        sig = ts.signature
+    for sig, _ in enumerate_4g_signatures(g):
         assert sig.genus == 0
         assert sig.sign == SIGN_PLUS and not sig.period_cycles
         # every period divides 4g and the area matches (2g-2)/4g
@@ -190,9 +188,9 @@ def test_quadruple_exceptional_genera():
     # (2,2,3,q) solutions exist exactly at g = 3, 6, 15.
     hits = {}
     for g in range(2, 200):
-        for ts in enumerate_4g_signatures(g):
-            if ts.tag == TAG_QUADRUPLE:
-                hits[g] = ts.periods
+        for sig, tag in enumerate_4g_signatures(g):
+            if tag == TAG_QUADRUPLE:
+                hits[g] = sig.proper_periods
     assert hits == {3: (2, 2, 3, 3), 6: (2, 2, 3, 4), 15: (2, 2, 3, 5)}
 
 
@@ -214,7 +212,8 @@ def test_sporadic_genera_small():
 # ---------------------------------------------------------------------------
 # Reference: the search over ascending divisor multisets with exact
 # ``Fraction`` sums that the census used before it was solved in closed
-# form.  Copied verbatim.
+# form.  Copied verbatim, except that it returns the (signature, tag)
+# pairs the census returns now.
 
 
 def _reference_enumerate_4g_signatures(g: int) -> list:
@@ -253,7 +252,7 @@ def _reference_enumerate_4g_signatures(g: int) -> list:
     extend(0, [], Fraction(0))
     found.sort(key=lambda periods: (len(periods), periods))
     return [
-        TaggedSignature(Signature(0, SIGN_PLUS, periods), _classify_periods(g, periods))
+        (Signature(0, SIGN_PLUS, periods), _classify_periods(g, periods))
         for periods in found
     ]
 
