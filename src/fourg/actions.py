@@ -65,6 +65,10 @@ EXCEPTIONAL_SURFACE_GENERA = (3, 6, 12, 30)
 # with two periods equal to 2 and two equal periods > 2.
 QUADRUPLE_FAMILY_GENERA = (3, 6, 15)
 
+# Default cap on the orders at which explicit groups are built: the catalog
+# searches of the report and the eliminations' constructive evidence.
+DEFAULT_MAX_ORDER = 256
+
 
 @dataclass(frozen=True)
 class GeneratingVector:
@@ -490,7 +494,7 @@ def _eliminate_family3(g: int, max_order: int) -> dict:
     return {"family": 3, "periods": periods, "verdict": "not-full", "details": details}
 
 
-def eliminate_cases(g: int, max_order: int = 256) -> list:
+def eliminate_cases(g: int, max_order: int = DEFAULT_MAX_ORDER) -> list:
     """Elimination reports for the three rigid signatures at genus g.
 
     Each report is a dict ``{"family", "periods", "verdict", "details"}``.

@@ -37,7 +37,7 @@ index-2 half the words generate, so they key against the main class directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .actions import ActionClass, kernel_genus
 from .errors import InvariantViolation
@@ -45,6 +45,7 @@ from .groups import (
     FiniteGroup,
     GroupElement,
     _cayley_key,
+    _extend_hom,
     cyclic,
     dihedral_from_reflections,
     direct_product,
@@ -60,17 +61,16 @@ def chain_target_group(g: int) -> FiniteGroup:
     """Order-8g target for kind a: reflection dihedral times a central reflection.
 
     Generators w, x are the dihedral reflections (wx has order 2g) and y is
-    the extra central involution; all three reverse orientation.
+    the extra central involution.  The group carries no orientation
+    character: each extension computes its own from its images.
     """
     if g < 2:
         raise ValueError(f"g must be at least 2, got {g}")
-    group = direct_product(
+    return direct_product(
         dihedral_from_reflections(4 * g, names=("w", "x")),
         cyclic(2, gen_name="y"),
         name=f"mirror-a({g})",
     )
-    group.attach_orientation({"w": -1, "x": -1, "y": -1})
-    return group
 
 
 def cone_target_group(g: int) -> FiniteGroup:
@@ -78,8 +78,8 @@ def cone_target_group(g: int) -> FiniteGroup:
 
     Presentation <x, z, w : x^2 = z^2 = w^2 = (zw)^(2g) = 1,
     x z x = (zw)^(g-1) z, x w x = (zw)^g z>: the dihedral group on the
-    reflections z, w extended by the involution x.  Orientation character:
-    z and w reverse, x preserves.
+    reflections z, w extended by the involution x.  The group carries no
+    orientation character: each extension computes its own from its images.
     """
     if g < 2:
         raise ValueError(f"g must be at least 2, got {g}")
@@ -94,11 +94,13 @@ def cone_target_group(g: int) -> FiniteGroup:
     for i in range(n):
         mapping[pack(i, 0)] = pack((-i) % n, 0)
         mapping[pack(i, 1)] = pack((g + 1 - i) % n, 1)
-    group = semidirect_with_automorphism(
+    return semidirect_with_automorphism(
         base, mapping, top_order=2, top_name="x", name=f"Gb({g})"
     )
-    group.attach_orientation({"z": -1, "w": -1, "x": 1})
-    return group
+
+
+# C2 = {+1, -1} as a table over {0, 1}: 0 is +1 and 1 is -1.
+_C2_TABLE = ((0, 1), (1, 0))
 
 
 @dataclass(frozen=True)
@@ -111,9 +113,13 @@ class ExtendedAction:
     c_s = e^-1 c_0 e and each link product c_(j-1)*c_j of exact order n_j.
     ``images`` holds the images of x_1..x_r, then of c_0..c_(s-1), then of
     c_s when r > 0; with r = 0, e = 1 and c_s = c_0 is not stored.
-    Construction checks every defining relation, the orientation character
-    on each image, the exact torsion orders (which make the kernel
-    torsion-free), generation, and that the kernel has genus g.
+    Construction checks every defining relation, the exact torsion orders
+    (which make the kernel torsion-free), generation, and that the kernel
+    has genus g.  The orientation character of the epimorphism sends the
+    elliptic generators to +1 and the reflections to -1; construction
+    computes it from the images, one sign per element of ``group``, and
+    stores it as ``orientation``.  Images that define no character are
+    rejected.
     """
 
     g: int
@@ -121,13 +127,14 @@ class ExtendedAction:
     label: str
     group: FiniteGroup
     images: tuple
+    orientation: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = self.g
         group = self.group
         sig = self.signature
         periods, (links,) = sig.proper_periods, sig.period_cycles
-        if len(self.images) != len(self.generator_names):
+        if len(self.images) != len(periods) + len(links) + (len(periods) > 0):
             raise InvariantViolation("one image per canonical generator is required")
         for e in self.images:
             if not isinstance(e, GroupElement) or e.group is not group:
@@ -138,18 +145,13 @@ class ExtendedAction:
             )
         cycle = self.reflection_cycle
         for m, x in zip(periods, self.images):
-            if group.kappa(x) != 1 or x.order() != m:
+            if x.order() != m:
                 raise InvariantViolation(
-                    f"the elliptic generator must map to an orientation-preserving"
-                    f" element of order {m}"
+                    f"the elliptic generator must map to an element of order {m}"
                 )
         for e in cycle:
             if e.order() != 2:
                 raise InvariantViolation(f"reflection image {e.name} is not an involution")
-            if group.kappa(e) != -1:
-                raise InvariantViolation(
-                    f"reflection image {e.name} preserves orientation"
-                )
         for n, left, right in zip(links, cycle, cycle[1:]):
             got = (left * right).order()
             if got != n:
@@ -166,6 +168,16 @@ class ExtendedAction:
         span = group._closure_idx([e.idx for e in self.images])
         if len(span) != group.order:
             raise InvariantViolation("images do not generate the full target group")
+        r = len(periods)
+        pairs = [(x.idx, 0) for x in self.images[:r]]
+        pairs += [(c.idx, 1) for c in self.images[r:]]
+        closed = _extend_hom(group._table, _C2_TABLE, pairs)
+        if closed is None:
+            raise InvariantViolation(
+                "no orientation character sends the elliptic images to +1"
+                " and the reflection images to -1"
+            )
+        object.__setattr__(self, "orientation", tuple(1 - 2 * v for v in closed[0]))
         if kernel_genus(group.order, sig) != g:
             raise InvariantViolation("kernel genus does not match g")
 
@@ -177,14 +189,6 @@ class ExtendedAction:
         if self.kind == KIND_B:
             return mixed_signature(self.g)
         raise InvariantViolation(f"unknown extension kind {self.kind!r}")
-
-    @property
-    def generator_names(self) -> tuple:
-        """The canonical generators whose images are stored, in order."""
-        sig = self.signature
-        periods, (links,) = sig.proper_periods, sig.period_cycles
-        stored = len(links) + (len(periods) > 0)
-        return ("a",) * len(periods) + tuple(f"c{j}" for j in range(stored))
 
     @property
     def connecting_image(self) -> GroupElement:
@@ -202,12 +206,6 @@ class ExtendedAction:
         if len(cycle) == len(sig.period_cycles[0]):
             cycle += cycle[:1]  # r = 0: e = 1, so c_s = c_0
         return cycle
-
-    def __str__(self) -> str:
-        pairs = ", ".join(
-            f"{name}->{e.name}" for name, e in zip(self.generator_names, self.images)
-        )
-        return f"[{self.label}] {self.signature}: {pairs}"
 
 
 def _distinct_image_classes(action: ExtendedAction) -> int:
@@ -349,10 +347,11 @@ def restrict_to_index2(e: ExtendedAction) -> tuple:
     of ``e.group``: the elliptic x_1..x_r, their c_0-conjugates
     c_0*x_i*c_0, and the link products c_j*c_(j+1) for j < s (the four
     consecutive reflection products for kind a; a, c0*a*c0, c0*c1 and c1*c2
-    for kind b).  Each word must preserve orientation, the orders must be
-    the periods (2, 2, 2, 2g), the product must be one, and the words must
-    generate the orientation-preserving half; anything else means the
-    extension is broken and raises InvariantViolation.
+    for kind b).  Each word holds an even number of reflections, so it
+    preserves orientation by the definition of the character.  The orders
+    must be the periods (2, 2, 2, 2g), the product must be one, and the
+    words must generate the orientation-preserving half; anything else
+    means the extension is broken and raises InvariantViolation.
     """
     G = e.group
     elliptic = e.images[: len(e.signature.proper_periods)]
@@ -364,11 +363,6 @@ def restrict_to_index2(e: ExtendedAction) -> tuple:
     )
     product = G.identity
     for p in words:
-        if G.kappa(p) != 1:
-            raise InvariantViolation(
-                f"restriction word {p.name} reverses orientation; the extension"
-                " is broken"
-            )
         product = product * p
     periods = tuple(p.order() for p in words)
     if tuple(sorted(periods)) != (2, 2, 2, 2 * e.g):

@@ -13,10 +13,10 @@ read as the classes' smallest indices (``_class_minima``).
 
 Every closure and homomorphism check goes through one walk of a Cayley graph
 (``_extend_hom``): subgroup closure, extending a generator map in the
-isomorphism and automorphism searches, orientation characters (maps onto C2)
-and the automorphism check of ``semidirect_with_automorphism``.  Each node of
-those searches resumes its parent's walk rather than starting from the
-identity.
+isomorphism and automorphism searches, the automorphism check of
+``semidirect_with_automorphism`` and an extension's orientation character (a
+map onto C2, computed in ``extensions``).  Each node of those searches
+resumes its parent's walk rather than starting from the identity.
 
 Every constructor builds its table with one Cayley-graph fill
 (``_cayley_table``) from its generators' rows, which it reads off what it
@@ -137,9 +137,11 @@ class FiniteGroup:
     constructors compose groups already verified, or permutations.  Names
     are checked to be unique and inverses are computed for every group.
 
-    Element orders, conjugacy classes, the isomorphism invariant and the
-    name lookup are cached on first use; elements are built per call and
-    automorphisms are never stored.
+    The group holds its table and index caches only.  Element orders,
+    conjugacy classes, the isomorphism invariant and the name lookup are
+    cached on first use; elements are built per call and automorphisms are
+    never stored.  An orientation character belongs to an action, not to a
+    group, so ``ExtendedAction`` computes its own from its images.
     """
 
     def __init__(
@@ -182,7 +184,6 @@ class FiniteGroup:
         self._class_of = None
         self._invariant_counts = None
         self._name_to_idx = None
-        self.orientation = None
         if verify:
             self._verify()
 
@@ -343,45 +344,6 @@ class FiniteGroup:
         if self._invariant_counts is None:
             self._invariant_counts = tuple(sorted(Counter(self._signatures()).items()))
         return self._invariant_counts
-
-    # -- orientation character --------------------------------------------
-
-    def attach_orientation(self, generator_signs: dict) -> "FiniteGroup":
-        """Attach the +/-1 character determined by signs on the generators.
-
-        The signs must extend to a homomorphism to {+1, -1}; anything else is
-        rejected.  Attaching the same character twice is a no-op.
-        """
-        signs = {}
-        for key, value in generator_signs.items():
-            idx = key.idx if isinstance(key, GroupElement) else self._index_of_name()[key]
-            if value not in (1, -1):
-                raise ValueError("orientation signs must be +1 or -1")
-            signs[idx] = value
-        missing = [g for g in self._gen_idx if g not in signs]
-        if missing:
-            raise ValueError(f"orientation signs missing for generators {missing}")
-        # a character is a homomorphism onto C2 = {0: +1, 1: -1}
-        pairs = [(g, 0 if sign == 1 else 1) for g, sign in signs.items()]
-        closed = _extend_hom(self._table, _C2_TABLE, pairs)
-        if closed is None:
-            raise GroupConstructionError("orientation signs do not define a character")
-        img, reached = closed
-        if len(reached) != self.order:
-            raise GroupConstructionError("orientation generators do not span the group")
-        new = tuple(1 - 2 * v for v in img)
-        if self.orientation is not None and self.orientation != new:
-            raise GroupConstructionError("conflicting orientation already attached")
-        self.orientation = new
-        return self
-
-    def kappa(self, e: GroupElement) -> int:
-        if self.orientation is None:
-            raise ValueError(f"group {self.name} has no orientation character attached")
-        return self.orientation[e.idx]
-
-
-_C2_TABLE = ((0, 1), (1, 0))
 
 
 def _gather(keys):

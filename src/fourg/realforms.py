@@ -162,7 +162,7 @@ def symmetry_classes_with_ovals(e: ExtendedAction) -> list:
     ovals = Counter()
     for _, image, index in _reflection_records(e):
         ovals[class_of[image.idx]] += index
-    kappa = G.orientation
+    kappa = e.orientation
     reversing = {i for i in range(G.order) if kappa[i] == -1 and G.element_order(i) == 2}
     return [(G.element(i), ovals[class_of[i]]) for i in _class_minima(G, reversing)]
 

@@ -17,6 +17,7 @@ both renderings are byte-stable across runs.
 from __future__ import annotations
 
 from .actions import (
+    DEFAULT_MAX_ORDER,
     EXCEPTIONAL_SURFACE_GENERA,
     QUADRUPLE_FAMILY_GENERA,
     _unique_main_class,
@@ -57,8 +58,6 @@ CATALOGUED_SPORADIC_GENERA = (
     3, 6, 9, 10, 12, 14, 15, 18, 20, 21, 24, 28, 30, 33, 36, 40, 42, 45,
     60, 66, 72, 84, 90, 105, 126, 132, 153, 190, 273, 276, 420, 429, 861,
 )
-
-DEFAULT_MAX_ORDER = 256
 
 
 def _checked(computed, expected) -> dict:

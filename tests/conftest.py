@@ -7,6 +7,11 @@ census bound once per session (a few seconds of signature enumeration);
 ``restricted_vector`` rebuilds an extension's restriction as a vector over
 ``_reference_plus_part``, the reindexed orientation-preserving half that the
 package built before it keyed the restriction words in the extension itself.
+
+``SIGNS`` holds, per extension kind, the generator signs that the package
+once attached to each hand-built target group; ``_reference_orientation``
+extends them to the character that every extension of that kind must
+compute from its own images.
 """
 
 import os
@@ -21,7 +26,7 @@ import fourg
 from fourg.actions import GeneratingVector
 from fourg.errors import InvariantViolation
 from fourg.extensions import restrict_to_index2
-from fourg.groups import FiniteGroup, _gather, _small_generating_set
+from fourg.groups import FiniteGroup, _extend_hom, _gather, _small_generating_set
 from fourg.signatures import sporadic_genera
 
 ACCEPTANCE_FILE = "test_acceptance.py"
@@ -56,19 +61,38 @@ def sporadic_genera_861():
     return tuple(sporadic_genera(861))
 
 
-def _reference_plus_part(G: FiniteGroup) -> FiniteGroup:
+# Generator signs of the chain target (kind a) and the cone target (kind b).
+CHAIN_SIGNS = {"w": -1, "x": -1, "y": -1}
+CONE_SIGNS = {"z": -1, "w": -1, "x": 1}
+SIGNS = {"a": CHAIN_SIGNS, "b": CONE_SIGNS}
+
+
+def _reference_orientation(G: FiniteGroup, signs: dict) -> tuple:
+    """The +/-1 character of G that takes the named generators to ``signs``.
+
+    A homomorphism onto C2 = {0: +1, 1: -1}, extended from the generators as
+    the package's ``attach_orientation`` did; signs that define no character
+    of the whole group raise.
+    """
+    pairs = [(G.generator(name).idx, (1 - sign) // 2) for name, sign in signs.items()]
+    closed = _extend_hom(G._table, ((0, 1), (1, 0)), pairs)
+    if closed is None or len(closed[1]) != G.order:
+        raise ValueError(f"the signs {signs} define no character of {G.name}")
+    return tuple(1 - 2 * v for v in closed[0])
+
+
+def _reference_plus_part(G: FiniteGroup, signs: dict) -> FiniteGroup:
     """The index-2 subgroup of orientation-preserving elements, as a group.
 
-    Its elements are reindexed in increasing parent order.  The result is
-    cached on G and carries ``parent_indices`` (new index -> parent index)
-    and ``from_parent`` (parent index -> new index).
+    The character is ``_reference_orientation(G, signs)``.  Its elements are
+    reindexed in increasing parent order.  The result is cached on G and
+    carries ``parent_indices`` (new index -> parent index) and
+    ``from_parent`` (parent index -> new index).
     """
     cached = getattr(G, "_plus_part", None)
     if cached is not None:
         return cached
-    kappa = G.orientation
-    if kappa is None:
-        raise ValueError(f"group {G.name} has no orientation character attached")
+    kappa = _reference_orientation(G, signs)
     members = frozenset(i for i in range(G.order) if kappa[i] == 1)
     if len(members) * 2 != G.order:
         raise InvariantViolation(
@@ -97,7 +121,7 @@ def restricted_vector():
     """e -> the restriction words of e as a vector over ``_reference_plus_part``."""
 
     def build(e) -> GeneratingVector:
-        plus = _reference_plus_part(e.group)
+        plus = _reference_plus_part(e.group, SIGNS[e.kind])
         images = tuple(plus.element(plus.from_parent[p.idx]) for p in restrict_to_index2(e))
         return GeneratingVector(plus, tuple(x.order() for x in images), images)
 

@@ -193,7 +193,7 @@ class TestClassify:
         # list, no automorphism count and no element objects
         assert set(vars(G)) == {
             "_table", "_names", "name", "_gen_idx", "_inv", "_name_to_idx",
-            "orientation", "_orders", "_classes", "_class_of", "_invariant_counts",
+            "_orders", "_classes", "_class_of", "_invariant_counts",
         }
 
     def test_orbit_covers_all_vectors(self):

@@ -14,6 +14,7 @@ extended-symmetry class.
 """
 
 import json
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -30,13 +31,11 @@ from fourg.actions import (
 from fourg.boundary import (
     ARC_ENDPOINTS,
     DIPOLE_SURFACE,
-    ENDPOINT_NAMES,
     LABEL_DIPOLE,
     LABEL_LOOPS,
     ROSE_SURFACE,
     WIMAN_SURFACE,
     _require_family_vector,
-    _require_three_cycle,
     boundary_description,
     nodal_graph,
 )
@@ -45,6 +44,9 @@ from fourg.extensions import build_extensions
 from fourg.groups import FiniteGroup
 from fourg.realforms import species_set, symmetry_classes_with_ovals
 from fourg.signatures import parse_signature, wiman_quotient_signature
+
+# The three limit surfaces at the ends of the real arcs.
+ENDPOINTS = {DIPOLE_SURFACE, ROSE_SURFACE, WIMAN_SURFACE}
 
 
 def _degree(graph, vertex):
@@ -402,12 +404,6 @@ class TestBoundaryArc:
         with pytest.raises(InvariantViolation, match="labelled"):
             stray = SimpleNamespace(label="c", g=2)
             boundary_description(v, pairs[:2] + [(stray, pairs[2][1])])
-        good = [ARC_ENDPOINTS[label] for label in ("a1", "a2", "b")]
-        _require_three_cycle(good)  # must pass untouched
-        with pytest.raises(InvariantViolation):
-            _require_three_cycle(good[:2] + [frozenset({DIPOLE_SURFACE})])
-        with pytest.raises(InvariantViolation):
-            _require_three_cycle(good[:2] + [frozenset({DIPOLE_SURFACE, "X_Q"})])
 
     def test_json_form(self):
         arc = _arcs(_description(4))["b"]
@@ -447,8 +443,8 @@ class TestBoundaryDescription:
             for arc in bd["arcs"]:
                 for name in arc["endpoints"]:
                     degree[name] = degree.get(name, 0) + 1
-            assert degree == {name: 2 for name in ENDPOINT_NAMES}
-            assert set(bd["endpoints"]) == set(ENDPOINT_NAMES)
+            assert degree == {name: 2 for name in ENDPOINTS}
+            assert set(bd["endpoints"]) == ENDPOINTS
             assert bd["endpoints"][DIPOLE_SURFACE]["label"] == LABEL_DIPOLE
             assert bd["endpoints"][ROSE_SURFACE]["label"] == LABEL_LOOPS
             assert bd["genus"] == g
@@ -460,11 +456,13 @@ class TestBoundaryDescription:
         assert _arcs(bd)["a2"] is bd["arcs"][1]
 
     def test_three_cycle_guard(self):
-        pairs = [frozenset(arc["endpoints"]) for arc in _description(3)["arcs"]]
-        _require_three_cycle(pairs)  # must pass untouched
-        broken = (pairs[0], pairs[0], pairs[2])
-        with pytest.raises(InvariantViolation):
-            _require_three_cycle(broken)
+        # the encoded endpoint pairs tile the three sides of a triangle:
+        # three distinct pairs, and each limit ends exactly two arcs
+        pairs = [ARC_ENDPOINTS[label] for label in ("a1", "a2", "b")]
+        assert ARC_ENDPOINTS.keys() == {"a1", "a2", "b"}
+        assert len(set(pairs)) == 3 and all(len(pair) == 2 for pair in pairs)
+        degree = Counter(name for pair in pairs for name in pair)
+        assert degree == {name: 2 for name in ENDPOINTS}
 
     def test_rejects_inconsistent_assembly(self, monkeypatch):
         three = _pairs(3)

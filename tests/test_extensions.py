@@ -9,7 +9,10 @@ dihedral x C2 for odd g); the orders of zx (4g) and (xz)^g (2, central) in
 that target.
 """
 
+import itertools
+
 import pytest
+from conftest import CHAIN_SIGNS, CONE_SIGNS, SIGNS, _reference_orientation
 
 from fourg.actions import ActionClass, classify, main_action_class
 from fourg.errors import InvariantViolation
@@ -53,10 +56,13 @@ class TestTargets:
             assert recognize(G) == f"dihedral of order {4 * g} x C2"
 
     def test_chain_target_orientation(self):
-        G = chain_target_group(3)
-        for name in ("w", "x", "y"):
-            assert G.kappa(G.generator(name)) == -1
-        assert G.kappa(G.generator("w") * G.generator("x")) == 1
+        # a1 and a2 send reflections onto w, x and y, so their characters
+        # reverse all three and preserve the rotation wx
+        for e in build_extensions(main_action_class(3))[:2]:
+            G, kappa = e.group, e.orientation
+            for name in ("w", "x", "y"):
+                assert kappa[G.generator(name).idx] == -1
+            assert kappa[(G.generator("w") * G.generator("x")).idx] == 1
 
     def test_cone_target_parity_dichotomy(self):
         for g in range(2, 13):
@@ -143,7 +149,6 @@ class TestBuildExtensions:
         first = build_extensions(main_action_class(2))[0]
         G = first.group
         w, x, y = G.generator("w"), G.generator("x"), G.generator("y")
-        assert first.generator_names == ("c0", "c1", "c2", "c3")
         assert first.images[3] == w
         assert first.reflection_cycle == first.images + (x,)
         assert first.connecting_image == G.identity
@@ -151,28 +156,20 @@ class TestBuildExtensions:
         *_, cone = build_extensions(main_action_class(2))
         G = cone.group
         x, z, w = G.generator("x"), G.generator("z"), G.generator("w")
-        assert cone.generator_names == ("a", "c0", "c1", "c2")
         assert cone.images[0] == x
         assert cone.reflection_cycle == (x * w * x, z, w)
         assert cone.connecting_image == x
 
-    def test_str_pinned(self):
-        first, second, cone = build_extensions(main_action_class(2))
-        assert str(first) == (
-            "[a1] (0;+;[-];{(2,2,2,4)}): c0->x, c1->y, c2->(wx)^3x, c3->w"
-        )
-        assert str(second) == (
-            "[a2] (0;+;[-];{(2,2,2,4)}): c0->x, c1->y, c2->(wx)^2*y, c3->w"
-        )
-        assert str(cone) == "[b] (0;+;[2];{(2,4)}): a->x, c0->(zw)^3w, c1->z, c2->w"
-
     def test_orientation_character_on_images(self):
         for g in (2, 3):
             for action in build_extensions(main_action_class(g)):
+                kappa = action.orientation
+                assert len(kappa) == action.group.order
+                assert sorted(kappa) == [-1] * (4 * g) + [1] * (4 * g)
                 for e in action.reflection_cycle:
-                    assert action.group.kappa(e) == -1
+                    assert kappa[e.idx] == -1
                 if action.kind == "b":
-                    assert action.group.kappa(action.images[0]) == 1
+                    assert kappa[action.images[0].idx] == 1
 
     def test_labels_split_by_image_class_spread(self):
         first, second, _ = build_extensions(main_action_class(4))
@@ -197,7 +194,9 @@ class TestExtendedActionValidation:
         G = first.group
         w, x, y = G.generator("w"), G.generator("x"), G.generator("y")
         rotation_like = (w * x) ** 2  # involution but orientation preserving
-        with pytest.raises(InvariantViolation):
+        # every relation holds and the images generate, but c2 = (wx)^2 is
+        # the product of two reflections: no character sends all four to -1
+        with pytest.raises(InvariantViolation, match="no orientation character"):
             ExtendedAction(2, "a", "a1", G, (x, y, rotation_like, w))
 
     def test_cone_wrap_relation_enforced(self):
@@ -217,8 +216,9 @@ class TestExtendedActionValidation:
         rotation = z * w  # orientation preserving, but of order 2g, not 2
         with pytest.raises(InvariantViolation, match="elliptic generator"):
             ExtendedAction(2, "b", "b", G, (rotation, z, z, w))
-        # an orientation-reversing involution in the elliptic slot
-        with pytest.raises(InvariantViolation, match="elliptic generator"):
+        # z, a reflection of b, in the elliptic slot: the connecting image
+        # becomes z, and c2 = w is not the conjugate of c0 by it
+        with pytest.raises(InvariantViolation, match="wrapped reflection"):
             ExtendedAction(2, "b", "b", G, (z, x * w * x, z, w))
 
     def test_non_generating_images_rejected(self):
@@ -231,6 +231,46 @@ class TestExtendedActionValidation:
                 2, "b", "b", G,
                 (((z * w) ** 2), z, w, ((z * w) ** 2) * z * ((z * w) ** 2)),
             )
+
+
+class TestOrientationFromImages:
+    """Each extension's character, computed from its own images."""
+
+    def test_character_matches_the_reference_signs(self):
+        # the signs once attached to each hand-built target, extended to the
+        # whole group, are the character each extension reads off its images
+        for g in range(2, 31):
+            for e in build_extensions(main_action_class(g)):
+                assert e.orientation == _reference_orientation(e.group, SIGNS[e.kind]), (
+                    g, e.label,
+                )
+
+    def test_every_involution_tuple_at_genus_two(self):
+        # a tuple is accepted when it satisfies the relations, generates, and
+        # its images define a character, whichever index-2 subgroup that
+        # character preserves; every accepted tuple restricts into the main class
+        main = main_action_class(2)
+        for kind, label, G, count, accepted in (
+            ("a", "a1", chain_target_group(2), 11, 192),
+            ("b", "b", cone_target_group(2), 9, 32),
+        ):
+            involutions = [G.element(i) for i in range(G.order) if G.element_order(i) == 2]
+            assert len(involutions) == count
+            found = []
+            for t in itertools.product(involutions, repeat=4):
+                try:
+                    found.append(ExtendedAction(2, kind, label, G, t))
+                except InvariantViolation:
+                    pass
+            assert len(found) == accepted, kind
+            assert all(main.contains(restrict_to_index2(e)) for e in found), kind
+        # one of them: its character preserves w, which the chain target's
+        # reference signs reverse
+        G = chain_target_group(2)
+        w, x, y = G.generator("w"), G.generator("x"), G.generator("y")
+        e = ExtendedAction(2, "a", "a1", G, (x, y, (w * x) ** 2 * y, w * y))
+        assert e.orientation[w.idx] == 1
+        assert _reference_orientation(G, CHAIN_SIGNS)[w.idx] == -1
 
 
 class TestRestriction:
@@ -292,13 +332,6 @@ class TestRestriction:
         moved = action.reflection_cycle[:-1] + ((w * x) ** 2 * x,)
         monkeypatch.setattr(ExtendedAction, "reflection_cycle", property(lambda e: moved))
         with pytest.raises(InvariantViolation, match="multiply to one"):
-            restrict_to_index2(action)
-
-    def test_restriction_words_must_preserve_orientation(self, monkeypatch):
-        action = build_extensions(main_action_class(4))[0]
-        moved = action.reflection_cycle[:-1] + (action.group.identity,)
-        monkeypatch.setattr(ExtendedAction, "reflection_cycle", property(lambda e: moved))
-        with pytest.raises(InvariantViolation, match="reverses orientation"):
             restrict_to_index2(action)
 
 
@@ -379,7 +412,7 @@ def _reference_chain_tuples(G: FiniteGroup, g: int) -> list:
     generation per tuple, kept verbatim as the oracle for the admissible set.
     """
     n = G.order
-    kappa = G.orientation
+    kappa = _reference_orientation(G, CHAIN_SIGNS)
     order_of = G.element_order
     table = G._table
     mirrors = [i for i in range(n) if order_of(i) == 2 and kappa[i] == -1]
@@ -411,7 +444,7 @@ def _reference_cone_tuples(G: FiniteGroup, g: int) -> list:
     The enumerator before the orbit certificate, kept verbatim.
     """
     n = G.order
-    kappa = G.orientation
+    kappa = _reference_orientation(G, CONE_SIGNS)
     order_of = G.element_order
     table = G._table
     rotations = [i for i in range(n) if order_of(i) == 2 and kappa[i] == 1]
@@ -490,7 +523,7 @@ def _reference_admissible_chain_tuples(G: FiniteGroup, g: int) -> list:
     The kind-a enumerator before the signature-driven one, kept verbatim.
     """
     n = G.order
-    kappa = G.orientation
+    kappa = _reference_orientation(G, CHAIN_SIGNS)
     order_of = G.element_order
     table = G._table
     mirrors = [i for i in range(n) if order_of(i) == 2 and kappa[i] == -1]
@@ -525,7 +558,7 @@ def _reference_admissible_cone_tuples(G: FiniteGroup, g: int) -> list:
     The kind-b enumerator before the signature-driven one, kept verbatim.
     """
     n = G.order
-    kappa = G.orientation
+    kappa = _reference_orientation(G, CONE_SIGNS)
     order_of = G.element_order
     table = G._table
     rotations = [i for i in range(n) if order_of(i) == 2 and kappa[i] == 1]

@@ -15,11 +15,12 @@ from functools import cache
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import _reference_orientation
 
 from fourg import groups
-from fourg.actions import family_group
+from fourg.actions import family_group, main_action_class
 from fourg.errors import GroupConstructionError, InputFormatError, InvariantViolation
-from fourg.extensions import chain_target_group, cone_target_group
+from fourg.extensions import build_extensions, chain_target_group, cone_target_group
 from fourg.groups import (
     COMPLETE_CATALOG_ORDERS,
     FiniteGroup,
@@ -510,14 +511,15 @@ class TestExtensionGroupB:
 
     @pytest.mark.parametrize("g", [2, 3, 4, 5])
     def test_orientation_character(self, g):
-        G = cone_target_group(g)
-        assert G.kappa(G.generator("z")) == -1
-        assert G.kappa(G.generator("w")) == -1
-        assert G.kappa(G.generator("x")) == 1
-        assert G.kappa(G.generator("z") * G.generator("w")) == 1
+        # the character b reads off its images (x, xwx, z, w)
+        b = build_extensions(main_action_class(g))[2]
+        G, kappa = b.group, b.orientation
+        z, w = G.generator("z"), G.generator("w")
+        assert kappa[z.idx] == kappa[w.idx] == -1
+        assert kappa[G.generator("x").idx] == 1
+        assert kappa[(z * w).idx] == 1
         # exactly half the elements reverse orientation
-        reversing = [i for i in range(G.order) if G.orientation[i] == -1]
-        assert len(reversing) == 4 * g
+        assert kappa.count(-1) == 4 * g
 
     def test_shape_depends_on_parity(self):
         assert recognize(cone_target_group(2)) == "dihedral of order 16"
@@ -528,32 +530,6 @@ class TestExtensionGroupB:
         assert is_isomorphic(
             cone_target_group(3), direct_product(dihedral(12), cyclic(2))
         )
-
-
-class TestOrientationCharacter:
-    def test_valid_character(self):
-        G = dihedral(8)
-        G.attach_orientation({"D": 1, "A": -1})
-        assert G.kappa(G.generator("D")) == 1
-        assert G.kappa(G.generator("DA")) == -1
-        # re-attaching the same character is fine
-        G.attach_orientation({"D": 1, "A": -1})
-
-    def test_invalid_character_rejected(self):
-        G = cyclic(3)
-        with pytest.raises(GroupConstructionError):
-            G.attach_orientation({"c": -1})
-
-    def test_conflicting_reattach_rejected(self):
-        G = dihedral(8)
-        G.attach_orientation({"D": 1, "A": -1})
-        with pytest.raises(GroupConstructionError):
-            G.attach_orientation({"D": -1, "A": -1})
-
-    def test_unattached_raises(self):
-        G = cyclic(4)
-        with pytest.raises(ValueError):
-            G.kappa(G.identity)
 
 
 # ---------------------------------------------------------------------------
@@ -1493,11 +1469,9 @@ class TestAutomorphisms:
 
     def test_preserves_character(self):
         G = dihedral(8)
-        G.attach_orientation({"D": 1, "A": -1})
+        kappa = _reference_orientation(G, {"D": 1, "A": -1})
         auts = automorphism_search(G)
-        preserving = [
-            a for a in auts if all(G.orientation[a[i]] == G.orientation[i] for i in range(8))
-        ]
+        preserving = [a for a in auts if all(kappa[a[i]] == kappa[i] for i in range(8))]
         # D -> D^{+-1}, A -> (rotation)*A all fix this character
         assert len(preserving) == 8
 

@@ -14,6 +14,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import pytest
+from conftest import SIGNS, _reference_orientation
 
 from fourg.actions import main_action_class
 from fourg.errors import InvariantViolation
@@ -56,10 +57,12 @@ def _reference_symmetry_classes(e: ExtendedAction) -> list:
     """The classes without ovals, as built before they carried their ovals.
 
     Kept verbatim except that each class is a test-local (action,
-    representative) pair, since a class is now returned with its ovals.
+    representative) pair, since a class is now returned with its ovals, and
+    that the character is the reference one of the extension's kind, since
+    the target group no longer carries one.
     """
     G = e.group
-    kappa = G.orientation
+    kappa = _reference_orientation(G, SIGNS[e.kind])
     reversing = {i for i in range(G.order) if kappa[i] == -1 and G.element_order(i) == 2}
     return [_ReferenceClass(e, G.element(i)) for i in _class_minima(G, reversing)]
 
@@ -122,8 +125,9 @@ class TestSymmetryClasses:
         rep, _ = class_by_element(first, G.generator("y"))
         assert G.class_size(rep.idx) == 1  # y is central
         # every representative is an orientation-reversing involution
+        kappa = _reference_orientation(G, SIGNS[first.kind])
         for rep, ovals in symmetry_classes_with_ovals(first):
-            assert (rep.group, rep.order(), G.kappa(rep)) == (G, 2, -1)
+            assert (rep.group, rep.order(), kappa[rep.idx]) == (G, 2, -1)
             assert isinstance(ovals, int) and ovals >= 0
 
 
