@@ -30,7 +30,6 @@ that enumerated count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GroupConstructionError, InvariantViolation
@@ -41,6 +40,7 @@ from .groups import (
     _automorphism_count,
     _cayley_key,
     _class_minima,
+    _closure,
     automorphism_search,
     cyclic,
     dihedral,
@@ -70,7 +70,6 @@ QUADRUPLE_FAMILY_GENERA = (3, 6, 15)
 DEFAULT_MAX_ORDER = 256
 
 
-@dataclass(frozen=True)
 class GeneratingVector:
     """Images of the canonical elliptic generators of a genus-0 group.
 
@@ -79,28 +78,26 @@ class GeneratingVector:
     what makes the kernel torsion-free), and the images generate the group.
     """
 
-    group: FiniteGroup
-    periods: tuple
-    images: tuple
+    __slots__ = ("group", "periods", "images")
 
-    def __post_init__(self):
-        if len(self.periods) != len(self.images):
+    def __init__(self, group: FiniteGroup, periods: tuple, images: tuple):
+        if len(periods) != len(images):
             raise InvariantViolation("periods and images must have equal length")
-        prod = self.group.identity
-        for e in self.images:
-            if not isinstance(e, GroupElement) or e.group is not self.group:
+        prod = group.identity
+        for e in images:
+            if not isinstance(e, GroupElement) or e.group is not group:
                 raise InvariantViolation("images must belong to the target group")
             prod = prod * e
-        if prod != self.group.identity:
+        if prod != group.identity:
             raise InvariantViolation("product of images must be the identity")
-        for e, m in zip(self.images, self.periods):
+        for e, m in zip(images, periods):
             if e.order() != m:
                 raise InvariantViolation(
                     f"image {e.name} has order {e.order()}, period demands {m}"
                 )
-        span = self.group._closure_idx([e.idx for e in self.images])
-        if len(span) != self.group.order:
+        if len(_closure(group._table, [e.idx for e in images])) != group.order:
             raise InvariantViolation("images do not generate the whole group")
+        self.group, self.periods, self.images = group, periods, images
 
     @property
     def indices(self) -> tuple:
@@ -168,7 +165,7 @@ def _vector_iter(G: FiniteGroup, periods):
                 last = inv[row[c]]
                 if orders[last] == last_period:
                     tup = prefix + (c, last)
-                    if len(G._closure_idx(tup)) == n:
+                    if len(_closure(table, tup)) == n:
                         yield tup
             return
         for c in choices[pos]:
@@ -226,7 +223,6 @@ def _orbit(G: FiniteGroup, start: tuple) -> dict:
     return members
 
 
-@dataclass(frozen=True)
 class ActionClass:
     """A topological equivalence class of generating vectors.
 
@@ -238,9 +234,10 @@ class ActionClass:
     ``classify``, which counts Aut(G) once per call.
     """
 
-    group: FiniteGroup
-    members: dict
-    size: int
+    __slots__ = ("group", "members", "size")
+
+    def __init__(self, group: FiniteGroup, members: dict, size: int):
+        self.group, self.members, self.size = group, members, size
 
     def contains(self, images) -> bool:
         """Class membership of a tuple of elements, by its Cayley key.

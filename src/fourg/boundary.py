@@ -23,8 +23,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .actions import GeneratingVector
+from .actions import GeneratingVector, _orbit
 from .errors import InvariantViolation
+from .groups import _cayley_key
 from .signatures import INF, SIGN_PLUS, Signature, normalized_area, wiman_quotient_signature
 
 __all__ = [
@@ -155,22 +156,37 @@ def nodal_graph(v: GeneratingVector, which: int) -> dict:
 # The three real arcs and their limit surfaces.
 
 
+def _canonical_member(v: GeneratingVector, g: int) -> GeneratingVector:
+    """(A, D^(g+1)A, D^g, D) in v's group; A inverts D, so <A, D> is all of it."""
+    G, D = v.group, v.images[3]
+    A = next((t for t in v.images[:3] if t * D * t == D.inverse()), None)
+    if A is not None:
+        canonical = GeneratingVector(G, v.periods, (A, D ** (g + 1) * A, D ** g, D))
+        key = _cayley_key(G._table, canonical.indices)
+        if key == _cayley_key(G._table, v.indices) or key in _orbit(G, v.indices):
+            return canonical
+    raise ValueError(f"the family vector is not in the main class of genus {g}")
+
+
 def boundary_description(v: GeneratingVector, arcs) -> dict:
     """Assemble the annotated arc loop bounding the family of ``v``.
 
-    ``v`` is the family vector whose nodal limits are the two nodal
-    endpoints; its genus is the family's.  Its two pinching systems must
-    give one dipole and one rose of loops, in either order, since which
-    system gives which depends on the representative; any other pair is a
-    ValueError.  ``arcs`` holds one ``(e, species)`` pair per
-    extended-symmetry class, in the order a1, a2, b that
-    :func:`build_extensions` certifies, where ``species`` is the tuple
-    :func:`species_set` built for the extension ``e``; another order is an
-    InvariantViolation and an extension of another genus a ValueError.  Each
-    arc joins a fixed pair of limits: the first chain class joins the two
-    nodal limits, the second chain class joins the rose to the
-    high-symmetry curve, and the mixed class joins the dipole to the
-    high-symmetry curve, so every limit ends two arcs and the loop closes.
+    ``v`` is a vector of the main class on (2, 2, 2, 2g); its genus is the
+    family's.  Some representatives pinch to the rose twice, so both nodal
+    endpoints are read off the class's canonical member, rebuilt in v's
+    group from its image D of order 2g and its first image A inverting D.
+    v's braid orbit must hold that member's Cayley key, walked only when v
+    has another key; otherwise, or when the member does not pinch to a
+    dipole and then to a rose of loops, it is a ValueError.
+    ``arcs`` holds one ``(e, species)`` pair per extended-symmetry class,
+    in the order a1, a2, b that :func:`build_extensions` certifies, where
+    ``species`` is the tuple :func:`species_set` built for the extension
+    ``e``; another order is an InvariantViolation and an extension of
+    another genus a ValueError.  Each arc joins a fixed pair of limits: the
+    first chain class joins the two nodal limits, the second chain class
+    joins the rose to the high-symmetry curve, and the mixed class joins
+    the dipole to the high-symmetry curve, so every limit ends two arcs and
+    the loop closes.
 
     The result is ``{"genus": g, "arcs": [...], "endpoints": {...}}``.  An
     arc is ``{"label", "species", "endpoints"}`` with the signed species
@@ -191,12 +207,13 @@ def boundary_description(v: GeneratingVector, arcs) -> dict:
                 f"arc {e.label} carries a genus-{e.g} species;"
                 f" the family vector has genus {g}"
             )
-    graphs = [nodal_graph(v, 1), nodal_graph(v, 2)]
-    by_label = {graph["label"]: graph for graph in graphs}
-    if set(by_label) != {LABEL_DIPOLE, LABEL_LOOPS}:
+    canonical = _canonical_member(v, g)
+    dipole, rose = nodal_graph(canonical, 1), nodal_graph(canonical, 2)
+    labels = (dipole["label"], rose["label"])
+    if labels != (LABEL_DIPOLE, LABEL_LOOPS):
         raise ValueError(
-            "the family vector must pinch to one dipole and one rose of loops,"
-            f" got {tuple(graph['label'] for graph in graphs)}"
+            "the canonical member must pinch to a dipole and a rose of loops,"
+            f" got {labels}"
         )
     return {
         "genus": g,
@@ -209,8 +226,8 @@ def boundary_description(v: GeneratingVector, arcs) -> dict:
             for e, species in arcs
         ],
         "endpoints": {
-            DIPOLE_SURFACE: by_label[LABEL_DIPOLE],
-            ROSE_SURFACE: by_label[LABEL_LOOPS],
+            DIPOLE_SURFACE: dipole,
+            ROSE_SURFACE: rose,
             WIMAN_SURFACE: {
                 "equation": f"w^2 = z(z^{2 * g} - 1)",
                 "automorphisms": 48 if g == 2 else 8 * g,

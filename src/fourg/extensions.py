@@ -37,14 +37,13 @@ index-2 half the words generate, so they key against the main class directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .actions import ActionClass, kernel_genus
 from .errors import InvariantViolation
 from .groups import (
     FiniteGroup,
     GroupElement,
     _cayley_key,
+    _closure,
     _extend_hom,
     cyclic,
     dihedral_from_reflections,
@@ -103,7 +102,6 @@ def cone_target_group(g: int) -> FiniteGroup:
 _C2_TABLE = ((0, 1), (1, 0))
 
 
-@dataclass(frozen=True)
 class ExtendedAction:
     """A boundary epimorphism from a mirror signature group onto an order-8g group.
 
@@ -122,21 +120,15 @@ class ExtendedAction:
     rejected.
     """
 
-    g: int
-    kind: str
-    label: str
-    group: FiniteGroup
-    images: tuple
-    orientation: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("g", "kind", "label", "group", "images", "orientation")
 
-    def __post_init__(self):
-        g = self.g
-        group = self.group
+    def __init__(self, g: int, kind: str, label: str, group: FiniteGroup, images: tuple):
+        self.g, self.kind, self.label, self.group, self.images = g, kind, label, group, images
         sig = self.signature
         periods, (links,) = sig.proper_periods, sig.period_cycles
-        if len(self.images) != len(periods) + len(links) + (len(periods) > 0):
+        if len(images) != len(periods) + len(links) + (len(periods) > 0):
             raise InvariantViolation("one image per canonical generator is required")
-        for e in self.images:
+        for e in images:
             if not isinstance(e, GroupElement) or e.group is not group:
                 raise InvariantViolation("images must belong to the target group")
         if group.order != 8 * g:
@@ -144,7 +136,7 @@ class ExtendedAction:
                 f"target group has order {group.order}, expected {8 * g}"
             )
         cycle = self.reflection_cycle
-        for m, x in zip(periods, self.images):
+        for m, x in zip(periods, images):
             if x.order() != m:
                 raise InvariantViolation(
                     f"the elliptic generator must map to an element of order {m}"
@@ -165,19 +157,18 @@ class ExtendedAction:
                 "the wrapped reflection must be the conjugate of c0 by the"
                 " connecting generator"
             )
-        span = group._closure_idx([e.idx for e in self.images])
-        if len(span) != group.order:
+        if len(_closure(group._table, [e.idx for e in images])) != group.order:
             raise InvariantViolation("images do not generate the full target group")
         r = len(periods)
-        pairs = [(x.idx, 0) for x in self.images[:r]]
-        pairs += [(c.idx, 1) for c in self.images[r:]]
+        pairs = [(x.idx, 0) for x in images[:r]]
+        pairs += [(c.idx, 1) for c in images[r:]]
         closed = _extend_hom(group._table, _C2_TABLE, pairs)
         if closed is None:
             raise InvariantViolation(
                 "no orientation character sends the elliptic images to +1"
                 " and the reflection images to -1"
             )
-        object.__setattr__(self, "orientation", tuple(1 - 2 * v for v in closed[0]))
+        self.orientation = tuple(1 - 2 * v for v in closed[0])
         if kernel_genus(group.order, sig) != g:
             raise InvariantViolation("kernel genus does not match g")
 
@@ -372,7 +363,7 @@ def restrict_to_index2(e: ExtendedAction) -> tuple:
         )
     if product != G.identity:
         raise InvariantViolation("the restriction words do not multiply to one")
-    if 2 * len(G._closure_idx([p.idx for p in words])) != G.order:
+    if 2 * len(_closure(G._table, [p.idx for p in words])) != G.order:
         raise InvariantViolation(
             "the restriction words do not generate the orientation-preserving half"
         )

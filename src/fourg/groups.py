@@ -263,7 +263,7 @@ class FiniteGroup:
         ident = tuple(range(n))
         if tuple(table[0]) != ident or tuple(row[0] for row in table) != ident:
             raise GroupConstructionError("index 0 is not a two-sided identity")
-        reached = self._closure_idx(self._gen_idx)
+        reached = _closure(table, self._gen_idx)
         if len(reached) != n:
             raise GroupConstructionError(
                 f"declared generators span only {len(reached)} of {n} elements"
@@ -279,13 +279,9 @@ class FiniteGroup:
 
     # -- subgroup machinery ------------------------------------------------
 
-    def _closure_idx(self, gen_indices) -> set:
-        """Indices of the subgroup generated by the given element indices."""
-        return _closure(self._table, gen_indices)
-
     def subgroup(self, elements) -> frozenset:
         """Element indices of the subgroup generated by the given elements."""
-        return frozenset(self._closure_idx([e.idx for e in elements]))
+        return frozenset(_closure(self._table, [e.idx for e in elements]))
 
     def centralizer(self, e: GroupElement) -> frozenset:
         """Element indices of the centralizer of e."""

@@ -9,7 +9,6 @@ quantities (normalized areas) are computed as exact ``Fraction`` values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputFormatError
@@ -51,45 +50,42 @@ def _period_text(value) -> str:
     return "inf" if value is INF else str(value)
 
 
-@dataclass(frozen=True)
 class Signature:
-    """Immutable signature; proper periods are kept sorted ascending.
+    """A signature, equal and hashed by its four fields; proper periods are
+    kept sorted ascending.  Nothing reassigns a field after construction.
 
     Period cycles keep the order they were given in, since reflections in a
     cycle are only identified up to cyclic rotation and reversal and callers
     track that themselves where it matters.
     """
 
-    genus: int
-    sign: str
-    proper_periods: tuple = ()
-    period_cycles: tuple = ()
+    __slots__ = ("genus", "sign", "proper_periods", "period_cycles")
 
-    def __post_init__(self):
-        if not isinstance(self.genus, int) or isinstance(self.genus, bool) or self.genus < 0:
-            raise ValueError(f"genus must be a non-negative integer, got {self.genus!r}")
-        if self.sign not in (SIGN_PLUS, SIGN_MINUS):
-            raise ValueError(f"sign must be '+' or '-', got {self.sign!r}")
-        periods = tuple(sorted(self.proper_periods, key=_period_key))
+    def __init__(self, genus: int, sign: str, proper_periods=(), period_cycles=()):
+        if not isinstance(genus, int) or isinstance(genus, bool) or genus < 0:
+            raise ValueError(f"genus must be a non-negative integer, got {genus!r}")
+        if sign not in (SIGN_PLUS, SIGN_MINUS):
+            raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+        periods = tuple(sorted(proper_periods, key=_period_key))
         for m in periods:
             if not is_period(m):
                 raise ValueError(f"proper period {m!r} is not an integer >= 2 or inf")
-        cycles = tuple(tuple(cycle) for cycle in self.period_cycles)
+        cycles = tuple(tuple(cycle) for cycle in period_cycles)
         for cycle in cycles:
             for n in cycle:
                 if n is INF or not is_period(n):
                     raise ValueError(f"link period {n!r} is not an integer >= 2")
-        object.__setattr__(self, "proper_periods", periods)
-        object.__setattr__(self, "period_cycles", cycles)
+        self.genus, self.sign = genus, sign
+        self.proper_periods, self.period_cycles = periods, cycles
 
-    @property
-    def epsilon(self) -> int:
-        """2 for an orientable quotient, 1 otherwise."""
-        return 2 if self.sign == SIGN_PLUS else 1
+    def _fields(self) -> tuple:
+        return (self.genus, self.sign, self.proper_periods, self.period_cycles)
 
-    @property
-    def num_cycles(self) -> int:
-        return len(self.period_cycles)
+    def __eq__(self, other):
+        return other.__class__ is Signature and self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
     def __str__(self) -> str:
         """Canonical text form, e.g. ``(0;+;[2,2,2,4];{-})``."""
@@ -214,11 +210,13 @@ def normalized_area(sig: Signature) -> Fraction:
 
         area = eps*h - 2 + k + sum(1 - 1/m_i) + (1/2) * sum(1 - 1/n_ij)
 
+    with eps 2 for an orientable quotient and 1 otherwise, and k cycles.
     A parabolic period ``INF`` counts 1 - 1/inf = 1, which gives the finite
     area of a quotient with cusps, e.g. 1/6 for the modular group
     ``(0;+;[2,3,inf])``.
     """
-    total = Fraction(sig.epsilon * sig.genus - 2 + sig.num_cycles)
+    eps = 2 if sig.sign == SIGN_PLUS else 1
+    total = Fraction(eps * sig.genus - 2 + len(sig.period_cycles))
     for m in sig.proper_periods:
         total += 1 if m is INF else 1 - Fraction(1, m)
     for cycle in sig.period_cycles:

@@ -19,6 +19,7 @@ from fourg.errors import InvariantViolation
 from fourg.groups import (
     FiniteGroup,
     _automorphism_count,
+    _closure,
     automorphism_search,
     cyclic,
     dicyclic,
@@ -265,7 +266,7 @@ def _reference_smooth_vectors(G: FiniteGroup, periods):
             if G.element_order(last) != last_period:
                 return
             tup = prefix + (last,)
-            if len(G._closure_idx(tup)) == n:
+            if len(_closure(G._table, tup)) == n:
                 tuples.append(tup)
             return
         for c in by_order[periods[pos]]:

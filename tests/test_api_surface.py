@@ -9,9 +9,9 @@ method as an attribute only, since a bare name of the same spelling is a
 local variable or a function.  An import is not a use.  Tests do not
 count: a definition only tests call is dead code.
 
-Every field of a public dataclass must be read as an attribute somewhere in
-``src/fourg`` or ``demos/``: a field nothing reads is data built for no
-reader.
+Every field of a public class, a dataclass field or a ``__slots__`` entry,
+must be read as an attribute somewhere in ``src/fourg`` or ``demos/``: a
+field nothing reads is data built for no reader.
 
 Every name in a module's ``__all__`` must be bound in that module.
 
@@ -65,17 +65,30 @@ def _is_dataclass(decorator) -> bool:
     return name == "dataclass"
 
 
-def _dataclass_fields(tree):
-    """(qualified name, field name) for each field of a public dataclass."""
+def _slots(member) -> tuple:
+    """The entries of a ``__slots__ = ...`` assignment; () for any other member."""
+    if not (
+        isinstance(member, ast.Assign)
+        and [getattr(t, "id", None) for t in member.targets] == ["__slots__"]
+    ):
+        return ()
+    value = ast.literal_eval(member.value)
+    return (value,) if isinstance(value, str) else tuple(value)
+
+
+def _public_fields(tree):
+    """(qualified name, field name) for each field of a public class: each
+    annotated field of a dataclass and each ``__slots__`` entry."""
     for node in tree.body:
-        if (
-            isinstance(node, ast.ClassDef)
-            and not node.name.startswith("_")
-            and any(_is_dataclass(d) for d in node.decorator_list)
-        ):
-            for member in node.body:
-                if isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
-                    yield f"{node.name}.{member.target.id}", member.target.id
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        dataclass = any(_is_dataclass(d) for d in node.decorator_list)
+        for member in node.body:
+            annotated = isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name)
+            if dataclass and annotated:
+                yield f"{node.name}.{member.target.id}", member.target.id
+            for field in _slots(member):
+                yield f"{node.name}.{field}", field
 
 
 def _attribute_reads(node) -> Counter:
@@ -115,7 +128,7 @@ def _unused_names(trees):
             own = _referenced_names(node, attributes_only=method)[short]
             if uses[short] - own <= 0:
                 unused.append(f"{path.stem}.{qualified}")
-        for qualified, field in _dataclass_fields(tree):
+        for qualified, field in _public_fields(tree):
             if not reads[field]:
                 unused.append(f"{path.stem}.{qualified}")
     return sorted(unused)
@@ -184,6 +197,54 @@ def make(checked):
     trees = {PACKAGE / "synthetic.py": ast.parse(source)}
     # ``make`` itself has no caller
     assert _unused_names(trees) == ["synthetic.Record.stale", "synthetic.make"]
+
+
+def test_scan_flags_slots_nothing_reads():
+    # a slot counts as used only where it is read as an attribute; the
+    # assignments in ``__init__`` are writes, and a private class's slots
+    # are not scanned
+    source = """
+class Record:
+    __slots__ = ("shown", "checked", "stale")
+
+    def __init__(self, shown, checked):
+        self.shown = shown
+        self.checked = checked
+        self.stale = None
+
+    def render(self):
+        return str(self.shown)
+
+class Single:
+    __slots__ = "unread"
+
+class _Scratch:
+    __slots__ = ("unread",)
+
+def make(checked):
+    record = Record(1, checked)
+    return record.render() + str(record.checked) + str(Single) + str(_Scratch)
+"""
+    trees = {PACKAGE / "synthetic.py": ast.parse(source)}
+    # ``make`` itself has no caller
+    assert _unused_names(trees) == [
+        "synthetic.Record.stale",
+        "synthetic.Single.unread",
+        "synthetic.make",
+    ]
+
+
+def test_scan_sees_the_slots_of_the_package():
+    fields = set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        fields.update(f"{path.stem}.{qualified}" for qualified, _ in _public_fields(tree))
+    assert {
+        "signatures.Signature.period_cycles",
+        "actions.ActionClass.size",
+        "extensions.ExtendedAction.orientation",
+        "groups.GroupElement.idx",
+    } <= fields
 
 
 def test_every_public_name_is_used_outside_the_tests():

@@ -469,22 +469,57 @@ class TestBoundaryDescription:
         with pytest.raises(InvariantViolation):
             boundary_description(canonical_vector(3), (three[1], three[0], three[2]))
         # a family vector whose first system pinches to the rose and whose
-        # second pinches to a dipole: the graphs are keyed by their computed
-        # labels, so it bounds the same loop as the canonical vector
+        # second pinches to a dipole bounds the same loop as the canonical
+        # vector
         G = family_group(3)
         D, A = G.generator("D"), G.generator("A")
         v = GeneratingVector(G, (2, 2, 2, 6), (D ** 3, A, D ** 4 * A, D))
         assert boundary_description(v, three) == _description(3)
-        # a family vector both of whose systems pinch to the rose
+        # a family vector both of whose systems pinch to the rose: the
+        # graphs are read off the class's canonical member, so it bounds the
+        # same loop too
         v = GeneratingVector(G, (2, 2, 2, 6), (A, D ** 3, D ** 2 * A, D ** 5))
-        with pytest.raises(ValueError, match=r"got \('loops', 'loops'\)"):
-            boundary_description(v, three)
+        assert [nodal_graph(v, w)["label"] for w in (1, 2)] == [LABEL_LOOPS] * 2
+        assert boundary_description(v, three) == _description(3)
         # no smooth family vector pinches to two dipoles, so that pair is
         # reached by handing the dipole out for both systems
         real = boundary.nodal_graph
         monkeypatch.setattr(boundary, "nodal_graph", lambda v, which: real(v, 1))
         with pytest.raises(ValueError, match=r"got \('dipole', 'dipole'\)"):
             boundary_description(canonical_vector(3), three)
+
+    @pytest.mark.parametrize("g", [3, 4, 5, 6])
+    def test_every_family_vector_bounds_the_canonical_loop(self, g):
+        # the boundary is a property of the family: every smooth vector of
+        # the dihedral group, whatever its own systems pinch to, describes it
+        G = family_group(g)
+        pairs = _pairs(g)
+        expected = boundary_description(canonical_vector(g), pairs)
+        found = smooth_vectors(G, (2, 2, 2, 2 * g))
+        assert len(found) == {3: 20, 4: 48, 5: 56, 6: 64}[g]
+        for t in found:
+            v = GeneratingVector(G, (2, 2, 2, 2 * g), tuple(G.element(i) for i in t))
+            assert boundary_description(v, pairs) == expected
+
+    def test_walks_an_orbit_only_off_the_canonical_key(self, monkeypatch):
+        three = _pairs(3)
+        expected = _description(3)
+        G = family_group(3)
+        D, A = G.generator("D"), G.generator("A")
+        other = GeneratingVector(G, (2, 2, 2, 6), (A, D ** 3, D ** 2 * A, D ** 5))
+        walked = []
+        real = boundary._orbit
+        monkeypatch.setattr(
+            boundary, "_orbit", lambda G, t: walked.append(t) or real(G, t)
+        )
+        assert boundary_description(canonical_vector(3), three) == expected
+        assert walked == []
+        assert boundary_description(other, three) == expected
+        assert walked == [other.indices]
+        # an orbit without the canonical key is outside the main class
+        monkeypatch.setattr(boundary, "_orbit", lambda G, t: {})
+        with pytest.raises(ValueError, match="not in the main class of genus 3"):
+            boundary_description(other, three)
 
     def test_json_is_deterministic(self):
         first = json.dumps(_description(4), sort_keys=True)

@@ -59,6 +59,24 @@ def _assert_stdout_digests(tmp_path, cases):
         assert hashlib.sha256(outputs[0]).hexdigest() == digest, args
 
 
+class TestColdImport:
+    def test_import_adds_neither_dataclasses_nor_inspect(self, tmp_path):
+        # every command pays the import; compared with a bare interpreter in
+        # the same environment, since ``site`` may import modules of its own
+        src = str(Path(fourg.__file__).resolve().parents[1])
+        loaded = []
+        for statement in ("pass", "import fourg.cli"):
+            run = subprocess.run(
+                [sys.executable, "-c", f"import sys; {statement}; print(*sys.modules)"],
+                cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+                capture_output=True, check=True, text=True,
+            )
+            loaded.append(set(run.stdout.split()))
+        bare, imported = loaded
+        assert "fourg.cli" in imported - bare
+        assert not {"dataclasses", "inspect"} & (imported - bare)
+
+
 class TestExitCodes:
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == EXIT_USAGE

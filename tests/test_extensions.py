@@ -33,6 +33,7 @@ from fourg.groups import (
     FiniteGroup,
     _cayley_key,
     _class_minima,
+    _closure,
     _extend_hom,
     close_generator_map,
     cyclic,
@@ -433,7 +434,7 @@ def _reference_chain_tuples(G: FiniteGroup, g: int) -> list:
                         continue
                     if order_of(table[r3][r0]) != target:
                         continue
-                    if len(G._closure_idx((r0, r1, r2, r3))) == n:
+                    if len(_closure(G._table, (r0, r1, r2, r3))) == n:
                         found.append((r0, r1, r2, r3))
     return found
 
@@ -461,7 +462,7 @@ def _reference_cone_tuples(G: FiniteGroup, g: int) -> list:
                     continue
                 if order_of(table[c1][c2]) != target:
                     continue
-                if len(G._closure_idx((a, c0, c1))) == n:
+                if len(_closure(G._table, (a, c0, c1))) == n:
                     found.append((a, c0, c1, c2))
     return found
 

@@ -768,7 +768,7 @@ def _reference_verify(self):
     if table[0] != list(range(n)) or any(table[i][0] != i for i in range(n)):
         raise GroupConstructionError("index 0 is not a two-sided identity")
     gens = list(self._gen_idx)
-    reached = self._closure_idx(gens)
+    reached = groups._closure(table, gens)
     if len(reached) != n:
         raise GroupConstructionError(
             f"declared generators span only {len(reached)} of {n} elements"
@@ -1644,7 +1644,7 @@ def _reference_index_two_subgroups(G: FiniteGroup):
         gens.add(table[a][a])
         for b in range(a):
             gens.add(table[table[inv[a]][inv[b]]][table[a][b]])
-    k_set = G._closure_idx(sorted(gens))
+    k_set = groups._closure(table, sorted(gens))
     if len(k_set) == n:
         return []
     coset_of, q_table = groups._quotient(table, k_set)
@@ -1919,7 +1919,7 @@ def _reference_abelianization(G: FiniteGroup) -> tuple:
     comm_gens.discard(0)
     if not comm_gens:
         return groups._abelian_invariants_from_table(table)
-    k_set = frozenset(G._closure_idx(sorted(comm_gens)))
+    k_set = frozenset(groups._closure(table, sorted(comm_gens)))
     if len(k_set) == n:
         return ()
     for h in k_set:

@@ -60,7 +60,7 @@ def test_parse_sorts_proper_periods():
 def test_parse_empty_cycle_and_multiple_cycles():
     sig = parse_signature("(0;+;[-];{(),(2,2)})")
     assert sig.period_cycles == ((), (2, 2))
-    assert sig.num_cycles == 2
+    assert len(sig.period_cycles) == 2
 
 
 def test_parse_whitespace_tolerated():
