@@ -50,7 +50,7 @@ from .groups import (
     direct_product,
     semidirect_with_automorphism,
 )
-from .signatures import Signature, chain_signature, mixed_signature
+from .signatures import chain_signature, mixed_signature
 
 KIND_A = "a"
 KIND_B = "b"
@@ -117,14 +117,20 @@ class ExtendedAction:
     elliptic generators to +1 and the reflections to -1; construction
     computes it from the images, one sign per element of ``group``, and
     stores it as ``orientation``.  Images that define no character are
-    rejected.
+    rejected.  The ``signature`` is built once, from the kind.
     """
 
-    __slots__ = ("g", "kind", "label", "group", "images", "orientation")
+    __slots__ = ("g", "kind", "label", "group", "images", "signature", "orientation")
 
     def __init__(self, g: int, kind: str, label: str, group: FiniteGroup, images: tuple):
         self.g, self.kind, self.label, self.group, self.images = g, kind, label, group, images
-        sig = self.signature
+        # the reflection signature of the kind: chain for a, mixed for b
+        if kind == KIND_A:
+            self.signature = sig = chain_signature(g)
+        elif kind == KIND_B:
+            self.signature = sig = mixed_signature(g)
+        else:
+            raise InvariantViolation(f"unknown extension kind {kind!r}")
         periods, (links,) = sig.proper_periods, sig.period_cycles
         if len(images) != len(periods) + len(links) + (len(periods) > 0):
             raise InvariantViolation("one image per canonical generator is required")
@@ -171,15 +177,6 @@ class ExtendedAction:
         self.orientation = tuple(1 - 2 * v for v in closed[0])
         if kernel_genus(group.order, sig) != g:
             raise InvariantViolation("kernel genus does not match g")
-
-    @property
-    def signature(self) -> Signature:
-        """The reflection signature of the kind: chain for a, mixed for b."""
-        if self.kind == KIND_A:
-            return chain_signature(self.g)
-        if self.kind == KIND_B:
-            return mixed_signature(self.g)
-        raise InvariantViolation(f"unknown extension kind {self.kind!r}")
 
     @property
     def connecting_image(self) -> GroupElement:

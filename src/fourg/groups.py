@@ -21,11 +21,15 @@ resumes its parent's walk rather than starting from the identity.
 Every constructor builds its table with one Cayley-graph fill
 (``_cayley_table``) from its generators' rows, which it reads off what it
 holds (a presentation, the factors' rows, a permutation group's discovery
-tree); every other row is a known row gathered through a generator's row,
-one C-level ``itemgetter`` call (``_gather``) per row.  Its order check is made before anything of that size is
+tree); every other row is a known row composed through a generator's row.
+Up to order 256 a row is ``bytes`` and is composed by one
+``bytes.translate``; above it a row is a tuple and is composed by one
+C-level ``itemgetter`` call.  ``_row`` makes a row and ``_through``
+composes through one, both keyed on the order alone; every reader indexes
+rows alike.  The order check is made before anything of that size is
 allocated, so an oversized request fails with ``GroupConstructionError``
 rather than exhausting memory.  A table the package built is stored as
-built, tuple rows and all, with no copy and no second range scan.
+built, with no copy and no second range scan.
 
 Work that needs the whole group is done from its generators, which must
 span it: a conjugacy class is the orbit of its smallest element under
@@ -122,20 +126,21 @@ class GroupElement:
 class FiniteGroup:
     """Immutable finite group given by a full multiplication table.
 
-    Rows of the table are tuples.  ``generator_indices`` must span the
-    group: conjugacy classes and the commutator subgroup are computed from
-    them.
+    Rows of the table are ``bytes`` up to order 256 and tuples above
+    (``_row``).  ``generator_indices`` must span the group: conjugacy
+    classes and the commutator subgroup are computed from them.
 
-    ``verify=True`` is for a table from a caller: its rows are copied to
-    tuples and checked to be square over 0..n-1, and ``_verify`` checks the
-    identity, that the generators span, and associativity.  ``verify=False``
-    is for a table this package built, and stores it as handed over: the
-    constructor vouches for tuple rows over 0..n-1 and for a group table
-    spanned by the generators.  ``_cayley_table`` puts every entry in range by
-    checking each generator's row once; ``cyclic``, ``metacyclic`` and
-    ``from_table`` then run ``_verify`` themselves, and the other
-    constructors compose groups already verified, or permutations.  Names
-    are checked to be unique and inverses are computed for every group.
+    ``verify=True`` is for a table from a caller: its rows are checked to
+    be square over 0..n-1, then copied to rows of that kind, and
+    ``_verify`` checks the identity, that the generators span, and
+    associativity.  ``verify=False`` is for a table this package built,
+    and stores it as handed over: the constructor vouches for such rows
+    over 0..n-1 and for a group table spanned by the generators.
+    ``_cayley_table`` puts every entry in range by checking each
+    generator's row once; ``cyclic``, ``metacyclic`` and ``from_table``
+    then run ``_verify`` themselves, and the other constructors compose
+    groups already verified, or permutations.  Names are checked to be
+    unique and inverses are computed for every group.
 
     The group holds its table and index caches only.  Element orders,
     conjugacy classes, the isomorphism invariant and the name lookup are
@@ -167,6 +172,7 @@ class FiniteGroup:
                     raise GroupConstructionError(
                         "multiplication table is not square over 0..n-1"
                     )
+            table = [_row(n, row) for row in table]
         self._table = table
         if isinstance(names, _CycleNames):
             self._names = names  # canonical cycle notation: distinct by construction
@@ -254,14 +260,15 @@ class FiniteGroup:
         Light's test checks ``(x*a)*y == x*(a*y)`` for all x and y, one row
         x at a time, for each declared generator a.  The elements a that
         pass form a closed set, so a group spanned by passing elements is
-        associative.  Row x*a is compared with row x gathered through row a;
+        associative.  Row x*a is compared with row x composed through row a;
         a failing row is scanned for its first failing y.  Rows a caller
-        handed over unverified may be lists, so they are compared as tuples.
+        handed over unverified may be lists, so each row is compared as the
+        row ``_row`` makes of it, which is the row itself for a built one.
         """
         n = self.order
-        table = self._table
-        ident = tuple(range(n))
-        if tuple(table[0]) != ident or tuple(row[0] for row in table) != ident:
+        table = [_row(n, row) for row in self._table]
+        ident = _row(n, range(n))
+        if table[0] != ident or _row(n, [row[0] for row in table]) != ident:
             raise GroupConstructionError("index 0 is not a two-sided identity")
         reached = _closure(table, self._gen_idx)
         if len(reached) != n:
@@ -270,11 +277,11 @@ class FiniteGroup:
             )
         for a in self._gen_idx or [0]:
             row_a = table[a]
-            compose = _gather(row_a)
+            compose = _through(row_a)
             for x, row_x in enumerate(table):
                 row_xa = table[row_x[a]]
-                if tuple(row_xa) != compose(row_x):
-                    y = next(y for y in ident if row_xa[y] != row_x[row_a[y]])
+                if row_xa != compose(row_x):
+                    y = next(y for y in range(n) if row_xa[y] != row_x[row_a[y]])
                     raise GroupConstructionError(f"associativity fails at ({x},{a},{y})")
 
     # -- subgroup machinery ------------------------------------------------
@@ -350,6 +357,25 @@ def _gather(keys):
     return lambda seq: tuple(seq[k] for k in keys)
 
 
+def _row(order: int, entries):
+    """A row of a table of ``order`` elements, from its entries in
+    0..order-1: ``bytes`` up to order 256, where every entry fits a byte,
+    and a tuple above."""
+    return bytes(entries) if order <= 256 else tuple(entries)
+
+
+def _through(row):
+    """``f`` with ``f(seq)[y] == seq[row[y]]``, for ``seq`` a row of the
+    same order, both made by ``_row``; ``f`` returns such a row too.  Byte
+    rows are composed by one ``bytes.translate``, tuple rows by one
+    ``itemgetter`` call (``_gather``)."""
+    n = len(row)
+    if n <= 256:
+        pad = bytes(256 - n)  # translate reads a table of 256 bytes
+        return lambda seq: row.translate(seq + pad)
+    return _gather(row)
+
+
 def _extend_hom(tg, th, pairs, parent=None, *, injective=False):
     """Extend a partial map between two tables to a homomorphism.
 
@@ -394,14 +420,23 @@ def _extend_hom(tg, th, pairs, parent=None, *, injective=False):
 
 
 def _element_orders(table) -> list:
-    """Order of every element of a multiplication table (identity at 0)."""
-    orders = []
-    for i in range(len(table)):
-        k, acc = 1, i
-        while acc != 0:
-            acc = table[acc][i]
-            k += 1
-        orders.append(k)
+    """Order of every element of a multiplication table (identity at 0).
+
+    The powers of each element not yet settled are walked once: when it has
+    order k, its j-th power has order k // gcd(j, k)."""
+    orders = [0] * len(table)
+    orders[0] = 1
+    for i, row in enumerate(table):
+        if orders[i]:
+            continue
+        powers = [i]
+        acc = row[i]
+        while acc:
+            powers.append(acc)
+            acc = row[acc]
+        k = len(powers) + 1
+        for j, p in enumerate(powers, 1):
+            orders[p] = k // gcd(j, k)
     return orders
 
 
@@ -482,8 +517,9 @@ def _cayley_table(order: int, gen_rows) -> list:
     order's size is allocated first.  Each row is checked once to have
     ``order`` entries inside 0..order-1, which puts every entry of the table
     in range.  The rows are filled by walking the Cayley graph from the
-    identity by right multiplication: row ``a*g`` is row ``a`` gathered
-    through row ``g``, and ``a*g`` is entry ``g`` of row ``a``.
+    identity by right multiplication: row ``a*g`` is row ``a`` composed
+    through row ``g`` (``_through``), and ``a*g`` is entry ``g`` of row
+    ``a``.  Rows are made by ``_row``: bytes up to order 256, tuples above.
     """
     if order < 1:
         raise GroupConstructionError(f"a group has at least one element, got order {order}")
@@ -495,9 +531,9 @@ def _cayley_table(order: int, gen_rows) -> list:
             raise GroupConstructionError(
                 f"generator {g} needs a row of {order} entries, none outside 0..{order - 1}"
             )
-        steps.append((g, _gather(row)))
+        steps.append((g, _through(_row(order, row))))
     rows = [None] * order
-    rows[0] = tuple(range(order))
+    rows[0] = _row(order, range(order))
     reached = [0]
     for a in reached:  # reached grows while it is walked
         row = rows[a]
@@ -779,10 +815,10 @@ def from_permutations(source) -> FiniteGroup:
             touched.update(cycle)
             for a, b in zip(cycle, cycle[1:] + cycle[:1]):
                 perm[a - 1] = b - 1
-        perms.append(tuple(perm))
+        perms.append(_row(degree, perm))
 
-    steps = [_gather(q) for q in perms]  # steps[k](p) is p * perms[k]
-    identity = tuple(range(degree))
+    steps = [_through(q) for q in perms]  # steps[k](p) is p * perms[k]
+    identity = _row(degree, range(degree))
     index_of = {identity: 0}
     elements = [identity]
     parent, via = [0], [0]  # each element is elements[parent] * perms[via]
@@ -840,7 +876,7 @@ class _CycleNames:
         self._steps = steps
         self._parent = parent
         self._via = via
-        self._identity = tuple(range(degree))
+        self._identity = _row(degree, range(degree))
         self._labels = [str(i) for i in range(1, degree + 1)]
         self._names = [None] * len(parent)
 
@@ -906,7 +942,7 @@ def from_table(text: str) -> FiniteGroup:
         row = None
         if len(tokens) == n:
             try:
-                row = _gather(tokens)(index)
+                row = _row(n, _gather(tokens)(index))
             except KeyError:
                 pass
         if row is None:
@@ -928,20 +964,22 @@ def from_table(text: str) -> FiniteGroup:
             raise InputFormatError("generator indices out of range")
         if len(lines) > n + 2:
             raise InputFormatError("unexpected extra lines after the generators line")
-    ident = tuple(range(n))
+    ident = _row(n, range(n))
     identity = next(
-        (e for e, row in enumerate(raw) if row == ident and tuple(r[e] for r in raw) == ident),
+        (e for e, row in enumerate(raw) if row == ident and _row(n, [r[e] for r in raw]) == ident),
         None,
     )
     if identity is None:
         raise InputFormatError("table has no two-sided identity")
-    # move the identity to index 0, keeping the others in input order
-    order_old = [identity, *range(identity), *range(identity + 1, n)]
-    new_of = [*range(1, identity + 1), 0, *range(identity + 1, n)]
-    pick_old = _gather(order_old)
-    table = [_gather(pick_old(raw[a]))(new_of) for a in order_old]
-    if gen_line is not None:
-        gen_line = list(map(new_of.__getitem__, gen_line))
+    order_old, table = range(n), raw
+    if identity:
+        # move the identity to index 0, keeping the others in input order
+        order_old = [identity, *range(identity), *range(identity + 1, n)]
+        new_of = _row(n, [*range(1, identity + 1), 0, *range(identity + 1, n)])
+        pick_old = _through(_row(n, order_old))
+        table = [_through(pick_old(raw[a]))(new_of) for a in order_old]
+        if gen_line is not None:
+            gen_line = [new_of[i] for i in gen_line]
     names = [f"g{old}" for old in order_old]
     gens = gen_line if gen_line is not None else _small_generating_set(table, range(n))
     try:

@@ -16,7 +16,7 @@ from conftest import CHAIN_SIGNS, CONE_SIGNS, SIGNS, _reference_orientation
 
 from fourg.actions import ActionClass, classify, main_action_class
 from fourg.errors import InvariantViolation
-from fourg import extensions
+from fourg import extensions, signatures
 from fourg.extensions import (
     ExtendedAction,
     _fixed_keys,
@@ -182,6 +182,32 @@ class TestBuildExtensions:
 
 
 class TestExtendedActionValidation:
+    def test_unknown_kind_rejected(self):
+        first = build_extensions(main_action_class(2))[0]
+        with pytest.raises(InvariantViolation, match="unknown extension kind 'c'"):
+            ExtendedAction(2, "c", "a1", first.group, first.images)
+
+    def test_signature_is_built_once_at_construction(self, monkeypatch):
+        actions = build_extensions(main_action_class(5))
+        built = []
+        init = signatures.Signature.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(signatures.Signature, "__init__", counting)
+        for e in actions:
+            for _ in range(2):
+                assert e.signature is e.signature
+                assert e.reflection_cycle[0].group is e.group
+                assert e.connecting_image.group is e.group
+        assert built == []
+        assert [e.signature for e in actions] == [
+            chain_signature(5), chain_signature(5), mixed_signature(5)
+        ]
+        assert len(built) == 3  # the three signatures compared with
+
     def test_broken_link_period_rejected(self):
         first = build_extensions(main_action_class(2))[0]
         G = first.group

@@ -286,9 +286,66 @@ class TestConstructors:
             with pytest.raises(GroupConstructionError, match="not square over 0..n-1"):
                 FiniteGroup(table, ["e", "a"], [1])
 
+    @pytest.mark.parametrize("n", [2, 255, 256])
+    @pytest.mark.parametrize("bad", [256, -1])
+    def test_entries_outside_a_byte_are_out_of_range(self, n, bad):
+        # checked before the rows become bytes, which would raise ValueError
+        table = [[(a + b) % n for b in range(n)] for a in range(n)]
+        table[n - 1][n // 2] = bad
+        message = r"^multiplication table is not square over 0\.\.n-1$"
+        with pytest.raises(GroupConstructionError, match=message):
+            FiniteGroup(table, range(n), [1])
+
+    @pytest.mark.parametrize("n", [6, 258])
+    def test_verify_reports_the_first_failing_triple_on_list_rows(self, n):
+        # C_n with the intercalate on rows 1, 1 + n/2 and columns 1, 1 + n/2
+        # flipped, handed over unverified as list rows
+        rows = _intercalate_table(cyclic(n), n // 2, 1, 1)
+        assert type(rows[0]) is list
+        H = FiniteGroup(rows, range(n), [1, 2], verify=False)
+        got = _verify_outcome(H, FiniteGroup._verify)
+        assert got == _verify_outcome(H, _reference_verify)
+        assert got.startswith("associativity fails at (")
+        assert H._table is rows  # _verify reads the rows, it does not replace them
+        built = FiniteGroup(_as_rows(rows), range(n), [1, 2], verify=False)
+        assert _verify_outcome(built, FiniteGroup._verify) == got
+
+
+def _reference_element_orders(table) -> list:
+    """Each element's order by walking its powers one by one."""
+    orders = []
+    for i in range(len(table)):
+        k, acc = 1, i
+        while acc != 0:
+            acc = table[acc][i]
+            k += 1
+        orders.append(k)
+    return orders
+
+
+class TestElementOrders:
+    @pytest.mark.parametrize("n", range(1, 49))
+    def test_catalog_matches_power_walk(self, n):
+        for G in small_groups(n):
+            assert groups._element_orders(G._table) == _reference_element_orders(G._table), G.name
+
+    @pytest.mark.parametrize("n", [256, 257])
+    def test_cyclic_across_the_row_types(self, n):
+        table = cyclic(n)._table
+        assert type(table[0]) is (bytes if n <= 256 else tuple)
+        orders = groups._element_orders(table)
+        assert orders == _reference_element_orders(table)
+        assert orders == [n // groups.gcd(i, n) for i in range(n)]
+
 
 def _brute_force(order, mul):
     return [tuple(mul(a, b) for b in range(order)) for a in range(order)]
+
+
+def _as_rows(table) -> list:
+    """``table`` with the rows a built table of its order holds: bytes up
+    to order 256, tuples above."""
+    return [groups._row(len(table), row) for row in table]
 
 
 def _metacyclic_rule(n, t, square):
@@ -375,8 +432,8 @@ class TestCayleyTable:
         for label, G, order, gens, mul in _cayley_cases():
             expected = _brute_force(order, mul)
             gen_rows = ((g, expected[g]) for g in gens)
-            assert groups._cayley_table(order, gen_rows) == expected, label
-            assert G._table == expected, label
+            assert groups._cayley_table(order, gen_rows) == _as_rows(expected), label
+            assert G._table == _as_rows(expected), label
             assert _reference_cayley_table(order, gens, mul) == expected, label
 
     def test_generators_must_span(self):
@@ -408,18 +465,33 @@ class TestCayleyTable:
             semidirect_with_automorphism(cyclic(5), inversion, top_order=order)
 
     def test_order_one(self):
-        assert groups._cayley_table(1, []) == [(0,)]
-        assert groups._cayley_table(1, [(0, [0]), (0, (0,))]) == [(0,)]
+        assert groups._cayley_table(1, []) == [b"\x00"]
+        assert groups._cayley_table(1, [(0, [0]), (0, (0,))]) == [b"\x00"]
+
+    def test_row_type_is_keyed_on_the_order(self):
+        # byte rows up to order 256, tuple rows above, composed alike
+        kinds = [(1, bytes), (2, bytes), (255, bytes), (256, bytes), (257, tuple), (300, tuple)]
+        for n, kind in kinds:
+            shift = [(y + 1) % n for y in range(n)]
+            table = groups._cayley_table(n, [(1 % n, shift)])
+            assert {type(row) for row in table} == {kind}, n
+            assert [tuple(row) for row in table] == [
+                tuple((a + b) % n for b in range(n)) for a in range(n)
+            ], n
+            row = groups._row(n, shift)
+            assert type(row) is kind
+            assert groups._through(row)(row) == groups._row(n, [(y + 2) % n for y in range(n)])
 
 
 def _assert_built_contract(G: FiniteGroup):
     """What construction no longer re-checks for a table the package built:
-    tuple rows of length n over 0..n-1, unique names, and the group axioms
-    with spanning generators (``_verify``)."""
+    rows of length n over 0..n-1, bytes at order 256 or less and tuples
+    above, unique names, and the group axioms with spanning generators
+    (``_verify``)."""
     n = G.order
     span = range(n)
     for row in G._table:
-        assert type(row) is tuple and len(row) == n, G.name
+        assert type(row) is (bytes if n <= 256 else tuple) and len(row) == n, G.name
         assert min(row) in span and max(row) in span, G.name
     names = list(G._names)
     assert len(names) == n and len(set(names)) == n, G.name
@@ -437,6 +509,14 @@ class TestConstructionContract:
         for G in (family_group(g), chain_target_group(g), cone_target_group(g)):
             _assert_built_contract(G)
         _assert_built_contract(dihedral_from_reflections(4 * g))
+
+    def test_tuple_rows_above_order_256(self):
+        G = family_group(65)
+        assert G.order == 260
+        _assert_built_contract(G)
+        _assert_built_contract(from_table(_table_text(G._table)))
+        _assert_built_contract(cyclic(257))
+        _assert_built_contract(cyclic(256))
 
     @settings(PROPERTY_SETTINGS, max_examples=40)
     @given(st.lists(st.permutations(range(6)), min_size=1, max_size=3))
@@ -480,7 +560,7 @@ class TestConstructionContract:
         ):
             G = make()
             assert G._table is built[-1], G.name
-            assert G._table == table, G.name
+            assert G._table == _as_rows(table), G.name
 
     def test_order_one_and_degree_one(self):
         trivial = [
